@@ -51,21 +51,24 @@ def _params_for(process: ProcessTag, hurst: float | None) -> HurstParams | None:
 
 def _parse_rate(spec: str):
     kind, _, rest = spec.partition(":")
-    if kind == "const":
-        return constant_rate(float(rest))
-    if kind == "affine":
-        base, slope = rest.split(",")
-        return affine_rate(float(base), float(slope))
-    if kind == "table":
-        ts, vs = [], []
-        for line in Path(rest).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            t_s, v_s = line.split(",")
-            ts.append(float(t_s))
-            vs.append(float(v_s))
-        return tabulated_rate(ts, vs)
+    try:
+        if kind == "const":
+            return constant_rate(float(rest))
+        if kind == "affine":
+            base, slope = rest.split(",")
+            return affine_rate(float(base), float(slope))
+        if kind == "table":
+            ts, vs = [], []
+            for line in Path(rest).read_text().splitlines():
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                t_s, v_s = line.split(",")
+                ts.append(float(t_s))
+                vs.append(float(v_s))
+            return tabulated_rate(ts, vs)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"malformed rate spec {spec!r}: {exc}") from exc
     raise DomainError(f"unknown rate preset {spec!r}; use const:X, affine:X,Y or table:FILE")
 
 
@@ -259,7 +262,6 @@ def cmd_market(args, argv) -> int:
         report.to_json(scan_path)
         outputs.append(str(scan_path))
 
-    code = 0
     if args.demo_arbitrage:
         witness = make_noise(args.N, NoiseKind.RADEMACHER, args.seed)
         if args.witness_all_ones:
@@ -274,11 +276,14 @@ def cmd_market(args, argv) -> int:
               f"pnl up {trade.pnl_up!r}, down {trade.pnl_down!r}")
 
     outputs.append(_manifest(out, "market", args, argv, outputs))
-    return code
+    return 0
 
 
 def cmd_rerun(args, argv) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read manifest {args.manifest!r}: {exc}") from exc
     return main(manifest["argv"])
 
 
@@ -352,10 +357,16 @@ def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise DomainError("--config needs a FILE argument")
     cfg_path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2:]
     injected: list[str] = []
-    for line in Path(cfg_path).read_text().splitlines():
+    try:
+        text = Path(cfg_path).read_text()
+    except OSError as exc:
+        raise DomainError(f"cannot read config {cfg_path!r}: {exc}") from exc
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -377,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
         expanded = _apply_config(argv)
         parser = _build_parser()
         args = parser.parse_args(expanded)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 2 if code not in (0,) else 0

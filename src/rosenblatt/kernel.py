@@ -397,7 +397,6 @@ class VolterraEngine:
         self._j1 = special.roots_jacobi(nodes, 0.0, self._alpha)
         self._j2 = special.roots_jacobi(nodes, 0.0, 2 * self._alpha)
         self._panels: dict[int, dict] = {}
-        self._deltas: dict[int, np.ndarray] = {}
         self._fbm_rows: np.ndarray | None = None
         self._lock = threading.Lock()
 
@@ -412,11 +411,10 @@ class VolterraEngine:
         pref = p.cHp * a ** (p.Hp - 0.5)
         out = np.zeros((k, a.size))
         if k >= 2:
-            idx = np.arange(1, k - 1)
-            if idx.size:
-                out[: k - 2] = pref * (self._Ix((idx[:, None] / n) / a)
-                                       - self._Ix(((idx[:, None] - 1) / n) / a))
-            out[k - 2] = pref * (self._B - self._Ix(((k - 2) / n) / a))
+            # each interior cell edge is shared by two rows: evaluate it once
+            edges = self._Ix((np.arange(k - 1)[:, None] / n) / a)
+            out[: k - 2] = pref * (edges[1:] - edges[:-1])
+            out[k - 2] = pref * (self._B - edges[k - 2])
         return out
 
     def _edge(self, k, a):
@@ -461,10 +459,11 @@ class VolterraEngine:
             return data
 
     def delta_table(self, k: int) -> np.ndarray:
-        """Panel increment DeltaC_k[i, j] = n dH int_panel G_i G_j da, (k, k)."""
-        got = self._deltas.get(k)
-        if got is not None:
-            return got
+        """Panel increment DeltaC_k[i, j] = n dH int_panel G_i G_j da, (k, k).
+
+        Built on every call, never cached: it is the dense O(k^2) oracle for
+        the panel increments and feeds ``table_matrix``.
+        """
         p = self.panel(k)
         A = p["A_gl"]
         T0 = (A * p["w_gl"]) @ A.T
@@ -479,13 +478,15 @@ class VolterraEngine:
         C = 0.5 * (C + C.T)  # exact symmetry (BLAS products are symmetric only to 1 ulp)
         np.fill_diagonal(C, 0.0)
         C.setflags(write=False)
-        if self.n <= 512:  # full increment storage is n^3/3 floats; skip beyond desk scale
-            with self._lock:
-                self._deltas[k] = C
         return C
 
     def table_matrix(self, m: int) -> np.ndarray:
-        """Cumulative coefficient matrix c_ij(m), zero-padded to (n, n)."""
+        """Cumulative coefficient matrix c_ij(m), zero-padded to (n, n).
+
+        Sums the uncached ``delta_table`` increments, O(m^3) per call: the
+        path of the exact finite-n laws and of the direct generator, which
+        cross-check the factorised panel pass.
+        """
         C = np.zeros((self.n, self.n))
         for k in range(1, m + 1):
             C[:k, :k] += self.delta_table(k)
@@ -523,38 +524,67 @@ class VolterraEngine:
     def quadratic_increments(self, xi: np.ndarray, unit_squares: bool) -> np.ndarray:
         """Increments Z(k/n) - Z((k-1)/n) of the off-diagonal quadratic form.
 
-        xi has shape (M, n).  Per panel k the sum over pairs i != j <= k of
-        xi_i xi_j G_i G_j is expanded through the Abar/E split, so each panel
-        costs O(M k nodes) flops; passing unit_squares=True (Rademacher noise)
+        xi has shape (M, n); column k - 1 of the result is the panel-k
+        increment of every row.  Passing unit_squares=True (Rademacher noise)
         skips the xi^2 reduction.
         """
         M, n = xi.shape
         if n != self.n:
             raise DomainError(f"noise length {n} does not match grid {self.n}")
-        nd = self.n * self.params.dH
         out = np.empty((M, n))
         for k in range(1, n + 1):
-            p = self.panel(k)
-            xk = xi[:, :k]
-            S = xk @ p["A_gl"]
-            if unit_squares:
-                Qd = np.sum(p["A_gl"] ** 2, axis=0)[None, :]
-            else:
-                Qd = (xk ** 2) @ (p["A_gl"] ** 2)
-            part = ((S * S - Qd) * p["w_gl"]).sum(axis=1)
-            S1 = xk @ p["A_j1"]
-            if k >= 2:
-                xs = xi[:, k - 1] - xi[:, k - 2]
-                sq = np.ones(M) if unit_squares else xi[:, k - 2] ** 2
-                inner = xs[:, None] * S1 + sq[:, None] * p["A_j1"][k - 2][None, :]
-                cross = xi[:, k - 1] * xi[:, k - 2]
-            else:
-                inner = xi[:, 0][:, None] * S1
-                cross = np.zeros(M)
-            part += (2.0 * inner * (p["w_j1"] * p["R_j1"])).sum(axis=1)
-            part -= 2.0 * cross * float(np.sum(p["w_j2"] * p["R_j2"] ** 2))
-            out[:, k - 1] = nd * part
+            out[:, k - 1] = self._panel_increment(k, xi[:, :k], unit_squares)
         return out
+
+    def branch_pair(self, prefix: np.ndarray) -> np.ndarray:
+        """Panel-k increments, k = len(prefix) + 1, of the noise prefix
+        continued by xi_k = +1 and by xi_k = -1; shape (2,).
+
+        The increment is affine in xi_k (the quadratic form has no diagonal),
+        so the pair is (f + g, f - g) of the split f_{k-1} + xi_k g_{k-1}.
+        """
+        prefix = np.asarray(prefix, dtype=float)
+        k = prefix.size + 1
+        if prefix.ndim != 1 or k > self.n:
+            raise DomainError(f"prefix must be one-dimensional and shorter than {self.n}")
+        rows = np.empty((2, k))
+        rows[:, : k - 1] = prefix
+        rows[:, k - 1] = (1.0, -1.0)
+        return self._panel_increment(k, rows, unit_squares=False)
+
+    def branch_increments(self, x: np.ndarray) -> np.ndarray:
+        """``branch_pair`` of every prefix x[:k-1], k = 1..len(x)+1, as the
+        columns of a (2, len(x) + 1) array: row 0 the +1, row 1 the -1 branch."""
+        x = np.asarray(x, dtype=float)
+        return np.stack([self.branch_pair(x[: k - 1]) for k in range(1, x.size + 2)],
+                        axis=1)
+
+    def _panel_increment(self, k: int, xk: np.ndarray, unit_squares: bool) -> np.ndarray:
+        """Panel-k increment of the quadratic form for each row of xk, shape (M, k).
+
+        The sum over pairs i != j <= k of xi_i xi_j int_panel G_i G_j is
+        expanded through the Abar/E split, so it costs O(M k nodes) flops.
+        """
+        M = xk.shape[0]
+        p = self.panel(k)
+        S = xk @ p["A_gl"]
+        if unit_squares:
+            Qd = np.sum(p["A_gl"] ** 2, axis=0)[None, :]
+        else:
+            Qd = (xk ** 2) @ (p["A_gl"] ** 2)
+        part = ((S * S - Qd) * p["w_gl"]).sum(axis=1)
+        S1 = xk @ p["A_j1"]
+        if k >= 2:
+            xs = xk[:, k - 1] - xk[:, k - 2]
+            sq = np.ones(M) if unit_squares else xk[:, k - 2] ** 2
+            inner = xs[:, None] * S1 + sq[:, None] * p["A_j1"][k - 2][None, :]
+            cross = xk[:, k - 1] * xk[:, k - 2]
+        else:
+            inner = xk[:, 0][:, None] * S1
+            cross = np.zeros(M)
+        part += (2.0 * inner * (p["w_j1"] * p["R_j1"])).sum(axis=1)
+        part -= 2.0 * cross * float(np.sum(p["w_j2"] * p["R_j2"] ** 2))
+        return self.n * self.params.dH * part
 
 
 _ENGINES: dict[tuple, VolterraEngine] = {}

@@ -14,6 +14,12 @@ d_n < r_n - a_n < u_n at every step; on the all-ones noise path f - g grows
 like n^(2Hp - 1), so the condition eventually fails and a one-period
 borrow-and-buy strategy wins on both branches.
 
+The walk increment is affine in xi_n (its quadratic form has no diagonal),
+so u_n and d_n are the step-n increment with xi_n set to +1 and to -1.  The
+kernel's panel pass evaluates both branches for every n at once
+(``VolterraEngine.branch_increments``), in O(N^2 nodes) time and memory;
+the dense weight tables are never formed here.
+
 The first trading period is degenerate (Z has no off-diagonal pair yet, so
 X_1 = 0 surely); arbitrage checks therefore start at n = 2, where the model
 is genuinely binary.
@@ -92,42 +98,33 @@ class MarketConfig:
 # the isolated quadratic / linear forms
 # ---------------------------------------------------------------------------
 
-def _delta(cfg: MarketConfig, n: int, q: QuadConfig) -> np.ndarray:
-    return get_engine(cfg.N, cfg.params, q).delta_table(n)
+def updown(n: int, x: np.ndarray, cfg: MarketConfig,
+           q: QuadConfig = DEFAULT_QUAD) -> tuple[float, float]:
+    """(u_n, d_n) = (f + g, f - g): sigma times the step-n walk increment of
+    the prefix x continued by xi_n = +1 and by xi_n = -1."""
+    x = np.asarray(x, dtype=float)
+    if n < 2 or n > cfg.N:
+        raise DomainError(f"need 2 <= n <= N, got n={n}")
+    if x.shape != (n - 1,):
+        raise DomainError(f"x must have length n-1={n - 1}")
+    u, d = cfg.sigma * get_engine(cfg.N, cfg.params, q).branch_pair(x)
+    return float(u), float(d)
 
 
 def f_eval(n: int, x: np.ndarray, cfg: MarketConfig, q: QuadConfig = DEFAULT_QUAD) -> float:
-    """Quadratic form f_{n-1}(x): the part of X_n not involving xi_n.
+    """Quadratic form f_{n-1}(x) = (u_n + d_n)/2: the part of X_n not involving xi_n.
 
-    Equals sigma N sum_{i != j <= n-1} [iint_cells (F(n/N) - F((n-1)/N))] x_i x_j,
-    assembled from the panel increment of the weight table.
+    Equals sigma N sum_{i != j <= n-1} [iint_cells (F(n/N) - F((n-1)/N))] x_i x_j.
     """
-    x = np.asarray(x, dtype=float)
-    if n < 2 or n > cfg.N:
-        raise DomainError(f"need 2 <= n <= N, got n={n}")
-    if x.shape != (n - 1,):
-        raise DomainError(f"x must have length n-1={n - 1}")
-    D = _delta(cfg, n, q)
-    return float(cfg.sigma * (x @ D[: n - 1, : n - 1] @ x))
+    u, d = updown(n, x, cfg, q)
+    return 0.5 * (u + d)
 
 
 def g_eval(n: int, x: np.ndarray, cfg: MarketConfig, q: QuadConfig = DEFAULT_QUAD) -> float:
-    """Linear form g_{n-1}(x) = 2 sigma N sum_{i<=n-1} [iint F(n/N) over cell_i x cell_n] x_i."""
-    x = np.asarray(x, dtype=float)
-    if n < 2 or n > cfg.N:
-        raise DomainError(f"need 2 <= n <= N, got n={n}")
-    if x.shape != (n - 1,):
-        raise DomainError(f"x must have length n-1={n - 1}")
-    D = _delta(cfg, n, q)
-    return float(2.0 * cfg.sigma * (D[n - 1, : n - 1] @ x))
-
-
-def updown(n: int, x: np.ndarray, cfg: MarketConfig,
-           q: QuadConfig = DEFAULT_QUAD) -> tuple[float, float]:
-    """(u_n, d_n) = (f + g, f - g) at the realized prefix x."""
-    f = f_eval(n, x, cfg, q)
-    g = g_eval(n, x, cfg, q)
-    return f + g, f - g
+    """Linear form g_{n-1}(x) = (u_n - d_n)/2
+    = 2 sigma N sum_{i<=n-1} [iint F(n/N) over cell_i x cell_n] x_i."""
+    u, d = updown(n, x, cfg, q)
+    return 0.5 * (u - d)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +178,8 @@ def build_market(cfg: MarketConfig, noise: NoiseSequence,
     """Run the recursions with X_n = sigma * (Z(n/N) - Z((n-1)/N)) on `noise`.
 
     The same noise drives the walk and the u/d envelope, so
-    X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi) holds to quadrature tolerance.
+    X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi) holds to rounding: X comes from
+    the ensemble pass ``quadratic_increments``, u and d from the branch pass.
     Nonpositive stock prices are reported in `breakdown_at`, never repaired.
     """
     if noise.kind is not NoiseKind.RADEMACHER:
@@ -193,7 +191,6 @@ def build_market(cfg: MarketConfig, noise: NoiseSequence,
     dz = eng.quadratic_increments(xi[None, :], unit_squares=True)[0]
     X = cfg.sigma * dz
 
-    N = cfg.N
     r, a = cfg.per_period_rates()
     B = cfg.B0 * np.cumprod(np.concatenate([[1.0], 1.0 + r]))
     S = cfg.S0 * np.cumprod(np.concatenate([[1.0], 1.0 + a + X]))
@@ -202,20 +199,12 @@ def build_market(cfg: MarketConfig, noise: NoiseSequence,
     if bad.size:
         breakdown = int(bad[0] + 1)
 
-    u = np.zeros(N)
-    d = np.zeros(N)
-    for n in range(2, N + 1):
-        D = eng.delta_table(n)
-        xp = xi[: n - 1]
-        f = cfg.sigma * (xp @ D[: n - 1, : n - 1] @ xp)
-        g = 2.0 * cfg.sigma * (D[n - 1, : n - 1] @ xp)
-        u[n - 1] = f + g
-        d[n - 1] = f - g
+    u, d = cfg.sigma * eng.branch_increments(xi[:-1])
     return MarketPath(cfg=cfg, noise=noise, X=X, B=B, S=S, u=u, d=d,
                       r_minus_a=r - a, breakdown_at=breakdown)
 
 
-def no_arbitrage_check(path: MarketPath, cfg: MarketConfig | None = None) -> int | None:
+def no_arbitrage_check(path: MarketPath) -> int | None:
     """Smallest binary step n where d_n < r_n - a_n < u_n fails (equality counts).
 
     Returns None when the condition holds at every binary step of the path.
@@ -265,16 +254,9 @@ def divergence_scan(cfg: MarketConfig, n_max: int,
         raise DomainError(f"n_max={n_max} exceeds N={cfg.N}")
     if n_max < 4:
         raise DomainError("scan needs n_max >= 4")
-    eng = get_engine(cfg.N, cfg.params, q)
-    ones = np.ones(cfg.N)
-    fg = []
-    for n in range(2, n_max + 1):
-        D = eng.delta_table(n)
-        xp = ones[: n - 1]
-        f = cfg.sigma * (xp @ D[: n - 1, : n - 1] @ xp)
-        g = 2.0 * cfg.sigma * (D[n - 1, : n - 1] @ xp)
-        fg.append(f - g)
-    fg = np.array(fg)
+    witness = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(cfg.N))
+    witness_path = build_market(cfg, witness, q)
+    fg = witness_path.d[1:n_max]      # d_n = (f - g)(n) on the all-ones path
 
     ns = np.arange(2, n_max + 1)
     upper = ns >= n_max // 2
@@ -285,8 +267,6 @@ def divergence_scan(cfg: MarketConfig, n_max: int,
     else:
         note = "f - g not positive on the upper half of the range; inconclusive at this scale"
 
-    witness_noise = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=ones)
-    witness_path = build_market(cfg, witness_noise, q)
     first = no_arbitrage_check(witness_path)
     Hp = cfg.params.Hp
     return ArbitrageReport(

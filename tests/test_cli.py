@@ -44,6 +44,10 @@ class TestSimulate:
         assert out.read_bytes() == first
         assert (tmp_path / "a.csv.meta.json").read_bytes() == first_meta
 
+    def test_rerun_missing_manifest_exits_2(self, tmp_path, capsys):
+        assert run("rerun", str(tmp_path / "absent.manifest.json")) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_invalid_hurst_exits_2_naming_interval(self, tmp_path, capsys):
         code = run("simulate", "--process", "rosenblatt", "--hurst", "0.4",
                    "--n", "8", "--out", str(tmp_path / "x.csv"))
@@ -170,6 +174,15 @@ class TestMarket:
                    "--rate-r", "spline:1", "--out", str(tmp_path / "m.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("flag,spec", [("--rate-r", "affine:1"),
+                                           ("--rate-a", "const:abc"),
+                                           ("--rate-r", "table:no-such-file.csv")])
+    def test_malformed_rate_spec_exits_2(self, tmp_path, capsys, flag, spec):
+        code = run("market", "--N", "16", "--hurst", "0.8", flag, spec,
+                   "--out", str(tmp_path / "m.csv"))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_quadrature_failure_exits_3(self, tmp_path, monkeypatch):
         from rosenblatt import QuadratureError
 
@@ -211,6 +224,13 @@ class TestConfigFile:
                    "--out", str(out)) == 0
         meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
         assert meta["M"] == 4
+
+
+    @pytest.mark.parametrize("tail", [[], ["no-such-file.cfg"]])
+    def test_config_without_readable_file_exits_2(self, tmp_path, capsys, tail):
+        code = run("simulate", "--out", str(tmp_path / "x.csv"), "--config", *tail)
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestEnvironment:

@@ -9,6 +9,7 @@ from rosenblatt import (DomainError, InconclusiveError, MarketConfig,
                         constant_rate, divergence_scan, f_eval, g_eval,
                         make_noise, no_arbitrage_check, rosenblatt_walk,
                         tabulated_rate, updown, weight_table)
+from rosenblatt.kernel import DEFAULT_QUAD, get_engine
 from rosenblatt.market import branch_pnls
 from rosenblatt.paths import NoiseKind, NoiseSequence
 
@@ -125,6 +126,26 @@ class TestBuildMarket:
             assert std_path.X[n - 1] == pytest.approx(want, rel=1e-8, abs=1e-14)
             u, d = std_path.u[n - 1], std_path.d[n - 1]
             assert (u if xi[n - 1] > 0 else d) == pytest.approx(want, rel=1e-8, abs=1e-14)
+
+    @pytest.mark.parametrize("N,steps,seed", [(64, None, 424242), (64, None, None),
+                                              (600, (2, 300, 513, 600), 5)])
+    def test_envelope_matches_delta_table_oracle(self, N, steps, seed):
+        # u_n, d_n = sigma (x'Dx +- 2 D[n-1] x) on the dense panel increment
+        # D = delta_table(n); seed None is the all-ones witness path
+        cfg = cfg_with(N=N, sigma=0.7)
+        if seed is None:
+            noise = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(N))
+        else:
+            noise = make_noise(N, "rademacher", seed)
+        path = build_market(cfg, noise)
+        eng = get_engine(N, cfg.params, DEFAULT_QUAD)
+        x = noise.values
+        for n in steps or range(2, N + 1):
+            D = eng.delta_table(n)
+            f = x[: n - 1] @ D[: n - 1, : n - 1] @ x[: n - 1]
+            g = 2.0 * (D[n - 1, : n - 1] @ x[: n - 1])
+            assert path.u[n - 1] == pytest.approx(cfg.sigma * (f + g), rel=1e-10)
+            assert path.d[n - 1] == pytest.approx(cfg.sigma * (f - g), rel=1e-10)
 
     def test_first_period_is_degenerate(self, std_path):
         assert std_path.X[0] == 0.0
