@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,17 +23,11 @@ from . import __version__
 from .kernel import DomainError, HurstParams, QuadConfig, QuadratureError
 from .market import (InconclusiveError, MarketConfig, affine_rate, arbitrage_demo,
                      build_market, constant_rate, divergence_scan, tabulated_rate)
-from .paths import NoiseKind, ProcessTag, make_noise, simulate_ensemble, write_ensemble
+from .paths import (NoiseKind, PathEnsemble, ProcessTag, make_noise, simulate_ensemble,
+                    write_ensemble)
 from . import stats as st
 
 _QV_SIZES = (16, 32, 64, 128, 256)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ROSENBLATT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _params_for(process: ProcessTag, hurst: float | None) -> HurstParams | None:
@@ -143,7 +136,7 @@ def cmd_simulate(args, argv) -> int:
         raise DomainError(f"--n must be at least 1, got {args.n}")
     q = QuadConfig(rel_tol=args.tol)
     ens = simulate_ensemble(args.paths, args.seed, NoiseKind(args.noise), p, q,
-                            process, args.n, threads=_threads())
+                            process, args.n)
     out = Path(args.out)
     outputs = write_ensemble(ens, out)
     if args.plot:
@@ -164,22 +157,25 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
     wanted = [args.check] if args.check != "all" else [
         "variance", "covariance", "skewness", "qv", "histogram"]
 
-    ens = None
-    if set(wanted) & {"variance", "covariance", "skewness", "histogram"}:
-        ens = simulate_ensemble(args.paths, args.seed, kind, p, q, process,
-                                args.n, threads=_threads())
+    # one ensemble per grid size: the qv size equal to --n reuses the main one
+    ensembles: dict[int, PathEnsemble] = {}
+
+    def ensemble(n: int) -> PathEnsemble:
+        if n not in ensembles:
+            ensembles[n] = simulate_ensemble(args.paths, args.seed, kind, p, q, process, n)
+        return ensembles[n]
 
     for name in wanted:
         if name == "variance":
-            rep = st.increment_variance(ens, 0.0, args.t)
+            rep = st.increment_variance(ensemble(args.n), 0.0, args.t)
             checks.append({"check": "variance", "passed": rep.within(4.0),
                            **rep.to_dict()})
         elif name == "covariance":
-            rep = st.covariance(ens, args.s, args.t)
+            rep = st.covariance(ensemble(args.n), args.s, args.t)
             checks.append({"check": "covariance", "passed": rep.within(4.0),
                            **rep.to_dict()})
         elif name == "skewness":
-            rep = st.skewness(ens, args.t)
+            rep = st.skewness(ensemble(args.n), args.t)
             if process is ProcessTag.ROSENBLATT:
                 ok = abs(rep.estimate) > 3.0 * rep.std_error
                 note = "expect significant skew (non-Gaussian marginal)"
@@ -191,9 +187,7 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             checks.append({"check": "skewness", "passed": bool(ok), **d})
         elif name == "qv":
             sizes = [int(s) for s in args.qv_sizes.split(",")]
-            enss = [simulate_ensemble(args.paths, args.seed, kind, p, q, process, nn,
-                                      threads=_threads()) for nn in sizes]
-            fit = st.qv_decay(enss)
+            fit = st.qv_decay([ensemble(nn) for nn in sizes])
             expo = {ProcessTag.ROSENBLATT: 1 - 2 * p.H if p else None,
                     ProcessTag.FBM: 1 - 2 * p.Hp if p else None,
                     ProcessTag.WALK: 0.0}[process]
@@ -205,7 +199,7 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             checks.append({"check": "qv", "passed": bool(ok),
                            "theoretical_slope": expo, **fit.to_dict()})
         elif name == "histogram":
-            hist = st.histogram(ens, args.t, args.bins)
+            hist = st.histogram(ensemble(args.n), args.t, args.bins)
             csv_path = Path(str(args.out) + ".hist.csv")
             hist.to_csv(csv_path)
             extra_files.append(str(csv_path))

@@ -24,7 +24,11 @@ Two independent evaluation orders are provided for the cell integrals:
   Gauss-Jacobi node families integrate every product at spectral accuracy.
 
 The panel machinery (``VolterraEngine``) is shared, read-only after
-construction, by the path generators and the market module.
+construction, by the path generators and the market module.  Its node tables
+are stacked in blocks of 16 consecutive panels, each a zero-padded (K, 16 *
+nodes) matrix whose rows are the cells i <= K of the block's last panel, so
+the ensemble pass runs one GEMM per block where it would run sixteen thin
+ones; the zero rows add exact zeros to every product.
 """
 from __future__ import annotations
 
@@ -37,9 +41,28 @@ import numpy as np
 from scipy import special
 
 
+# Panels per stacked block of node tables, and noise rows per GEMM in
+# ``quadratic_increments``: the slab bounds the temporaries at a few MiB.
+_BLOCK = 16
+_SLAB = 512
+
+
 @lru_cache(maxsize=None)
 def _leggauss(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through gemm for every row count of a.
+
+    numpy hands a one-row product to gemv, whose summation order differs from
+    gemm's.  Through gemm a row's result does not depend on the rows computed
+    with it, as long as the BLAS splits the inner dimension the same way for
+    every row count (OpenBLAS does up to its GEMM_Q, a few hundred).
+    """
+    if a.shape[0] == 1:
+        return (np.repeat(a, 2, axis=0) @ b)[:1]
+    return a @ b
 
 
 class DomainError(ValueError):
@@ -378,6 +401,12 @@ class VolterraEngine:
             = cHp a^(Hp-1/2) [Ix(u2/a) - Ix(u1/a)],
         Ix(x) = B(3/2-Hp, Hp-1/2) betainc(3/2-Hp, Hp-1/2, x).
 
+    The A_gl / A_j1 tables of panels 16b+1 .. 16b+16 are column slices of
+    one zero-padded block matrix of shape (K, 16 * nodes), K the block's last
+    panel (a last, partial block has fewer columns); panel k fills rows :k of
+    its slice, and the panel dicts hold read-only views into the block.  ``quadratic_increments`` multiplies the
+    noise by whole blocks, ``branch_pair`` by one panel's slice.
+
     Instances are immutable after construction (build-then-freeze) and safe
     to share across readers; acquire them through ``get_engine``.
     """
@@ -397,6 +426,7 @@ class VolterraEngine:
         self._j1 = special.roots_jacobi(nodes, 0.0, self._alpha)
         self._j2 = special.roots_jacobi(nodes, 0.0, 2 * self._alpha)
         self._panels: dict[int, dict] = {}
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._fbm_rows: np.ndarray | None = None
         self._lock = threading.Lock()
 
@@ -444,17 +474,28 @@ class VolterraEngine:
             a_j1 = lo + h2 * (xj1 + 1.0)
             xj2, wj2 = self._j2
             a_j2 = lo + h2 * (xj2 + 1.0)
+            b, j = divmod(k - 1, _BLOCK)
+            nodes = x.size
+            if b not in self._blocks:
+                last = min((b + 1) * _BLOCK, n)
+                shape = (last, (last - b * _BLOCK) * nodes)
+                self._blocks[b] = (np.zeros(shape), np.zeros(shape))
+            cols = slice(j * nodes, (j + 1) * nodes)
+            A_gl, A_j1 = (blk[:k, cols] for blk in self._blocks[b])
+            A_gl[...] = self._abar(k, a_gl)
+            A_j1[...] = self._abar(k, a_j1)
             data = {
-                "A_gl": self._abar(k, a_gl),
+                "A_gl": A_gl,
                 "w_gl": h2 * w,
-                "A_j1": self._abar(k, a_j1),
-                "w_j1": wj1 * h2 ** (1 + self._alpha),
-                "R_j1": self._edge(k, a_j1),
-                "w_j2": wj2 * h2 ** (1 + 2 * self._alpha),
-                "R_j2": self._edge(k, a_j2),
+                "A_j1": A_j1,
+                # Jacobi weights times R: the Abar-E cross terms
+                "wR_j1": wj1 * h2 ** (1 + self._alpha) * self._edge(k, a_j1),
             }
             for arr in data.values():
                 arr.setflags(write=False)
+            # int_panel E(a)^2 da
+            data["e2"] = float(np.sum(wj2 * h2 ** (1 + 2 * self._alpha)
+                                      * self._edge(k, a_j2) ** 2))
             self._panels[k] = data
             return data
 
@@ -467,8 +508,8 @@ class VolterraEngine:
         p = self.panel(k)
         A = p["A_gl"]
         T0 = (A * p["w_gl"]) @ A.T
-        m1 = (p["A_j1"] * (p["w_j1"] * p["R_j1"])).sum(axis=1)
-        e2 = float(np.sum(p["w_j2"] * p["R_j2"] ** 2))
+        m1 = (p["A_j1"] * p["wR_j1"]).sum(axis=1)
+        e2 = p["e2"]
         s = np.zeros(k)
         s[k - 1] = 1.0
         if k >= 2:
@@ -508,7 +549,7 @@ class VolterraEngine:
         for k in range(1, n + 1):
             p = self.panel(k)
             base = (p["A_gl"] * p["w_gl"]).sum(axis=1)
-            e1 = float(np.sum(p["w_j1"] * p["R_j1"]))
+            e1 = float(np.sum(p["wR_j1"]))
             base[k - 1] += e1
             if k >= 2:
                 base[k - 2] -= e1
@@ -526,14 +567,23 @@ class VolterraEngine:
 
         xi has shape (M, n); column k - 1 of the result is the panel-k
         increment of every row.  Passing unit_squares=True (Rademacher noise)
-        skips the xi^2 reduction.
+        skips the xi^2 reduction.  Rows go through in slabs of 512 and
+        panels in blocks of 16, three GEMMs per slab and block at most.
         """
         M, n = xi.shape
         if n != self.n:
             raise DomainError(f"noise length {n} does not match grid {self.n}")
+        blocks = [self._block_terms(range(lo, min(lo + _BLOCK, n + 1)), unit_squares)
+                  for lo in range(1, n + 1, _BLOCK)]
         out = np.empty((M, n))
-        for k in range(1, n + 1):
-            out[:, k - 1] = self._panel_increment(k, xi[:, :k], unit_squares)
+        for r in range(0, M, _SLAB):
+            x = np.zeros((min(_SLAB, M - r), n + 1))
+            x[:, 1:] = xi[r: r + _SLAB]
+            x2 = None if unit_squares else x ** 2
+            for t in blocks:
+                lo, K = t["ks"][0], t["ks"][-1]
+                out[r: r + _SLAB, lo - 1: K] = self._increments(
+                    t, x[:, : K + 1], None if x2 is None else x2[:, : K + 1])
         return out
 
     def branch_pair(self, prefix: np.ndarray) -> np.ndarray:
@@ -547,10 +597,10 @@ class VolterraEngine:
         k = prefix.size + 1
         if prefix.ndim != 1 or k > self.n:
             raise DomainError(f"prefix must be one-dimensional and shorter than {self.n}")
-        rows = np.empty((2, k))
-        rows[:, : k - 1] = prefix
-        rows[:, k - 1] = (1.0, -1.0)
-        return self._panel_increment(k, rows, unit_squares=False)
+        x = np.zeros((2, k + 1))
+        x[:, 1:k] = prefix
+        x[:, k] = (1.0, -1.0)
+        return self._increments(self._block_terms(range(k, k + 1), False), x, x ** 2)[:, 0]
 
     def branch_increments(self, x: np.ndarray) -> np.ndarray:
         """``branch_pair`` of every prefix x[:k-1], k = 1..len(x)+1, as the
@@ -559,31 +609,64 @@ class VolterraEngine:
         return np.stack([self.branch_pair(x[: k - 1]) for k in range(1, x.size + 2)],
                         axis=1)
 
-    def _panel_increment(self, k: int, xk: np.ndarray, unit_squares: bool) -> np.ndarray:
-        """Panel-k increment of the quadratic form for each row of xk, shape (M, k).
+    def _block_terms(self, ks: range, unit_squares: bool) -> dict:
+        """Inputs of ``_increments`` for the consecutive panels ks of one block:
+        the stacked A_gl / A_j1 columns cut to ks[-1] rows and the per-panel
+        weights, built once per call and shared by every slab."""
+        panels = [self.panel(k) for k in ks]
+        nodes = self.quad.nodes_per_panel
+        b, j = divmod(ks[0] - 1, _BLOCK)
+        cols = slice(j * nodes, (j + len(ks)) * nodes)
+        gl, j1 = self._blocks[b]
+        A_gl, A_j1 = gl[: ks[-1], cols], j1[: ks[-1], cols]
+        return {
+            "ks": ks,
+            "A_gl": A_gl,
+            "A_j1": A_j1,
+            "A_sq": None if unit_squares else A_gl ** 2,
+            # with xi_i^2 = 1 the squared-noise term is the column sum of A^2
+            "Qd": np.array([np.sum(p["A_gl"] ** 2, axis=0) for p in panels])
+            if unit_squares else None,
+            # row k - 2 of each panel's A_j1; panel 1 has no Abar part, so its
+            # (zero) row 0 stands in
+            "row": np.array([p["A_j1"][max(k - 2, 0)] for k, p in zip(ks, panels)]),
+            "wR": np.array([p["wR_j1"] for p in panels]),
+            "e2": np.array([p["e2"] for p in panels]),
+            "w_gl": panels[0]["w_gl"],
+        }
 
-        The sum over pairs i != j <= k of xi_i xi_j int_panel G_i G_j is
-        expanded through the Abar/E split, so it costs O(M k nodes) flops.
+    def _increments(self, t: dict, x: np.ndarray, x2: np.ndarray | None) -> np.ndarray:
+        """Increments of the panels t["ks"] for each row of x, shape (M, len(ks)).
+
+        x has shape (M, ks[-1] + 1) with column i holding xi_i and column 0
+        the absent xi_0 = 0; x2 is its square, or None for unit squares.  The
+        sum over pairs i != j <= k of xi_i xi_j int_panel G_i G_j is expanded
+        through the Abar/E split, so it costs O(M k nodes) flops per panel.
         """
-        M = xk.shape[0]
-        p = self.panel(k)
-        S = xk @ p["A_gl"]
-        if unit_squares:
-            Qd = np.sum(p["A_gl"] ** 2, axis=0)[None, :]
+        M = x.shape[0]
+        B, nodes = t["wR"].shape
+        lo = t["ks"][0]
+        cur, prev = x[:, lo: lo + B], x[:, lo - 1: lo - 1 + B]
+        S = _matmul(x[:, 1:], t["A_gl"]).reshape(M, B, nodes)
+        if x2 is None:
+            Qd, sq = t["Qd"], 1.0
         else:
-            Qd = (xk ** 2) @ (p["A_gl"] ** 2)
-        part = ((S * S - Qd) * p["w_gl"]).sum(axis=1)
-        S1 = xk @ p["A_j1"]
-        if k >= 2:
-            xs = xk[:, k - 1] - xk[:, k - 2]
-            sq = np.ones(M) if unit_squares else xk[:, k - 2] ** 2
-            inner = xs[:, None] * S1 + sq[:, None] * p["A_j1"][k - 2][None, :]
-            cross = xk[:, k - 1] * xk[:, k - 2]
-        else:
-            inner = xk[:, 0][:, None] * S1
-            cross = np.zeros(M)
-        part += (2.0 * inner * (p["w_j1"] * p["R_j1"])).sum(axis=1)
-        part -= 2.0 * cross * float(np.sum(p["w_j2"] * p["R_j2"] ** 2))
+            Qd = _matmul(x2[:, 1:], t["A_sq"]).reshape(M, B, nodes)
+            sq = x2[:, lo - 1: lo - 1 + B, None]
+        # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
+        # + (2 * (xs*S1 + sq*row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
+        # xs = xi_k - xi_{k-1}: the order fixes every bit of the result
+        S *= S
+        S -= Qd
+        S *= t["w_gl"]
+        part = S.sum(axis=2)
+        S1 = _matmul(x[:, 1:], t["A_j1"]).reshape(M, B, nodes)
+        S1 *= (cur - prev)[:, :, None]
+        S1 += sq * t["row"]
+        S1 *= 2.0
+        S1 *= t["wR"]
+        part += S1.sum(axis=2)
+        part -= 2.0 * (cur * prev) * t["e2"]
         return self.n * self.params.dH * part
 
 

@@ -11,6 +11,13 @@ two generators: the fast factorised one accumulates, per grid panel, the
 square of the running kernel-weighted noise sum at shared quadrature nodes
 (O(n^2) per path); the direct one evaluates the quadratic form against the
 full weight table at every step and serves as the brute-force oracle.
+
+Ensemble member k draws its noise from Philox keyed by derive_seed(master, k).
+``simulate_ensemble`` keeps one Philox generator per ensemble and, before each
+row, resets it to the state a fresh ``Philox(key=...)`` starts in (key
+[seed, 0], counter 0, empty output buffer, no cached 32-bit half), which skips
+the per-row construction cost; ``make_noise`` builds the fresh generator and
+is the oracle the reused one is tested against.
 """
 from __future__ import annotations
 
@@ -66,16 +73,18 @@ class NoiseSequence:
         return self.values.size
 
 
+def _draw(rng: np.random.Generator, kind: NoiseKind, n: int) -> np.ndarray:
+    if kind is NoiseKind.RADEMACHER:
+        return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+    return rng.standard_normal(n)
+
+
 def make_noise(n: int, kind: NoiseKind | str, seed: int) -> NoiseSequence:
     """Draw xi_1..xi_n from a counter-based generator (Philox) keyed by seed."""
     if n < 1:
         raise DomainError(f"noise length must be positive, got {n}")
     kind = NoiseKind(kind)
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK))
-    if kind is NoiseKind.RADEMACHER:
-        values = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-    else:
-        values = rng.standard_normal(n)
+    values = _draw(np.random.Generator(np.random.Philox(key=seed & _MASK)), kind, n)
     values.setflags(write=False)
     return NoiseSequence(kind=kind, seed=seed, values=values)
 
@@ -154,9 +163,10 @@ def rosenblatt_walk(noise: NoiseSequence, p: HurstParams, q: QuadConfig = DEFAUL
                     method: str = "factorized") -> GridPath:
     """Off-diagonal quadratic-form walk converging to the Rosenblatt process.
 
-    method="factorized" streams panel increments; method="direct" re-evaluates
+    method="factorized" streams panel increments; method="direct" evaluates
     xi' C(m) xi against the full weight table at every grid time (the
-    brute-force oracle, O(n^3) kernel work).
+    brute-force oracle, O(n^3) kernel work), sweeping C(m) forward by one
+    ``delta_table`` per step in the summation order of ``table_matrix``.
     """
     n = noise.n
     xi = noise.values[None, :]
@@ -168,8 +178,9 @@ def rosenblatt_walk(noise: NoiseSequence, p: HurstParams, q: QuadConfig = DEFAUL
         eng = get_engine(n, p, q)
         values = np.zeros(n + 1)
         x = noise.values
+        C = np.zeros((n, n))
         for m in range(1, n + 1):
-            C = eng.table_matrix(m)
+            C[:m, :m] += eng.delta_table(m)
             values[m] = x @ C @ x
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -182,12 +193,11 @@ def rosenblatt_walk(noise: NoiseSequence, p: HurstParams, q: QuadConfig = DEFAUL
 
 def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
                       p: HurstParams | None, q: QuadConfig,
-                      process_tag: ProcessTag | str, n: int,
-                      threads: int = 1) -> PathEnsemble:
+                      process_tag: ProcessTag | str, n: int) -> PathEnsemble:
     """count independent paths; member k is seeded by derive_seed(master_seed, k).
 
-    Kernel caches are built once and shared read-only, so generation is safe
-    to chunk across threads; results are identical for any thread count.
+    Row k is driven by ``make_noise(n, kind, derive_seed(master_seed,
+    k)).values`` bit for bit, drawn from one generator reset per row.
     """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
@@ -196,9 +206,16 @@ def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
     if process_tag is not ProcessTag.WALK and p is None:
         raise DomainError("fbm and rosenblatt ensembles need Hurst parameters")
 
+    rng = np.random.Generator(np.random.Philox(key=0))
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": None},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     xi = np.empty((count, n))
     for k in range(count):
-        xi[k] = make_noise(n, kind, derive_seed(master_seed, k)).values
+        fresh["state"]["key"] = (derive_seed(master_seed, k), 0)
+        rng.bit_generator.state = fresh
+        xi[k] = _draw(rng, kind, n)
 
     values = np.zeros((count, n + 1))
     if process_tag is ProcessTag.WALK:
@@ -207,20 +224,8 @@ def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
         T = get_engine(n, p, q).fbm_matrix()
         values[:, 1:] = (xi @ T.T) / np.sqrt(n)
     else:
-        eng = get_engine(n, p, q)
-        eng.panel(n)  # freeze caches before any worker touches them
-        unit = kind is NoiseKind.RADEMACHER
-
-        def fill(lo, hi):
-            values[lo:hi, 1:] = np.cumsum(eng.quadratic_increments(xi[lo:hi], unit), axis=1)
-
-        if threads > 1 and count >= 2 * threads:
-            from concurrent.futures import ThreadPoolExecutor
-            bounds = np.linspace(0, count, threads + 1, dtype=int)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(lambda b: fill(b[0], b[1]), zip(bounds[:-1], bounds[1:])))
-        else:
-            fill(0, count)
+        inc = get_engine(n, p, q).quadratic_increments(xi, kind is NoiseKind.RADEMACHER)
+        np.cumsum(inc, axis=1, out=values[:, 1:])
     return PathEnsemble(values=values, n=n, process_tag=process_tag, kind=kind,
                         master_seed=master_seed, params=p, quad=q)
 

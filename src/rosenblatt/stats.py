@@ -86,8 +86,8 @@ class Histogram:
                 fh.write(f"{float(lo)!r},{float(hi)!r},{int(c)}\n")
 
 
-def _jackknife_se(x: np.ndarray) -> float:
-    # delete-one jackknife of a sample mean reduces to s / sqrt(M)
+def _mean_se(x: np.ndarray) -> float:
+    """Standard error s / sqrt(M) of a sample mean (its delete-one jackknife)."""
     return float(np.std(x, ddof=1) / np.sqrt(x.size))
 
 
@@ -95,7 +95,7 @@ def _snap(n: int, t: float) -> float:
     return float(np.floor(n * t) / n)
 
 
-def _variance_exponent(ens: PathEnsemble) -> float | None:
+def _variance_exponent(ens: PathEnsemble) -> float:
     if ens.process_tag is ProcessTag.ROSENBLATT:
         return 2 * ens.params.H
     if ens.process_tag is ProcessTag.FBM:
@@ -163,7 +163,7 @@ def _discrete_reference(ens: PathEnsemble, quantity: str, s: float, t: float) ->
 # ---------------------------------------------------------------------------
 
 def increment_variance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
-    """E|Z(t) - Z(s)|^2 with jackknife standard error.
+    """E|Z(t) - Z(s)|^2 with the standard error of the mean.
 
     The continuum target is |floor(nt)/n - floor(ns)/n|^(2H); a zero-width
     snapped increment is flagged, not an error.  Symmetric in (s, t).
@@ -182,7 +182,7 @@ def increment_variance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
     return MomentReport(
         quantity="increment_variance",
         estimate=float(sq.mean()),
-        std_error=_jackknife_se(sq),
+        std_error=_mean_se(sq),
         sample_size=ens.count,
         theoretical=theo,
         discrete=_discrete_reference(ens, "increment", s, t),
@@ -200,7 +200,7 @@ def covariance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
     return MomentReport(
         quantity="covariance",
         estimate=float(prod.mean()),
-        std_error=_jackknife_se(prod),
+        std_error=_mean_se(prod),
         sample_size=ens.count,
         theoretical=theo,
         discrete=_discrete_reference(ens, "covariance", s, t),
@@ -270,7 +270,7 @@ def qv_decay(ensembles: list[PathEnsemble]) -> QvDecayFit:
         qv = (d * d).sum(axis=1)
         sizes.append(ens.n)
         means.append(float(qv.mean()))
-        ses.append(_jackknife_se(qv))
+        ses.append(_mean_se(qv))
     slope, intercept = np.polyfit(np.log(sizes), np.log(means), 1)
     return QvDecayFit(slope=float(slope), intercept=float(intercept),
                       sizes=sizes, means=means, std_errors=ses)

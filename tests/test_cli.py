@@ -234,16 +234,6 @@ class TestConfigFile:
 
 
 class TestEnvironment:
-    def test_thread_env_var_does_not_change_bytes(self, tmp_path, monkeypatch):
-        args = ["simulate", "--process", "rosenblatt", "--hurst", "0.8",
-                "--n", "16", "--paths", "8", "--seed", "13"]
-        out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-        monkeypatch.delenv("ROSENBLATT_THREADS", raising=False)
-        assert run(*args, "--out", str(out1)) == 0
-        monkeypatch.setenv("ROSENBLATT_THREADS", "4")
-        assert run(*args, "--out", str(out2)) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_histogram_plot_svg(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run("validate", "--check", "histogram", "--process", "walk",

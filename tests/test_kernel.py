@@ -289,3 +289,31 @@ class TestWeightTable:
             tables = list(pool.map(lambda _: eng.table_matrix(24), range(16)))
         assert all(np.array_equal(tables[0], t) for t in tables[1:])
         assert not eng.panel(5)["A_gl"].flags.writeable
+
+
+class TestQuadraticIncrements:
+    @pytest.mark.parametrize("n", [7, 37, 300])
+    @pytest.mark.parametrize("M", [1, 2, 513, 1100])
+    def test_rows_independent_of_batch(self, p08, quad_cfg, n, M):
+        # slabs of 512 rows and blocks of 16 panels must not change any bit
+        eng = get_engine(n, p08, quad_cfg)
+        rng = np.random.default_rng(n * 10007 + M)
+        noise = {True: rng.integers(0, 2, (M, n)) * 2.0 - 1.0,
+                 False: rng.standard_normal((M, n))}
+        for unit, xi in noise.items():
+            batch = eng.quadratic_increments(xi, unit)
+            for r in sorted({0, 1, 511, 512, M - 1} & set(range(M))):
+                alone = eng.quadratic_increments(xi[r:r + 1], unit)[0]
+                assert np.array_equal(batch[r], alone), (unit, r)
+
+    @pytest.mark.parametrize("n", [7, 37])
+    def test_matches_delta_table_quadratic_form(self, p07, quad_cfg, n):
+        eng = get_engine(n, p07, quad_cfg)
+        rng = np.random.default_rng(n)
+        for unit, xi in ((True, rng.integers(0, 2, (3, n)) * 2.0 - 1.0),
+                         (False, rng.standard_normal((3, n)))):
+            inc = eng.quadratic_increments(xi, unit)
+            for x, row in zip(xi, inc):
+                want = [x[:k] @ eng.delta_table(k) @ x[:k] for k in range(1, n + 1)]
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(row - want)) <= 1e-10 * scale

@@ -113,6 +113,15 @@ class TestRosenblattWalk:
                 ref = np.max(np.abs(zd.values)) or 1.0
                 assert np.max(np.abs(zf.values - zd.values)) < 1e-6 * ref
 
+    def test_direct_sweep_matches_table_matrix_bitwise(self, p07, quad_cfg):
+        # the cumulative sweep adds the delta tables in table_matrix's order
+        noise = make_noise(12, "gaussian", 4)
+        eng = get_engine(12, p07, quad_cfg)
+        zd = rosenblatt_walk(noise, p07, quad_cfg, method="direct")
+        x = noise.values
+        for m in range(1, 13):
+            assert zd.values[m] == x @ eng.table_matrix(m) @ x, m
+
     def test_unknown_method(self, p07):
         with pytest.raises(DomainError):
             rosenblatt_walk(make_noise(4, "rademacher", 0), p07, method="magic")
@@ -168,10 +177,14 @@ class TestEnsembles:
         single = rosenblatt_walk(noise, p07, quad_cfg)
         assert np.allclose(ens.values[0], single.values, rtol=1e-12, atol=1e-15)
 
-    def test_threads_do_not_change_results(self, p07, quad_cfg):
-        a = simulate_ensemble(32, 5, "rademacher", p07, quad_cfg, "rosenblatt", 16, threads=1)
-        b = simulate_ensemble(32, 5, "rademacher", p07, quad_cfg, "rosenblatt", 16, threads=4)
-        assert np.array_equal(a.values, b.values)
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    def test_rows_match_fresh_generator_noise(self, kind):
+        # the walk's values are the noise partial sums over sqrt(n), exactly
+        n, seed = 37, 2**64 - 5
+        ens = simulate_ensemble(40, seed, kind, None, DEFAULT_QUAD, "walk", n)
+        for k in range(40):
+            noise = make_noise(n, kind, derive_seed(seed, k)).values
+            assert np.array_equal(ens.values[k, 1:], np.cumsum(noise) / np.sqrt(n)), k
 
     def test_requires_params_for_kernel_walks(self, quad_cfg):
         with pytest.raises(DomainError):
