@@ -23,8 +23,8 @@ from . import __version__
 from .kernel import DomainError, HurstParams, QuadConfig, QuadratureError
 from .market import (InconclusiveError, MarketConfig, affine_rate, arbitrage_demo,
                      build_market, constant_rate, divergence_scan, tabulated_rate)
-from .paths import (NoiseKind, PathEnsemble, ProcessTag, make_noise, simulate_ensemble,
-                    write_ensemble)
+from .paths import (NoiseKind, NoiseSequence, PathEnsemble, ProcessTag, make_noise,
+                    simulate_ensemble, write_ensemble)
 from . import stats as st
 
 _QV_SIZES = (16, 32, 64, 128, 256)
@@ -257,11 +257,10 @@ def cmd_market(args, argv) -> int:
         outputs.append(str(scan_path))
 
     if args.demo_arbitrage:
-        witness = make_noise(args.N, NoiseKind.RADEMACHER, args.seed)
+        witness = noise
         if args.witness_all_ones:
-            ones = np.ones(args.N)
-            from .paths import NoiseSequence
-            witness = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=args.seed, values=ones)
+            witness = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=args.seed,
+                                    values=np.ones(args.N))
         trade = arbitrage_demo(cfg, witness, q=q)
         trade_path = Path(str(out) + ".trade.json")
         _write_json(trade_path, trade.to_dict())

@@ -23,12 +23,13 @@ Two independent evaluation orders are provided for the cell integrals:
   an analytic part (alpha = Hp - 1/2), so one Gauss-Legendre and two
   Gauss-Jacobi node families integrate every product at spectral accuracy.
 
-The panel machinery (``VolterraEngine``) is shared, read-only after
-construction, by the path generators and the market module.  Its node tables
-are stacked in blocks of 16 consecutive panels, each a zero-padded (K, 16 *
-nodes) matrix whose rows are the cells i <= K of the block's last panel, so
-the ensemble pass runs one GEMM per block where it would run sixteen thin
-ones; the zero rows add exact zeros to every product.
+The panel machinery (``VolterraEngine``) builds every panel table when it is
+constructed and is read-only after that; the path generators, the statistics
+and the market module share one engine per (n, H, node count).  Its node
+tables are stacked in blocks of 16 consecutive panels, each a zero-padded
+(K, 16 * nodes) matrix whose rows are the cells i <= K of the block's last
+panel, so the ensemble pass runs one GEMM per block where it would run
+sixteen thin ones; the zero rows add exact zeros to every product.
 """
 from __future__ import annotations
 
@@ -41,10 +42,12 @@ import numpy as np
 from scipy import special
 
 
-# Panels per stacked block of node tables, and noise rows per GEMM in
-# ``quadratic_increments``: the slab bounds the temporaries at a few MiB.
+# Panels per stacked block of node tables, noise rows per GEMM in
+# ``quadratic_increments`` (the slab bounds the temporaries at a few MiB), and
+# the inner-dimension chunk of ``_matmul``.
 _BLOCK = 16
 _SLAB = 512
+_KCHUNK = 256
 
 
 @lru_cache(maxsize=None)
@@ -53,16 +56,23 @@ def _leggauss(nodes: int):
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b through gemm for every row count of a.
+    """a @ b with each row's bits independent of the rows computed with it.
 
     numpy hands a one-row product to gemv, whose summation order differs from
-    gemm's.  Through gemm a row's result does not depend on the rows computed
-    with it, as long as the BLAS splits the inner dimension the same way for
-    every row count (OpenBLAS does up to its GEMM_Q, a few hundred).
+    gemm's, so one row goes through gemm as two.  Within gemm the BLAS splits
+    the inner dimension by its own rule: OpenBLAS keeps it whole for every row
+    count up to a few hundred (its GEMM_Q) but beyond that splits it
+    differently for different row counts.  Inner dimensions above 256 are
+    therefore cut into fixed chunks of 256, whose products are accumulated in
+    order; 256 stays clear of that limit while a grid of n <= 256 still runs
+    one product per block.
     """
     if a.shape[0] == 1:
-        return (np.repeat(a, 2, axis=0) @ b)[:1]
-    return a @ b
+        return _matmul(np.repeat(a, 2, axis=0), b)[:1]
+    out = a[:, :_KCHUNK] @ b[:_KCHUNK]
+    for lo in range(_KCHUNK, a.shape[1], _KCHUNK):
+        out += a[:, lo: lo + _KCHUNK] @ b[lo: lo + _KCHUNK]
+    return out
 
 
 class DomainError(ValueError):
@@ -401,14 +411,17 @@ class VolterraEngine:
             = cHp a^(Hp-1/2) [Ix(u2/a) - Ix(u1/a)],
         Ix(x) = B(3/2-Hp, Hp-1/2) betainc(3/2-Hp, Hp-1/2, x).
 
-    The A_gl / A_j1 tables of panels 16b+1 .. 16b+16 are column slices of
-    one zero-padded block matrix of shape (K, 16 * nodes), K the block's last
-    panel (a last, partial block has fewer columns); panel k fills rows :k of
-    its slice, and the panel dicts hold read-only views into the block.  ``quadratic_increments`` multiplies the
-    noise by whole blocks, ``branch_pair`` by one panel's slice.
+    The constructor builds every panel, in blocks of 16 consecutive panels.
+    A block's A_gl / A_j1 tables are one zero-padded matrix each, of shape
+    (K, 16 * nodes) with K the block's last panel (a last, partial block has
+    fewer columns); panel k fills rows :k of its column slice.  Next to them
+    the block holds, one row per panel, the weights wR = w_j1 R, the scalar
+    e2 = int_panel E^2, row k - 2 of A_j1 and the column sums of A_gl^2.
+    ``quadratic_increments`` multiplies the noise by whole blocks; ``panel``
+    cuts one panel out of its block in the same layout.
 
-    Instances are immutable after construction (build-then-freeze) and safe
-    to share across readers; acquire them through ``get_engine``.
+    Instances are read-only after construction and safe to share across
+    readers; acquire them through ``get_engine``.
     """
 
     def __init__(self, n: int, p: HurstParams, q: QuadConfig = DEFAULT_QUAD):
@@ -416,19 +429,18 @@ class VolterraEngine:
             raise DomainError(f"grid resolution must be positive, got {n}")
         self.n = n
         self.params = p
-        self.quad = q
         self._alpha = p.Hp - 0.5
         self._c1 = 1.5 - p.Hp
         self._c2 = p.Hp - 0.5
         self._B = float(special.beta(self._c1, self._c2))
-        nodes = q.nodes_per_panel
-        self._gl = _leggauss(nodes)
-        self._j1 = special.roots_jacobi(nodes, 0.0, self._alpha)
-        self._j2 = special.roots_jacobi(nodes, 0.0, 2 * self._alpha)
-        self._panels: dict[int, dict] = {}
-        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._fbm_rows: np.ndarray | None = None
-        self._lock = threading.Lock()
+        self._nodes = q.nodes_per_panel
+        self._gl = _leggauss(self._nodes)
+        self._j1 = special.roots_jacobi(self._nodes, 0.0, self._alpha)
+        self._j2 = special.roots_jacobi(self._nodes, 0.0, 2 * self._alpha)
+        self._w_gl = 0.5 / n * self._gl[1]
+        self._w_gl.setflags(write=False)
+        self._blocks = [self._block(lo, min(lo + _BLOCK - 1, n))
+                        for lo in range(1, n + 1, _BLOCK)]
 
     # -- closed-form one-dimensional integrals ------------------------------
 
@@ -456,48 +468,47 @@ class VolterraEngine:
 
     # -- panels --------------------------------------------------------------
 
-    def panel(self, k: int) -> dict:
-        """Frozen node data for panel k = [(k-1)/n, k/n]."""
-        got = self._panels.get(k)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._panels.get(k)
-            if got is not None:
-                return got
-            n = self.n
-            lo = (k - 1) / n
-            h2 = 0.5 / n
-            x, w = self._gl
-            a_gl = lo + h2 * (x + 1.0)
-            xj1, wj1 = self._j1
-            a_j1 = lo + h2 * (xj1 + 1.0)
-            xj2, wj2 = self._j2
-            a_j2 = lo + h2 * (xj2 + 1.0)
-            b, j = divmod(k - 1, _BLOCK)
-            nodes = x.size
-            if b not in self._blocks:
-                last = min((b + 1) * _BLOCK, n)
-                shape = (last, (last - b * _BLOCK) * nodes)
-                self._blocks[b] = (np.zeros(shape), np.zeros(shape))
+    def _block(self, lo: int, last: int) -> dict:
+        """Node tables of panels lo..last, frozen."""
+        nodes, h2 = self._nodes, 0.5 / self.n
+        x, _ = self._gl
+        xj1, wj1 = self._j1
+        xj2, wj2 = self._j2
+        B = last - lo + 1
+        A_gl, A_j1 = np.zeros((last, B * nodes)), np.zeros((last, B * nodes))
+        Qd, row, wR = np.empty((B, nodes)), np.empty((B, nodes)), np.empty((B, nodes))
+        e2 = np.empty(B)
+        for j, k in enumerate(range(lo, last + 1)):
+            left = (k - 1) / self.n
+            a_j1 = left + h2 * (xj1 + 1.0)
             cols = slice(j * nodes, (j + 1) * nodes)
-            A_gl, A_j1 = (blk[:k, cols] for blk in self._blocks[b])
-            A_gl[...] = self._abar(k, a_gl)
-            A_j1[...] = self._abar(k, a_j1)
-            data = {
-                "A_gl": A_gl,
-                "w_gl": h2 * w,
-                "A_j1": A_j1,
-                # Jacobi weights times R: the Abar-E cross terms
-                "wR_j1": wj1 * h2 ** (1 + self._alpha) * self._edge(k, a_j1),
-            }
-            for arr in data.values():
-                arr.setflags(write=False)
+            A_gl[:k, cols] = self._abar(k, left + h2 * (x + 1.0))
+            A_j1[:k, cols] = self._abar(k, a_j1)
+            # with xi_i^2 = 1 the squared-noise term is the column sum of A^2
+            Qd[j] = np.sum(A_gl[:k, cols] ** 2, axis=0)
+            # panel 1 has no Abar part, so its (zero) row 0 stands in
+            row[j] = A_j1[max(k - 2, 0), cols]
+            # Jacobi weights times R: the Abar-E cross terms
+            wR[j] = wj1 * h2 ** (1 + self._alpha) * self._edge(k, a_j1)
             # int_panel E(a)^2 da
-            data["e2"] = float(np.sum(wj2 * h2 ** (1 + 2 * self._alpha)
-                                      * self._edge(k, a_j2) ** 2))
-            self._panels[k] = data
-            return data
+            e2[j] = np.sum(wj2 * h2 ** (1 + 2 * self._alpha)
+                           * self._edge(k, left + h2 * (xj2 + 1.0)) ** 2)
+        for arr in (A_gl, A_j1, Qd, row, wR, e2):
+            arr.setflags(write=False)
+        return {"lo": lo, "A_gl": A_gl, "A_j1": A_j1, "w_gl": self._w_gl,
+                "Qd": Qd, "row": row, "wR": wR, "e2": e2}
+
+    def panel(self, k: int) -> dict:
+        """Read-only views of panel k = [(k-1)/n, k/n] in its block's layout:
+        A_gl / A_j1 of shape (k, nodes), the per-panel entries as one row."""
+        if not 1 <= k <= self.n:
+            raise DomainError(f"panel index must lie in 1..{self.n}, got {k}")
+        b, j = divmod(k - 1, _BLOCK)
+        t = self._blocks[b]
+        cols = slice(j * self._nodes, (j + 1) * self._nodes)
+        one = {key: t[key][j: j + 1] for key in ("Qd", "row", "wR", "e2")}
+        return {"lo": k, "A_gl": t["A_gl"][:k, cols], "A_j1": t["A_j1"][:k, cols],
+                "w_gl": self._w_gl, **one}
 
     def delta_table(self, k: int) -> np.ndarray:
         """Panel increment DeltaC_k[i, j] = n dH int_panel G_i G_j da, (k, k).
@@ -508,8 +519,8 @@ class VolterraEngine:
         p = self.panel(k)
         A = p["A_gl"]
         T0 = (A * p["w_gl"]) @ A.T
-        m1 = (p["A_j1"] * p["wR_j1"]).sum(axis=1)
-        e2 = p["e2"]
+        m1 = (p["A_j1"] * p["wR"]).sum(axis=1)
+        e2 = p["e2"][0]
         s = np.zeros(k)
         s[k - 1] = 1.0
         if k >= 2:
@@ -539,25 +550,22 @@ class VolterraEngine:
         """kappa[m-1, i-1] = n int_{cell_i} K(m/n, s) ds, lower triangular (n, n).
 
         Uses K(t, s) = int_s^t dK(a, s) da, so row m accumulates the same
-        panel integrals int_panel G_i da that drive the weight tables.
+        panel integrals int_panel G_i da that drive the weight tables.  Built
+        on every call, O(n^2 nodes).
         """
-        if self._fbm_rows is not None:
-            return self._fbm_rows
         n = self.n
         T = np.zeros((n, n))
         row = np.zeros(n)
         for k in range(1, n + 1):
             p = self.panel(k)
             base = (p["A_gl"] * p["w_gl"]).sum(axis=1)
-            e1 = float(np.sum(p["wR_j1"]))
+            e1 = float(np.sum(p["wR"]))
             base[k - 1] += e1
             if k >= 2:
                 base[k - 2] -= e1
             row[:k] += base
             T[k - 1] = n * row
         T.setflags(write=False)
-        with self._lock:
-            self._fbm_rows = T
         return T
 
     # -- quadratic-form increments for path generation -----------------------
@@ -573,17 +581,18 @@ class VolterraEngine:
         M, n = xi.shape
         if n != self.n:
             raise DomainError(f"noise length {n} does not match grid {self.n}")
-        blocks = [self._block_terms(range(lo, min(lo + _BLOCK, n + 1)), unit_squares)
-                  for lo in range(1, n + 1, _BLOCK)]
+        # the Gaussian squared-noise GEMMs need A_gl^2; squared per call, not
+        # kept: it would double what the engine holds
+        A_sq = [None if unit_squares else t["A_gl"] ** 2 for t in self._blocks]
         out = np.empty((M, n))
         for r in range(0, M, _SLAB):
             x = np.zeros((min(_SLAB, M - r), n + 1))
             x[:, 1:] = xi[r: r + _SLAB]
             x2 = None if unit_squares else x ** 2
-            for t in blocks:
-                lo, K = t["ks"][0], t["ks"][-1]
+            for t, t_sq in zip(self._blocks, A_sq):
+                lo, K = t["lo"], t["A_gl"].shape[0]
                 out[r: r + _SLAB, lo - 1: K] = self._increments(
-                    t, x[:, : K + 1], None if x2 is None else x2[:, : K + 1])
+                    t, x[:, : K + 1], None if x2 is None else x2[:, : K + 1], t_sq)
         return out
 
     def branch_pair(self, prefix: np.ndarray) -> np.ndarray:
@@ -600,7 +609,8 @@ class VolterraEngine:
         x = np.zeros((2, k + 1))
         x[:, 1:k] = prefix
         x[:, k] = (1.0, -1.0)
-        return self._increments(self._block_terms(range(k, k + 1), False), x, x ** 2)[:, 0]
+        p = self.panel(k)
+        return self._increments(p, x, x ** 2, p["A_gl"] ** 2)[:, 0]
 
     def branch_increments(self, x: np.ndarray) -> np.ndarray:
         """``branch_pair`` of every prefix x[:k-1], k = 1..len(x)+1, as the
@@ -609,49 +619,26 @@ class VolterraEngine:
         return np.stack([self.branch_pair(x[: k - 1]) for k in range(1, x.size + 2)],
                         axis=1)
 
-    def _block_terms(self, ks: range, unit_squares: bool) -> dict:
-        """Inputs of ``_increments`` for the consecutive panels ks of one block:
-        the stacked A_gl / A_j1 columns cut to ks[-1] rows and the per-panel
-        weights, built once per call and shared by every slab."""
-        panels = [self.panel(k) for k in ks]
-        nodes = self.quad.nodes_per_panel
-        b, j = divmod(ks[0] - 1, _BLOCK)
-        cols = slice(j * nodes, (j + len(ks)) * nodes)
-        gl, j1 = self._blocks[b]
-        A_gl, A_j1 = gl[: ks[-1], cols], j1[: ks[-1], cols]
-        return {
-            "ks": ks,
-            "A_gl": A_gl,
-            "A_j1": A_j1,
-            "A_sq": None if unit_squares else A_gl ** 2,
-            # with xi_i^2 = 1 the squared-noise term is the column sum of A^2
-            "Qd": np.array([np.sum(p["A_gl"] ** 2, axis=0) for p in panels])
-            if unit_squares else None,
-            # row k - 2 of each panel's A_j1; panel 1 has no Abar part, so its
-            # (zero) row 0 stands in
-            "row": np.array([p["A_j1"][max(k - 2, 0)] for k, p in zip(ks, panels)]),
-            "wR": np.array([p["wR_j1"] for p in panels]),
-            "e2": np.array([p["e2"] for p in panels]),
-            "w_gl": panels[0]["w_gl"],
-        }
+    def _increments(self, t: dict, x: np.ndarray, x2: np.ndarray | None,
+                    A_sq: np.ndarray | None) -> np.ndarray:
+        """Increments of the consecutive panels of t (a block, or one
+        ``panel``) for each row of x, shape (M, panels).
 
-    def _increments(self, t: dict, x: np.ndarray, x2: np.ndarray | None) -> np.ndarray:
-        """Increments of the panels t["ks"] for each row of x, shape (M, len(ks)).
-
-        x has shape (M, ks[-1] + 1) with column i holding xi_i and column 0
-        the absent xi_0 = 0; x2 is its square, or None for unit squares.  The
-        sum over pairs i != j <= k of xi_i xi_j int_panel G_i G_j is expanded
-        through the Abar/E split, so it costs O(M k nodes) flops per panel.
+        x has shape (M, K + 1), K the last panel of t, with column i holding
+        xi_i and column 0 the absent xi_0 = 0; x2 is its square and A_sq the
+        square of t["A_gl"], both None for unit squares.  The sum over pairs
+        i != j <= k of xi_i xi_j int_panel G_i G_j is expanded through the
+        Abar/E split, so it costs O(M k nodes) flops per panel.
         """
         M = x.shape[0]
         B, nodes = t["wR"].shape
-        lo = t["ks"][0]
+        lo = t["lo"]
         cur, prev = x[:, lo: lo + B], x[:, lo - 1: lo - 1 + B]
         S = _matmul(x[:, 1:], t["A_gl"]).reshape(M, B, nodes)
         if x2 is None:
             Qd, sq = t["Qd"], 1.0
         else:
-            Qd = _matmul(x2[:, 1:], t["A_sq"]).reshape(M, B, nodes)
+            Qd = _matmul(x2[:, 1:], A_sq).reshape(M, B, nodes)
             sq = x2[:, lo - 1: lo - 1 + B, None]
         # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
         # + (2 * (xs*S1 + sq*row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
@@ -675,8 +662,8 @@ _ENGINES_LOCK = threading.Lock()
 
 
 def get_engine(n: int, p: HurstParams, q: QuadConfig = DEFAULT_QUAD) -> VolterraEngine:
-    """Shared engine cache keyed by (n, H, tolerances, node count)."""
-    key = (n, p.H, q.rel_tol, q.abs_tol, q.max_subdiv, q.nodes_per_panel)
+    """Shared engine cache keyed by what the engine reads: (n, H, node count)."""
+    key = (n, p.H, q.nodes_per_panel)
     with _ENGINES_LOCK:
         eng = _ENGINES.get(key)
         if eng is None:

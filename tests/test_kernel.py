@@ -281,6 +281,11 @@ class TestWeightTable:
         with pytest.raises(DomainError):
             weight_table(9, 8, p07)
 
+    @pytest.mark.parametrize("k", [0, 9, 17])
+    def test_panel_index_outside_grid(self, p07, k):
+        with pytest.raises(DomainError):
+            get_engine(8, p07).panel(k)
+
     def test_concurrent_build_and_read(self, p08, quad_cfg):
         # build-then-freeze: racing readers must see one consistent table
         from concurrent.futures import ThreadPoolExecutor
@@ -290,12 +295,18 @@ class TestWeightTable:
         assert all(np.array_equal(tables[0], t) for t in tables[1:])
         assert not eng.panel(5)["A_gl"].flags.writeable
 
+    def test_engine_shared_across_unread_tolerances(self, p08):
+        # the engine reads only the node count of its QuadConfig
+        assert get_engine(16, p08, QuadConfig(rel_tol=1e-6)) is get_engine(16, p08)
+        assert get_engine(16, p08, QuadConfig(nodes_per_panel=8)) is not get_engine(16, p08)
+
 
 class TestQuadraticIncrements:
-    @pytest.mark.parametrize("n", [7, 37, 300])
+    @pytest.mark.parametrize("n", [7, 37, 300, 400])
     @pytest.mark.parametrize("M", [1, 2, 513, 1100])
     def test_rows_independent_of_batch(self, p08, quad_cfg, n, M):
-        # slabs of 512 rows and blocks of 16 panels must not change any bit
+        # slabs of 512 rows, blocks of 16 panels and (n > 256) the chunked
+        # inner dimension must not change any bit
         eng = get_engine(n, p08, quad_cfg)
         rng = np.random.default_rng(n * 10007 + M)
         noise = {True: rng.integers(0, 2, (M, n)) * 2.0 - 1.0,
