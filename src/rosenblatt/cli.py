@@ -157,12 +157,15 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
     wanted = [args.check] if args.check != "all" else [
         "variance", "covariance", "skewness", "qv", "histogram"]
 
-    # one ensemble per grid size: the qv size equal to --n reuses the main one
+    sizes = [int(s) for s in args.qv_sizes.split(",")] if "qv" in wanted else []
+    # one ensemble on the finest grid; every check reads its grid off it
+    finest = simulate_ensemble(args.paths, args.seed, kind, p, q, process,
+                               max([args.n, *sizes]))
     ensembles: dict[int, PathEnsemble] = {}
 
     def ensemble(n: int) -> PathEnsemble:
         if n not in ensembles:
-            ensembles[n] = simulate_ensemble(args.paths, args.seed, kind, p, q, process, n)
+            ensembles[n] = finest.coarsen(n)
         return ensembles[n]
 
     for name in wanted:
@@ -186,14 +189,11 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             d["note"] = note
             checks.append({"check": "skewness", "passed": bool(ok), **d})
         elif name == "qv":
-            sizes = [int(s) for s in args.qv_sizes.split(",")]
             fit = st.qv_decay([ensemble(nn) for nn in sizes])
-            expo = {ProcessTag.ROSENBLATT: 1 - 2 * p.H if p else None,
-                    ProcessTag.FBM: 1 - 2 * p.Hp if p else None,
-                    ProcessTag.WALK: 0.0}[process]
+            expo = 1 - 2 * finest.hurst_index
             ok = abs(fit.slope - expo) <= 0.15
             if process is ProcessTag.ROSENBLATT:
-                bounds = [nn ** (1 - 2 * p.H) for nn in sizes]
+                bounds = [nn ** expo for nn in sizes]
                 ok = ok and all(m <= b * (1 + 4 * se / m)
                                 for m, se, b in zip(fit.means, fit.std_errors, bounds))
             checks.append({"check": "qv", "passed": bool(ok),

@@ -29,11 +29,16 @@ and the market module share one engine per (n, H, node count).  Its node
 tables are stacked in blocks of 16 consecutive panels, each a zero-padded
 (K, 16 * nodes) matrix whose rows are the cells i <= K of the block's last
 panel, so the ensemble pass runs one GEMM per block where it would run
-sixteen thin ones; the zero rows add exact zeros to every product.
+sixteen thin ones; the zero rows add exact zeros to every product.  The
+blocks are built on a thread pool, one worker per usable CPU: the build is
+mostly incomplete beta evaluations, which release the GIL, and each block is
+computed on its own, so no table depends on the worker count.
 """
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -44,15 +49,23 @@ from scipy import special
 
 # Panels per stacked block of node tables, noise rows per GEMM in
 # ``quadratic_increments`` (the slab bounds the temporaries at a few MiB), and
-# the inner-dimension chunk of ``_matmul``.
+# the inner-dimension chunk and column multiple of ``_matmul``.
 _BLOCK = 16
 _SLAB = 512
 _KCHUNK = 256
+_NPAD = 16
 
 
 @lru_cache(maxsize=None)
 def _leggauss(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -65,10 +78,19 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     differently for different row counts.  Inner dimensions above 256 are
     therefore cut into fixed chunks of 256, whose products are accumulated in
     order; 256 stays clear of that limit while a grid of n <= 256 still runs
-    one product per block.
+    one product per block.  The row count also changes the bits of a b that
+    is a transposed view (as the fBm rows pass it) or whose width is not a
+    multiple of the BLAS column unroll, so such a b is first copied into a
+    row-major array padded with zero columns to a multiple of 16; the panel
+    blocks, 16 * nodes wide, skip the copy.
     """
     if a.shape[0] == 1:
         return _matmul(np.repeat(a, 2, axis=0), b)[:1]
+    cols = b.shape[1]
+    if cols % _NPAD or b.strides[1] != b.itemsize:
+        padded = np.zeros((b.shape[0], -(-cols // _NPAD) * _NPAD))
+        padded[:, :cols] = b
+        return _matmul(a, padded)[:, :cols]
     out = a[:, :_KCHUNK] @ b[:_KCHUNK]
     for lo in range(_KCHUNK, a.shape[1], _KCHUNK):
         out += a[:, lo: lo + _KCHUNK] @ b[lo: lo + _KCHUNK]
@@ -420,6 +442,9 @@ class VolterraEngine:
     ``quadratic_increments`` multiplies the noise by whole blocks; ``panel``
     cuts one panel out of its block in the same layout.
 
+    The blocks are built in parallel, one thread per CPU the process may run
+    on and at most one per block.  A block reads only constants set before
+    the pool starts, so every table is bit-identical to a serial build.
     Instances are read-only after construction and safe to share across
     readers; acquire them through ``get_engine``.
     """
@@ -439,8 +464,12 @@ class VolterraEngine:
         self._j2 = special.roots_jacobi(self._nodes, 0.0, 2 * self._alpha)
         self._w_gl = 0.5 / n * self._gl[1]
         self._w_gl.setflags(write=False)
-        self._blocks = [self._block(lo, min(lo + _BLOCK - 1, n))
-                        for lo in range(1, n + 1, _BLOCK)]
+        # _block reads only the constants above, so the blocks are built
+        # independently, one worker per usable CPU, and come back in order
+        los = range(1, n + 1, _BLOCK)
+        with ThreadPoolExecutor(min(_cpus(), len(los))) as pool:
+            self._blocks = list(pool.map(
+                lambda lo: self._block(lo, min(lo + _BLOCK - 1, n)), los))
 
     # -- closed-form one-dimensional integrals ------------------------------
 

@@ -22,13 +22,13 @@ is the oracle the reused one is tested against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .kernel import DEFAULT_QUAD, DomainError, HurstParams, QuadConfig, get_engine
+from .kernel import DEFAULT_QUAD, DomainError, HurstParams, QuadConfig, _matmul, get_engine
 
 
 class NoiseKind(str, Enum):
@@ -139,6 +139,32 @@ class PathEnsemble:
         m = min(int(np.floor(self.n * t)), self.n)
         return self.values[:, m]
 
+    @property
+    def hurst_index(self) -> float:
+        """Self-similarity index h of the limit process: H for rosenblatt, the
+        kernel index Hp for fbm, 1/2 for the walk."""
+        if self.process_tag is ProcessTag.ROSENBLATT:
+            return self.params.H
+        if self.process_tag is ProcessTag.FBM:
+            return self.params.Hp
+        return 0.5
+
+    def coarsen(self, n: int) -> "PathEnsemble":
+        """The same seeds' ensemble on the coarser grid m/n, 1 <= n <= self.n.
+
+        The walks are discretely self-similar: the noise is prefix-consistent
+        (a row's first n values do not depend on its length), and every grid-n
+        coefficient, the 1/sqrt(n) of walk and fbm included, is n^(-h) times
+        one that does not depend on n.  So Z_n(m/n) = (N/n)^h Z_N(m/N) for
+        m <= n, and the result equals a direct draw on grid n to a few ulp.
+        """
+        if not 1 <= n <= self.n:
+            raise DomainError(f"coarser grid must lie in 1..{self.n}, got {n}")
+        if n == self.n:
+            return self
+        values = (self.n / n) ** self.hurst_index * self.values[:, : n + 1]
+        return replace(self, values=values, n=n)
+
 
 # ---------------------------------------------------------------------------
 # single-path constructors
@@ -155,7 +181,7 @@ def fbm_walk(noise: NoiseSequence, p: HurstParams, q: QuadConfig = DEFAULT_QUAD)
     """Kernel-disturbed walk converging to fBm with Hurst index p.Hp."""
     n = noise.n
     T = get_engine(n, p, q).fbm_matrix()
-    values = np.concatenate([[0.0], (T @ noise.values) / np.sqrt(n)])
+    values = np.concatenate([[0.0], _matmul(noise.values[None, :], T.T)[0] / np.sqrt(n)])
     return GridPath(n=n, values=values, process_tag=ProcessTag.FBM)
 
 
@@ -222,7 +248,7 @@ def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
         values[:, 1:] = np.cumsum(xi, axis=1) / np.sqrt(n)
     elif process_tag is ProcessTag.FBM:
         T = get_engine(n, p, q).fbm_matrix()
-        values[:, 1:] = (xi @ T.T) / np.sqrt(n)
+        values[:, 1:] = _matmul(xi, T.T) / np.sqrt(n)
     else:
         inc = get_engine(n, p, q).quadratic_increments(xi, kind is NoiseKind.RADEMACHER)
         np.cumsum(inc, axis=1, out=values[:, 1:])

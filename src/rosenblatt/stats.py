@@ -95,14 +95,6 @@ def _snap(n: int, t: float) -> float:
     return float(np.floor(n * t) / n)
 
 
-def _variance_exponent(ens: PathEnsemble) -> float:
-    if ens.process_tag is ProcessTag.ROSENBLATT:
-        return 2 * ens.params.H
-    if ens.process_tag is ProcessTag.FBM:
-        return 2 * ens.params.Hp
-    return 1.0  # Brownian walk
-
-
 # ---------------------------------------------------------------------------
 # exact finite-n laws of the quadratic-form walk
 # ---------------------------------------------------------------------------
@@ -174,7 +166,7 @@ def increment_variance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
         raise DomainError("need 0 <= s, t <= 1")
     d = ens.values_at(t) - ens.values_at(s)
     sq = d * d
-    expo = _variance_exponent(ens)
+    expo = 2 * ens.hurst_index
     theo = abs(_snap(n, t) - _snap(n, s)) ** expo
     note = None
     if int(np.floor(n * t)) == int(np.floor(n * s)):
@@ -194,7 +186,7 @@ def covariance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
     """E[Z(s) Z(t)] against (t^2H + s^2H - |t-s|^2H)/2 at grid-snapped times."""
     n = ens.n
     prod = ens.values_at(s) * ens.values_at(t)
-    expo = _variance_exponent(ens)
+    expo = 2 * ens.hurst_index
     sg, tg = _snap(n, s), _snap(n, t)
     theo = 0.5 * (tg ** expo + sg ** expo - abs(tg - sg) ** expo)
     return MomentReport(

@@ -114,6 +114,27 @@ class TestValidate:
         assert rep["passed"] is (code == 0)
         assert code == 0
 
+    @pytest.mark.parametrize("check, n, qv, drawn", [
+        ("all", "32", "16,64,48", [64]),
+        ("all", "128", "16,32,64", [128]),
+        ("variance", "32", "16,256", [32]),
+    ])
+    def test_draws_one_ensemble_on_finest_grid(self, tmp_path, monkeypatch,
+                                               check, n, qv, drawn):
+        import rosenblatt.cli as cli
+        calls = []
+        simulate = cli.simulate_ensemble
+
+        def recording(count, seed, kind, p, q, process, grid):
+            calls.append(grid)
+            return simulate(count, seed, kind, p, q, process, grid)
+
+        monkeypatch.setattr(cli, "simulate_ensemble", recording)
+        run("validate", "--check", check, "--process", "walk", "--noise", "gaussian",
+            "--n", n, "--paths", "200", "--qv-sizes", qv, "--seed", "4",
+            "--out", str(tmp_path / "rep.json"))
+        assert calls == drawn
+
     def test_histogram_writes_csv(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run("validate", "--check", "histogram", "--process", "rosenblatt",

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from rosenblatt import (DEFAULT_QUAD, DomainError, HurstParams, QuadConfig,
                         WeightTable, c_const, cell_weight, d_const, dK,
                         fbm_kernel, rosenblatt_kernel, weight_table)
-from rosenblatt.kernel import get_engine
+from rosenblatt.kernel import _BLOCK, VolterraEngine, get_engine
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
 
@@ -294,6 +294,20 @@ class TestWeightTable:
             tables = list(pool.map(lambda _: eng.table_matrix(24), range(16)))
         assert all(np.array_equal(tables[0], t) for t in tables[1:])
         assert not eng.panel(5)["A_gl"].flags.writeable
+
+    @pytest.mark.parametrize("n", [7, 128, 300])
+    def test_parallel_build_equals_serial_blocks(self, p08, n):
+        # one block, whole blocks, a partial last block: each block the pool
+        # built must equal a fresh serial build bit for bit
+        eng = VolterraEngine(n, p08)
+        assert len(eng._blocks) == -(-n // _BLOCK)
+        for b, t in enumerate(eng._blocks):
+            lo = 1 + b * _BLOCK
+            ref = eng._block(lo, min(lo + _BLOCK - 1, n))
+            assert t["lo"] == lo
+            for key in ("A_gl", "A_j1", "Qd", "row", "wR", "e2"):
+                assert t[key].shape == ref[key].shape, (b, key)
+                assert t[key].tobytes() == ref[key].tobytes(), (b, key)
 
     def test_engine_shared_across_unread_tolerances(self, p08):
         # the engine reads only the node count of its QuadConfig

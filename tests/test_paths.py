@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rosenblatt import (DEFAULT_QUAD, DomainError, GridPath, NoiseKind,
+from rosenblatt import (DEFAULT_QUAD, DomainError, GridPath, HurstParams, NoiseKind,
                         NoiseSequence, ProcessTag, discrete_variance, fbm_walk,
                         make_noise, random_walk, rosenblatt_walk,
                         simulate_ensemble)
@@ -36,6 +36,49 @@ class TestNoise:
     def test_length_validation(self):
         with pytest.raises(DomainError):
             make_noise(0, "rademacher", 1)
+
+
+class TestNoisePrefix:
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    def test_prefix_consistent(self, kind):
+        # the first n values of a stream do not depend on its length
+        full = make_noise(300, kind, 11).values
+        for n in (1, 2, 16, 37, 128, 299):
+            assert make_noise(n, kind, 11).values.tobytes() == full[:n].tobytes(), n
+
+
+class TestCoarsen:
+    PARAMS = {"walk": None, "fbm": HurstParams.from_kernel_hurst(0.9),
+              "rosenblatt": HurstParams.from_hurst(0.8)}
+
+    @pytest.mark.parametrize("N", [128, 300])
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("process", ["walk", "fbm", "rosenblatt"])
+    def test_equals_direct_draw(self, process, kind, N):
+        # discrete self-similarity: Z_n(m/n) = (N/n)^h Z_N(m/N), m <= n
+        p = self.PARAMS[process]
+        fine = simulate_ensemble(6, 5, kind, p, DEFAULT_QUAD, process, N)
+        for n in (1, 2, 16, 37, 100, 128):
+            direct = simulate_ensemble(6, 5, kind, p, DEFAULT_QUAD, process, n).values
+            coarse = fine.coarsen(n)
+            assert coarse.n == n and coarse.values.shape == direct.shape
+            assert coarse.process_tag is fine.process_tag and coarse.kind is fine.kind
+            err = np.max(np.abs(coarse.values - direct))
+            assert err <= 1e-13 * np.max(np.abs(direct)), (n, err)
+
+    def test_full_grid_is_itself_and_domain(self, p07):
+        ens = simulate_ensemble(2, 1, "rademacher", p07, DEFAULT_QUAD, "rosenblatt", 8)
+        assert ens.coarsen(8) is ens
+        for n in (0, 9):
+            with pytest.raises(DomainError):
+                ens.coarsen(n)
+
+    def test_hurst_index(self):
+        ens = {tag: simulate_ensemble(2, 1, "rademacher", self.PARAMS[tag], DEFAULT_QUAD,
+                                      tag, 4) for tag in self.PARAMS}
+        assert ens["walk"].hurst_index == 0.5
+        assert ens["fbm"].hurst_index == 0.9
+        assert ens["rosenblatt"].hurst_index == 0.8
 
 
 class TestRandomWalk:
@@ -185,6 +228,21 @@ class TestEnsembles:
         for k in range(40):
             noise = make_noise(n, kind, derive_seed(seed, k)).values
             assert np.array_equal(ens.values[k, 1:], np.cumsum(noise) / np.sqrt(n)), k
+
+    @pytest.mark.parametrize("n", [64, 400])
+    def test_fbm_rows_independent_of_batch(self, n):
+        # a row's bits depend neither on --paths nor on the single-path route
+        p = HurstParams.from_kernel_hurst(0.9)
+        runs = {M: simulate_ensemble(M, 3, "gaussian", p, DEFAULT_QUAD, "fbm", n).values
+                for M in (1, 2, 600)}
+        for k in (0, 1):
+            noise = make_noise(n, "gaussian", derive_seed(3, k))
+            alone = fbm_walk(noise, p).values
+            for M, values in runs.items():
+                if k < M:
+                    assert np.array_equal(values[k], alone), (M, k)
+        assert np.array_equal(runs[600][599],
+                              fbm_walk(make_noise(n, "gaussian", derive_seed(3, 599)), p).values)
 
     def test_requires_params_for_kernel_walks(self, quad_cfg):
         with pytest.raises(DomainError):
