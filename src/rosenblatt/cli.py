@@ -157,7 +157,12 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
     wanted = [args.check] if args.check != "all" else [
         "variance", "covariance", "skewness", "qv", "histogram"]
 
-    sizes = [int(s) for s in args.qv_sizes.split(",")] if "qv" in wanted else []
+    sizes = []
+    if "qv" in wanted:
+        try:
+            sizes = [int(s) for s in args.qv_sizes.split(",")]
+        except ValueError as exc:
+            raise DomainError(f"malformed --qv-sizes {args.qv_sizes!r}: {exc}") from exc
     # one ensemble on the finest grid; every check reads its grid off it
     finest = simulate_ensemble(args.paths, args.seed, kind, p, q, process,
                                max([args.n, *sizes]))

@@ -1,5 +1,9 @@
 """Command-line contract: flags, exit codes, file outputs, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,13 @@ class TestValidate:
             "--out", str(tmp_path / "rep.json"))
         assert calls == drawn
 
+    def test_malformed_qv_sizes_exits_2(self, tmp_path, capsys):
+        code = run("validate", "--check", "qv", "--process", "walk", "--n", "16",
+                   "--paths", "50", "--qv-sizes", "16,abc",
+                   "--out", str(tmp_path / "rep.json"))
+        assert code == 2
+        assert "--qv-sizes" in capsys.readouterr().err
+
     def test_histogram_writes_csv(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run("validate", "--check", "histogram", "--process", "rosenblatt",
@@ -263,3 +274,26 @@ class TestEnvironment:
         assert code == 0
         svg = (tmp_path / "rep.json.hist.svg").read_text()
         assert svg.startswith("<svg") and "rect" in svg
+
+    def test_commands_do_not_import_scipy_linalg(self, tmp_path):
+        # scipy.linalg takes about 0.07 s to import and no command needs it
+        import rosenblatt
+        src = str(Path(rosenblatt.__file__).resolve().parents[1])
+        script = f"""
+import sys
+from rosenblatt import cli
+market = cli.main(["market", "--N", "16", "--hurst", "0.8",
+                   "--out", {str(tmp_path / "m.csv")!r}])
+validate = cli.main(["validate", "--check", "all", "--process", "rosenblatt",
+                     "--hurst", "0.8", "--n", "16", "--paths", "200",
+                     "--qv-sizes", "16,32,64", "--out", {str(tmp_path / "v.json")!r}])
+print(market, validate, "scipy.linalg" in sys.modules)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        market, validate, linalg = proc.stdout.split()[-3:]
+        assert market == "0" and validate in ("0", "1")
+        assert linalg == "False"

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from rosenblatt import (DEFAULT_QUAD, DomainError, HurstParams, QuadConfig,
                         WeightTable, c_const, cell_weight, d_const, dK,
                         fbm_kernel, rosenblatt_kernel, weight_table)
-from rosenblatt.kernel import _BLOCK, VolterraEngine, get_engine
+from rosenblatt.kernel import _BLOCK, VolterraEngine, _roots_jacobi, get_engine
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
 
@@ -342,3 +342,38 @@ class TestQuadraticIncrements:
                 want = [x[:k] @ eng.delta_table(k) @ x[:k] for k in range(1, n + 1)]
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(row - want)) <= 1e-10 * scale
+
+
+class TestBranchIncrements:
+    @pytest.mark.parametrize("n", [7, 33, 128, 300, 512])
+    def test_equals_per_prefix_branch_pairs(self, p08, quad_cfg, n):
+        # one block, whole and partial last blocks, and (n > 256) the chunked
+        # inner dimension: the block pass must keep every bit of branch_pair
+        eng = get_engine(n, p08, quad_cfg)
+        rng = np.random.default_rng(n)
+        prefixes = {"ones": np.ones(n - 1),
+                    "rademacher": rng.integers(0, 2, n - 1) * 2.0 - 1.0,
+                    "gaussian": rng.standard_normal(n - 1),
+                    "short": rng.standard_normal(n // 2)}
+        for name, x in prefixes.items():
+            want = np.stack([eng.branch_pair(x[:k - 1]) for k in range(1, x.size + 2)],
+                            axis=1)
+            got = eng.branch_increments(x)
+            assert got.shape == (2, x.size + 1), name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("x", [np.ones((2, 3)), np.ones(8), np.ones(12)])
+    def test_rejects_2d_or_too_long_prefix(self, p08, x):
+        with pytest.raises(DomainError):
+            get_engine(8, p08).branch_increments(x)
+
+
+class TestRootsJacobi:
+    def test_bits_of_scipy_rule(self):
+        import scipy.special as sp
+        for n in (2, 3, 8, 16, 17, 32, 64):
+            for b in np.linspace(0.05, 1.95, 39):
+                x, w = _roots_jacobi(n, b)
+                xr, wr = sp.roots_jacobi(n, 0.0, b)
+                assert x.tobytes() == xr.tobytes(), (n, b)
+                assert w.tobytes() == wr.tobytes(), (n, b)
