@@ -6,8 +6,9 @@ manifest (<out>.manifest.json) recording the resolved command line, so
 `rosenblatt rerun MANIFEST` reproduces the artifacts exactly.  Wall time is
 reported on stderr only; nothing volatile is written into output files.
 
-Exit codes: 0 pass, 1 check failure, 2 usage, 3 quadrature nonconvergence,
-4 inconclusive (arbitrage demo found no violation at this scale).
+Exit codes: 0 pass, 1 check failure, 2 usage (a bad flag or value, or an
+output path that cannot be written), 4 inconclusive (arbitrage demo found no
+violation at this scale).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .kernel import DomainError, HurstParams, QuadConfig, QuadratureError
+from .kernel import DomainError, HurstParams
 from .market import (InconclusiveError, MarketConfig, affine_rate, arbitrage_demo,
                      build_market, constant_rate, divergence_scan, tabulated_rate)
 from .paths import (NoiseKind, NoiseSequence, PathEnsemble, ProcessTag, make_noise,
@@ -134,8 +135,7 @@ def cmd_simulate(args, argv) -> int:
     p = _params_for(process, args.hurst)
     if args.n < 1:
         raise DomainError(f"--n must be at least 1, got {args.n}")
-    q = QuadConfig(rel_tol=args.tol)
-    ens = simulate_ensemble(args.paths, args.seed, NoiseKind(args.noise), p, q,
+    ens = simulate_ensemble(args.paths, args.seed, NoiseKind(args.noise), p,
                             process, args.n)
     out = Path(args.out)
     outputs = write_ensemble(ens, out)
@@ -150,7 +150,6 @@ def cmd_simulate(args, argv) -> int:
 def _run_checks(args) -> tuple[list[dict], list[str]]:
     process = ProcessTag(args.process)
     p = _params_for(process, args.hurst)
-    q = QuadConfig(rel_tol=args.tol)
     kind = NoiseKind(args.noise)
     checks = []
     extra_files: list[str] = []
@@ -164,7 +163,7 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
         except ValueError as exc:
             raise DomainError(f"malformed --qv-sizes {args.qv_sizes!r}: {exc}") from exc
     # one ensemble on the finest grid; every check reads its grid off it
-    finest = simulate_ensemble(args.paths, args.seed, kind, p, q, process,
+    finest = simulate_ensemble(args.paths, args.seed, kind, p, process,
                                max([args.n, *sizes]))
     ensembles: dict[int, PathEnsemble] = {}
 
@@ -246,27 +245,23 @@ def cmd_market(args, argv) -> int:
     cfg = MarketConfig(N=args.N, sigma=args.sigma, rate_r=_parse_rate(args.rate_r),
                        rate_a=_parse_rate(args.rate_a), S0=args.S0, B0=args.B0,
                        H=args.hurst)
-    q = QuadConfig(rel_tol=args.tol)
     out = Path(args.out)
-    outputs = []
-
-    noise = make_noise(args.N, NoiseKind.RADEMACHER, args.seed)
-    path = build_market(cfg, noise, q)
+    path = build_market(cfg, make_noise(args.N, NoiseKind.RADEMACHER, args.seed))
     path.to_csv(out)
-    outputs.append(str(out))
+    outputs = [str(out)]
 
+    # the all-ones witness path, built once for the scan and the demo
+    if args.scan_divergence or (args.demo_arbitrage and args.witness_all_ones):
+        ones = build_market(cfg, NoiseSequence(kind=NoiseKind.RADEMACHER, seed=args.seed,
+                                               values=np.ones(args.N)))
     if args.scan_divergence:
-        report = divergence_scan(cfg, args.N, q)
+        report = divergence_scan(ones, args.N)
         scan_path = Path(str(out) + ".scan.json")
         report.to_json(scan_path)
         outputs.append(str(scan_path))
 
     if args.demo_arbitrage:
-        witness = noise
-        if args.witness_all_ones:
-            witness = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=args.seed,
-                                    values=np.ones(args.N))
-        trade = arbitrage_demo(cfg, witness, q=q)
+        trade = arbitrage_demo(ones if args.witness_all_ones else path)
         trade_path = Path(str(out) + ".trade.json")
         _write_json(trade_path, trade.to_dict())
         outputs.append(str(trade_path))
@@ -297,7 +292,6 @@ def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0, help="master seed")
     sp.add_argument("--noise", choices=[k.value for k in NoiseKind],
                     default="rademacher")
-    sp.add_argument("--tol", type=float, default=1e-8, help="quadrature rel tolerance")
     sp.add_argument("--out", required=True, help="primary output path")
     sp.add_argument("--plot", action="store_true", help="emit a minimal SVG chart")
 
@@ -335,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--S0", type=float, default=1.0)
     m.add_argument("--B0", type=float, default=1.0)
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--tol", type=float, default=1e-8)
     m.add_argument("--out", required=True)
     m.add_argument("--scan-divergence", action="store_true")
     m.add_argument("--demo-arbitrage", action="store_true")
@@ -395,12 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args, argv)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
-        print(f"quadrature error: {exc}", file=sys.stderr)
-        return 3
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 4

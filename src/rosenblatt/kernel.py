@@ -27,15 +27,16 @@ Two independent evaluation orders are provided for the cell integrals:
 
 The panel machinery (``VolterraEngine``) builds every panel table when it is
 constructed and is read-only after that; the path generators, the statistics
-and the market module share one engine per (n, H, node count).  Its node
-tables are stacked in blocks of 16 consecutive panels, each a zero-padded
-(K, 16 * nodes) matrix whose rows are the cells i <= K of the block's last
-panel, so the ensemble pass runs one GEMM per block where it would run
-sixteen thin ones; the zero rows add exact zeros to every product.  The
-market's up/down branches of every step take one such pass as well.  The
-blocks are built on a thread pool, one worker per usable CPU: the build is
-mostly incomplete beta evaluations, which release the GIL, and each block is
-computed on its own, so no table depends on the worker count.
+and the market module share one engine per (n, H).  Every panel integrates
+with the same 16 nodes per family (``_NODES``).  The node tables are stacked
+in blocks of 16 consecutive panels, each a zero-padded (K, 16 * nodes)
+matrix whose rows are the cells i <= K of the block's last panel, so the
+ensemble pass runs one GEMM per block where it would run sixteen thin ones;
+the zero rows add exact zeros to every product.  The market's up/down
+branches of every step take one such pass as well.  The blocks are built on
+a thread pool, one worker per usable CPU: the build is mostly incomplete
+beta evaluations, which release the GIL, and each block is computed on its
+own, so no table depends on the worker count.
 """
 from __future__ import annotations
 
@@ -44,16 +45,17 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy import special
 
 
-# Panels per stacked block of node tables, noise rows per GEMM in
+# Panels per stacked block of node tables, nodes per panel of each
+# Gauss-Legendre / Gauss-Jacobi family, noise rows per GEMM in
 # ``quadratic_increments`` (the slab bounds the temporaries at a few MiB), and
 # the inner-dimension chunk and column multiple of ``_matmul``.
 _BLOCK = 16
+_NODES = 16
 _SLAB = 512
 _KCHUNK = 256
 _NPAD = 16
@@ -203,7 +205,8 @@ class HurstParams:
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and node counts for the quadrature routines."""
+    """Tolerances and node count of the adaptive routines (``fbm_kernel``,
+    ``rosenblatt_kernel``, ``cell_weight``); the panel engine reads none."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
@@ -458,7 +461,7 @@ def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams,
 # ---------------------------------------------------------------------------
 
 class VolterraEngine:
-    """Shared quadrature tables for the grid t_m = m/n on [0, 1].
+    """Shared quadrature tables for the grid t_m = m/n on [0, 1] at index H.
 
     Per panel k the one-dimensional cell integrals G_i(a) split as
     Abar_i(a) + s_i E(a), where E(a) = int_{(k-1)/n}^a dK(a, u) du carries the
@@ -486,7 +489,7 @@ class VolterraEngine:
     readers; acquire them through ``get_engine``.
     """
 
-    def __init__(self, n: int, p: HurstParams, q: QuadConfig = DEFAULT_QUAD):
+    def __init__(self, n: int, p: HurstParams):
         if n < 1:
             raise DomainError(f"grid resolution must be positive, got {n}")
         self.n = n
@@ -495,10 +498,9 @@ class VolterraEngine:
         self._c1 = 1.5 - p.Hp
         self._c2 = p.Hp - 0.5
         self._B = float(special.beta(self._c1, self._c2))
-        self._nodes = q.nodes_per_panel
-        self._gl = _leggauss(self._nodes)
-        self._j1 = _roots_jacobi(self._nodes, self._alpha)
-        self._j2 = _roots_jacobi(self._nodes, 2 * self._alpha)
+        self._gl = _leggauss(_NODES)
+        self._j1 = _roots_jacobi(_NODES, self._alpha)
+        self._j2 = _roots_jacobi(_NODES, 2 * self._alpha)
         self._w_gl = 0.5 / n * self._gl[1]
         self._w_gl.setflags(write=False)
         # _block reads only the constants above, so the blocks are built
@@ -536,7 +538,7 @@ class VolterraEngine:
 
     def _block(self, lo: int, last: int) -> dict:
         """Node tables of panels lo..last, frozen."""
-        nodes, h2 = self._nodes, 0.5 / self.n
+        nodes, h2 = _NODES, 0.5 / self.n
         x, _ = self._gl
         xj1, wj1 = self._j1
         xj2, wj2 = self._j2
@@ -571,7 +573,7 @@ class VolterraEngine:
             raise DomainError(f"panel index must lie in 1..{self.n}, got {k}")
         b, j = divmod(k - 1, _BLOCK)
         t = self._blocks[b]
-        cols = slice(j * self._nodes, (j + 1) * self._nodes)
+        cols = slice(j * _NODES, (j + 1) * _NODES)
         one = {key: t[key][j: j + 1] for key in ("Qd", "row", "wR", "e2")}
         return {"lo": k, "A_gl": t["A_gl"][:k, cols], "A_j1": t["A_j1"][:k, cols],
                 "w_gl": self._w_gl, **one}
@@ -747,13 +749,13 @@ _ENGINES: dict[tuple, VolterraEngine] = {}
 _ENGINES_LOCK = threading.Lock()
 
 
-def get_engine(n: int, p: HurstParams, q: QuadConfig = DEFAULT_QUAD) -> VolterraEngine:
-    """Shared engine cache keyed by what the engine reads: (n, H, node count)."""
-    key = (n, p.H, q.nodes_per_panel)
+def get_engine(n: int, p: HurstParams) -> VolterraEngine:
+    """Shared engine cache keyed by what the engine reads: (n, H)."""
+    key = (n, p.H)
     with _ENGINES_LOCK:
         eng = _ENGINES.get(key)
         if eng is None:
-            eng = VolterraEngine(n, p, q)
+            eng = VolterraEngine(n, p)
             _ENGINES[key] = eng
     return eng
 
@@ -769,37 +771,13 @@ class WeightTable:
     n: int
     m: int
     H: float
-    rel_tol: float
     coeffs: np.ndarray
 
-    def save(self, path: str | Path) -> None:
-        """Cache file: header line `H,n,m,rel_tol`, then the strict lower
-        triangle row-major (one value per line); the diagonal is identically
-        zero and the upper triangle follows by symmetry."""
-        lines = [f"{self.H!r},{self.n},{self.m},{self.rel_tol!r}"]
-        for i in range(1, self.n):
-            for j in range(i):
-                lines.append(repr(float(self.coeffs[i, j])))
-        Path(path).write_text("\n".join(lines) + "\n")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "WeightTable":
-        lines = Path(path).read_text().splitlines()
-        H_s, n_s, m_s, tol_s = lines[0].split(",")
-        n = int(n_s)
-        coeffs = np.zeros((n, n))
-        it = iter(lines[1:])
-        for i in range(1, n):
-            for j in range(i):
-                coeffs[i, j] = coeffs[j, i] = float(next(it))
-        return cls(n=n, m=int(m_s), H=float(H_s), rel_tol=float(tol_s), coeffs=coeffs)
-
-
-def weight_table(m: int, n: int, p: HurstParams, q: QuadConfig = DEFAULT_QUAD) -> WeightTable:
+def weight_table(m: int, n: int, p: HurstParams) -> WeightTable:
     """Full coefficient table at time index m via the factorised panel assembly."""
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
-    eng = get_engine(n, p, q)
-    coeffs = eng.table_matrix(m)
+    coeffs = get_engine(n, p).table_matrix(m)
     coeffs.setflags(write=False)
-    return WeightTable(n=n, m=m, H=p.H, rel_tol=q.rel_tol, coeffs=coeffs)
+    return WeightTable(n=n, m=m, H=p.H, coeffs=coeffs)

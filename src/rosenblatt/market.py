@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import DEFAULT_QUAD, DomainError, HurstParams, QuadConfig, get_engine
+from .kernel import DomainError, HurstParams, get_engine
 from .paths import GridPath, NoiseKind, NoiseSequence
 
 
@@ -98,8 +98,7 @@ class MarketConfig:
 # the isolated quadratic / linear forms
 # ---------------------------------------------------------------------------
 
-def updown(n: int, x: np.ndarray, cfg: MarketConfig,
-           q: QuadConfig = DEFAULT_QUAD) -> tuple[float, float]:
+def updown(n: int, x: np.ndarray, cfg: MarketConfig) -> tuple[float, float]:
     """(u_n, d_n) = (f + g, f - g): sigma times the step-n walk increment of
     the prefix x continued by xi_n = +1 and by xi_n = -1."""
     x = np.asarray(x, dtype=float)
@@ -107,23 +106,23 @@ def updown(n: int, x: np.ndarray, cfg: MarketConfig,
         raise DomainError(f"need 2 <= n <= N, got n={n}")
     if x.shape != (n - 1,):
         raise DomainError(f"x must have length n-1={n - 1}")
-    u, d = cfg.sigma * get_engine(cfg.N, cfg.params, q).branch_pair(x)
+    u, d = cfg.sigma * get_engine(cfg.N, cfg.params).branch_pair(x)
     return float(u), float(d)
 
 
-def f_eval(n: int, x: np.ndarray, cfg: MarketConfig, q: QuadConfig = DEFAULT_QUAD) -> float:
+def f_eval(n: int, x: np.ndarray, cfg: MarketConfig) -> float:
     """Quadratic form f_{n-1}(x) = (u_n + d_n)/2: the part of X_n not involving xi_n.
 
     Equals sigma N sum_{i != j <= n-1} [iint_cells (F(n/N) - F((n-1)/N))] x_i x_j.
     """
-    u, d = updown(n, x, cfg, q)
+    u, d = updown(n, x, cfg)
     return 0.5 * (u + d)
 
 
-def g_eval(n: int, x: np.ndarray, cfg: MarketConfig, q: QuadConfig = DEFAULT_QUAD) -> float:
+def g_eval(n: int, x: np.ndarray, cfg: MarketConfig) -> float:
     """Linear form g_{n-1}(x) = (u_n - d_n)/2
     = 2 sigma N sum_{i<=n-1} [iint F(n/N) over cell_i x cell_n] x_i."""
-    u, d = updown(n, x, cfg, q)
+    u, d = updown(n, x, cfg)
     return 0.5 * (u - d)
 
 
@@ -173,8 +172,7 @@ class MarketPath:
                 fh.write(f"{k + 1},{(k + 1) / N!r},{body},{int(flags[k])}\n")
 
 
-def build_market(cfg: MarketConfig, noise: NoiseSequence,
-                 q: QuadConfig = DEFAULT_QUAD) -> MarketPath:
+def build_market(cfg: MarketConfig, noise: NoiseSequence) -> MarketPath:
     """Run the recursions with X_n = sigma * (Z(n/N) - Z((n-1)/N)) on `noise`.
 
     The same noise drives the walk and the u/d envelope, so
@@ -186,7 +184,7 @@ def build_market(cfg: MarketConfig, noise: NoiseSequence,
         raise DomainError("the binary market needs Rademacher noise")
     if noise.n != cfg.N:
         raise DomainError(f"noise length {noise.n} does not match N={cfg.N}")
-    eng = get_engine(cfg.N, cfg.params, q)
+    eng = get_engine(cfg.N, cfg.params)
     xi = noise.values
     dz = eng.quadratic_increments(xi[None, :], unit_squares=True)[0]
     X = cfg.sigma * dz
@@ -242,21 +240,21 @@ class ArbitrageReport:
         Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def divergence_scan(cfg: MarketConfig, n_max: int,
-                    q: QuadConfig = DEFAULT_QUAD) -> ArbitrageReport:
-    """Track (f - g)(n) on the all-ones path for n = 2..n_max.
+def divergence_scan(witness: MarketPath, n_max: int) -> ArbitrageReport:
+    """Track (f - g)(n) for n = 2..n_max on the built all-ones market path.
 
     Fits the growth exponent on the upper half of the range; the dominant
     theoretical rate is 2 Hp - 1.  The fit is refused (note set) if f - g is
     not positive throughout the upper half.
     """
+    cfg = witness.cfg
+    if not np.all(witness.noise.values == 1.0):
+        raise DomainError("the divergence scan reads the all-ones witness path")
     if n_max > cfg.N:
         raise DomainError(f"n_max={n_max} exceeds N={cfg.N}")
     if n_max < 4:
         raise DomainError("scan needs n_max >= 4")
-    witness = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(cfg.N))
-    witness_path = build_market(cfg, witness, q)
-    fg = witness_path.d[1:n_max]      # d_n = (f - g)(n) on the all-ones path
+    fg = witness.d[1:n_max]      # d_n = (f - g)(n) on the all-ones path
 
     ns = np.arange(2, n_max + 1)
     upper = ns >= n_max // 2
@@ -267,7 +265,7 @@ def divergence_scan(cfg: MarketConfig, n_max: int,
     else:
         note = "f - g not positive on the upper half of the range; inconclusive at this scale"
 
-    first = no_arbitrage_check(witness_path)
+    first = no_arbitrage_check(witness)
     Hp = cfg.params.Hp
     return ArbitrageReport(
         first_violation=first,
@@ -319,17 +317,15 @@ def branch_pnls(path: MarketPath, n: int, stock_units: float = 1.0,
     return float(up), float(dn)
 
 
-def arbitrage_demo(cfg: MarketConfig, noise: NoiseSequence, stock_units: float = 1.0,
-                   q: QuadConfig = DEFAULT_QUAD) -> ArbitrageTrade:
-    """Construct the riskless one-period trade at the first violation index.
+def arbitrage_demo(path: MarketPath, stock_units: float = 1.0) -> ArbitrageTrade:
+    """Construct the riskless one-period trade at the path's first violation index.
 
     Raises InconclusiveError when no violation occurs within the horizon.
     """
-    path = build_market(cfg, noise, q)
     n0 = no_arbitrage_check(path)
     if n0 is None:
         raise InconclusiveError(
-            f"no arbitrage violation within N={cfg.N} at sigma={cfg.sigma}")
+            f"no arbitrage violation within N={path.cfg.N} at sigma={path.cfg.sigma}")
     ra = path.r_minus_a[n0 - 1]
     low_branch = min(path.u[n0 - 1], path.d[n0 - 1])
     strategy = "long-stock" if low_branch >= ra else "short-stock"

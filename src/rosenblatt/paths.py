@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import DEFAULT_QUAD, DomainError, HurstParams, QuadConfig, _matmul, get_engine
+from .kernel import DomainError, HurstParams, _matmul, get_engine
 
 
 class NoiseKind(str, Enum):
@@ -124,7 +124,6 @@ class PathEnsemble:
     kind: NoiseKind
     master_seed: int
     params: HurstParams | None = None
-    quad: QuadConfig | None = None
 
     @property
     def count(self) -> int:
@@ -167,25 +166,46 @@ class PathEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# single-path constructors
+# path generation
 # ---------------------------------------------------------------------------
+
+def _walks(xi: np.ndarray, kind: NoiseKind, p: HurstParams | None,
+           process_tag: ProcessTag) -> np.ndarray:
+    """Paths driven by the noise rows of xi, (M, n) -> (M, n + 1), column 0 zero.
+
+    Each row's bits do not depend on M (``cumsum`` runs along the row, and
+    ``_matmul`` and the panel pass keep rows apart), so a single path is the
+    one-row case.
+    """
+    M, n = xi.shape
+    values = np.zeros((M, n + 1))
+    if process_tag is ProcessTag.WALK:
+        values[:, 1:] = np.cumsum(xi, axis=1) / np.sqrt(n)
+    elif process_tag is ProcessTag.FBM:
+        T = get_engine(n, p).fbm_matrix()
+        values[:, 1:] = _matmul(xi, T.T) / np.sqrt(n)
+    else:
+        inc = get_engine(n, p).quadratic_increments(xi, kind is NoiseKind.RADEMACHER)
+        np.cumsum(inc, axis=1, out=values[:, 1:])
+    return values
+
+
+def _single(noise: NoiseSequence, p: HurstParams | None, process_tag: ProcessTag) -> GridPath:
+    values = _walks(noise.values[None, :], noise.kind, p, process_tag)[0]
+    return GridPath(n=noise.n, values=values, process_tag=process_tag)
+
 
 def random_walk(noise: NoiseSequence) -> GridPath:
     """Rescaled simple random walk W(m/n) = sum_{i<=m} xi_i / sqrt(n)."""
-    n = noise.n
-    values = np.concatenate([[0.0], np.cumsum(noise.values) / np.sqrt(n)])
-    return GridPath(n=n, values=values, process_tag=ProcessTag.WALK)
+    return _single(noise, None, ProcessTag.WALK)
 
 
-def fbm_walk(noise: NoiseSequence, p: HurstParams, q: QuadConfig = DEFAULT_QUAD) -> GridPath:
+def fbm_walk(noise: NoiseSequence, p: HurstParams) -> GridPath:
     """Kernel-disturbed walk converging to fBm with Hurst index p.Hp."""
-    n = noise.n
-    T = get_engine(n, p, q).fbm_matrix()
-    values = np.concatenate([[0.0], _matmul(noise.values[None, :], T.T)[0] / np.sqrt(n)])
-    return GridPath(n=n, values=values, process_tag=ProcessTag.FBM)
+    return _single(noise, p, ProcessTag.FBM)
 
 
-def rosenblatt_walk(noise: NoiseSequence, p: HurstParams, q: QuadConfig = DEFAULT_QUAD,
+def rosenblatt_walk(noise: NoiseSequence, p: HurstParams,
                     method: str = "factorized") -> GridPath:
     """Off-diagonal quadratic-form walk converging to the Rosenblatt process.
 
@@ -194,32 +214,24 @@ def rosenblatt_walk(noise: NoiseSequence, p: HurstParams, q: QuadConfig = DEFAUL
     brute-force oracle, O(n^3) kernel work), sweeping C(m) forward by one
     ``delta_table`` per step in the summation order of ``table_matrix``.
     """
-    n = noise.n
-    xi = noise.values[None, :]
     if method == "factorized":
-        inc = get_engine(n, p, q).quadratic_increments(
-            xi, unit_squares=noise.kind is NoiseKind.RADEMACHER)
-        values = np.concatenate([[0.0], np.cumsum(inc[0])])
-    elif method == "direct":
-        eng = get_engine(n, p, q)
-        values = np.zeros(n + 1)
-        x = noise.values
-        C = np.zeros((n, n))
-        for m in range(1, n + 1):
-            C[:m, :m] += eng.delta_table(m)
-            values[m] = x @ C @ x
-    else:
+        return _single(noise, p, ProcessTag.ROSENBLATT)
+    if method != "direct":
         raise DomainError(f"unknown method {method!r}")
+    n = noise.n
+    eng = get_engine(n, p)
+    values = np.zeros(n + 1)
+    x = noise.values
+    C = np.zeros((n, n))
+    for m in range(1, n + 1):
+        C[:m, :m] += eng.delta_table(m)
+        values[m] = x @ C @ x
     return GridPath(n=n, values=values, process_tag=ProcessTag.ROSENBLATT)
 
 
-# ---------------------------------------------------------------------------
-# ensembles
-# ---------------------------------------------------------------------------
-
 def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
-                      p: HurstParams | None, q: QuadConfig,
-                      process_tag: ProcessTag | str, n: int) -> PathEnsemble:
+                      p: HurstParams | None, process_tag: ProcessTag | str,
+                      n: int) -> PathEnsemble:
     """count independent paths; member k is seeded by derive_seed(master_seed, k).
 
     Row k is driven by ``make_noise(n, kind, derive_seed(master_seed,
@@ -242,18 +254,9 @@ def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
         fresh["state"]["key"] = (derive_seed(master_seed, k), 0)
         rng.bit_generator.state = fresh
         xi[k] = _draw(rng, kind, n)
-
-    values = np.zeros((count, n + 1))
-    if process_tag is ProcessTag.WALK:
-        values[:, 1:] = np.cumsum(xi, axis=1) / np.sqrt(n)
-    elif process_tag is ProcessTag.FBM:
-        T = get_engine(n, p, q).fbm_matrix()
-        values[:, 1:] = _matmul(xi, T.T) / np.sqrt(n)
-    else:
-        inc = get_engine(n, p, q).quadratic_increments(xi, kind is NoiseKind.RADEMACHER)
-        np.cumsum(inc, axis=1, out=values[:, 1:])
-    return PathEnsemble(values=values, n=n, process_tag=process_tag, kind=kind,
-                        master_seed=master_seed, params=p, quad=q)
+    return PathEnsemble(values=_walks(xi, kind, p, process_tag), n=n,
+                        process_tag=process_tag, kind=kind,
+                        master_seed=master_seed, params=p)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +281,6 @@ def ensemble_metadata(ens: PathEnsemble) -> dict:
         "M": ens.count,
         "kind": ens.kind.value,
         "seed": ens.master_seed,
-        "rel_tol": None if ens.quad is None else ens.quad.rel_tol,
         "process": ens.process_tag.value,
     }
 

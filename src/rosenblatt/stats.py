@@ -11,13 +11,12 @@ discrete value while reports carry both.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .kernel import DEFAULT_QUAD, DomainError, HurstParams, QuadConfig, get_engine
+from .kernel import DomainError, HurstParams, get_engine
 from .paths import GridPath, PathEnsemble, ProcessTag
 
 
@@ -99,25 +98,22 @@ def _snap(n: int, t: float) -> float:
 # exact finite-n laws of the quadratic-form walk
 # ---------------------------------------------------------------------------
 
-def discrete_increment_variance(n: int, s: float, t: float, p: HurstParams,
-                                q: QuadConfig = DEFAULT_QUAD) -> float:
+def discrete_increment_variance(n: int, s: float, t: float, p: HurstParams) -> float:
     """Exact E|Z(t) - Z(s)|^2 = 2 sum_{i != j} (c_ij(mt) - c_ij(ms))^2."""
-    eng = get_engine(n, p, q)
+    eng = get_engine(n, p)
     ms, mt = sorted((int(np.floor(n * s)), int(np.floor(n * t))))
     D = eng.table_matrix(mt) - (eng.table_matrix(ms) if ms else 0.0)
     return float(2.0 * np.sum(D * D))
 
 
-def discrete_variance(n: int, t: float, p: HurstParams,
-                      q: QuadConfig = DEFAULT_QUAD) -> float:
+def discrete_variance(n: int, t: float, p: HurstParams) -> float:
     """Exact Var Z(t) of the walk, the closed form 2 sum_{i != j} c_ij(m)^2."""
-    return discrete_increment_variance(n, 0.0, t, p, q)
+    return discrete_increment_variance(n, 0.0, t, p)
 
 
-def discrete_covariance(n: int, s: float, t: float, p: HurstParams,
-                        q: QuadConfig = DEFAULT_QUAD) -> float:
+def discrete_covariance(n: int, s: float, t: float, p: HurstParams) -> float:
     """Exact E[Z(s) Z(t)] = 2 sum_{i != j} c_ij(ms) c_ij(mt)."""
-    eng = get_engine(n, p, q)
+    eng = get_engine(n, p)
     ms = int(np.floor(n * s))
     mt = int(np.floor(n * t))
     if ms == 0 or mt == 0:
@@ -126,14 +122,13 @@ def discrete_covariance(n: int, s: float, t: float, p: HurstParams,
 
 
 def _discrete_reference(ens: PathEnsemble, quantity: str, s: float, t: float) -> float | None:
-    p, q = ens.params, ens.quad or DEFAULT_QUAD
-    n = ens.n
+    p, n = ens.params, ens.n
     if ens.process_tag is ProcessTag.ROSENBLATT:
         if quantity == "increment":
-            return discrete_increment_variance(n, s, t, p, q)
-        return discrete_covariance(n, s, t, p, q)
+            return discrete_increment_variance(n, s, t, p)
+        return discrete_covariance(n, s, t, p)
     if ens.process_tag is ProcessTag.FBM:
-        T = get_engine(n, p, q).fbm_matrix()
+        T = get_engine(n, p).fbm_matrix()
         ms, mt = int(np.floor(n * s)), int(np.floor(n * t))
         def cov(a, b):
             if a == 0 or b == 0:
@@ -279,7 +274,3 @@ def histogram(ens: PathEnsemble, t: float, bins: int) -> Histogram:
     counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
     return Histogram(bin_edges=edges, counts=counts, total=x.size)
 
-
-def report_to_json(reports: list[MomentReport], params: dict, path: str | Path) -> None:
-    payload = {"params": params, "reports": [r.to_dict() for r in reports]}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")

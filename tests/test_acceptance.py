@@ -11,7 +11,7 @@ the measured values are printed for the record.
 import numpy as np
 import pytest
 
-from rosenblatt import (DEFAULT_QUAD, HurstParams, MarketConfig, NoiseKind,
+from rosenblatt import (HurstParams, MarketConfig, NoiseKind,
                         arbitrage_demo, bs_limit, build_market, cell_weight,
                         constant_rate, dK, discrete_increment_variance,
                         discrete_variance, divergence_scan, fbm_kernel,
@@ -25,7 +25,6 @@ from rosenblatt.paths import NoiseSequence
 from conftest import F_oracle, K_oracle, cell_weight_oracle
 
 SEED = 20260808
-Q = DEFAULT_QUAD
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -44,12 +43,12 @@ def p06():
 
 @pytest.fixture(scope="module")
 def ens_h08_n128(p08):
-    return simulate_ensemble(20000, SEED, "rademacher", p08, Q, "rosenblatt", 128)
+    return simulate_ensemble(20000, SEED, "rademacher", p08, "rosenblatt", 128)
 
 
 @pytest.fixture(scope="module")
 def ens_h08_n256(p08):
-    return simulate_ensemble(10000, SEED + 1, "rademacher", p08, Q, "rosenblatt", 256)
+    return simulate_ensemble(10000, SEED + 1, "rademacher", p08, "rosenblatt", 256)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,7 @@ def test_criterion_1_kernel_oracles(p08, p06):
         s = rng.uniform(0.02, 0.85)
         t = rng.uniform(s + 0.05, 1.0)
         p = p08 if rng.random() < 0.5 else p06
-        got = fbm_kernel(t, s, p, Q)
+        got = fbm_kernel(t, s, p)
         want = K_oracle(t, s, p.Hp)
         worst = max(worst, abs(got - want) / abs(want))
 
@@ -73,7 +72,7 @@ def test_criterion_1_kernel_oracles(p08, p06):
         if abs(u - v) < 1e-3:
             v = u + 0.05
         t = rng.uniform(max(u, v) + 0.02, 1.0)
-        got = rosenblatt_kernel(t, u, v, p08, Q)
+        got = rosenblatt_kernel(t, u, v, p08)
         want = F_oracle(t, u, v, 0.8)
         worst = max(worst, abs(got - want) / abs(want))
 
@@ -83,7 +82,7 @@ def test_criterion_1_kernel_oracles(p08, p06):
              (16, 1, 16, 16), (10, 9, 10, 16), (7, 2, 7, 8), (8, 2, 6, 8),
              (16, 5, 6, 16), (14, 1, 3, 16), (16, 10, 16, 16)]
     for (m, i, j, n) in cells:  # 20 cell integrals vs nested QAWS
-        got = cell_weight(m, i, j, n, p08, Q)
+        got = cell_weight(m, i, j, n, p08)
         want = cell_weight_oracle(m, i, j, n, 0.8)
         worst = max(worst, abs(got - want) / abs(want))
 
@@ -94,7 +93,7 @@ def test_criterion_1_kernel_oracles(p08, p06):
     for _ in range(20):  # dK vs finite differences of K
         s = rng.uniform(0.05, 0.7)
         t = rng.uniform(s + 0.05, 1.0)
-        fd = (fbm_kernel(t + h, s, p08, Q) - fbm_kernel(t, s, p08, Q)) / h
+        fd = (fbm_kernel(t + h, s, p08) - fbm_kernel(t, s, p08)) / h
         worst_fd = max(worst_fd, abs(dK(t, s, p08) - fd) / abs(fd))
     ok_fd = worst_fd < 1e-3
 
@@ -110,11 +109,11 @@ def test_criterion_1_kernel_oracles(p08, p06):
 def test_criterion_2_variance_matches_closed_form(p06, p08):
     oks, details = [], []
     for p in (p06, p08):
-        ens = simulate_ensemble(20000, SEED + 2, "rademacher", p, Q, "rosenblatt", 64)
+        ens = simulate_ensemble(20000, SEED + 2, "rademacher", p, "rosenblatt", 64)
         z1 = ens.values[:, -1]
         var = float(z1.var())
         se = float(np.sqrt(max(np.mean((z1 - z1.mean()) ** 4) - var ** 2, 0) / z1.size))
-        closed = discrete_variance(64, 1.0, p, Q)
+        closed = discrete_variance(64, 1.0, p)
         z = (var - closed) / se
         oks.append(abs(z) < 3.0)
         details.append(f"H={p.H}: var {var:.4f} vs closed {closed:.4f} (z={z:+.2f})")
@@ -128,7 +127,7 @@ def test_criterion_2_closed_form_continuum_proximity(p06, p08):
     # The finite-n deficit decays like n^(H-1) (zero-endpoint singularity of
     # the kernel), so the true values sit far below; recorded and asserted
     # at the stated thresholds, failing honestly.  See the decisions ledger.
-    vals = {(p.H, n): discrete_variance(n, 1.0, p, Q)
+    vals = {(p.H, n): discrete_variance(n, 1.0, p)
             for p in (p06, p08) for n in (64, 256)}
     ok64 = all(abs(vals[(H, 64)] - 1.0) <= 0.05 for H in (0.6, 0.8))
     ok256 = all(abs(vals[(H, 256)] - 1.0) <= 0.02 for H in (0.6, 0.8))
@@ -153,7 +152,7 @@ def test_criterion_3_increment_law(p08, ens_h08_n128):
         est = float(sq.mean())
         se_rel = float(sq.std(ddof=1) / np.sqrt(sq.size)) / est
         target = abs(np.floor(n * t) / n - np.floor(n * s) / n) ** 1.6
-        disc = discrete_increment_variance(n, s, t, p08, Q)
+        disc = discrete_increment_variance(n, s, t, p08)
         ok = est <= target * (1 + 4 * se_rel) and abs(est / disc - 1.0) < 0.05
         oks.append(ok)
         details.append(f"({s},{t}): est {est:.4f} <= {target:.4f}, disc dev {est / disc - 1:+.3%}")
@@ -172,8 +171,8 @@ def test_criterion_4_generator_equivalence(p08):
         for kind in ("rademacher", "gaussian"):
             for seed in range(20):
                 noise = make_noise(n, kind, SEED + seed)
-                zf = rosenblatt_walk(noise, p08, Q)
-                zd = rosenblatt_walk(noise, p08, Q, method="direct")
+                zf = rosenblatt_walk(noise, p08)
+                zd = rosenblatt_walk(noise, p08, method="direct")
                 scale = float(np.max(np.abs(zd.values))) or 1.0
                 worst = max(worst, float(np.max(np.abs(zf.values - zd.values))) / scale)
     ok = worst < 1e-6
@@ -189,7 +188,7 @@ def test_criterion_5_qv_decay(p08):
     sizes = (16, 32, 64, 128, 256)
     means, oks, details = [], [], []
     for N in sizes:
-        ens = simulate_ensemble(5000, SEED + 3, "rademacher", p08, Q, "rosenblatt", N)
+        ens = simulate_ensemble(5000, SEED + 3, "rademacher", p08, "rosenblatt", N)
         d = np.diff(ens.values, axis=1)
         qv = (d * d).sum(axis=1)
         mean = float(qv.mean())
@@ -213,7 +212,7 @@ def test_criterion_6_skewness(p08, ens_h08_n256):
     rep = skewness(ens_h08_n256, 1.0)
     ok_rose = abs(rep.estimate) > 3.0 * rep.std_error
 
-    walk = simulate_ensemble(10000, SEED + 4, "gaussian", None, Q, "walk", 256)
+    walk = simulate_ensemble(10000, SEED + 4, "gaussian", None, "walk", 256)
     rep_w = skewness(walk, 1.0)
     ok_walk = abs(rep_w.estimate) < 3.0 * rep_w.std_error
 
@@ -230,7 +229,7 @@ def test_criterion_6_skewness(p08, ens_h08_n256):
 def test_criterion_7_fbm_covariance(p06):
     # p06 bundles kernel index Hp = 0.8
     n, M = 128, 20000
-    ens = simulate_ensemble(M, SEED + 5, "rademacher", p06, Q, "fbm", n)
+    ens = simulate_ensemble(M, SEED + 5, "rademacher", p06, "fbm", n)
     oks, details = [], []
     for (s, t) in [(0.25, 0.5), (0.5, 1.0), (0.25, 1.0), (0.75, 1.0), (0.5, 0.5)]:
         prod = ens.values_at(s) * ens.values_at(t)
@@ -253,7 +252,8 @@ def test_criterion_8_arbitrage(p08):
     N = 128
     cfg = MarketConfig(N=N, sigma=1.0, rate_r=constant_rate(0.5),
                        rate_a=constant_rate(0.0), S0=1.0, B0=1.0, H=0.8)
-    rep = divergence_scan(cfg, N, Q)
+    ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(N))
+    rep = divergence_scan(build_market(cfg, ones), N)
     fg = np.array(rep.fg_sequence)
     ns = np.arange(2, N + 1)
     upper = fg[ns >= N // 2]
@@ -263,11 +263,11 @@ def test_criterion_8_arbitrage(p08):
     cfg64 = MarketConfig(N=64, sigma=1.0, rate_r=constant_rate(0.5),
                          rate_a=constant_rate(0.0), S0=1.0, B0=1.0, H=0.8)
     witness = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(64))
-    path = build_market(cfg64, witness, Q)
+    path = build_market(cfg64, witness)
     n0 = no_arbitrage_check(path)
     ok_viol = n0 is not None
 
-    trade = arbitrage_demo(cfg64, witness, q=Q)
+    trade = arbitrage_demo(path)
     ok_trade = trade.pnl_up > 0.0 and trade.pnl_down > 0.0
 
     ok = ok_pos and ok_exp and ok_viol and ok_trade
@@ -285,7 +285,7 @@ def test_criterion_9_market_limit(p08):
     sigma, M = 0.5, 500
     gaps = {}
     for N in (32, 64, 128, 256):
-        eng = get_engine(N, p08, Q)
+        eng = get_engine(N, p08)
         xi = np.empty((M, N))
         from rosenblatt.paths import derive_seed
         for k in range(M):
@@ -301,8 +301,8 @@ def test_criterion_9_market_limit(p08):
     from rosenblatt.paths import derive_seed
     for k in range(3):
         noise = make_noise(64, "rademacher", derive_seed(SEED + 6, k))
-        mp = build_market(cfg, noise, Q)
-        zp = rosenblatt_walk(noise, p08, Q)
+        mp = build_market(cfg, noise)
+        zp = rosenblatt_walk(noise, p08)
         s_lim, _ = bs_limit(cfg, zp, 1.0)
         gap = abs(np.log(mp.S[-1]) - np.log(s_lim))
         assert gap == pytest.approx(

@@ -129,9 +129,9 @@ class TestValidate:
         calls = []
         simulate = cli.simulate_ensemble
 
-        def recording(count, seed, kind, p, q, process, grid):
+        def recording(count, seed, kind, p, process, grid):
             calls.append(grid)
-            return simulate(count, seed, kind, p, q, process, grid)
+            return simulate(count, seed, kind, p, process, grid)
 
         monkeypatch.setattr(cli, "simulate_ensemble", recording)
         run("validate", "--check", check, "--process", "walk", "--noise", "gaussian",
@@ -215,16 +215,29 @@ class TestMarket:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_quadrature_failure_exits_3(self, tmp_path, monkeypatch):
-        from rosenblatt import QuadratureError
+    @pytest.mark.parametrize("flags, builds", [
+        (["--scan-divergence", "--demo-arbitrage", "--witness-all-ones"], 2),
+        (["--demo-arbitrage"], 1),
+    ])
+    def test_builds_each_market_path_once(self, tmp_path, monkeypatch, flags, builds):
+        # the realised path and, for the scan or the witness demo, the
+        # all-ones path: each is built once and read by every output
+        import rosenblatt.cli as cli
+        import rosenblatt.market as market
+        build = market.build_market
+        noises = []
 
-        def boom(*a, **k):
-            raise QuadratureError("node budget exhausted")
+        def counting(cfg, noise, *rest):
+            noises.append(noise.values.tolist())
+            return build(cfg, noise, *rest)
 
-        monkeypatch.setattr("rosenblatt.cli.simulate_ensemble", boom)
-        code = run("simulate", "--process", "rosenblatt", "--hurst", "0.8",
-                   "--n", "8", "--out", str(tmp_path / "x.csv"))
-        assert code == 3
+        # a build made inside the market layer counts too
+        monkeypatch.setattr(cli, "build_market", counting)
+        monkeypatch.setattr(market, "build_market", counting)
+        assert run("market", "--N", "32", "--hurst", "0.8", "--seed", "1", *flags,
+                   "--out", str(tmp_path / "m.csv")) == 0
+        assert len(noises) == builds
+        assert len({tuple(v) for v in noises}) == builds
 
     def test_market_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "mkt.csv"
@@ -263,6 +276,42 @@ class TestConfigFile:
         code = run("simulate", "--out", str(tmp_path / "x.csv"), "--config", *tail)
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--process", "walk", "--n", "8", "--paths", "2"],
+        ["market", "--N", "16", "--hurst", "0.8"],
+    ])
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys, argv):
+        code = run(*argv, "--out", str(tmp_path / "nodir" / "x.csv"))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_tol_flag_exits_2(self, tmp_path, capsys, via_config):
+        # no computation reads a tolerance, so the flag is gone
+        tol = ["--tol", "1e-8"]
+        if via_config:
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text("tol=1e-8\n")
+            tol = ["--config", str(cfg)]
+        code = run("simulate", "--process", "walk", "--n", "8", *tol,
+                   "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_rerun_of_manifest_with_tol_exits_2(self, tmp_path, capsys):
+        # a manifest written while --tol existed replays as a usage error
+        manifest = tmp_path / "old.csv.manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "simulate",
+            "argv": ["simulate", "--process", "walk", "--n", "8", "--tol", "1e-08",
+                     "--out", str(tmp_path / "old.csv")]}))
+        assert run("rerun", str(manifest)) == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "Traceback" not in err
 
 
 class TestEnvironment:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rosenblatt import (DEFAULT_QUAD, DomainError, HurstParams, QuadConfig,
-                        WeightTable, c_const, cell_weight, d_const, dK,
+from rosenblatt import (DomainError, HurstParams, QuadConfig,
+                        c_const, cell_weight, d_const, dK,
                         fbm_kernel, rosenblatt_kernel, weight_table)
 from rosenblatt.kernel import _BLOCK, VolterraEngine, _roots_jacobi, get_engine
 
@@ -211,51 +211,51 @@ class TestCellWeight:
             want = cell_weight_oracle(m, i, j, 8, 0.8)
             assert got == pytest.approx(want, rel=2e-8)
 
-    def test_frobenius_identity_h08_n16(self, p08, quad_cfg):
+    def test_frobenius_identity_h08_n16(self, p08):
         # 2 sum c^2 at (H, n, t) = (0.8, 16, 1): bounded by the continuum value
         # t^2H = 1 and equal to the cross-validated finite-n value 0.451872.
         # The finite-n deficit decays like n^(H-1), so at n = 16 the sum sits
         # far below 1; see the decisions ledger for the measured sequence.
-        C = get_engine(16, p08, quad_cfg).table_matrix(16)
+        C = get_engine(16, p08).table_matrix(16)
         fro = 2.0 * float(np.sum(C * C))
-        assert fro <= 1.0 + quad_cfg.rel_tol
+        assert fro <= 1.0 + 1e-8
         assert fro == pytest.approx(0.4518720, abs=2e-6)
 
-    def test_discrete_l2_monotone_toward_continuum(self, p08, quad_cfg):
+    def test_discrete_l2_monotone_toward_continuum(self, p08):
         # 2 sum c^2 (floor(nt)) is nondecreasing in n at fixed t and never
         # exceeds t^2H (Jensen: cell averaging shrinks the L2 norm)
         for tfrac in (0.5, 1.0):
             prev = 0.0
             for n in (8, 16, 32, 64):
                 m = int(n * tfrac)
-                C = get_engine(n, p08, quad_cfg).table_matrix(m)
+                C = get_engine(n, p08).table_matrix(m)
                 fro = 2.0 * float(np.sum(C * C))
                 assert fro >= prev
-                assert fro <= tfrac ** (2 * 0.8) + quad_cfg.rel_tol
+                assert fro <= tfrac ** (2 * 0.8) + 1e-8
                 prev = fro
 
 
 class TestWeightTable:
-    def test_matches_cell_weight_entrywise(self, p07, quad_cfg):
-        wt = weight_table(8, 8, p07, quad_cfg)
+    def test_matches_cell_weight_entrywise(self, p07):
+        wt = weight_table(8, 8, p07)
         for i in range(1, 9):
             for j in range(1, i):
-                direct = cell_weight(8, i, j, 8, p07, quad_cfg)
+                direct = cell_weight(8, i, j, 8, p07)
                 assert wt.coeffs[i - 1, j - 1] == pytest.approx(direct, rel=1e-8)
 
-    def test_structure(self, p07, quad_cfg):
-        wt = weight_table(5, 8, p07, quad_cfg)
+    def test_structure(self, p07):
+        wt = weight_table(5, 8, p07)
         C = wt.coeffs
         assert np.all(np.diag(C) == 0.0)
         assert np.array_equal(C, C.T)
         assert np.all(C[5:, :] == 0.0) and np.all(C[:, 5:] == 0.0)
         assert np.all(C >= 0.0)
 
-    def test_increment_consistency(self, p07, quad_cfg):
+    def test_increment_consistency(self, p07):
         # table(m) - table(m-1) on i, j <= m-1 equals the panel time integral,
         # checked against independent quadrature over a in [(m-1)/n, m/n]
         n, m = 8, 5
-        eng = get_engine(n, p07, quad_cfg)
+        eng = get_engine(n, p07)
         D = eng.table_matrix(m) - eng.table_matrix(m - 1)
         assert np.all(D[m:, :] == 0.0)
         Hp = p07.Hp
@@ -266,17 +266,6 @@ class TestWeightTable:
             want = p07.dH * n * val
             assert D[i - 1, j - 1] == pytest.approx(want, rel=1e-8)
 
-    def test_save_load_round_trip(self, p07, quad_cfg, tmp_path):
-        wt = weight_table(8, 8, p07, quad_cfg)
-        f = tmp_path / "table.csv"
-        wt.save(f)
-        wt2 = WeightTable.load(f)
-        assert wt2.n == 8 and wt2.m == 8
-        assert wt2.H == 0.7 and wt2.rel_tol == quad_cfg.rel_tol
-        assert np.array_equal(wt.coeffs, wt2.coeffs)
-        header = f.read_text().splitlines()[0]
-        assert header == "0.7,8,8,1e-08"
-
     def test_bad_m(self, p07):
         with pytest.raises(DomainError):
             weight_table(9, 8, p07)
@@ -286,10 +275,10 @@ class TestWeightTable:
         with pytest.raises(DomainError):
             get_engine(8, p07).panel(k)
 
-    def test_concurrent_build_and_read(self, p08, quad_cfg):
+    def test_concurrent_build_and_read(self, p08):
         # build-then-freeze: racing readers must see one consistent table
         from concurrent.futures import ThreadPoolExecutor
-        eng = get_engine(24, p08, quad_cfg)
+        eng = get_engine(24, p08)
         with ThreadPoolExecutor(max_workers=8) as pool:
             tables = list(pool.map(lambda _: eng.table_matrix(24), range(16)))
         assert all(np.array_equal(tables[0], t) for t in tables[1:])
@@ -310,18 +299,19 @@ class TestWeightTable:
                 assert t[key].tobytes() == ref[key].tobytes(), (b, key)
 
     def test_engine_shared_across_unread_tolerances(self, p08):
-        # the engine reads only the node count of its QuadConfig
-        assert get_engine(16, p08, QuadConfig(rel_tol=1e-6)) is get_engine(16, p08)
-        assert get_engine(16, p08, QuadConfig(nodes_per_panel=8)) is not get_engine(16, p08)
+        # the panel rule is fixed, so the engine reads only (n, H): the key
+        # is the value of H, not the parameter object
+        assert get_engine(16, p08) is get_engine(16, HurstParams.from_hurst(0.8))
+        assert get_engine(16, p08) is not get_engine(16, HurstParams.from_hurst(0.7))
 
 
 class TestQuadraticIncrements:
     @pytest.mark.parametrize("n", [7, 37, 300, 400])
     @pytest.mark.parametrize("M", [1, 2, 513, 1100])
-    def test_rows_independent_of_batch(self, p08, quad_cfg, n, M):
+    def test_rows_independent_of_batch(self, p08, n, M):
         # slabs of 512 rows, blocks of 16 panels and (n > 256) the chunked
         # inner dimension must not change any bit
-        eng = get_engine(n, p08, quad_cfg)
+        eng = get_engine(n, p08)
         rng = np.random.default_rng(n * 10007 + M)
         noise = {True: rng.integers(0, 2, (M, n)) * 2.0 - 1.0,
                  False: rng.standard_normal((M, n))}
@@ -332,8 +322,8 @@ class TestQuadraticIncrements:
                 assert np.array_equal(batch[r], alone), (unit, r)
 
     @pytest.mark.parametrize("n", [7, 37])
-    def test_matches_delta_table_quadratic_form(self, p07, quad_cfg, n):
-        eng = get_engine(n, p07, quad_cfg)
+    def test_matches_delta_table_quadratic_form(self, p07, n):
+        eng = get_engine(n, p07)
         rng = np.random.default_rng(n)
         for unit, xi in ((True, rng.integers(0, 2, (3, n)) * 2.0 - 1.0),
                          (False, rng.standard_normal((3, n)))):
@@ -346,10 +336,10 @@ class TestQuadraticIncrements:
 
 class TestBranchIncrements:
     @pytest.mark.parametrize("n", [7, 33, 128, 300, 512])
-    def test_equals_per_prefix_branch_pairs(self, p08, quad_cfg, n):
+    def test_equals_per_prefix_branch_pairs(self, p08, n):
         # one block, whole and partial last blocks, and (n > 256) the chunked
         # inner dimension: the block pass must keep every bit of branch_pair
-        eng = get_engine(n, p08, quad_cfg)
+        eng = get_engine(n, p08)
         rng = np.random.default_rng(n)
         prefixes = {"ones": np.ones(n - 1),
                     "rademacher": rng.integers(0, 2, n - 1) * 2.0 - 1.0,

@@ -9,7 +9,7 @@ from rosenblatt import (DomainError, InconclusiveError, MarketConfig,
                         constant_rate, divergence_scan, f_eval, g_eval,
                         make_noise, no_arbitrage_check, rosenblatt_walk,
                         tabulated_rate, updown, weight_table)
-from rosenblatt.kernel import DEFAULT_QUAD, get_engine
+from rosenblatt.kernel import get_engine
 from rosenblatt.market import branch_pnls
 from rosenblatt.paths import NoiseKind, NoiseSequence
 
@@ -17,6 +17,12 @@ from rosenblatt.paths import NoiseKind, NoiseSequence
 def cfg_with(N=64, sigma=1.0, H=0.8, r=0.5, a=0.0):
     return MarketConfig(N=N, sigma=sigma, rate_r=constant_rate(r),
                         rate_a=constant_rate(a), S0=1.0, B0=1.0, H=H)
+
+
+def ones_path(cfg):
+    """The market path on the all-ones witness noise."""
+    ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(cfg.N))
+    return build_market(cfg, ones)
 
 
 @pytest.fixture(scope="module")
@@ -67,18 +73,18 @@ class TestFGForms:
     def test_g_positive_on_all_ones(self, std_cfg):
         assert g_eval(20, np.ones(19), std_cfg) > 0.0
 
-    def test_f_matches_brute_force_table_sum(self, quad_cfg):
+    def test_f_matches_brute_force_table_sum(self):
         # sigma N sum_{i != j <= n-1} (table(n) - table(n-1)) on all-ones
         cfg = cfg_with(N=64, H=0.7)
         n = 20
         p = cfg.params
-        inc = (weight_table(n, 64, p, quad_cfg).coeffs
-               - weight_table(n - 1, 64, p, quad_cfg).coeffs)
+        inc = (weight_table(n, 64, p).coeffs
+               - weight_table(n - 1, 64, p).coeffs)
         want_f = float(inc[: n - 1, : n - 1].sum())
         x = np.ones(n - 1)
-        assert f_eval(n, x, cfg, quad_cfg) == pytest.approx(want_f, rel=1e-8)
-        want_g = 2.0 * float(weight_table(n, 64, p, quad_cfg).coeffs[n - 1, : n - 1].sum())
-        assert g_eval(n, x, cfg, quad_cfg) == pytest.approx(want_g, rel=1e-8)
+        assert f_eval(n, x, cfg) == pytest.approx(want_f, rel=1e-8)
+        want_g = 2.0 * float(weight_table(n, 64, p).coeffs[n - 1, : n - 1].sum())
+        assert g_eval(n, x, cfg) == pytest.approx(want_g, rel=1e-8)
 
     def test_updown_identities(self, std_cfg):
         rng = np.random.default_rng(10)
@@ -138,7 +144,7 @@ class TestBuildMarket:
         else:
             noise = make_noise(N, "rademacher", seed)
         path = build_market(cfg, noise)
-        eng = get_engine(N, cfg.params, DEFAULT_QUAD)
+        eng = get_engine(N, cfg.params)
         x = noise.values
         for n in steps or range(2, N + 1):
             D = eng.delta_table(n)
@@ -197,7 +203,7 @@ class TestNoArbitrageCheck:
 
 class TestDivergence:
     def test_scan_structure(self, std_cfg):
-        rep = divergence_scan(std_cfg, 64)
+        rep = divergence_scan(ones_path(std_cfg), 64)
         assert len(rep.fg_sequence) == 63
         assert rep.theoretical_exponent == pytest.approx(0.8)
         assert rep.first_violation is not None
@@ -205,13 +211,12 @@ class TestDivergence:
 
     def test_all_ones_spread_strictly_positive(self, std_cfg):
         # u_n - d_n = 2 g > 0 at every binary step of the witness path
-        ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(64))
-        path = build_market(std_cfg, ones)
+        path = ones_path(std_cfg)
         assert np.all(path.u[1:] > path.d[1:])
 
     def test_growth_and_exponent_at_n128(self):
         cfg = cfg_with(N=128)
-        rep = divergence_scan(cfg, 128)
+        rep = divergence_scan(ones_path(cfg), 128)
         fg = np.array(rep.fg_sequence)
         upper = fg[62:]          # n = 64..128
         assert np.all(upper > 0)
@@ -222,19 +227,23 @@ class TestDivergence:
         # the whole table scales as N^-H, so f - g at fixed n carries the
         # same factor: doubling N divides f - g by 2^H exactly
         H = 0.8
-        fg64 = np.array(divergence_scan(cfg_with(N=64, H=H), 32).fg_sequence)
-        fg128 = np.array(divergence_scan(cfg_with(N=128, H=H), 32).fg_sequence)
+        fg64 = np.array(divergence_scan(ones_path(cfg_with(N=64, H=H)), 32).fg_sequence)
+        fg128 = np.array(divergence_scan(ones_path(cfg_with(N=128, H=H)), 32).fg_sequence)
         ratios = fg64 / fg128
         assert np.allclose(ratios, 2.0 ** H, rtol=1e-10)
 
     def test_scan_bounds(self, std_cfg):
         with pytest.raises(DomainError):
-            divergence_scan(std_cfg, 65)
+            divergence_scan(ones_path(std_cfg), 65)
         with pytest.raises(DomainError):
-            divergence_scan(std_cfg, 3)
+            divergence_scan(ones_path(std_cfg), 3)
+
+    def test_scan_refuses_a_noise_path(self, std_path):
+        with pytest.raises(DomainError, match="all-ones"):
+            divergence_scan(std_path, 64)
 
     def test_json_round_trip(self, std_cfg, tmp_path):
-        rep = divergence_scan(std_cfg, 16)
+        rep = divergence_scan(ones_path(std_cfg), 16)
         f = tmp_path / "scan.json"
         rep.to_json(f)
         payload = json.loads(f.read_text())
@@ -245,30 +254,28 @@ class TestDivergence:
 
 class TestArbitrageDemo:
     def test_witness_demo_wins_both_branches(self, std_cfg):
-        ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(64))
-        trade = arbitrage_demo(std_cfg, ones)
+        trade = arbitrage_demo(ones_path(std_cfg))
         assert trade.strategy == "long-stock"
         assert trade.pnl_up > 0.0 and trade.pnl_down > 0.0
 
     def test_non_violating_step_has_a_losing_branch(self, std_cfg):
-        ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(64))
-        path = build_market(std_cfg, ones)
+        path = ones_path(std_cfg)
         n0 = no_arbitrage_check(path)
         safe = next(n for n in range(2, 65) if not path.violated[n - 1])
         up, dn = branch_pnls(path, safe, strategy="long-stock")
         assert min(up, dn) <= 0.0 < max(up, dn)
 
     def test_pnl_linear_in_stock_units(self, std_cfg):
-        ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(64))
-        t1 = arbitrage_demo(std_cfg, ones, stock_units=1.0)
-        t2 = arbitrage_demo(std_cfg, ones, stock_units=2.0)
+        path = ones_path(std_cfg)
+        t1 = arbitrage_demo(path, stock_units=1.0)
+        t2 = arbitrage_demo(path, stock_units=2.0)
         assert t2.pnl_up == pytest.approx(2 * t1.pnl_up)
         assert t2.pnl_down == pytest.approx(2 * t1.pnl_down)
 
     def test_refuses_when_no_violation(self):
         cfg = cfg_with(N=16, sigma=0.0)
         with pytest.raises(InconclusiveError):
-            arbitrage_demo(cfg, make_noise(16, "rademacher", 5))
+            arbitrage_demo(build_market(cfg, make_noise(16, "rademacher", 5)))
 
 
 class TestBsLimit:
@@ -292,7 +299,7 @@ class TestBsLimit:
         with pytest.raises(DomainError):
             bs_limit(std_cfg, z, 1.5)
 
-    def test_paired_gap_shrinks_with_resolution(self, quad_cfg):
+    def test_paired_gap_shrinks_with_resolution(self):
         # log S_N(1) - log S_limit(1) on the same noise shrinks as N grows
         from rosenblatt import HurstParams
         from rosenblatt.kernel import get_engine
@@ -303,8 +310,8 @@ class TestBsLimit:
             mean_gap = 0.0
             for seed in range(40):
                 noise = make_noise(N, "rademacher", seed)
-                path = build_market(cfg, noise, quad_cfg)
-                z = rosenblatt_walk(noise, p, quad_cfg)
+                path = build_market(cfg, noise)
+                z = rosenblatt_walk(noise, p)
                 S_lim, _ = bs_limit(cfg, z, 1.0)
                 mean_gap += abs(np.log(path.S[-1]) - np.log(S_lim)) / 40
             gaps.append(mean_gap)

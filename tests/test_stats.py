@@ -1,47 +1,45 @@
 """Moment reports, quadratic variation, histograms, and the exact finite-n laws."""
-import json
-
 import numpy as np
 import pytest
 
-from rosenblatt import (DEFAULT_QUAD, DomainError, GridPath, ProcessTag,
+from rosenblatt import (DomainError, GridPath, ProcessTag,
                         covariance, discrete_covariance,
                         discrete_increment_variance, discrete_variance,
                         histogram, increment_variance, qv_decay,
                         quadratic_variation, simulate_ensemble, skewness)
-from rosenblatt.stats import MomentReport, report_to_json
+from rosenblatt.stats import MomentReport
 
 
 @pytest.fixture(scope="module")
-def rose_ens(p08, quad_cfg):
-    return simulate_ensemble(8000, 2718, "rademacher", p08, quad_cfg, "rosenblatt", 64)
+def rose_ens(p08):
+    return simulate_ensemble(8000, 2718, "rademacher", p08, "rosenblatt", 64)
 
 
 @pytest.fixture(scope="module")
-def walk_ens(quad_cfg):
-    return simulate_ensemble(8000, 31415, "gaussian", None, quad_cfg, "walk", 64)
+def walk_ens():
+    return simulate_ensemble(8000, 31415, "gaussian", None, "walk", 64)
 
 
 class TestDiscreteLaws:
-    def test_variance_against_brute_force_value(self, p08, quad_cfg):
+    def test_variance_against_brute_force_value(self, p08):
         # cross-validated at n = 8 against nested scipy quadrature plus a
         # 4e5-path Monte Carlo of the definition during development
-        assert discrete_variance(8, 1.0, p08, quad_cfg) == pytest.approx(
+        assert discrete_variance(8, 1.0, p08) == pytest.approx(
             0.34297724041, rel=1e-9)
 
-    def test_covariance_consistency(self, p08, quad_cfg):
+    def test_covariance_consistency(self, p08):
         # E[Z(t)^2] is both a variance and a self-covariance
-        a = discrete_variance(16, 0.5, p08, quad_cfg)
-        b = discrete_covariance(16, 0.5, 0.5, p08, quad_cfg)
+        a = discrete_variance(16, 0.5, p08)
+        b = discrete_covariance(16, 0.5, 0.5, p08)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_increment_bilinearity(self, p08, quad_cfg):
+    def test_increment_bilinearity(self, p08):
         # E|Z(t)-Z(s)|^2 = Var Z(t) + Var Z(s) - 2 E[Z(s) Z(t)]
         n, s, t = 16, 0.5, 1.0
-        lhs = discrete_increment_variance(n, s, t, p08, quad_cfg)
-        rhs = (discrete_variance(n, t, p08, quad_cfg)
-               + discrete_variance(n, s, p08, quad_cfg)
-               - 2 * discrete_covariance(n, s, t, p08, quad_cfg))
+        lhs = discrete_increment_variance(n, s, t, p08)
+        rhs = (discrete_variance(n, t, p08)
+               + discrete_variance(n, s, p08)
+               - 2 * discrete_covariance(n, s, t, p08))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -56,11 +54,11 @@ class TestIncrementVariance:
         b = increment_variance(rose_ens, 0.75, 0.25)
         assert a.estimate == b.estimate and a.theoretical == b.theoretical
 
-    def test_matches_exact_discrete_law(self, rose_ens, p08, quad_cfg):
+    def test_matches_exact_discrete_law(self, rose_ens, p08):
         for (s, t) in [(0.0, 1.0), (0.25, 0.75)]:
             rep = increment_variance(rose_ens, s, t)
             assert rep.discrete == pytest.approx(
-                discrete_increment_variance(64, s, t, p08, quad_cfg), rel=1e-12)
+                discrete_increment_variance(64, s, t, p08), rel=1e-12)
             assert rep.within(4.0)
             assert rep.theoretical == pytest.approx(
                 abs(np.floor(64 * t) / 64 - np.floor(64 * s) / 64) ** 1.6)
@@ -111,15 +109,15 @@ class TestSkewness:
     def test_scale_invariance(self, rose_ens):
         rep = skewness(rose_ens, 1.0)
         scaled = simulate_ensemble(100, 1, "rademacher", rose_ens.params,
-                                   DEFAULT_QUAD, "rosenblatt", 8)
+                                   "rosenblatt", 8)
         scaled.values = rose_ens.values * 3.7
         scaled.n = rose_ens.n
         scaled.master_seed = rose_ens.master_seed
         rep2 = skewness(scaled, 1.0)
         assert rep2.estimate == pytest.approx(rep.estimate, rel=1e-12)
 
-    def test_needs_enough_paths(self, p08, quad_cfg):
-        tiny = simulate_ensemble(50, 1, "rademacher", p08, quad_cfg, "rosenblatt", 8)
+    def test_needs_enough_paths(self, p08):
+        tiny = simulate_ensemble(50, 1, "rademacher", p08, "rosenblatt", 8)
         with pytest.raises(DomainError):
             skewness(tiny, 1.0)
 
@@ -129,8 +127,8 @@ class TestQuadraticVariation:
         path = GridPath(n=4, values=np.zeros(5), process_tag=ProcessTag.WALK)
         assert quadratic_variation(path) == 0.0
 
-    def test_sign_flip_invariance(self, p08, quad_cfg):
-        ens = simulate_ensemble(1, 5, "rademacher", p08, quad_cfg, "rosenblatt", 32)
+    def test_sign_flip_invariance(self, p08):
+        ens = simulate_ensemble(1, 5, "rademacher", p08, "rosenblatt", 32)
         path = next(ens.paths)
         flipped = GridPath(n=32, values=-path.values, process_tag=path.process_tag)
         assert quadratic_variation(path) == quadratic_variation(flipped)
@@ -145,15 +143,15 @@ class TestQuadraticVariation:
         with pytest.raises(DomainError):
             qv_decay([rose_ens, rose_ens])
 
-    def test_qv_decay_matches_exact_slope(self, p08, quad_cfg):
+    def test_qv_decay_matches_exact_slope(self, p08):
         from rosenblatt.kernel import get_engine
         sizes = (16, 32, 64, 128)
-        enss = [simulate_ensemble(2000, 99, "rademacher", p08, quad_cfg,
-                                  "rosenblatt", n) for n in sizes]
+        enss = [simulate_ensemble(2000, 99, "rademacher", p08, "rosenblatt", n)
+                for n in sizes]
         fit = qv_decay(enss)
         exact = []
         for n in sizes:
-            eng = get_engine(n, p08, quad_cfg)
+            eng = get_engine(n, p08)
             exact.append(sum(2.0 * float(np.sum(eng.delta_table(m) ** 2))
                              for m in range(1, n + 1)))
         exact_slope = np.polyfit(np.log(sizes), np.log(exact), 1)[0]
@@ -168,8 +166,8 @@ class TestHistogram:
         assert int(h.counts.sum()) == h.total == rose_ens.count
         assert len(h.bin_edges) == 26
 
-    def test_all_equal_samples_single_bin(self, p08, quad_cfg):
-        ens = simulate_ensemble(100, 4, "rademacher", p08, quad_cfg, "rosenblatt", 8)
+    def test_all_equal_samples_single_bin(self, p08):
+        ens = simulate_ensemble(100, 4, "rademacher", p08, "rosenblatt", 8)
         ens.values = np.full_like(ens.values, 2.5)
         h = histogram(ens, 1.0, 10)
         assert (h.counts > 0).sum() == 1
@@ -179,10 +177,10 @@ class TestHistogram:
         with pytest.raises(DomainError):
             histogram(rose_ens, 1.0, 1)
 
-    def test_h09_right_skew_mean_exceeds_median(self, quad_cfg):
+    def test_h09_right_skew_mean_exceeds_median(self):
         from rosenblatt import HurstParams
         p09 = HurstParams.from_hurst(0.9)
-        ens = simulate_ensemble(5000, 88, "rademacher", p09, quad_cfg, "rosenblatt", 128)
+        ens = simulate_ensemble(5000, 88, "rademacher", p09, "rosenblatt", 128)
         x = ens.values[:, -1]
         se_median = 1.2533 * x.std(ddof=1) / np.sqrt(x.size)
         assert x.mean() - np.median(x) > 2.0 * se_median
@@ -202,12 +200,3 @@ class TestReports:
             MomentReport(quantity="x", estimate=1.0, std_error=-1.0, sample_size=10)
         with pytest.raises(DomainError):
             MomentReport(quantity="x", estimate=1.0, std_error=0.1, sample_size=1)
-
-    def test_json_export(self, rose_ens, tmp_path):
-        reps = [covariance(rose_ens, 0.5, 1.0), increment_variance(rose_ens, 0.0, 1.0)]
-        f = tmp_path / "report.json"
-        report_to_json(reps, {"H": 0.8, "n": 64}, f)
-        payload = json.loads(f.read_text())
-        assert payload["params"]["H"] == 0.8
-        assert len(payload["reports"]) == 2
-        assert payload["reports"][0]["quantity"] == "covariance"
