@@ -3,10 +3,8 @@
 __version__ = "0.1.0"
 
 from .kernel import (
-    DEFAULT_QUAD,
     DomainError,
     HurstParams,
-    QuadConfig,
     QuadratureError,
     WeightTable,
     c_const,
@@ -54,11 +52,8 @@ from .market import (
     build_market,
     constant_rate,
     divergence_scan,
-    f_eval,
-    g_eval,
     no_arbitrage_check,
     tabulated_rate,
-    updown,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

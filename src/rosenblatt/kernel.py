@@ -32,8 +32,9 @@ with the same 16 nodes per family (``_NODES``).  The node tables are stacked
 in blocks of 16 consecutive panels, each a zero-padded (K, 16 * nodes)
 matrix whose rows are the cells i <= K of the block's last panel, so the
 ensemble pass runs one GEMM per block where it would run sixteen thin ones;
-the zero rows add exact zeros to every product.  The market's up/down
-branches of every step take one such pass as well.  The blocks are built on
+the zero rows add exact zeros to every product.  One such pass over the
+market's noise prefix gives the up and the down branch of every step, and
+with them the walk increments themselves.  The blocks are built on
 a thread pool, one worker per usable CPU: the build is mostly incomplete
 beta evaluations, which release the GIL, and each block is computed on its
 own, so no table depends on the worker count.
@@ -51,9 +52,9 @@ from scipy import special
 
 
 # Panels per stacked block of node tables, nodes per panel of each
-# Gauss-Legendre / Gauss-Jacobi family, noise rows per GEMM in
-# ``quadratic_increments`` (the slab bounds the temporaries at a few MiB), and
-# the inner-dimension chunk and column multiple of ``_matmul``.
+# Gauss-Legendre / Gauss-Jacobi family (the adaptive rules use as many), noise
+# rows per GEMM in ``quadratic_increments`` (the slab bounds the temporaries at
+# a few MiB), and the inner-dimension chunk and column multiple of ``_matmul``.
 _BLOCK = 16
 _NODES = 16
 _SLAB = 512
@@ -61,6 +62,11 @@ _KCHUNK = 256
 _NPAD = 16
 # xi_k of the up (row 0) and the down (row 1) branch in ``branch_increments``
 _BRANCHES = np.array([[1.0], [-1.0]])
+# Stopping rule of the adaptive routines (``fbm_kernel``, ``rosenblatt_kernel``,
+# ``cell_weight``): relative and absolute error, and the bisection budget unit.
+_REL_TOL = 1e-8
+_ABS_TOL = 1e-12
+_MAX_SUBDIV = 40
 
 
 @lru_cache(maxsize=None)
@@ -203,44 +209,20 @@ class HurstParams:
         return cls.from_hurst(2 * Hp - 1)
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and node count of the adaptive routines (``fbm_kernel``,
-    ``rosenblatt_kernel``, ``cell_weight``); the panel engine reads none."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdiv: int = 40
-    nodes_per_panel: int = 16
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise DomainError("rel_tol must be positive")
-        if self.abs_tol < 0:
-            raise DomainError("abs_tol must be nonnegative")
-        if self.max_subdiv < 1:
-            raise DomainError("max_subdiv must be at least 1")
-        if self.nodes_per_panel < 2:
-            raise DomainError("nodes_per_panel must be at least 2")
-
-
-DEFAULT_QUAD = QuadConfig()
-
-
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Legendre (scalar integrands)
 # ---------------------------------------------------------------------------
 
-def _adaptive_gauss(f, a: float, b: float, q: QuadConfig) -> float:
+def _adaptive_gauss(f, a: float, b: float) -> float:
     """Globally adaptive Gauss-Legendre for a vectorised integrand on [a, b].
 
     Each interval carries a Richardson estimate (one-panel rule against the
     sum over its two halves); the worst interval is bisected until the total
-    estimated error meets max(rel_tol * |integral|, abs_tol).
+    estimated error meets max(_REL_TOL * |integral|, _ABS_TOL).
     """
     if b <= a:
         return 0.0
-    x, w = _leggauss(q.nodes_per_panel)
+    x, w = _leggauss(_NODES)
 
     def rule(lo, hi):
         h2 = 0.5 * (hi - lo)
@@ -255,11 +237,11 @@ def _adaptive_gauss(f, a: float, b: float, q: QuadConfig) -> float:
     total = segs[0][3]
     err = segs[0][0]
     pops = 0
-    while err > max(q.rel_tol * abs(total), q.abs_tol):
+    while err > max(_REL_TOL * abs(total), _ABS_TOL):
         pops += 1
-        if pops > 16 * q.max_subdiv:
+        if pops > 16 * _MAX_SUBDIV:
             raise QuadratureError(
-                f"adaptive quadrature failed to reach rel_tol={q.rel_tol} "
+                f"adaptive quadrature failed to reach rel_tol={_REL_TOL} "
                 f"after {pops} bisections")
         segs.sort(key=lambda s: s[0])
         e, lo, hi, fine = segs.pop()
@@ -276,7 +258,7 @@ def _adaptive_gauss(f, a: float, b: float, q: QuadConfig) -> float:
 # point evaluations
 # ---------------------------------------------------------------------------
 
-def fbm_kernel(t: float, s: float, p: HurstParams, q: QuadConfig = DEFAULT_QUAD) -> float:
+def fbm_kernel(t: float, s: float, p: HurstParams) -> float:
     """fBm kernel K(t, s) for 0 < s <= t.
 
     The endpoint singularity (u-s)^(Hp-3/2) is absorbed exactly by the
@@ -290,7 +272,7 @@ def fbm_kernel(t: float, s: float, p: HurstParams, q: QuadConfig = DEFAULT_QUAD)
     Hp = p.Hp
     alpha = Hp - 0.5
     g = lambda w: (s + w ** (1.0 / alpha)) ** (Hp - 0.5)
-    val = _adaptive_gauss(g, 0.0, (t - s) ** alpha, q) / alpha
+    val = _adaptive_gauss(g, 0.0, (t - s) ** alpha) / alpha
     return p.cHp * s ** (0.5 - Hp) * val
 
 
@@ -305,7 +287,7 @@ def dK(t: float, s: float, p: HurstParams) -> float:
     return p.cHp * (s / t) ** (0.5 - p.Hp) * (t - s) ** (p.Hp - 1.5)
 
 
-def _phi_adaptive(t, u, v, p, q):
+def _phi_adaptive(t, u, v, p):
     """int_{max(u,v)}^t a^(2Hp-1) (a-u)^(Hp-3/2) (a-v)^(Hp-3/2) da, u != v.
 
     Substituting w = (a - max(u,v))^alpha absorbs the singular factor of the
@@ -319,11 +301,10 @@ def _phi_adaptive(t, u, v, p, q):
         a = lo + w ** (1.0 / alpha)
         return a ** (2 * Hp - 1) * (a - mn) ** (Hp - 1.5)
 
-    return _adaptive_gauss(g, 0.0, (t - lo) ** alpha, q) / alpha
+    return _adaptive_gauss(g, 0.0, (t - lo) ** alpha) / alpha
 
 
-def rosenblatt_kernel(t: float, u: float, v: float, p: HurstParams,
-                      q: QuadConfig = DEFAULT_QUAD) -> float:
+def rosenblatt_kernel(t: float, u: float, v: float, p: HurstParams) -> float:
     """Two-variable kernel F(t, u, v); symmetric in (u, v), zero for u >= t or v >= t.
 
     Point evaluation refuses u == 0, v == 0 (the y^(1/2-Hp) factor is
@@ -340,21 +321,22 @@ def rosenblatt_kernel(t: float, u: float, v: float, p: HurstParams,
     if u == v:
         raise DomainError("F diverges on the diagonal u == v")
     Hp = p.Hp
-    return p.dH * p.cHp ** 2 * (u * v) ** (0.5 - Hp) * _phi_adaptive(t, u, v, p, q)
+    return p.dH * p.cHp ** 2 * (u * v) ** (0.5 - Hp) * _phi_adaptive(t, u, v, p)
 
 
 # ---------------------------------------------------------------------------
 # direct cell integrals (outer tensor Gauss over the cell)
 # ---------------------------------------------------------------------------
 
-def _phi_grid(t, U, V, p, depth=8, nodes=12, ratio=4.0):
+def _phi_grid(t, U, V, p):
     """Vectorised inner time integral over flat arrays U, V (entries < t, U != V).
 
     Fixed composite rule: exact power substitution w = (a - max)^alpha, then
-    Gauss-Legendre on geometrically graded panels of [0, (t-max)^alpha] so the
-    near-singularity of the smaller argument is resolved even for adjacent
-    cells.
+    12-node Gauss-Legendre on 8 panels of [0, (t-max)^alpha], graded by a
+    factor 4 toward 0, so the near-singularity of the smaller argument is
+    resolved even for adjacent cells.
     """
+    depth, nodes, ratio = 8, 12, 4.0
     Hp = p.Hp
     alpha = Hp - 0.5
     lo = np.maximum(U, V)
@@ -372,8 +354,7 @@ def _phi_grid(t, U, V, p, depth=8, nodes=12, ratio=4.0):
     return vals.sum(axis=(0, 1)) / alpha
 
 
-def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams,
-                q: QuadConfig = DEFAULT_QUAD) -> float:
+def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams) -> float:
     """Cell coefficient c_ij(m) = n * iint_{cell_i x cell_j} F(m/n, u, v) dv du.
 
     Direct evaluation order: adaptive tensor-product Gauss over the cell pair
@@ -394,10 +375,8 @@ def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams,
     pv = 1.5 - Hp if j == 1 else 1.0
     ua, ub = ((i - 1) / n) ** pu, (i / n) ** pu
     va, vb = ((j - 1) / n) ** pv, (j / n) ** pv
-    nodes = q.nodes_per_panel
+    nodes = _NODES
     x, w = _leggauss(nodes)
-    # deepen the fixed inner rule when a tighter-than-default tolerance is asked
-    depth = max(8, int(np.ceil(-np.log10(q.rel_tol))))
 
     def tiles(regions):
         """Tensor Gauss value on each (transformed-coordinate) rectangle."""
@@ -412,7 +391,7 @@ def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams,
             U.append(np.repeat(uu, nodes))
             V.append(np.tile(vv, nodes))
             WW.append(np.outer(fu, fv).ravel())
-        G = scale * _phi_grid(t, np.concatenate(U), np.concatenate(V), p, depth=depth)
+        G = scale * _phi_grid(t, np.concatenate(U), np.concatenate(V), p)
         G = G.reshape(len(regions), nodes * nodes)
         return (np.concatenate(WW).reshape(len(regions), -1) * G).sum(axis=1)
 
@@ -443,10 +422,10 @@ def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams,
     err = segs[0][0]
     pops = 0
     # single-axis Richardson is an estimate, not a bound; stop a factor 8 early
-    while err > max(0.125 * q.rel_tol * abs(total), q.abs_tol):
+    while err > max(0.125 * _REL_TOL * abs(total), _ABS_TOL):
         pops += 1
-        if pops > 64 * q.max_subdiv:
-            raise QuadratureError("cell_weight failed to converge; raise max_subdiv or rel_tol")
+        if pops > 64 * _MAX_SUBDIV:
+            raise QuadratureError(f"cell_weight failed to converge after {pops} bisections")
         segs.sort(key=lambda s: s[0])
         e, region, fine, children, coarse = segs.pop()
         new = make_entries(children, coarse)
@@ -478,9 +457,10 @@ class VolterraEngine:
     fewer columns); panel k fills rows :k of its column slice.  Next to them
     the block holds, one row per panel, the weights wR = w_j1 R, the scalar
     e2 = int_panel E^2, row k - 2 of A_j1 and the column sums of A_gl^2.
-    ``quadratic_increments`` and ``branch_increments`` multiply the noise
-    by whole blocks; ``panel`` cuts one panel out of its block in the same
-    layout.
+    ``quadratic_increments`` (the ensembles) and ``branch_increments`` (the
+    market's up/down envelope) multiply the noise by whole blocks through
+    the same ``_increments``; ``panel`` cuts one panel out of its block in
+    the same layout for the dense oracles ``delta_table`` and ``fbm_matrix``.
 
     The blocks are built in parallel, one thread per CPU the process may run
     on and at most one per block.  A block reads only constants set before
@@ -663,50 +643,36 @@ class VolterraEngine:
                     t, x[:, : K + 1], None if x2 is None else x2[:, : K + 1], t_sq)
         return out
 
-    def branch_pair(self, prefix: np.ndarray) -> np.ndarray:
-        """Panel-k increments, k = len(prefix) + 1, of the noise prefix
-        continued by xi_k = +1 and by xi_k = -1; shape (2,).
+    def branch_increments(self, x: np.ndarray) -> np.ndarray:
+        """Step-k increments, k = 1..len(x)+1, of the Rademacher prefix
+        x[:k-1] continued by xi_k = +1 (row 0) and by xi_k = -1 (row 1).
 
         The increment is affine in xi_k (the quadratic form has no diagonal),
-        so the pair is (f + g, f - g) of the split f_{k-1} + xi_k g_{k-1}.
-        """
-        prefix = np.asarray(prefix, dtype=float)
-        k = prefix.size + 1
-        if prefix.ndim != 1 or k > self.n:
-            raise DomainError(f"prefix must be one-dimensional and shorter than {self.n}")
-        x = np.zeros((2, k + 1))
-        x[:, 1:k] = prefix
-        x[:, k] = (1.0, -1.0)
-        p = self.panel(k)
-        return self._increments(p, x, x ** 2, p["A_gl"] ** 2)[:, 0]
-
-    def branch_increments(self, x: np.ndarray) -> np.ndarray:
-        """``branch_pair`` of every prefix x[:k-1], k = 1..len(x)+1, as the
-        columns of a (2, len(x) + 1) array: row 0 the +1, row 1 the -1 branch.
-
-        One pass over the panel blocks, with the bits of the per-k calls.
-        Both rows carry the whole prefix x; only xi_k differs.  Row k - 1 of
-        panel k's A_gl / A_j1 is zero (cell k has no Abar part), so panel k
-        reads xi_1..xi_{k-1} from x and xi_k only as ``cur``, which is +1 in
-        row 0 and -1 in row 1 for every panel.
+        so column k - 1 is (f + g, f - g) of the split f_{k-1} + xi_k g_{k-1}.
+        One pass over the panel blocks, with the bits of
+        ``quadratic_increments`` on the noise whose xi_k is set.  Both rows
+        carry the whole prefix x; only xi_k differs.  Row k - 1 of panel k's
+        A_gl / A_j1 is zero (cell k has no Abar part), so panel k reads
+        xi_1..xi_{k-1} from x and xi_k only as ``cur``, which is +1 in row 0
+        and -1 in row 1 for every panel.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size >= self.n:
             raise DomainError(f"prefix must be one-dimensional and shorter than {self.n}")
+        if not np.all(np.abs(x) == 1.0):
+            raise DomainError("branch increments need a Rademacher (+-1) prefix")
         xs = np.zeros((2, self.n + 1))
         xs[:, 1: x.size + 1] = x
-        x2 = xs ** 2
         out = np.empty((2, self.n))
         for t in self._blocks:
             lo, K = t["lo"], t["A_gl"].shape[0]
-            out[:, lo - 1: K] = self._increments(
-                t, xs[:, : K + 1], x2[:, : K + 1], t["A_gl"] ** 2, _BRANCHES)
+            out[:, lo - 1: K] = self._increments(t, xs[:, : K + 1], None, None, _BRANCHES)
         return out[:, : x.size + 1]
 
     def _increments(self, t: dict, x: np.ndarray, x2: np.ndarray | None,
                     A_sq: np.ndarray | None, cur: np.ndarray | None = None) -> np.ndarray:
-        """Increments of the consecutive panels of t (a block, or one
-        ``panel``) for each row of x, shape (M, panels).
+        """Increments of the consecutive panels of block t for each row of x,
+        shape (M, panels).
 
         x has shape (M, K + 1), K the last panel of t, with column i holding
         xi_i and column 0 the absent xi_0 = 0; x2 is its square and A_sq the

@@ -15,10 +15,12 @@ like n^(2Hp - 1), so the condition eventually fails and a one-period
 borrow-and-buy strategy wins on both branches.
 
 The walk increment is affine in xi_n (its quadratic form has no diagonal),
-so u_n and d_n are the step-n increment with xi_n set to +1 and to -1.  The
-kernel's panel pass evaluates both branches for every n at once
-(``VolterraEngine.branch_increments``), in O(N^2 nodes) time and memory;
-the dense weight tables are never formed here.
+so u_n and d_n are the step-n increment with xi_n set to +1 and to -1, and
+on a built path f = (u + d)/2 and g = (u - d)/2.  One panel pass of the
+kernel evaluates both branches for every n at once
+(``VolterraEngine.branch_increments``), in O(N^2 nodes) time and memory, and
+the realised return X_n is the branch its own xi_n picks; the dense weight
+tables are never formed here.
 
 The first trading period is degenerate (Z has no off-diagonal pair yet, so
 X_1 = 0 surely); arbitrage checks therefore start at n = 2, where the model
@@ -95,38 +97,6 @@ class MarketConfig:
 
 
 # ---------------------------------------------------------------------------
-# the isolated quadratic / linear forms
-# ---------------------------------------------------------------------------
-
-def updown(n: int, x: np.ndarray, cfg: MarketConfig) -> tuple[float, float]:
-    """(u_n, d_n) = (f + g, f - g): sigma times the step-n walk increment of
-    the prefix x continued by xi_n = +1 and by xi_n = -1."""
-    x = np.asarray(x, dtype=float)
-    if n < 2 or n > cfg.N:
-        raise DomainError(f"need 2 <= n <= N, got n={n}")
-    if x.shape != (n - 1,):
-        raise DomainError(f"x must have length n-1={n - 1}")
-    u, d = cfg.sigma * get_engine(cfg.N, cfg.params).branch_pair(x)
-    return float(u), float(d)
-
-
-def f_eval(n: int, x: np.ndarray, cfg: MarketConfig) -> float:
-    """Quadratic form f_{n-1}(x) = (u_n + d_n)/2: the part of X_n not involving xi_n.
-
-    Equals sigma N sum_{i != j <= n-1} [iint_cells (F(n/N) - F((n-1)/N))] x_i x_j.
-    """
-    u, d = updown(n, x, cfg)
-    return 0.5 * (u + d)
-
-
-def g_eval(n: int, x: np.ndarray, cfg: MarketConfig) -> float:
-    """Linear form g_{n-1}(x) = (u_n - d_n)/2
-    = 2 sigma N sum_{i<=n-1} [iint F(n/N) over cell_i x cell_n] x_i."""
-    u, d = updown(n, x, cfg)
-    return 0.5 * (u - d)
-
-
-# ---------------------------------------------------------------------------
 # market paths
 # ---------------------------------------------------------------------------
 
@@ -175,19 +145,17 @@ class MarketPath:
 def build_market(cfg: MarketConfig, noise: NoiseSequence) -> MarketPath:
     """Run the recursions with X_n = sigma * (Z(n/N) - Z((n-1)/N)) on `noise`.
 
-    The same noise drives the walk and the u/d envelope, so
-    X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi) holds to rounding: X comes from
-    the ensemble pass ``quadratic_increments``, u and d from the branch pass.
+    One branch pass gives u and d; X_n is u_n where xi_n = +1 and d_n where
+    xi_n = -1, so X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi) holds bit for bit.
     Nonpositive stock prices are reported in `breakdown_at`, never repaired.
     """
-    if noise.kind is not NoiseKind.RADEMACHER:
-        raise DomainError("the binary market needs Rademacher noise")
+    if noise.kind is not NoiseKind.RADEMACHER or not np.all(np.abs(noise.values) == 1.0):
+        raise DomainError("the binary market needs Rademacher (+-1) noise")
     if noise.n != cfg.N:
         raise DomainError(f"noise length {noise.n} does not match N={cfg.N}")
-    eng = get_engine(cfg.N, cfg.params)
     xi = noise.values
-    dz = eng.quadratic_increments(xi[None, :], unit_squares=True)[0]
-    X = cfg.sigma * dz
+    u, d = cfg.sigma * get_engine(cfg.N, cfg.params).branch_increments(xi[:-1])
+    X = np.where(xi > 0, u, d)
 
     r, a = cfg.per_period_rates()
     B = cfg.B0 * np.cumprod(np.concatenate([[1.0], 1.0 + r]))
@@ -196,8 +164,6 @@ def build_market(cfg: MarketConfig, noise: NoiseSequence) -> MarketPath:
     bad = np.nonzero(S[1:] <= 0)[0]
     if bad.size:
         breakdown = int(bad[0] + 1)
-
-    u, d = cfg.sigma * eng.branch_increments(xi[:-1])
     return MarketPath(cfg=cfg, noise=noise, X=X, B=B, S=S, u=u, d=d,
                       r_minus_a=r - a, breakdown_at=breakdown)
 

@@ -135,8 +135,10 @@ class PathEnsemble:
             yield GridPath(n=self.n, values=row, process_tag=self.process_tag)
 
     def values_at(self, t: float) -> np.ndarray:
-        m = min(int(np.floor(self.n * t)), self.n)
-        return self.values[:, m]
+        """Every path's value at t, snapped to floor(n t)/n like ``GridPath.value_at``."""
+        if not 0.0 <= t <= 1.0:
+            raise DomainError(f"t must lie in [0, 1], got {t}")
+        return self.values[:, int(np.floor(self.n * t))]
 
     @property
     def hurst_index(self) -> float:

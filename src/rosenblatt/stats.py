@@ -19,6 +19,9 @@ import numpy as np
 from .kernel import DomainError, HurstParams, get_engine
 from .paths import GridPath, PathEnsemble, ProcessTag
 
+# resamples behind the skewness standard error
+_BOOTSTRAP = 200
+
 
 @dataclass
 class MomentReport:
@@ -43,11 +46,10 @@ class MomentReport:
         if self.sample_size < 2:
             raise DomainError("need at least two samples")
 
-    def within(self, k: float, target: float | None = None) -> bool:
-        """|estimate - target| < k * std_error; target defaults to the exact
-        discrete value, falling back to the continuum one."""
-        ref = target if target is not None else (
-            self.discrete if self.discrete is not None else self.theoretical)
+    def within(self, k: float) -> bool:
+        """|estimate - ref| < k * std_error, ref the exact discrete value or,
+        failing that, the continuum one."""
+        ref = self.discrete if self.discrete is not None else self.theoretical
         if ref is None:
             return True
         return abs(self.estimate - ref) < k * self.std_error
@@ -157,8 +159,6 @@ def increment_variance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
     """
     n = ens.n
     s, t = sorted((s, t))
-    if not 0.0 <= s <= t <= 1.0:
-        raise DomainError("need 0 <= s, t <= 1")
     d = ens.values_at(t) - ens.values_at(s)
     sq = d * d
     expo = 2 * ens.hurst_index
@@ -194,8 +194,9 @@ def covariance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
     )
 
 
-def skewness(ens: PathEnsemble, t: float, bootstrap: int = 200) -> MomentReport:
-    """Standardized third moment of the marginal at t, bootstrap standard error."""
+def skewness(ens: PathEnsemble, t: float) -> MomentReport:
+    """Standardized third moment of the marginal at t, with the standard error
+    of _BOOTSTRAP bootstrap resamples."""
     if ens.count < 100:
         raise DomainError("skewness needs at least 100 paths")
     x = ens.values_at(t)
@@ -204,8 +205,8 @@ def skewness(ens: PathEnsemble, t: float, bootstrap: int = 200) -> MomentReport:
         m2 = np.mean(c * c)
         return np.mean(c ** 3) / m2 ** 1.5
     rng = np.random.Generator(np.random.Philox(key=(ens.master_seed ^ 0xB007B007) & ((1 << 64) - 1)))
-    reps = np.empty(bootstrap)
-    for b in range(bootstrap):
+    reps = np.empty(_BOOTSTRAP)
+    for b in range(_BOOTSTRAP):
         reps[b] = skew(x[rng.integers(0, x.size, x.size)])
     theo = None if ens.process_tag is ProcessTag.ROSENBLATT else 0.0
     return MomentReport(

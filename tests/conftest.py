@@ -9,12 +9,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from rosenblatt import HurstParams, QuadConfig
-
-
-@pytest.fixture(scope="session")
-def quad_cfg():
-    return QuadConfig()
+from rosenblatt import HurstParams
 
 
 @pytest.fixture(scope="session")

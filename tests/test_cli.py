@@ -146,6 +146,18 @@ class TestValidate:
         assert code == 2
         assert "--qv-sizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check, flag, value", [("covariance", "--s", "-0.5"),
+                                                    ("histogram", "--t", "-0.5"),
+                                                    ("skewness", "--t", "1.7"),
+                                                    ("covariance", "--s", "1.5")])
+    def test_time_outside_unit_interval_exits_2(self, tmp_path, capsys, check, flag, value):
+        out = tmp_path / "rep.json"
+        code = run("validate", "--check", check, "--hurst", "0.8", "--n", "16",
+                   "--paths", "200", flag, value, "--out", str(out))
+        assert code == 2
+        assert "error: t must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_histogram_writes_csv(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run("validate", "--check", "histogram", "--process", "rosenblatt",
@@ -162,7 +174,7 @@ class TestValidate:
         # flukes; pin the aggregation contract by stubbing an unskewed report
         from rosenblatt.stats import MomentReport
 
-        def flat_skew(ens, t, bootstrap=200):
+        def flat_skew(ens, t):
             return MomentReport(quantity="skewness", estimate=0.0,
                                 std_error=1.0, sample_size=ens.count)
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rosenblatt import (DomainError, HurstParams, QuadConfig,
+from rosenblatt import (DomainError, HurstParams, QuadratureError,
                         c_const, cell_weight, d_const, dK,
                         fbm_kernel, rosenblatt_kernel, weight_table)
-from rosenblatt.kernel import _BLOCK, VolterraEngine, _roots_jacobi, get_engine
+from rosenblatt.kernel import (_BLOCK, VolterraEngine, _adaptive_gauss, _roots_jacobi,
+                               get_engine)
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
 
@@ -71,16 +72,6 @@ class TestHurstParams:
         with pytest.raises(DomainError):
             HurstParams(H=0.8, Hp=0.9, cHp=1.0, dH=d_const(0.8))  # broken identity
 
-    def test_quad_config_validation(self):
-        with pytest.raises(DomainError):
-            QuadConfig(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadConfig(abs_tol=-1.0)
-        with pytest.raises(DomainError):
-            QuadConfig(max_subdiv=0)
-        with pytest.raises(DomainError):
-            QuadConfig(nodes_per_panel=1)
-
 
 class TestFbmKernel:
     def test_limit_t_equals_s(self, p07):
@@ -92,11 +83,11 @@ class TestFbmKernel:
         with pytest.raises(DomainError):
             fbm_kernel(0.3, 0.5, p07)
 
-    def test_subdivision_budget_raises(self, p07):
-        from rosenblatt import QuadratureError
-        starved = QuadConfig(rel_tol=1e-15, abs_tol=0.0, max_subdiv=1, nodes_per_panel=2)
-        with pytest.raises(QuadratureError):
-            fbm_kernel(1.0, 1e-9, p07, starved)
+    def test_subdivision_budget_raises(self):
+        # 1/x is not integrable on [0, 1]: the bisections chase the pole at 0
+        # until the budget runs out
+        with pytest.raises(QuadratureError, match="after 641 bisections"):
+            _adaptive_gauss(lambda x: 1.0 / x, 0.0, 1.0)
 
     def test_against_qaws_oracle(self):
         for (t, s, Hp) in [(1.0, 0.5, 0.76), (0.8, 0.3, 0.8), (1.0, 0.02, 0.9)]:
@@ -337,22 +328,28 @@ class TestQuadraticIncrements:
 class TestBranchIncrements:
     @pytest.mark.parametrize("n", [7, 33, 128, 300, 512])
     def test_equals_per_prefix_branch_pairs(self, p08, n):
+        # column k - 1 of the up / down row is, bit for bit, increment k of the
+        # walk's own pass on the noise x with xi_k set to +1 / -1; n covers
         # one block, whole and partial last blocks, and (n > 256) the chunked
-        # inner dimension: the block pass must keep every bit of branch_pair
+        # inner dimension
         eng = get_engine(n, p08)
         rng = np.random.default_rng(n)
         prefixes = {"ones": np.ones(n - 1),
                     "rademacher": rng.integers(0, 2, n - 1) * 2.0 - 1.0,
-                    "gaussian": rng.standard_normal(n - 1),
-                    "short": rng.standard_normal(n // 2)}
+                    "short": rng.integers(0, 2, n // 2) * 2.0 - 1.0}
         for name, x in prefixes.items():
-            want = np.stack([eng.branch_pair(x[:k - 1]) for k in range(1, x.size + 2)],
-                            axis=1)
+            K = x.size + 1
             got = eng.branch_increments(x)
-            assert got.shape == (2, x.size + 1), name
-            assert got.tobytes() == want.tobytes(), name
+            assert got.shape == (2, K), name
+            for row, sign in enumerate((1.0, -1.0)):
+                xi = np.ones((K, n))
+                xi[:, : x.size] = x
+                xi[np.arange(K), np.arange(K)] = sign
+                want = eng.quadratic_increments(xi, True)[np.arange(K), np.arange(K)]
+                assert got[row].tobytes() == want.tobytes(), (name, sign)
 
-    @pytest.mark.parametrize("x", [np.ones((2, 3)), np.ones(8), np.ones(12)])
+    @pytest.mark.parametrize("x", [np.ones((2, 3)), np.ones(8), np.ones(12),
+                                   np.random.default_rng(0).standard_normal(5)])
     def test_rejects_2d_or_too_long_prefix(self, p08, x):
         with pytest.raises(DomainError):
             get_engine(8, p08).branch_increments(x)

@@ -6,9 +6,9 @@ import pytest
 
 from rosenblatt import (DomainError, InconclusiveError, MarketConfig,
                         affine_rate, arbitrage_demo, bs_limit, build_market,
-                        constant_rate, divergence_scan, f_eval, g_eval,
-                        make_noise, no_arbitrage_check, rosenblatt_walk,
-                        tabulated_rate, updown, weight_table)
+                        constant_rate, divergence_scan, make_noise,
+                        no_arbitrage_check, rosenblatt_walk, tabulated_rate,
+                        weight_table)
 from rosenblatt.kernel import get_engine
 from rosenblatt.market import branch_pnls
 from rosenblatt.paths import NoiseKind, NoiseSequence
@@ -61,45 +61,37 @@ class TestConfig:
 
 
 class TestFGForms:
-    def test_f_empty_sum_at_n2(self, std_cfg):
-        assert f_eval(2, np.array([1.0]), std_cfg) == 0.0
+    # on a built path f_{n-1}(xi) = (u_n + d_n)/2 and g_{n-1}(xi) = (u_n - d_n)/2
 
-    def test_parity(self, std_cfg):
-        rng = np.random.default_rng(8)
-        x = rng.integers(0, 2, size=19).astype(float) * 2 - 1
-        assert f_eval(20, -x, std_cfg) == pytest.approx(f_eval(20, x, std_cfg), rel=1e-12)
-        assert g_eval(20, -x, std_cfg) == pytest.approx(-g_eval(20, x, std_cfg), rel=1e-12)
+    def test_f_empty_sum_at_n2(self, std_path):
+        assert std_path.u[1] + std_path.d[1] == 0.0
+
+    def test_parity(self, std_cfg, std_path):
+        # f is even and g odd in the noise, so flipping every sign swaps the
+        # branches: u on -xi is d on xi
+        xi = std_path.noise.values
+        flipped = build_market(std_cfg, NoiseSequence(kind=NoiseKind.RADEMACHER,
+                                                      seed=0, values=-xi))
+        assert np.array_equal(flipped.u, std_path.d)
+        assert np.array_equal(flipped.d, std_path.u)
 
     def test_g_positive_on_all_ones(self, std_cfg):
-        assert g_eval(20, np.ones(19), std_cfg) > 0.0
+        path = ones_path(std_cfg)
+        assert path.u[19] - path.d[19] > 0.0
 
     def test_f_matches_brute_force_table_sum(self):
         # sigma N sum_{i != j <= n-1} (table(n) - table(n-1)) on all-ones
         cfg = cfg_with(N=64, H=0.7)
         n = 20
         p = cfg.params
+        path = ones_path(cfg)
+        u, d = path.u[n - 1], path.d[n - 1]
         inc = (weight_table(n, 64, p).coeffs
                - weight_table(n - 1, 64, p).coeffs)
         want_f = float(inc[: n - 1, : n - 1].sum())
-        x = np.ones(n - 1)
-        assert f_eval(n, x, cfg) == pytest.approx(want_f, rel=1e-8)
+        assert 0.5 * (u + d) == pytest.approx(want_f, rel=1e-8)
         want_g = 2.0 * float(weight_table(n, 64, p).coeffs[n - 1, : n - 1].sum())
-        assert g_eval(n, x, cfg) == pytest.approx(want_g, rel=1e-8)
-
-    def test_updown_identities(self, std_cfg):
-        rng = np.random.default_rng(10)
-        x = rng.integers(0, 2, size=30).astype(float) * 2 - 1
-        u, d = updown(31, x, std_cfg)
-        f = f_eval(31, x, std_cfg)
-        g = g_eval(31, x, std_cfg)
-        assert u + d == pytest.approx(2 * f, rel=1e-12)
-        assert u - d == pytest.approx(2 * g, rel=1e-12)
-
-    def test_length_validation(self, std_cfg):
-        with pytest.raises(DomainError):
-            f_eval(20, np.ones(5), std_cfg)
-        with pytest.raises(DomainError):
-            g_eval(1, np.ones(0), std_cfg)
+        assert 0.5 * (u - d) == pytest.approx(want_g, rel=1e-8)
 
 
 class TestBuildMarket:
@@ -108,6 +100,12 @@ class TestBuildMarket:
             build_market(std_cfg, make_noise(64, "gaussian", 1))
         with pytest.raises(DomainError):
             build_market(std_cfg, make_noise(32, "rademacher", 1))
+        # X_n is the branch xi_n picks, so every entry must be +-1, the last too
+        half = np.ones(64)
+        half[-1] = 0.5
+        with pytest.raises(DomainError, match="Rademacher"):
+            build_market(std_cfg, NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0,
+                                                values=half))
 
     def test_sigma_zero_deterministic(self):
         cfg = cfg_with(N=16, sigma=0.0, r=0.3, a=0.1)
@@ -122,16 +120,28 @@ class TestBuildMarket:
         path = build_market(cfg, make_noise(256, "rademacher", 3))
         assert path.B[-1] == pytest.approx(np.exp(0.5), rel=5e-4)
 
-    def test_isolation_identity_every_step(self, std_cfg, std_path):
-        # X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi) for every n >= 2
-        xi = std_path.noise.values
-        for n in range(2, 65):
-            f = f_eval(n, xi[: n - 1], std_cfg)
-            g = g_eval(n, xi[: n - 1], std_cfg)
-            want = f + xi[n - 1] * g
-            assert std_path.X[n - 1] == pytest.approx(want, rel=1e-8, abs=1e-14)
-            u, d = std_path.u[n - 1], std_path.d[n - 1]
-            assert (u if xi[n - 1] > 0 else d) == pytest.approx(want, rel=1e-8, abs=1e-14)
+    def test_isolation_identity_every_step(self):
+        # X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi) is the branch xi_n picks, and it
+        # keeps every bit of the walk's own pass over the whole noise
+        for N in (64, 512):
+            cfg = cfg_with(N=N, sigma=0.7)
+            xi = make_noise(N, "rademacher", 424242).values
+            path = build_market(cfg, make_noise(N, "rademacher", 424242))
+            walk = cfg.sigma * get_engine(N, cfg.params).quadratic_increments(
+                xi[None, :], unit_squares=True)[0]
+            assert path.X.tobytes() == walk.tobytes(), N
+            assert np.array_equal(path.X, np.where(xi > 0, path.u, path.d)), N
+
+    def test_never_calls_quadratic_increments(self, std_cfg, monkeypatch):
+        # the branch pass is the market's only kernel call: X is read off it
+        from rosenblatt.kernel import VolterraEngine
+
+        def refuse(self, xi, unit_squares):
+            raise AssertionError("build_market ran the walk pass")
+
+        monkeypatch.setattr(VolterraEngine, "quadratic_increments", refuse)
+        path = build_market(std_cfg, make_noise(64, "rademacher", 424242))
+        assert path.X.shape == (64,)
 
     @pytest.mark.parametrize("N,steps,seed", [(64, None, 424242), (64, None, None),
                                               (600, (2, 300, 513, 600), 5)])
