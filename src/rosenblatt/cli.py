@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .kernel import DomainError, HurstParams
 from .market import (InconclusiveError, MarketConfig, affine_rate, arbitrage_demo,
                      build_market, constant_rate, divergence_scan, tabulated_rate)
 from .paths import (NoiseKind, NoiseSequence, PathEnsemble, ProcessTag, make_noise,
-                    simulate_ensemble, write_ensemble)
+                    simulate_ensemble, write_ensemble, write_json)
 from . import stats as st
 
 _QV_SIZES = (16, 32, 64, 128, 256)
@@ -40,7 +41,7 @@ def _params_for(process: ProcessTag, hurst: float | None) -> HurstParams | None:
         raise DomainError(f"--hurst is required for process {process.value}")
     if process is ProcessTag.FBM:
         return HurstParams.from_kernel_hurst(hurst)
-    return HurstParams.from_hurst(hurst)
+    return HurstParams(hurst)
 
 
 def _parse_rate(spec: str):
@@ -66,15 +67,11 @@ def _parse_rate(spec: str):
     raise DomainError(f"unknown rate preset {spec!r}; use const:X, affine:X,Y or table:FILE")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _manifest(out: Path, command: str, args: argparse.Namespace,
               argv: list[str], outputs: list[str]) -> str:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "argv") and v is not None}
     path = Path(str(out) + ".manifest.json")
-    _write_json(path, {
+    write_json(path, {
         "command": command,
         "params": {k: (v if isinstance(v, (int, float, str, bool)) else str(v))
                    for k, v in params.items()},
@@ -176,11 +173,11 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
         if name == "variance":
             rep = st.increment_variance(ensemble(args.n), 0.0, args.t)
             checks.append({"check": "variance", "passed": rep.within(4.0),
-                           **rep.to_dict()})
+                           **asdict(rep)})
         elif name == "covariance":
             rep = st.covariance(ensemble(args.n), args.s, args.t)
             checks.append({"check": "covariance", "passed": rep.within(4.0),
-                           **rep.to_dict()})
+                           **asdict(rep)})
         elif name == "skewness":
             rep = st.skewness(ensemble(args.n), args.t)
             if process is ProcessTag.ROSENBLATT:
@@ -189,9 +186,8 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             else:
                 ok = abs(rep.estimate) < 3.0 * rep.std_error
                 note = "expect no detectable skew"
-            d = rep.to_dict()
-            d["note"] = note
-            checks.append({"check": "skewness", "passed": bool(ok), **d})
+            checks.append({"check": "skewness", "passed": bool(ok),
+                           **asdict(rep), "note": note})
         elif name == "qv":
             fit = st.qv_decay([ensemble(nn) for nn in sizes])
             expo = 1 - 2 * finest.hurst_index
@@ -201,7 +197,7 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
                 ok = ok and all(m <= b * (1 + 4 * se / m)
                                 for m, se, b in zip(fit.means, fit.std_errors, bounds))
             checks.append({"check": "qv", "passed": bool(ok),
-                           "theoretical_slope": expo, **fit.to_dict()})
+                           "theoretical_slope": expo, **asdict(fit)})
         elif name == "histogram":
             hist = st.histogram(ensemble(args.n), args.t, args.bins)
             csv_path = Path(str(args.out) + ".hist.csv")
@@ -231,7 +227,7 @@ def cmd_validate(args, argv) -> int:
         "checks": checks,
         "passed": passed,
     }
-    _write_json(out, payload)
+    write_json(out, payload)
     outputs = [str(out)] + extra
     outputs.append(_manifest(out, "validate", args, argv, outputs))
     for c in checks:
@@ -255,7 +251,7 @@ def cmd_market(args, argv) -> int:
         ones = build_market(cfg, NoiseSequence(kind=NoiseKind.RADEMACHER, seed=args.seed,
                                                values=np.ones(args.N)))
     if args.scan_divergence:
-        report = divergence_scan(ones, args.N)
+        report = divergence_scan(ones)
         scan_path = Path(str(out) + ".scan.json")
         report.to_json(scan_path)
         outputs.append(str(scan_path))
@@ -263,7 +259,7 @@ def cmd_market(args, argv) -> int:
     if args.demo_arbitrage:
         trade = arbitrage_demo(ones if args.witness_all_ones else path)
         trade_path = Path(str(out) + ".trade.json")
-        _write_json(trade_path, trade.to_dict())
+        write_json(trade_path, asdict(trade))
         outputs.append(str(trade_path))
         print(f"arbitrage at n={trade.index}: {trade.strategy}, "
               f"pnl up {trade.pnl_up!r}, down {trade.pnl_down!r}")
@@ -277,7 +273,12 @@ def cmd_rerun(args, argv) -> int:
         manifest = json.loads(Path(args.manifest).read_text())
     except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read manifest {args.manifest!r}: {exc}") from exc
-    return main(manifest["argv"])
+    replay = manifest.get("argv") if isinstance(manifest, dict) else None
+    if (not isinstance(replay, list) or not all(isinstance(a, str) for a in replay)
+            or replay[:1] == ["rerun"]):
+        raise DomainError(f"manifest {args.manifest!r} needs an argv list of strings "
+                          "naming a command other than rerun")
+    return main(replay)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
@@ -169,44 +169,36 @@ def d_const(H: float) -> float:
 
 @dataclass(frozen=True)
 class HurstParams:
-    """Parameter bundle (H, Hp, cHp, dH) shared by every kernel evaluation.
+    """Parameter bundle shared by every kernel evaluation, fixed by H alone.
 
     H is the Hurst index of the limit process, Hp = (H+1)/2 the index of the
     underlying fBm kernel, cHp and dH the two normalizing constants.
     """
 
     H: float
-    Hp: float
-    cHp: float
-    dH: float
 
     def __post_init__(self):
         if not 0.5 < self.H < 1.0:
             raise DomainError(f"H must lie in (1/2, 1), got {self.H}")
-        if abs(self.Hp - (self.H + 1) / 2) > 1e-12:
-            raise DomainError("Hp must equal (H+1)/2")
-        if self.cHp <= 0 or self.dH <= 0:
-            raise DomainError("normalizing constants must be positive")
-        # round-trip of the defining formula, relative tolerance 1e-12
-        lhs = self.cHp ** 2 * special.beta(2 - 2 * self.Hp, self.Hp - 0.5)
-        rhs = self.Hp * (2 * self.Hp - 1)
-        if abs(lhs - rhs) > 1e-12 * rhs:
-            raise DomainError("cHp fails its defining identity")
 
-    @classmethod
-    def from_hurst(cls, H: float) -> "HurstParams":
-        """Build the bundle from the Hurst index H of the limit process."""
-        if not 0.5 < H < 1.0:
-            raise DomainError(f"H must lie in (1/2, 1), got {H}")
-        Hp = (H + 1) / 2
-        return cls(H=H, Hp=Hp, cHp=c_const(Hp), dH=d_const(H))
+    @property
+    def Hp(self) -> float:
+        return (self.H + 1) / 2
+
+    @cached_property
+    def cHp(self) -> float:
+        return c_const(self.Hp)
+
+    @cached_property
+    def dH(self) -> float:
+        return d_const(self.H)
 
     @classmethod
     def from_kernel_hurst(cls, Hp: float) -> "HurstParams":
         """Build the bundle from the fBm kernel index Hp in (3/4, 1)."""
         if not 0.75 < Hp < 1.0:
             raise DomainError(f"kernel Hurst index must lie in (3/4, 1), got {Hp}")
-        return cls.from_hurst(2 * Hp - 1)
+        return cls(2 * Hp - 1)
 
 
 # ---------------------------------------------------------------------------

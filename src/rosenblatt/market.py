@@ -28,15 +28,14 @@ is genuinely binary.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .kernel import DomainError, HurstParams, get_engine
-from .paths import GridPath, NoiseKind, NoiseSequence
+from .paths import GridPath, NoiseKind, NoiseSequence, write_json
 
 
 class InconclusiveError(RuntimeError):
@@ -86,7 +85,7 @@ class MarketConfig:
 
     @property
     def params(self) -> HurstParams:
-        return HurstParams.from_hurst(self.H)
+        return HurstParams(self.H)
 
     def per_period_rates(self) -> tuple[np.ndarray, np.ndarray]:
         """(r_n, a_n) for n = 1..N: the per-period rates value(n/N)/N."""
@@ -187,27 +186,18 @@ class ArbitrageReport:
     """Growth of f - g on the all-ones witness path and the violation it forces."""
 
     first_violation: int | None
-    witness: list[int]
-    fg_sequence: list[float]          # (f - g)(n) for n = 2..n_max
+    fg_sequence: list[float]          # (f - g)(n) for n = 2..N
     fitted_exponent: float | None
     theoretical_exponent: float
     params: dict = field(default_factory=dict)
     note: str | None = None
 
     def to_json(self, path: str | Path) -> None:
-        payload = {
-            "first_violation": self.first_violation,
-            "fg_sequence": self.fg_sequence,
-            "fitted_exponent": self.fitted_exponent,
-            "theoretical_exponent": self.theoretical_exponent,
-            "params": self.params,
-            "note": self.note,
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_json(path, asdict(self))
 
 
-def divergence_scan(witness: MarketPath, n_max: int) -> ArbitrageReport:
-    """Track (f - g)(n) for n = 2..n_max on the built all-ones market path.
+def divergence_scan(witness: MarketPath) -> ArbitrageReport:
+    """Track (f - g)(n) for n = 2..N on the built all-ones market path.
 
     Fits the growth exponent on the upper half of the range; the dominant
     theoretical rate is 2 Hp - 1.  The fit is refused (note set) if f - g is
@@ -216,14 +206,13 @@ def divergence_scan(witness: MarketPath, n_max: int) -> ArbitrageReport:
     cfg = witness.cfg
     if not np.all(witness.noise.values == 1.0):
         raise DomainError("the divergence scan reads the all-ones witness path")
-    if n_max > cfg.N:
-        raise DomainError(f"n_max={n_max} exceeds N={cfg.N}")
-    if n_max < 4:
-        raise DomainError("scan needs n_max >= 4")
-    fg = witness.d[1:n_max]      # d_n = (f - g)(n) on the all-ones path
+    N = cfg.N
+    if N < 4:
+        raise DomainError("scan needs N >= 4")
+    fg = witness.d[1:]      # d_n = (f - g)(n) on the all-ones path
 
-    ns = np.arange(2, n_max + 1)
-    upper = ns >= n_max // 2
+    ns = np.arange(2, N + 1)
+    upper = ns >= N // 2
     fitted = None
     note = None
     if np.all(fg[upper] > 0):
@@ -235,11 +224,10 @@ def divergence_scan(witness: MarketPath, n_max: int) -> ArbitrageReport:
     Hp = cfg.params.Hp
     return ArbitrageReport(
         first_violation=first,
-        witness=[1] * n_max,
         fg_sequence=[float(v) for v in fg],
         fitted_exponent=fitted,
         theoretical_exponent=2 * Hp - 1,
-        params={"N": cfg.N, "H": cfg.H, "sigma": cfg.sigma, "n_max": n_max},
+        params={"N": N, "H": cfg.H, "sigma": cfg.sigma, "n_max": N},
         note=note,
     )
 
@@ -254,16 +242,6 @@ class ArbitrageTrade:
     entry_stock: float
     pnl_up: float
     pnl_down: float
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "strategy": self.strategy,
-            "stock_units": self.stock_units,
-            "entry_stock": self.entry_stock,
-            "pnl_up": self.pnl_up,
-            "pnl_down": self.pnl_down,
-        }
 
 
 def branch_pnls(path: MarketPath, n: int, stock_units: float = 1.0,

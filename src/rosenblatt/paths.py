@@ -89,6 +89,13 @@ def make_noise(n: int, kind: NoiseKind | str, seed: int) -> NoiseSequence:
     return NoiseSequence(kind=kind, seed=seed, values=values)
 
 
+def grid_index(n: int, t: float) -> int:
+    """Index floor(n t) of the grid point at or before t in [0, 1]."""
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t must lie in [0, 1], got {t}")
+    return int(np.floor(n * t))
+
+
 @dataclass
 class GridPath:
     """One simulated path at grid times m/n, values[0] = 0, cadlag off-grid."""
@@ -103,15 +110,9 @@ class GridPath:
         if self.values[0] != 0.0:
             raise DomainError("paths start at 0")
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n + 1) / self.n
-
     def value_at(self, t: float) -> float:
         """Step interpolation matching the floor(n t)/n time convention."""
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"t must lie in [0, 1], got {t}")
-        return float(self.values[min(int(np.floor(self.n * t)), self.n)])
+        return float(self.values[grid_index(self.n, t)])
 
 
 @dataclass
@@ -136,9 +137,7 @@ class PathEnsemble:
 
     def values_at(self, t: float) -> np.ndarray:
         """Every path's value at t, snapped to floor(n t)/n like ``GridPath.value_at``."""
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"t must lie in [0, 1], got {t}")
-        return self.values[:, int(np.floor(self.n * t))]
+        return self.values[:, grid_index(self.n, t)]
 
     @property
     def hurst_index(self) -> float:
@@ -287,10 +286,16 @@ def ensemble_metadata(ens: PathEnsemble) -> dict:
     }
 
 
+def write_json(path: str | Path, payload: dict) -> None:
+    """The one JSON layout of every file the package writes: sorted keys,
+    two-space indent, trailing newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def write_ensemble(ens: PathEnsemble, csv_path: str | Path) -> list[str]:
     """CSV plus its JSON metadata sidecar; returns the files written."""
     csv_path = Path(csv_path)
     ensemble_to_csv(ens, csv_path)
     meta_path = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    meta_path.write_text(json.dumps(ensemble_metadata(ens), sort_keys=True, indent=2) + "\n")
+    write_json(meta_path, ensemble_metadata(ens))
     return [str(csv_path), str(meta_path)]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import DomainError, HurstParams, get_engine
-from .paths import GridPath, PathEnsemble, ProcessTag
+from .paths import GridPath, PathEnsemble, ProcessTag, grid_index
 
 # resamples behind the skewness standard error
 _BOOTSTRAP = 200
@@ -47,23 +47,13 @@ class MomentReport:
             raise DomainError("need at least two samples")
 
     def within(self, k: float) -> bool:
-        """|estimate - ref| < k * std_error, ref the exact discrete value or,
-        failing that, the continuum one."""
+        """|estimate - ref| <= k * std_error, ref the exact discrete value or,
+        failing that, the continuum one; a zero-variance estimate passes only
+        when it equals ref."""
         ref = self.discrete if self.discrete is not None else self.theoretical
         if ref is None:
             return True
-        return abs(self.estimate - ref) < k * self.std_error
-
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "theoretical": self.theoretical,
-            "discrete": self.discrete,
-            "sample_size": self.sample_size,
-            "note": self.note,
-        }
+        return abs(self.estimate - ref) <= k * self.std_error
 
 
 @dataclass
@@ -92,18 +82,14 @@ def _mean_se(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1) / np.sqrt(x.size))
 
 
-def _snap(n: int, t: float) -> float:
-    return float(np.floor(n * t) / n)
-
-
 # ---------------------------------------------------------------------------
 # exact finite-n laws of the quadratic-form walk
 # ---------------------------------------------------------------------------
 
 def discrete_increment_variance(n: int, s: float, t: float, p: HurstParams) -> float:
     """Exact E|Z(t) - Z(s)|^2 = 2 sum_{i != j} (c_ij(mt) - c_ij(ms))^2."""
+    ms, mt = sorted((grid_index(n, s), grid_index(n, t)))
     eng = get_engine(n, p)
-    ms, mt = sorted((int(np.floor(n * s)), int(np.floor(n * t))))
     D = eng.table_matrix(mt) - (eng.table_matrix(ms) if ms else 0.0)
     return float(2.0 * np.sum(D * D))
 
@@ -115,23 +101,22 @@ def discrete_variance(n: int, t: float, p: HurstParams) -> float:
 
 def discrete_covariance(n: int, s: float, t: float, p: HurstParams) -> float:
     """Exact E[Z(s) Z(t)] = 2 sum_{i != j} c_ij(ms) c_ij(mt)."""
-    eng = get_engine(n, p)
-    ms = int(np.floor(n * s))
-    mt = int(np.floor(n * t))
+    ms, mt = grid_index(n, s), grid_index(n, t)
     if ms == 0 or mt == 0:
         return 0.0
+    eng = get_engine(n, p)
     return float(2.0 * np.sum(eng.table_matrix(ms) * eng.table_matrix(mt)))
 
 
 def _discrete_reference(ens: PathEnsemble, quantity: str, s: float, t: float) -> float | None:
     p, n = ens.params, ens.n
+    ms, mt = grid_index(n, s), grid_index(n, t)
     if ens.process_tag is ProcessTag.ROSENBLATT:
         if quantity == "increment":
             return discrete_increment_variance(n, s, t, p)
         return discrete_covariance(n, s, t, p)
     if ens.process_tag is ProcessTag.FBM:
         T = get_engine(n, p).fbm_matrix()
-        ms, mt = int(np.floor(n * s)), int(np.floor(n * t))
         def cov(a, b):
             if a == 0 or b == 0:
                 return 0.0
@@ -141,7 +126,6 @@ def _discrete_reference(ens: PathEnsemble, quantity: str, s: float, t: float) ->
             return cov(mt, mt) - 2 * cov(ms, mt) + cov(ms, ms)
         return cov(ms, mt)
     # the plain walk hits its continuum law exactly
-    ms, mt = int(np.floor(n * s)), int(np.floor(n * t))
     if quantity == "increment":
         return abs(mt - ms) / n
     return min(ms, mt) / n
@@ -162,9 +146,10 @@ def increment_variance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
     d = ens.values_at(t) - ens.values_at(s)
     sq = d * d
     expo = 2 * ens.hurst_index
-    theo = abs(_snap(n, t) - _snap(n, s)) ** expo
+    ms, mt = grid_index(n, s), grid_index(n, t)
+    theo = abs(mt / n - ms / n) ** expo
     note = None
-    if int(np.floor(n * t)) == int(np.floor(n * s)):
+    if mt == ms:
         note = "degenerate: s and t snap to the same grid point"
     return MomentReport(
         quantity="increment_variance",
@@ -182,7 +167,7 @@ def covariance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
     n = ens.n
     prod = ens.values_at(s) * ens.values_at(t)
     expo = 2 * ens.hurst_index
-    sg, tg = _snap(n, s), _snap(n, t)
+    sg, tg = grid_index(n, s) / n, grid_index(n, t) / n
     theo = 0.5 * (tg ** expo + sg ** expo - abs(tg - sg) ** expo)
     return MomentReport(
         quantity="covariance",
@@ -220,8 +205,7 @@ def skewness(ens: PathEnsemble, t: float) -> MomentReport:
 
 def quadratic_variation(path: GridPath, t: float = 1.0) -> float:
     """[Z]_t = sum of squared grid jumps up to floor(n t)/n; sign-flip invariant."""
-    m = min(int(np.floor(path.n * t)), path.n)
-    d = np.diff(path.values[: m + 1])
+    d = np.diff(path.values[: grid_index(path.n, t) + 1])
     return float(np.dot(d, d))
 
 
@@ -234,15 +218,6 @@ class QvDecayFit:
     sizes: list[int]
     means: list[float]
     std_errors: list[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "sizes": self.sizes,
-            "means": self.means,
-            "std_errors": self.std_errors,
-        }
 
 
 def qv_decay(ensembles: list[PathEnsemble]) -> QvDecayFit:

@@ -14,17 +14,17 @@ from rosenblatt import HurstParams
 
 @pytest.fixture(scope="session")
 def p07():
-    return HurstParams.from_hurst(0.7)
+    return HurstParams(0.7)
 
 
 @pytest.fixture(scope="session")
 def p08():
-    return HurstParams.from_hurst(0.8)
+    return HurstParams(0.8)
 
 
 @pytest.fixture(scope="session")
 def p06():
-    return HurstParams.from_hurst(0.6)
+    return HurstParams(0.6)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,12 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def p08():
-    return HurstParams.from_hurst(0.8)
+    return HurstParams(0.8)
 
 
 @pytest.fixture(scope="module")
 def p06():
-    return HurstParams.from_hurst(0.6)
+    return HurstParams(0.6)
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +253,7 @@ def test_criterion_8_arbitrage(p08):
     cfg = MarketConfig(N=N, sigma=1.0, rate_r=constant_rate(0.5),
                        rate_a=constant_rate(0.0), S0=1.0, B0=1.0, H=0.8)
     ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(N))
-    rep = divergence_scan(build_market(cfg, ones), N)
+    rep = divergence_scan(build_market(cfg, ones))
     fg = np.array(rep.fg_sequence)
     ns = np.arange(2, N + 1)
     upper = fg[ns >= N // 2]

@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from rosenblatt.cli import main
+from rosenblatt.market import ArbitrageTrade
+from rosenblatt.stats import MomentReport, QvDecayFit
 
 
 def run(*argv):
@@ -117,6 +120,23 @@ class TestValidate:
             "variance", "covariance", "skewness", "qv", "histogram"]
         assert rep["passed"] is (code == 0)
         assert code == 0
+        # each report entry carries exactly its dataclass's fields
+        moment = {"check", "passed", *(f.name for f in fields(MomentReport))}
+        for c in rep["checks"][:3]:
+            assert set(c) == moment
+        assert set(rep["checks"][3]) == {"check", "passed", "theoretical_slope",
+                                         *(f.name for f in fields(QvDecayFit))}
+
+    def test_degenerate_variance_passes(self, tmp_path, capsys):
+        # t = 0.01 snaps to 0: estimate, discrete and continuum values are all
+        # 0 with zero standard error, which is a pass
+        out = tmp_path / "deg.json"
+        code = run("validate", "--check", "variance", "--hurst", "0.8", "--n", "16",
+                   "--paths", "200", "--t", "0.01", "--out", str(out))
+        assert code == 0
+        c = json.loads(out.read_text())["checks"][0]
+        assert c["estimate"] == c["discrete"] == c["theoretical"] == c["std_error"] == 0
+        assert "PASS variance" in capsys.readouterr().out
 
     @pytest.mark.parametrize("check, n, qv, drawn", [
         ("all", "32", "16,64,48", [64]),
@@ -207,6 +227,7 @@ class TestMarket:
         assert code == 0
         trade = json.loads((tmp_path / "mkt.csv.trade.json").read_text())
         assert trade["pnl_up"] > 0 and trade["pnl_down"] > 0
+        assert set(trade) == {f.name for f in fields(ArbitrageTrade)}
 
     def test_demo_inconclusive_exits_4(self, tmp_path):
         code = run("market", "--N", "16", "--hurst", "0.8", "--sigma", "0",
@@ -324,6 +345,16 @@ class TestUsageErrors:
         assert run("rerun", str(manifest)) == 2
         err = capsys.readouterr().err
         assert "--tol" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["no-argv", "list", "self-rerun"])
+    def test_rerun_of_malformed_manifest_exits_2(self, tmp_path, capsys, case):
+        manifest = tmp_path / "bad.manifest.json"
+        payload = {"no-argv": {"command": "simulate"},
+                   "list": ["simulate", "--process", "walk"],
+                   "self-rerun": {"argv": ["rerun", str(manifest)]}}[case]
+        manifest.write_text(json.dumps(payload))
+        assert run("rerun", str(manifest)) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestEnvironment:

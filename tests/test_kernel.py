@@ -52,25 +52,24 @@ class TestConstants:
 
 
 class TestHurstParams:
-    def test_from_hurst_round_trip(self):
-        p = HurstParams.from_hurst(0.8)
-        assert p.Hp == pytest.approx(0.9)
-        assert p.cHp == pytest.approx(c_const(0.9))
-        assert p.dH == pytest.approx(d_const(0.8))
+    def test_derived_constants_bit_equal(self):
+        p = HurstParams(0.8)
+        assert p.Hp == 0.9
+        assert p.cHp == c_const(0.9)
+        assert p.dH == d_const(0.8)
 
     def test_from_kernel_hurst(self):
         p = HurstParams.from_kernel_hurst(0.8)
         assert p.H == pytest.approx(0.6)
 
     def test_invalid_bundles(self):
+        # H is the only field: the rest is derived, never passed in
+        with pytest.raises(TypeError):
+            HurstParams(H=0.8, Hp=0.9)
         with pytest.raises(DomainError):
-            HurstParams.from_hurst(0.5)
+            HurstParams(0.5)
         with pytest.raises(DomainError):
             HurstParams.from_kernel_hurst(0.7)
-        with pytest.raises(DomainError):
-            HurstParams(H=0.8, Hp=0.85, cHp=1.0, dH=1.0)  # Hp mismatch
-        with pytest.raises(DomainError):
-            HurstParams(H=0.8, Hp=0.9, cHp=1.0, dH=d_const(0.8))  # broken identity
 
 
 class TestFbmKernel:
@@ -292,8 +291,8 @@ class TestWeightTable:
     def test_engine_shared_across_unread_tolerances(self, p08):
         # the panel rule is fixed, so the engine reads only (n, H): the key
         # is the value of H, not the parameter object
-        assert get_engine(16, p08) is get_engine(16, HurstParams.from_hurst(0.8))
-        assert get_engine(16, p08) is not get_engine(16, HurstParams.from_hurst(0.7))
+        assert get_engine(16, p08) is get_engine(16, HurstParams(0.8))
+        assert get_engine(16, p08) is not get_engine(16, HurstParams(0.7))
 
 
 class TestQuadraticIncrements:

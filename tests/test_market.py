@@ -213,11 +213,11 @@ class TestNoArbitrageCheck:
 
 class TestDivergence:
     def test_scan_structure(self, std_cfg):
-        rep = divergence_scan(ones_path(std_cfg), 64)
+        rep = divergence_scan(ones_path(std_cfg))
         assert len(rep.fg_sequence) == 63
         assert rep.theoretical_exponent == pytest.approx(0.8)
         assert rep.first_violation is not None
-        assert rep.witness == [1] * 64
+        assert rep.params["n_max"] == 64
 
     def test_all_ones_spread_strictly_positive(self, std_cfg):
         # u_n - d_n = 2 g > 0 at every binary step of the witness path
@@ -226,7 +226,7 @@ class TestDivergence:
 
     def test_growth_and_exponent_at_n128(self):
         cfg = cfg_with(N=128)
-        rep = divergence_scan(ones_path(cfg), 128)
+        rep = divergence_scan(ones_path(cfg))
         fg = np.array(rep.fg_sequence)
         upper = fg[62:]          # n = 64..128
         assert np.all(upper > 0)
@@ -237,29 +237,27 @@ class TestDivergence:
         # the whole table scales as N^-H, so f - g at fixed n carries the
         # same factor: doubling N divides f - g by 2^H exactly
         H = 0.8
-        fg64 = np.array(divergence_scan(ones_path(cfg_with(N=64, H=H)), 32).fg_sequence)
-        fg128 = np.array(divergence_scan(ones_path(cfg_with(N=128, H=H)), 32).fg_sequence)
+        fg64 = np.array(divergence_scan(ones_path(cfg_with(N=64, H=H))).fg_sequence[:31])
+        fg128 = np.array(divergence_scan(ones_path(cfg_with(N=128, H=H))).fg_sequence[:31])
         ratios = fg64 / fg128
         assert np.allclose(ratios, 2.0 ** H, rtol=1e-10)
 
     def test_scan_bounds(self, std_cfg):
-        with pytest.raises(DomainError):
-            divergence_scan(ones_path(std_cfg), 65)
-        with pytest.raises(DomainError):
-            divergence_scan(ones_path(std_cfg), 3)
+        with pytest.raises(DomainError, match="N >= 4"):
+            divergence_scan(ones_path(cfg_with(N=3)))
 
     def test_scan_refuses_a_noise_path(self, std_path):
         with pytest.raises(DomainError, match="all-ones"):
-            divergence_scan(std_path, 64)
+            divergence_scan(std_path)
 
     def test_json_round_trip(self, std_cfg, tmp_path):
-        rep = divergence_scan(ones_path(std_cfg), 16)
+        rep = divergence_scan(ones_path(cfg_with(N=16)))
         f = tmp_path / "scan.json"
         rep.to_json(f)
         payload = json.loads(f.read_text())
         assert payload["theoretical_exponent"] == pytest.approx(0.8)
         assert len(payload["fg_sequence"]) == 15
-        assert payload["params"]["N"] == 64
+        assert payload["params"]["N"] == 16
 
 
 class TestArbitrageDemo:
@@ -313,7 +311,7 @@ class TestBsLimit:
         # log S_N(1) - log S_limit(1) on the same noise shrinks as N grows
         from rosenblatt import HurstParams
         from rosenblatt.kernel import get_engine
-        p = HurstParams.from_hurst(0.8)
+        p = HurstParams(0.8)
         gaps = []
         for N in (32, 128):
             cfg = cfg_with(N=N, sigma=0.5, r=0.0, a=0.0)

@@ -49,7 +49,7 @@ class TestNoisePrefix:
 
 class TestCoarsen:
     PARAMS = {"walk": None, "fbm": HurstParams.from_kernel_hurst(0.9),
-              "rosenblatt": HurstParams.from_hurst(0.8)}
+              "rosenblatt": HurstParams(0.8)}
 
     @pytest.mark.parametrize("N", [128, 300])
     @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])

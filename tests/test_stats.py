@@ -179,7 +179,7 @@ class TestHistogram:
 
     def test_h09_right_skew_mean_exceeds_median(self):
         from rosenblatt import HurstParams
-        p09 = HurstParams.from_hurst(0.9)
+        p09 = HurstParams(0.9)
         ens = simulate_ensemble(5000, 88, "rademacher", p09, "rosenblatt", 128)
         x = ens.values[:, -1]
         se_median = 1.2533 * x.std(ddof=1) / np.sqrt(x.size)
@@ -200,3 +200,23 @@ class TestReports:
             MomentReport(quantity="x", estimate=1.0, std_error=-1.0, sample_size=10)
         with pytest.raises(DomainError):
             MomentReport(quantity="x", estimate=1.0, std_error=0.1, sample_size=1)
+
+
+class TestGridTime:
+    @pytest.mark.parametrize("t", [-0.5, 1.5])
+    @pytest.mark.parametrize("call", [
+        "discrete_increment_variance", "discrete_covariance",
+        "quadratic_variation", "value_at", "values_at"])
+    def test_time_outside_unit_interval_raises(self, p08, call, t):
+        # every site reads the grid index floor(n t) through paths.grid_index
+        path = GridPath(n=4, values=np.arange(5.0), process_tag=ProcessTag.WALK)
+        ens = simulate_ensemble(2, 0, "rademacher", None, "walk", 4)
+        calls = {
+            "discrete_increment_variance": lambda: discrete_increment_variance(16, t, 1.0, p08),
+            "discrete_covariance": lambda: discrete_covariance(16, t, 1.0, p08),
+            "quadratic_variation": lambda: quadratic_variation(path, t),
+            "value_at": lambda: path.value_at(t),
+            "values_at": lambda: ens.values_at(t),
+        }
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            calls[call]()

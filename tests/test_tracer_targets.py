@@ -66,7 +66,7 @@ def test_traced_calls_run_on_main_thread(monkeypatch, tmp_path):
     from rosenblatt.cli import main
     from rosenblatt.kernel import HurstParams, VolterraEngine
 
-    VolterraEngine(64, HurstParams.from_hurst(0.8))
+    VolterraEngine(64, HurstParams(0.8))
     # the qv band is calibrated to sizes 16..256, so qv may fail here; every
     # check still runs
     assert main(["validate", "--check", "all", "--hurst", "0.8", "--n", "16",
