@@ -186,6 +186,8 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             else:
                 ok = abs(rep.estimate) < 3.0 * rep.std_error
                 note = "expect no detectable skew"
+            if rep.note is not None:
+                note = f"{rep.note}; {note}"
             checks.append({"check": "skewness", "passed": bool(ok),
                            **asdict(rep), "note": note})
         elif name == "qv":

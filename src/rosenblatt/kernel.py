@@ -32,9 +32,12 @@ with the same 16 nodes per family (``_NODES``).  The node tables are stacked
 in blocks of 16 consecutive panels, each a zero-padded (K, 16 * nodes)
 matrix whose rows are the cells i <= K of the block's last panel, so the
 ensemble pass runs one GEMM per block where it would run sixteen thin ones;
-the zero rows add exact zeros to every product.  One such pass over the
-market's noise prefix gives the up and the down branch of every step, and
-with them the walk increments themselves.  The blocks are built on
+the zero rows add exact zeros to every product.  For Gaussian noise only the
+Gauss-Legendre product is squared; the Gauss-Jacobi cross term and the
+squared-noise term are linear in their tables, so they are contracted over
+the nodes first and run as GEMMs 16 (panels) wide.  One pass over the
+market's Rademacher noise prefix gives the up and the down branch of every
+step, and with them the walk increments themselves.  The blocks are built on
 a thread pool, one worker per usable CPU: the build is mostly incomplete
 beta evaluations, which release the GIL, and each block is computed on its
 own, so no table depends on the worker count.
@@ -139,6 +142,15 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for lo in range(_KCHUNK, a.shape[1], _KCHUNK):
         out += a[:, lo: lo + _KCHUNK] @ b[lo: lo + _KCHUNK]
     return out
+
+
+def _node_sum(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_q A[i, q] w[q] over the nodes q of each panel, shape (rows, panels).
+
+    A holds the node columns of consecutive panels side by side (a block's
+    tables or one panel's slice); w broadcasts against (panels, nodes).
+    """
+    return (A.reshape(A.shape[0], -1, _NODES) * w).sum(axis=2)
 
 
 class DomainError(ValueError):
@@ -559,7 +571,7 @@ class VolterraEngine:
         p = self.panel(k)
         A = p["A_gl"]
         T0 = (A * p["w_gl"]) @ A.T
-        m1 = (p["A_j1"] * p["wR"]).sum(axis=1)
+        m1 = _node_sum(p["A_j1"], p["wR"])[:, 0]
         e2 = p["e2"][0]
         s = np.zeros(k)
         s[k - 1] = 1.0
@@ -614,26 +626,41 @@ class VolterraEngine:
         """Increments Z(k/n) - Z((k-1)/n) of the off-diagonal quadratic form.
 
         xi has shape (M, n); column k - 1 of the result is the panel-k
-        increment of every row.  Passing unit_squares=True (Rademacher noise)
-        skips the xi^2 reduction.  Rows go through in slabs of 512 and
-        panels in blocks of 16, three GEMMs per slab and block at most.
+        increment of every row.  Rows go through in slabs of 512 and panels
+        in blocks of 16.  Passing unit_squares=True (Rademacher noise) takes
+        the xi^2 reduction from the stored column sums and runs two GEMMs,
+        16 * nodes wide, per slab and block.  Otherwise (Gaussian noise) the
+        squared-noise and the cross terms are contracted over the nodes before
+        their products, so a slab and block runs one GEMM that wide and two
+        16 wide; the contracted tables (``_contracted``) are built per call,
+        not kept, so the engine holds no more than its blocks.  Both give the
+        same sum to within rounding; the unit-square branch keeps its
+        per-node operation order, which fixes the bits of the Rademacher
+        ensembles and of ``branch_increments``.
         """
         M, n = xi.shape
         if n != self.n:
             raise DomainError(f"noise length {n} does not match grid {self.n}")
-        # the Gaussian squared-noise GEMMs need A_gl^2; squared per call, not
-        # kept: it would double what the engine holds
-        A_sq = [None if unit_squares else t["A_gl"] ** 2 for t in self._blocks]
+        tabs = [None if unit_squares else self._contracted(t) for t in self._blocks]
         out = np.empty((M, n))
         for r in range(0, M, _SLAB):
             x = np.zeros((min(_SLAB, M - r), n + 1))
             x[:, 1:] = xi[r: r + _SLAB]
             x2 = None if unit_squares else x ** 2
-            for t, t_sq in zip(self._blocks, A_sq):
+            for t, tab in zip(self._blocks, tabs):
                 lo, K = t["lo"], t["A_gl"].shape[0]
                 out[r: r + _SLAB, lo - 1: K] = self._increments(
-                    t, x[:, : K + 1], None if x2 is None else x2[:, : K + 1], t_sq)
+                    t, x[:, : K + 1], None if x2 is None else x2[:, : K + 1], tab)
         return out
+
+    @staticmethod
+    def _contracted(t: dict) -> tuple:
+        """Node contractions of block t for noise without unit squares:
+        D = sum_q w_gl A_gl^2 and ``delta_table``'s m1 = sum_q wR A_j1, each
+        (K, panels), and sum_q wR row, which is m1's row k - 2 for panel k."""
+        wR = t["wR"]
+        return (_node_sum(t["A_gl"] ** 2, t["w_gl"]), _node_sum(t["A_j1"], wR),
+                _node_sum(t["row"].reshape(1, -1), wR)[0])
 
     def branch_increments(self, x: np.ndarray) -> np.ndarray:
         """Step-k increments, k = 1..len(x)+1, of the Rademacher prefix
@@ -662,17 +689,21 @@ class VolterraEngine:
         return out[:, : x.size + 1]
 
     def _increments(self, t: dict, x: np.ndarray, x2: np.ndarray | None,
-                    A_sq: np.ndarray | None, cur: np.ndarray | None = None) -> np.ndarray:
+                    tab: tuple | None, cur: np.ndarray | None = None) -> np.ndarray:
         """Increments of the consecutive panels of block t for each row of x,
         shape (M, panels).
 
         x has shape (M, K + 1), K the last panel of t, with column i holding
-        xi_i and column 0 the absent xi_0 = 0; x2 is its square and A_sq the
-        square of t["A_gl"], both None for unit squares.  cur, if given,
-        replaces xi_k of every panel k of t; it must broadcast against
+        xi_i and column 0 the absent xi_0 = 0; x2 is its square and tab the
+        block's ``_contracted`` tables, both None for unit squares.  cur, if
+        given, replaces xi_k of every panel k of t; it must broadcast against
         (M, panels).  The sum over pairs i != j <= k of xi_i xi_j
-        int_panel G_i G_j is expanded through the Abar/E split, so it costs
-        O(M k nodes) flops per panel.
+        int_panel G_i G_j is expanded through the Abar/E split into
+        sum_q w_gl (S_q^2 - Qd_q) + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q
+        + xi_{k-1}^2 row_q) - 2 xi_k xi_{k-1} e2, with S = x @ A_gl,
+        S1 = x @ A_j1 and Qd = x2 @ A_gl^2, so it costs O(M k nodes) flops
+        per panel.  Only S is squared; the Qd and S1 sums are linear in their
+        tables, so with tab they are x2 @ D and x @ m1, 16 columns wide.
         """
         M = x.shape[0]
         B, nodes = t["wR"].shape
@@ -681,24 +712,30 @@ class VolterraEngine:
         if cur is None:
             cur = x[:, lo: lo + B]
         S = _matmul(x[:, 1:], t["A_gl"]).reshape(M, B, nodes)
-        if x2 is None:
-            Qd, sq = t["Qd"], 1.0
-        else:
-            Qd = _matmul(x2[:, 1:], A_sq).reshape(M, B, nodes)
-            sq = x2[:, lo - 1: lo - 1 + B, None]
-        # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
-        # + (2 * (xs*S1 + sq*row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
-        # xs = xi_k - xi_{k-1}: the order fixes every bit of the result
         S *= S
-        S -= Qd
-        S *= t["w_gl"]
-        part = S.sum(axis=2)
-        S1 = _matmul(x[:, 1:], t["A_j1"]).reshape(M, B, nodes)
-        S1 *= (cur - prev)[:, :, None]
-        S1 += sq * t["row"]
-        S1 *= 2.0
-        S1 *= t["wR"]
-        part += S1.sum(axis=2)
+        if tab is None:
+            # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
+            # + (2 * (xs*S1 + row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
+            # xs = xi_k - xi_{k-1}: the order fixes every bit of the result
+            S -= t["Qd"]
+            S *= t["w_gl"]
+            part = S.sum(axis=2)
+            S1 = _matmul(x[:, 1:], t["A_j1"]).reshape(M, B, nodes)
+            S1 *= (cur - prev)[:, :, None]
+            S1 += t["row"]
+            S1 *= 2.0
+            S1 *= t["wR"]
+            part += S1.sum(axis=2)
+        else:
+            D, m1, diag = tab
+            S *= t["w_gl"]
+            part = S.sum(axis=2)
+            part -= _matmul(x2[:, 1:], D)
+            cross = _matmul(x[:, 1:], m1)
+            cross *= cur - prev
+            cross += x2[:, lo - 1: lo - 1 + B] * diag
+            cross *= 2.0
+            part += cross
         part -= 2.0 * (cur * prev) * t["e2"]
         return self.n * self.params.dH * part
 

@@ -185,6 +185,13 @@ def skewness(ens: PathEnsemble, t: float) -> MomentReport:
     if ens.count < 100:
         raise DomainError("skewness needs at least 100 paths")
     x = ens.values_at(t)
+    theo = None if ens.process_tag is ProcessTag.ROSENBLATT else 0.0
+    if np.ptp(x) == 0.0:
+        # every sample, and so every resample, is the same value (t snaps to
+        # grid point 0): the standardised moment would be 0/0
+        return MomentReport(quantity="skewness", estimate=0.0, std_error=0.0,
+                            sample_size=ens.count, theoretical=theo,
+                            note="degenerate: every sample has the same value")
     def skew(v):
         c = v - v.mean()
         m2 = np.mean(c * c)
@@ -193,7 +200,6 @@ def skewness(ens: PathEnsemble, t: float) -> MomentReport:
     reps = np.empty(_BOOTSTRAP)
     for b in range(_BOOTSTRAP):
         reps[b] = skew(x[rng.integers(0, x.size, x.size)])
-    theo = None if ens.process_tag is ProcessTag.ROSENBLATT else 0.0
     return MomentReport(
         quantity="skewness",
         estimate=float(skew(x)),

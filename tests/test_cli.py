@@ -138,6 +138,25 @@ class TestValidate:
         assert c["estimate"] == c["discrete"] == c["theoretical"] == c["std_error"] == 0
         assert "PASS variance" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("process", [["--process", "walk"],
+                                         ["--process", "rosenblatt", "--hurst", "0.8"]])
+    def test_degenerate_skewness_is_strict_json(self, tmp_path, process):
+        # t = 0.01 snaps to 0, where every sample is 0: the report says so
+        # instead of writing the 0/0 as NaN; no skew cannot show one, nor
+        # rule one out, so the check still fails
+        out = tmp_path / "skew.json"
+        code = run("validate", "--check", "skewness", *process, "--n", "16",
+                   "--paths", "200", "--t", "0.01", "--out", str(out))
+        assert code == 1
+
+        def refuse(name):
+            raise ValueError(f"non-finite constant {name} in report")
+
+        c = json.loads(out.read_text(), parse_constant=refuse)["checks"][0]
+        assert c["estimate"] == c["std_error"] == 0.0
+        assert c["passed"] is False
+        assert c["note"].startswith("degenerate")
+
     @pytest.mark.parametrize("check, n, qv, drawn", [
         ("all", "32", "16,64,48", [64]),
         ("all", "128", "16,32,64", [128]),

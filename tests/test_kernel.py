@@ -296,11 +296,12 @@ class TestWeightTable:
 
 
 class TestQuadraticIncrements:
-    @pytest.mark.parametrize("n", [7, 37, 300, 400])
+    @pytest.mark.parametrize("n", [7, 37, 300, 400, 513])
     @pytest.mark.parametrize("M", [1, 2, 513, 1100])
     def test_rows_independent_of_batch(self, p08, n, M):
         # slabs of 512 rows, blocks of 16 panels and (n > 256) the chunked
-        # inner dimension must not change any bit
+        # inner dimension must not change any bit; n = 513 runs the 16-wide
+        # Gaussian GEMMs over an inner dimension above 384, in three chunks
         eng = get_engine(n, p08)
         rng = np.random.default_rng(n * 10007 + M)
         noise = {True: rng.integers(0, 2, (M, n)) * 2.0 - 1.0,
@@ -311,17 +312,35 @@ class TestQuadraticIncrements:
                 alone = eng.quadratic_increments(xi[r:r + 1], unit)[0]
                 assert np.array_equal(batch[r], alone), (unit, r)
 
-    @pytest.mark.parametrize("n", [7, 37])
+    @pytest.mark.parametrize("n", [7, 37, 300])
     def test_matches_delta_table_quadratic_form(self, p07, n):
+        # n = 300: 19 blocks, a partial last one, and the chunked inner
+        # dimension above 256
         eng = get_engine(n, p07)
         rng = np.random.default_rng(n)
-        for unit, xi in ((True, rng.integers(0, 2, (3, n)) * 2.0 - 1.0),
-                         (False, rng.standard_normal((3, n)))):
+        noise = {True: rng.integers(0, 2, (3, n)) * 2.0 - 1.0,
+                 False: rng.standard_normal((3, n))}
+        want = {unit: np.empty((3, n)) for unit in noise}
+        for k in range(1, n + 1):
+            C = eng.delta_table(k)
+            for unit, xi in noise.items():
+                want[unit][:, k - 1] = np.einsum("ri,ij,rj->r", xi[:, :k], C, xi[:, :k])
+        for unit, xi in noise.items():
             inc = eng.quadratic_increments(xi, unit)
-            for x, row in zip(xi, inc):
-                want = [x[:k] @ eng.delta_table(k) @ x[:k] for k in range(1, n + 1)]
-                scale = np.max(np.abs(want))
-                assert np.max(np.abs(row - want)) <= 1e-10 * scale
+            for row, w in zip(inc, want[unit]):
+                scale = np.max(np.abs(w))
+                assert np.max(np.abs(row - w)) <= 1e-10 * scale, unit
+
+    @pytest.mark.parametrize("n", [7, 37, 300, 513])
+    def test_gaussian_branch_equals_unit_squares_on_signs(self, p08, n):
+        # the two branches are separate formulas (per-node against
+        # node-contracted); on +-1 noise they are the same sum
+        eng = get_engine(n, p08)
+        xi = np.random.default_rng(n).integers(0, 2, (40, n)) * 2.0 - 1.0
+        unit = eng.quadratic_increments(xi, True)
+        gauss = eng.quadratic_increments(xi, False)
+        scale = np.max(np.abs(unit), axis=0)
+        assert np.all(np.abs(gauss - unit) <= 1e-13 * scale)
 
 
 class TestBranchIncrements:
