@@ -6,14 +6,12 @@ from .kernel import (
     DomainError,
     HurstParams,
     QuadratureError,
-    WeightTable,
     c_const,
     cell_weight,
     d_const,
     dK,
     fbm_kernel,
     rosenblatt_kernel,
-    weight_table,
 )
 from .paths import (
     GridPath,

@@ -44,14 +44,23 @@ def _params_for(process: ProcessTag, hurst: float | None) -> HurstParams | None:
     return HurstParams(hurst)
 
 
+def finite(text: str) -> float:
+    """The one parser of every float flag and rate-spec number: refuses nan
+    and +-inf, which no quantity of the package may take."""
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
+
+
 def _parse_rate(spec: str):
     kind, _, rest = spec.partition(":")
     try:
         if kind == "const":
-            return constant_rate(float(rest))
+            return constant_rate(finite(rest))
         if kind == "affine":
             base, slope = rest.split(",")
-            return affine_rate(float(base), float(slope))
+            return affine_rate(finite(base), finite(slope))
         if kind == "table":
             ts, vs = [], []
             for line in Path(rest).read_text().splitlines():
@@ -59,8 +68,8 @@ def _parse_rate(spec: str):
                 if not line or line.startswith("#"):
                     continue
                 t_s, v_s = line.split(",")
-                ts.append(float(t_s))
-                vs.append(float(v_s))
+                ts.append(finite(t_s))
+                vs.append(finite(v_s))
             return tabulated_rate(ts, vs)
     except (OSError, ValueError) as exc:
         raise DomainError(f"malformed rate spec {spec!r}: {exc}") from exc
@@ -288,7 +297,7 @@ def cmd_rerun(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(sp):
-    sp.add_argument("--hurst", type=float, default=None,
+    sp.add_argument("--hurst", type=finite, default=None,
                     help="Hurst index of the simulated process")
     sp.add_argument("--n", type=int, default=64, help="grid resolution")
     sp.add_argument("--paths", type=int, default=1, help="ensemble size")
@@ -316,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "qv", "histogram", "all"], required=True)
     v.add_argument("--process", choices=[t.value for t in ProcessTag],
                    default="rosenblatt")
-    v.add_argument("--t", type=float, default=1.0, help="evaluation time")
-    v.add_argument("--s", type=float, default=0.5, help="second time for covariance")
+    v.add_argument("--t", type=finite, default=1.0, help="evaluation time")
+    v.add_argument("--s", type=finite, default=0.5, help="second time for covariance")
     v.add_argument("--bins", type=int, default=30)
     v.add_argument("--qv-sizes", default=",".join(str(x) for x in _QV_SIZES))
     _add_common(v)
@@ -325,12 +334,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("market", help="binary market path, divergence scan, arbitrage demo")
     m.add_argument("--N", type=int, default=64, help="trading periods")
-    m.add_argument("--hurst", type=float, default=None)
-    m.add_argument("--sigma", type=float, default=1.0)
+    m.add_argument("--hurst", type=finite, default=None)
+    m.add_argument("--sigma", type=finite, default=1.0)
     m.add_argument("--rate-r", default="const:0.5")
     m.add_argument("--rate-a", default="const:0.0")
-    m.add_argument("--S0", type=float, default=1.0)
-    m.add_argument("--B0", type=float, default=1.0)
+    m.add_argument("--S0", type=finite, default=1.0)
+    m.add_argument("--B0", type=finite, default=1.0)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", required=True)
     m.add_argument("--scan-divergence", action="store_true")

@@ -16,7 +16,7 @@ Two independent evaluation orders are provided for the cell integrals:
 
 * ``cell_weight``  - outer tensor Gauss over the (u, v) cell pair with the
   time integral innermost, fully adaptive; slow but self-contained.
-* ``weight_table`` - time integral outermost, factorised through the
+* ``table_matrix`` - time integral outermost, factorised through the
   one-dimensional cell integrals g_i(a) = int_{cell_i} dK(a, u) du, which
   reduce to regularized incomplete beta functions.  Per grid panel the
   integrands split into an analytic part plus (a - panel_left)^alpha times
@@ -151,6 +151,28 @@ def _node_sum(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     tables or one panel's slice); w broadcasts against (panels, nodes).
     """
     return (A.reshape(A.shape[0], -1, _NODES) * w).sum(axis=2)
+
+
+def _signs(lo: int, B: int, K: int) -> np.ndarray:
+    """(K, B), column j the s_k of panel k = lo + j: +1 at row k-1, -1 at row k-2."""
+    S = np.zeros((K + 1, B))  # row 0 takes panel 1's -1, which has no row
+    S[lo + np.arange(B), np.arange(B)] = 1.0
+    S[lo - 1 + np.arange(B), np.arange(B)] = -1.0
+    return S[1:]
+
+
+def _gram(v: dict) -> np.ndarray:
+    """Unscaled panel Gram sum of a block, or a cut of one, in ``panel``'s
+    layout: A W A^T + S M1^T + M1 S^T + S diag(e2) S^T, with A the A_gl
+    columns, W the w_gl of each panel, S the panels' ``_signs`` and M1 their
+    m1 = sum_q wR A_j1; one GEMM [A W | S | M1 | S e2] @ [A | M1 | S | S]^T.
+    """
+    A = v["A_gl"]
+    K, B = A.shape[0], v["e2"].size
+    S = _signs(v["lo"], B, K)
+    M1 = _node_sum(v["A_j1"], v["wR"])
+    AW = (A.reshape(K, B, _NODES) * v["w_gl"]).reshape(K, -1)
+    return np.hstack([AW, S, M1, S * v["e2"]]) @ np.hstack([A, M1, S, S]).T
 
 
 class DomainError(ValueError):
@@ -364,7 +386,7 @@ def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams) -> float:
     Direct evaluation order: adaptive tensor-product Gauss over the cell pair
     with the time integral innermost.  For a cell touching zero the factor
     u^(1/2-Hp) is absorbed exactly by integrating in r = u^(3/2-Hp).
-    Independent of ``weight_table``'s factorised assembly.
+    Independent of ``VolterraEngine.table_matrix``'s factorised assembly.
     """
     if i == j:
         raise DomainError("diagonal cells are excluded (the kernel diverges on u == v)")
@@ -463,8 +485,9 @@ class VolterraEngine:
     e2 = int_panel E^2, row k - 2 of A_j1 and the column sums of A_gl^2.
     ``quadratic_increments`` (the ensembles) and ``branch_increments`` (the
     market's up/down envelope) multiply the noise by whole blocks through
-    the same ``_increments``; ``panel`` cuts one panel out of its block in
-    the same layout for the dense oracles ``delta_table`` and ``fbm_matrix``.
+    the same ``_increments``; the dense matrices read the blocks too, through
+    one ``_gram`` product per block (``table_matrix``) or per ``panel``
+    (``delta_table``), and ``fbm_matrix`` sums each block's panel integrals.
 
     The blocks are built in parallel, one thread per CPU the process may run
     on and at most one per block.  A block reads only constants set before
@@ -555,68 +578,68 @@ class VolterraEngine:
         A_gl / A_j1 of shape (k, nodes), the per-panel entries as one row."""
         if not 1 <= k <= self.n:
             raise DomainError(f"panel index must lie in 1..{self.n}, got {k}")
-        b, j = divmod(k - 1, _BLOCK)
-        t = self._blocks[b]
-        cols = slice(j * _NODES, (j + 1) * _NODES)
-        one = {key: t[key][j: j + 1] for key in ("Qd", "row", "wR", "e2")}
-        return {"lo": k, "A_gl": t["A_gl"][:k, cols], "A_j1": t["A_j1"][:k, cols],
+        return self._cut(self._blocks[(k - 1) // _BLOCK], k, k)
+
+    def _cut(self, t: dict, first: int, last: int) -> dict:
+        """``panel``'s views for panels first..last of block t, rows :last."""
+        j0, j1 = first - t["lo"], last - t["lo"] + 1
+        cols = slice(j0 * _NODES, j1 * _NODES)
+        one = {key: t[key][j0: j1] for key in ("Qd", "row", "wR", "e2")}
+        return {"lo": first, "A_gl": t["A_gl"][:last, cols], "A_j1": t["A_j1"][:last, cols],
                 "w_gl": self._w_gl, **one}
 
-    def delta_table(self, k: int) -> np.ndarray:
-        """Panel increment DeltaC_k[i, j] = n dH int_panel G_i G_j da, (k, k).
-
-        Built on every call, never cached: it is the dense O(k^2) oracle for
-        the panel increments and feeds ``table_matrix``.
-        """
-        p = self.panel(k)
-        A = p["A_gl"]
-        T0 = (A * p["w_gl"]) @ A.T
-        m1 = _node_sum(p["A_j1"], p["wR"])[:, 0]
-        e2 = p["e2"][0]
-        s = np.zeros(k)
-        s[k - 1] = 1.0
-        if k >= 2:
-            s[k - 2] = -1.0
-        C = T0 + np.outer(s, m1) + np.outer(m1, s) + e2 * np.outer(s, s)
-        C *= self.n * self.params.dH
-        C = 0.5 * (C + C.T)  # exact symmetry (BLAS products are symmetric only to 1 ulp)
+    def _scaled(self, G: np.ndarray) -> np.ndarray:
+        """n dH G, exactly symmetric (BLAS products are symmetric only to 1 ulp),
+        with a zero diagonal; read-only."""
+        G *= self.n * self.params.dH
+        C = 0.5 * (G + G.T)
         np.fill_diagonal(C, 0.0)
         C.setflags(write=False)
         return C
 
+    def delta_table(self, k: int) -> np.ndarray:
+        """Panel increment DeltaC_k[i, j] = n dH int_panel G_i G_j da, (k, k).
+
+        Built on every call, never cached: the per-panel oracle for the panel
+        increments and the direct generator's step.
+        """
+        return self._scaled(_gram(self.panel(k)))
+
     def table_matrix(self, m: int) -> np.ndarray:
         """Cumulative coefficient matrix c_ij(m), zero-padded to (n, n).
 
-        Sums the uncached ``delta_table`` increments, O(m^3) per call: the
-        path of the exact finite-n laws and of the direct generator, which
-        cross-check the factorised panel pass.
+        One ``_gram`` product per stored block, the block holding panel m cut
+        at m; m = 0 gives zeros.  The exact finite-n laws read it.
         """
-        C = np.zeros((self.n, self.n))
-        for k in range(1, m + 1):
-            C[:k, :k] += self.delta_table(k)
-        return C
+        if not 0 <= m <= self.n:
+            raise DomainError(f"need 0 <= m <= n, got m={m}, n={self.n}")
+        G = np.zeros((self.n, self.n))
+        for t in self._blocks[: -(-m // _BLOCK)]:
+            last = min(t["A_gl"].shape[0], m)
+            G[:last, :last] += _gram(self._cut(t, t["lo"], last))
+        return self._scaled(G)
 
     # -- fBm coefficients ----------------------------------------------------
 
     def fbm_matrix(self) -> np.ndarray:
         """kappa[m-1, i-1] = n int_{cell_i} K(m/n, s) ds, lower triangular (n, n).
 
-        Uses K(t, s) = int_s^t dK(a, s) da, so row m accumulates the same
-        panel integrals int_panel G_i da that drive the weight tables.  Built
-        on every call, O(n^2 nodes).
+        Uses K(t, s) = int_s^t dK(a, s) da, so row m is the cumulative sum
+        over panels k <= m of the panel integrals int_panel G_i da, read per
+        block as sum_q w_gl A_gl + s_k sum_q wR.  Built on every call,
+        O(n^2 nodes).
         """
         n = self.n
         T = np.zeros((n, n))
-        row = np.zeros(n)
-        for k in range(1, n + 1):
-            p = self.panel(k)
-            base = (p["A_gl"] * p["w_gl"]).sum(axis=1)
-            e1 = float(np.sum(p["wR"]))
-            base[k - 1] += e1
-            if k >= 2:
-                base[k - 2] -= e1
-            row[:k] += base
-            T[k - 1] = n * row
+        row = np.zeros((n, 1))
+        for t in self._blocks:
+            lo, K = t["lo"], t["A_gl"].shape[0]
+            base = (_node_sum(t["A_gl"], t["w_gl"])
+                    + _signs(lo, K - lo + 1, K) * t["wR"].sum(axis=1))
+            # the running row leads the panels so every sum runs in panel order
+            cum = np.cumsum(np.hstack([row[:K], base]), axis=1)
+            T[lo - 1: K, :K] = n * cum[:, 1:].T
+            row[:K, 0] = cum[:, -1]
         T.setflags(write=False)
         return T
 
@@ -753,26 +776,3 @@ def get_engine(n: int, p: HurstParams) -> VolterraEngine:
             eng = VolterraEngine(n, p)
             _ENGINES[key] = eng
     return eng
-
-
-# ---------------------------------------------------------------------------
-# assembled tables
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WeightTable:
-    """Symmetric coefficient table c_ij(m) on an n-grid, zero diagonal."""
-
-    n: int
-    m: int
-    H: float
-    coeffs: np.ndarray
-
-
-def weight_table(m: int, n: int, p: HurstParams) -> WeightTable:
-    """Full coefficient table at time index m via the factorised panel assembly."""
-    if not 1 <= m <= n:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={n}")
-    coeffs = get_engine(n, p).table_matrix(m)
-    coeffs.setflags(write=False)
-    return WeightTable(n=n, m=m, H=p.H, coeffs=coeffs)

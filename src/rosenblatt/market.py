@@ -78,10 +78,11 @@ class MarketConfig:
     def __post_init__(self):
         if self.N < 2:
             raise DomainError("need at least two trading periods")
-        if self.sigma < 0:
-            raise DomainError("sigma must be nonnegative")
-        if self.S0 <= 0 or self.B0 <= 0:
-            raise DomainError("initial prices must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise DomainError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        if not all(np.isfinite(x) and x > 0 for x in (self.S0, self.B0)):
+            raise DomainError(f"initial prices must be finite and positive, got "
+                              f"S0={self.S0}, B0={self.B0}")
 
     @property
     def params(self) -> HurstParams:

@@ -213,7 +213,7 @@ def rosenblatt_walk(noise: NoiseSequence, p: HurstParams,
     method="factorized" streams panel increments; method="direct" evaluates
     xi' C(m) xi against the full weight table at every grid time (the
     brute-force oracle, O(n^3) kernel work), sweeping C(m) forward by one
-    ``delta_table`` per step in the summation order of ``table_matrix``.
+    ``delta_table`` per step.
     """
     if method == "factorized":
         return _single(noise, p, ProcessTag.ROSENBLATT)
@@ -288,8 +288,9 @@ def ensemble_metadata(ens: PathEnsemble) -> dict:
 
 def write_json(path: str | Path, payload: dict) -> None:
     """The one JSON layout of every file the package writes: sorted keys,
-    two-space indent, trailing newline."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    two-space indent, trailing newline; strict JSON, so a NaN or an infinity
+    raises ValueError before anything is written."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_ensemble(ens: PathEnsemble, csv_path: str | Path) -> list[str]:

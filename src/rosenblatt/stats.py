@@ -236,7 +236,8 @@ def qv_decay(ensembles: list[PathEnsemble]) -> QvDecayFit:
     sizes, means, ses = [], [], []
     for ens in ensembles:
         d = np.diff(ens.values, axis=1)
-        qv = (d * d).sum(axis=1)
+        d *= d
+        qv = d.sum(axis=1)
         sizes.append(ens.n)
         means.append(float(qv.mean()))
         ses.append(_mean_se(qv))

@@ -332,6 +332,32 @@ class TestConfigFile:
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
+        ["market", "--N", "16", "--hurst", "0.8", "--sigma", "nan"],
+        ["market", "--N", "16", "--hurst", "0.8", "--sigma", "inf"],
+        ["market", "--N", "16", "--hurst", "0.8", "--S0", "nan"],
+        ["market", "--N", "16", "--hurst", "0.8", "--B0", "inf"],
+        ["market", "--N", "16", "--hurst", "0.8", "--rate-r", "const:nan"],
+        ["market", "--N", "16", "--hurst", "0.8", "--rate-a", "affine:0,inf"],
+        ["validate", "--check", "variance", "--hurst", "0.8", "--n", "8",
+         "--paths", "20", "--s", "nan"],
+        ["simulate", "--process", "walk", "--n", "8", "--hurst", "nan"],
+    ])
+    def test_non_finite_number_exits_2_writing_nothing(self, tmp_path, capsys, argv):
+        code = run(*argv, "--out", str(tmp_path / "x.out"))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_rate_table_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "rate.csv"
+        table.write_text("0,0.1\n1,nan\n")
+        code = run("market", "--N", "16", "--hurst", "0.8", "--rate-r", f"table:{table}",
+                   "--out", str(tmp_path / "m.csv"))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [table]
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--process", "walk", "--n", "8", "--paths", "2"],
         ["market", "--N", "16", "--hurst", "0.8"],
     ])

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from rosenblatt import (DomainError, HurstParams, QuadratureError,
                         c_const, cell_weight, d_const, dK,
-                        fbm_kernel, rosenblatt_kernel, weight_table)
+                        fbm_kernel, rosenblatt_kernel)
 from rosenblatt.kernel import (_BLOCK, VolterraEngine, _adaptive_gauss, _roots_jacobi,
                                get_engine)
 
@@ -225,17 +225,30 @@ class TestCellWeight:
                 prev = fro
 
 
+def _delta_sums(eng, ms):
+    """c(m) for each m in ms as the running sum of the per-panel delta tables."""
+    C = np.zeros((eng.n, eng.n))
+    sums = {0: C.copy()}
+    for k in range(1, max(ms) + 1):
+        C[:k, :k] += eng.delta_table(k)
+        if k in ms:
+            sums[k] = C.copy()
+    return sums
+
+
 class TestWeightTable:
+    """The coefficient tables c_ij(m) of ``VolterraEngine.table_matrix``."""
+
     def test_matches_cell_weight_entrywise(self, p07):
-        wt = weight_table(8, 8, p07)
+        C = get_engine(8, p07).table_matrix(8)
         for i in range(1, 9):
             for j in range(1, i):
                 direct = cell_weight(8, i, j, 8, p07)
-                assert wt.coeffs[i - 1, j - 1] == pytest.approx(direct, rel=1e-8)
+                assert C[i - 1, j - 1] == pytest.approx(direct, rel=1e-8)
 
     def test_structure(self, p07):
-        wt = weight_table(5, 8, p07)
-        C = wt.coeffs
+        C = get_engine(8, p07).table_matrix(5)
+        assert not C.flags.writeable
         assert np.all(np.diag(C) == 0.0)
         assert np.array_equal(C, C.T)
         assert np.all(C[5:, :] == 0.0) and np.all(C[:, 5:] == 0.0)
@@ -257,8 +270,40 @@ class TestWeightTable:
             assert D[i - 1, j - 1] == pytest.approx(want, rel=1e-8)
 
     def test_bad_m(self, p07):
-        with pytest.raises(DomainError):
-            weight_table(9, 8, p07)
+        for m in (-1, 9):
+            with pytest.raises(DomainError):
+                get_engine(8, p07).table_matrix(m)
+
+    @pytest.mark.parametrize("H", [0.6, 0.8])
+    @pytest.mark.parametrize("n", [7, 128, 300])
+    def test_block_gram_equals_delta_table_sum(self, H, n):
+        # one product per block, the block holding panel m cut at m: equal to
+        # the running delta-table sum to rounding, at every block edge
+        eng = get_engine(n, HurstParams(H))
+        ms = range(n + 1) if n < 300 else (0, 1, 15, 16, 17, 150, 299, 300)
+        sums = _delta_sums(eng, ms)
+        for m in ms:
+            C = eng.table_matrix(m)
+            scale = np.max(np.abs(sums[m])) or 1.0
+            assert np.max(np.abs(C - sums[m])) <= 1e-14 * scale, m
+
+    @pytest.mark.parametrize("n", [1, 17, 300, 513])
+    def test_fbm_matrix_equals_per_panel_loop(self, p08, n):
+        # the block read (node sums, signs, cumulative sum along the panels)
+        # adds the panel integrals in the order of a loop over panel(k)
+        eng = get_engine(n, p08)
+        want = np.zeros((n, n))
+        row = np.zeros(n)
+        for k in range(1, n + 1):
+            pk = eng.panel(k)
+            base = (pk["A_gl"] * pk["w_gl"]).sum(axis=1)
+            e1 = float(np.sum(pk["wR"]))
+            base[k - 1] += e1
+            if k >= 2:
+                base[k - 2] -= e1
+            row[:k] += base
+            want[k - 1] = n * row
+        assert eng.fbm_matrix().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [0, 9, 17])
     def test_panel_index_outside_grid(self, p07, k):

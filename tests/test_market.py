@@ -7,8 +7,7 @@ import pytest
 from rosenblatt import (DomainError, InconclusiveError, MarketConfig,
                         affine_rate, arbitrage_demo, bs_limit, build_market,
                         constant_rate, divergence_scan, make_noise,
-                        no_arbitrage_check, rosenblatt_walk, tabulated_rate,
-                        weight_table)
+                        no_arbitrage_check, rosenblatt_walk, tabulated_rate)
 from rosenblatt.kernel import get_engine
 from rosenblatt.market import branch_pnls
 from rosenblatt.paths import NoiseKind, NoiseSequence
@@ -44,6 +43,14 @@ class TestConfig:
         with pytest.raises(DomainError):
             MarketConfig(N=8, sigma=1.0, rate_r=constant_rate(0.0),
                          rate_a=constant_rate(0.0), S0=0.0, B0=1.0, H=0.8)
+        # nan and inf are refused for every number the market is built from
+        for field in ("sigma", "S0", "B0"):
+            for value in (float("nan"), float("inf")):
+                kw = dict(N=8, sigma=1.0, rate_r=constant_rate(0.0),
+                          rate_a=constant_rate(0.0), S0=1.0, B0=1.0, H=0.8)
+                kw[field] = value
+                with pytest.raises(DomainError):
+                    MarketConfig(**kw)
 
     def test_per_period_rates(self):
         cfg = MarketConfig(N=4, sigma=1.0, rate_r=affine_rate(0.1, 0.4),
@@ -86,11 +93,11 @@ class TestFGForms:
         p = cfg.params
         path = ones_path(cfg)
         u, d = path.u[n - 1], path.d[n - 1]
-        inc = (weight_table(n, 64, p).coeffs
-               - weight_table(n - 1, 64, p).coeffs)
+        eng = get_engine(64, p)
+        inc = eng.table_matrix(n) - eng.table_matrix(n - 1)
         want_f = float(inc[: n - 1, : n - 1].sum())
         assert 0.5 * (u + d) == pytest.approx(want_f, rel=1e-8)
-        want_g = 2.0 * float(weight_table(n, 64, p).coeffs[n - 1, : n - 1].sum())
+        want_g = 2.0 * float(eng.table_matrix(n)[n - 1, : n - 1].sum())
         assert 0.5 * (u - d) == pytest.approx(want_g, rel=1e-8)
 
 

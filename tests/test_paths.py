@@ -9,7 +9,7 @@ from rosenblatt import (DomainError, GridPath, HurstParams, NoiseKind,
                         make_noise, random_walk, rosenblatt_walk,
                         simulate_ensemble)
 from rosenblatt.kernel import get_engine
-from rosenblatt.paths import derive_seed, ensemble_metadata, write_ensemble
+from rosenblatt.paths import derive_seed, ensemble_metadata, write_ensemble, write_json
 
 
 class TestNoise:
@@ -156,14 +156,16 @@ class TestRosenblattWalk:
                 ref = np.max(np.abs(zd.values)) or 1.0
                 assert np.max(np.abs(zf.values - zd.values)) < 1e-6 * ref
 
-    def test_direct_sweep_matches_table_matrix_bitwise(self, p07):
-        # the cumulative sweep adds the delta tables in table_matrix's order
+    def test_direct_sweep_matches_delta_table_sum_bitwise(self, p07):
+        # the direct generator sweeps C(m) forward one delta table per step
         noise = make_noise(12, "gaussian", 4)
         eng = get_engine(12, p07)
         zd = rosenblatt_walk(noise, p07, method="direct")
         x = noise.values
+        C = np.zeros((12, 12))
         for m in range(1, 13):
-            assert zd.values[m] == x @ eng.table_matrix(m) @ x, m
+            C[:m, :m] += eng.delta_table(m)
+            assert zd.values[m] == x @ C @ x, m
 
     def test_unknown_method(self, p07):
         with pytest.raises(DomainError):
@@ -269,3 +271,13 @@ class TestEnsembles:
         ens = simulate_ensemble(2, 1, "rademacher", None, "walk", 8)
         meta = ensemble_metadata(ens)
         assert meta["H"] is None and meta["process"] == "walk"
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_refuses_non_finite(self, tmp_path, value):
+        # strict JSON: no NaN / Infinity token, and no file left behind
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"ok": 1.0, "nested": {"bad": [value]}})
+        assert not path.exists()
