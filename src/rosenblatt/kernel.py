@@ -27,15 +27,18 @@ Two independent evaluation orders are provided for the cell integrals:
 
 The panel machinery (``VolterraEngine``) builds every panel table when it is
 constructed and is read-only after that; the path generators, the statistics
-and the market module share one engine per (n, H).  Every panel integrates
+and the market module share one engine per (n, H), and a command builds one:
+the exact-law references of an ensemble coarsened from grid N read grid N's
+engine and rescale by discrete self-similarity.  Every panel integrates
 with the same 16 nodes per family (``_NODES``).  The node tables are stacked
 in blocks of 16 consecutive panels, each a zero-padded (K, 16 * nodes)
 matrix whose rows are the cells i <= K of the block's last panel, so the
 ensemble pass runs one GEMM per block where it would run sixteen thin ones;
 the zero rows add exact zeros to every product.  For Gaussian noise only the
-Gauss-Legendre product is squared; the Gauss-Jacobi cross term and the
+Gauss-Legendre product is squared, and its weighted node sums are one GEMM
+against a block-diagonal weight matrix; the Gauss-Jacobi cross term and the
 squared-noise term are linear in their tables, so they are contracted over
-the nodes first and run as GEMMs 16 (panels) wide.  One pass over the
+the nodes first.  All three run as GEMMs 16 (panels) wide.  One pass over the
 market's Rademacher noise prefix gives the up and the down branch of every
 step, and with them the walk increments themselves.  The blocks are built on
 a thread pool, one worker per usable CPU: the build is mostly incomplete
@@ -654,9 +657,11 @@ class VolterraEngine:
         the xi^2 reduction from the stored column sums and runs two GEMMs,
         16 * nodes wide, per slab and block.  Otherwise (Gaussian noise) the
         squared-noise and the cross terms are contracted over the nodes before
-        their products, so a slab and block runs one GEMM that wide and two
-        16 wide; the contracted tables (``_contracted``) are built per call,
-        not kept, so the engine holds no more than its blocks.  Both give the
+        their products, and the squared node sums are weighed and summed by
+        a block-diagonal weight matrix, so a slab and block runs one GEMM
+        16 * nodes wide and three 16 wide; the contracted tables
+        (``_contracted``) are built per call, not kept, so the engine holds
+        no more than its blocks.  Both give the
         same sum to within rounding; the unit-square branch keeps its
         per-node operation order, which fixes the bits of the Rademacher
         ensembles and of ``branch_increments``.
@@ -678,11 +683,14 @@ class VolterraEngine:
 
     @staticmethod
     def _contracted(t: dict) -> tuple:
-        """Node contractions of block t for noise without unit squares:
-        D = sum_q w_gl A_gl^2 and ``delta_table``'s m1 = sum_q wR A_j1, each
-        (K, panels), and sum_q wR row, which is m1's row k - 2 for panel k."""
+        """Node contractions of block t for noise without unit squares: the
+        block-diagonal (16 * nodes, panels) W that puts w_gl in the node rows
+        of each panel's column, so S^2 @ W = sum_q w_gl S_q^2; D = sum_q w_gl
+        A_gl^2 and ``delta_table``'s m1 = sum_q wR A_j1, each (K, panels); and
+        sum_q wR row, which is m1's row k - 2 for panel k."""
         wR = t["wR"]
-        return (_node_sum(t["A_gl"] ** 2, t["w_gl"]), _node_sum(t["A_j1"], wR),
+        W = np.kron(np.eye(wR.shape[0]), t["w_gl"][:, None])
+        return (W, _node_sum(t["A_gl"] ** 2, t["w_gl"]), _node_sum(t["A_j1"], wR),
                 _node_sum(t["row"].reshape(1, -1), wR)[0])
 
     def branch_increments(self, x: np.ndarray) -> np.ndarray:
@@ -726,7 +734,9 @@ class VolterraEngine:
         + xi_{k-1}^2 row_q) - 2 xi_k xi_{k-1} e2, with S = x @ A_gl,
         S1 = x @ A_j1 and Qd = x2 @ A_gl^2, so it costs O(M k nodes) flops
         per panel.  Only S is squared; the Qd and S1 sums are linear in their
-        tables, so with tab they are x2 @ D and x @ m1, 16 columns wide.
+        tables, so with tab they are x2 @ D and x @ m1, 16 columns wide, and
+        sum_q w_gl S_q^2 is S^2 @ W with tab's block-diagonal W.  Every
+        product goes through ``_matmul``, so no row's bits depend on M.
         """
         M = x.shape[0]
         B, nodes = t["wR"].shape
@@ -750,9 +760,8 @@ class VolterraEngine:
             S1 *= t["wR"]
             part += S1.sum(axis=2)
         else:
-            D, m1, diag = tab
-            S *= t["w_gl"]
-            part = S.sum(axis=2)
+            W, D, m1, diag = tab
+            part = _matmul(S.reshape(M, -1), W)
             part -= _matmul(x2[:, 1:], D)
             cross = _matmul(x[:, 1:], m1)
             cross *= cur - prev

@@ -147,25 +147,31 @@ def build_market(cfg: MarketConfig, noise: NoiseSequence) -> MarketPath:
 
     One branch pass gives u and d; X_n is u_n where xi_n = +1 and d_n where
     xi_n = -1, so X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi) holds bit for bit.
-    Nonpositive stock prices are reported in `breakdown_at`, never repaired.
+    Nonpositive stock prices are reported in `breakdown_at`, never repaired;
+    finite inputs whose prices or branch returns overflow to an infinity or
+    a NaN raise DomainError.
     """
     if noise.kind is not NoiseKind.RADEMACHER or not np.all(np.abs(noise.values) == 1.0):
         raise DomainError("the binary market needs Rademacher (+-1) noise")
     if noise.n != cfg.N:
         raise DomainError(f"noise length {noise.n} does not match N={cfg.N}")
     xi = noise.values
-    u, d = cfg.sigma * get_engine(cfg.N, cfg.params).branch_increments(xi[:-1])
-    X = np.where(xi > 0, u, d)
-
-    r, a = cfg.per_period_rates()
-    B = cfg.B0 * np.cumprod(np.concatenate([[1.0], 1.0 + r]))
-    S = cfg.S0 * np.cumprod(np.concatenate([[1.0], 1.0 + a + X]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, d = cfg.sigma * get_engine(cfg.N, cfg.params).branch_increments(xi[:-1])
+        X = np.where(xi > 0, u, d)
+        r, a = cfg.per_period_rates()
+        B = cfg.B0 * np.cumprod(np.concatenate([[1.0], 1.0 + r]))
+        S = cfg.S0 * np.cumprod(np.concatenate([[1.0], 1.0 + a + X]))
+        r_minus_a = r - a
+    for name, arr in (("S", S), ("B", B), ("u", u), ("d", d), ("r - a", r_minus_a)):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"the market overflows: {name} is not finite")
     breakdown = None
     bad = np.nonzero(S[1:] <= 0)[0]
     if bad.size:
         breakdown = int(bad[0] + 1)
     return MarketPath(cfg=cfg, noise=noise, X=X, B=B, S=S, u=u, d=d,
-                      r_minus_a=r - a, breakdown_at=breakdown)
+                      r_minus_a=r_minus_a, breakdown_at=breakdown)
 
 
 def no_arbitrage_check(path: MarketPath) -> int | None:

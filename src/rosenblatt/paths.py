@@ -22,7 +22,7 @@ is the oracle the reused one is tested against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -117,7 +117,13 @@ class GridPath:
 
 @dataclass
 class PathEnsemble:
-    """M paths sharing (n, process, noise kind); row k uses derive_seed(seed, k)."""
+    """M paths sharing (n, process, noise kind); row k uses derive_seed(seed, k).
+
+    ``drawn_n`` is the grid the paths were drawn on: n itself, or the finer
+    grid of the ensemble that ``coarsen`` read them off.  The exact-law
+    references read that grid's engine, so a coarsened ensemble needs no
+    engine of its own.
+    """
 
     values: np.ndarray          # (M, n+1)
     n: int
@@ -125,6 +131,10 @@ class PathEnsemble:
     kind: NoiseKind
     master_seed: int
     params: HurstParams | None = None
+    drawn_n: int = field(init=False)
+
+    def __post_init__(self):
+        self.drawn_n = self.n
 
     @property
     def count(self) -> int:
@@ -157,13 +167,16 @@ class PathEnsemble:
         coefficient, the 1/sqrt(n) of walk and fbm included, is n^(-h) times
         one that does not depend on n.  So Z_n(m/n) = (N/n)^h Z_N(m/N) for
         m <= n, and the result equals a direct draw on grid n to a few ulp.
+        The result keeps ``drawn_n``, the grid the paths were drawn on.
         """
         if not 1 <= n <= self.n:
             raise DomainError(f"coarser grid must lie in 1..{self.n}, got {n}")
         if n == self.n:
             return self
         values = (self.n / n) ** self.hurst_index * self.values[:, : n + 1]
-        return replace(self, values=values, n=n)
+        coarse = replace(self, values=values, n=n)
+        coarse.drawn_n = self.drawn_n
+        return coarse
 
 
 # ---------------------------------------------------------------------------

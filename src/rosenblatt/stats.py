@@ -86,12 +86,30 @@ def _mean_se(x: np.ndarray) -> float:
 # exact finite-n laws of the quadratic-form walk
 # ---------------------------------------------------------------------------
 
+def _scaled_moment(N: int, n: int, ms: int, mt: int, p: HurstParams,
+                   quantity: str) -> float:
+    """Exact second moment of the grid-n Rosenblatt walk at grid-n indices
+    ms and mt, read off the engine of a grid N >= n.
+
+    Discrete self-similarity gives c^(n)(m) = (N/n)^H c^(N)(m) for m <= n,
+    so the grid-N moment at the same indices times (N/n)^(2H) is the grid-n
+    one; with N = n the factor is exactly 1.  quantity is "increment"
+    (2 sum (c_ij(mt) - c_ij(ms))^2) or "covariance" (2 sum c_ij(ms) c_ij(mt)).
+    """
+    eng = get_engine(N, p)
+    scale = (N / n) ** (2 * p.H)
+    if quantity == "increment":
+        ms, mt = sorted((ms, mt))
+        D = eng.table_matrix(mt) - (eng.table_matrix(ms) if ms else 0.0)
+        return scale * float(2.0 * np.sum(D * D))
+    if ms == 0 or mt == 0:
+        return 0.0
+    return scale * float(2.0 * np.sum(eng.table_matrix(ms) * eng.table_matrix(mt)))
+
+
 def discrete_increment_variance(n: int, s: float, t: float, p: HurstParams) -> float:
     """Exact E|Z(t) - Z(s)|^2 = 2 sum_{i != j} (c_ij(mt) - c_ij(ms))^2."""
-    ms, mt = sorted((grid_index(n, s), grid_index(n, t)))
-    eng = get_engine(n, p)
-    D = eng.table_matrix(mt) - (eng.table_matrix(ms) if ms else 0.0)
-    return float(2.0 * np.sum(D * D))
+    return _scaled_moment(n, n, grid_index(n, s), grid_index(n, t), p, "increment")
 
 
 def discrete_variance(n: int, t: float, p: HurstParams) -> float:
@@ -101,30 +119,34 @@ def discrete_variance(n: int, t: float, p: HurstParams) -> float:
 
 def discrete_covariance(n: int, s: float, t: float, p: HurstParams) -> float:
     """Exact E[Z(s) Z(t)] = 2 sum_{i != j} c_ij(ms) c_ij(mt)."""
-    ms, mt = grid_index(n, s), grid_index(n, t)
-    if ms == 0 or mt == 0:
-        return 0.0
-    eng = get_engine(n, p)
-    return float(2.0 * np.sum(eng.table_matrix(ms) * eng.table_matrix(mt)))
+    return _scaled_moment(n, n, grid_index(n, s), grid_index(n, t), p, "covariance")
 
 
 def _discrete_reference(ens: PathEnsemble, quantity: str, s: float, t: float) -> float | None:
-    p, n = ens.params, ens.n
+    """Exact finite-n "increment" variance or "covariance" of the ensemble's
+    walk at the grid-snapped s and t.
+
+    Rosenblatt and fbm read the engine of ``ens.drawn_n``, the grid the paths
+    were drawn on, at the grid-n indices and scale by (N/n)^(2h), h the
+    process's self-similarity index (discrete self-similarity, as in
+    ``PathEnsemble.coarsen``); a directly drawn ensemble has N = n and a
+    factor of exactly 1.
+    """
+    p, n, N = ens.params, ens.n, ens.drawn_n
     ms, mt = grid_index(n, s), grid_index(n, t)
     if ens.process_tag is ProcessTag.ROSENBLATT:
-        if quantity == "increment":
-            return discrete_increment_variance(n, s, t, p)
-        return discrete_covariance(n, s, t, p)
+        return _scaled_moment(N, n, ms, mt, p, quantity)
     if ens.process_tag is ProcessTag.FBM:
-        T = get_engine(n, p).fbm_matrix()
+        T = get_engine(N, p).fbm_matrix()
+        scale = (N / n) ** (2 * ens.hurst_index)
         def cov(a, b):
             if a == 0 or b == 0:
                 return 0.0
             k = min(a, b)
-            return float(np.dot(T[a - 1, :k], T[b - 1, :k]) / n)
+            return float(np.dot(T[a - 1, :k], T[b - 1, :k]) / N)
         if quantity == "increment":
-            return cov(mt, mt) - 2 * cov(ms, mt) + cov(ms, ms)
-        return cov(ms, mt)
+            return scale * (cov(mt, mt) - 2 * cov(ms, mt) + cov(ms, ms))
+        return scale * cov(ms, mt)
     # the plain walk hits its continuum law exactly
     if quantity == "increment":
         return abs(mt - ms) / n
@@ -193,9 +215,10 @@ def skewness(ens: PathEnsemble, t: float) -> MomentReport:
                             sample_size=ens.count, theoretical=theo,
                             note="degenerate: every sample has the same value")
     def skew(v):
+        # c^3 as c^2 * c: a power of the whole array would run libm pow per entry
         c = v - v.mean()
-        m2 = np.mean(c * c)
-        return np.mean(c ** 3) / m2 ** 1.5
+        c2 = c * c
+        return np.mean(c2 * c) / np.mean(c2) ** 1.5
     rng = np.random.Generator(np.random.Philox(key=(ens.master_seed ^ 0xB007B007) & ((1 << 64) - 1)))
     reps = np.empty(_BOOTSTRAP)
     for b in range(_BOOTSTRAP):
@@ -229,10 +252,11 @@ class QvDecayFit:
 def qv_decay(ensembles: list[PathEnsemble]) -> QvDecayFit:
     """Fit the decay exponent of the mean quadratic variation at t = 1.
 
-    Refuses fewer than three grid sizes.
+    Refuses fewer than three distinct grid sizes: one gives no slope, and a
+    line through two points fits them exactly whatever the decay.
     """
-    if len(ensembles) < 3:
-        raise DomainError("qv_decay needs at least three grid sizes")
+    if len({ens.n for ens in ensembles}) < 3:
+        raise DomainError("qv_decay needs at least three distinct grid sizes")
     sizes, means, ses = [], [], []
     for ens in ensembles:
         d = np.diff(ens.values, axis=1)

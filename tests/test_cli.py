@@ -178,6 +178,27 @@ class TestValidate:
             "--out", str(tmp_path / "rep.json"))
         assert calls == drawn
 
+    @pytest.mark.parametrize("qv", ["16,16,16", "16,16,32"])
+    def test_repeated_qv_sizes_exit_2(self, tmp_path, capsys, qv):
+        # fewer than three distinct grids cannot fix the decay line
+        out = tmp_path / "rep.json"
+        code = run("validate", "--check", "qv", "--hurst", "0.8", "--n", "16",
+                   "--paths", "200", "--qv-sizes", qv, "--out", str(out))
+        assert code == 2
+        assert "three distinct grid sizes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("process, hurst", [("rosenblatt", "0.8"), ("fbm", "0.9")])
+    def test_builds_one_engine(self, tmp_path, monkeypatch, process, hurst):
+        # the exact references of the coarsened n = 32 ensemble read the
+        # engine of the grid-64 draw; fbm's kernel index 0.9 is H = 0.8
+        import rosenblatt.kernel as kernel
+        monkeypatch.setattr(kernel, "_ENGINES", {})
+        run("validate", "--check", "all", "--process", process, "--hurst", hurst,
+            "--n", "32", "--paths", "200", "--qv-sizes", "16,32,64",
+            "--out", str(tmp_path / "rep.json"))
+        assert set(kernel._ENGINES) == {(64, 0.8)}
+
     def test_malformed_qv_sizes_exits_2(self, tmp_path, capsys):
         code = run("validate", "--check", "qv", "--process", "walk", "--n", "16",
                    "--paths", "50", "--qv-sizes", "16,abc",
@@ -341,6 +362,10 @@ class TestUsageErrors:
         ["validate", "--check", "variance", "--hurst", "0.8", "--n", "8",
          "--paths", "20", "--s", "nan"],
         ["simulate", "--process", "walk", "--n", "8", "--hurst", "nan"],
+        # finite flags whose market prices overflow
+        ["market", "--N", "16", "--hurst", "0.8", "--sigma", "1e300", "--scan-divergence"],
+        ["market", "--N", "16", "--hurst", "0.8", "--rate-a", "affine:1e308,1e308",
+         "--scan-divergence", "--demo-arbitrage"],
     ])
     def test_non_finite_number_exits_2_writing_nothing(self, tmp_path, capsys, argv):
         code = run(*argv, "--out", str(tmp_path / "x.out"))

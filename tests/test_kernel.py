@@ -8,8 +8,8 @@ from scipy.integrate import quad
 from rosenblatt import (DomainError, HurstParams, QuadratureError,
                         c_const, cell_weight, d_const, dK,
                         fbm_kernel, rosenblatt_kernel)
-from rosenblatt.kernel import (_BLOCK, VolterraEngine, _adaptive_gauss, _roots_jacobi,
-                               get_engine)
+from rosenblatt.kernel import (_BLOCK, VolterraEngine, _adaptive_gauss, _matmul,
+                               _node_sum, _roots_jacobi, get_engine)
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
 
@@ -386,6 +386,35 @@ class TestQuadraticIncrements:
         gauss = eng.quadratic_increments(xi, False)
         scale = np.max(np.abs(unit), axis=0)
         assert np.all(np.abs(gauss - unit) <= 1e-13 * scale)
+
+
+    @pytest.mark.parametrize("H", [0.6, 0.8])
+    @pytest.mark.parametrize("n", [7, 128, 300])
+    def test_gaussian_branch_equals_per_node_formula(self, H, n):
+        # the squared node sums are weighed by one block-diagonal GEMM; the
+        # formula it replaces sums (S * S * w_gl) over the nodes of each panel
+        eng = get_engine(n, HurstParams(H))
+        xi = np.random.default_rng(n).standard_normal((40, n))
+        M = xi.shape[0]
+        x = np.zeros((M, n + 1))
+        x[:, 1:] = xi
+        x2 = x * x
+        want = np.empty((M, n))
+        for t in eng._blocks:
+            lo, K = t["lo"], t["A_gl"].shape[0]
+            B, nodes = t["wR"].shape
+            prev, cur = x[:, lo - 1: lo - 1 + B], x[:, lo: lo + B]
+            S = _matmul(x[:, 1: K + 1], t["A_gl"]).reshape(M, B, nodes)
+            part = (S * S * t["w_gl"]).sum(axis=2)
+            part -= _matmul(x2[:, 1: K + 1], _node_sum(t["A_gl"] ** 2, t["w_gl"]))
+            m1 = _node_sum(t["A_j1"], t["wR"])
+            diag = _node_sum(t["row"].reshape(1, -1), t["wR"])[0]
+            part += 2.0 * (_matmul(x[:, 1: K + 1], m1) * (cur - prev) + x2[:, lo - 1: lo - 1 + B] * diag)
+            part -= 2.0 * (cur * prev) * t["e2"]
+            want[:, lo - 1: K] = n * eng.params.dH * part
+        got = eng.quadratic_increments(xi, False)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 2.5e-15 * scale)
 
 
 class TestBranchIncrements:

@@ -7,6 +7,7 @@ from rosenblatt import (DomainError, GridPath, ProcessTag,
                         discrete_increment_variance, discrete_variance,
                         histogram, increment_variance, qv_decay,
                         quadratic_variation, simulate_ensemble, skewness)
+from rosenblatt.kernel import HurstParams, get_engine
 from rosenblatt.stats import MomentReport
 
 
@@ -41,6 +42,62 @@ class TestDiscreteLaws:
                + discrete_variance(n, s, p08)
                - 2 * discrete_covariance(n, s, t, p08))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def _fbm_reference(n, p, s, t, quantity):
+    """The fbm walk's exact moment from a grid-n ``fbm_matrix`` dot product."""
+    T = get_engine(n, p).fbm_matrix()
+    ms, mt = int(np.floor(n * s)), int(np.floor(n * t))
+
+    def cov(a, b):
+        if a == 0 or b == 0:
+            return 0.0
+        k = min(a, b)
+        return float(np.dot(T[a - 1, :k], T[b - 1, :k]) / n)
+    if quantity == "increment":
+        return cov(mt, mt) - 2 * cov(ms, mt) + cov(ms, ms)
+    return cov(ms, mt)
+
+
+_TIMES = [(0.0, 1.0), (0.25, 0.75), (0.3, 0.9), (0.5, 0.5), (0.0, 0.4)]
+
+
+class TestSelfSimilarReferences:
+    """The exact references of an ensemble coarsened from grid N read grid
+    N's engine; discrete self-similarity makes them the grid-n laws."""
+
+    @staticmethod
+    def _references(ens):
+        return [(increment_variance(ens, s, t).discrete, covariance(ens, s, t).discrete)
+                for s, t in _TIMES]
+
+    @staticmethod
+    def _direct(process, n, p):
+        if process == "rosenblatt":
+            return [(discrete_increment_variance(n, s, t, p), discrete_covariance(n, s, t, p))
+                    for s, t in _TIMES]
+        return [(_fbm_reference(n, p, s, t, "increment"),
+                 _fbm_reference(n, p, s, t, "covariance")) for s, t in _TIMES]
+
+    @pytest.mark.parametrize("process", ["rosenblatt", "fbm"])
+    @pytest.mark.parametrize("H", [0.6, 0.8])
+    @pytest.mark.parametrize("N", [256, 300])
+    def test_coarsened_references_equal_grid_n_laws(self, process, H, N):
+        p, n = HurstParams(H), 128
+        coarse = simulate_ensemble(2, 5, "gaussian", p, process, N).coarsen(n)
+        assert (coarse.n, coarse.drawn_n) == (n, N)
+        for got, want in zip(self._references(coarse), self._direct(process, n, p)):
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * abs(w), (g, w)
+
+    @pytest.mark.parametrize("process", ["rosenblatt", "fbm"])
+    @pytest.mark.parametrize("H", [0.6, 0.8])
+    @pytest.mark.parametrize("n", [128, 300])
+    def test_direct_references_are_the_public_laws(self, process, H, n):
+        p = HurstParams(H)
+        ens = simulate_ensemble(2, 5, "gaussian", p, process, n)
+        assert ens.drawn_n == n
+        assert self._references(ens) == self._direct(process, n, p)
 
 
 class TestIncrementVariance:
@@ -116,6 +173,19 @@ class TestSkewness:
         rep2 = skewness(scaled, 1.0)
         assert rep2.estimate == pytest.approx(rep.estimate, rel=1e-12)
 
+    def test_matches_cube_power_formula(self, rose_ens):
+        # the estimate and bootstrap resamples of the c ** 3 formula
+        def skew(v):
+            c = v - v.mean()
+            return np.mean(c ** 3) / np.mean(c * c) ** 1.5
+        x = rose_ens.values_at(1.0)
+        rng = np.random.Generator(np.random.Philox(
+            key=(rose_ens.master_seed ^ 0xB007B007) & ((1 << 64) - 1)))
+        reps = [skew(x[rng.integers(0, x.size, x.size)]) for _ in range(200)]
+        rep = skewness(rose_ens, 1.0)
+        assert rep.estimate == pytest.approx(skew(x), rel=1e-14, abs=0)
+        assert rep.std_error == pytest.approx(np.std(reps, ddof=1), rel=1e-14, abs=0)
+
     def test_needs_enough_paths(self, p08):
         tiny = simulate_ensemble(50, 1, "rademacher", p08, "rosenblatt", 8)
         with pytest.raises(DomainError):
@@ -142,6 +212,11 @@ class TestQuadraticVariation:
     def test_qv_decay_refuses_short_sweeps(self, rose_ens):
         with pytest.raises(DomainError):
             qv_decay([rose_ens, rose_ens])
+
+    def test_qv_decay_refuses_repeated_sizes(self, rose_ens):
+        # three ensembles on two grids: the fitted line passes through both exactly
+        with pytest.raises(DomainError, match="distinct"):
+            qv_decay([rose_ens, rose_ens, rose_ens.coarsen(32)])
 
     def test_qv_decay_matches_exact_slope(self, p08):
         from rosenblatt.kernel import get_engine
