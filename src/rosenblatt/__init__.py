@@ -48,6 +48,7 @@ from .market import (
     arbitrage_demo,
     bs_limit,
     build_market,
+    build_markets,
     constant_rate,
     divergence_scan,
     no_arbitrage_check,

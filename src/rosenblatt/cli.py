@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .kernel import DomainError, HurstParams
 from .market import (InconclusiveError, MarketConfig, affine_rate, arbitrage_demo,
-                     build_market, constant_rate, divergence_scan, tabulated_rate)
+                     build_markets, constant_rate, divergence_scan, tabulated_rate)
 from .paths import (NoiseKind, NoiseSequence, PathEnsemble, ProcessTag, make_noise,
                     simulate_ensemble, write_ensemble, write_json)
 from . import stats as st
@@ -252,23 +252,27 @@ def cmd_market(args, argv) -> int:
     cfg = MarketConfig(N=args.N, sigma=args.sigma, rate_r=_parse_rate(args.rate_r),
                        rate_a=_parse_rate(args.rate_a), S0=args.S0, B0=args.B0,
                        H=args.hurst)
+    # the realised path and, for the scan or the witness demo, the all-ones
+    # witness path, from one branch pass; every output is computed before the
+    # first is written, so a refused input leaves no file behind
+    noises = [make_noise(args.N, NoiseKind.RADEMACHER, args.seed)]
+    if args.scan_divergence or (args.demo_arbitrage and args.witness_all_ones):
+        noises.append(NoiseSequence(kind=NoiseKind.RADEMACHER, seed=args.seed,
+                                    values=np.ones(args.N)))
+    path, *witness = build_markets(cfg, noises)
+    report = divergence_scan(witness[0]) if args.scan_divergence else None
+    trade = None
+    if args.demo_arbitrage:
+        trade = arbitrage_demo(witness[0] if args.witness_all_ones else path)
+
     out = Path(args.out)
-    path = build_market(cfg, make_noise(args.N, NoiseKind.RADEMACHER, args.seed))
     path.to_csv(out)
     outputs = [str(out)]
-
-    # the all-ones witness path, built once for the scan and the demo
-    if args.scan_divergence or (args.demo_arbitrage and args.witness_all_ones):
-        ones = build_market(cfg, NoiseSequence(kind=NoiseKind.RADEMACHER, seed=args.seed,
-                                               values=np.ones(args.N)))
-    if args.scan_divergence:
-        report = divergence_scan(ones)
+    if report is not None:
         scan_path = Path(str(out) + ".scan.json")
         report.to_json(scan_path)
         outputs.append(str(scan_path))
-
-    if args.demo_arbitrage:
-        trade = arbitrage_demo(ones if args.witness_all_ones else path)
+    if trade is not None:
         trade_path = Path(str(out) + ".trade.json")
         write_json(trade_path, asdict(trade))
         outputs.append(str(trade_path))

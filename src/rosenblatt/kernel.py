@@ -26,24 +26,28 @@ Two independent evaluation orders are provided for the cell integrals:
   numpy's LAPACK (``_roots_jacobi``), so no command imports scipy.linalg.
 
 The panel machinery (``VolterraEngine``) builds every panel table when it is
-constructed and is read-only after that; the path generators, the statistics
-and the market module share one engine per (n, H), and a command builds one:
-the exact-law references of an ensemble coarsened from grid N read grid N's
-engine and rescale by discrete self-similarity.  Every panel integrates
-with the same 16 nodes per family (``_NODES``).  The node tables are stacked
-in blocks of 16 consecutive panels, each a zero-padded (K, 16 * nodes)
-matrix whose rows are the cells i <= K of the block's last panel, so the
-ensemble pass runs one GEMM per block where it would run sixteen thin ones;
-the zero rows add exact zeros to every product.  For Gaussian noise only the
-Gauss-Legendre product is squared, and its weighted node sums are one GEMM
-against a block-diagonal weight matrix; the Gauss-Jacobi cross term and the
-squared-noise term are linear in their tables, so they are contracted over
-the nodes first.  All three run as GEMMs 16 (panels) wide.  One pass over the
-market's Rademacher noise prefix gives the up and the down branch of every
-step, and with them the walk increments themselves.  The blocks are built on
-a thread pool, one worker per usable CPU: the build is mostly incomplete
-beta evaluations, which release the GIL, and each block is computed on its
-own, so no table depends on the worker count.
+constructed and is read-only after that; the path generators and the
+statistics share one engine per (n, H), and a command builds one: the
+exact-law references of an ensemble coarsened from grid N read grid N's
+engine and rescale by discrete self-similarity.  The market reads each panel
+block once, so its branch pass (``branch_increments``) keeps no engine: it
+builds each block, runs every market prefix through it and drops it, and
+holds no more blocks at once than the build has workers.  Every panel
+integrates with the same 16 nodes per family (``_NODES``).  The node tables
+are stacked in blocks of 16 consecutive panels, each a zero-padded
+(K, 16 * nodes) matrix whose rows are the cells i <= K of the block's last
+panel, so the ensemble pass runs one GEMM per block where it would run
+sixteen thin ones; the zero rows add exact zeros to every product.  For
+Gaussian noise only the Gauss-Legendre product is squared, and its weighted
+node sums are one GEMM against a block-diagonal weight matrix; the
+Gauss-Jacobi cross term and the squared-noise term are linear in their
+tables, so they are contracted over the nodes first.  All three run as GEMMs
+16 (panels) wide.  One pass over the market's Rademacher noise prefixes
+gives the up and the down branch of every step of each, and with them the
+walk increments themselves.  The blocks are built on a thread pool, one
+worker per usable CPU: the build is mostly incomplete beta evaluations,
+which release the GIL, and each block is computed on its own, so no table
+depends on the worker count.
 """
 from __future__ import annotations
 
@@ -66,7 +70,8 @@ _NODES = 16
 _SLAB = 512
 _KCHUNK = 256
 _NPAD = 16
-# xi_k of the up (row 0) and the down (row 1) branch in ``branch_increments``
+# xi_k of the up (row 0) and the down (row 1) branch of a prefix in
+# ``branch_increments``
 _BRANCHES = np.array([[1.0], [-1.0]])
 # Stopping rule of the adaptive routines (``fbm_kernel``, ``rosenblatt_kernel``,
 # ``cell_weight``): relative and absolute error, and the bisection budget unit.
@@ -468,8 +473,8 @@ def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams) -> float:
 # factorised panel machinery
 # ---------------------------------------------------------------------------
 
-class VolterraEngine:
-    """Shared quadrature tables for the grid t_m = m/n on [0, 1] at index H.
+class _Panels:
+    """The panel quadrature of the grid t_m = m/n on [0, 1] at index H.
 
     Per panel k the one-dimensional cell integrals G_i(a) split as
     Abar_i(a) + s_i E(a), where E(a) = int_{(k-1)/n}^a dK(a, u) du carries the
@@ -480,23 +485,11 @@ class VolterraEngine:
             = cHp a^(Hp-1/2) [Ix(u2/a) - Ix(u1/a)],
         Ix(x) = B(3/2-Hp, Hp-1/2) betainc(3/2-Hp, Hp-1/2, x).
 
-    The constructor builds every panel, in blocks of 16 consecutive panels.
-    A block's A_gl / A_j1 tables are one zero-padded matrix each, of shape
-    (K, 16 * nodes) with K the block's last panel (a last, partial block has
-    fewer columns); panel k fills rows :k of its column slice.  Next to them
-    the block holds, one row per panel, the weights wR = w_j1 R, the scalar
-    e2 = int_panel E^2, row k - 2 of A_j1 and the column sums of A_gl^2.
-    ``quadratic_increments`` (the ensembles) and ``branch_increments`` (the
-    market's up/down envelope) multiply the noise by whole blocks through
-    the same ``_increments``; the dense matrices read the blocks too, through
-    one ``_gram`` product per block (``table_matrix``) or per ``panel``
-    (``delta_table``), and ``fbm_matrix`` sums each block's panel integrals.
-
-    The blocks are built in parallel, one thread per CPU the process may run
-    on and at most one per block.  A block reads only constants set before
-    the pool starts, so every table is bit-identical to a serial build.
-    Instances are read-only after construction and safe to share across
-    readers; acquire them through ``get_engine``.
+    Construction sets only the node rules and constants; ``_block`` builds
+    the node tables of 16 consecutive panels, ``_map`` builds every block
+    and hands each to a function, and ``_increments`` is the one pass of
+    noise rows through a block.  ``VolterraEngine`` keeps every block;
+    ``branch_increments`` keeps only what its pass reads off each one.
     """
 
     def __init__(self, n: int, p: HurstParams):
@@ -513,12 +506,6 @@ class VolterraEngine:
         self._j2 = _roots_jacobi(_NODES, 2 * self._alpha)
         self._w_gl = 0.5 / n * self._gl[1]
         self._w_gl.setflags(write=False)
-        # _block reads only the constants above, so the blocks are built
-        # independently, one worker per usable CPU, and come back in order
-        los = range(1, n + 1, _BLOCK)
-        with ThreadPoolExecutor(min(_cpus(), len(los))) as pool:
-            self._blocks = list(pool.map(
-                lambda lo: self._block(lo, min(lo + _BLOCK - 1, n)), los))
 
     # -- closed-form one-dimensional integrals ------------------------------
 
@@ -575,6 +562,96 @@ class VolterraEngine:
             arr.setflags(write=False)
         return {"lo": lo, "A_gl": A_gl, "A_j1": A_j1, "w_gl": self._w_gl,
                 "Qd": Qd, "row": row, "wR": wR, "e2": e2}
+
+    def _map(self, use) -> list:
+        """[use(block) for every block in panel order], each block built and
+        used on a thread pool, one worker per usable CPU and at most one per
+        block.  A block reads only the constants set by ``__init__``, so its
+        tables are bit-identical to a serial build; a block that use does
+        not return is dropped once use is done with it, so no more blocks
+        are alive at once than there are workers."""
+        los = range(1, self.n + 1, _BLOCK)
+        with ThreadPoolExecutor(min(_cpus(), len(los))) as pool:
+            return list(pool.map(
+                lambda lo: use(self._block(lo, min(lo + _BLOCK - 1, self.n))), los))
+
+    def _increments(self, t: dict, x: np.ndarray, x2: np.ndarray | None,
+                    tab: tuple | None, cur: np.ndarray | None = None) -> np.ndarray:
+        """Increments of the consecutive panels of block t for each row of x,
+        shape (M, panels).
+
+        x has shape (M, K + 1), K the last panel of t, with column i holding
+        xi_i and column 0 the absent xi_0 = 0; x2 is its square and tab the
+        block's ``_contracted`` tables, both None for unit squares.  cur, if
+        given, replaces xi_k of every panel k of t; it must broadcast against
+        (M, panels).  The sum over pairs i != j <= k of xi_i xi_j
+        int_panel G_i G_j is expanded through the Abar/E split into
+        sum_q w_gl (S_q^2 - Qd_q) + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q
+        + xi_{k-1}^2 row_q) - 2 xi_k xi_{k-1} e2, with S = x @ A_gl,
+        S1 = x @ A_j1 and Qd = x2 @ A_gl^2, so it costs O(M k nodes) flops
+        per panel.  Only S is squared; the Qd and S1 sums are linear in their
+        tables, so with tab they are x2 @ D and x @ m1, 16 columns wide, and
+        sum_q w_gl S_q^2 is S^2 @ W with tab's block-diagonal W.  Every
+        product goes through ``_matmul``, so no row's bits depend on M.
+        """
+        M = x.shape[0]
+        B, nodes = t["wR"].shape
+        lo = t["lo"]
+        prev = x[:, lo - 1: lo - 1 + B]
+        if cur is None:
+            cur = x[:, lo: lo + B]
+        S = _matmul(x[:, 1:], t["A_gl"]).reshape(M, B, nodes)
+        S *= S
+        if tab is None:
+            # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
+            # + (2 * (xs*S1 + row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
+            # xs = xi_k - xi_{k-1}: the order fixes every bit of the result
+            S -= t["Qd"]
+            S *= t["w_gl"]
+            part = S.sum(axis=2)
+            S1 = _matmul(x[:, 1:], t["A_j1"]).reshape(M, B, nodes)
+            S1 *= (cur - prev)[:, :, None]
+            S1 += t["row"]
+            S1 *= 2.0
+            S1 *= t["wR"]
+            part += S1.sum(axis=2)
+        else:
+            W, D, m1, diag = tab
+            part = _matmul(S.reshape(M, -1), W)
+            part -= _matmul(x2[:, 1:], D)
+            cross = _matmul(x[:, 1:], m1)
+            cross *= cur - prev
+            cross += x2[:, lo - 1: lo - 1 + B] * diag
+            cross *= 2.0
+            part += cross
+        part -= 2.0 * (cur * prev) * t["e2"]
+        return self.n * self.params.dH * part
+
+
+class VolterraEngine(_Panels):
+    """Every panel table of the grid t_m = m/n on [0, 1] at index H.
+
+    The constructor builds every panel, in blocks of 16 consecutive panels,
+    and keeps them (``_map`` with the identity).  A block's A_gl / A_j1
+    tables are one zero-padded matrix each, of shape (K, 16 * nodes) with K
+    the block's last panel (a last, partial block has fewer columns); panel
+    k fills rows :k of its column slice.  Next to them the block holds, one
+    row per panel, the weights wR = w_j1 R, the scalar e2 = int_panel E^2,
+    row k - 2 of A_j1 and the column sums of A_gl^2.
+    ``quadratic_increments`` (the ensembles) multiplies the noise by whole
+    blocks through ``_increments``; the dense matrices read the blocks too,
+    through one ``_gram`` product per block (``table_matrix``) or per
+    ``panel`` (``delta_table``), and ``fbm_matrix`` sums each block's panel
+    integrals.  The market's branch pass reads each block once, so it keeps
+    none (``branch_increments``).
+
+    Instances are read-only after construction and safe to share across
+    readers; acquire them through ``get_engine``.
+    """
+
+    def __init__(self, n: int, p: HurstParams):
+        super().__init__(n, p)
+        self._blocks = self._map(lambda t: t)
 
     def panel(self, k: int) -> dict:
         """Read-only views of panel k = [(k-1)/n, k/n] in its block's layout:
@@ -661,10 +738,9 @@ class VolterraEngine:
         a block-diagonal weight matrix, so a slab and block runs one GEMM
         16 * nodes wide and three 16 wide; the contracted tables
         (``_contracted``) are built per call, not kept, so the engine holds
-        no more than its blocks.  Both give the
-        same sum to within rounding; the unit-square branch keeps its
-        per-node operation order, which fixes the bits of the Rademacher
-        ensembles and of ``branch_increments``.
+        no more than its blocks.  Both give the same sum to within rounding;
+        the unit-square branch keeps its per-node operation order, which fixes
+        the bits of the Rademacher ensembles and of ``branch_increments``.
         """
         M, n = xi.shape
         if n != self.n:
@@ -693,84 +769,6 @@ class VolterraEngine:
         return (W, _node_sum(t["A_gl"] ** 2, t["w_gl"]), _node_sum(t["A_j1"], wR),
                 _node_sum(t["row"].reshape(1, -1), wR)[0])
 
-    def branch_increments(self, x: np.ndarray) -> np.ndarray:
-        """Step-k increments, k = 1..len(x)+1, of the Rademacher prefix
-        x[:k-1] continued by xi_k = +1 (row 0) and by xi_k = -1 (row 1).
-
-        The increment is affine in xi_k (the quadratic form has no diagonal),
-        so column k - 1 is (f + g, f - g) of the split f_{k-1} + xi_k g_{k-1}.
-        One pass over the panel blocks, with the bits of
-        ``quadratic_increments`` on the noise whose xi_k is set.  Both rows
-        carry the whole prefix x; only xi_k differs.  Row k - 1 of panel k's
-        A_gl / A_j1 is zero (cell k has no Abar part), so panel k reads
-        xi_1..xi_{k-1} from x and xi_k only as ``cur``, which is +1 in row 0
-        and -1 in row 1 for every panel.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size >= self.n:
-            raise DomainError(f"prefix must be one-dimensional and shorter than {self.n}")
-        if not np.all(np.abs(x) == 1.0):
-            raise DomainError("branch increments need a Rademacher (+-1) prefix")
-        xs = np.zeros((2, self.n + 1))
-        xs[:, 1: x.size + 1] = x
-        out = np.empty((2, self.n))
-        for t in self._blocks:
-            lo, K = t["lo"], t["A_gl"].shape[0]
-            out[:, lo - 1: K] = self._increments(t, xs[:, : K + 1], None, None, _BRANCHES)
-        return out[:, : x.size + 1]
-
-    def _increments(self, t: dict, x: np.ndarray, x2: np.ndarray | None,
-                    tab: tuple | None, cur: np.ndarray | None = None) -> np.ndarray:
-        """Increments of the consecutive panels of block t for each row of x,
-        shape (M, panels).
-
-        x has shape (M, K + 1), K the last panel of t, with column i holding
-        xi_i and column 0 the absent xi_0 = 0; x2 is its square and tab the
-        block's ``_contracted`` tables, both None for unit squares.  cur, if
-        given, replaces xi_k of every panel k of t; it must broadcast against
-        (M, panels).  The sum over pairs i != j <= k of xi_i xi_j
-        int_panel G_i G_j is expanded through the Abar/E split into
-        sum_q w_gl (S_q^2 - Qd_q) + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q
-        + xi_{k-1}^2 row_q) - 2 xi_k xi_{k-1} e2, with S = x @ A_gl,
-        S1 = x @ A_j1 and Qd = x2 @ A_gl^2, so it costs O(M k nodes) flops
-        per panel.  Only S is squared; the Qd and S1 sums are linear in their
-        tables, so with tab they are x2 @ D and x @ m1, 16 columns wide, and
-        sum_q w_gl S_q^2 is S^2 @ W with tab's block-diagonal W.  Every
-        product goes through ``_matmul``, so no row's bits depend on M.
-        """
-        M = x.shape[0]
-        B, nodes = t["wR"].shape
-        lo = t["lo"]
-        prev = x[:, lo - 1: lo - 1 + B]
-        if cur is None:
-            cur = x[:, lo: lo + B]
-        S = _matmul(x[:, 1:], t["A_gl"]).reshape(M, B, nodes)
-        S *= S
-        if tab is None:
-            # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
-            # + (2 * (xs*S1 + row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
-            # xs = xi_k - xi_{k-1}: the order fixes every bit of the result
-            S -= t["Qd"]
-            S *= t["w_gl"]
-            part = S.sum(axis=2)
-            S1 = _matmul(x[:, 1:], t["A_j1"]).reshape(M, B, nodes)
-            S1 *= (cur - prev)[:, :, None]
-            S1 += t["row"]
-            S1 *= 2.0
-            S1 *= t["wR"]
-            part += S1.sum(axis=2)
-        else:
-            W, D, m1, diag = tab
-            part = _matmul(S.reshape(M, -1), W)
-            part -= _matmul(x2[:, 1:], D)
-            cross = _matmul(x[:, 1:], m1)
-            cross *= cur - prev
-            cross += x2[:, lo - 1: lo - 1 + B] * diag
-            cross *= 2.0
-            part += cross
-        part -= 2.0 * (cur * prev) * t["e2"]
-        return self.n * self.params.dH * part
-
 
 _ENGINES: dict[tuple, VolterraEngine] = {}
 _ENGINES_LOCK = threading.Lock()
@@ -785,3 +783,34 @@ def get_engine(n: int, p: HurstParams) -> VolterraEngine:
             eng = VolterraEngine(n, p)
             _ENGINES[key] = eng
     return eng
+
+
+def branch_increments(n: int, p: HurstParams, prefixes: np.ndarray) -> np.ndarray:
+    """Step-k increments, k = 1..L+1, on grid n of each Rademacher prefix
+    row x of the (P, L) array prefixes, x[:k-1] continued by xi_k = +1
+    (out[., 0]) and by xi_k = -1 (out[., 1]); shape (P, 2, L + 1).
+
+    The increment is affine in xi_k (the quadratic form has no diagonal),
+    so column k - 1 is (f + g, f - g) of the split f_{k-1} + xi_k g_{k-1}.
+    One streamed pass: each panel block is built, run through the
+    unit-square ``_increments`` for all 2P rows in the worker that built it,
+    and dropped, so only the (2P, panels) results are kept and no engine is
+    built or cached.  The rows are those of ``quadratic_increments`` on the
+    noise whose xi_k is set, bit for bit.  Both rows of a prefix carry the
+    whole prefix; only xi_k differs.  Row k - 1 of panel k's A_gl / A_j1 is
+    zero (cell k has no Abar part), so panel k reads xi_1..xi_{k-1} from the
+    prefix and xi_k only as ``cur``, +1 in the up and -1 in the down row.
+    """
+    x = np.asarray(prefixes, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] >= n:
+        raise DomainError(f"prefixes must be a (P, L) array with P >= 1 and L < {n}")
+    if not np.all(np.abs(x) == 1.0):
+        raise DomainError("branch increments need Rademacher (+-1) prefixes")
+    P, L = x.shape
+    xs = np.zeros((2 * P, n + 1))
+    xs[:, 1: L + 1] = np.repeat(x, 2, axis=0)
+    cur = np.tile(_BRANCHES, (P, 1))
+    panels = _Panels(n, p)
+    parts = panels._map(lambda t: panels._increments(
+        t, xs[:, : t["A_gl"].shape[0] + 1], None, None, cur))
+    return np.hstack(parts)[:, : L + 1].reshape(P, 2, L + 1)

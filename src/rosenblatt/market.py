@@ -16,11 +16,13 @@ borrow-and-buy strategy wins on both branches.
 
 The walk increment is affine in xi_n (its quadratic form has no diagonal),
 so u_n and d_n are the step-n increment with xi_n set to +1 and to -1, and
-on a built path f = (u + d)/2 and g = (u - d)/2.  One panel pass of the
-kernel evaluates both branches for every n at once
-(``VolterraEngine.branch_increments``), in O(N^2 nodes) time and memory, and
-the realised return X_n is the branch its own xi_n picks; the dense weight
-tables are never formed here.
+on a built path f = (u + d)/2 and g = (u - d)/2.  One streamed panel pass
+of the kernel (``branch_increments``) evaluates both branches for every n
+and for every noise path of a command at once, and the realised return X_n
+is the branch its own xi_n picks.  The pass takes O(N^2 nodes) time per
+path, but it builds each panel block, uses it and drops it, so it holds a
+few blocks (O(N nodes) memory each) and no engine; the dense weight tables
+are never formed here.
 
 The first trading period is degenerate (Z has no off-diagonal pair yet, so
 X_1 = 0 surely); arbitrage checks therefore start at n = 2, where the model
@@ -34,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import DomainError, HurstParams, get_engine
+from .kernel import DomainError, HurstParams, branch_increments
 from .paths import GridPath, NoiseKind, NoiseSequence, write_json
 
 
@@ -142,36 +144,46 @@ class MarketPath:
                 fh.write(f"{k + 1},{(k + 1) / N!r},{body},{int(flags[k])}\n")
 
 
-def build_market(cfg: MarketConfig, noise: NoiseSequence) -> MarketPath:
-    """Run the recursions with X_n = sigma * (Z(n/N) - Z((n-1)/N)) on `noise`.
+def build_markets(cfg: MarketConfig, noises: list[NoiseSequence]) -> list[MarketPath]:
+    """Run the recursions with X_n = sigma * (Z(n/N) - Z((n-1)/N)) on each noise.
 
-    One branch pass gives u and d; X_n is u_n where xi_n = +1 and d_n where
-    xi_n = -1, so X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi) holds bit for bit.
+    One streamed branch pass gives every path's u and d; X_n is u_n where
+    xi_n = +1 and d_n where xi_n = -1, so X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi)
+    holds bit for bit, and each path has the bits of its own one-path pass.
     Nonpositive stock prices are reported in `breakdown_at`, never repaired;
     finite inputs whose prices or branch returns overflow to an infinity or
     a NaN raise DomainError.
     """
-    if noise.kind is not NoiseKind.RADEMACHER or not np.all(np.abs(noise.values) == 1.0):
-        raise DomainError("the binary market needs Rademacher (+-1) noise")
-    if noise.n != cfg.N:
-        raise DomainError(f"noise length {noise.n} does not match N={cfg.N}")
-    xi = noise.values
+    for noise in noises:
+        if noise.kind is not NoiseKind.RADEMACHER or not np.all(np.abs(noise.values) == 1.0):
+            raise DomainError("the binary market needs Rademacher (+-1) noise")
+        if noise.n != cfg.N:
+            raise DomainError(f"noise length {noise.n} does not match N={cfg.N}")
+    xi = np.array([noise.values for noise in noises])
     with np.errstate(over="ignore", invalid="ignore"):
-        u, d = cfg.sigma * get_engine(cfg.N, cfg.params).branch_increments(xi[:-1])
-        X = np.where(xi > 0, u, d)
+        branches = cfg.sigma * branch_increments(cfg.N, cfg.params, xi[:, :-1])
         r, a = cfg.per_period_rates()
         B = cfg.B0 * np.cumprod(np.concatenate([[1.0], 1.0 + r]))
-        S = cfg.S0 * np.cumprod(np.concatenate([[1.0], 1.0 + a + X]))
         r_minus_a = r - a
-    for name, arr in (("S", S), ("B", B), ("u", u), ("d", d), ("r - a", r_minus_a)):
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"the market overflows: {name} is not finite")
-    breakdown = None
-    bad = np.nonzero(S[1:] <= 0)[0]
-    if bad.size:
-        breakdown = int(bad[0] + 1)
-    return MarketPath(cfg=cfg, noise=noise, X=X, B=B, S=S, u=u, d=d,
-                      r_minus_a=r_minus_a, breakdown_at=breakdown)
+        Xs = np.where(xi > 0, branches[:, 0], branches[:, 1])
+        Ss = [cfg.S0 * np.cumprod(np.concatenate([[1.0], 1.0 + a + X])) for X in Xs]
+    paths = []
+    for noise, (u, d), X, S in zip(noises, branches, Xs, Ss):
+        for name, arr in (("S", S), ("B", B), ("u", u), ("d", d), ("r - a", r_minus_a)):
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"the market overflows: {name} is not finite")
+        breakdown = None
+        bad = np.nonzero(S[1:] <= 0)[0]
+        if bad.size:
+            breakdown = int(bad[0] + 1)
+        paths.append(MarketPath(cfg=cfg, noise=noise, X=X, B=B, S=S, u=u, d=d,
+                                r_minus_a=r_minus_a, breakdown_at=breakdown))
+    return paths
+
+
+def build_market(cfg: MarketConfig, noise: NoiseSequence) -> MarketPath:
+    """``build_markets`` on the one noise path."""
+    return build_markets(cfg, [noise])[0]
 
 
 def no_arbitrage_check(path: MarketPath) -> int | None:

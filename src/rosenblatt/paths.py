@@ -22,7 +22,7 @@ is the oracle the reused one is tested against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -115,14 +115,15 @@ class GridPath:
         return float(self.values[grid_index(self.n, t)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathEnsemble:
     """M paths sharing (n, process, noise kind); row k uses derive_seed(seed, k).
 
-    ``drawn_n`` is the grid the paths were drawn on: n itself, or the finer
-    grid of the ensemble that ``coarsen`` read them off.  The exact-law
-    references read that grid's engine, so a coarsened ensemble needs no
-    engine of its own.
+    ``drawn_n`` is the grid the paths were drawn on: n itself (the default),
+    or the finer grid of the ensemble that ``coarsen`` read them off.  The
+    exact-law references read that grid's engine, so a coarsened ensemble
+    needs no engine of its own.  Frozen, so n and ``drawn_n`` cannot part:
+    a changed copy is made with ``dataclasses.replace``.
     """
 
     values: np.ndarray          # (M, n+1)
@@ -131,10 +132,11 @@ class PathEnsemble:
     kind: NoiseKind
     master_seed: int
     params: HurstParams | None = None
-    drawn_n: int = field(init=False)
+    drawn_n: int | None = None
 
     def __post_init__(self):
-        self.drawn_n = self.n
+        if self.drawn_n is None:
+            object.__setattr__(self, "drawn_n", self.n)
 
     @property
     def count(self) -> int:
@@ -174,9 +176,7 @@ class PathEnsemble:
         if n == self.n:
             return self
         values = (self.n / n) ** self.hurst_index * self.values[:, : n + 1]
-        coarse = replace(self, values=values, n=n)
-        coarse.drawn_n = self.drawn_n
-        return coarse
+        return replace(self, values=values, n=n, drawn_n=self.drawn_n)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,12 @@ class Histogram:
 
 
 def _mean_se(x: np.ndarray) -> float:
-    """Standard error s / sqrt(M) of a sample mean (its delete-one jackknife)."""
+    """Standard error s / sqrt(M) of a sample mean (its delete-one jackknife).
+
+    Refuses fewer than two samples, whose s has no degrees of freedom.
+    """
+    if x.size < 2:
+        raise DomainError("need at least two samples")
     return float(np.std(x, ddof=1) / np.sqrt(x.size))
 
 
@@ -253,16 +258,19 @@ def qv_decay(ensembles: list[PathEnsemble]) -> QvDecayFit:
     """Fit the decay exponent of the mean quadratic variation at t = 1.
 
     Refuses fewer than three distinct grid sizes: one gives no slope, and a
-    line through two points fits them exactly whatever the decay.
+    line through two points fits them exactly whatever the decay.  Refuses
+    a repeated grid size too, which would weigh that grid twice in the fit.
     """
-    if len({ens.n for ens in ensembles}) < 3:
+    sizes = [ens.n for ens in ensembles]
+    if len(set(sizes)) < 3:
         raise DomainError("qv_decay needs at least three distinct grid sizes")
-    sizes, means, ses = [], [], []
+    if len(set(sizes)) < len(sizes):
+        raise DomainError(f"qv_decay grid sizes must not repeat, got {sizes}")
+    means, ses = [], []
     for ens in ensembles:
         d = np.diff(ens.values, axis=1)
         d *= d
         qv = d.sum(axis=1)
-        sizes.append(ens.n)
         means.append(float(qv.mean()))
         ses.append(_mean_se(qv))
     slope, intercept = np.polyfit(np.log(sizes), np.log(means), 1)

@@ -188,6 +188,27 @@ class TestValidate:
         assert "three distinct grid sizes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_qv_size_among_three_exits_2(self, tmp_path, capsys):
+        # three distinct grids, one given twice: fitting it twice would
+        # weigh it double in the slope
+        out = tmp_path / "rep.json"
+        code = run("validate", "--check", "qv", "--hurst", "0.8", "--n", "16",
+                   "--paths", "200", "--qv-sizes", "16,16,32,64", "--out", str(out))
+        assert code == 2
+        assert "must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("check", ["variance", "covariance", "qv", "all"])
+    def test_single_path_exits_2_without_warning(self, tmp_path, capsys, check):
+        # one path has no sample variance; numpy must not be asked for one
+        # (its RuntimeWarning is an error in this suite)
+        out = tmp_path / "rep.json"
+        code = run("validate", "--check", check, "--hurst", "0.8", "--n", "16",
+                   "--paths", "1", "--qv-sizes", "16,32,64", "--out", str(out))
+        assert code == 2
+        assert "need at least two samples" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("process, hurst", [("rosenblatt", "0.8"), ("fbm", "0.9")])
     def test_builds_one_engine(self, tmp_path, monkeypatch, process, hurst):
         # the exact references of the coarsened n = 32 ensemble read the
@@ -273,6 +294,7 @@ class TestMarket:
         code = run("market", "--N", "16", "--hurst", "0.8", "--sigma", "0",
                    "--demo-arbitrage", "--out", str(tmp_path / "m.csv"))
         assert code == 4
+        assert list(tmp_path.iterdir()) == []
 
     def test_rate_parsing_errors(self, tmp_path):
         code = run("market", "--N", "16", "--hurst", "0.8",
@@ -294,23 +316,36 @@ class TestMarket:
     ])
     def test_builds_each_market_path_once(self, tmp_path, monkeypatch, flags, builds):
         # the realised path and, for the scan or the witness demo, the
-        # all-ones path: each is built once and read by every output
+        # all-ones path: one streamed pass builds each once, and every
+        # output reads it
         import rosenblatt.cli as cli
         import rosenblatt.market as market
-        build = market.build_market
-        noises = []
+        build = market.build_markets
+        calls = []
 
-        def counting(cfg, noise, *rest):
-            noises.append(noise.values.tolist())
-            return build(cfg, noise, *rest)
+        def counting(cfg, noises):
+            calls.append([noise.values.tolist() for noise in noises])
+            return build(cfg, noises)
 
-        # a build made inside the market layer counts too
-        monkeypatch.setattr(cli, "build_market", counting)
-        monkeypatch.setattr(market, "build_market", counting)
+        def refuse(*args):
+            raise AssertionError("a second market build")
+
+        monkeypatch.setattr(cli, "build_markets", counting)
+        # a build made inside the market layer would be a second pass
+        monkeypatch.setattr(market, "build_markets", refuse)
         assert run("market", "--N", "32", "--hurst", "0.8", "--seed", "1", *flags,
                    "--out", str(tmp_path / "m.csv")) == 0
-        assert len(noises) == builds
-        assert len({tuple(v) for v in noises}) == builds
+        assert len(calls) == 1
+        assert len({tuple(v) for v in calls[0]}) == len(calls[0]) == builds
+
+    def test_streams_without_engine_cache(self, tmp_path, monkeypatch):
+        # the market reads each panel block once, so it leaves no engine behind
+        import rosenblatt.kernel as kernel
+        monkeypatch.setattr(kernel, "_ENGINES", {})
+        assert run("market", "--N", "40", "--hurst", "0.8", "--scan-divergence",
+                   "--demo-arbitrage", "--witness-all-ones",
+                   "--out", str(tmp_path / "m.csv")) == 0
+        assert kernel._ENGINES == {}
 
     def test_market_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "mkt.csv"
@@ -366,6 +401,8 @@ class TestUsageErrors:
         ["market", "--N", "16", "--hurst", "0.8", "--sigma", "1e300", "--scan-divergence"],
         ["market", "--N", "16", "--hurst", "0.8", "--rate-a", "affine:1e308,1e308",
          "--scan-divergence", "--demo-arbitrage"],
+        # a precondition of the scan, checked before the market CSV is written
+        ["market", "--N", "3", "--hurst", "0.8", "--scan-divergence"],
     ])
     def test_non_finite_number_exits_2_writing_nothing(self, tmp_path, capsys, argv):
         code = run(*argv, "--out", str(tmp_path / "x.out"))

@@ -9,7 +9,7 @@ from rosenblatt import (DomainError, HurstParams, QuadratureError,
                         c_const, cell_weight, d_const, dK,
                         fbm_kernel, rosenblatt_kernel)
 from rosenblatt.kernel import (_BLOCK, VolterraEngine, _adaptive_gauss, _matmul,
-                               _node_sum, _roots_jacobi, get_engine)
+                               _node_sum, _roots_jacobi, branch_increments, get_engine)
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
 
@@ -431,20 +431,28 @@ class TestBranchIncrements:
                     "short": rng.integers(0, 2, n // 2) * 2.0 - 1.0}
         for name, x in prefixes.items():
             K = x.size + 1
-            got = eng.branch_increments(x)
-            assert got.shape == (2, K), name
+            got = branch_increments(n, p08, x[None, :])
+            assert got.shape == (1, 2, K), name
             for row, sign in enumerate((1.0, -1.0)):
                 xi = np.ones((K, n))
                 xi[:, : x.size] = x
                 xi[np.arange(K), np.arange(K)] = sign
                 want = eng.quadratic_increments(xi, True)[np.arange(K), np.arange(K)]
-                assert got[row].tobytes() == want.tobytes(), (name, sign)
+                assert got[0, row].tobytes() == want.tobytes(), (name, sign)
+        # prefixes stacked in one pass keep the bits of their own passes
+        stack = np.stack([prefixes["ones"], prefixes["rademacher"], -prefixes["rademacher"]])
+        got = branch_increments(n, p08, stack)
+        assert got.shape == (3, 2, n)
+        for x, rows in zip(stack, got):
+            assert rows.tobytes() == branch_increments(n, p08, x[None, :]).tobytes()
 
-    @pytest.mark.parametrize("x", [np.ones((2, 3)), np.ones(8), np.ones(12),
-                                   np.random.default_rng(0).standard_normal(5)])
-    def test_rejects_2d_or_too_long_prefix(self, p08, x):
+    @pytest.mark.parametrize("x", [np.ones(5), np.ones((1, 1, 5)), np.ones((1, 8)),
+                                   np.ones((2, 12)), np.ones((0, 5)),
+                                   np.random.default_rng(0).standard_normal((1, 5))])
+    def test_rejects_malformed_prefixes(self, p08, x):
+        # a (P, L) array of +-1 with P >= 1 and L < n, nothing else
         with pytest.raises(DomainError):
-            get_engine(8, p08).branch_increments(x)
+            branch_increments(8, p08, x)
 
 
 class TestRootsJacobi:

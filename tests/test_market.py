@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rosenblatt import (DomainError, InconclusiveError, MarketConfig,
-                        affine_rate, arbitrage_demo, bs_limit, build_market,
+                        affine_rate, arbitrage_demo, bs_limit, build_market, build_markets,
                         constant_rate, divergence_scan, make_noise,
                         no_arbitrage_check, rosenblatt_walk, tabulated_rate)
 from rosenblatt.kernel import get_engine
@@ -113,6 +113,49 @@ class TestBuildMarket:
         with pytest.raises(DomainError, match="Rademacher"):
             build_market(std_cfg, NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0,
                                                 values=half))
+
+    def test_paths_of_one_pass_equal_their_own_builds(self):
+        # build_markets stacks every path's prefix in one branch pass; each
+        # path keeps every bit of its own one-path build
+        cfg = cfg_with(N=300, sigma=0.7)
+        noises = [make_noise(300, "rademacher", 3),
+                  NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(300)),
+                  make_noise(300, "rademacher", 5)]
+        for path, noise in zip(build_markets(cfg, noises), noises):
+            alone = build_market(cfg, noise)
+            assert path.noise is noise
+            for name in ("X", "B", "S", "u", "d", "r_minus_a"):
+                assert getattr(path, name).tobytes() == getattr(alone, name).tobytes(), name
+
+    def test_holds_few_blocks_at_once(self, monkeypatch):
+        # the branch pass builds each of N = 300's 19 panel blocks, uses it
+        # and drops it: no more blocks are alive at once than the build has
+        # workers, plus one
+        import threading
+        import weakref
+        from rosenblatt import kernel
+        build = kernel._Panels._block
+        lock = threading.Lock()
+        count = {"alive": 0, "peak": 0, "built": 0}
+
+        def dropped():
+            with lock:
+                count["alive"] -= 1
+
+        def tracked(self, lo, last):
+            t = build(self, lo, last)
+            with lock:
+                count["alive"] += 1
+                count["built"] += 1
+                count["peak"] = max(count["peak"], count["alive"])
+            weakref.finalize(t["A_gl"], dropped)
+            return t
+
+        monkeypatch.setattr(kernel._Panels, "_block", tracked)
+        build_market(cfg_with(N=300), make_noise(300, "rademacher", 7))
+        assert count["built"] == 19
+        assert count["alive"] == 0
+        assert count["peak"] <= min(kernel._cpus(), 19) + 1
 
     def test_sigma_zero_deterministic(self):
         cfg = cfg_with(N=16, sigma=0.0, r=0.3, a=0.1)

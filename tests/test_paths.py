@@ -73,6 +73,16 @@ class TestCoarsen:
             with pytest.raises(DomainError):
                 ens.coarsen(n)
 
+    def test_frozen_keeps_drawn_grid(self, p07):
+        # n cannot be reassigned away from drawn_n; a coarsened copy keeps
+        # the grid its paths were drawn on
+        import dataclasses
+        ens = simulate_ensemble(2, 1, "rademacher", p07, "rosenblatt", 8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ens.n = 64
+        assert ens.drawn_n == 8
+        assert ens.coarsen(4).coarsen(2).drawn_n == 8
+
     def test_hurst_index(self):
         ens = {tag: simulate_ensemble(2, 1, "rademacher", self.PARAMS[tag], tag, 4)
                for tag in self.PARAMS}

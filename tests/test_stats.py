@@ -1,4 +1,6 @@
 """Moment reports, quadratic variation, histograms, and the exact finite-n laws."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -165,11 +167,10 @@ class TestSkewness:
 
     def test_scale_invariance(self, rose_ens):
         rep = skewness(rose_ens, 1.0)
-        scaled = simulate_ensemble(100, 1, "rademacher", rose_ens.params,
-                                   "rosenblatt", 8)
-        scaled.values = rose_ens.values * 3.7
-        scaled.n = rose_ens.n
-        scaled.master_seed = rose_ens.master_seed
+        scaled = replace(simulate_ensemble(100, 1, "rademacher", rose_ens.params,
+                                           "rosenblatt", 8),
+                         values=rose_ens.values * 3.7, n=rose_ens.n,
+                         master_seed=rose_ens.master_seed)
         rep2 = skewness(scaled, 1.0)
         assert rep2.estimate == pytest.approx(rep.estimate, rel=1e-12)
 
@@ -217,6 +218,9 @@ class TestQuadraticVariation:
         # three ensembles on two grids: the fitted line passes through both exactly
         with pytest.raises(DomainError, match="distinct"):
             qv_decay([rose_ens, rose_ens, rose_ens.coarsen(32)])
+        # three distinct grids, one of them twice, would weigh that grid double
+        with pytest.raises(DomainError, match="must not repeat"):
+            qv_decay([rose_ens.coarsen(16), rose_ens, rose_ens.coarsen(32), rose_ens])
 
     def test_qv_decay_matches_exact_slope(self, p08):
         from rosenblatt.kernel import get_engine
@@ -243,7 +247,7 @@ class TestHistogram:
 
     def test_all_equal_samples_single_bin(self, p08):
         ens = simulate_ensemble(100, 4, "rademacher", p08, "rosenblatt", 8)
-        ens.values = np.full_like(ens.values, 2.5)
+        ens = replace(ens, values=np.full_like(ens.values, 2.5))
         h = histogram(ens, 1.0, 10)
         assert (h.counts > 0).sum() == 1
         assert int(h.counts.sum()) == 100
