@@ -200,7 +200,9 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             checks.append({"check": "skewness", "passed": bool(ok),
                            **asdict(rep), "note": note})
         elif name == "qv":
-            fit = st.qv_decay([ensemble(nn) for nn in sizes])
+            # the qv grids are coarsened one at a time, each dropped once read
+            fit = st.qv_decay(ensembles[nn] if nn in ensembles else finest.coarsen(nn)
+                              for nn in sizes)
             expo = 1 - 2 * finest.hurst_index
             ok = abs(fit.slope - expo) <= 0.15
             if process is ProcessTag.ROSENBLATT:

@@ -36,8 +36,9 @@ holds no more blocks at once than the build has workers.  Every panel
 integrates with the same 16 nodes per family (``_NODES``).  The node tables
 are stacked in blocks of 16 consecutive panels, each a zero-padded
 (K, 16 * nodes) matrix whose rows are the cells i <= K of the block's last
-panel, so the ensemble pass runs one GEMM per block where it would run
-sixteen thin ones; the zero rows add exact zeros to every product.  For
+panel, so the ensemble pass (``increment_slabs``, one noise slab of 512
+rows at a time) runs one GEMM per block where it would run sixteen thin
+ones; the zero rows add exact zeros to every product.  For
 Gaussian noise only the Gauss-Legendre product is squared, and its weighted
 node sums are one GEMM against a block-diagonal weight matrix; the
 Gauss-Jacobi cross term and the squared-noise term are linear in their
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -63,8 +65,11 @@ from scipy import special
 
 # Panels per stacked block of node tables, nodes per panel of each
 # Gauss-Legendre / Gauss-Jacobi family (the adaptive rules use as many), noise
-# rows per GEMM in ``quadratic_increments`` (the slab bounds the temporaries at
-# a few MiB), and the inner-dimension chunk and column multiple of ``_matmul``.
+# rows per slab of the ensemble pass (``increment_slabs``; an ensemble is
+# drawn, passed and summed one slab at a time, so the slab bounds both the
+# GEMM temporaries and the noise held at once to a few MiB; a slab starts at
+# a multiple of 512, though no row's bits depend on its slab), and the
+# inner-dimension chunk and column multiple of ``_matmul``.
 _BLOCK = 16
 _NODES = 16
 _SLAB = 512
@@ -638,7 +643,7 @@ class VolterraEngine(_Panels):
     k fills rows :k of its column slice.  Next to them the block holds, one
     row per panel, the weights wR = w_j1 R, the scalar e2 = int_panel E^2,
     row k - 2 of A_j1 and the column sums of A_gl^2.
-    ``quadratic_increments`` (the ensembles) multiplies the noise by whole
+    ``increment_slabs`` (the ensembles) multiplies each noise slab by whole
     blocks through ``_increments``; the dense matrices read the blocks too,
     through one ``_gram`` product per block (``table_matrix``) or per
     ``panel`` (``delta_table``), and ``fbm_matrix`` sums each block's panel
@@ -725,36 +730,53 @@ class VolterraEngine(_Panels):
 
     # -- quadratic-form increments for path generation -----------------------
 
-    def quadratic_increments(self, xi: np.ndarray, unit_squares: bool) -> np.ndarray:
-        """Increments Z(k/n) - Z((k-1)/n) of the off-diagonal quadratic form.
+    def increment_slabs(self, slabs: Iterable[np.ndarray],
+                        unit_squares: bool) -> Iterator[np.ndarray]:
+        """Increments Z(k/n) - Z((k-1)/n) of the off-diagonal quadratic form,
+        one (rows, n) array per noise slab, in the order of ``slabs``.
 
-        xi has shape (M, n); column k - 1 of the result is the panel-k
-        increment of every row.  Rows go through in slabs of 512 and panels
-        in blocks of 16.  Passing unit_squares=True (Rademacher noise) takes
-        the xi^2 reduction from the stored column sums and runs two GEMMs,
+        Each slab has shape (rows, n); column k - 1 of its result is the
+        panel-k increment of every row, and panels go through in blocks of
+        16.  This is the one pass of the ensembles: a slab is drawn, passed
+        and dropped before the next, so the caller holds no more noise than
+        one slab.  Passing unit_squares=True (Rademacher noise) takes the
+        xi^2 reduction from the stored column sums and runs two GEMMs,
         16 * nodes wide, per slab and block.  Otherwise (Gaussian noise) the
-        squared-noise and the cross terms are contracted over the nodes before
-        their products, and the squared node sums are weighed and summed by
-        a block-diagonal weight matrix, so a slab and block runs one GEMM
-        16 * nodes wide and three 16 wide; the contracted tables
-        (``_contracted``) are built per call, not kept, so the engine holds
-        no more than its blocks.  Both give the same sum to within rounding;
-        the unit-square branch keeps its per-node operation order, which fixes
-        the bits of the Rademacher ensembles and of ``branch_increments``.
+        squared-noise and the cross terms are contracted over the nodes
+        before their products, and the squared node sums are weighed and
+        summed by a block-diagonal weight matrix, so a slab and block runs
+        one GEMM 16 * nodes wide and three 16 wide; the contracted tables
+        (``_contracted``) are built once per pass, not kept, so the engine
+        holds no more than its blocks.  Both give the same sum to within
+        rounding; the unit-square branch keeps its per-node operation order,
+        which fixes the bits of the Rademacher ensembles and of
+        ``branch_increments``.  Every product goes through ``_matmul``, so
+        no row's bits depend on the rows of its slab.
         """
-        M, n = xi.shape
-        if n != self.n:
-            raise DomainError(f"noise length {n} does not match grid {self.n}")
         tabs = [None if unit_squares else self._contracted(t) for t in self._blocks]
-        out = np.empty((M, n))
-        for r in range(0, M, _SLAB):
-            x = np.zeros((min(_SLAB, M - r), n + 1))
-            x[:, 1:] = xi[r: r + _SLAB]
+        n = self.n
+        for xi in slabs:
+            if xi.shape[1] != n:
+                raise DomainError(f"noise length {xi.shape[1]} does not match grid {n}")
+            x = np.zeros((xi.shape[0], n + 1))
+            x[:, 1:] = xi
             x2 = None if unit_squares else x ** 2
+            out = np.empty(xi.shape)
             for t, tab in zip(self._blocks, tabs):
                 lo, K = t["lo"], t["A_gl"].shape[0]
-                out[r: r + _SLAB, lo - 1: K] = self._increments(
+                out[:, lo - 1: K] = self._increments(
                     t, x[:, : K + 1], None if x2 is None else x2[:, : K + 1], tab)
+            yield out
+
+    def quadratic_increments(self, xi: np.ndarray, unit_squares: bool) -> np.ndarray:
+        """``increment_slabs`` of the (M, n) noise xi held in memory, (M, n).
+
+        The rows go through in slabs of ``_SLAB``, as an ensemble's do."""
+        out = np.empty(xi.shape)
+        starts = range(0, xi.shape[0], _SLAB)
+        slabs = self.increment_slabs((xi[r: r + _SLAB] for r in starts), unit_squares)
+        for r, inc in zip(starts, slabs):
+            out[r: r + _SLAB] = inc
         return out
 
     @staticmethod

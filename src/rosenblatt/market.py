@@ -44,6 +44,13 @@ class InconclusiveError(RuntimeError):
     """No arbitrage violation found at this horizon; scan larger N or sigma."""
 
 
+def _require_finite(*named: tuple[str, np.ndarray]) -> None:
+    """Refuse the first (name, values) pair holding an infinity or a NaN."""
+    for name, values in named:
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"the market overflows: {name} is not finite")
+
+
 # ---------------------------------------------------------------------------
 # rate presets
 # ---------------------------------------------------------------------------
@@ -133,6 +140,10 @@ class MarketPath:
         return binary & ~((lo < ra) & (ra < hi))
 
     def to_csv(self, path: str | Path) -> None:
+        """One row per step n = 1..N; refuses, before opening the file, a
+        column that overflowed to an infinity or a NaN."""
+        _require_finite(("X", self.X), ("B", self.B), ("S", self.S), ("u", self.u),
+                        ("d", self.d), ("r - a", self.r_minus_a))
         N = self.cfg.N
         flags = self.violated
         with open(path, "w") as fh:
@@ -150,9 +161,12 @@ def build_markets(cfg: MarketConfig, noises: list[NoiseSequence]) -> list[Market
     One streamed branch pass gives every path's u and d; X_n is u_n where
     xi_n = +1 and d_n where xi_n = -1, so X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi)
     holds bit for bit, and each path has the bits of its own one-path pass.
-    Nonpositive stock prices are reported in `breakdown_at`, never repaired;
-    finite inputs whose prices or branch returns overflow to an infinity or
-    a NaN raise DomainError.
+    Nonpositive stock prices are reported in `breakdown_at`, never repaired.
+    Prices or branch returns that overflow to an infinity or a NaN are kept
+    as computed: each output checks the values it reads (``to_csv`` its
+    columns, ``divergence_scan`` d, ``arbitrage_demo`` the steps up to its
+    trade), so an overflow late on the witness path refuses no output that
+    does not read it.
     """
     for noise in noises:
         if noise.kind is not NoiseKind.RADEMACHER or not np.all(np.abs(noise.values) == 1.0):
@@ -169,9 +183,6 @@ def build_markets(cfg: MarketConfig, noises: list[NoiseSequence]) -> list[Market
         Ss = [cfg.S0 * np.cumprod(np.concatenate([[1.0], 1.0 + a + X])) for X in Xs]
     paths = []
     for noise, (u, d), X, S in zip(noises, branches, Xs, Ss):
-        for name, arr in (("S", S), ("B", B), ("u", u), ("d", d), ("r - a", r_minus_a)):
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"the market overflows: {name} is not finite")
         breakdown = None
         bad = np.nonzero(S[1:] <= 0)[0]
         if bad.size:
@@ -187,11 +198,15 @@ def build_market(cfg: MarketConfig, noise: NoiseSequence) -> MarketPath:
 
 
 def no_arbitrage_check(path: MarketPath) -> int | None:
-    """Smallest binary step n where d_n < r_n - a_n < u_n fails (equality counts).
+    """Smallest binary step n with S_{n-1} > 0 where d_n < r_n - a_n < u_n
+    fails (equality counts).
 
-    Returns None when the condition holds at every binary step of the path.
+    Steps after a breakdown of the stock price (S_{n-1} <= 0, or a NaN) are
+    skipped: there the one-period trade's P&L has the sign flipped, so the
+    violation gives no arbitrage.  Returns None when the condition holds at
+    every such binary step of the path.
     """
-    flags = path.violated
+    flags = path.violated & (path.S[:-1] > 0)
     hits = np.nonzero(flags)[0]
     return int(hits[0] + 1) if hits.size else None
 
@@ -229,6 +244,7 @@ def divergence_scan(witness: MarketPath) -> ArbitrageReport:
     if N < 4:
         raise DomainError("scan needs N >= 4")
     fg = witness.d[1:]      # d_n = (f - g)(n) on the all-ones path
+    _require_finite(("d", fg))
 
     ns = np.arange(2, N + 1)
     upper = ns >= N // 2
@@ -283,16 +299,27 @@ def branch_pnls(path: MarketPath, n: int, stock_units: float = 1.0,
 def arbitrage_demo(path: MarketPath, stock_units: float = 1.0) -> ArbitrageTrade:
     """Construct the riskless one-period trade at the path's first violation index.
 
-    Raises InconclusiveError when no violation occurs within the horizon.
+    Checks its own trade: both branch P&Ls must be >= 0 and one > 0.
+    Raises InconclusiveError when no violation occurs within the horizon or
+    the trade is no arbitrage (a P&L that rounds to a loss or to zero on
+    both branches), and DomainError when a price or branch return the
+    trade reads, up to its violation, overflowed.
     """
     n0 = no_arbitrage_check(path)
     if n0 is None:
         raise InconclusiveError(
             f"no arbitrage violation within N={path.cfg.N} at sigma={path.cfg.sigma}")
+    _require_finite(("S", path.S[:n0]), ("u", path.u[:n0]), ("d", path.d[:n0]),
+                    ("r - a", path.r_minus_a[n0 - 1]))
     ra = path.r_minus_a[n0 - 1]
     low_branch = min(path.u[n0 - 1], path.d[n0 - 1])
     strategy = "long-stock" if low_branch >= ra else "short-stock"
-    up, dn = branch_pnls(path, n0, stock_units, strategy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        up, dn = branch_pnls(path, n0, stock_units, strategy)
+    _require_finite(("the trade's P&L", (up, dn)))
+    if not (min(up, dn) >= 0.0 and max(up, dn) > 0.0):
+        raise InconclusiveError(
+            f"the trade at n={n0} is no arbitrage: {strategy}, pnl up {up!r}, down {dn!r}")
     return ArbitrageTrade(index=n0, strategy=strategy, stock_units=stock_units,
                           entry_stock=float(path.S[n0 - 1]), pnl_up=up, pnl_down=dn)
 

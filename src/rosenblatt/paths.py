@@ -18,17 +18,26 @@ row, resets it to the state a fresh ``Philox(key=...)`` starts in (key
 [seed, 0], counter 0, empty output buffer, no cached 32-bit half), which skips
 the per-row construction cost; ``make_noise`` builds the fresh generator and
 is the oracle the reused one is tested against.
+
+An ensemble is streamed: its noise is drawn one slab of 512 rows
+(``kernel._SLAB``) at a time, each slab runs through the walk (for the
+Rosenblatt walk, the engine's ``increment_slabs`` pass) and is summed
+straight into its rows of the preallocated (M, n + 1) values, and only then
+is the next slab drawn.  So the values are the only (M, .) array an ensemble
+ever holds whole; no (M, n) noise or increment matrix exists.  No row's bits
+depend on the slab it went through.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .kernel import DomainError, HurstParams, _matmul, get_engine
+from .kernel import _SLAB, DomainError, HurstParams, _matmul, get_engine
 
 
 class NoiseKind(str, Enum):
@@ -183,29 +192,38 @@ class PathEnsemble:
 # path generation
 # ---------------------------------------------------------------------------
 
-def _walks(xi: np.ndarray, kind: NoiseKind, p: HurstParams | None,
-           process_tag: ProcessTag) -> np.ndarray:
-    """Paths driven by the noise rows of xi, (M, n) -> (M, n + 1), column 0 zero.
+def _walks(slabs: Iterable[np.ndarray], count: int, n: int, kind: NoiseKind,
+           p: HurstParams | None, process_tag: ProcessTag) -> np.ndarray:
+    """Paths driven by the noise rows of ``slabs``, (count, n + 1), column 0 zero.
 
-    Each row's bits do not depend on M (``cumsum`` runs along the row, and
-    ``_matmul`` and the panel pass keep rows apart), so a single path is the
-    one-row case.
+    The slabs, each (rows, n), hold the count noise rows in order; each goes
+    through the walk and is summed into its rows of the result before the
+    next is read, so only the result is ever whole.  ``fbm_matrix`` and the
+    Rosenblatt pass's tables are built once, not per slab.  Each row's bits
+    depend neither on its slab nor on count (``cumsum`` runs along the row,
+    and ``_matmul`` and the panel pass keep rows apart), so a single path is
+    the one-row case.
     """
-    M, n = xi.shape
-    values = np.zeros((M, n + 1))
-    if process_tag is ProcessTag.WALK:
-        values[:, 1:] = np.cumsum(xi, axis=1) / np.sqrt(n)
-    elif process_tag is ProcessTag.FBM:
+    values = np.zeros((count, n + 1))
+    if process_tag is ProcessTag.FBM:
         T = get_engine(n, p).fbm_matrix()
-        values[:, 1:] = _matmul(xi, T.T) / np.sqrt(n)
-    else:
-        inc = get_engine(n, p).quadratic_increments(xi, kind is NoiseKind.RADEMACHER)
-        np.cumsum(inc, axis=1, out=values[:, 1:])
+    elif process_tag is ProcessTag.ROSENBLATT:
+        slabs = get_engine(n, p).increment_slabs(slabs, kind is NoiseKind.RADEMACHER)
+    r = 0
+    for x in slabs:
+        rows = values[r: r + x.shape[0], 1:]
+        r += x.shape[0]
+        if process_tag is ProcessTag.FBM:
+            np.divide(_matmul(x, T.T), np.sqrt(n), out=rows)
+        else:
+            np.cumsum(x, axis=1, out=rows)
+        if process_tag is ProcessTag.WALK:
+            rows /= np.sqrt(n)
     return values
 
 
 def _single(noise: NoiseSequence, p: HurstParams | None, process_tag: ProcessTag) -> GridPath:
-    values = _walks(noise.values[None, :], noise.kind, p, process_tag)[0]
+    values = _walks([noise.values[None, :]], 1, noise.n, noise.kind, p, process_tag)[0]
     return GridPath(n=noise.n, values=values, process_tag=process_tag)
 
 
@@ -243,13 +261,37 @@ def rosenblatt_walk(noise: NoiseSequence, p: HurstParams,
     return GridPath(n=n, values=values, process_tag=ProcessTag.ROSENBLATT)
 
 
+def _noise_slabs(count: int, master_seed: int, kind: NoiseKind,
+                 n: int) -> Iterator[np.ndarray]:
+    """The count noise rows, (rows, n) slabs of ``_SLAB`` rows, drawn lazily.
+
+    Row k is ``make_noise(n, kind, derive_seed(master_seed, k)).values`` bit
+    for bit, drawn from one generator reset per row.
+    """
+    rng = np.random.Generator(np.random.Philox(key=0))
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": None},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for r in range(0, count, _SLAB):
+        xi = np.empty((min(_SLAB, count - r), n))
+        for k, row in enumerate(xi, r):
+            fresh["state"]["key"] = (derive_seed(master_seed, k), 0)
+            rng.bit_generator.state = fresh
+            row[:] = _draw(rng, kind, n)
+        yield xi
+
+
 def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
                       p: HurstParams | None, process_tag: ProcessTag | str,
                       n: int) -> PathEnsemble:
     """count independent paths; member k is seeded by derive_seed(master_seed, k).
 
     Row k is driven by ``make_noise(n, kind, derive_seed(master_seed,
-    k)).values`` bit for bit, drawn from one generator reset per row.
+    k)).values`` bit for bit.  The noise is drawn, passed through the walk
+    and summed one slab of ``_SLAB`` rows at a time, so besides the (count,
+    n + 1) values the ensemble holds one slab's noise and increments, never
+    a (count, n) matrix.
     """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
@@ -257,19 +299,9 @@ def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
     process_tag = ProcessTag(process_tag)
     if process_tag is not ProcessTag.WALK and p is None:
         raise DomainError("fbm and rosenblatt ensembles need Hurst parameters")
-
-    rng = np.random.Generator(np.random.Philox(key=0))
-    fresh = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, np.uint64), "key": None},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    xi = np.empty((count, n))
-    for k in range(count):
-        fresh["state"]["key"] = (derive_seed(master_seed, k), 0)
-        rng.bit_generator.state = fresh
-        xi[k] = _draw(rng, kind, n)
-    return PathEnsemble(values=_walks(xi, kind, p, process_tag), n=n,
-                        process_tag=process_tag, kind=kind,
+    values = _walks(_noise_slabs(count, master_seed, kind, n), count, n, kind, p,
+                    process_tag)
+    return PathEnsemble(values=values, n=n, process_tag=process_tag, kind=kind,
                         master_seed=master_seed, params=p)
 
 
@@ -278,14 +310,18 @@ def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
 # ---------------------------------------------------------------------------
 
 def ensemble_to_csv(ens: PathEnsemble, path: str | Path) -> None:
-    """Long-format CSV: header path_id,m,t,value; one row per path per grid time."""
+    """Long-format CSV: header path_id,m,t,value; one row per path per grid time.
+
+    Every number is its shortest round-trip repr; each path is one write,
+    its lines built from the cached ",m,t," middles.
+    """
     n = ens.n
+    middles = [f",{m},{m / n!r}," for m in range(n + 1)]
     with open(path, "w") as fh:
         fh.write("path_id,m,t,value\n")
         for k in range(ens.count):
-            row = ens.values[k]
-            for m in range(n + 1):
-                fh.write(f"{k},{m},{m / n!r},{float(row[m])!r}\n")
+            fh.write("".join([f"{k}{mid}{v!r}\n"
+                              for mid, v in zip(middles, ens.values[k].tolist())]))
 
 
 def ensemble_metadata(ens: PathEnsemble) -> dict:

@@ -11,12 +11,13 @@ discrete value while reports carry both.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .kernel import DomainError, HurstParams, get_engine
+from .kernel import _SLAB, DomainError, HurstParams, get_engine
 from .paths import GridPath, PathEnsemble, ProcessTag, grid_index
 
 # resamples behind the skewness standard error
@@ -254,25 +255,30 @@ class QvDecayFit:
     std_errors: list[float]
 
 
-def qv_decay(ensembles: list[PathEnsemble]) -> QvDecayFit:
+def qv_decay(ensembles: Iterable[PathEnsemble]) -> QvDecayFit:
     """Fit the decay exponent of the mean quadratic variation at t = 1.
 
-    Refuses fewer than three distinct grid sizes: one gives no slope, and a
-    line through two points fits them exactly whatever the decay.  Refuses
-    a repeated grid size too, which would weigh that grid twice in the fit.
+    The ensembles are read one at a time, so a generator that coarsens each
+    on demand holds only one of them at once, and each is squared and summed
+    in slabs of ``_SLAB`` rows.  Refuses fewer than three distinct grid
+    sizes: one gives no slope, and a line through two points fits them
+    exactly whatever the decay.  Refuses a repeated grid size too, which
+    would weigh that grid twice in the fit.
     """
-    sizes = [ens.n for ens in ensembles]
+    sizes, means, ses = [], [], []
+    for ens in ensembles:
+        qv = np.empty(ens.count)
+        for r in range(0, ens.count, _SLAB):
+            d = np.diff(ens.values[r: r + _SLAB], axis=1)
+            d *= d
+            qv[r: r + _SLAB] = d.sum(axis=1)
+        sizes.append(ens.n)
+        means.append(float(qv.mean()))
+        ses.append(_mean_se(qv))
     if len(set(sizes)) < 3:
         raise DomainError("qv_decay needs at least three distinct grid sizes")
     if len(set(sizes)) < len(sizes):
         raise DomainError(f"qv_decay grid sizes must not repeat, got {sizes}")
-    means, ses = [], []
-    for ens in ensembles:
-        d = np.diff(ens.values, axis=1)
-        d *= d
-        qv = d.sum(axis=1)
-        means.append(float(qv.mean()))
-        ses.append(_mean_se(qv))
     slope, intercept = np.polyfit(np.log(sizes), np.log(means), 1)
     return QvDecayFit(slope=float(slope), intercept=float(intercept),
                       sizes=sizes, means=means, std_errors=ses)

@@ -296,6 +296,34 @@ class TestMarket:
         assert code == 4
         assert list(tmp_path.iterdir()) == []
 
+    def test_demo_trades_only_before_a_positive_price(self, tmp_path):
+        # the realised S_3 < 0 and the first violation is at n = 4, where the
+        # short trade would lose on both branches; the demo trades at the
+        # first violation with S_{n-1} > 0 instead
+        out = tmp_path / "m.csv"
+        assert run("market", "--N", "16", "--hurst", "0.8", "--sigma", "20",
+                   "--rate-a", "const:-3", "--demo-arbitrage", "--out", str(out)) == 0
+        S = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+        assert S[2] < 0.0
+        trade = json.loads((tmp_path / "m.csv.trade.json").read_text())
+        n0 = trade["index"]
+        assert n0 > 4 and trade["entry_stock"] == S[n0 - 2] > 0.0
+        assert min(trade["pnl_up"], trade["pnl_down"]) >= 0.0
+        assert max(trade["pnl_up"], trade["pnl_down"]) > 0.0
+
+    def test_witness_overflow_refuses_no_output_that_does_not_read_it(self, tmp_path):
+        # only the all-ones witness's S overflows (at n = 209); the scan reads
+        # its d and the demo its first steps, so every output is written
+        out = tmp_path / "m.csv"
+        assert run("market", "--hurst", "0.8", "--N", "256", "--sigma", "100",
+                   "--scan-divergence", "--demo-arbitrage", "--witness-all-ones",
+                   "--seed", "1", "--out", str(out)) == 0
+        scan = json.loads((tmp_path / "m.csv.scan.json").read_text())
+        trade = json.loads((tmp_path / "m.csv.trade.json").read_text())
+        assert len(scan["fg_sequence"]) == 255
+        assert trade["index"] == scan["first_violation"]
+        assert len(out.read_text().splitlines()) == 257
+
     def test_rate_parsing_errors(self, tmp_path):
         code = run("market", "--N", "16", "--hurst", "0.8",
                    "--rate-r", "spline:1", "--out", str(tmp_path / "m.csv"))

@@ -9,7 +9,7 @@ from rosenblatt import (DomainError, InconclusiveError, MarketConfig,
                         constant_rate, divergence_scan, make_noise,
                         no_arbitrage_check, rosenblatt_walk, tabulated_rate)
 from rosenblatt.kernel import get_engine
-from rosenblatt.market import branch_pnls
+from rosenblatt.market import MarketPath, branch_pnls
 from rosenblatt.paths import NoiseKind, NoiseSequence
 
 
@@ -224,6 +224,22 @@ class TestBuildMarket:
         assert path.breakdown_at is not None
         assert path.S[path.breakdown_at] <= 0.0
 
+    def test_overflow_is_kept_and_refused_by_each_reader(self, tmp_path):
+        # only the witness's S overflows: the build keeps it, the scan reads
+        # d alone, and the CSV writer refuses the path before opening a file
+        cfg = cfg_with(N=256, sigma=100.0)
+        ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=1, values=np.ones(256))
+        path, witness = build_markets(cfg, [make_noise(256, "rademacher", 1), ones])
+        assert np.all(np.isfinite(path.S)) and not np.all(np.isfinite(witness.S))
+        assert np.all(np.isfinite(witness.d))
+        assert divergence_scan(witness).first_violation == arbitrage_demo(witness).index
+        with pytest.raises(DomainError, match="S is not finite"):
+            witness.to_csv(tmp_path / "w.csv")
+        assert list(tmp_path.iterdir()) == []
+        witness.d[100] = np.inf
+        with pytest.raises(DomainError, match="d is not finite"):
+            divergence_scan(witness)
+
     def test_csv_export(self, std_path, tmp_path):
         f = tmp_path / "market.csv"
         std_path.to_csv(f)
@@ -259,6 +275,16 @@ class TestNoArbitrageCheck:
         path.r_minus_a[k] = min(path.u[k], path.d[k])
         hit = no_arbitrage_check(path)
         assert hit is not None and hit <= k + 1
+
+    def test_skips_steps_after_a_breakdown(self):
+        # S_3 < 0: the violation at n = 4 flips the trade's sign, so the
+        # first violation counted is the first one with S_{n-1} > 0
+        cfg = cfg_with(N=16, sigma=20.0, a=-3.0)
+        path = build_market(cfg, make_noise(16, "rademacher", 0))
+        assert path.S[3] < 0.0 and path.violated[3]
+        n0 = no_arbitrage_check(path)
+        assert n0 > 4 and path.S[n0 - 1] > 0.0
+        assert n0 == 1 + min(k for k in range(16) if path.violated[k] and path.S[k] > 0)
 
 
 class TestDivergence:
@@ -329,6 +355,27 @@ class TestArbitrageDemo:
         t2 = arbitrage_demo(path, stock_units=2.0)
         assert t2.pnl_up == pytest.approx(2 * t1.pnl_up)
         assert t2.pnl_down == pytest.approx(2 * t1.pnl_down)
+
+    def test_refuses_a_trade_that_is_no_arbitrage(self):
+        # S_1 is the smallest subnormal: both branch P&Ls round to zero
+        N = 4
+        path = MarketPath(cfg=cfg_with(N=N), noise=make_noise(N, "rademacher", 1),
+                          X=np.zeros(N), B=np.ones(N + 1),
+                          S=np.array([1.0, 5e-324, 1.0, 1.0, 1.0]),
+                          u=np.array([0.0, 0.75, 1.0, 1.0]), d=np.array([0.0, 0.5, 0.0, 0.0]),
+                          r_minus_a=np.full(N, 0.5))
+        assert no_arbitrage_check(path) == 2
+        assert branch_pnls(path, 2) == (0.0, 0.0)
+        with pytest.raises(InconclusiveError, match="no arbitrage"):
+            arbitrage_demo(path)
+
+    def test_refuses_an_overflowed_price_before_its_trade(self):
+        cfg = cfg_with(N=8)
+        path = ones_path(cfg)
+        n0 = no_arbitrage_check(path)
+        path.u[n0 - 2] = np.nan
+        with pytest.raises(DomainError, match="u is not finite"):
+            arbitrage_demo(path)
 
     def test_refuses_when_no_violation(self):
         cfg = cfg_with(N=16, sigma=0.0)

@@ -1,5 +1,6 @@
 """Noise generation, the three walks, ensembles, and their exact moments."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from rosenblatt import (DomainError, GridPath, HurstParams, NoiseKind,
                         NoiseSequence, ProcessTag, discrete_variance, fbm_walk,
                         make_noise, random_walk, rosenblatt_walk,
                         simulate_ensemble)
-from rosenblatt.kernel import get_engine
-from rosenblatt.paths import derive_seed, ensemble_metadata, write_ensemble, write_json
+from rosenblatt.kernel import _SLAB, _matmul, get_engine
+from rosenblatt.paths import (derive_seed, ensemble_metadata, ensemble_to_csv,
+                              write_ensemble, write_json)
 
 
 class TestNoise:
@@ -277,10 +279,63 @@ class TestEnsembles:
         k, m = int(row[0]), int(row[1])
         assert float(row[3]) == ens.values[k, m]
 
+    @pytest.mark.parametrize("process", ["walk", "rosenblatt"])
+    def test_csv_bytes_equal_line_by_line_writer(self, p07, tmp_path, process):
+        # the per-line formatting the writer batches, kept as its reference
+        ens = simulate_ensemble(5, 3, "gaussian", p07, process, 7)
+        ensemble_to_csv(ens, tmp_path / "ens.csv")
+        want = ["path_id,m,t,value\n"]
+        for k in range(ens.count):
+            for m in range(ens.n + 1):
+                want.append(f"{k},{m},{m / ens.n!r},{float(ens.values[k, m])!r}\n")
+        assert (tmp_path / "ens.csv").read_text() == "".join(want)
+
     def test_metadata_walk(self):
         ens = simulate_ensemble(2, 1, "rademacher", None, "walk", 8)
         meta = ensemble_metadata(ens)
         assert meta["H"] is None and meta["process"] == "walk"
+
+
+class TestStreamedPass:
+    """An ensemble is drawn, passed and summed one slab of _SLAB rows at a time."""
+
+    PARAMS = {"walk": None, "fbm": HurstParams.from_kernel_hurst(0.9),
+              "rosenblatt": HurstParams(0.8)}
+
+    @staticmethod
+    def whole_matrix(M, seed, kind, p, process, n):
+        """The ensemble from its whole (M, n) noise matrix, in one pass."""
+        xi = np.array([make_noise(n, kind, derive_seed(seed, k)).values for k in range(M)])
+        values = np.zeros((M, n + 1))
+        if process == "walk":
+            values[:, 1:] = np.cumsum(xi, axis=1) / np.sqrt(n)
+        elif process == "fbm":
+            values[:, 1:] = _matmul(xi, get_engine(n, p).fbm_matrix().T) / np.sqrt(n)
+        else:
+            inc = get_engine(n, p).quadratic_increments(xi, kind == "rademacher")
+            np.cumsum(inc, axis=1, out=values[:, 1:])
+        return values
+
+    @pytest.mark.parametrize("M", [1, 511, 512, 513, 1100])
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("process", ["walk", "fbm", "rosenblatt"])
+    def test_rows_equal_whole_matrix_pass(self, process, kind, M):
+        p, n = self.PARAMS[process], 37
+        ens = simulate_ensemble(M, 13, kind, p, process, n)
+        assert ens.values.tobytes() == self.whole_matrix(M, 13, kind, p, process, n).tobytes()
+
+    def test_holds_no_noise_or_increment_matrix(self, p08):
+        # besides the values, the pass may hold a few slabs' worth of noise,
+        # increments and GEMM temporaries, never an (M, n) matrix
+        M, n = 16384, 64
+        get_engine(n, p08)
+        tracemalloc.start()
+        try:
+            ens = simulate_ensemble(M, 5, "gaussian", p08, "rosenblatt", n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ens.values.nbytes + 16 * _SLAB * (n + 1) * 8
 
 
 class TestWriteJson:

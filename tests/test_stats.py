@@ -238,6 +238,24 @@ class TestQuadraticVariation:
         for mean, want in zip(fit.means, exact):
             assert mean == pytest.approx(want, rel=0.1)
 
+    def test_qv_decay_slabs_keep_whole_matrix_bits(self, p08):
+        # 1100 rows span three slabs; the per-slab squared differences must
+        # give the bits of the whole (M, n) difference matrix, and a
+        # generator that coarsens on demand the bits of a list
+        fine = simulate_ensemble(1100, 12, "gaussian", p08, "rosenblatt", 64)
+        sizes = (16, 32, 64)
+        fit = qv_decay(fine.coarsen(n) for n in sizes)
+        means, ses = [], []
+        for n in sizes:
+            d = np.diff(fine.coarsen(n).values, axis=1)
+            d *= d
+            qv = d.sum(axis=1)
+            means.append(float(qv.mean()))
+            ses.append(float(np.std(qv, ddof=1) / np.sqrt(qv.size)))
+        assert fit.sizes == list(sizes)
+        assert fit.means == means and fit.std_errors == ses
+        assert fit == qv_decay([fine.coarsen(n) for n in sizes])
+
 
 class TestHistogram:
     def test_counts_conserved(self, rose_ens):
