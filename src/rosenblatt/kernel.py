@@ -36,25 +36,24 @@ holds no more blocks at once than the build has workers.  Every panel
 integrates with the same 16 nodes per family (``_NODES``).  The node tables
 are stacked in blocks of 16 consecutive panels, each a zero-padded
 (K, 16 * nodes) matrix whose rows are the cells i <= K of the block's last
-panel, so the ensemble pass (``increment_slabs``, one noise slab of 512
-rows at a time) runs one GEMM per block where it would run sixteen thin
-ones; the zero rows add exact zeros to every product.  For
-Gaussian noise only the Gauss-Legendre product is squared, and its weighted
-node sums are one GEMM against a block-diagonal weight matrix; the
-Gauss-Jacobi cross term and the squared-noise term are linear in their
-tables, so they are contracted over the nodes first.  All three run as GEMMs
-16 (panels) wide.  One pass over the market's Rademacher noise prefixes
-gives the up and the down branch of every step of each, and with them the
-walk increments themselves.  The blocks are built on a thread pool, one
-worker per usable CPU: the build is mostly incomplete beta evaluations,
-which release the GIL, and each block is computed on its own, so no table
-depends on the worker count.
+panel, so the ensemble pass (``quadratic_increments``) runs one GEMM per
+block where it would run sixteen thin ones; the zero rows add exact zeros to
+every product.  For Gaussian noise only the Gauss-Legendre product is
+squared, and its weighted node sums are one GEMM against a block-diagonal
+weight matrix; the Gauss-Jacobi cross term and the squared-noise term are
+linear in their tables, so they are contracted over the nodes first, once,
+when the engine is built, and the exact-law matrices read the same
+contractions.  All three run as GEMMs 16 (panels) wide.  One pass over the
+market's Rademacher noise prefixes gives the up and the down branch of every
+step of each, and with them the walk increments themselves.  The blocks are
+built on a thread pool, one worker per usable CPU: the build is mostly
+incomplete beta evaluations, which release the GIL, and each block is
+computed on its own, so no table depends on the worker count.
 """
 from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -64,15 +63,10 @@ from scipy import special
 
 
 # Panels per stacked block of node tables, nodes per panel of each
-# Gauss-Legendre / Gauss-Jacobi family (the adaptive rules use as many), noise
-# rows per slab of the ensemble pass (``increment_slabs``; an ensemble is
-# drawn, passed and summed one slab at a time, so the slab bounds both the
-# GEMM temporaries and the noise held at once to a few MiB; a slab starts at
-# a multiple of 512, though no row's bits depend on its slab), and the
-# inner-dimension chunk and column multiple of ``_matmul``.
+# Gauss-Legendre / Gauss-Jacobi family (the adaptive rules use as many), and
+# the inner-dimension chunk and column multiple of ``_matmul``.
 _BLOCK = 16
 _NODES = 16
-_SLAB = 512
 _KCHUNK = 256
 _NPAD = 16
 # xi_k of the up (row 0) and the down (row 1) branch of a prefix in
@@ -178,12 +172,11 @@ def _gram(v: dict) -> np.ndarray:
     """Unscaled panel Gram sum of a block, or a cut of one, in ``panel``'s
     layout: A W A^T + S M1^T + M1 S^T + S diag(e2) S^T, with A the A_gl
     columns, W the w_gl of each panel, S the panels' ``_signs`` and M1 their
-    m1 = sum_q wR A_j1; one GEMM [A W | S | M1 | S e2] @ [A | M1 | S | S]^T.
+    stored m1 = sum_q wR A_j1; one GEMM [A W | S | M1 | S e2] @ [A | M1 | S | S]^T.
     """
-    A = v["A_gl"]
+    A, M1 = v["A_gl"], v["m1"]
     K, B = A.shape[0], v["e2"].size
     S = _signs(v["lo"], B, K)
-    M1 = _node_sum(v["A_j1"], v["wR"])
     AW = (A.reshape(K, B, _NODES) * v["w_gl"]).reshape(K, -1)
     return np.hstack([AW, S, M1, S * v["e2"]]) @ np.hstack([A, M1, S, S]).T
 
@@ -510,7 +503,11 @@ class _Panels:
         self._j1 = _roots_jacobi(_NODES, self._alpha)
         self._j2 = _roots_jacobi(_NODES, 2 * self._alpha)
         self._w_gl = 0.5 / n * self._gl[1]
-        self._w_gl.setflags(write=False)
+        # block-diagonal (16 * nodes, 16): w_gl in the node rows of each
+        # panel's column; a partial block of B panels reads [:B * nodes, :B]
+        self._W = np.kron(np.eye(_BLOCK), self._w_gl[:, None])
+        for arr in (self._w_gl, self._W):
+            arr.setflags(write=False)
 
     # -- closed-form one-dimensional integrals ------------------------------
 
@@ -581,23 +578,23 @@ class _Panels:
                 lambda lo: use(self._block(lo, min(lo + _BLOCK - 1, self.n))), los))
 
     def _increments(self, t: dict, x: np.ndarray, x2: np.ndarray | None,
-                    tab: tuple | None, cur: np.ndarray | None = None) -> np.ndarray:
+                    cur: np.ndarray | None = None) -> np.ndarray:
         """Increments of the consecutive panels of block t for each row of x,
         shape (M, panels).
 
         x has shape (M, K + 1), K the last panel of t, with column i holding
-        xi_i and column 0 the absent xi_0 = 0; x2 is its square and tab the
-        block's ``_contracted`` tables, both None for unit squares.  cur, if
-        given, replaces xi_k of every panel k of t; it must broadcast against
-        (M, panels).  The sum over pairs i != j <= k of xi_i xi_j
-        int_panel G_i G_j is expanded through the Abar/E split into
+        xi_i and column 0 the absent xi_0 = 0; x2 is its square, None for
+        unit squares.  cur, if given, replaces xi_k of every panel k of t; it
+        must broadcast against (M, panels).  The sum over pairs i != j <= k of
+        xi_i xi_j int_panel G_i G_j is expanded through the Abar/E split into
         sum_q w_gl (S_q^2 - Qd_q) + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q
         + xi_{k-1}^2 row_q) - 2 xi_k xi_{k-1} e2, with S = x @ A_gl,
         S1 = x @ A_j1 and Qd = x2 @ A_gl^2, so it costs O(M k nodes) flops
         per panel.  Only S is squared; the Qd and S1 sums are linear in their
-        tables, so with tab they are x2 @ D and x @ m1, 16 columns wide, and
-        sum_q w_gl S_q^2 is S^2 @ W with tab's block-diagonal W.  Every
-        product goes through ``_matmul``, so no row's bits depend on M.
+        tables, so with x2 they are x2 @ D and x @ m1, 16 columns wide, from
+        the block's ``_contracted`` tables, and sum_q w_gl S_q^2 is S^2 @ W
+        with the block-diagonal W.  Every product goes through ``_matmul``,
+        so no row's bits depend on M.
         """
         M = x.shape[0]
         B, nodes = t["wR"].shape
@@ -607,7 +604,7 @@ class _Panels:
             cur = x[:, lo: lo + B]
         S = _matmul(x[:, 1:], t["A_gl"]).reshape(M, B, nodes)
         S *= S
-        if tab is None:
+        if x2 is None:
             # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
             # + (2 * (xs*S1 + row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
             # xs = xi_k - xi_{k-1}: the order fixes every bit of the result
@@ -621,12 +618,11 @@ class _Panels:
             S1 *= t["wR"]
             part += S1.sum(axis=2)
         else:
-            W, D, m1, diag = tab
-            part = _matmul(S.reshape(M, -1), W)
-            part -= _matmul(x2[:, 1:], D)
-            cross = _matmul(x[:, 1:], m1)
+            part = _matmul(S.reshape(M, -1), self._W[: B * nodes, :B])
+            part -= _matmul(x2[:, 1:], t["D"])
+            cross = _matmul(x[:, 1:], t["m1"])
             cross *= cur - prev
-            cross += x2[:, lo - 1: lo - 1 + B] * diag
+            cross += x2[:, lo - 1: lo - 1 + B] * t["diag"]
             cross *= 2.0
             part += cross
         part -= 2.0 * (cur * prev) * t["e2"]
@@ -642,13 +638,15 @@ class VolterraEngine(_Panels):
     the block's last panel (a last, partial block has fewer columns); panel
     k fills rows :k of its column slice.  Next to them the block holds, one
     row per panel, the weights wR = w_j1 R, the scalar e2 = int_panel E^2,
-    row k - 2 of A_j1 and the column sums of A_gl^2.
-    ``increment_slabs`` (the ensembles) multiplies each noise slab by whole
-    blocks through ``_increments``; the dense matrices read the blocks too,
-    through one ``_gram`` product per block (``table_matrix``) or per
-    ``panel`` (``delta_table``), and ``fbm_matrix`` sums each block's panel
-    integrals.  The market's branch pass reads each block once, so it keeps
-    none (``branch_increments``).
+    row k - 2 of A_j1 and the column sums of A_gl^2, and, once the pool is
+    done, the block's node contractions D, m1 and diag (``_contracted``,
+    built on the calling thread, one block at a time).
+    ``quadratic_increments`` (the ensembles, once per noise slab) multiplies
+    its noise rows by whole blocks through ``_increments``; the dense
+    matrices read the blocks too, through one ``_gram`` product per block
+    (``table_matrix``) or per ``panel`` (``delta_table``), and
+    ``fbm_matrix`` sums each block's panel integrals.  The market's branch
+    pass reads each block once, so it keeps none (``branch_increments``).
 
     Instances are read-only after construction and safe to share across
     readers; acquire them through ``get_engine``.
@@ -657,6 +655,8 @@ class VolterraEngine(_Panels):
     def __init__(self, n: int, p: HurstParams):
         super().__init__(n, p)
         self._blocks = self._map(lambda t: t)
+        for t in self._blocks:
+            t.update(self._contracted(t))
 
     def panel(self, k: int) -> dict:
         """Read-only views of panel k = [(k-1)/n, k/n] in its block's layout:
@@ -671,7 +671,7 @@ class VolterraEngine(_Panels):
         cols = slice(j0 * _NODES, j1 * _NODES)
         one = {key: t[key][j0: j1] for key in ("Qd", "row", "wR", "e2")}
         return {"lo": first, "A_gl": t["A_gl"][:last, cols], "A_j1": t["A_j1"][:last, cols],
-                "w_gl": self._w_gl, **one}
+                "m1": t["m1"][:last, j0: j1], "w_gl": self._w_gl, **one}
 
     def _scaled(self, G: np.ndarray) -> np.ndarray:
         """n dH G, exactly symmetric (BLAS products are symmetric only to 1 ulp),
@@ -730,66 +730,49 @@ class VolterraEngine(_Panels):
 
     # -- quadratic-form increments for path generation -----------------------
 
-    def increment_slabs(self, slabs: Iterable[np.ndarray],
-                        unit_squares: bool) -> Iterator[np.ndarray]:
-        """Increments Z(k/n) - Z((k-1)/n) of the off-diagonal quadratic form,
-        one (rows, n) array per noise slab, in the order of ``slabs``.
-
-        Each slab has shape (rows, n); column k - 1 of its result is the
-        panel-k increment of every row, and panels go through in blocks of
-        16.  This is the one pass of the ensembles: a slab is drawn, passed
-        and dropped before the next, so the caller holds no more noise than
-        one slab.  Passing unit_squares=True (Rademacher noise) takes the
-        xi^2 reduction from the stored column sums and runs two GEMMs,
-        16 * nodes wide, per slab and block.  Otherwise (Gaussian noise) the
-        squared-noise and the cross terms are contracted over the nodes
-        before their products, and the squared node sums are weighed and
-        summed by a block-diagonal weight matrix, so a slab and block runs
-        one GEMM 16 * nodes wide and three 16 wide; the contracted tables
-        (``_contracted``) are built once per pass, not kept, so the engine
-        holds no more than its blocks.  Both give the same sum to within
-        rounding; the unit-square branch keeps its per-node operation order,
-        which fixes the bits of the Rademacher ensembles and of
-        ``branch_increments``.  Every product goes through ``_matmul``, so
-        no row's bits depend on the rows of its slab.
-        """
-        tabs = [None if unit_squares else self._contracted(t) for t in self._blocks]
-        n = self.n
-        for xi in slabs:
-            if xi.shape[1] != n:
-                raise DomainError(f"noise length {xi.shape[1]} does not match grid {n}")
-            x = np.zeros((xi.shape[0], n + 1))
-            x[:, 1:] = xi
-            x2 = None if unit_squares else x ** 2
-            out = np.empty(xi.shape)
-            for t, tab in zip(self._blocks, tabs):
-                lo, K = t["lo"], t["A_gl"].shape[0]
-                out[:, lo - 1: K] = self._increments(
-                    t, x[:, : K + 1], None if x2 is None else x2[:, : K + 1], tab)
-            yield out
-
     def quadratic_increments(self, xi: np.ndarray, unit_squares: bool) -> np.ndarray:
-        """``increment_slabs`` of the (M, n) noise xi held in memory, (M, n).
+        """Increments Z(k/n) - Z((k-1)/n) of the off-diagonal quadratic form
+        for each row of the (M, n) noise xi, shape (M, n).
 
-        The rows go through in slabs of ``_SLAB``, as an ensemble's do."""
+        Column k - 1 of the result is the panel-k increment of every row, and
+        every stored block runs once over all M rows.  This is the one pass of
+        the ensembles, which call it once per noise slab.  Passing
+        unit_squares=True (Rademacher noise) takes the xi^2 reduction from
+        the stored column sums and runs two GEMMs, 16 * nodes wide, per
+        block.  Otherwise (Gaussian noise) the squared-noise and the cross
+        terms read the block's stored node contractions, and the squared
+        node sums are weighed and summed by the block-diagonal weight matrix,
+        so a block runs one GEMM 16 * nodes wide and three 16 wide.  Both
+        give the same sum to within rounding; the unit-square branch keeps
+        its per-node operation order, which fixes the bits of the Rademacher
+        ensembles and of ``branch_increments``.  Every product goes through
+        ``_matmul``, so no row's bits depend on the other rows of xi.
+        """
+        n = self.n
+        if xi.shape[1] != n:
+            raise DomainError(f"noise length {xi.shape[1]} does not match grid {n}")
+        x = np.zeros((xi.shape[0], n + 1))
+        x[:, 1:] = xi
+        x2 = None if unit_squares else x ** 2
         out = np.empty(xi.shape)
-        starts = range(0, xi.shape[0], _SLAB)
-        slabs = self.increment_slabs((xi[r: r + _SLAB] for r in starts), unit_squares)
-        for r, inc in zip(starts, slabs):
-            out[r: r + _SLAB] = inc
+        for t in self._blocks:
+            lo, K = t["lo"], t["A_gl"].shape[0]
+            out[:, lo - 1: K] = self._increments(
+                t, x[:, : K + 1], None if x2 is None else x2[:, : K + 1])
         return out
 
     @staticmethod
-    def _contracted(t: dict) -> tuple:
-        """Node contractions of block t for noise without unit squares: the
-        block-diagonal (16 * nodes, panels) W that puts w_gl in the node rows
-        of each panel's column, so S^2 @ W = sum_q w_gl S_q^2; D = sum_q w_gl
-        A_gl^2 and ``delta_table``'s m1 = sum_q wR A_j1, each (K, panels); and
-        sum_q wR row, which is m1's row k - 2 for panel k."""
-        wR = t["wR"]
-        W = np.kron(np.eye(wR.shape[0]), t["w_gl"][:, None])
-        return (W, _node_sum(t["A_gl"] ** 2, t["w_gl"]), _node_sum(t["A_j1"], wR),
-                _node_sum(t["row"].reshape(1, -1), wR)[0])
+    def _contracted(t: dict) -> dict:
+        """Node contractions of block t, each frozen: D = sum_q w_gl A_gl^2
+        and m1 = sum_q wR A_j1, each (K, panels), and diag = sum_q wR row,
+        which is m1's row k - 2 for panel k.  The Gaussian pass reads all
+        three; ``_gram`` reads m1."""
+        out = {"D": _node_sum(t["A_gl"] ** 2, t["w_gl"]),
+               "m1": _node_sum(t["A_j1"], t["wR"]),
+               "diag": _node_sum(t["row"].reshape(1, -1), t["wR"])[0]}
+        for arr in out.values():
+            arr.setflags(write=False)
+        return out
 
 
 _ENGINES: dict[tuple, VolterraEngine] = {}
@@ -834,5 +817,5 @@ def branch_increments(n: int, p: HurstParams, prefixes: np.ndarray) -> np.ndarra
     cur = np.tile(_BRANCHES, (P, 1))
     panels = _Panels(n, p)
     parts = panels._map(lambda t: panels._increments(
-        t, xs[:, : t["A_gl"].shape[0] + 1], None, None, cur))
+        t, xs[:, : t["A_gl"].shape[0] + 1], None, cur))
     return np.hstack(parts)[:, : L + 1].reshape(P, 2, L + 1)

@@ -19,13 +19,13 @@ row, resets it to the state a fresh ``Philox(key=...)`` starts in (key
 the per-row construction cost; ``make_noise`` builds the fresh generator and
 is the oracle the reused one is tested against.
 
-An ensemble is streamed: its noise is drawn one slab of 512 rows
-(``kernel._SLAB``) at a time, each slab runs through the walk (for the
-Rosenblatt walk, the engine's ``increment_slabs`` pass) and is summed
-straight into its rows of the preallocated (M, n + 1) values, and only then
-is the next slab drawn.  So the values are the only (M, .) array an ensemble
-ever holds whole; no (M, n) noise or increment matrix exists.  No row's bits
-depend on the slab it went through.
+An ensemble is streamed: its noise is drawn one slab of 512 rows (``_SLAB``)
+at a time, each slab runs through the walk (for the Rosenblatt walk, one call
+of the engine's ``quadratic_increments`` pass) and is summed straight into
+its rows of the preallocated (M, n + 1) values, and only then is the next
+slab drawn.  So the values are the only (M, .) array an ensemble ever holds
+whole; no (M, n) noise or increment matrix exists.  No row's bits depend on
+the slab it went through.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import _SLAB, DomainError, HurstParams, _matmul, get_engine
+from .kernel import DomainError, HurstParams, _matmul, get_engine
 
 
 class NoiseKind(str, Enum):
@@ -50,6 +50,11 @@ class ProcessTag(str, Enum):
     FBM = "fbm"
     ROSENBLATT = "rosenblatt"
 
+
+# Noise rows per slab of an ensemble, which is drawn, passed and summed one
+# slab at a time: the slab bounds both the pass's GEMM temporaries and the
+# noise held at once to a few MiB.  No row's bits depend on its slab.
+_SLAB = 512
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -198,26 +203,28 @@ def _walks(slabs: Iterable[np.ndarray], count: int, n: int, kind: NoiseKind,
 
     The slabs, each (rows, n), hold the count noise rows in order; each goes
     through the walk and is summed into its rows of the result before the
-    next is read, so only the result is ever whole.  ``fbm_matrix`` and the
-    Rosenblatt pass's tables are built once, not per slab.  Each row's bits
-    depend neither on its slab nor on count (``cumsum`` runs along the row,
-    and ``_matmul`` and the panel pass keep rows apart), so a single path is
-    the one-row case.
+    next is read, so only the result is ever whole.  The Rosenblatt walk
+    calls the engine's ``quadratic_increments`` once per slab; ``fbm_matrix``
+    is built once, not per slab.  Each row's bits depend neither on its slab
+    nor on count (``cumsum`` runs along the row, and ``_matmul`` and the
+    panel pass keep rows apart), so a single path is the one-row case.
     """
     values = np.zeros((count, n + 1))
     if process_tag is ProcessTag.FBM:
         T = get_engine(n, p).fbm_matrix()
     elif process_tag is ProcessTag.ROSENBLATT:
-        slabs = get_engine(n, p).increment_slabs(slabs, kind is NoiseKind.RADEMACHER)
+        eng = get_engine(n, p)
     r = 0
     for x in slabs:
         rows = values[r: r + x.shape[0], 1:]
         r += x.shape[0]
         if process_tag is ProcessTag.FBM:
             np.divide(_matmul(x, T.T), np.sqrt(n), out=rows)
+        elif process_tag is ProcessTag.ROSENBLATT:
+            np.cumsum(eng.quadratic_increments(x, kind is NoiseKind.RADEMACHER),
+                      axis=1, out=rows)
         else:
             np.cumsum(x, axis=1, out=rows)
-        if process_tag is ProcessTag.WALK:
             rows /= np.sqrt(n)
     return values
 

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import _SLAB, DomainError, HurstParams, get_engine
-from .paths import GridPath, PathEnsemble, ProcessTag, grid_index
+from .kernel import DomainError, HurstParams, get_engine
+from .paths import _SLAB, GridPath, PathEnsemble, ProcessTag, grid_index
 
 # resamples behind the skewness standard error
 _BOOTSTRAP = 200
@@ -263,7 +263,9 @@ def qv_decay(ensembles: Iterable[PathEnsemble]) -> QvDecayFit:
     in slabs of ``_SLAB`` rows.  Refuses fewer than three distinct grid
     sizes: one gives no slope, and a line through two points fits them
     exactly whatever the decay.  Refuses a repeated grid size too, which
-    would weigh that grid twice in the fit.
+    would weigh that grid twice in the fit, and a grid whose mean QV is not
+    positive, which has no logarithm (the Rosenblatt walk on grid 1 has no
+    off-diagonal pair, so its QV is exactly 0).
     """
     sizes, means, ses = [], [], []
     for ens in ensembles:
@@ -279,6 +281,9 @@ def qv_decay(ensembles: Iterable[PathEnsemble]) -> QvDecayFit:
         raise DomainError("qv_decay needs at least three distinct grid sizes")
     if len(set(sizes)) < len(sizes):
         raise DomainError(f"qv_decay grid sizes must not repeat, got {sizes}")
+    for n, mean in zip(sizes, means):
+        if not mean > 0.0:
+            raise DomainError(f"qv_decay needs a positive mean QV, got {mean} on grid {n}")
     slope, intercept = np.polyfit(np.log(sizes), np.log(means), 1)
     return QvDecayFit(slope=float(slope), intercept=float(intercept),
                       sizes=sizes, means=means, std_errors=ses)

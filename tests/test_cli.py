@@ -198,6 +198,17 @@ class TestValidate:
         assert "must not repeat" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("check, n", [("qv", "2"), ("all", "1")])
+    def test_rosenblatt_qv_grid_of_one_exits_2(self, tmp_path, capsys, check, n):
+        # grid 1 has no off-diagonal pair, so its QV is exactly 0 and has no
+        # logarithm: a usage error, with no report written
+        out = tmp_path / "rep.json"
+        code = run("validate", "--check", check, "--hurst", "0.8", "--n", n,
+                   "--paths", "200", "--qv-sizes", "1,2,4", "--out", str(out))
+        assert code == 2
+        assert "positive mean QV" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("check", ["variance", "covariance", "qv", "all"])
     def test_single_path_exits_2_without_warning(self, tmp_path, capsys, check):
         # one path has no sample variance; numpy must not be asked for one

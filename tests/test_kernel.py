@@ -10,6 +10,7 @@ from rosenblatt import (DomainError, HurstParams, QuadratureError,
                         fbm_kernel, rosenblatt_kernel)
 from rosenblatt.kernel import (_BLOCK, VolterraEngine, _adaptive_gauss, _matmul,
                                _node_sum, _roots_jacobi, branch_increments, get_engine)
+from rosenblatt.paths import NoiseKind, _noise_slabs
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
 
@@ -318,6 +319,27 @@ class TestWeightTable:
             tables = list(pool.map(lambda _: eng.table_matrix(24), range(16)))
         assert all(np.array_equal(tables[0], t) for t in tables[1:])
         assert not eng.panel(5)["A_gl"].flags.writeable
+        # the node contractions stored next to each block, and the engine's
+        # block-diagonal weight matrix, are frozen with the rest
+        for t in eng._blocks:
+            for key in ("D", "m1", "diag"):
+                assert not t[key].flags.writeable, key
+        assert not eng._W.flags.writeable
+        assert not eng.panel(5)["m1"].flags.writeable
+
+    @pytest.mark.parametrize("H", [0.6, 0.8])
+    @pytest.mark.parametrize("n", [7, 128, 300])
+    def test_stored_contractions_equal_node_sums(self, H, n):
+        # m1 of every cut is the node sum of the cut's own A_j1 bit for bit,
+        # and diag is m1's row k - 2 for panel k (row 0 for panel 1)
+        eng = get_engine(n, HurstParams(H))
+        for k in range(1, n + 1):
+            v = eng.panel(k)
+            assert v["m1"].tobytes() == _node_sum(v["A_j1"], v["wR"]).tobytes(), k
+        for t in eng._blocks:
+            ks = t["lo"] + np.arange(t["e2"].size)
+            assert t["diag"].tobytes() == t["m1"][np.maximum(ks - 2, 0), ks - t["lo"]].tobytes()
+            assert t["D"].tobytes() == _node_sum(t["A_gl"] ** 2, t["w_gl"]).tobytes()
 
     @pytest.mark.parametrize("n", [7, 128, 300])
     def test_parallel_build_equals_serial_blocks(self, p08, n):
@@ -344,9 +366,10 @@ class TestQuadraticIncrements:
     @pytest.mark.parametrize("n", [7, 37, 300, 400, 513])
     @pytest.mark.parametrize("M", [1, 2, 513, 1100])
     def test_rows_independent_of_batch(self, p08, n, M):
-        # slabs of 512 rows, blocks of 16 panels and (n > 256) the chunked
-        # inner dimension must not change any bit; n = 513 runs the 16-wide
-        # Gaussian GEMMs over an inner dimension above 384, in three chunks
+        # the whole batch in one pass (M = 1100 included), blocks of 16
+        # panels and (n > 256) the chunked inner dimension must not change
+        # any bit; n = 513 runs the 16-wide Gaussian GEMMs over an inner
+        # dimension above 384, in three chunks
         eng = get_engine(n, p08)
         rng = np.random.default_rng(n * 10007 + M)
         noise = {True: rng.integers(0, 2, (M, n)) * 2.0 - 1.0,
@@ -356,6 +379,20 @@ class TestQuadraticIncrements:
             for r in sorted({0, 1, 511, 512, M - 1} & set(range(M))):
                 alone = eng.quadratic_increments(xi[r:r + 1], unit)[0]
                 assert np.array_equal(batch[r], alone), (unit, r)
+
+    def test_one_batch_equals_slabs_at_validate_size(self, p08):
+        # the 5000 x 256 Gaussian noise of validate's default draw, in one
+        # pass and slab by slab as an ensemble runs it: the same bits
+        n = 256
+        eng = get_engine(n, p08)
+        slabs = list(_noise_slabs(5000, 0, NoiseKind.GAUSSIAN, n))
+        whole = eng.quadratic_increments(np.vstack(slabs), False)
+        r = 0
+        for xi in slabs:
+            part = eng.quadratic_increments(xi, False)
+            assert part.tobytes() == whole[r: r + xi.shape[0]].tobytes(), r
+            r += xi.shape[0]
+        assert r == 5000
 
     @pytest.mark.parametrize("n", [7, 37, 300])
     def test_matches_delta_table_quadratic_form(self, p07, n):

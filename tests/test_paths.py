@@ -9,8 +9,8 @@ from rosenblatt import (DomainError, GridPath, HurstParams, NoiseKind,
                         NoiseSequence, ProcessTag, discrete_variance, fbm_walk,
                         make_noise, random_walk, rosenblatt_walk,
                         simulate_ensemble)
-from rosenblatt.kernel import _SLAB, _matmul, get_engine
-from rosenblatt.paths import (derive_seed, ensemble_metadata, ensemble_to_csv,
+from rosenblatt.kernel import _matmul, get_engine
+from rosenblatt.paths import (_SLAB, derive_seed, ensemble_metadata, ensemble_to_csv,
                               write_ensemble, write_json)
 
 
@@ -323,6 +323,21 @@ class TestStreamedPass:
         p, n = self.PARAMS[process], 37
         ens = simulate_ensemble(M, 13, kind, p, process, n)
         assert ens.values.tobytes() == self.whole_matrix(M, 13, kind, p, process, n).tobytes()
+
+    @pytest.mark.parametrize("M, rows", [(1100, [512, 512, 76]), (1, [1])])
+    def test_one_pass_call_per_slab(self, monkeypatch, M, rows):
+        # the ensemble runs the engine's one pass, once per noise slab
+        from rosenblatt.kernel import VolterraEngine
+        calls = []
+        original = VolterraEngine.quadratic_increments
+
+        def recording(self, xi, unit_squares):
+            calls.append(xi.shape[0])
+            return original(self, xi, unit_squares)
+
+        monkeypatch.setattr(VolterraEngine, "quadratic_increments", recording)
+        simulate_ensemble(M, 13, "gaussian", self.PARAMS["rosenblatt"], "rosenblatt", 37)
+        assert calls == rows
 
     def test_holds_no_noise_or_increment_matrix(self, p08):
         # besides the values, the pass may hold a few slabs' worth of noise,

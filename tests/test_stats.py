@@ -222,6 +222,14 @@ class TestQuadraticVariation:
         with pytest.raises(DomainError, match="must not repeat"):
             qv_decay([rose_ens.coarsen(16), rose_ens, rose_ens.coarsen(32), rose_ens])
 
+    def test_qv_decay_refuses_zero_mean_grid(self, rose_ens):
+        # on grid 1 the quadratic form has no off-diagonal pair: every QV is
+        # exactly 0, and log 0 would turn the fit into NaN
+        grids = [rose_ens.coarsen(1), rose_ens.coarsen(2), rose_ens.coarsen(4)]
+        assert not np.any(grids[0].values)
+        with pytest.raises(DomainError, match="positive mean QV"):
+            qv_decay(grids)
+
     def test_qv_decay_matches_exact_slope(self, p08):
         from rosenblatt.kernel import get_engine
         sizes = (16, 32, 64, 128)
