@@ -6,9 +6,9 @@ manifest (<out>.manifest.json) recording the resolved command line, so
 `rosenblatt rerun MANIFEST` reproduces the artifacts exactly.  Wall time is
 reported on stderr only; nothing volatile is written into output files.
 
-Exit codes: 0 pass, 1 check failure, 2 usage (a bad flag or value, or an
-output path that cannot be written), 4 inconclusive (arbitrage demo found no
-violation at this scale).
+Exit codes: 0 pass, 1 check failure, 2 usage (a bad flag or value, a size
+too large for memory, or an output path that cannot be written),
+4 inconclusive (arbitrage demo found no violation at this scale).
 """
 from __future__ import annotations
 
@@ -405,8 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if code not in (0,) else 0
     start = time.perf_counter()
     try:
-        code = args.func(args, argv)
-    except (DomainError, OSError) as exc:
+        # the manifest records the expanded flags: rerun never rereads a config
+        code = args.func(args, expanded)
+    except (DomainError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InconclusiveError as exc:

@@ -12,6 +12,10 @@ drive the symmetric two-variable kernel (Hp = (H+1)/2)
 whose grid-cell integrals c_ij(m) = n * iint_{cell_i x cell_j} F(m/n, u, v)
 are the quadratic-form coefficients of the approximating walk.
 
+Point evaluations have one rule each: ``fbm_kernel`` is K in closed form
+(Euler's integral, a 2F1), and ``rosenblatt_kernel`` takes the time integral
+of F from ``_phi_grid``, the fixed graded rule ``cell_weight`` runs inside.
+
 Two independent evaluation orders are provided for the cell integrals:
 
 * ``cell_weight``  - outer tensor Gauss over the (u, v) cell pair with the
@@ -63,7 +67,7 @@ from scipy import special
 
 
 # Panels per stacked block of node tables, nodes per panel of each
-# Gauss-Legendre / Gauss-Jacobi family (the adaptive rules use as many), and
+# Gauss-Legendre / Gauss-Jacobi family (``cell_weight``'s rule uses as many), and
 # the inner-dimension chunk and column multiple of ``_matmul``.
 _BLOCK = 16
 _NODES = 16
@@ -72,8 +76,8 @@ _NPAD = 16
 # xi_k of the up (row 0) and the down (row 1) branch of a prefix in
 # ``branch_increments``
 _BRANCHES = np.array([[1.0], [-1.0]])
-# Stopping rule of the adaptive routines (``fbm_kernel``, ``rosenblatt_kernel``,
-# ``cell_weight``): relative and absolute error, and the bisection budget unit.
+# Stopping rule of ``cell_weight``'s adaptive (u, v) loop: relative and
+# absolute error, and the bisection budget unit.
 _REL_TOL = 1e-8
 _ABS_TOL = 1e-12
 _MAX_SUBDIV = 40
@@ -242,70 +246,27 @@ class HurstParams:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre (scalar integrands)
-# ---------------------------------------------------------------------------
-
-def _adaptive_gauss(f, a: float, b: float) -> float:
-    """Globally adaptive Gauss-Legendre for a vectorised integrand on [a, b].
-
-    Each interval carries a Richardson estimate (one-panel rule against the
-    sum over its two halves); the worst interval is bisected until the total
-    estimated error meets max(_REL_TOL * |integral|, _ABS_TOL).
-    """
-    if b <= a:
-        return 0.0
-    x, w = _leggauss(_NODES)
-
-    def rule(lo, hi):
-        h2 = 0.5 * (hi - lo)
-        return h2 * float(np.dot(w, f(lo + h2 * (x + 1.0))))
-
-    def entry(lo, hi):
-        mid = 0.5 * (lo + hi)
-        fine = rule(lo, mid) + rule(mid, hi)
-        return [abs(rule(lo, hi) - fine), lo, hi, fine]
-
-    segs = [entry(a, b)]
-    total = segs[0][3]
-    err = segs[0][0]
-    pops = 0
-    while err > max(_REL_TOL * abs(total), _ABS_TOL):
-        pops += 1
-        if pops > 16 * _MAX_SUBDIV:
-            raise QuadratureError(
-                f"adaptive quadrature failed to reach rel_tol={_REL_TOL} "
-                f"after {pops} bisections")
-        segs.sort(key=lambda s: s[0])
-        e, lo, hi, fine = segs.pop()
-        mid = 0.5 * (lo + hi)
-        left, right = entry(lo, mid), entry(mid, hi)
-        total += left[3] + right[3] - fine
-        err += left[0] + right[0] - e
-        segs.append(left)
-        segs.append(right)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # point evaluations
 # ---------------------------------------------------------------------------
 
 def fbm_kernel(t: float, s: float, p: HurstParams) -> float:
     """fBm kernel K(t, s) for 0 < s <= t.
 
-    The endpoint singularity (u-s)^(Hp-3/2) is absorbed exactly by the
-    substitution w = (u-s)^(Hp-1/2); the transformed integrand is handled by
-    adaptive Gauss-Legendre.  Returns 0 in the limit t == s.
+    Closed form: substituting u = s + w turns the integral into Euler's
+    integral of the hypergeometric function (DLMF 15.6.1), so with
+    alpha = Hp - 1/2
+
+        K(t, s) = cHp (t-s)^alpha / alpha * 2F1(-alpha, alpha; alpha+1; 1 - t/s).
+
+    Returns 0 in the limit t == s.
     """
     if s <= 0 or s > t:
         raise DomainError(f"need 0 < s <= t, got s={s}, t={t}")
     if t == s:
         return 0.0
-    Hp = p.Hp
-    alpha = Hp - 0.5
-    g = lambda w: (s + w ** (1.0 / alpha)) ** (Hp - 0.5)
-    val = _adaptive_gauss(g, 0.0, (t - s) ** alpha) / alpha
-    return p.cHp * s ** (0.5 - Hp) * val
+    alpha = p.Hp - 0.5
+    return float(p.cHp * (t - s) ** alpha / alpha
+                 * special.hyp2f1(-alpha, alpha, alpha + 1, 1 - t / s))
 
 
 def dK(t: float, s: float, p: HurstParams) -> float:
@@ -318,47 +279,6 @@ def dK(t: float, s: float, p: HurstParams) -> float:
         raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
     return p.cHp * (s / t) ** (0.5 - p.Hp) * (t - s) ** (p.Hp - 1.5)
 
-
-def _phi_adaptive(t, u, v, p):
-    """int_{max(u,v)}^t a^(2Hp-1) (a-u)^(Hp-3/2) (a-v)^(Hp-3/2) da, u != v.
-
-    Substituting w = (a - max(u,v))^alpha absorbs the singular factor of the
-    larger argument; the other factor is smooth on the open interval.
-    """
-    Hp = p.Hp
-    alpha = Hp - 0.5
-    lo, mn = max(u, v), min(u, v)
-
-    def g(w):
-        a = lo + w ** (1.0 / alpha)
-        return a ** (2 * Hp - 1) * (a - mn) ** (Hp - 1.5)
-
-    return _adaptive_gauss(g, 0.0, (t - lo) ** alpha) / alpha
-
-
-def rosenblatt_kernel(t: float, u: float, v: float, p: HurstParams) -> float:
-    """Two-variable kernel F(t, u, v); symmetric in (u, v), zero for u >= t or v >= t.
-
-    Point evaluation refuses u == 0, v == 0 (the y^(1/2-Hp) factor is
-    singular there) and u == v (the time integral diverges on the diagonal;
-    every discrete sum excludes it).  Cell integrals handle both by
-    integration.
-    """
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"need t in (0, 1], got {t}")
-    if u <= 0.0 or v <= 0.0:
-        raise DomainError("point evaluation of F requires u > 0 and v > 0")
-    if u >= t or v >= t:
-        return 0.0
-    if u == v:
-        raise DomainError("F diverges on the diagonal u == v")
-    Hp = p.Hp
-    return p.dH * p.cHp ** 2 * (u * v) ** (0.5 - Hp) * _phi_adaptive(t, u, v, p)
-
-
-# ---------------------------------------------------------------------------
-# direct cell integrals (outer tensor Gauss over the cell)
-# ---------------------------------------------------------------------------
 
 def _phi_grid(t, U, V, p):
     """Vectorised inner time integral over flat arrays U, V (entries < t, U != V).
@@ -385,6 +305,31 @@ def _phi_grid(t, U, V, p):
     vals = wg * a ** (2 * Hp - 1) * (a - mn[None, None, :]) ** (Hp - 1.5)
     return vals.sum(axis=(0, 1)) / alpha
 
+
+def rosenblatt_kernel(t: float, u: float, v: float, p: HurstParams) -> float:
+    """Two-variable kernel F(t, u, v); symmetric in (u, v), zero for u >= t or v >= t.
+
+    Point evaluation refuses u == 0, v == 0 (the y^(1/2-Hp) factor is
+    singular there) and u == v (the time integral diverges on the diagonal;
+    every discrete sum excludes it).  Cell integrals handle both by
+    integration.  The time integral is ``_phi_grid``, the rule of
+    ``cell_weight``.
+    """
+    if not 0.0 < t <= 1.0:
+        raise DomainError(f"need t in (0, 1], got {t}")
+    if u <= 0.0 or v <= 0.0:
+        raise DomainError("point evaluation of F requires u > 0 and v > 0")
+    if u >= t or v >= t:
+        return 0.0
+    if u == v:
+        raise DomainError("F diverges on the diagonal u == v")
+    return (p.dH * p.cHp ** 2 * (u * v) ** (0.5 - p.Hp)
+            * float(_phi_grid(t, np.array([u]), np.array([v]), p)[0]))
+
+
+# ---------------------------------------------------------------------------
+# direct cell integrals (outer tensor Gauss over the cell)
+# ---------------------------------------------------------------------------
 
 def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams) -> float:
     """Cell coefficient c_ij(m) = n * iint_{cell_i x cell_j} F(m/n, u, v) dv du.

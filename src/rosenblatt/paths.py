@@ -30,6 +30,7 @@ the slab it went through.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -87,6 +88,13 @@ class NoiseSequence:
         return self.values.size
 
 
+def require_addressable(*shape: int) -> None:
+    """MemoryError, not numpy's ValueError, for a float array of this shape
+    whose bytes exceed the address space, as for one beyond free memory."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"an array of shape {shape} exceeds the address space")
+
+
 def _draw(rng: np.random.Generator, kind: NoiseKind, n: int) -> np.ndarray:
     if kind is NoiseKind.RADEMACHER:
         return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
@@ -98,6 +106,7 @@ def make_noise(n: int, kind: NoiseKind | str, seed: int) -> NoiseSequence:
     if n < 1:
         raise DomainError(f"noise length must be positive, got {n}")
     kind = NoiseKind(kind)
+    require_addressable(n)
     values = _draw(np.random.Generator(np.random.Philox(key=seed & _MASK)), kind, n)
     values.setflags(write=False)
     return NoiseSequence(kind=kind, seed=seed, values=values)
@@ -209,6 +218,7 @@ def _walks(slabs: Iterable[np.ndarray], count: int, n: int, kind: NoiseKind,
     nor on count (``cumsum`` runs along the row, and ``_matmul`` and the
     panel pass keep rows apart), so a single path is the one-row case.
     """
+    require_addressable(count, n + 1)
     values = np.zeros((count, n + 1))
     if process_tag is ProcessTag.FBM:
         T = get_engine(n, p).fbm_matrix()

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import DomainError, HurstParams, get_engine
-from .paths import _SLAB, GridPath, PathEnsemble, ProcessTag, grid_index
+from .paths import (_SLAB, GridPath, PathEnsemble, ProcessTag, grid_index,
+                    require_addressable)
 
 # resamples behind the skewness standard error
 _BOOTSTRAP = 200
@@ -293,6 +294,7 @@ def histogram(ens: PathEnsemble, t: float, bins: int) -> Histogram:
     """Equal-width histogram of the marginal at t spanning the sample range."""
     if bins < 2:
         raise DomainError("need at least 2 bins")
+    require_addressable(bins + 1)
     x = ens.values_at(t)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:

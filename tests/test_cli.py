@@ -417,6 +417,20 @@ class TestConfigFile:
         meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
         assert meta["M"] == 4
 
+    def test_rerun_replays_the_flags_not_the_current_config(self, tmp_path):
+        # the manifest holds the expanded flags, so editing the config file
+        # after the run does not change what rerun writes
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("process=walk\nn=8\npaths=2\nseed=1\n")
+        out = tmp_path / "a.csv"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        first = out.read_bytes()
+        manifest = tmp_path / "a.csv.manifest.json"
+        argv = json.loads(manifest.read_text())["argv"]
+        assert "--config" not in argv and argv[argv.index("--seed") + 1] == "1"
+        cfg.write_text("process=walk\nn=8\npaths=2\nseed=2\n")
+        assert run("rerun", str(manifest)) == 0
+        assert out.read_bytes() == first
 
     @pytest.mark.parametrize("tail", [[], ["no-such-file.cfg"]])
     def test_config_without_readable_file_exits_2(self, tmp_path, capsys, tail):
@@ -447,6 +461,23 @@ class TestUsageErrors:
         code = run(*argv, "--out", str(tmp_path / "x.out"))
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        # numpy refuses these at allocation, before touching any memory:
+        # more bytes than free memory, or than the address space holds
+        ["validate", "--check", "histogram", "--process", "walk", "--n", "8",
+         "--paths", "200", "--bins", "1000000000000000"],
+        ["simulate", "--process", "walk", "--n", "8", "--paths", "1000000000000000"],
+        ["simulate", "--process", "walk", "--n", "8", "--paths", "100000000000000000000"],
+        ["simulate", "--process", "walk", "--n", "100000000000000000000", "--paths", "2"],
+        ["market", "--N", "100000000000000000000", "--hurst", "0.8"],
+    ])
+    def test_size_beyond_memory_exits_2_writing_nothing(self, tmp_path, capsys, argv):
+        code = run(*argv, "--out", str(tmp_path / "x.out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_rate_table_exits_2(self, tmp_path, capsys):

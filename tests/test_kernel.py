@@ -8,8 +8,9 @@ from scipy.integrate import quad
 from rosenblatt import (DomainError, HurstParams, QuadratureError,
                         c_const, cell_weight, d_const, dK,
                         fbm_kernel, rosenblatt_kernel)
-from rosenblatt.kernel import (_BLOCK, VolterraEngine, _adaptive_gauss, _matmul,
-                               _node_sum, _roots_jacobi, branch_increments, get_engine)
+from rosenblatt import kernel
+from rosenblatt.kernel import (_BLOCK, VolterraEngine, _matmul, _node_sum,
+                               _roots_jacobi, branch_increments, get_engine)
 from rosenblatt.paths import NoiseKind, _noise_slabs
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
@@ -83,16 +84,19 @@ class TestFbmKernel:
         with pytest.raises(DomainError):
             fbm_kernel(0.3, 0.5, p07)
 
-    def test_subdivision_budget_raises(self):
-        # 1/x is not integrable on [0, 1]: the bisections chase the pole at 0
-        # until the budget runs out
-        with pytest.raises(QuadratureError, match="after 641 bisections"):
-            _adaptive_gauss(lambda x: 1.0 / x, 0.0, 1.0)
-
     def test_against_qaws_oracle(self):
         for (t, s, Hp) in [(1.0, 0.5, 0.76), (0.8, 0.3, 0.8), (1.0, 0.02, 0.9)]:
             p = HurstParams.from_kernel_hurst(Hp)
             assert fbm_kernel(t, s, p) == pytest.approx(K_oracle(t, s, Hp), rel=1e-9)
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-6])
+    @pytest.mark.parametrize("Hp", [0.751, 0.999])
+    def test_closed_form_at_extreme_arguments(self, s, Hp):
+        # tiny s, where the 2F1 argument 1 - t/s reaches -1e9, and Hp near
+        # both ends of (3/4, 1)
+        p = HurstParams.from_kernel_hurst(Hp)
+        for t in (2 * s, 0.5, 1.0):
+            assert fbm_kernel(t, s, p) == pytest.approx(K_oracle(t, s, Hp), rel=1e-12)
 
     def test_nondecreasing_in_t(self, p06):
         s = 0.3
@@ -195,6 +199,12 @@ class TestCellWeight:
             b = cell_weight(m, int(j), int(i), 8, p07)
             assert a == pytest.approx(b, rel=1e-7)
             assert a >= 0
+
+    def test_subdivision_budget_raises(self, p08, monkeypatch):
+        # with no budget the first bisection the error estimate asks for fails
+        monkeypatch.setattr(kernel, "_MAX_SUBDIV", 0)
+        with pytest.raises(QuadratureError, match="failed to converge after 1 bisections"):
+            cell_weight(8, 1, 2, 8, p08)
 
     def test_against_independent_oracle(self, p08):
         for (m, i, j) in [(8, 1, 2), (8, 3, 6), (8, 7, 8), (5, 2, 5), (8, 1, 8)]:
