@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .kernel import (
     DomainError,
     HurstParams,
-    QuadratureError,
     c_const,
     cell_weight,
     d_const,

@@ -14,12 +14,13 @@ are the quadratic-form coefficients of the approximating walk.
 
 Point evaluations have one rule each: ``fbm_kernel`` is K in closed form
 (Euler's integral, a 2F1), and ``rosenblatt_kernel`` takes the time integral
-of F from ``_phi_grid``, the fixed graded rule ``cell_weight`` runs inside.
+of F from ``_phi_grid``, the rule ``cell_weight`` runs inside.  Both read one
+geometrically graded composite Gauss-Legendre rule (``_graded``).
 
 Two independent evaluation orders are provided for the cell integrals:
 
-* ``cell_weight``  - outer tensor Gauss over the (u, v) cell pair with the
-  time integral innermost, fully adaptive; slow but self-contained.
+* ``cell_weight``  - a fixed tensor product of graded rules over the (u, v)
+  cell pair with the time integral innermost; slow but self-contained.
 * ``table_matrix`` - time integral outermost, factorised through the
   one-dimensional cell integrals g_i(a) = int_{cell_i} dK(a, u) du, which
   reduce to regularized incomplete beta functions.  Per grid panel the
@@ -67,8 +68,8 @@ from scipy import special
 
 
 # Panels per stacked block of node tables, nodes per panel of each
-# Gauss-Legendre / Gauss-Jacobi family (``cell_weight``'s rule uses as many), and
-# the inner-dimension chunk and column multiple of ``_matmul``.
+# Gauss-Legendre / Gauss-Jacobi family, and the inner-dimension chunk and
+# column multiple of ``_matmul``.
 _BLOCK = 16
 _NODES = 16
 _KCHUNK = 256
@@ -76,16 +77,36 @@ _NPAD = 16
 # xi_k of the up (row 0) and the down (row 1) branch of a prefix in
 # ``branch_increments``
 _BRANCHES = np.array([[1.0], [-1.0]])
-# Stopping rule of ``cell_weight``'s adaptive (u, v) loop: relative and
-# absolute error, and the bisection budget unit.
-_REL_TOL = 1e-8
-_ABS_TOL = 1e-12
-_MAX_SUBDIV = 40
+# ``_graded``'s rule: panels per graded end, each this factor narrower toward
+# it, and Gauss-Legendre nodes per panel.
+_DEPTH, _RATIO, _GNODES = 8, 4.0, 12
 
 
 @lru_cache(maxsize=None)
 def _leggauss(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
+
+
+def _graded(lo, hi, left: bool, right: bool):
+    """Composite Gauss-Legendre nodes and weights on [lo, hi], node axis first.
+
+    Each flagged end gets ``_DEPTH`` panels, each ``_RATIO`` times narrower
+    toward it (both ends: one such half each), so an integrable power or
+    logarithmic singularity at that end converges geometrically in the node
+    count; no flag gives one panel.  lo and hi broadcast.
+    """
+    e = np.concatenate([[0.0], _RATIO ** -np.arange(_DEPTH - 1, -1.0, -1)])
+    if left and right:
+        e = np.concatenate([0.5 * e, 1.0 - 0.5 * e[-2::-1]])
+    elif right:
+        e = 1.0 - e[::-1]
+    elif not left:
+        e = np.array([0.0, 1.0])
+    x, w = _leggauss(_GNODES)
+    h = 0.5 * np.diff(e)[:, None]
+    span = np.subtract(hi, lo)
+    return (lo + np.multiply.outer((e[:-1, None] + h * (x + 1.0)).ravel(), span),
+            np.multiply.outer((h * w).ravel(), span))
 
 
 def _roots_jacobi(n: int, b: float):
@@ -189,10 +210,6 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of a kernel quantity."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget."""
-
-
 # ---------------------------------------------------------------------------
 # parameter bundles
 # ---------------------------------------------------------------------------
@@ -283,27 +300,16 @@ def dK(t: float, s: float, p: HurstParams) -> float:
 def _phi_grid(t, U, V, p):
     """Vectorised inner time integral over flat arrays U, V (entries < t, U != V).
 
-    Fixed composite rule: exact power substitution w = (a - max)^alpha, then
-    12-node Gauss-Legendre on 8 panels of [0, (t-max)^alpha], graded by a
-    factor 4 toward 0, so the near-singularity of the smaller argument is
-    resolved even for adjacent cells.
+    Exact power substitution w = (a - max)^alpha, then ``_graded`` on
+    [0, (t-max)^alpha] toward 0, so the near-singularity of the smaller
+    argument is resolved even for adjacent cells.
     """
-    depth, nodes, ratio = 8, 12, 4.0
     Hp = p.Hp
     alpha = Hp - 0.5
-    lo = np.maximum(U, V)
-    mn = np.minimum(U, V)
-    W = (t - lo) ** alpha
-    x, w = _leggauss(nodes)
-    fracs = np.concatenate([[0.0], ratio ** -np.arange(depth - 1, -1.0, -1)])
-    # panel edges (P+1, N); nodes laid out as (P*Q, N) for one fused pass
-    e0 = np.multiply.outer(fracs[:-1], W)
-    e1 = np.multiply.outer(fracs[1:], W)
-    h2 = 0.5 * (e1 - e0)[:, None, :]
-    wg = (np.multiply.outer(np.ones(depth), w))[:, :, None] * h2
-    a = lo[None, None, :] + (e0[:, None, :] + h2 * (x[None, :, None] + 1.0)) ** (1.0 / alpha)
-    vals = wg * a ** (2 * Hp - 1) * (a - mn[None, None, :]) ** (Hp - 1.5)
-    return vals.sum(axis=(0, 1)) / alpha
+    lo, mn = np.maximum(U, V), np.minimum(U, V)
+    w, wg = _graded(0.0, (t - lo) ** alpha, True, False)
+    a = lo + w ** (1.0 / alpha)
+    return (wg * a ** (2 * Hp - 1) * (a - mn) ** (Hp - 1.5)).sum(axis=0) / alpha
 
 
 def rosenblatt_kernel(t: float, u: float, v: float, p: HurstParams) -> float:
@@ -312,8 +318,7 @@ def rosenblatt_kernel(t: float, u: float, v: float, p: HurstParams) -> float:
     Point evaluation refuses u == 0, v == 0 (the y^(1/2-Hp) factor is
     singular there) and u == v (the time integral diverges on the diagonal;
     every discrete sum excludes it).  Cell integrals handle both by
-    integration.  The time integral is ``_phi_grid``, the rule of
-    ``cell_weight``.
+    integration.  The time integral is ``_phi_grid``, as in ``cell_weight``.
     """
     if not 0.0 < t <= 1.0:
         raise DomainError(f"need t in (0, 1], got {t}")
@@ -334,9 +339,12 @@ def rosenblatt_kernel(t: float, u: float, v: float, p: HurstParams) -> float:
 def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams) -> float:
     """Cell coefficient c_ij(m) = n * iint_{cell_i x cell_j} F(m/n, u, v) dv du.
 
-    Direct evaluation order: adaptive tensor-product Gauss over the cell pair
-    with the time integral innermost.  For a cell touching zero the factor
-    u^(1/2-Hp) is absorbed exactly by integrating in r = u^(3/2-Hp).
+    Direct evaluation order: a fixed tensor product of one ``_graded`` rule
+    per cell with the time integral (``_phi_grid``) innermost.  Each cell's
+    rule is graded toward the ends where the integrand is singular: the
+    diagonal u == v, which an adjacent cell touches, the time t = m/n, which
+    cell m ends at, and zero, where cell 1 starts.  Cell 1 is integrated in
+    r = u^(3/2-Hp), which absorbs the factor u^(1/2-Hp) exactly.
     Independent of ``VolterraEngine.table_matrix``'s factorised assembly.
     """
     if i == j:
@@ -345,71 +353,20 @@ def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams) -> float:
         raise DomainError(f"need 1 <= i, j <= n and 1 <= m <= n, got i={i}, j={j}, m={m}, n={n}")
     if i > m or j > m:
         return 0.0
-    Hp = p.Hp
-    t = m / n
-    scale = p.dH * p.cHp ** 2
-    pu = 1.5 - Hp if i == 1 else 1.0
-    pv = 1.5 - Hp if j == 1 else 1.0
-    ua, ub = ((i - 1) / n) ** pu, (i / n) ** pu
-    va, vb = ((j - 1) / n) ** pv, (j / n) ** pv
-    nodes = _NODES
-    x, w = _leggauss(nodes)
 
-    def tiles(regions):
-        """Tensor Gauss value on each (transformed-coordinate) rectangle."""
-        U, V, WW = [], [], []
-        for qa, qb, ra, rb in regions:
-            hu, hv = 0.5 * (qb - qa), 0.5 * (rb - ra)
-            uu = (qa + hu * (x + 1.0)) ** (1.0 / pu)
-            vv = (ra + hv * (x + 1.0)) ** (1.0 / pv)
-            # transformed directions absorbed their power factor; Jacobian 1/p
-            fu = w * hu * (1.0 / pu if pu != 1.0 else uu ** (0.5 - Hp))
-            fv = w * hv * (1.0 / pv if pv != 1.0 else vv ** (0.5 - Hp))
-            U.append(np.repeat(uu, nodes))
-            V.append(np.tile(vv, nodes))
-            WW.append(np.outer(fu, fv).ravel())
-        G = scale * _phi_grid(t, np.concatenate(U), np.concatenate(V), p)
-        G = G.reshape(len(regions), nodes * nodes)
-        return (np.concatenate(WW).reshape(len(regions), -1) * G).sum(axis=1)
+    def rule(c, other):
+        """Nodes of cell c and their weights times c's factor u^(1/2-Hp)."""
+        pw = 1.5 - p.Hp if c == 1 else 1.0
+        r, w = _graded(((c - 1) / n) ** pw, (c / n) ** pw,
+                       c == 1 or other == c - 1, c == m or other == c + 1)
+        u = r ** (1.0 / pw)
+        return u, (w / pw if c == 1 else w * u ** (0.5 - p.Hp))
 
-    def halves(region):
-        qa, qb, ra, rb = region
-        qm, rm = 0.5 * (qa + qb), 0.5 * (ra + rb)
-        return [(qa, qm, ra, rb), (qm, qb, ra, rb),   # u-split pair
-                (qa, qb, ra, rm), (qa, qb, rm, rb)]   # v-split pair
-
-    def make_entries(regions, coarse):
-        """One work-list entry per region: Richardson error against both
-        bisection axes, keeping the split direction that explains more of the
-        discrepancy (edge singularities then refine in strips, not tiles)."""
-        four = [h for r in regions for h in halves(r)]
-        vals = tiles(four).reshape(len(regions), 4)
-        out = []
-        for r, c, v in zip(regions, coarse, vals):
-            fu, fv = float(v[0] + v[1]), float(v[2] + v[3])
-            if abs(c - fu) >= abs(c - fv):
-                out.append([abs(c - fu), r, fu, halves(r)[:2], v[:2]])
-            else:
-                out.append([abs(c - fv), r, fv, halves(r)[2:], v[2:]])
-        return out
-
-    root = (ua, ub, va, vb)
-    segs = make_entries([root], tiles([root]))
-    total = segs[0][2]
-    err = segs[0][0]
-    pops = 0
-    # single-axis Richardson is an estimate, not a bound; stop a factor 8 early
-    while err > max(0.125 * _REL_TOL * abs(total), _ABS_TOL):
-        pops += 1
-        if pops > 64 * _MAX_SUBDIV:
-            raise QuadratureError(f"cell_weight failed to converge after {pops} bisections")
-        segs.sort(key=lambda s: s[0])
-        e, region, fine, children, coarse = segs.pop()
-        new = make_entries(children, coarse)
-        total += sum(c[2] for c in new) - fine
-        err += sum(c[0] for c in new) - e
-        segs.extend(new)
-    return n * total
+    u, wu = rule(i, j)
+    v, wv = rule(j, i)
+    # one row of u nodes at a time keeps the inner rule's arrays small
+    phi = np.array([_phi_grid(m / n, np.full(v.size, uk), v, p) for uk in u])
+    return n * p.dH * p.cHp ** 2 * float(wu @ phi @ wv)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +399,7 @@ class _Panels:
         self.params = p
         self._alpha = p.Hp - 0.5
         self._c1 = 1.5 - p.Hp
-        self._c2 = p.Hp - 0.5
-        self._B = float(special.beta(self._c1, self._c2))
+        self._B = float(special.beta(self._c1, self._alpha))
         self._gl = _leggauss(_NODES)
         self._j1 = _roots_jacobi(_NODES, self._alpha)
         self._j2 = _roots_jacobi(_NODES, 2 * self._alpha)
@@ -457,7 +413,7 @@ class _Panels:
     # -- closed-form one-dimensional integrals ------------------------------
 
     def _Ix(self, x):
-        return self._B * special.betainc(self._c1, self._c2, x)
+        return self._B * special.betainc(self._c1, self._alpha, x)
 
     def _abar(self, k, a):
         """Analytic parts Abar_i(a) for i = 1..k at nodes a; shape (k, len(a))."""
@@ -475,7 +431,7 @@ class _Panels:
         """R(a) with E(a) = (a - lo)^alpha R(a); betaincc keeps it stable near lo."""
         p = self.params
         lo = (k - 1) / self.n
-        compl = special.betaincc(self._c1, self._c2, lo / a)
+        compl = special.betaincc(self._c1, self._alpha, lo / a)
         return p.cHp * a ** (p.Hp - 0.5) * self._B * compl / (a - lo) ** self._alpha
 
     # -- panels --------------------------------------------------------------

@@ -83,8 +83,10 @@ class MarketConfig:
     S0: float
     B0: float
     H: float
+    params: HurstParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.params = HurstParams(self.H)
         if self.N < 2:
             raise DomainError("need at least two trading periods")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
@@ -92,10 +94,6 @@ class MarketConfig:
         if not all(np.isfinite(x) and x > 0 for x in (self.S0, self.B0)):
             raise DomainError(f"initial prices must be finite and positive, got "
                               f"S0={self.S0}, B0={self.B0}")
-
-    @property
-    def params(self) -> HurstParams:
-        return HurstParams(self.H)
 
     def per_period_rates(self) -> tuple[np.ndarray, np.ndarray]:
         """(r_n, a_n) for n = 1..N: the per-period rates value(n/N)/N."""

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rosenblatt import (DomainError, HurstParams, QuadratureError,
-                        c_const, cell_weight, d_const, dK,
-                        fbm_kernel, rosenblatt_kernel)
-from rosenblatt import kernel
+from rosenblatt import (DomainError, HurstParams, c_const, cell_weight,
+                        d_const, dK, fbm_kernel, rosenblatt_kernel)
 from rosenblatt.kernel import (_BLOCK, VolterraEngine, _matmul, _node_sum,
                                _roots_jacobi, branch_increments, get_engine)
 from rosenblatt.paths import NoiseKind, _noise_slabs
@@ -200,17 +198,17 @@ class TestCellWeight:
             assert a == pytest.approx(b, rel=1e-7)
             assert a >= 0
 
-    def test_subdivision_budget_raises(self, p08, monkeypatch):
-        # with no budget the first bisection the error estimate asks for fails
-        monkeypatch.setattr(kernel, "_MAX_SUBDIV", 0)
-        with pytest.raises(QuadratureError, match="failed to converge after 1 bisections"):
-            cell_weight(8, 1, 2, 8, p08)
-
-    def test_against_independent_oracle(self, p08):
-        for (m, i, j) in [(8, 1, 2), (8, 3, 6), (8, 7, 8), (5, 2, 5), (8, 1, 8)]:
-            got = cell_weight(m, i, j, 8, p08)
-            want = cell_weight_oracle(m, i, j, 8, 0.8)
-            assert got == pytest.approx(want, rel=2e-8)
+    @pytest.mark.parametrize("H, m, i, j, n", [
+        (0.8, 8, 1, 2, 8), (0.8, 8, 3, 6, 8), (0.8, 8, 7, 8, 8), (0.8, 5, 2, 5, 8),
+        (0.8, 8, 1, 8, 8),
+        # adjacent cells, cells ending at t = m/n and a far pair at n = 64
+        (0.95, 52, 13, 52, 64), (0.55, 42, 42, 10, 64), (0.8, 45, 45, 16, 64),
+        (0.95, 64, 34, 33, 64), (0.7, 63, 22, 63, 64),
+        # cell 1, integrated in r = u^(3/2-Hp)
+        (0.55, 8, 1, 2, 8), (0.95, 16, 1, 16, 16)])
+    def test_against_independent_oracle(self, H, m, i, j, n):
+        got = cell_weight(m, i, j, n, HurstParams(H))
+        assert got == pytest.approx(cell_weight_oracle(m, i, j, n, H), rel=2e-9)
 
     def test_frobenius_identity_h08_n16(self, p08):
         # 2 sum c^2 at (H, n, t) = (0.8, 16, 1): bounded by the continuum value

@@ -44,13 +44,17 @@ class TestConfig:
             MarketConfig(N=8, sigma=1.0, rate_r=constant_rate(0.0),
                          rate_a=constant_rate(0.0), S0=0.0, B0=1.0, H=0.8)
         # nan and inf are refused for every number the market is built from
-        for field in ("sigma", "S0", "B0"):
+        for field in ("sigma", "S0", "B0", "H"):
             for value in (float("nan"), float("inf")):
                 kw = dict(N=8, sigma=1.0, rate_r=constant_rate(0.0),
                           rate_a=constant_rate(0.0), S0=1.0, B0=1.0, H=0.8)
                 kw[field] = value
                 with pytest.raises(DomainError):
                     MarketConfig(**kw)
+        # and H outside (1/2, 1) at construction, not first at cfg.params
+        for H in (1.2, 0.5):
+            with pytest.raises(DomainError):
+                cfg_with(H=H)
 
     def test_per_period_rates(self):
         cfg = MarketConfig(N=4, sigma=1.0, rate_r=affine_rate(0.1, 0.4),
