@@ -25,8 +25,8 @@ from . import __version__
 from .kernel import DomainError, HurstParams
 from .market import (InconclusiveError, MarketConfig, affine_rate, arbitrage_demo,
                      build_markets, constant_rate, divergence_scan, tabulated_rate)
-from .paths import (NoiseKind, NoiseSequence, PathEnsemble, ProcessTag, make_noise,
-                    simulate_ensemble, write_ensemble, write_json)
+from .paths import (NoiseKind, NoiseSequence, ProcessTag, make_noise, simulate_ensemble,
+                    write_ensemble, write_json)
 from . import stats as st
 
 _QV_SIZES = (16, 32, 64, 128, 256)
@@ -139,8 +139,6 @@ def _svg_bars(edges, counts, path: Path, w=640, h=400) -> None:
 def cmd_simulate(args, argv) -> int:
     process = ProcessTag(args.process)
     p = _params_for(process, args.hurst)
-    if args.n < 1:
-        raise DomainError(f"--n must be at least 1, got {args.n}")
     ens = simulate_ensemble(args.paths, args.seed, NoiseKind(args.noise), p,
                             process, args.n)
     out = Path(args.out)
@@ -169,26 +167,22 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
         except ValueError as exc:
             raise DomainError(f"malformed --qv-sizes {args.qv_sizes!r}: {exc}") from exc
     # one ensemble on the finest grid; every check reads its grid off it
+    # through an O(1) coarsened view that shares the drawn rows
     finest = simulate_ensemble(args.paths, args.seed, kind, p, process,
                                max([args.n, *sizes]))
-    ensembles: dict[int, PathEnsemble] = {}
-
-    def ensemble(n: int) -> PathEnsemble:
-        if n not in ensembles:
-            ensembles[n] = finest.coarsen(n)
-        return ensembles[n]
+    ens = finest.coarsen(args.n)
 
     for name in wanted:
         if name == "variance":
-            rep = st.increment_variance(ensemble(args.n), 0.0, args.t)
+            rep = st.increment_variance(ens, 0.0, args.t)
             checks.append({"check": "variance", "passed": rep.within(4.0),
                            **asdict(rep)})
         elif name == "covariance":
-            rep = st.covariance(ensemble(args.n), args.s, args.t)
+            rep = st.covariance(ens, args.s, args.t)
             checks.append({"check": "covariance", "passed": rep.within(4.0),
                            **asdict(rep)})
         elif name == "skewness":
-            rep = st.skewness(ensemble(args.n), args.t)
+            rep = st.skewness(ens, args.t)
             if process is ProcessTag.ROSENBLATT:
                 ok = abs(rep.estimate) > 3.0 * rep.std_error
                 note = "expect significant skew (non-Gaussian marginal)"
@@ -200,9 +194,7 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             checks.append({"check": "skewness", "passed": bool(ok),
                            **asdict(rep), "note": note})
         elif name == "qv":
-            # the qv grids are coarsened one at a time, each dropped once read
-            fit = st.qv_decay(ensembles[nn] if nn in ensembles else finest.coarsen(nn)
-                              for nn in sizes)
+            fit = st.qv_decay([finest.coarsen(nn) for nn in sizes])
             expo = 1 - 2 * finest.hurst_index
             ok = abs(fit.slope - expo) <= 0.15
             if process is ProcessTag.ROSENBLATT:
@@ -212,7 +204,7 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             checks.append({"check": "qv", "passed": bool(ok),
                            "theoretical_slope": expo, **asdict(fit)})
         elif name == "histogram":
-            hist = st.histogram(ensemble(args.n), args.t, args.bins)
+            hist = st.histogram(ens, args.t, args.bins)
             csv_path = Path(str(args.out) + ".hist.csv")
             hist.to_csv(csv_path)
             extra_files.append(str(csv_path))

@@ -25,7 +25,10 @@ of the engine's ``quadratic_increments`` pass) and is summed straight into
 its rows of the preallocated (M, n + 1) values, and only then is the next
 slab drawn.  So the values are the only (M, .) array an ensemble ever holds
 whole; no (M, n) noise or increment matrix exists.  No row's bits depend on
-the slab it went through.
+the slab it went through.  The drawn rows are read-only, and coarsening
+shares them: a coarsened ensemble holds no matrix of its own, but scales
+what it reads of the drawn rows (a column, a slab of rows, or all of them),
+so a command that reads several grids off one draw holds one (M, .) array.
 """
 from __future__ import annotations
 
@@ -142,28 +145,51 @@ class GridPath:
 class PathEnsemble:
     """M paths sharing (n, process, noise kind); row k uses derive_seed(seed, k).
 
-    ``drawn_n`` is the grid the paths were drawn on: n itself (the default),
-    or the finer grid of the ensemble that ``coarsen`` read them off.  The
-    exact-law references read that grid's engine, so a coarsened ensemble
-    needs no engine of its own.  Frozen, so n and ``drawn_n`` cannot part:
-    a changed copy is made with ``dataclasses.replace``.
+    ``drawn`` holds the paths as drawn, (M, drawn_n + 1) and read-only: on
+    grid n itself, or on the finer grid ``drawn_n`` of the ensemble that
+    ``coarsen`` read this one off.  A coarsened ensemble shares those rows
+    and copies nothing: ``values``, ``values_at`` and ``slabs`` read the
+    first n + 1 columns and scale what they read by (drawn_n / n)^h.  The
+    exact-law references read the engine of ``drawn_n``, so a coarsened
+    ensemble needs no engine of its own.  Frozen, so n cannot part from the
+    rows: a changed copy is made with ``dataclasses.replace``.
     """
 
-    values: np.ndarray          # (M, n+1)
+    drawn: np.ndarray           # (M, drawn_n + 1)
     n: int
     process_tag: ProcessTag
     kind: NoiseKind
     master_seed: int
     params: HurstParams | None = None
-    drawn_n: int | None = None
 
     def __post_init__(self):
-        if self.drawn_n is None:
-            object.__setattr__(self, "drawn_n", self.n)
+        # coarsened ensembles share these rows, so none may write to them
+        drawn = self.drawn.view()
+        drawn.flags.writeable = False
+        object.__setattr__(self, "drawn", drawn)
+
+    @property
+    def drawn_n(self) -> int:
+        """The grid the paths were drawn on."""
+        return self.drawn.shape[1] - 1
 
     @property
     def count(self) -> int:
-        return self.values.shape[0]
+        return self.drawn.shape[0]
+
+    def _read(self, rows: slice, cols: slice | int) -> np.ndarray:
+        """``drawn[rows, cols]`` on grid n: the drawn rows themselves when n is
+        the drawn grid, else a new array of them times (drawn_n / n)^h."""
+        part = self.drawn[rows, cols]
+        if self.n == self.drawn_n:
+            return part
+        return (self.drawn_n / self.n) ** self.hurst_index * part
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (M, n + 1) paths on grid n; a coarsened ensemble scales them
+        from the drawn rows on every read."""
+        return self._read(slice(None), slice(None, self.n + 1))
 
     @property
     def paths(self):
@@ -172,7 +198,13 @@ class PathEnsemble:
 
     def values_at(self, t: float) -> np.ndarray:
         """Every path's value at t, snapped to floor(n t)/n like ``GridPath.value_at``."""
-        return self.values[:, grid_index(self.n, t)]
+        return self._read(slice(None), grid_index(self.n, t))
+
+    def slabs(self) -> Iterator[np.ndarray]:
+        """``values`` in order, ``_SLAB`` rows at a time, so a reader of every
+        row of a coarsened ensemble holds one scaled slab at once."""
+        for r in range(0, self.count, _SLAB):
+            yield self._read(slice(r, r + _SLAB), slice(None, self.n + 1))
 
     @property
     def hurst_index(self) -> float:
@@ -192,14 +224,15 @@ class PathEnsemble:
         coefficient, the 1/sqrt(n) of walk and fbm included, is n^(-h) times
         one that does not depend on n.  So Z_n(m/n) = (N/n)^h Z_N(m/N) for
         m <= n, and the result equals a direct draw on grid n to a few ulp.
-        The result keeps ``drawn_n``, the grid the paths were drawn on.
+        The result shares the drawn rows and copies nothing; it scales them
+        where it reads them, once, from ``drawn_n``, so coarsening a coarsened
+        ensemble gives the one-step result, within an ulp of scaling twice.
         """
         if not 1 <= n <= self.n:
             raise DomainError(f"coarser grid must lie in 1..{self.n}, got {n}")
         if n == self.n:
             return self
-        values = (self.n / n) ** self.hurst_index * self.values[:, : n + 1]
-        return replace(self, values=values, n=n, drawn_n=self.drawn_n)
+        return replace(self, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +345,15 @@ def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
     """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
+    if n < 1:
+        raise DomainError(f"grid size n must be at least 1, got {n}")
     kind = NoiseKind(kind)
     process_tag = ProcessTag(process_tag)
     if process_tag is not ProcessTag.WALK and p is None:
         raise DomainError("fbm and rosenblatt ensembles need Hurst parameters")
     values = _walks(_noise_slabs(count, master_seed, kind, n), count, n, kind, p,
                     process_tag)
-    return PathEnsemble(values=values, n=n, process_tag=process_tag, kind=kind,
+    return PathEnsemble(drawn=values, n=n, process_tag=process_tag, kind=kind,
                         master_seed=master_seed, params=p)
 
 
@@ -336,9 +371,9 @@ def ensemble_to_csv(ens: PathEnsemble, path: str | Path) -> None:
     middles = [f",{m},{m / n!r}," for m in range(n + 1)]
     with open(path, "w") as fh:
         fh.write("path_id,m,t,value\n")
-        for k in range(ens.count):
+        for k, row in enumerate(ens.values):
             fh.write("".join([f"{k}{mid}{v!r}\n"
-                              for mid, v in zip(middles, ens.values[k].tolist())]))
+                              for mid, v in zip(middles, row.tolist())]))
 
 
 def ensemble_metadata(ens: PathEnsemble) -> dict:

@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import DomainError, HurstParams, get_engine
-from .paths import (_SLAB, GridPath, PathEnsemble, ProcessTag, grid_index,
-                    require_addressable)
+from .paths import GridPath, PathEnsemble, ProcessTag, grid_index, require_addressable
 
 # resamples behind the skewness standard error
 _BOOTSTRAP = 200
@@ -256,12 +255,21 @@ class QvDecayFit:
     std_errors: list[float]
 
 
+def _jump_square_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's sum of squared grid jumps; its temporaries die on return,
+    before the next slab is read."""
+    d = np.diff(rows, axis=1)
+    d *= d
+    return d.sum(axis=1)
+
+
 def qv_decay(ensembles: Iterable[PathEnsemble]) -> QvDecayFit:
     """Fit the decay exponent of the mean quadratic variation at t = 1.
 
-    The ensembles are read one at a time, so a generator that coarsens each
-    on demand holds only one of them at once, and each is squared and summed
-    in slabs of ``_SLAB`` rows.  Refuses fewer than three distinct grid
+    Each ensemble's paths are differenced, squared and summed one slab of
+    rows at a time (``PathEnsemble.slabs``): an ensemble coarsened off a
+    finer draw shares the drawn rows, so it costs one scaled slab at a time,
+    never a copy of its values.  Refuses fewer than three distinct grid
     sizes: one gives no slope, and a line through two points fits them
     exactly whatever the decay.  Refuses a repeated grid size too, which
     would weigh that grid twice in the fit, and a grid whose mean QV is not
@@ -270,11 +278,7 @@ def qv_decay(ensembles: Iterable[PathEnsemble]) -> QvDecayFit:
     """
     sizes, means, ses = [], [], []
     for ens in ensembles:
-        qv = np.empty(ens.count)
-        for r in range(0, ens.count, _SLAB):
-            d = np.diff(ens.values[r: r + _SLAB], axis=1)
-            d *= d
-            qv[r: r + _SLAB] = d.sum(axis=1)
+        qv = np.concatenate([_jump_square_sums(slab) for slab in ens.slabs()])
         sizes.append(ens.n)
         means.append(float(qv.mean()))
         ses.append(_mean_se(qv))

@@ -480,6 +480,21 @@ class TestUsageErrors:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--process", "walk", "--check", "variance", "--n", "-5", "--paths", "10"],
+        ["validate", "--process", "walk", "--check", "variance", "--n", "0", "--paths", "10"],
+        ["validate", "--process", "rosenblatt", "--hurst", "0.8", "--check", "histogram",
+         "--n", "-3", "--paths", "10"],
+        ["simulate", "--process", "fbm", "--hurst", "0.9", "--n", "-1", "--paths", "2"],
+    ])
+    def test_grid_below_one_exits_2_writing_nothing(self, tmp_path, capsys, argv):
+        code = run(*argv, "--out", str(tmp_path / "x.out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "at least 1" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_rate_table_exits_2(self, tmp_path, capsys):
         table = tmp_path / "rate.csv"
         table.write_text("0,0.1\n1,nan\n")

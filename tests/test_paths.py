@@ -11,7 +11,7 @@ from rosenblatt import (DomainError, GridPath, HurstParams, NoiseKind,
                         simulate_ensemble)
 from rosenblatt.kernel import _matmul, get_engine
 from rosenblatt.paths import (_SLAB, derive_seed, ensemble_metadata, ensemble_to_csv,
-                              write_ensemble, write_json)
+                              grid_index, write_ensemble, write_json)
 
 
 class TestNoise:
@@ -91,6 +91,71 @@ class TestCoarsen:
         assert ens["walk"].hurst_index == 0.5
         assert ens["fbm"].hurst_index == 0.9
         assert ens["rosenblatt"].hurst_index == 0.8
+
+
+class TestSharedRows:
+    """A coarsened ensemble shares the drawn rows, read-only, and scales what
+    it reads of them by (N/n)^h."""
+
+    PARAMS = TestCoarsen.PARAMS
+
+    @pytest.mark.parametrize("process", ["walk", "fbm", "rosenblatt"])
+    def test_readers_equal_scaled_prefix_bitwise(self, process):
+        # 600 rows span two slabs; every reader gives the bits of the one
+        # formula the copying coarsen used
+        N = 128
+        fine = simulate_ensemble(600, 7, "gaussian", self.PARAMS[process], process, N)
+        h = fine.hurst_index
+        for n in (1, 16, 37, 128):
+            want = (N / n) ** h * fine.values[:, : n + 1]
+            coarse = fine.coarsen(n)
+            assert coarse.values.tobytes() == want.tobytes(), n
+            assert np.concatenate(list(coarse.slabs())).tobytes() == want.tobytes(), n
+            for t in np.linspace(0.0, 1.0, 11):
+                got = coarse.values_at(t)
+                assert got.tobytes() == want[:, grid_index(n, t)].tobytes(), (n, t)
+
+    def test_coarsening_twice_scales_once_from_drawn_grid(self, p08):
+        fine = simulate_ensemble(40, 7, "gaussian", p08, "rosenblatt", 128)
+        twice = fine.coarsen(64).coarsen(16)
+        once = fine.coarsen(16)
+        assert twice.values.tobytes() == once.values.tobytes()
+        # the copying coarsen scaled twice; the two differ by rounding only
+        stepwise = (64 / 16) ** 0.8 * ((128 / 64) ** 0.8 * fine.values[:, :17])
+        assert np.allclose(twice.values, stepwise, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    def test_drawn_rows_are_read_only(self, p08):
+        fine = simulate_ensemble(20, 7, "gaussian", p08, "rosenblatt", 32)
+        coarse = fine.coarsen(8)
+        assert np.shares_memory(coarse.drawn, fine.drawn)
+        for write in (lambda: fine.values.__setitem__((0, 1), 1.0),
+                      lambda: fine.values_at(1.0).__setitem__(0, 1.0),
+                      lambda: coarse.drawn.__setitem__((0, 1), 1.0),
+                      lambda: next(fine.slabs()).__iadd__(1.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+
+    def test_coarsened_values_are_an_independent_array(self, p08):
+        fine = simulate_ensemble(20, 7, "gaussian", p08, "rosenblatt", 32)
+        coarse = fine.coarsen(8)
+        before = fine.values.copy()
+        v = coarse.values
+        assert not np.shares_memory(v, fine.drawn)
+        v[:] = 7.0
+        assert np.array_equal(fine.values, before)
+        assert not np.any(coarse.values == 7.0)
+
+    def test_coarsen_allocates_no_matrix(self, p08):
+        M = 4096
+        fine = simulate_ensemble(M, 7, "gaussian", p08, "rosenblatt", 64)
+        for n in (1, 16, 63):
+            tracemalloc.start()
+            try:
+                fine.coarsen(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * M, (n, peak)
 
 
 class TestRandomWalk:
@@ -262,6 +327,13 @@ class TestEnsembles:
     def test_requires_params_for_kernel_walks(self):
         with pytest.raises(DomainError):
             simulate_ensemble(2, 1, "rademacher", None, "rosenblatt", 8)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("process, p", [("walk", None), ("fbm", HurstParams(0.8)),
+                                            ("rosenblatt", HurstParams(0.8))])
+    def test_refuses_grid_below_one(self, process, p, n):
+        with pytest.raises(DomainError, match="at least 1"):
+            simulate_ensemble(2, 1, "rademacher", p, process, n)
 
     def test_csv_and_metadata(self, p07, tmp_path):
         ens = simulate_ensemble(3, 9, "rademacher", p07, "rosenblatt", 8)

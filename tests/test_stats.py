@@ -10,6 +10,7 @@ from rosenblatt import (DomainError, GridPath, ProcessTag,
                         histogram, increment_variance, qv_decay,
                         quadratic_variation, simulate_ensemble, skewness)
 from rosenblatt.kernel import HurstParams, get_engine
+from rosenblatt.paths import _SLAB
 from rosenblatt.stats import MomentReport
 
 
@@ -169,7 +170,7 @@ class TestSkewness:
         rep = skewness(rose_ens, 1.0)
         scaled = replace(simulate_ensemble(100, 1, "rademacher", rose_ens.params,
                                            "rosenblatt", 8),
-                         values=rose_ens.values * 3.7, n=rose_ens.n,
+                         drawn=rose_ens.values * 3.7, n=rose_ens.n,
                          master_seed=rose_ens.master_seed)
         rep2 = skewness(scaled, 1.0)
         assert rep2.estimate == pytest.approx(rep.estimate, rel=1e-12)
@@ -265,6 +266,22 @@ class TestQuadraticVariation:
         assert fit == qv_decay([fine.coarsen(n) for n in sizes])
 
 
+    def test_qv_decay_holds_one_scaled_slab_of_a_shared_draw(self, p08):
+        # grids coarsened off one draw share its rows: the sweep holds a
+        # slab's scaled values and differences, never a grid's whole matrix
+        import tracemalloc
+        M, N = 4096, 64
+        fine = simulate_ensemble(M, 12, "gaussian", p08, "rosenblatt", N)
+        sizes = (16, 32, 64)
+        tracemalloc.start()
+        try:
+            qv_decay(fine.coarsen(n) for n in sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _SLAB * (N + 1) * 8
+
+
 class TestHistogram:
     def test_counts_conserved(self, rose_ens):
         h = histogram(rose_ens, 1.0, 25)
@@ -273,7 +290,7 @@ class TestHistogram:
 
     def test_all_equal_samples_single_bin(self, p08):
         ens = simulate_ensemble(100, 4, "rademacher", p08, "rosenblatt", 8)
-        ens = replace(ens, values=np.full_like(ens.values, 2.5))
+        ens = replace(ens, drawn=np.full_like(ens.values, 2.5))
         h = histogram(ens, 1.0, 10)
         assert (h.counts > 0).sum() == 1
         assert int(h.counts.sum()) == 100
