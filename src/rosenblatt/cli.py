@@ -7,12 +7,13 @@ manifest (<out>.manifest.json) recording the resolved command line, so
 reported on stderr only; nothing volatile is written into output files.
 
 Exit codes: 0 pass, 1 check failure, 2 usage (a bad flag or value, a size
-too large for memory, or an output path that cannot be written),
-4 inconclusive (arbitrage demo found no violation at this scale).
+too large for memory or for the disk, or an output path that cannot be
+written), 4 inconclusive (arbitrage demo found no violation at this scale).
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -25,8 +26,8 @@ from . import __version__
 from .kernel import DomainError, HurstParams
 from .market import (InconclusiveError, MarketConfig, affine_rate, arbitrage_demo,
                      build_markets, constant_rate, divergence_scan, tabulated_rate)
-from .paths import (NoiseKind, NoiseSequence, ProcessTag, make_noise, simulate_ensemble,
-                    write_ensemble, write_json)
+from .paths import (NoiseKind, NoiseSequence, ProcessTag, WalkLaw, ensemble_metadata,
+                    grid_index, make_noise, path_slabs, write_ensemble, write_json)
 from . import stats as st
 
 _QV_SIZES = (16, 32, 64, 128, 256)
@@ -139,22 +140,28 @@ def _svg_bars(edges, counts, path: Path, w=640, h=400) -> None:
 def cmd_simulate(args, argv) -> int:
     process = ProcessTag(args.process)
     p = _params_for(process, args.hurst)
-    ens = simulate_ensemble(args.paths, args.seed, NoiseKind(args.noise), p,
-                            process, args.n)
+    draw = (args.paths, args.seed, NoiseKind(args.noise), p, process, args.n)
+    # the paths go to the CSV one slab at a time; the plot reads the first
+    slabs = path_slabs(*draw)
+    first = next(slabs)
     out = Path(args.out)
-    outputs = write_ensemble(ens, out)
+    outputs = write_ensemble(itertools.chain([first], slabs), ensemble_metadata(*draw), out)
     if args.plot:
         svg = Path(str(out) + ".svg")
-        _svg_paths(np.arange(args.n + 1) / args.n, list(ens.values[:10]), svg)
+        _svg_paths(np.arange(args.n + 1) / args.n, list(first[:10]), svg)
         outputs.append(str(svg))
     outputs.append(_manifest(out, "simulate", args, argv, outputs))
     return 0
 
 
+# the times at which each check reads every path
+_TIMES = {"variance": lambda a: (0.0, a.t), "covariance": lambda a: (a.s, a.t),
+          "skewness": lambda a: (a.t,), "qv": lambda a: (), "histogram": lambda a: (a.t,)}
+
+
 def _run_checks(args) -> tuple[list[dict], list[str]]:
     process = ProcessTag(args.process)
     p = _params_for(process, args.hurst)
-    kind = NoiseKind(args.noise)
     checks = []
     extra_files: list[str] = []
     wanted = [args.check] if args.check != "all" else [
@@ -166,23 +173,30 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             sizes = [int(s) for s in args.qv_sizes.split(",")]
         except ValueError as exc:
             raise DomainError(f"malformed --qv-sizes {args.qv_sizes!r}: {exc}") from exc
-    # one ensemble on the finest grid; every check reads its grid off it
-    # through an O(1) coarsened view that shares the drawn rows
-    finest = simulate_ensemble(args.paths, args.seed, kind, p, process,
-                               max([args.n, *sizes]))
-    ens = finest.coarsen(args.n)
+    # one draw on the finest grid, read in one pass: each path leaves only its
+    # grid-n values at the checks' times and its QV on each qv grid
+    N = max([args.n, *sizes])
+    slabs = path_slabs(args.paths, args.seed, NoiseKind(args.noise), p, process, N)
+    law = WalkLaw(process, p, args.n, N)
+    times = sorted({x for name in wanted for x in _TIMES[name](args)})
+    if "skewness" in wanted and grid_index(args.n, args.t) == 0:
+        raise DomainError(f"--t {args.t!r} snaps to grid point 0 of grid {args.n}, where "
+                          "every path is 0: the skewness of a point mass is 0/0")
+    values, qv = st.reduce_slabs(slabs, args.paths, law,
+                                 [grid_index(args.n, x) for x in times], sizes)
+    at = dict(zip(times, values))
 
     for name in wanted:
         if name == "variance":
-            rep = st.increment_variance(ens, 0.0, args.t)
+            rep = st.increment_variance(at[0.0], at[args.t], 0.0, args.t, law)
             checks.append({"check": "variance", "passed": rep.within(4.0),
                            **asdict(rep)})
         elif name == "covariance":
-            rep = st.covariance(ens, args.s, args.t)
+            rep = st.covariance(at[args.s], at[args.t], args.s, args.t, law)
             checks.append({"check": "covariance", "passed": rep.within(4.0),
                            **asdict(rep)})
         elif name == "skewness":
-            rep = st.skewness(ens, args.t)
+            rep = st.skewness(at[args.t], law, args.seed)
             if process is ProcessTag.ROSENBLATT:
                 ok = abs(rep.estimate) > 3.0 * rep.std_error
                 note = "expect significant skew (non-Gaussian marginal)"
@@ -194,8 +208,8 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             checks.append({"check": "skewness", "passed": bool(ok),
                            **asdict(rep), "note": note})
         elif name == "qv":
-            fit = st.qv_decay([finest.coarsen(nn) for nn in sizes])
-            expo = 1 - 2 * finest.hurst_index
+            fit = st.qv_decay(zip(sizes, qv))
+            expo = 1 - 2 * law.hurst_index
             ok = abs(fit.slope - expo) <= 0.15
             if process is ProcessTag.ROSENBLATT:
                 bounds = [nn ** expo for nn in sizes]
@@ -204,7 +218,7 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             checks.append({"check": "qv", "passed": bool(ok),
                            "theoretical_slope": expo, **asdict(fit)})
         elif name == "histogram":
-            hist = st.histogram(ens, args.t, args.bins)
+            hist = st.histogram(at[args.t], args.bins)
             csv_path = Path(str(args.out) + ".hist.csv")
             hist.to_csv(csv_path)
             extra_files.append(str(csv_path))

@@ -13,27 +13,31 @@ square of the running kernel-weighted noise sum at shared quadrature nodes
 full weight table at every step and serves as the brute-force oracle.
 
 Ensemble member k draws its noise from Philox keyed by derive_seed(master, k).
-``simulate_ensemble`` keeps one Philox generator per ensemble and, before each
+``path_slabs`` keeps one Philox generator per ensemble and, before each
 row, resets it to the state a fresh ``Philox(key=...)`` starts in (key
 [seed, 0], counter 0, empty output buffer, no cached 32-bit half), which skips
 the per-row construction cost; ``make_noise`` builds the fresh generator and
 is the oracle the reused one is tested against.
 
-An ensemble is streamed: its noise is drawn one slab of 512 rows (``_SLAB``)
-at a time, each slab runs through the walk (for the Rosenblatt walk, one call
-of the engine's ``quadratic_increments`` pass) and is summed straight into
-its rows of the preallocated (M, n + 1) values, and only then is the next
-slab drawn.  So the values are the only (M, .) array an ensemble ever holds
-whole; no (M, n) noise or increment matrix exists.  No row's bits depend on
-the slab it went through.  The drawn rows are read-only, and coarsening
-shares them: a coarsened ensemble holds no matrix of its own, but scales
-what it reads of the drawn rows (a column, a slab of rows, or all of them),
-so a command that reads several grids off one draw holds one (M, .) array.
+Paths are generated one slab of 512 rows (``_SLAB``) at a time by the one
+generator ``path_slabs``: each slab's noise is drawn, run through the walk
+(for the Rosenblatt walk, one call of the engine's ``quadratic_increments``
+pass) and summed into the slab's (rows, n + 1) paths, and only then is the
+next slab drawn.  No (M, n) noise or increment matrix exists, and no row's
+bits depend on the slab it went through.  A reader that needs only some
+numbers of each path (``stats.reduce_slabs``, the CSV writer) takes the
+slabs as they come and holds no (M, .) array at all; ``simulate_ensemble``
+fills a ``PathEnsemble`` from them.  An ensemble's drawn rows are
+read-only, and coarsening shares them: a coarsened ensemble holds no matrix
+of its own, but scales what it reads of the drawn rows (a column, a slab of
+rows, or all of them) by ``scale_to_grid``.
 """
 from __future__ import annotations
 
+import errno
 import json
 import math
+import shutil
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -141,6 +145,49 @@ class GridPath:
         return float(self.values[grid_index(self.n, t)])
 
 
+def scale_to_grid(part: np.ndarray, N: int, n: int, h: float) -> np.ndarray:
+    """``part`` of paths drawn on grid N, read on the grid n <= N: ``part``
+    itself when n = N, else a new array of it times (N / n)^h.
+
+    The walks are discretely self-similar, Z_n(m/n) = (N/n)^h Z_N(m/N) for
+    m <= n (see ``PathEnsemble.coarsen``), so this is the one place a grid is
+    read off a finer draw.
+    """
+    if n == N:
+        return part
+    return (N / n) ** h * part
+
+
+@dataclass(frozen=True)
+class WalkLaw:
+    """What the exact law of a walk on grid n depends on besides its paths.
+
+    ``drawn_n`` >= n is the grid the paths were drawn on: the exact references
+    read its engine at the grid-n times, so a grid read off a finer draw
+    needs no engine of its own.
+    """
+
+    process_tag: ProcessTag
+    params: HurstParams | None
+    n: int
+    drawn_n: int
+
+    def __post_init__(self):
+        if not 1 <= self.n <= self.drawn_n:
+            raise DomainError(f"grid size n must be at least 1 and at most the drawn "
+                              f"grid {self.drawn_n}, got {self.n}")
+
+    @property
+    def hurst_index(self) -> float:
+        """Self-similarity index h of the limit process: H for rosenblatt, the
+        kernel index Hp for fbm, 1/2 for the walk."""
+        if self.process_tag is ProcessTag.ROSENBLATT:
+            return self.params.H
+        if self.process_tag is ProcessTag.FBM:
+            return self.params.Hp
+        return 0.5
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """M paths sharing (n, process, noise kind); row k uses derive_seed(seed, k).
@@ -149,10 +196,9 @@ class PathEnsemble:
     grid n itself, or on the finer grid ``drawn_n`` of the ensemble that
     ``coarsen`` read this one off.  A coarsened ensemble shares those rows
     and copies nothing: ``values``, ``values_at`` and ``slabs`` read the
-    first n + 1 columns and scale what they read by (drawn_n / n)^h.  The
-    exact-law references read the engine of ``drawn_n``, so a coarsened
-    ensemble needs no engine of its own.  Frozen, so n cannot part from the
-    rows: a changed copy is made with ``dataclasses.replace``.
+    first n + 1 columns and scale what they read by ``scale_to_grid``.
+    Frozen, so n cannot part from the rows: a changed copy is made with
+    ``dataclasses.replace``.
     """
 
     drawn: np.ndarray           # (M, drawn_n + 1)
@@ -177,13 +223,18 @@ class PathEnsemble:
     def count(self) -> int:
         return self.drawn.shape[0]
 
+    @property
+    def law(self) -> WalkLaw:
+        """The grid and process facts the exact references of these paths read."""
+        return WalkLaw(self.process_tag, self.params, self.n, self.drawn_n)
+
+    @property
+    def hurst_index(self) -> float:
+        return self.law.hurst_index
+
     def _read(self, rows: slice, cols: slice | int) -> np.ndarray:
-        """``drawn[rows, cols]`` on grid n: the drawn rows themselves when n is
-        the drawn grid, else a new array of them times (drawn_n / n)^h."""
-        part = self.drawn[rows, cols]
-        if self.n == self.drawn_n:
-            return part
-        return (self.drawn_n / self.n) ** self.hurst_index * part
+        """``drawn[rows, cols]`` on grid n."""
+        return scale_to_grid(self.drawn[rows, cols], self.drawn_n, self.n, self.hurst_index)
 
     @property
     def values(self) -> np.ndarray:
@@ -205,16 +256,6 @@ class PathEnsemble:
         row of a coarsened ensemble holds one scaled slab at once."""
         for r in range(0, self.count, _SLAB):
             yield self._read(slice(r, r + _SLAB), slice(None, self.n + 1))
-
-    @property
-    def hurst_index(self) -> float:
-        """Self-similarity index h of the limit process: H for rosenblatt, the
-        kernel index Hp for fbm, 1/2 for the walk."""
-        if self.process_tag is ProcessTag.ROSENBLATT:
-            return self.params.H
-        if self.process_tag is ProcessTag.FBM:
-            return self.params.Hp
-        return 0.5
 
     def coarsen(self, n: int) -> "PathEnsemble":
         """The same seeds' ensemble on the coarser grid m/n, 1 <= n <= self.n.
@@ -239,28 +280,25 @@ class PathEnsemble:
 # path generation
 # ---------------------------------------------------------------------------
 
-def _walks(slabs: Iterable[np.ndarray], count: int, n: int, kind: NoiseKind,
-           p: HurstParams | None, process_tag: ProcessTag) -> np.ndarray:
-    """Paths driven by the noise rows of ``slabs``, (count, n + 1), column 0 zero.
+def _walk_slabs(noise: Iterable[np.ndarray], n: int, kind: NoiseKind,
+                p: HurstParams | None, process_tag: ProcessTag) -> Iterator[np.ndarray]:
+    """The paths driven by each (rows, n) slab of noise rows in ``noise``, a
+    new (rows, n + 1) array per slab, column 0 zero.
 
-    The slabs, each (rows, n), hold the count noise rows in order; each goes
-    through the walk and is summed into its rows of the result before the
-    next is read, so only the result is ever whole.  The Rosenblatt walk
-    calls the engine's ``quadratic_increments`` once per slab; ``fbm_matrix``
-    is built once, not per slab.  Each row's bits depend neither on its slab
-    nor on count (``cumsum`` runs along the row, and ``_matmul`` and the
-    panel pass keep rows apart), so a single path is the one-row case.
+    A noise slab is read only when the paths of the one before it have been
+    taken.  The Rosenblatt walk calls the engine's ``quadratic_increments``
+    once per slab; ``fbm_matrix`` is built once, not per slab.  Each row's
+    bits depend neither on its slab nor on the count (``cumsum`` runs along
+    the row, and ``_matmul`` and the panel pass keep rows apart), so a single
+    path is the one-row case.
     """
-    require_addressable(count, n + 1)
-    values = np.zeros((count, n + 1))
     if process_tag is ProcessTag.FBM:
         T = get_engine(n, p).fbm_matrix()
     elif process_tag is ProcessTag.ROSENBLATT:
         eng = get_engine(n, p)
-    r = 0
-    for x in slabs:
-        rows = values[r: r + x.shape[0], 1:]
-        r += x.shape[0]
+    for x in noise:
+        values = np.zeros((x.shape[0], n + 1))
+        rows = values[:, 1:]
         if process_tag is ProcessTag.FBM:
             np.divide(_matmul(x, T.T), np.sqrt(n), out=rows)
         elif process_tag is ProcessTag.ROSENBLATT:
@@ -269,11 +307,11 @@ def _walks(slabs: Iterable[np.ndarray], count: int, n: int, kind: NoiseKind,
         else:
             np.cumsum(x, axis=1, out=rows)
             rows /= np.sqrt(n)
-    return values
+        yield values
 
 
 def _single(noise: NoiseSequence, p: HurstParams | None, process_tag: ProcessTag) -> GridPath:
-    values = _walks([noise.values[None, :]], 1, noise.n, noise.kind, p, process_tag)[0]
+    values = next(_walk_slabs([noise.values[None, :]], noise.n, noise.kind, p, process_tag))[0]
     return GridPath(n=noise.n, values=values, process_tag=process_tag)
 
 
@@ -332,16 +370,19 @@ def _noise_slabs(count: int, master_seed: int, kind: NoiseKind,
         yield xi
 
 
-def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
-                      p: HurstParams | None, process_tag: ProcessTag | str,
-                      n: int) -> PathEnsemble:
-    """count independent paths; member k is seeded by derive_seed(master_seed, k).
+def path_slabs(count: int, master_seed: int, kind: NoiseKind | str,
+               p: HurstParams | None, process_tag: ProcessTag | str,
+               n: int) -> Iterator[np.ndarray]:
+    """count independent paths on grid n, yielded in row order as new (rows,
+    n + 1) slabs of ``_SLAB`` rows (the last one partial); member k is seeded
+    by derive_seed(master_seed, k).
 
     Row k is driven by ``make_noise(n, kind, derive_seed(master_seed,
-    k)).values`` bit for bit.  The noise is drawn, passed through the walk
-    and summed one slab of ``_SLAB`` rows at a time, so besides the (count,
-    n + 1) values the ensemble holds one slab's noise and increments, never
-    a (count, n) matrix.
+    k)).values`` bit for bit.  Each slab is drawn and run through the walk
+    only when the one before it has been taken, so a reader that drops each
+    slab once read holds one slab's noise, increments and paths, never a
+    (count, .) matrix.  The arguments are checked when this is called, not
+    when the first slab is asked for.
     """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
@@ -351,39 +392,62 @@ def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
     process_tag = ProcessTag(process_tag)
     if process_tag is not ProcessTag.WALK and p is None:
         raise DomainError("fbm and rosenblatt ensembles need Hurst parameters")
-    values = _walks(_noise_slabs(count, master_seed, kind, n), count, n, kind, p,
-                    process_tag)
-    return PathEnsemble(drawn=values, n=n, process_tag=process_tag, kind=kind,
-                        master_seed=master_seed, params=p)
+    require_addressable(min(count, _SLAB), n + 1)
+    return _walk_slabs(_noise_slabs(count, master_seed, kind, n), n, kind, p, process_tag)
+
+
+def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
+                      p: HurstParams | None, process_tag: ProcessTag | str,
+                      n: int) -> PathEnsemble:
+    """The ``path_slabs`` paths held whole: each slab is copied into its rows
+    of the (count, n + 1) values as it comes, so besides the values the
+    ensemble costs one slab at a time."""
+    slabs = path_slabs(count, master_seed, kind, p, process_tag, n)
+    require_addressable(count, n + 1)
+    values = np.empty((count, n + 1))
+    r = 0
+    for slab in slabs:
+        values[r: r + slab.shape[0]] = slab
+        r += slab.shape[0]
+    return PathEnsemble(drawn=values, n=n, process_tag=ProcessTag(process_tag),
+                        kind=NoiseKind(kind), master_seed=master_seed, params=p)
 
 
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
 
-def ensemble_to_csv(ens: PathEnsemble, path: str | Path) -> None:
-    """Long-format CSV: header path_id,m,t,value; one row per path per grid time.
+def ensemble_to_csv(slabs: Iterable[np.ndarray], path: str | Path) -> None:
+    """Long-format CSV of the paths in ``slabs``, (rows, n + 1) arrays in row
+    order: header path_id,m,t,value; one row per path per grid time.
 
     Every number is its shortest round-trip repr; each path is one write,
-    its lines built from the cached ",m,t," middles.
+    its lines built from the slab's ",m,t," middles.  A slab is written
+    before the next is asked for.
     """
-    n = ens.n
-    middles = [f",{m},{m / n!r}," for m in range(n + 1)]
+    k = 0
     with open(path, "w") as fh:
         fh.write("path_id,m,t,value\n")
-        for k, row in enumerate(ens.values):
-            fh.write("".join([f"{k}{mid}{v!r}\n"
-                              for mid, v in zip(middles, row.tolist())]))
+        for slab in slabs:
+            n = slab.shape[1] - 1
+            middles = [f",{m},{m / n!r}," for m in range(n + 1)]
+            for row in slab:
+                fh.write("".join([f"{k}{mid}{v!r}\n"
+                                  for mid, v in zip(middles, row.tolist())]))
+                k += 1
 
 
-def ensemble_metadata(ens: PathEnsemble) -> dict:
+def ensemble_metadata(count: int, master_seed: int, kind: NoiseKind | str,
+                      p: HurstParams | None, process_tag: ProcessTag | str,
+                      n: int) -> dict:
+    """The metadata of the ensemble these ``path_slabs`` arguments draw."""
     return {
-        "H": None if ens.params is None else ens.params.H,
-        "n": ens.n,
-        "M": ens.count,
-        "kind": ens.kind.value,
-        "seed": ens.master_seed,
-        "process": ens.process_tag.value,
+        "H": None if p is None else p.H,
+        "n": n,
+        "M": count,
+        "kind": NoiseKind(kind).value,
+        "seed": master_seed,
+        "process": ProcessTag(process_tag).value,
     }
 
 
@@ -394,10 +458,28 @@ def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def write_ensemble(ens: PathEnsemble, csv_path: str | Path) -> list[str]:
-    """CSV plus its JSON metadata sidecar; returns the files written."""
+# Bytes of the shortest CSV line, "k,m,t,v\n" with a one-digit path id and
+# grid index and three-character reprs ("0.0") of t and the value.
+_MIN_CSV_LINE = 12
+
+
+def write_ensemble(slabs: Iterable[np.ndarray], meta: dict,
+                   csv_path: str | Path) -> list[str]:
+    """CSV of the paths in ``slabs`` plus ``meta`` (``ensemble_metadata``) as
+    its JSON sidecar; returns the files written.
+
+    Refuses, before anything is written, a CSV that could not fit in the
+    free space of its directory (at least ``_MIN_CSV_LINE`` bytes per line):
+    the slabs are written as they come, so no memory bound stops an
+    ensemble too large to write.
+    """
     csv_path = Path(csv_path)
-    ensemble_to_csv(ens, csv_path)
+    need = _MIN_CSV_LINE * meta["M"] * (meta["n"] + 1)
+    free = shutil.disk_usage(csv_path.absolute().parent).free
+    if need > free:
+        raise OSError(errno.ENOSPC, f"the CSV of {meta['M']} paths on grid {meta['n']} "
+                      f"needs at least {need} bytes; {free} are free", str(csv_path))
+    ensemble_to_csv(slabs, csv_path)
     meta_path = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    write_json(meta_path, ensemble_metadata(ens))
+    write_json(meta_path, meta)
     return [str(csv_path), str(meta_path)]

@@ -8,17 +8,26 @@ off-diagonal quadratic form is 2 sum_{i != j} c_ij^2 and its increment
 analogue.  The finite-n values converge to the continuum slowly (the deficit
 decays like n^(H-1)), so estimator correctness is always gated on the exact
 discrete value while reports carry both.
+
+The Monte Carlo reports take per-path samples, one number per path (its
+value at a time, or its quadratic variation on a grid), plus the
+``WalkLaw`` their exact references need; none takes a path matrix.
+``reduce_slabs`` reads those samples off an ensemble's slabs in one pass as
+they are generated, so ``validate`` holds O(M) numbers, never the (M, N + 1)
+paths; an ensemble held whole gives the same samples bit for bit through
+``PathEnsemble.values_at`` and ``_jump_square_sums``.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .kernel import DomainError, HurstParams, get_engine
-from .paths import GridPath, PathEnsemble, ProcessTag, grid_index, require_addressable
+from .paths import (GridPath, ProcessTag, WalkLaw, grid_index, require_addressable,
+                    scale_to_grid)
 
 # resamples behind the skewness standard error
 _BOOTSTRAP = 200
@@ -128,23 +137,23 @@ def discrete_covariance(n: int, s: float, t: float, p: HurstParams) -> float:
     return _scaled_moment(n, n, grid_index(n, s), grid_index(n, t), p, "covariance")
 
 
-def _discrete_reference(ens: PathEnsemble, quantity: str, s: float, t: float) -> float | None:
-    """Exact finite-n "increment" variance or "covariance" of the ensemble's
-    walk at the grid-snapped s and t.
+def _discrete_reference(law: WalkLaw, quantity: str, s: float, t: float) -> float:
+    """Exact finite-n "increment" variance or "covariance" of the walk at the
+    grid-snapped s and t.
 
-    Rosenblatt and fbm read the engine of ``ens.drawn_n``, the grid the paths
+    Rosenblatt and fbm read the engine of ``law.drawn_n``, the grid the paths
     were drawn on, at the grid-n indices and scale by (N/n)^(2h), h the
     process's self-similarity index (discrete self-similarity, as in
-    ``PathEnsemble.coarsen``); a directly drawn ensemble has N = n and a
+    ``PathEnsemble.coarsen``); paths drawn on grid n itself have N = n and a
     factor of exactly 1.
     """
-    p, n, N = ens.params, ens.n, ens.drawn_n
+    p, n, N = law.params, law.n, law.drawn_n
     ms, mt = grid_index(n, s), grid_index(n, t)
-    if ens.process_tag is ProcessTag.ROSENBLATT:
+    if law.process_tag is ProcessTag.ROSENBLATT:
         return _scaled_moment(N, n, ms, mt, p, quantity)
-    if ens.process_tag is ProcessTag.FBM:
+    if law.process_tag is ProcessTag.FBM:
         T = get_engine(N, p).fbm_matrix()
-        scale = (N / n) ** (2 * ens.hurst_index)
+        scale = (N / n) ** (2 * law.hurst_index)
         def cov(a, b):
             if a == 0 or b == 0:
                 return 0.0
@@ -160,20 +169,67 @@ def _discrete_reference(ens: PathEnsemble, quantity: str, s: float, t: float) ->
 
 
 # ---------------------------------------------------------------------------
+# per-path samples, read in one pass
+# ---------------------------------------------------------------------------
+
+def _jump_square_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's sum of squared grid jumps; its temporaries die on return,
+    before the next slab is read."""
+    d = np.diff(rows, axis=1)
+    d *= d
+    return d.sum(axis=1)
+
+
+def reduce_slabs(slabs: Iterable[np.ndarray], count: int, law: WalkLaw,
+                 columns: Sequence[int], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The per-path samples the reports read, in one pass over count paths.
+
+    ``slabs`` holds the paths drawn on grid ``law.drawn_n`` in row order,
+    (rows, drawn_n + 1) each.  Returns the values on grid ``law.n`` at the
+    grid-n indices ``columns``, one row per index, and, for each grid in
+    ``sizes``, every path's sum of squared jumps up to t = 1, one row per
+    grid.  Each is scaled by ``scale_to_grid`` as ``PathEnsemble`` reads it,
+    so they equal the samples of the ensemble held whole bit for bit.  A slab
+    is done with once its rows are filled, so the pass holds these
+    (len(columns) + len(sizes), count) numbers and one slab.
+    """
+    if any(not 1 <= nn <= law.drawn_n for nn in sizes):
+        raise DomainError(f"qv grid sizes must be at least 1 and at most the drawn grid "
+                          f"{law.drawn_n}, got {list(sizes)}")
+    require_addressable(len(columns) + len(sizes), count)
+    values = np.empty((len(columns), count))
+    qv = np.empty((len(sizes), count))
+    h, N = law.hurst_index, law.drawn_n
+    r = 0
+    for slab in slabs:
+        rows = slice(r, r + slab.shape[0])
+        r += slab.shape[0]
+        for out, m in zip(values, columns):
+            out[rows] = scale_to_grid(slab[:, m], N, law.n, h)
+        for out, nn in zip(qv, sizes):
+            out[rows] = _jump_square_sums(scale_to_grid(slab[:, : nn + 1], N, nn, h))
+    return values, qv
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo reports
 # ---------------------------------------------------------------------------
 
-def increment_variance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
-    """E|Z(t) - Z(s)|^2 with the standard error of the mean.
+def increment_variance(zs: np.ndarray, zt: np.ndarray, s: float, t: float,
+                       law: WalkLaw) -> MomentReport:
+    """E|Z(t) - Z(s)|^2 with the standard error of the mean, from every
+    path's values zs at s and zt at t on grid ``law.n``.
 
     The continuum target is |floor(nt)/n - floor(ns)/n|^(2H); a zero-width
-    snapped increment is flagged, not an error.  Symmetric in (s, t).
+    snapped increment is flagged, not an error.  Symmetric in (s, zs) and
+    (t, zt).
     """
-    n = ens.n
-    s, t = sorted((s, t))
-    d = ens.values_at(t) - ens.values_at(s)
+    n = law.n
+    if t < s:
+        s, t, zs, zt = t, s, zt, zs
+    d = zt - zs
     sq = d * d
-    expo = 2 * ens.hurst_index
+    expo = 2 * law.hurst_index
     ms, mt = grid_index(n, s), grid_index(n, t)
     theo = abs(mt / n - ms / n) ** expo
     note = None
@@ -183,49 +239,51 @@ def increment_variance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
         quantity="increment_variance",
         estimate=float(sq.mean()),
         std_error=_mean_se(sq),
-        sample_size=ens.count,
+        sample_size=sq.size,
         theoretical=theo,
-        discrete=_discrete_reference(ens, "increment", s, t),
+        discrete=_discrete_reference(law, "increment", s, t),
         note=note,
     )
 
 
-def covariance(ens: PathEnsemble, s: float, t: float) -> MomentReport:
-    """E[Z(s) Z(t)] against (t^2H + s^2H - |t-s|^2H)/2 at grid-snapped times."""
-    n = ens.n
-    prod = ens.values_at(s) * ens.values_at(t)
-    expo = 2 * ens.hurst_index
+def covariance(zs: np.ndarray, zt: np.ndarray, s: float, t: float,
+               law: WalkLaw) -> MomentReport:
+    """E[Z(s) Z(t)] against (t^2H + s^2H - |t-s|^2H)/2 at grid-snapped times,
+    from every path's values zs at s and zt at t on grid ``law.n``."""
+    n = law.n
+    prod = zs * zt
+    expo = 2 * law.hurst_index
     sg, tg = grid_index(n, s) / n, grid_index(n, t) / n
     theo = 0.5 * (tg ** expo + sg ** expo - abs(tg - sg) ** expo)
     return MomentReport(
         quantity="covariance",
         estimate=float(prod.mean()),
         std_error=_mean_se(prod),
-        sample_size=ens.count,
+        sample_size=prod.size,
         theoretical=theo,
-        discrete=_discrete_reference(ens, "covariance", s, t),
+        discrete=_discrete_reference(law, "covariance", s, t),
     )
 
 
-def skewness(ens: PathEnsemble, t: float) -> MomentReport:
-    """Standardized third moment of the marginal at t, with the standard error
-    of _BOOTSTRAP bootstrap resamples."""
-    if ens.count < 100:
+def skewness(x: np.ndarray, law: WalkLaw, seed: int) -> MomentReport:
+    """Standardized third moment of the marginal sample x, with the standard
+    error of _BOOTSTRAP bootstrap resamples drawn from Philox keyed by seed."""
+    if x.size < 100:
         raise DomainError("skewness needs at least 100 paths")
-    x = ens.values_at(t)
-    theo = None if ens.process_tag is ProcessTag.ROSENBLATT else 0.0
+    theo = None if law.process_tag is ProcessTag.ROSENBLATT else 0.0
     if np.ptp(x) == 0.0:
-        # every sample, and so every resample, is the same value (t snaps to
-        # grid point 0): the standardised moment would be 0/0
+        # every sample, and so every resample, is the same value (the
+        # Rosenblatt walk is 0 on grid point 1): the standardised moment
+        # would be 0/0
         return MomentReport(quantity="skewness", estimate=0.0, std_error=0.0,
-                            sample_size=ens.count, theoretical=theo,
+                            sample_size=x.size, theoretical=theo,
                             note="degenerate: every sample has the same value")
     def skew(v):
         # c^3 as c^2 * c: a power of the whole array would run libm pow per entry
         c = v - v.mean()
         c2 = c * c
         return np.mean(c2 * c) / np.mean(c2) ** 1.5
-    rng = np.random.Generator(np.random.Philox(key=(ens.master_seed ^ 0xB007B007) & ((1 << 64) - 1)))
+    rng = np.random.Generator(np.random.Philox(key=(seed ^ 0xB007B007) & ((1 << 64) - 1)))
     reps = np.empty(_BOOTSTRAP)
     for b in range(_BOOTSTRAP):
         reps[b] = skew(x[rng.integers(0, x.size, x.size)])
@@ -233,7 +291,7 @@ def skewness(ens: PathEnsemble, t: float) -> MomentReport:
         quantity="skewness",
         estimate=float(skew(x)),
         std_error=float(np.std(reps, ddof=1)),
-        sample_size=ens.count,
+        sample_size=x.size,
         theoretical=theo,
     )
 
@@ -255,31 +313,20 @@ class QvDecayFit:
     std_errors: list[float]
 
 
-def _jump_square_sums(rows: np.ndarray) -> np.ndarray:
-    """Each row's sum of squared grid jumps; its temporaries die on return,
-    before the next slab is read."""
-    d = np.diff(rows, axis=1)
-    d *= d
-    return d.sum(axis=1)
+def qv_decay(sums: Iterable[tuple[int, np.ndarray]]) -> QvDecayFit:
+    """Fit the decay exponent of the mean quadratic variation at t = 1 from
+    (grid size, every path's QV on that grid) pairs.
 
-
-def qv_decay(ensembles: Iterable[PathEnsemble]) -> QvDecayFit:
-    """Fit the decay exponent of the mean quadratic variation at t = 1.
-
-    Each ensemble's paths are differenced, squared and summed one slab of
-    rows at a time (``PathEnsemble.slabs``): an ensemble coarsened off a
-    finer draw shares the drawn rows, so it costs one scaled slab at a time,
-    never a copy of its values.  Refuses fewer than three distinct grid
-    sizes: one gives no slope, and a line through two points fits them
-    exactly whatever the decay.  Refuses a repeated grid size too, which
-    would weigh that grid twice in the fit, and a grid whose mean QV is not
-    positive, which has no logarithm (the Rosenblatt walk on grid 1 has no
-    off-diagonal pair, so its QV is exactly 0).
+    Refuses fewer than three distinct grid sizes: one gives no slope, and a
+    line through two points fits them exactly whatever the decay.  Refuses a
+    repeated grid size too, which would weigh that grid twice in the fit,
+    and a grid whose mean QV is not positive, which has no logarithm (the
+    Rosenblatt walk on grid 1 has no off-diagonal pair, so its QV is
+    exactly 0).
     """
     sizes, means, ses = [], [], []
-    for ens in ensembles:
-        qv = np.concatenate([_jump_square_sums(slab) for slab in ens.slabs()])
-        sizes.append(ens.n)
+    for n, qv in sums:
+        sizes.append(n)
         means.append(float(qv.mean()))
         ses.append(_mean_se(qv))
     if len(set(sizes)) < 3:
@@ -294,15 +341,13 @@ def qv_decay(ensembles: Iterable[PathEnsemble]) -> QvDecayFit:
                       sizes=sizes, means=means, std_errors=ses)
 
 
-def histogram(ens: PathEnsemble, t: float, bins: int) -> Histogram:
-    """Equal-width histogram of the marginal at t spanning the sample range."""
+def histogram(x: np.ndarray, bins: int) -> Histogram:
+    """Equal-width histogram of the marginal sample x spanning its range."""
     if bins < 2:
         raise DomainError("need at least 2 bins")
     require_addressable(bins + 1)
-    x = ens.values_at(t)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
     return Histogram(bin_edges=edges, counts=counts, total=x.size)
-

@@ -209,11 +209,11 @@ def test_criterion_5_qv_decay(p08):
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_skewness(p08, ens_h08_n256):
-    rep = skewness(ens_h08_n256, 1.0)
+    rep = skewness(ens_h08_n256.values_at(1.0), ens_h08_n256.law, ens_h08_n256.master_seed)
     ok_rose = abs(rep.estimate) > 3.0 * rep.std_error
 
     walk = simulate_ensemble(10000, SEED + 4, "gaussian", None, "walk", 256)
-    rep_w = skewness(walk, 1.0)
+    rep_w = skewness(walk.values_at(1.0), walk.law, walk.master_seed)
     ok_walk = abs(rep_w.estimate) < 3.0 * rep_w.std_error
 
     ok = ok_rose and ok_walk

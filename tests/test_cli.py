@@ -138,15 +138,15 @@ class TestValidate:
         assert c["estimate"] == c["discrete"] == c["theoretical"] == c["std_error"] == 0
         assert "PASS variance" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("process", [["--process", "walk"],
-                                         ["--process", "rosenblatt", "--hurst", "0.8"]])
-    def test_degenerate_skewness_is_strict_json(self, tmp_path, process):
-        # t = 0.01 snaps to 0, where every sample is 0: the report says so
+    def test_degenerate_skewness_is_strict_json(self, tmp_path):
+        # t = 0.07 snaps to grid point 1, where the Rosenblatt walk has no
+        # off-diagonal pair and every sample is 0: the report says so
         # instead of writing the 0/0 as NaN; no skew cannot show one, nor
         # rule one out, so the check still fails
         out = tmp_path / "skew.json"
-        code = run("validate", "--check", "skewness", *process, "--n", "16",
-                   "--paths", "200", "--t", "0.01", "--out", str(out))
+        code = run("validate", "--check", "skewness", "--process", "rosenblatt",
+                   "--hurst", "0.8", "--n", "16", "--paths", "200", "--t", "0.07",
+                   "--out", str(out))
         assert code == 1
 
         def refuse(name):
@@ -166,13 +166,13 @@ class TestValidate:
                                                check, n, qv, drawn):
         import rosenblatt.cli as cli
         calls = []
-        simulate = cli.simulate_ensemble
+        draw = cli.path_slabs
 
         def recording(count, seed, kind, p, process, grid):
             calls.append(grid)
-            return simulate(count, seed, kind, p, process, grid)
+            return draw(count, seed, kind, p, process, grid)
 
-        monkeypatch.setattr(cli, "simulate_ensemble", recording)
+        monkeypatch.setattr(cli, "path_slabs", recording)
         run("validate", "--check", check, "--process", "walk", "--noise", "gaussian",
             "--n", n, "--paths", "200", "--qv-sizes", qv, "--seed", "4",
             "--out", str(tmp_path / "rep.json"))
@@ -266,9 +266,9 @@ class TestValidate:
         # flukes; pin the aggregation contract by stubbing an unskewed report
         from rosenblatt.stats import MomentReport
 
-        def flat_skew(ens, t):
+        def flat_skew(x, law, seed):
             return MomentReport(quantity="skewness", estimate=0.0,
-                                std_error=1.0, sample_size=ens.count)
+                                std_error=1.0, sample_size=x.size)
 
         monkeypatch.setattr("rosenblatt.cli.st.skewness", flat_skew)
         code = run("validate", "--check", "skewness", "--process", "rosenblatt",
@@ -277,6 +277,70 @@ class TestValidate:
         assert code == 1
         rep = json.loads((tmp_path / "r.json").read_text())
         assert rep["passed"] is False
+
+    @pytest.mark.parametrize("process, noise, n", [
+        ("rosenblatt", "gaussian", 32), ("rosenblatt", "rademacher", 32),
+        ("fbm", "gaussian", 32), ("walk", "rademacher", 32), ("walk", "gaussian", 64)])
+    def test_streamed_reports_equal_ensemble_reports(self, tmp_path, process, noise, n):
+        # validate reads each path as its slab leaves the pass; every report
+        # field must be the bits of the reports on the ensemble held whole.
+        # 1100 paths are two full slabs and a partial one; grid n = 32 is
+        # read off the grid-64 draw, and n = 64 is the draw itself
+        from dataclasses import asdict
+
+        from rosenblatt import HurstParams, simulate_ensemble
+        from rosenblatt import stats as st
+        from rosenblatt.stats import _jump_square_sums
+
+        hurst = {"rosenblatt": "0.8", "fbm": "0.9", "walk": None}[process]
+        p = {"rosenblatt": HurstParams(0.8), "fbm": HurstParams.from_kernel_hurst(0.9),
+             "walk": None}[process]
+        M, seed, s, t, bins, sizes = 1100, 8, 0.3, 0.9, 20, (16, 32, 64)
+        out = tmp_path / "rep.json"
+        run("validate", "--check", "all", "--process", process,
+            *(["--hurst", hurst] if hurst else []), "--noise", noise, "--n", str(n),
+            "--paths", str(M), "--seed", str(seed), "--s", str(s), "--t", str(t),
+            "--bins", str(bins), "--qv-sizes", "16,32,64", "--out", str(out))
+        got = {c["check"]: c for c in json.loads(out.read_text())["checks"]}
+
+        fine = simulate_ensemble(M, seed, noise, p, process, 64)
+        ens = fine.coarsen(n)
+        at = ens.values_at
+        want = {
+            "variance": st.increment_variance(at(0.0), at(t), 0.0, t, ens.law),
+            "covariance": st.covariance(at(s), at(t), s, t, ens.law),
+            "skewness": st.skewness(at(t), ens.law, seed),
+            "qv": st.qv_decay((nn, _jump_square_sums(fine.coarsen(nn).values))
+                              for nn in sizes),
+        }
+        for name, rep in want.items():
+            for key, value in asdict(rep).items():
+                if (name, key) != ("skewness", "note"):  # the command writes its own
+                    assert got[name][key] == value, (name, key)
+        st.histogram(at(t), bins).to_csv(tmp_path / "want.csv")
+        assert ((tmp_path / "rep.json.hist.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    def test_memory_grows_by_samples_not_paths(self, tmp_path):
+        # validate keeps a few numbers per path, never the (M, N + 1) paths:
+        # from 1024 to 4096 paths at N = 256 the traced peak may grow by less
+        # than 256 bytes a path, where the path matrix alone takes 8 (N + 1)
+        import tracemalloc
+
+        argv = ["validate", "--check", "all", "--process", "rosenblatt", "--hurst", "0.8",
+                "--noise", "gaussian", "--n", "128", "--qv-sizes", "16,64,256",
+                "--seed", "3"]
+        # build the engine and its cached tables before measuring
+        run(*argv, "--paths", "200", "--out", str(tmp_path / "warm.json"))
+        peaks = {}
+        for M in (1024, 4096):
+            tracemalloc.start()
+            try:
+                run(*argv, "--paths", str(M), "--out", str(tmp_path / f"{M}.json"))
+                peaks[M] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4096] - peaks[1024] < 256 * (4096 - 1024)
 
 
 class TestMarket:
@@ -486,6 +550,8 @@ class TestUsageErrors:
         ["validate", "--process", "rosenblatt", "--hurst", "0.8", "--check", "histogram",
          "--n", "-3", "--paths", "10"],
         ["simulate", "--process", "fbm", "--hurst", "0.9", "--n", "-1", "--paths", "2"],
+        ["validate", "--process", "walk", "--check", "qv", "--n", "8", "--paths", "10",
+         "--qv-sizes", "0,2,4"],
     ])
     def test_grid_below_one_exits_2_writing_nothing(self, tmp_path, capsys, argv):
         code = run(*argv, "--out", str(tmp_path / "x.out"))
@@ -493,6 +559,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "at least 1" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("check", ["skewness", "all"])
+    @pytest.mark.parametrize("process", [["--process", "walk"],
+                                         ["--process", "fbm", "--hurst", "0.9"],
+                                         ["--process", "rosenblatt", "--hurst", "0.8"]])
+    def test_skewness_at_grid_point_0_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                              process, check):
+        # t = 0.001 snaps to grid point 0, where every path is 0: the
+        # skewness of that point mass is 0/0, so asking for it is a usage error
+        code = run("validate", "--check", check, *process, "--n", "64", "--paths", "200",
+                   "--t", "0.001", "--out", str(tmp_path / "x.out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "grid point 0" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_rate_table_exits_2(self, tmp_path, capsys):

@@ -338,7 +338,8 @@ class TestEnsembles:
     def test_csv_and_metadata(self, p07, tmp_path):
         ens = simulate_ensemble(3, 9, "rademacher", p07, "rosenblatt", 8)
         csv_path = tmp_path / "ens.csv"
-        files = write_ensemble(ens, csv_path)
+        files = write_ensemble(ens.slabs(), ensemble_metadata(3, 9, "rademacher", p07,
+                                                              "rosenblatt", 8), csv_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "path_id,m,t,value"
         assert len(lines) == 1 + 3 * 9
@@ -355,7 +356,7 @@ class TestEnsembles:
     def test_csv_bytes_equal_line_by_line_writer(self, p07, tmp_path, process):
         # the per-line formatting the writer batches, kept as its reference
         ens = simulate_ensemble(5, 3, "gaussian", p07, process, 7)
-        ensemble_to_csv(ens, tmp_path / "ens.csv")
+        ensemble_to_csv(ens.slabs(), tmp_path / "ens.csv")
         want = ["path_id,m,t,value\n"]
         for k in range(ens.count):
             for m in range(ens.n + 1):
@@ -363,8 +364,7 @@ class TestEnsembles:
         assert (tmp_path / "ens.csv").read_text() == "".join(want)
 
     def test_metadata_walk(self):
-        ens = simulate_ensemble(2, 1, "rademacher", None, "walk", 8)
-        meta = ensemble_metadata(ens)
+        meta = ensemble_metadata(2, 1, "rademacher", None, "walk", 8)
         assert meta["H"] is None and meta["process"] == "walk"
 
 

@@ -1,6 +1,4 @@
 """Moment reports, quadratic variation, histograms, and the exact finite-n laws."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,22 @@ from rosenblatt import (DomainError, GridPath, ProcessTag,
                         quadratic_variation, simulate_ensemble, skewness)
 from rosenblatt.kernel import HurstParams, get_engine
 from rosenblatt.paths import _SLAB
-from rosenblatt.stats import MomentReport
+from rosenblatt.stats import MomentReport, _jump_square_sums, reduce_slabs
+
+
+def _pair(ens, s, t):
+    """What a two-time report reads of an ensemble: its samples at s and t,
+    the two times, and its law."""
+    return ens.values_at(s), ens.values_at(t), s, t, ens.law
+
+
+def _skew(ens, t):
+    return skewness(ens.values_at(t), ens.law, ens.master_seed)
+
+
+def _qv(ens):
+    """An ensemble's (grid, every path's QV) pair, read off its whole matrix."""
+    return ens.n, _jump_square_sums(ens.values)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +84,8 @@ class TestSelfSimilarReferences:
 
     @staticmethod
     def _references(ens):
-        return [(increment_variance(ens, s, t).discrete, covariance(ens, s, t).discrete)
+        return [(increment_variance(*_pair(ens, s, t)).discrete,
+                 covariance(*_pair(ens, s, t)).discrete)
                 for s, t in _TIMES]
 
     @staticmethod
@@ -105,18 +119,18 @@ class TestSelfSimilarReferences:
 
 class TestIncrementVariance:
     def test_zero_at_equal_times(self, rose_ens):
-        rep = increment_variance(rose_ens, 0.5, 0.5)
+        rep = increment_variance(*_pair(rose_ens, 0.5, 0.5))
         assert rep.estimate == 0.0
         assert rep.note is not None  # degenerate flag, not an error
 
     def test_symmetric_in_arguments(self, rose_ens):
-        a = increment_variance(rose_ens, 0.25, 0.75)
-        b = increment_variance(rose_ens, 0.75, 0.25)
+        a = increment_variance(*_pair(rose_ens, 0.25, 0.75))
+        b = increment_variance(*_pair(rose_ens, 0.75, 0.25))
         assert a.estimate == b.estimate and a.theoretical == b.theoretical
 
     def test_matches_exact_discrete_law(self, rose_ens, p08):
         for (s, t) in [(0.0, 1.0), (0.25, 0.75)]:
-            rep = increment_variance(rose_ens, s, t)
+            rep = increment_variance(*_pair(rose_ens, s, t))
             assert rep.discrete == pytest.approx(
                 discrete_increment_variance(64, s, t, p08), rel=1e-12)
             assert rep.within(4.0)
@@ -124,55 +138,51 @@ class TestIncrementVariance:
                 abs(np.floor(64 * t) / 64 - np.floor(64 * s) / 64) ** 1.6)
 
     def test_agrees_with_variance_at_origin(self, rose_ens):
-        rep = increment_variance(rose_ens, 0.0, 1.0)
+        rep = increment_variance(*_pair(rose_ens, 0.0, 1.0))
         z1 = rose_ens.values[:, -1]
         assert rep.estimate == pytest.approx(float(np.mean(z1 * z1)), rel=1e-12)
 
     def test_walk_theoretical_is_brownian(self, walk_ens):
-        rep = increment_variance(walk_ens, 0.0, 0.5)
+        rep = increment_variance(*_pair(walk_ens, 0.0, 0.5))
         assert rep.theoretical == pytest.approx(0.5)
         assert rep.within(4.0)
 
 
 class TestCovariance:
     def test_zero_time_edge(self, rose_ens):
-        rep = covariance(rose_ens, 0.0, 0.7)
+        rep = covariance(*_pair(rose_ens, 0.0, 0.7))
         assert rep.theoretical == 0.0
         assert rep.estimate == 0.0
 
     def test_terminal_value_is_unit(self, rose_ens):
-        rep = covariance(rose_ens, 1.0, 1.0)
+        rep = covariance(*_pair(rose_ens, 1.0, 1.0))
         assert rep.theoretical == pytest.approx(1.0)
 
     def test_cancellation_at_half(self, rose_ens):
         # (0.5^1.6 + 1 - 0.5^1.6)/2 = 0.5 exactly
-        rep = covariance(rose_ens, 0.5, 1.0)
+        rep = covariance(*_pair(rose_ens, 0.5, 1.0))
         assert rep.theoretical == pytest.approx(0.5, rel=1e-14)
         assert rep.within(4.0)
 
     def test_walk_covariance_is_min(self, walk_ens):
-        rep = covariance(walk_ens, 0.25, 0.75)
+        rep = covariance(*_pair(walk_ens, 0.25, 0.75))
         assert rep.theoretical == pytest.approx(0.25)
         assert rep.within(4.0)
 
 
 class TestSkewness:
     def test_gaussian_walk_unskewed(self, walk_ens):
-        rep = skewness(walk_ens, 1.0)
+        rep = _skew(walk_ens, 1.0)
         assert abs(rep.estimate) < 3.0 * rep.std_error
 
     def test_rosenblatt_marginal_is_skewed(self, rose_ens):
-        rep = skewness(rose_ens, 1.0)
+        rep = _skew(rose_ens, 1.0)
         assert abs(rep.estimate) > 3.0 * rep.std_error
         assert rep.estimate > 0
 
     def test_scale_invariance(self, rose_ens):
-        rep = skewness(rose_ens, 1.0)
-        scaled = replace(simulate_ensemble(100, 1, "rademacher", rose_ens.params,
-                                           "rosenblatt", 8),
-                         drawn=rose_ens.values * 3.7, n=rose_ens.n,
-                         master_seed=rose_ens.master_seed)
-        rep2 = skewness(scaled, 1.0)
+        rep = _skew(rose_ens, 1.0)
+        rep2 = skewness(rose_ens.values_at(1.0) * 3.7, rose_ens.law, rose_ens.master_seed)
         assert rep2.estimate == pytest.approx(rep.estimate, rel=1e-12)
 
     def test_matches_cube_power_formula(self, rose_ens):
@@ -184,14 +194,14 @@ class TestSkewness:
         rng = np.random.Generator(np.random.Philox(
             key=(rose_ens.master_seed ^ 0xB007B007) & ((1 << 64) - 1)))
         reps = [skew(x[rng.integers(0, x.size, x.size)]) for _ in range(200)]
-        rep = skewness(rose_ens, 1.0)
+        rep = _skew(rose_ens, 1.0)
         assert rep.estimate == pytest.approx(skew(x), rel=1e-14, abs=0)
         assert rep.std_error == pytest.approx(np.std(reps, ddof=1), rel=1e-14, abs=0)
 
     def test_needs_enough_paths(self, p08):
         tiny = simulate_ensemble(50, 1, "rademacher", p08, "rosenblatt", 8)
         with pytest.raises(DomainError):
-            skewness(tiny, 1.0)
+            _skew(tiny, 1.0)
 
 
 class TestQuadraticVariation:
@@ -213,15 +223,16 @@ class TestQuadraticVariation:
 
     def test_qv_decay_refuses_short_sweeps(self, rose_ens):
         with pytest.raises(DomainError):
-            qv_decay([rose_ens, rose_ens])
+            qv_decay([_qv(rose_ens), _qv(rose_ens)])
 
     def test_qv_decay_refuses_repeated_sizes(self, rose_ens):
         # three ensembles on two grids: the fitted line passes through both exactly
         with pytest.raises(DomainError, match="distinct"):
-            qv_decay([rose_ens, rose_ens, rose_ens.coarsen(32)])
+            qv_decay([_qv(rose_ens), _qv(rose_ens), _qv(rose_ens.coarsen(32))])
         # three distinct grids, one of them twice, would weigh that grid double
         with pytest.raises(DomainError, match="must not repeat"):
-            qv_decay([rose_ens.coarsen(16), rose_ens, rose_ens.coarsen(32), rose_ens])
+            qv_decay([_qv(rose_ens.coarsen(16)), _qv(rose_ens), _qv(rose_ens.coarsen(32)),
+                      _qv(rose_ens)])
 
     def test_qv_decay_refuses_zero_mean_grid(self, rose_ens):
         # on grid 1 the quadratic form has no off-diagonal pair: every QV is
@@ -229,14 +240,14 @@ class TestQuadraticVariation:
         grids = [rose_ens.coarsen(1), rose_ens.coarsen(2), rose_ens.coarsen(4)]
         assert not np.any(grids[0].values)
         with pytest.raises(DomainError, match="positive mean QV"):
-            qv_decay(grids)
+            qv_decay(_qv(g) for g in grids)
 
     def test_qv_decay_matches_exact_slope(self, p08):
         from rosenblatt.kernel import get_engine
         sizes = (16, 32, 64, 128)
         enss = [simulate_ensemble(2000, 99, "rademacher", p08, "rosenblatt", n)
                 for n in sizes]
-        fit = qv_decay(enss)
+        fit = qv_decay(_qv(e) for e in enss)
         exact = []
         for n in sizes:
             eng = get_engine(n, p08)
@@ -250,10 +261,11 @@ class TestQuadraticVariation:
     def test_qv_decay_slabs_keep_whole_matrix_bits(self, p08):
         # 1100 rows span three slabs; the per-slab squared differences must
         # give the bits of the whole (M, n) difference matrix, and a
-        # generator that coarsens on demand the bits of a list
+        # generator of the pairs the bits of a list
         fine = simulate_ensemble(1100, 12, "gaussian", p08, "rosenblatt", 64)
         sizes = (16, 32, 64)
-        fit = qv_decay(fine.coarsen(n) for n in sizes)
+        _, sums = reduce_slabs(fine.slabs(), fine.count, fine.law, [], sizes)
+        fit = qv_decay(zip(sizes, sums))
         means, ses = [], []
         for n in sizes:
             d = np.diff(fine.coarsen(n).values, axis=1)
@@ -263,19 +275,19 @@ class TestQuadraticVariation:
             ses.append(float(np.std(qv, ddof=1) / np.sqrt(qv.size)))
         assert fit.sizes == list(sizes)
         assert fit.means == means and fit.std_errors == ses
-        assert fit == qv_decay([fine.coarsen(n) for n in sizes])
+        assert fit == qv_decay(list(zip(sizes, sums)))
 
 
     def test_qv_decay_holds_one_scaled_slab_of_a_shared_draw(self, p08):
-        # grids coarsened off one draw share its rows: the sweep holds a
-        # slab's scaled values and differences, never a grid's whole matrix
+        # grids read off one draw: the sweep holds a slab's scaled values
+        # and differences and the QV sums, never a grid's whole matrix
         import tracemalloc
         M, N = 4096, 64
         fine = simulate_ensemble(M, 12, "gaussian", p08, "rosenblatt", N)
         sizes = (16, 32, 64)
         tracemalloc.start()
         try:
-            qv_decay(fine.coarsen(n) for n in sizes)
+            qv_decay(zip(sizes, reduce_slabs(fine.slabs(), M, fine.law, [], sizes)[1]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -284,20 +296,18 @@ class TestQuadraticVariation:
 
 class TestHistogram:
     def test_counts_conserved(self, rose_ens):
-        h = histogram(rose_ens, 1.0, 25)
+        h = histogram(rose_ens.values_at(1.0), 25)
         assert int(h.counts.sum()) == h.total == rose_ens.count
         assert len(h.bin_edges) == 26
 
-    def test_all_equal_samples_single_bin(self, p08):
-        ens = simulate_ensemble(100, 4, "rademacher", p08, "rosenblatt", 8)
-        ens = replace(ens, drawn=np.full_like(ens.values, 2.5))
-        h = histogram(ens, 1.0, 10)
+    def test_all_equal_samples_single_bin(self):
+        h = histogram(np.full(100, 2.5), 10)
         assert (h.counts > 0).sum() == 1
         assert int(h.counts.sum()) == 100
 
     def test_bin_validation(self, rose_ens):
         with pytest.raises(DomainError):
-            histogram(rose_ens, 1.0, 1)
+            histogram(rose_ens.values_at(1.0), 1)
 
     def test_h09_right_skew_mean_exceeds_median(self):
         from rosenblatt import HurstParams
@@ -308,7 +318,7 @@ class TestHistogram:
         assert x.mean() - np.median(x) > 2.0 * se_median
 
     def test_csv(self, rose_ens, tmp_path):
-        h = histogram(rose_ens, 1.0, 5)
+        h = histogram(rose_ens.values_at(1.0), 5)
         f = tmp_path / "h.csv"
         h.to_csv(f)
         lines = f.read_text().splitlines()
