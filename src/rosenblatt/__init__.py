@@ -16,7 +16,6 @@ from .paths import (
     GridPath,
     NoiseKind,
     NoiseSequence,
-    PathEnsemble,
     ProcessTag,
     fbm_walk,
     make_noise,

@@ -27,10 +27,10 @@ next slab drawn.  No (M, n) noise or increment matrix exists, and no row's
 bits depend on the slab it went through.  A reader that needs only some
 numbers of each path (``stats.reduce_slabs``, the CSV writer) takes the
 slabs as they come and holds no (M, .) array at all; ``simulate_ensemble``
-fills a ``PathEnsemble`` from them.  An ensemble's drawn rows are
-read-only, and coarsening shares them: a coarsened ensemble holds no matrix
-of its own, but scales what it reads of the drawn rows (a column, a slab of
-rows, or all of them) by ``scale_to_grid``.
+copies them into one read-only (M, n + 1) array.  Many paths are that array
+(or its slabs) plus the ``WalkLaw`` of their grid, and a coarser grid is read
+off them by ``scale_to_grid``, which scales only what it is given (a column,
+a slab of rows, or all of them).
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import json
 import math
 import shutil
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -149,9 +149,13 @@ def scale_to_grid(part: np.ndarray, N: int, n: int, h: float) -> np.ndarray:
     """``part`` of paths drawn on grid N, read on the grid n <= N: ``part``
     itself when n = N, else a new array of it times (N / n)^h.
 
-    The walks are discretely self-similar, Z_n(m/n) = (N/n)^h Z_N(m/N) for
-    m <= n (see ``PathEnsemble.coarsen``), so this is the one place a grid is
-    read off a finer draw.
+    The walks are discretely self-similar: the noise is prefix-consistent (a
+    row's first n values do not depend on its length), and every grid-n
+    coefficient, the 1/sqrt(n) of walk and fbm included, is n^(-h) times one
+    that does not depend on n.  So Z_n(m/n) = (N/n)^h Z_N(m/N) for m <= n,
+    and the first n + 1 columns of a grid-N draw, scaled, equal a direct draw
+    on grid n to a few ulp.  This is the one place a grid is read off a
+    finer draw.
     """
     if n == N:
         return part
@@ -186,94 +190,6 @@ class WalkLaw:
         if self.process_tag is ProcessTag.FBM:
             return self.params.Hp
         return 0.5
-
-
-@dataclass(frozen=True)
-class PathEnsemble:
-    """M paths sharing (n, process, noise kind); row k uses derive_seed(seed, k).
-
-    ``drawn`` holds the paths as drawn, (M, drawn_n + 1) and read-only: on
-    grid n itself, or on the finer grid ``drawn_n`` of the ensemble that
-    ``coarsen`` read this one off.  A coarsened ensemble shares those rows
-    and copies nothing: ``values``, ``values_at`` and ``slabs`` read the
-    first n + 1 columns and scale what they read by ``scale_to_grid``.
-    Frozen, so n cannot part from the rows: a changed copy is made with
-    ``dataclasses.replace``.
-    """
-
-    drawn: np.ndarray           # (M, drawn_n + 1)
-    n: int
-    process_tag: ProcessTag
-    kind: NoiseKind
-    master_seed: int
-    params: HurstParams | None = None
-
-    def __post_init__(self):
-        # coarsened ensembles share these rows, so none may write to them
-        drawn = self.drawn.view()
-        drawn.flags.writeable = False
-        object.__setattr__(self, "drawn", drawn)
-
-    @property
-    def drawn_n(self) -> int:
-        """The grid the paths were drawn on."""
-        return self.drawn.shape[1] - 1
-
-    @property
-    def count(self) -> int:
-        return self.drawn.shape[0]
-
-    @property
-    def law(self) -> WalkLaw:
-        """The grid and process facts the exact references of these paths read."""
-        return WalkLaw(self.process_tag, self.params, self.n, self.drawn_n)
-
-    @property
-    def hurst_index(self) -> float:
-        return self.law.hurst_index
-
-    def _read(self, rows: slice, cols: slice | int) -> np.ndarray:
-        """``drawn[rows, cols]`` on grid n."""
-        return scale_to_grid(self.drawn[rows, cols], self.drawn_n, self.n, self.hurst_index)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The (M, n + 1) paths on grid n; a coarsened ensemble scales them
-        from the drawn rows on every read."""
-        return self._read(slice(None), slice(None, self.n + 1))
-
-    @property
-    def paths(self):
-        for row in self.values:
-            yield GridPath(n=self.n, values=row, process_tag=self.process_tag)
-
-    def values_at(self, t: float) -> np.ndarray:
-        """Every path's value at t, snapped to floor(n t)/n like ``GridPath.value_at``."""
-        return self._read(slice(None), grid_index(self.n, t))
-
-    def slabs(self) -> Iterator[np.ndarray]:
-        """``values`` in order, ``_SLAB`` rows at a time, so a reader of every
-        row of a coarsened ensemble holds one scaled slab at once."""
-        for r in range(0, self.count, _SLAB):
-            yield self._read(slice(r, r + _SLAB), slice(None, self.n + 1))
-
-    def coarsen(self, n: int) -> "PathEnsemble":
-        """The same seeds' ensemble on the coarser grid m/n, 1 <= n <= self.n.
-
-        The walks are discretely self-similar: the noise is prefix-consistent
-        (a row's first n values do not depend on its length), and every grid-n
-        coefficient, the 1/sqrt(n) of walk and fbm included, is n^(-h) times
-        one that does not depend on n.  So Z_n(m/n) = (N/n)^h Z_N(m/N) for
-        m <= n, and the result equals a direct draw on grid n to a few ulp.
-        The result shares the drawn rows and copies nothing; it scales them
-        where it reads them, once, from ``drawn_n``, so coarsening a coarsened
-        ensemble gives the one-step result, within an ulp of scaling twice.
-        """
-        if not 1 <= n <= self.n:
-            raise DomainError(f"coarser grid must lie in 1..{self.n}, got {n}")
-        if n == self.n:
-            return self
-        return replace(self, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +314,10 @@ def path_slabs(count: int, master_seed: int, kind: NoiseKind | str,
 
 def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
                       p: HurstParams | None, process_tag: ProcessTag | str,
-                      n: int) -> PathEnsemble:
-    """The ``path_slabs`` paths held whole: each slab is copied into its rows
-    of the (count, n + 1) values as it comes, so besides the values the
-    ensemble costs one slab at a time."""
+                      n: int) -> np.ndarray:
+    """The ``path_slabs`` paths held whole, a read-only (count, n + 1) array:
+    each slab is copied into its rows as it comes, so besides the array the
+    draw costs one slab at a time."""
     slabs = path_slabs(count, master_seed, kind, p, process_tag, n)
     require_addressable(count, n + 1)
     values = np.empty((count, n + 1))
@@ -409,8 +325,8 @@ def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
     for slab in slabs:
         values[r: r + slab.shape[0]] = slab
         r += slab.shape[0]
-    return PathEnsemble(drawn=values, n=n, process_tag=ProcessTag(process_tag),
-                        kind=NoiseKind(kind), master_seed=master_seed, params=p)
+    values.setflags(write=False)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ value at a time, or its quadratic variation on a grid), plus the
 ``WalkLaw`` their exact references need; none takes a path matrix.
 ``reduce_slabs`` reads those samples off an ensemble's slabs in one pass as
 they are generated, so ``validate`` holds O(M) numbers, never the (M, N + 1)
-paths; an ensemble held whole gives the same samples bit for bit through
-``PathEnsemble.values_at`` and ``_jump_square_sums``.
+paths.
 """
 from __future__ import annotations
 
@@ -144,8 +143,8 @@ def _discrete_reference(law: WalkLaw, quantity: str, s: float, t: float) -> floa
     Rosenblatt and fbm read the engine of ``law.drawn_n``, the grid the paths
     were drawn on, at the grid-n indices and scale by (N/n)^(2h), h the
     process's self-similarity index (discrete self-similarity, as in
-    ``PathEnsemble.coarsen``); paths drawn on grid n itself have N = n and a
-    factor of exactly 1.
+    ``scale_to_grid``); paths drawn on grid n itself have N = n and a factor
+    of exactly 1.
     """
     p, n, N = law.params, law.n, law.drawn_n
     ms, mt = grid_index(n, s), grid_index(n, t)
@@ -188,9 +187,9 @@ def reduce_slabs(slabs: Iterable[np.ndarray], count: int, law: WalkLaw,
     (rows, drawn_n + 1) each.  Returns the values on grid ``law.n`` at the
     grid-n indices ``columns``, one row per index, and, for each grid in
     ``sizes``, every path's sum of squared jumps up to t = 1, one row per
-    grid.  Each is scaled by ``scale_to_grid`` as ``PathEnsemble`` reads it,
-    so they equal the samples of the ensemble held whole bit for bit.  A slab
-    is done with once its rows are filled, so the pass holds these
+    grid.  Each is scaled by ``scale_to_grid``, so they are the bits read off
+    the whole (count, drawn_n + 1) matrix of the same draw.  A slab is done
+    with once its rows are filled, so the pass holds these
     (len(columns) + len(sizes), count) numbers and one slab.
     """
     if any(not 1 <= nn <= law.drawn_n for nn in sizes):

@@ -11,7 +11,7 @@ the measured values are printed for the record.
 import numpy as np
 import pytest
 
-from rosenblatt import (HurstParams, MarketConfig, NoiseKind,
+from rosenblatt import (HurstParams, MarketConfig, NoiseKind, ProcessTag,
                         arbitrage_demo, bs_limit, build_market, cell_weight,
                         constant_rate, dK, discrete_increment_variance,
                         discrete_variance, divergence_scan, fbm_kernel,
@@ -20,7 +20,7 @@ from rosenblatt import (HurstParams, MarketConfig, NoiseKind,
                         skewness)
 from rosenblatt.cli import main as cli_main
 from rosenblatt.kernel import get_engine
-from rosenblatt.paths import NoiseSequence
+from rosenblatt.paths import NoiseSequence, WalkLaw, grid_index
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle
 
@@ -109,8 +109,7 @@ def test_criterion_1_kernel_oracles(p08, p06):
 def test_criterion_2_variance_matches_closed_form(p06, p08):
     oks, details = [], []
     for p in (p06, p08):
-        ens = simulate_ensemble(20000, SEED + 2, "rademacher", p, "rosenblatt", 64)
-        z1 = ens.values[:, -1]
+        z1 = simulate_ensemble(20000, SEED + 2, "rademacher", p, "rosenblatt", 64)[:, -1]
         var = float(z1.var())
         se = float(np.sqrt(max(np.mean((z1 - z1.mean()) ** 4) - var ** 2, 0) / z1.size))
         closed = discrete_variance(64, 1.0, p)
@@ -147,7 +146,7 @@ def test_criterion_3_increment_law(p08, ens_h08_n128):
     n = 128
     oks, details = [], []
     for (s, t) in [(0.0, 0.5), (0.25, 0.75), (0.5, 1.0)]:
-        d = ens_h08_n128.values_at(t) - ens_h08_n128.values_at(s)
+        d = ens_h08_n128[:, grid_index(n, t)] - ens_h08_n128[:, grid_index(n, s)]
         sq = d * d
         est = float(sq.mean())
         se_rel = float(sq.std(ddof=1) / np.sqrt(sq.size)) / est
@@ -188,8 +187,7 @@ def test_criterion_5_qv_decay(p08):
     sizes = (16, 32, 64, 128, 256)
     means, oks, details = [], [], []
     for N in sizes:
-        ens = simulate_ensemble(5000, SEED + 3, "rademacher", p08, "rosenblatt", N)
-        d = np.diff(ens.values, axis=1)
+        d = np.diff(simulate_ensemble(5000, SEED + 3, "rademacher", p08, "rosenblatt", N), axis=1)
         qv = (d * d).sum(axis=1)
         mean = float(qv.mean())
         se_rel = float(qv.std(ddof=1) / np.sqrt(qv.size)) / mean
@@ -209,11 +207,11 @@ def test_criterion_5_qv_decay(p08):
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_skewness(p08, ens_h08_n256):
-    rep = skewness(ens_h08_n256.values_at(1.0), ens_h08_n256.law, ens_h08_n256.master_seed)
+    rep = skewness(ens_h08_n256[:, -1], WalkLaw(ProcessTag.ROSENBLATT, p08, 256, 256), SEED + 1)
     ok_rose = abs(rep.estimate) > 3.0 * rep.std_error
 
     walk = simulate_ensemble(10000, SEED + 4, "gaussian", None, "walk", 256)
-    rep_w = skewness(walk.values_at(1.0), walk.law, walk.master_seed)
+    rep_w = skewness(walk[:, -1], WalkLaw(ProcessTag.WALK, None, 256, 256), SEED + 4)
     ok_walk = abs(rep_w.estimate) < 3.0 * rep_w.std_error
 
     ok = ok_rose and ok_walk
@@ -229,10 +227,10 @@ def test_criterion_6_skewness(p08, ens_h08_n256):
 def test_criterion_7_fbm_covariance(p06):
     # p06 bundles kernel index Hp = 0.8
     n, M = 128, 20000
-    ens = simulate_ensemble(M, SEED + 5, "rademacher", p06, "fbm", n)
+    Z = simulate_ensemble(M, SEED + 5, "rademacher", p06, "fbm", n)
     oks, details = [], []
     for (s, t) in [(0.25, 0.5), (0.5, 1.0), (0.25, 1.0), (0.75, 1.0), (0.5, 0.5)]:
-        prod = ens.values_at(s) * ens.values_at(t)
+        prod = Z[:, grid_index(n, s)] * Z[:, grid_index(n, t)]
         est = float(prod.mean())
         se = float(prod.std(ddof=1) / np.sqrt(M))
         want = 0.5 * (t ** 1.6 + s ** 1.6 - abs(t - s) ** 1.6)

@@ -288,8 +288,9 @@ class TestValidate:
         # read off the grid-64 draw, and n = 64 is the draw itself
         from dataclasses import asdict
 
-        from rosenblatt import HurstParams, simulate_ensemble
+        from rosenblatt import HurstParams, ProcessTag, simulate_ensemble
         from rosenblatt import stats as st
+        from rosenblatt.paths import WalkLaw, grid_index
         from rosenblatt.stats import _jump_square_sums
 
         hurst = {"rosenblatt": "0.8", "fbm": "0.9", "walk": None}[process]
@@ -303,14 +304,20 @@ class TestValidate:
             "--bins", str(bins), "--qv-sizes", "16,32,64", "--out", str(out))
         got = {c["check"]: c for c in json.loads(out.read_text())["checks"]}
 
-        fine = simulate_ensemble(M, seed, noise, p, process, 64)
-        ens = fine.coarsen(n)
-        at = ens.values_at
+        # each grid read off the draw by the literal (N / n)^h scaling, not
+        # by the package's own scale_to_grid
+        N, h = 64, {"rosenblatt": 0.8, "fbm": 0.9, "walk": 0.5}[process]
+        fine = simulate_ensemble(M, seed, noise, p, process, N)
+        Z = (N / n) ** h * fine[:, : n + 1]
+        law = WalkLaw(ProcessTag(process), p, n, N)
+
+        def at(x):
+            return Z[:, grid_index(n, x)]
         want = {
-            "variance": st.increment_variance(at(0.0), at(t), 0.0, t, ens.law),
-            "covariance": st.covariance(at(s), at(t), s, t, ens.law),
-            "skewness": st.skewness(at(t), ens.law, seed),
-            "qv": st.qv_decay((nn, _jump_square_sums(fine.coarsen(nn).values))
+            "variance": st.increment_variance(at(0.0), at(t), 0.0, t, law),
+            "covariance": st.covariance(at(s), at(t), s, t, law),
+            "skewness": st.skewness(at(t), law, seed),
+            "qv": st.qv_decay((nn, _jump_square_sums((N / nn) ** h * fine[:, : nn + 1]))
                               for nn in sizes),
         }
         for name, rep in want.items():

@@ -10,8 +10,9 @@ from rosenblatt import (DomainError, GridPath, HurstParams, NoiseKind,
                         make_noise, random_walk, rosenblatt_walk,
                         simulate_ensemble)
 from rosenblatt.kernel import _matmul, get_engine
-from rosenblatt.paths import (_SLAB, derive_seed, ensemble_metadata, ensemble_to_csv,
-                              grid_index, write_ensemble, write_json)
+from rosenblatt.paths import (_SLAB, WalkLaw, derive_seed, ensemble_metadata,
+                              ensemble_to_csv, grid_index, path_slabs, scale_to_grid,
+                              write_ensemble, write_json)
 
 
 class TestNoise:
@@ -59,103 +60,52 @@ class TestCoarsen:
     def test_equals_direct_draw(self, process, kind, N):
         # discrete self-similarity: Z_n(m/n) = (N/n)^h Z_N(m/N), m <= n
         p = self.PARAMS[process]
+        h = WalkLaw(ProcessTag(process), p, N, N).hurst_index
         fine = simulate_ensemble(6, 5, kind, p, process, N)
         for n in (1, 2, 16, 37, 100, 128):
-            direct = simulate_ensemble(6, 5, kind, p, process, n).values
-            coarse = fine.coarsen(n)
-            assert coarse.n == n and coarse.values.shape == direct.shape
-            assert coarse.process_tag is fine.process_tag and coarse.kind is fine.kind
-            err = np.max(np.abs(coarse.values - direct))
+            direct = simulate_ensemble(6, 5, kind, p, process, n)
+            coarse = scale_to_grid(fine[:, : n + 1], N, n, h)
+            assert coarse.shape == direct.shape
+            err = np.max(np.abs(coarse - direct))
             assert err <= 1e-13 * np.max(np.abs(direct)), (n, err)
 
-    def test_full_grid_is_itself_and_domain(self, p07):
-        ens = simulate_ensemble(2, 1, "rademacher", p07, "rosenblatt", 8)
-        assert ens.coarsen(8) is ens
-        for n in (0, 9):
-            with pytest.raises(DomainError):
-                ens.coarsen(n)
-
-    def test_frozen_keeps_drawn_grid(self, p07):
-        # n cannot be reassigned away from drawn_n; a coarsened copy keeps
-        # the grid its paths were drawn on
-        import dataclasses
-        ens = simulate_ensemble(2, 1, "rademacher", p07, "rosenblatt", 8)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            ens.n = 64
-        assert ens.drawn_n == 8
-        assert ens.coarsen(4).coarsen(2).drawn_n == 8
-
     def test_hurst_index(self):
-        ens = {tag: simulate_ensemble(2, 1, "rademacher", self.PARAMS[tag], tag, 4)
-               for tag in self.PARAMS}
-        assert ens["walk"].hurst_index == 0.5
-        assert ens["fbm"].hurst_index == 0.9
-        assert ens["rosenblatt"].hurst_index == 0.8
+        law = {tag: WalkLaw(ProcessTag(tag), self.PARAMS[tag], 4, 4) for tag in self.PARAMS}
+        assert law["walk"].hurst_index == 0.5
+        assert law["fbm"].hurst_index == 0.9
+        assert law["rosenblatt"].hurst_index == 0.8
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_law_grid_lies_in_drawn_grid(self, p07, n):
+        # a grid read off a grid-8 draw lies in 1..8
+        with pytest.raises(DomainError, match="at most the drawn grid 8"):
+            WalkLaw(ProcessTag.ROSENBLATT, p07, n, 8)
 
 
 class TestSharedRows:
-    """A coarsened ensemble shares the drawn rows, read-only, and scales what
-    it reads of them by (N/n)^h."""
+    """The held ensemble is the streamed slabs' rows, read-only; a coarser
+    grid read off it is the prefix scaled by (N/n)^h."""
 
     PARAMS = TestCoarsen.PARAMS
 
     @pytest.mark.parametrize("process", ["walk", "fbm", "rosenblatt"])
     def test_readers_equal_scaled_prefix_bitwise(self, process):
-        # 600 rows span two slabs; every reader gives the bits of the one
-        # formula the copying coarsen used
-        N = 128
-        fine = simulate_ensemble(600, 7, "gaussian", self.PARAMS[process], process, N)
-        h = fine.hurst_index
+        # 600 rows span two slabs
+        N, p = 128, self.PARAMS[process]
+        fine = simulate_ensemble(600, 7, "gaussian", p, process, N)
+        assert fine.shape == (600, N + 1)
+        assert (np.concatenate(list(path_slabs(600, 7, "gaussian", p, process, N))).tobytes()
+                == fine.tobytes())
+        with pytest.raises(ValueError, match="read-only"):
+            fine[0, 1] = 1.0
+        h = {"walk": 0.5, "fbm": 0.9, "rosenblatt": 0.8}[process]
         for n in (1, 16, 37, 128):
-            want = (N / n) ** h * fine.values[:, : n + 1]
-            coarse = fine.coarsen(n)
-            assert coarse.values.tobytes() == want.tobytes(), n
-            assert np.concatenate(list(coarse.slabs())).tobytes() == want.tobytes(), n
+            want = (N / n) ** h * fine[:, : n + 1]
+            got = scale_to_grid(fine[:, : n + 1], N, n, h)
+            assert got.tobytes() == want.tobytes(), n
             for t in np.linspace(0.0, 1.0, 11):
-                got = coarse.values_at(t)
-                assert got.tobytes() == want[:, grid_index(n, t)].tobytes(), (n, t)
-
-    def test_coarsening_twice_scales_once_from_drawn_grid(self, p08):
-        fine = simulate_ensemble(40, 7, "gaussian", p08, "rosenblatt", 128)
-        twice = fine.coarsen(64).coarsen(16)
-        once = fine.coarsen(16)
-        assert twice.values.tobytes() == once.values.tobytes()
-        # the copying coarsen scaled twice; the two differ by rounding only
-        stepwise = (64 / 16) ** 0.8 * ((128 / 64) ** 0.8 * fine.values[:, :17])
-        assert np.allclose(twice.values, stepwise, rtol=4 * np.finfo(float).eps, atol=0.0)
-
-    def test_drawn_rows_are_read_only(self, p08):
-        fine = simulate_ensemble(20, 7, "gaussian", p08, "rosenblatt", 32)
-        coarse = fine.coarsen(8)
-        assert np.shares_memory(coarse.drawn, fine.drawn)
-        for write in (lambda: fine.values.__setitem__((0, 1), 1.0),
-                      lambda: fine.values_at(1.0).__setitem__(0, 1.0),
-                      lambda: coarse.drawn.__setitem__((0, 1), 1.0),
-                      lambda: next(fine.slabs()).__iadd__(1.0)):
-            with pytest.raises(ValueError, match="read-only"):
-                write()
-
-    def test_coarsened_values_are_an_independent_array(self, p08):
-        fine = simulate_ensemble(20, 7, "gaussian", p08, "rosenblatt", 32)
-        coarse = fine.coarsen(8)
-        before = fine.values.copy()
-        v = coarse.values
-        assert not np.shares_memory(v, fine.drawn)
-        v[:] = 7.0
-        assert np.array_equal(fine.values, before)
-        assert not np.any(coarse.values == 7.0)
-
-    def test_coarsen_allocates_no_matrix(self, p08):
-        M = 4096
-        fine = simulate_ensemble(M, 7, "gaussian", p08, "rosenblatt", 64)
-        for n in (1, 16, 63):
-            tracemalloc.start()
-            try:
-                fine.coarsen(n)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 8 * M, (n, peak)
+                m = grid_index(n, t)
+                assert scale_to_grid(fine[:, m], N, n, h).tobytes() == want[:, m].tobytes()
 
 
 class TestRandomWalk:
@@ -172,8 +122,7 @@ class TestRandomWalk:
 
     def test_terminal_variance(self):
         M, n = 10000, 16
-        ens = simulate_ensemble(M, 11, "rademacher", None, "walk", n)
-        v = ens.values[:, -1].var()
+        v = simulate_ensemble(M, 11, "rademacher", None, "walk", n)[:, -1].var()
         # SE of a sample variance of a unit-variance sum is about sqrt(2/M)
         assert abs(v - 1.0) < 3.0 * np.sqrt(2.0 / M)
 
@@ -209,8 +158,8 @@ class TestFbmWalk:
     def test_covariance_monte_carlo(self, p06):
         # kernel index Hp = 0.8; E[B(0.5) B(1)] has closed form 0.5 there
         n, M = 128, 20000
-        ens = simulate_ensemble(M, 2024, "rademacher", p06, "fbm", n)
-        prod = ens.values_at(0.5) * ens.values_at(1.0)
+        Z = simulate_ensemble(M, 2024, "rademacher", p06, "fbm", n)
+        prod = Z[:, grid_index(n, 0.5)] * Z[:, grid_index(n, 1.0)]
         est = prod.mean()
         se = prod.std(ddof=1) / np.sqrt(M)
         T = get_engine(n, p06).fbm_matrix()
@@ -252,8 +201,7 @@ class TestRosenblattWalk:
         n, M = 32, 10000
         closed = discrete_variance(n, 1.0, p08)
         for kind in ("rademacher", "gaussian"):
-            ens = simulate_ensemble(M, 17, kind, p08, "rosenblatt", n)
-            z1 = ens.values[:, -1]
+            z1 = simulate_ensemble(M, 17, kind, p08, "rosenblatt", n)[:, -1]
             v = z1.var()
             se = np.sqrt(max(np.mean((z1 - z1.mean()) ** 4) - v * v, 0.0) / M)
             assert abs(v - closed) < 4.0 * se, kind
@@ -261,17 +209,16 @@ class TestRosenblattWalk:
     def test_zero_mean_both_noise_kinds(self, p08):
         n, M = 32, 10000
         for kind in ("rademacher", "gaussian"):
-            ens = simulate_ensemble(M, 23, kind, p08, "rosenblatt", n)
-            z1 = ens.values[:, -1]
+            z1 = simulate_ensemble(M, 23, kind, p08, "rosenblatt", n)[:, -1]
             assert abs(z1.mean()) < 4.0 * z1.std(ddof=1) / np.sqrt(M), kind
 
     def test_increment_bound(self, p08):
         # E|Z(t) - Z(s)|^2 never exceeds the continuum modulus
         # |floor(nt)/n - floor(ns)/n|^2H up to sampling error
         n, M = 64, 8000
-        ens = simulate_ensemble(M, 31, "rademacher", p08, "rosenblatt", n)
+        Z = simulate_ensemble(M, 31, "rademacher", p08, "rosenblatt", n)
         for (s, t) in [(0.0, 0.5), (0.25, 0.75), (0.5, 1.0), (0.9, 1.0)]:
-            d = ens.values_at(t) - ens.values_at(s)
+            d = Z[:, grid_index(n, t)] - Z[:, grid_index(n, s)]
             sq = d * d
             est = sq.mean()
             se_rel = sq.std(ddof=1) / np.sqrt(M) / est
@@ -291,29 +238,29 @@ class TestEnsembles:
     def test_same_master_seed_identical(self, p07):
         a = simulate_ensemble(5, 77, "rademacher", p07, "rosenblatt", 16)
         b = simulate_ensemble(5, 77, "rademacher", p07, "rosenblatt", 16)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_count_one_reduces_to_single_path(self, p07):
-        ens = simulate_ensemble(1, 42, "rademacher", p07, "rosenblatt", 16)
+        Z = simulate_ensemble(1, 42, "rademacher", p07, "rosenblatt", 16)
         noise = make_noise(16, "rademacher", derive_seed(42, 0))
         single = rosenblatt_walk(noise, p07)
         # the single path is the ensemble code on one row: same bits
-        assert np.array_equal(ens.values[0], single.values)
+        assert np.array_equal(Z[0], single.values)
 
     @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
     def test_rows_match_fresh_generator_noise(self, kind):
         # the walk's values are the noise partial sums over sqrt(n), exactly
         n, seed = 37, 2**64 - 5
-        ens = simulate_ensemble(40, seed, kind, None, "walk", n)
+        Z = simulate_ensemble(40, seed, kind, None, "walk", n)
         for k in range(40):
             noise = make_noise(n, kind, derive_seed(seed, k)).values
-            assert np.array_equal(ens.values[k, 1:], np.cumsum(noise) / np.sqrt(n)), k
+            assert np.array_equal(Z[k, 1:], np.cumsum(noise) / np.sqrt(n)), k
 
     @pytest.mark.parametrize("n", [64, 400])
     def test_fbm_rows_independent_of_batch(self, n):
         # a row's bits depend neither on --paths nor on the single-path route
         p = HurstParams.from_kernel_hurst(0.9)
-        runs = {M: simulate_ensemble(M, 3, "gaussian", p, "fbm", n).values
+        runs = {M: simulate_ensemble(M, 3, "gaussian", p, "fbm", n)
                 for M in (1, 2, 600)}
         for k in (0, 1):
             noise = make_noise(n, "gaussian", derive_seed(3, k))
@@ -336,10 +283,10 @@ class TestEnsembles:
             simulate_ensemble(2, 1, "rademacher", p, process, n)
 
     def test_csv_and_metadata(self, p07, tmp_path):
-        ens = simulate_ensemble(3, 9, "rademacher", p07, "rosenblatt", 8)
+        Z = simulate_ensemble(3, 9, "rademacher", p07, "rosenblatt", 8)
         csv_path = tmp_path / "ens.csv"
-        files = write_ensemble(ens.slabs(), ensemble_metadata(3, 9, "rademacher", p07,
-                                                              "rosenblatt", 8), csv_path)
+        files = write_ensemble([Z], ensemble_metadata(3, 9, "rademacher", p07,
+                                                      "rosenblatt", 8), csv_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "path_id,m,t,value"
         assert len(lines) == 1 + 3 * 9
@@ -350,17 +297,18 @@ class TestEnsembles:
         # every value round-trips through repr exactly
         row = lines[5].split(",")
         k, m = int(row[0]), int(row[1])
-        assert float(row[3]) == ens.values[k, m]
+        assert float(row[3]) == Z[k, m]
 
     @pytest.mark.parametrize("process", ["walk", "rosenblatt"])
     def test_csv_bytes_equal_line_by_line_writer(self, p07, tmp_path, process):
         # the per-line formatting the writer batches, kept as its reference
-        ens = simulate_ensemble(5, 3, "gaussian", p07, process, 7)
-        ensemble_to_csv(ens.slabs(), tmp_path / "ens.csv")
+        M, n = 5, 7
+        Z = simulate_ensemble(M, 3, "gaussian", p07, process, n)
+        ensemble_to_csv([Z], tmp_path / "ens.csv")
         want = ["path_id,m,t,value\n"]
-        for k in range(ens.count):
-            for m in range(ens.n + 1):
-                want.append(f"{k},{m},{m / ens.n!r},{float(ens.values[k, m])!r}\n")
+        for k in range(M):
+            for m in range(n + 1):
+                want.append(f"{k},{m},{m / n!r},{float(Z[k, m])!r}\n")
         assert (tmp_path / "ens.csv").read_text() == "".join(want)
 
     def test_metadata_walk(self):
@@ -393,8 +341,8 @@ class TestStreamedPass:
     @pytest.mark.parametrize("process", ["walk", "fbm", "rosenblatt"])
     def test_rows_equal_whole_matrix_pass(self, process, kind, M):
         p, n = self.PARAMS[process], 37
-        ens = simulate_ensemble(M, 13, kind, p, process, n)
-        assert ens.values.tobytes() == self.whole_matrix(M, 13, kind, p, process, n).tobytes()
+        Z = simulate_ensemble(M, 13, kind, p, process, n)
+        assert Z.tobytes() == self.whole_matrix(M, 13, kind, p, process, n).tobytes()
 
     @pytest.mark.parametrize("M, rows", [(1100, [512, 512, 76]), (1, [1])])
     def test_one_pass_call_per_slab(self, monkeypatch, M, rows):
@@ -418,11 +366,11 @@ class TestStreamedPass:
         get_engine(n, p08)
         tracemalloc.start()
         try:
-            ens = simulate_ensemble(M, 5, "gaussian", p08, "rosenblatt", n)
+            Z = simulate_ensemble(M, 5, "gaussian", p08, "rosenblatt", n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ens.values.nbytes + 16 * _SLAB * (n + 1) * 8
+        assert peak <= Z.nbytes + 16 * _SLAB * (n + 1) * 8
 
 
 class TestWriteJson:

@@ -8,33 +8,52 @@ from rosenblatt import (DomainError, GridPath, ProcessTag,
                         histogram, increment_variance, qv_decay,
                         quadratic_variation, simulate_ensemble, skewness)
 from rosenblatt.kernel import HurstParams, get_engine
-from rosenblatt.paths import _SLAB
+from rosenblatt.paths import _SLAB, WalkLaw, grid_index, scale_to_grid
 from rosenblatt.stats import MomentReport, _jump_square_sums, reduce_slabs
+
+ROSE_SEED, WALK_SEED = 2718, 31415
+
+# An ensemble below is a (paths, law) pair: the (M, n + 1) paths on grid n
+# and their WalkLaw.
+
+
+def _at(ens, t):
+    """Every path's value at t, snapped to floor(n t)/n."""
+    Z, law = ens
+    return Z[:, grid_index(law.n, t)]
 
 
 def _pair(ens, s, t):
     """What a two-time report reads of an ensemble: its samples at s and t,
     the two times, and its law."""
-    return ens.values_at(s), ens.values_at(t), s, t, ens.law
+    return _at(ens, s), _at(ens, t), s, t, ens[1]
 
 
-def _skew(ens, t):
-    return skewness(ens.values_at(t), ens.law, ens.master_seed)
+def _skew(ens, t, seed):
+    return skewness(_at(ens, t), ens[1], seed)
 
 
-def _qv(ens):
-    """An ensemble's (grid, every path's QV) pair, read off its whole matrix."""
-    return ens.n, _jump_square_sums(ens.values)
+def _qv(ens, n):
+    """(n, every path's QV on grid n), read off an ensemble's whole matrix."""
+    Z, law = ens
+    return n, _jump_square_sums(scale_to_grid(Z[:, : n + 1], law.n, n, law.hurst_index))
+
+
+def _slabs(Z):
+    """The rows of Z in slabs of _SLAB, as views."""
+    return (Z[r: r + _SLAB] for r in range(0, Z.shape[0], _SLAB))
 
 
 @pytest.fixture(scope="module")
 def rose_ens(p08):
-    return simulate_ensemble(8000, 2718, "rademacher", p08, "rosenblatt", 64)
+    return (simulate_ensemble(8000, ROSE_SEED, "rademacher", p08, "rosenblatt", 64),
+            WalkLaw(ProcessTag.ROSENBLATT, p08, 64, 64))
 
 
 @pytest.fixture(scope="module")
 def walk_ens():
-    return simulate_ensemble(8000, 31415, "gaussian", None, "walk", 64)
+    return (simulate_ensemble(8000, WALK_SEED, "gaussian", None, "walk", 64),
+            WalkLaw(ProcessTag.WALK, None, 64, 64))
 
 
 class TestDiscreteLaws:
@@ -101,8 +120,9 @@ class TestSelfSimilarReferences:
     @pytest.mark.parametrize("N", [256, 300])
     def test_coarsened_references_equal_grid_n_laws(self, process, H, N):
         p, n = HurstParams(H), 128
-        coarse = simulate_ensemble(2, 5, "gaussian", p, process, N).coarsen(n)
-        assert (coarse.n, coarse.drawn_n) == (n, N)
+        law = WalkLaw(ProcessTag(process), p, n, N)
+        fine = simulate_ensemble(2, 5, "gaussian", p, process, N)
+        coarse = (scale_to_grid(fine[:, : n + 1], N, n, law.hurst_index), law)
         for got, want in zip(self._references(coarse), self._direct(process, n, p)):
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * abs(w), (g, w)
@@ -112,8 +132,8 @@ class TestSelfSimilarReferences:
     @pytest.mark.parametrize("n", [128, 300])
     def test_direct_references_are_the_public_laws(self, process, H, n):
         p = HurstParams(H)
-        ens = simulate_ensemble(2, 5, "gaussian", p, process, n)
-        assert ens.drawn_n == n
+        ens = (simulate_ensemble(2, 5, "gaussian", p, process, n),
+               WalkLaw(ProcessTag(process), p, n, n))
         assert self._references(ens) == self._direct(process, n, p)
 
 
@@ -139,7 +159,7 @@ class TestIncrementVariance:
 
     def test_agrees_with_variance_at_origin(self, rose_ens):
         rep = increment_variance(*_pair(rose_ens, 0.0, 1.0))
-        z1 = rose_ens.values[:, -1]
+        z1 = rose_ens[0][:, -1]
         assert rep.estimate == pytest.approx(float(np.mean(z1 * z1)), rel=1e-12)
 
     def test_walk_theoretical_is_brownian(self, walk_ens):
@@ -172,17 +192,17 @@ class TestCovariance:
 
 class TestSkewness:
     def test_gaussian_walk_unskewed(self, walk_ens):
-        rep = _skew(walk_ens, 1.0)
+        rep = _skew(walk_ens, 1.0, WALK_SEED)
         assert abs(rep.estimate) < 3.0 * rep.std_error
 
     def test_rosenblatt_marginal_is_skewed(self, rose_ens):
-        rep = _skew(rose_ens, 1.0)
+        rep = _skew(rose_ens, 1.0, ROSE_SEED)
         assert abs(rep.estimate) > 3.0 * rep.std_error
         assert rep.estimate > 0
 
     def test_scale_invariance(self, rose_ens):
-        rep = _skew(rose_ens, 1.0)
-        rep2 = skewness(rose_ens.values_at(1.0) * 3.7, rose_ens.law, rose_ens.master_seed)
+        rep = _skew(rose_ens, 1.0, ROSE_SEED)
+        rep2 = skewness(_at(rose_ens, 1.0) * 3.7, rose_ens[1], ROSE_SEED)
         assert rep2.estimate == pytest.approx(rep.estimate, rel=1e-12)
 
     def test_matches_cube_power_formula(self, rose_ens):
@@ -190,18 +210,19 @@ class TestSkewness:
         def skew(v):
             c = v - v.mean()
             return np.mean(c ** 3) / np.mean(c * c) ** 1.5
-        x = rose_ens.values_at(1.0)
+        x = _at(rose_ens, 1.0)
         rng = np.random.Generator(np.random.Philox(
-            key=(rose_ens.master_seed ^ 0xB007B007) & ((1 << 64) - 1)))
+            key=(ROSE_SEED ^ 0xB007B007) & ((1 << 64) - 1)))
         reps = [skew(x[rng.integers(0, x.size, x.size)]) for _ in range(200)]
-        rep = _skew(rose_ens, 1.0)
+        rep = _skew(rose_ens, 1.0, ROSE_SEED)
         assert rep.estimate == pytest.approx(skew(x), rel=1e-14, abs=0)
         assert rep.std_error == pytest.approx(np.std(reps, ddof=1), rel=1e-14, abs=0)
 
     def test_needs_enough_paths(self, p08):
-        tiny = simulate_ensemble(50, 1, "rademacher", p08, "rosenblatt", 8)
+        tiny = (simulate_ensemble(50, 1, "rademacher", p08, "rosenblatt", 8),
+                WalkLaw(ProcessTag.ROSENBLATT, p08, 8, 8))
         with pytest.raises(DomainError):
-            _skew(tiny, 1.0)
+            _skew(tiny, 1.0, 1)
 
 
 class TestQuadraticVariation:
@@ -210,8 +231,8 @@ class TestQuadraticVariation:
         assert quadratic_variation(path) == 0.0
 
     def test_sign_flip_invariance(self, p08):
-        ens = simulate_ensemble(1, 5, "rademacher", p08, "rosenblatt", 32)
-        path = next(ens.paths)
+        Z = simulate_ensemble(1, 5, "rademacher", p08, "rosenblatt", 32)
+        path = GridPath(n=32, values=Z[0], process_tag=ProcessTag.ROSENBLATT)
         flipped = GridPath(n=32, values=-path.values, process_tag=path.process_tag)
         assert quadratic_variation(path) == quadratic_variation(flipped)
 
@@ -223,31 +244,29 @@ class TestQuadraticVariation:
 
     def test_qv_decay_refuses_short_sweeps(self, rose_ens):
         with pytest.raises(DomainError):
-            qv_decay([_qv(rose_ens), _qv(rose_ens)])
+            qv_decay([_qv(rose_ens, 64), _qv(rose_ens, 64)])
 
     def test_qv_decay_refuses_repeated_sizes(self, rose_ens):
         # three ensembles on two grids: the fitted line passes through both exactly
         with pytest.raises(DomainError, match="distinct"):
-            qv_decay([_qv(rose_ens), _qv(rose_ens), _qv(rose_ens.coarsen(32))])
+            qv_decay([_qv(rose_ens, 64), _qv(rose_ens, 64), _qv(rose_ens, 32)])
         # three distinct grids, one of them twice, would weigh that grid double
         with pytest.raises(DomainError, match="must not repeat"):
-            qv_decay([_qv(rose_ens.coarsen(16)), _qv(rose_ens), _qv(rose_ens.coarsen(32)),
-                      _qv(rose_ens)])
+            qv_decay([_qv(rose_ens, 16), _qv(rose_ens, 64), _qv(rose_ens, 32),
+                      _qv(rose_ens, 64)])
 
     def test_qv_decay_refuses_zero_mean_grid(self, rose_ens):
         # on grid 1 the quadratic form has no off-diagonal pair: every QV is
         # exactly 0, and log 0 would turn the fit into NaN
-        grids = [rose_ens.coarsen(1), rose_ens.coarsen(2), rose_ens.coarsen(4)]
-        assert not np.any(grids[0].values)
+        assert not np.any(rose_ens[0][:, :2])
         with pytest.raises(DomainError, match="positive mean QV"):
-            qv_decay(_qv(g) for g in grids)
+            qv_decay(_qv(rose_ens, n) for n in (1, 2, 4))
 
     def test_qv_decay_matches_exact_slope(self, p08):
         from rosenblatt.kernel import get_engine
         sizes = (16, 32, 64, 128)
-        enss = [simulate_ensemble(2000, 99, "rademacher", p08, "rosenblatt", n)
-                for n in sizes]
-        fit = qv_decay(_qv(e) for e in enss)
+        fit = qv_decay(_qv((simulate_ensemble(2000, 99, "rademacher", p08, "rosenblatt", n),
+                            WalkLaw(ProcessTag.ROSENBLATT, p08, n, n)), n) for n in sizes)
         exact = []
         for n in sizes:
             eng = get_engine(n, p08)
@@ -264,11 +283,12 @@ class TestQuadraticVariation:
         # generator of the pairs the bits of a list
         fine = simulate_ensemble(1100, 12, "gaussian", p08, "rosenblatt", 64)
         sizes = (16, 32, 64)
-        _, sums = reduce_slabs(fine.slabs(), fine.count, fine.law, [], sizes)
+        law = WalkLaw(ProcessTag.ROSENBLATT, p08, 64, 64)
+        _, sums = reduce_slabs(_slabs(fine), 1100, law, [], sizes)
         fit = qv_decay(zip(sizes, sums))
         means, ses = [], []
         for n in sizes:
-            d = np.diff(fine.coarsen(n).values, axis=1)
+            d = np.diff((64 / n) ** 0.8 * fine[:, : n + 1], axis=1)
             d *= d
             qv = d.sum(axis=1)
             means.append(float(qv.mean()))
@@ -284,10 +304,11 @@ class TestQuadraticVariation:
         import tracemalloc
         M, N = 4096, 64
         fine = simulate_ensemble(M, 12, "gaussian", p08, "rosenblatt", N)
+        law = WalkLaw(ProcessTag.ROSENBLATT, p08, N, N)
         sizes = (16, 32, 64)
         tracemalloc.start()
         try:
-            qv_decay(zip(sizes, reduce_slabs(fine.slabs(), M, fine.law, [], sizes)[1]))
+            qv_decay(zip(sizes, reduce_slabs(_slabs(fine), M, law, [], sizes)[1]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -296,8 +317,8 @@ class TestQuadraticVariation:
 
 class TestHistogram:
     def test_counts_conserved(self, rose_ens):
-        h = histogram(rose_ens.values_at(1.0), 25)
-        assert int(h.counts.sum()) == h.total == rose_ens.count
+        h = histogram(_at(rose_ens, 1.0), 25)
+        assert int(h.counts.sum()) == h.total == rose_ens[0].shape[0]
         assert len(h.bin_edges) == 26
 
     def test_all_equal_samples_single_bin(self):
@@ -307,18 +328,17 @@ class TestHistogram:
 
     def test_bin_validation(self, rose_ens):
         with pytest.raises(DomainError):
-            histogram(rose_ens.values_at(1.0), 1)
+            histogram(_at(rose_ens, 1.0), 1)
 
     def test_h09_right_skew_mean_exceeds_median(self):
         from rosenblatt import HurstParams
         p09 = HurstParams(0.9)
-        ens = simulate_ensemble(5000, 88, "rademacher", p09, "rosenblatt", 128)
-        x = ens.values[:, -1]
+        x = simulate_ensemble(5000, 88, "rademacher", p09, "rosenblatt", 128)[:, -1]
         se_median = 1.2533 * x.std(ddof=1) / np.sqrt(x.size)
         assert x.mean() - np.median(x) > 2.0 * se_median
 
     def test_csv(self, rose_ens, tmp_path):
-        h = histogram(rose_ens.values_at(1.0), 5)
+        h = histogram(_at(rose_ens, 1.0), 5)
         f = tmp_path / "h.csv"
         h.to_csv(f)
         lines = f.read_text().splitlines()
@@ -342,13 +362,13 @@ class TestGridTime:
     def test_time_outside_unit_interval_raises(self, p08, call, t):
         # every site reads the grid index floor(n t) through paths.grid_index
         path = GridPath(n=4, values=np.arange(5.0), process_tag=ProcessTag.WALK)
-        ens = simulate_ensemble(2, 0, "rademacher", None, "walk", 4)
+        Z = simulate_ensemble(2, 0, "rademacher", None, "walk", 4)
         calls = {
             "discrete_increment_variance": lambda: discrete_increment_variance(16, t, 1.0, p08),
             "discrete_covariance": lambda: discrete_covariance(16, t, 1.0, p08),
             "quadratic_variation": lambda: quadratic_variation(path, t),
             "value_at": lambda: path.value_at(t),
-            "values_at": lambda: ens.values_at(t),
+            "values_at": lambda: Z[:, grid_index(4, t)],
         }
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
             calls[call]()
