@@ -17,10 +17,14 @@ from .paths import (
     NoiseKind,
     NoiseSequence,
     ProcessTag,
+    WalkLaw,
     fbm_walk,
+    grid_index,
     make_noise,
+    path_slabs,
     random_walk,
     rosenblatt_walk,
+    scale_to_grid,
     simulate_ensemble,
 )
 from .stats import (

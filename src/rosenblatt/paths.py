@@ -19,7 +19,7 @@ row, resets it to the state a fresh ``Philox(key=...)`` starts in (key
 the per-row construction cost; ``make_noise`` builds the fresh generator and
 is the oracle the reused one is tested against.
 
-Paths are generated one slab of 512 rows (``_SLAB``) at a time by the one
+Paths are generated one slab of 128 rows (``_SLAB``) at a time by the one
 generator ``path_slabs``: each slab's noise is drawn, run through the walk
 (for the Rosenblatt walk, one call of the engine's ``quadratic_increments``
 pass) and summed into the slab's (rows, n + 1) paths, and only then is the
@@ -60,9 +60,16 @@ class ProcessTag(str, Enum):
 
 
 # Noise rows per slab of an ensemble, which is drawn, passed and summed one
-# slab at a time: the slab bounds both the pass's GEMM temporaries and the
-# noise held at once to a few MiB.  No row's bits depend on its slab.
-_SLAB = 512
+# slab at a time: the slab bounds the noise, GEMM temporaries, increments and
+# paths held at once.  No row's bits depend on its slab.  128 is the knee of
+# a sweep over 512 / 256 / 128 / 64 / 32 rows (2-vCPU Xeon, OpenBLAS):
+# validate's pass (5000 Gaussian paths, n = 256) peaks at 7.6 / 4.0 / 2.1 /
+# 1.2 / 0.8 MiB traced, and the command at 75.6 / 71.5 / 70.1 / 70.2 /
+# 70.4 MiB RSS; below 128 rows the per-slab Python work costs time (warm
+# pass, median of 9: Gaussian n = 256, 5000 paths 0.214 / 0.236 / 0.208 /
+# 0.247 / 0.305 s; Rademacher n = 128, 10 000 paths 0.438 / 0.389 / 0.378 /
+# 0.425 / 0.459 s).
+_SLAB = 128
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -168,7 +175,8 @@ class WalkLaw:
 
     ``drawn_n`` >= n is the grid the paths were drawn on: the exact references
     read its engine at the grid-n times, so a grid read off a finer draw
-    needs no engine of its own.
+    needs no engine of its own.  ``process_tag`` may be given as its string
+    value, as to ``path_slabs``; it is stored as the ``ProcessTag``.
     """
 
     process_tag: ProcessTag
@@ -177,6 +185,10 @@ class WalkLaw:
     drawn_n: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "process_tag", ProcessTag(self.process_tag))
+        except ValueError as exc:
+            raise DomainError(f"unknown process {self.process_tag!r}") from exc
         if not 1 <= self.n <= self.drawn_n:
             raise DomainError(f"grid size n must be at least 1 and at most the drawn "
                               f"grid {self.drawn_n}, got {self.n}")

@@ -81,6 +81,10 @@ class TestCoarsen:
         with pytest.raises(DomainError, match="at most the drawn grid 8"):
             WalkLaw(ProcessTag.ROSENBLATT, p07, n, 8)
 
+    def test_law_refuses_unknown_process(self):
+        with pytest.raises(DomainError, match="unknown process 'brownian'"):
+            WalkLaw("brownian", None, 4, 4)
+
 
 class TestSharedRows:
     """The held ensemble is the streamed slabs' rows, read-only; a coarser
@@ -90,7 +94,7 @@ class TestSharedRows:
 
     @pytest.mark.parametrize("process", ["walk", "fbm", "rosenblatt"])
     def test_readers_equal_scaled_prefix_bitwise(self, process):
-        # 600 rows span two slabs
+        # 600 rows span several slabs
         N, p = 128, self.PARAMS[process]
         fine = simulate_ensemble(600, 7, "gaussian", p, process, N)
         assert fine.shape == (600, N + 1)
@@ -336,7 +340,7 @@ class TestStreamedPass:
             np.cumsum(inc, axis=1, out=values[:, 1:])
         return values
 
-    @pytest.mark.parametrize("M", [1, 511, 512, 513, 1100])
+    @pytest.mark.parametrize("M", [1, _SLAB - 1, _SLAB, _SLAB + 1, 511, 512, 513, 1100])
     @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
     @pytest.mark.parametrize("process", ["walk", "fbm", "rosenblatt"])
     def test_rows_equal_whole_matrix_pass(self, process, kind, M):
@@ -344,9 +348,11 @@ class TestStreamedPass:
         Z = simulate_ensemble(M, 13, kind, p, process, n)
         assert Z.tobytes() == self.whole_matrix(M, 13, kind, p, process, n).tobytes()
 
-    @pytest.mark.parametrize("M, rows", [(1100, [512, 512, 76]), (1, [1])])
+    @pytest.mark.parametrize("M, rows", [(1100, [_SLAB] * (1100 // _SLAB) + [1100 % _SLAB]),
+                                         (1, [1])])
     def test_one_pass_call_per_slab(self, monkeypatch, M, rows):
-        # the ensemble runs the engine's one pass, once per noise slab
+        # the ensemble runs the engine's one pass, once per noise slab: full
+        # slabs of _SLAB rows, then the rest
         from rosenblatt.kernel import VolterraEngine
         calls = []
         original = VolterraEngine.quadratic_increments
@@ -358,6 +364,17 @@ class TestStreamedPass:
         monkeypatch.setattr(VolterraEngine, "quadratic_increments", recording)
         simulate_ensemble(M, 13, "gaussian", self.PARAMS["rosenblatt"], "rosenblatt", 37)
         assert calls == rows
+
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    def test_bytes_independent_of_slab(self, monkeypatch, kind):
+        # the slab size is memory, not arithmetic; n = 300 runs the pass's
+        # inner dimension in two chunks of at most 256 (kernel._KCHUNK)
+        p = self.PARAMS["rosenblatt"]
+        drawn = []
+        for rows in (1, 128, 512):
+            monkeypatch.setattr("rosenblatt.paths._SLAB", rows)
+            drawn.append(simulate_ensemble(1100, 17, kind, p, "rosenblatt", 300).tobytes())
+        assert drawn[0] == drawn[1] == drawn[2]
 
     def test_holds_no_noise_or_increment_matrix(self, p08):
         # besides the values, the pass may hold a few slabs' worth of noise,

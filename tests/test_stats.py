@@ -8,8 +8,9 @@ from rosenblatt import (DomainError, GridPath, ProcessTag,
                         histogram, increment_variance, qv_decay,
                         quadratic_variation, simulate_ensemble, skewness)
 from rosenblatt.kernel import HurstParams, get_engine
-from rosenblatt.paths import _SLAB, WalkLaw, grid_index, scale_to_grid
-from rosenblatt.stats import MomentReport, _jump_square_sums, reduce_slabs
+from rosenblatt.paths import _SLAB, WalkLaw, grid_index, path_slabs, scale_to_grid
+from rosenblatt.stats import (MomentReport, _discrete_reference, _jump_square_sums,
+                              reduce_slabs)
 
 ROSE_SEED, WALK_SEED = 2718, 31415
 
@@ -135,6 +136,18 @@ class TestSelfSimilarReferences:
         ens = (simulate_ensemble(2, 5, "gaussian", p, process, n),
                WalkLaw(ProcessTag(process), p, n, n))
         assert self._references(ens) == self._direct(process, n, p)
+
+    @pytest.mark.parametrize("process", ["walk", "fbm", "rosenblatt"])
+    def test_string_tag_is_the_enum(self, process):
+        # a law named by the tag's string value is the same law
+        p = None if process == "walk" else HurstParams(0.8)
+        by_name = WalkLaw(process, p, 16, 32)
+        by_tag = WalkLaw(ProcessTag(process), p, 16, 32)
+        assert by_name.process_tag is ProcessTag(process)
+        assert by_name.hurst_index == by_tag.hurst_index
+        for quantity in ("increment", "covariance"):
+            assert (_discrete_reference(by_name, quantity, 0.25, 1.0)
+                    == _discrete_reference(by_tag, quantity, 0.25, 1.0))
 
 
 class TestIncrementVariance:
@@ -278,7 +291,7 @@ class TestQuadraticVariation:
             assert mean == pytest.approx(want, rel=0.1)
 
     def test_qv_decay_slabs_keep_whole_matrix_bits(self, p08):
-        # 1100 rows span three slabs; the per-slab squared differences must
+        # 1100 rows span several slabs; the per-slab squared differences must
         # give the bits of the whole (M, n) difference matrix, and a
         # generator of the pairs the bits of a list
         fine = simulate_ensemble(1100, 12, "gaussian", p08, "rosenblatt", 64)
@@ -299,8 +312,9 @@ class TestQuadraticVariation:
 
 
     def test_qv_decay_holds_one_scaled_slab_of_a_shared_draw(self, p08):
-        # grids read off one draw: the sweep holds a slab's scaled values
-        # and differences and the QV sums, never a grid's whole matrix
+        # grids read off one draw: the sweep holds the QV sums it returns,
+        # a slab's scaled values and differences and the fit's O(M)
+        # temporaries, never a grid's whole (M, N + 1) matrix (2.1 MB here)
         import tracemalloc
         M, N = 4096, 64
         fine = simulate_ensemble(M, 12, "gaussian", p08, "rosenblatt", N)
@@ -312,7 +326,25 @@ class TestQuadraticVariation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * _SLAB * (N + 1) * 8
+        assert peak < len(sizes) * M * 8 + 4 * _SLAB * (N + 1) * 8
+
+    def test_validate_pass_holds_a_few_slabs(self, p08):
+        # validate's default draw, 5000 Gaussian paths on grid 256, read at
+        # its three times on grid 128 and on its five qv grids: besides the
+        # engine, the pass holds the returned numbers and one slab's noise,
+        # GEMM temporaries, increments and paths (7.6 MiB at 512 rows)
+        import tracemalloc
+        M, N = 5000, 256
+        get_engine(N, p08)
+        law = WalkLaw(ProcessTag.ROSENBLATT, p08, 128, N)
+        tracemalloc.start()
+        try:
+            reduce_slabs(path_slabs(M, 41, "gaussian", p08, "rosenblatt", N), M, law,
+                         [0, 64, 128], [16, 32, 64, 128, 256])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 class TestHistogram:
