@@ -13,17 +13,12 @@ from .kernel import (
     rosenblatt_kernel,
 )
 from .paths import (
-    GridPath,
     NoiseKind,
-    NoiseSequence,
     ProcessTag,
     WalkLaw,
-    fbm_walk,
     grid_index,
     make_noise,
     path_slabs,
-    random_walk,
-    rosenblatt_walk,
     scale_to_grid,
     simulate_ensemble,
 )
@@ -37,7 +32,6 @@ from .stats import (
     histogram,
     increment_variance,
     qv_decay,
-    quadratic_variation,
     skewness,
 )
 from .market import (

@@ -26,8 +26,8 @@ from . import __version__
 from .kernel import DomainError, HurstParams
 from .market import (InconclusiveError, MarketConfig, affine_rate, arbitrage_demo,
                      build_markets, constant_rate, divergence_scan, tabulated_rate)
-from .paths import (NoiseKind, NoiseSequence, ProcessTag, WalkLaw, ensemble_metadata,
-                    grid_index, make_noise, path_slabs, write_ensemble, write_json)
+from .paths import (NoiseKind, ProcessTag, WalkLaw, ensemble_metadata, grid_index,
+                    make_noise, path_slabs, write_ensemble, write_json)
 from . import stats as st
 
 _QV_SIZES = (16, 32, 64, 128, 256)
@@ -263,11 +263,10 @@ def cmd_market(args, argv) -> int:
     # the realised path and, for the scan or the witness demo, the all-ones
     # witness path, from one branch pass; every output is computed before the
     # first is written, so a refused input leaves no file behind
-    noises = [make_noise(args.N, NoiseKind.RADEMACHER, args.seed)]
+    xi = [make_noise(args.N, NoiseKind.RADEMACHER, args.seed)]
     if args.scan_divergence or (args.demo_arbitrage and args.witness_all_ones):
-        noises.append(NoiseSequence(kind=NoiseKind.RADEMACHER, seed=args.seed,
-                                    values=np.ones(args.N)))
-    path, *witness = build_markets(cfg, noises)
+        xi.append(np.ones(args.N))
+    path, *witness = build_markets(cfg, xi)
     report = divergence_scan(witness[0]) if args.scan_divergence else None
     trade = None
     if args.demo_arbitrage:

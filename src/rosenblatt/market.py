@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .kernel import DomainError, HurstParams, branch_increments
-from .paths import GridPath, NoiseKind, NoiseSequence, write_json
+from .paths import grid_index, write_json
 
 
 class InconclusiveError(RuntimeError):
@@ -56,10 +56,12 @@ def _require_finite(*named: tuple[str, np.ndarray]) -> None:
 # ---------------------------------------------------------------------------
 
 def constant_rate(x: float) -> Callable[[float], float]:
+    """The rate that is x at every time."""
     return lambda t: x
 
 
 def affine_rate(base: float, slope: float) -> Callable[[float], float]:
+    """The rate base + slope * t."""
     return lambda t: base + slope * t
 
 
@@ -112,7 +114,7 @@ class MarketPath:
     """One binary market trajectory with its up/down envelope."""
 
     cfg: MarketConfig
-    noise: NoiseSequence
+    xi: np.ndarray           # xi_1..xi_N, the path's +-1 noise row
     X: np.ndarray            # X_1..X_N
     B: np.ndarray            # B_0..B_N
     S: np.ndarray            # S_0..S_N
@@ -153,8 +155,9 @@ class MarketPath:
                 fh.write(f"{k + 1},{(k + 1) / N!r},{body},{int(flags[k])}\n")
 
 
-def build_markets(cfg: MarketConfig, noises: list[NoiseSequence]) -> list[MarketPath]:
-    """Run the recursions with X_n = sigma * (Z(n/N) - Z((n-1)/N)) on each noise.
+def build_markets(cfg: MarketConfig, xi) -> list[MarketPath]:
+    """Run the recursions with X_n = sigma * (Z(n/N) - Z((n-1)/N)) on each
+    row of ``xi``, the (paths, N) +-1 noise rows (any array-like).
 
     One streamed branch pass gives every path's u and d; X_n is u_n where
     xi_n = +1 and d_n where xi_n = -1, so X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi)
@@ -166,12 +169,11 @@ def build_markets(cfg: MarketConfig, noises: list[NoiseSequence]) -> list[Market
     trade), so an overflow late on the witness path refuses no output that
     does not read it.
     """
-    for noise in noises:
-        if noise.kind is not NoiseKind.RADEMACHER or not np.all(np.abs(noise.values) == 1.0):
-            raise DomainError("the binary market needs Rademacher (+-1) noise")
-        if noise.n != cfg.N:
-            raise DomainError(f"noise length {noise.n} does not match N={cfg.N}")
-    xi = np.array([noise.values for noise in noises])
+    xi = np.array(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[0] == 0 or xi.shape[1] != cfg.N:
+        raise DomainError(f"noise rows of shape {xi.shape} are not (paths, N={cfg.N})")
+    if not np.all(np.abs(xi) == 1.0):
+        raise DomainError("the binary market needs Rademacher (+-1) noise")
     with np.errstate(over="ignore", invalid="ignore"):
         branches = cfg.sigma * branch_increments(cfg.N, cfg.params, xi[:, :-1])
         r, a = cfg.per_period_rates()
@@ -180,19 +182,19 @@ def build_markets(cfg: MarketConfig, noises: list[NoiseSequence]) -> list[Market
         Xs = np.where(xi > 0, branches[:, 0], branches[:, 1])
         Ss = [cfg.S0 * np.cumprod(np.concatenate([[1.0], 1.0 + a + X])) for X in Xs]
     paths = []
-    for noise, (u, d), X, S in zip(noises, branches, Xs, Ss):
+    for row, (u, d), X, S in zip(xi, branches, Xs, Ss):
         breakdown = None
         bad = np.nonzero(S[1:] <= 0)[0]
         if bad.size:
             breakdown = int(bad[0] + 1)
-        paths.append(MarketPath(cfg=cfg, noise=noise, X=X, B=B, S=S, u=u, d=d,
+        paths.append(MarketPath(cfg=cfg, xi=row, X=X, B=B, S=S, u=u, d=d,
                                 r_minus_a=r_minus_a, breakdown_at=breakdown))
     return paths
 
 
-def build_market(cfg: MarketConfig, noise: NoiseSequence) -> MarketPath:
-    """``build_markets`` on the one noise path."""
-    return build_markets(cfg, [noise])[0]
+def build_market(cfg: MarketConfig, xi) -> MarketPath:
+    """``build_markets`` on the one noise row."""
+    return build_markets(cfg, [xi])[0]
 
 
 def no_arbitrage_check(path: MarketPath) -> int | None:
@@ -236,7 +238,7 @@ def divergence_scan(witness: MarketPath) -> ArbitrageReport:
     not positive throughout the upper half.
     """
     cfg = witness.cfg
-    if not np.all(witness.noise.values == 1.0):
+    if not np.all(witness.xi == 1.0):
         raise DomainError("the divergence scan reads the all-ones witness path")
     N = cfg.N
     if N < 4:
@@ -335,17 +337,21 @@ def _simpson(fn: Callable[[float], float], hi: float, panels: int = 128) -> floa
     return float(h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum()))
 
 
-def bs_limit(cfg: MarketConfig, Z_path: GridPath, t: float) -> tuple[float, float]:
-    """Continuous-model prices driven by the supplied walk path:
+def bs_limit(cfg: MarketConfig, z: np.ndarray, t: float) -> tuple[float, float]:
+    """Continuous-model prices driven by the walk path ``z``, one row of its
+    n + 1 grid values (cadlag: Z(t) = z[floor(n t)]):
 
         S_t = S0 exp(int_0^t a + sigma Z(t)),   B_t = B0 exp(int_0^t r)
 
     with the rate integrals by composite Simpson.
     """
-    if not 0.0 <= t <= 1.0:
-        raise DomainError("t must lie in [0, 1]")
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1 or z.size < 2 or z[0] != 0.0:
+        raise DomainError(f"z must be one path row of n + 1 >= 2 grid values starting "
+                          f"at 0, got shape {z.shape}")
+    zt = z[grid_index(z.size - 1, t)]
     int_a = _simpson(cfg.rate_a, t)
     int_r = _simpson(cfg.rate_r, t)
-    S = cfg.S0 * np.exp(int_a + cfg.sigma * Z_path.value_at(t))
+    S = cfg.S0 * np.exp(int_a + cfg.sigma * zt)
     B = cfg.B0 * np.exp(int_r)
     return float(S), float(B)

@@ -6,11 +6,12 @@ Three processes share one noise sequence xi_1..xi_n:
     fbm         B(m/n) = sum_{i<=m} [n int_{cell_i} K(m/n, s) ds] xi_i / sqrt(n)
     rosenblatt  Z(m/n) = sum_{i != j <= m} c_ij(m) xi_i xi_j
 
-Paths are cadlag step functions between grid points.  The Rosenblatt walk has
-two generators: the fast factorised one accumulates, per grid panel, the
-square of the running kernel-weighted noise sum at shared quadrature nodes
-(O(n^2) per path); the direct one evaluates the quadratic form against the
-full weight table at every step and serves as the brute-force oracle.
+A path is one row of n + 1 grid values, cadlag between grid points; a noise
+is one row of n values.  The Rosenblatt walk accumulates, per grid panel,
+the square of the running kernel-weighted noise sum at shared quadrature
+nodes (O(n^2) per path); ``direct_rosenblatt_walk`` evaluates the quadratic
+form against the full weight table at every step and is the brute-force
+oracle that pass is tested against.
 
 Ensemble member k draws its noise from Philox keyed by derive_seed(master, k).
 ``path_slabs`` keeps one Philox generator per ensemble and, before each
@@ -49,11 +50,15 @@ from .kernel import DomainError, HurstParams, _matmul, get_engine
 
 
 class NoiseKind(str, Enum):
+    """Law of the driving noise: fair +-1 signs or standard Gaussians."""
+
     RADEMACHER = "rademacher"
     GAUSSIAN = "gaussian"
 
 
 class ProcessTag(str, Enum):
+    """Which walk a path is: the simple walk, the fbm walk or the Rosenblatt walk."""
+
     WALK = "walk"
     FBM = "fbm"
     ROSENBLATT = "rosenblatt"
@@ -89,19 +94,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     return _splitmix64((master_seed + (index + 1) * _GOLDEN) & _MASK)
 
 
-@dataclass(frozen=True)
-class NoiseSequence:
-    """Reproducible i.i.d. mean-zero unit-variance driving noise."""
-
-    kind: NoiseKind
-    seed: int
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
 def require_addressable(*shape: int) -> None:
     """MemoryError, not numpy's ValueError, for a float array of this shape
     whose bytes exceed the address space, as for one beyond free memory."""
@@ -115,15 +107,16 @@ def _draw(rng: np.random.Generator, kind: NoiseKind, n: int) -> np.ndarray:
     return rng.standard_normal(n)
 
 
-def make_noise(n: int, kind: NoiseKind | str, seed: int) -> NoiseSequence:
-    """Draw xi_1..xi_n from a counter-based generator (Philox) keyed by seed."""
+def make_noise(n: int, kind: NoiseKind | str, seed: int) -> np.ndarray:
+    """xi_1..xi_n, a read-only (n,) array drawn from a counter-based generator
+    (Philox) keyed by seed."""
     if n < 1:
         raise DomainError(f"noise length must be positive, got {n}")
     kind = NoiseKind(kind)
     require_addressable(n)
-    values = _draw(np.random.Generator(np.random.Philox(key=seed & _MASK)), kind, n)
-    values.setflags(write=False)
-    return NoiseSequence(kind=kind, seed=seed, values=values)
+    xi = _draw(np.random.Generator(np.random.Philox(key=seed & _MASK)), kind, n)
+    xi.setflags(write=False)
+    return xi
 
 
 def grid_index(n: int, t: float) -> int:
@@ -131,25 +124,6 @@ def grid_index(n: int, t: float) -> int:
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
     return int(np.floor(n * t))
-
-
-@dataclass
-class GridPath:
-    """One simulated path at grid times m/n, values[0] = 0, cadlag off-grid."""
-
-    n: int
-    values: np.ndarray
-    process_tag: ProcessTag
-
-    def __post_init__(self):
-        if self.values.shape != (self.n + 1,):
-            raise DomainError("GridPath needs n+1 values")
-        if self.values[0] != 0.0:
-            raise DomainError("paths start at 0")
-
-    def value_at(self, t: float) -> float:
-        """Step interpolation matching the floor(n t)/n time convention."""
-        return float(self.values[grid_index(self.n, t)])
 
 
 def scale_to_grid(part: np.ndarray, N: int, n: int, h: float) -> np.ndarray:
@@ -189,6 +163,8 @@ class WalkLaw:
             object.__setattr__(self, "process_tag", ProcessTag(self.process_tag))
         except ValueError as exc:
             raise DomainError(f"unknown process {self.process_tag!r}") from exc
+        if self.process_tag is not ProcessTag.WALK and self.params is None:
+            raise DomainError("fbm and rosenblatt ensembles need Hurst parameters")
         if not 1 <= self.n <= self.drawn_n:
             raise DomainError(f"grid size n must be at least 1 and at most the drawn "
                               f"grid {self.drawn_n}, got {self.n}")
@@ -238,51 +214,28 @@ def _walk_slabs(noise: Iterable[np.ndarray], n: int, kind: NoiseKind,
         yield values
 
 
-def _single(noise: NoiseSequence, p: HurstParams | None, process_tag: ProcessTag) -> GridPath:
-    values = next(_walk_slabs([noise.values[None, :]], noise.n, noise.kind, p, process_tag))[0]
-    return GridPath(n=noise.n, values=values, process_tag=process_tag)
-
-
-def random_walk(noise: NoiseSequence) -> GridPath:
-    """Rescaled simple random walk W(m/n) = sum_{i<=m} xi_i / sqrt(n)."""
-    return _single(noise, None, ProcessTag.WALK)
-
-
-def fbm_walk(noise: NoiseSequence, p: HurstParams) -> GridPath:
-    """Kernel-disturbed walk converging to fBm with Hurst index p.Hp."""
-    return _single(noise, p, ProcessTag.FBM)
-
-
-def rosenblatt_walk(noise: NoiseSequence, p: HurstParams,
-                    method: str = "factorized") -> GridPath:
-    """Off-diagonal quadratic-form walk converging to the Rosenblatt process.
-
-    method="factorized" streams panel increments; method="direct" evaluates
-    xi' C(m) xi against the full weight table at every grid time (the
-    brute-force oracle, O(n^3) kernel work), sweeping C(m) forward by one
-    ``delta_table`` per step.
-    """
-    if method == "factorized":
-        return _single(noise, p, ProcessTag.ROSENBLATT)
-    if method != "direct":
-        raise DomainError(f"unknown method {method!r}")
-    n = noise.n
+def direct_rosenblatt_walk(xi: np.ndarray, p: HurstParams) -> np.ndarray:
+    """The Rosenblatt walk driven by the (n,) noise row ``xi``, as an (n + 1,)
+    row, by brute force: xi' C(m) xi against the full weight table at every
+    grid time, sweeping C(m) forward by one ``delta_table`` per step (O(n^3)
+    kernel work).  The oracle the factorised pass of ``path_slabs`` is
+    tested against."""
+    n = len(xi)
     eng = get_engine(n, p)
     values = np.zeros(n + 1)
-    x = noise.values
     C = np.zeros((n, n))
     for m in range(1, n + 1):
         C[:m, :m] += eng.delta_table(m)
-        values[m] = x @ C @ x
-    return GridPath(n=n, values=values, process_tag=ProcessTag.ROSENBLATT)
+        values[m] = xi @ C @ xi
+    return values
 
 
 def _noise_slabs(count: int, master_seed: int, kind: NoiseKind,
                  n: int) -> Iterator[np.ndarray]:
     """The count noise rows, (rows, n) slabs of ``_SLAB`` rows, drawn lazily.
 
-    Row k is ``make_noise(n, kind, derive_seed(master_seed, k)).values`` bit
-    for bit, drawn from one generator reset per row.
+    Row k is ``make_noise(n, kind, derive_seed(master_seed, k))`` bit for
+    bit, drawn from one generator reset per row.
     """
     rng = np.random.Generator(np.random.Philox(key=0))
     fresh = {"bit_generator": "Philox",
@@ -305,21 +258,19 @@ def path_slabs(count: int, master_seed: int, kind: NoiseKind | str,
     n + 1) slabs of ``_SLAB`` rows (the last one partial); member k is seeded
     by derive_seed(master_seed, k).
 
-    Row k is driven by ``make_noise(n, kind, derive_seed(master_seed,
-    k)).values`` bit for bit.  Each slab is drawn and run through the walk
-    only when the one before it has been taken, so a reader that drops each
-    slab once read holds one slab's noise, increments and paths, never a
-    (count, .) matrix.  The arguments are checked when this is called, not
-    when the first slab is asked for.
+    Row k is driven by ``make_noise(n, kind, derive_seed(master_seed, k))``
+    bit for bit.  Each slab is drawn and run through the walk only when the
+    one before it has been taken, so a reader that drops each slab once read
+    holds one slab's noise, increments and paths, never a (count, .) matrix.
+    The arguments are checked when this is called, not when the first slab
+    is asked for; the process and its parameters by ``WalkLaw``.
     """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     if n < 1:
         raise DomainError(f"grid size n must be at least 1, got {n}")
     kind = NoiseKind(kind)
-    process_tag = ProcessTag(process_tag)
-    if process_tag is not ProcessTag.WALK and p is None:
-        raise DomainError("fbm and rosenblatt ensembles need Hurst parameters")
+    process_tag = WalkLaw(process_tag, p, n, n).process_tag
     require_addressable(min(count, _SLAB), n + 1)
     return _walk_slabs(_noise_slabs(count, master_seed, kind, n), n, kind, p, process_tag)
 

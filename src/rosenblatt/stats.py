@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import DomainError, HurstParams, get_engine
-from .paths import (GridPath, ProcessTag, WalkLaw, grid_index, require_addressable,
-                    scale_to_grid)
+from .paths import ProcessTag, WalkLaw, grid_index, require_addressable, scale_to_grid
 
 # resamples behind the skewness standard error
 _BOOTSTRAP = 200
@@ -293,12 +292,6 @@ def skewness(x: np.ndarray, law: WalkLaw, seed: int) -> MomentReport:
         sample_size=x.size,
         theoretical=theo,
     )
-
-
-def quadratic_variation(path: GridPath, t: float = 1.0) -> float:
-    """[Z]_t = sum of squared grid jumps up to floor(n t)/n; sign-flip invariant."""
-    d = np.diff(path.values[: grid_index(path.n, t) + 1])
-    return float(np.dot(d, d))
 
 
 @dataclass

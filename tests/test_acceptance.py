@@ -11,16 +11,14 @@ the measured values are printed for the record.
 import numpy as np
 import pytest
 
-from rosenblatt import (HurstParams, MarketConfig, NoiseKind, ProcessTag,
-                        arbitrage_demo, bs_limit, build_market, cell_weight,
-                        constant_rate, dK, discrete_increment_variance,
-                        discrete_variance, divergence_scan, fbm_kernel,
-                        fbm_walk, make_noise, no_arbitrage_check,
-                        rosenblatt_kernel, rosenblatt_walk, simulate_ensemble,
-                        skewness)
+from rosenblatt import (HurstParams, MarketConfig, ProcessTag, arbitrage_demo,
+                        bs_limit, build_market, cell_weight, constant_rate, dK,
+                        discrete_increment_variance, discrete_variance,
+                        divergence_scan, fbm_kernel, make_noise, no_arbitrage_check,
+                        rosenblatt_kernel, simulate_ensemble, skewness)
 from rosenblatt.cli import main as cli_main
 from rosenblatt.kernel import get_engine
-from rosenblatt.paths import NoiseSequence, WalkLaw, grid_index
+from rosenblatt.paths import WalkLaw, derive_seed, direct_rosenblatt_walk, grid_index
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle
 
@@ -168,12 +166,11 @@ def test_criterion_4_generator_equivalence(p08):
     worst = 0.0
     for n in (8, 16, 32):
         for kind in ("rademacher", "gaussian"):
-            for seed in range(20):
-                noise = make_noise(n, kind, SEED + seed)
-                zf = rosenblatt_walk(noise, p08)
-                zd = rosenblatt_walk(noise, p08, method="direct")
-                scale = float(np.max(np.abs(zd.values))) or 1.0
-                worst = max(worst, float(np.max(np.abs(zf.values - zd.values))) / scale)
+            Z = simulate_ensemble(20, SEED, kind, p08, "rosenblatt", n)
+            for k, zf in enumerate(Z):
+                zd = direct_rosenblatt_walk(make_noise(n, kind, derive_seed(SEED, k)), p08)
+                scale = float(np.max(np.abs(zd))) or 1.0
+                worst = max(worst, float(np.max(np.abs(zf - zd))) / scale)
     ok = worst < 1e-6
     report(4, ok, f"factorized vs brute-force double sum, worst rel {worst:.2e}")
     assert ok
@@ -250,8 +247,7 @@ def test_criterion_8_arbitrage(p08):
     N = 128
     cfg = MarketConfig(N=N, sigma=1.0, rate_r=constant_rate(0.5),
                        rate_a=constant_rate(0.0), S0=1.0, B0=1.0, H=0.8)
-    ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(N))
-    rep = divergence_scan(build_market(cfg, ones))
+    rep = divergence_scan(build_market(cfg, np.ones(N)))
     fg = np.array(rep.fg_sequence)
     ns = np.arange(2, N + 1)
     upper = fg[ns >= N // 2]
@@ -260,8 +256,7 @@ def test_criterion_8_arbitrage(p08):
 
     cfg64 = MarketConfig(N=64, sigma=1.0, rate_r=constant_rate(0.5),
                          rate_a=constant_rate(0.0), S0=1.0, B0=1.0, H=0.8)
-    witness = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(64))
-    path = build_market(cfg64, witness)
+    path = build_market(cfg64, np.ones(64))
     n0 = no_arbitrage_check(path)
     ok_viol = n0 is not None
 
@@ -285,9 +280,8 @@ def test_criterion_9_market_limit(p08):
     for N in (32, 64, 128, 256):
         eng = get_engine(N, p08)
         xi = np.empty((M, N))
-        from rosenblatt.paths import derive_seed
         for k in range(M):
-            xi[k] = make_noise(N, "rademacher", derive_seed(SEED + 6, k)).values
+            xi[k] = make_noise(N, "rademacher", derive_seed(SEED + 6, k))
         X = sigma * eng.quadratic_increments(xi, unit_squares=True)
         z1 = X.sum(axis=1) / sigma
         log_sn = np.log1p(X).sum(axis=1)
@@ -296,16 +290,13 @@ def test_criterion_9_market_limit(p08):
     # spot check the vectorized gap against the module API on a few paths
     cfg = MarketConfig(N=64, sigma=sigma, rate_r=constant_rate(0.0),
                        rate_a=constant_rate(0.0), S0=1.0, B0=1.0, H=0.8)
-    from rosenblatt.paths import derive_seed
-    for k in range(3):
-        noise = make_noise(64, "rademacher", derive_seed(SEED + 6, k))
-        mp = build_market(cfg, noise)
-        zp = rosenblatt_walk(noise, p08)
+    Z = simulate_ensemble(3, SEED + 6, "rademacher", p08, "rosenblatt", 64)
+    for k, zp in enumerate(Z):
+        mp = build_market(cfg, make_noise(64, "rademacher", derive_seed(SEED + 6, k)))
         s_lim, _ = bs_limit(cfg, zp, 1.0)
         gap = abs(np.log(mp.S[-1]) - np.log(s_lim))
         assert gap == pytest.approx(
-            abs(np.log1p(sigma * np.diff(zp.values)).sum() - sigma * zp.values[-1]),
-            rel=1e-9)
+            abs(np.log1p(sigma * np.diff(zp)).sum() - sigma * zp[-1]), rel=1e-9)
 
     seq = [gaps[N] for N in (32, 64, 128, 256)]
     ok_mono = all(b < a for a, b in zip(seq, seq[1:]))

@@ -433,9 +433,9 @@ class TestMarket:
         build = market.build_markets
         calls = []
 
-        def counting(cfg, noises):
-            calls.append([noise.values.tolist() for noise in noises])
-            return build(cfg, noises)
+        def counting(cfg, xi):
+            calls.append([row.tolist() for row in xi])
+            return build(cfg, xi)
 
         def refuse(*args):
             raise AssertionError("a second market build")

@@ -4,13 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from rosenblatt import (DomainError, InconclusiveError, MarketConfig,
+from rosenblatt import (DomainError, HurstParams, InconclusiveError, MarketConfig,
                         affine_rate, arbitrage_demo, bs_limit, build_market, build_markets,
                         constant_rate, divergence_scan, make_noise,
-                        no_arbitrage_check, rosenblatt_walk, tabulated_rate)
+                        no_arbitrage_check, simulate_ensemble, tabulated_rate)
 from rosenblatt.kernel import get_engine
 from rosenblatt.market import MarketPath, branch_pnls
-from rosenblatt.paths import NoiseKind, NoiseSequence
+from rosenblatt.paths import derive_seed
 
 
 def cfg_with(N=64, sigma=1.0, H=0.8, r=0.5, a=0.0):
@@ -20,8 +20,7 @@ def cfg_with(N=64, sigma=1.0, H=0.8, r=0.5, a=0.0):
 
 def ones_path(cfg):
     """The market path on the all-ones witness noise."""
-    ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(cfg.N))
-    return build_market(cfg, ones)
+    return build_market(cfg, np.ones(cfg.N))
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +79,7 @@ class TestFGForms:
     def test_parity(self, std_cfg, std_path):
         # f is even and g odd in the noise, so flipping every sign swaps the
         # branches: u on -xi is d on xi
-        xi = std_path.noise.values
-        flipped = build_market(std_cfg, NoiseSequence(kind=NoiseKind.RADEMACHER,
-                                                      seed=0, values=-xi))
+        flipped = build_market(std_cfg, -std_path.xi)
         assert np.array_equal(flipped.u, std_path.d)
         assert np.array_equal(flipped.d, std_path.u)
 
@@ -107,27 +104,28 @@ class TestFGForms:
 
 class TestBuildMarket:
     def test_noise_validation(self, std_cfg):
-        with pytest.raises(DomainError):
-            build_market(std_cfg, make_noise(64, "gaussian", 1))
-        with pytest.raises(DomainError):
-            build_market(std_cfg, make_noise(32, "rademacher", 1))
-        # X_n is the branch xi_n picks, so every entry must be +-1, the last too
+        # build_markets reads (paths, N) rows, build_market one row; X_n is the
+        # branch xi_n picks, so every entry must be +-1, the last too
         half = np.ones(64)
         half[-1] = 0.5
+        for rows in ([np.ones(63)], [np.ones(65)], [make_noise(32, "rademacher", 1)],
+                     [make_noise(64, "gaussian", 1)], [half], np.ones((1, 1, 64)), []):
+            with pytest.raises(DomainError):
+                build_markets(std_cfg, rows)
+            with pytest.raises(DomainError):
+                build_market(std_cfg, rows[0] if len(rows) == 1 else rows)
         with pytest.raises(DomainError, match="Rademacher"):
-            build_market(std_cfg, NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0,
-                                                values=half))
+            build_market(std_cfg, half)
 
     def test_paths_of_one_pass_equal_their_own_builds(self):
         # build_markets stacks every path's prefix in one branch pass; each
         # path keeps every bit of its own one-path build
         cfg = cfg_with(N=300, sigma=0.7)
-        noises = [make_noise(300, "rademacher", 3),
-                  NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(300)),
+        noises = [make_noise(300, "rademacher", 3), np.ones(300),
                   make_noise(300, "rademacher", 5)]
         for path, noise in zip(build_markets(cfg, noises), noises):
             alone = build_market(cfg, noise)
-            assert path.noise is noise
+            assert np.array_equal(path.xi, noise)
             for name in ("X", "B", "S", "u", "d", "r_minus_a"):
                 assert getattr(path, name).tobytes() == getattr(alone, name).tobytes(), name
 
@@ -179,8 +177,8 @@ class TestBuildMarket:
         # keeps every bit of the walk's own pass over the whole noise
         for N in (64, 512):
             cfg = cfg_with(N=N, sigma=0.7)
-            xi = make_noise(N, "rademacher", 424242).values
-            path = build_market(cfg, make_noise(N, "rademacher", 424242))
+            xi = make_noise(N, "rademacher", 424242)
+            path = build_market(cfg, xi)
             walk = cfg.sigma * get_engine(N, cfg.params).quadratic_increments(
                 xi[None, :], unit_squares=True)[0]
             assert path.X.tobytes() == walk.tobytes(), N
@@ -203,13 +201,9 @@ class TestBuildMarket:
         # u_n, d_n = sigma (x'Dx +- 2 D[n-1] x) on the dense panel increment
         # D = delta_table(n); seed None is the all-ones witness path
         cfg = cfg_with(N=N, sigma=0.7)
-        if seed is None:
-            noise = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0, values=np.ones(N))
-        else:
-            noise = make_noise(N, "rademacher", seed)
-        path = build_market(cfg, noise)
+        x = np.ones(N) if seed is None else make_noise(N, "rademacher", seed)
+        path = build_market(cfg, x)
         eng = get_engine(N, cfg.params)
-        x = noise.values
         for n in steps or range(2, N + 1):
             D = eng.delta_table(n)
             f = x[: n - 1] @ D[: n - 1, : n - 1] @ x[: n - 1]
@@ -232,8 +226,7 @@ class TestBuildMarket:
         # only the witness's S overflows: the build keeps it, the scan reads
         # d alone, and the CSV writer refuses the path before opening a file
         cfg = cfg_with(N=256, sigma=100.0)
-        ones = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=1, values=np.ones(256))
-        path, witness = build_markets(cfg, [make_noise(256, "rademacher", 1), ones])
+        path, witness = build_markets(cfg, [make_noise(256, "rademacher", 1), np.ones(256)])
         assert np.all(np.isfinite(path.S)) and not np.all(np.isfinite(witness.S))
         assert np.all(np.isfinite(witness.d))
         assert divergence_scan(witness).first_violation == arbitrage_demo(witness).index
@@ -363,7 +356,7 @@ class TestArbitrageDemo:
     def test_refuses_a_trade_that_is_no_arbitrage(self):
         # S_1 is the smallest subnormal: both branch P&Ls round to zero
         N = 4
-        path = MarketPath(cfg=cfg_with(N=N), noise=make_noise(N, "rademacher", 1),
+        path = MarketPath(cfg=cfg_with(N=N), xi=make_noise(N, "rademacher", 1),
                           X=np.zeros(N), B=np.ones(N + 1),
                           S=np.array([1.0, 5e-324, 1.0, 1.0, 1.0]),
                           u=np.array([0.0, 0.75, 1.0, 1.0]), d=np.array([0.0, 0.5, 0.0, 0.0]),
@@ -390,37 +383,45 @@ class TestArbitrageDemo:
 class TestBsLimit:
     def test_degenerate_constant(self):
         cfg = cfg_with(N=16, sigma=0.0, r=0.0, a=0.0)
-        z = rosenblatt_walk(make_noise(16, "rademacher", 7), cfg.params)
+        z = simulate_ensemble(1, 7, "rademacher", cfg.params, "rosenblatt", 16)[0]
         S, B = bs_limit(cfg, z, 1.0)
         assert S == pytest.approx(1.0) and B == pytest.approx(1.0)
 
     def test_zero_path_gives_rate_integral(self):
         cfg = MarketConfig(N=16, sigma=0.7, rate_r=constant_rate(0.3),
                            rate_a=affine_rate(0.2, 0.6), S0=2.0, B0=3.0, H=0.8)
-        from rosenblatt import GridPath, ProcessTag
-        flat = GridPath(n=16, values=np.zeros(17), process_tag=ProcessTag.ROSENBLATT)
-        S, B = bs_limit(cfg, flat, 1.0)
+        S, B = bs_limit(cfg, np.zeros(17), 1.0)
         assert S == pytest.approx(2.0 * np.exp(0.2 + 0.3), rel=1e-9)   # int affine = 0.2 + 0.6/2
         assert B == pytest.approx(3.0 * np.exp(0.3), rel=1e-9)
 
+    def test_cadlag_floor_lookup(self):
+        # Z(t) is the row's value at grid point floor(n t)
+        cfg = cfg_with(N=4, sigma=1.0, r=0.0, a=0.0)
+        z = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        for t, want in [(0.0, 0.0), (0.24, 0.0), (0.25, 1.0), (0.999, 3.0), (1.0, 4.0)]:
+            assert bs_limit(cfg, z, t)[0] == np.exp(want), t
+
     def test_time_domain(self, std_cfg):
-        z = rosenblatt_walk(make_noise(64, "rademacher", 7), std_cfg.params)
+        z = simulate_ensemble(1, 7, "rademacher", std_cfg.params, "rosenblatt", 64)[0]
         with pytest.raises(DomainError):
             bs_limit(std_cfg, z, 1.5)
 
+    @pytest.mark.parametrize("z", [np.zeros((2, 17)), np.zeros(1), np.arange(1.0, 18.0)],
+                             ids=["2-D", "one-value", "not-from-0"])
+    def test_refuses_what_is_not_a_path_row(self, std_cfg, z):
+        with pytest.raises(DomainError, match="one path row"):
+            bs_limit(std_cfg, z, 1.0)
+
     def test_paired_gap_shrinks_with_resolution(self):
         # log S_N(1) - log S_limit(1) on the same noise shrinks as N grows
-        from rosenblatt import HurstParams
-        from rosenblatt.kernel import get_engine
         p = HurstParams(0.8)
         gaps = []
         for N in (32, 128):
             cfg = cfg_with(N=N, sigma=0.5, r=0.0, a=0.0)
             mean_gap = 0.0
-            for seed in range(40):
-                noise = make_noise(N, "rademacher", seed)
-                path = build_market(cfg, noise)
-                z = rosenblatt_walk(noise, p)
+            Z = simulate_ensemble(40, 0, "rademacher", p, "rosenblatt", N)
+            for k, z in enumerate(Z):
+                path = build_market(cfg, make_noise(N, "rademacher", derive_seed(0, k)))
                 S_lim, _ = bs_limit(cfg, z, 1.0)
                 mean_gap += abs(np.log(path.S[-1]) - np.log(S_lim)) / 40
             gaps.append(mean_gap)

@@ -5,32 +5,35 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rosenblatt import (DomainError, GridPath, HurstParams, NoiseKind,
-                        NoiseSequence, ProcessTag, discrete_variance, fbm_walk,
-                        make_noise, random_walk, rosenblatt_walk,
-                        simulate_ensemble)
+from rosenblatt import (DomainError, HurstParams, NoiseKind, ProcessTag,
+                        discrete_variance, make_noise, simulate_ensemble)
 from rosenblatt.kernel import _matmul, get_engine
-from rosenblatt.paths import (_SLAB, WalkLaw, derive_seed, ensemble_metadata,
-                              ensemble_to_csv, grid_index, path_slabs, scale_to_grid,
-                              write_ensemble, write_json)
+from rosenblatt.paths import (_SLAB, WalkLaw, _walk_slabs, derive_seed,
+                              direct_rosenblatt_walk, ensemble_metadata, ensemble_to_csv,
+                              grid_index, path_slabs, scale_to_grid, write_ensemble,
+                              write_json)
 
 
 class TestNoise:
     def test_reproducible(self):
         a = make_noise(64, "rademacher", 123)
         b = make_noise(64, "rademacher", 123)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         g1 = make_noise(64, "gaussian", 123)
         g2 = make_noise(64, NoiseKind.GAUSSIAN, 123)
-        assert np.array_equal(g1.values, g2.values)
+        assert np.array_equal(g1, g2)
+
+    def test_is_a_read_only_row(self):
+        x = make_noise(8, "gaussian", 1)
+        assert x.shape == (8,) and not x.flags.writeable
 
     def test_rademacher_values(self):
-        x = make_noise(500, "rademacher", 7).values
+        x = make_noise(500, "rademacher", 7)
         assert set(np.unique(x)) == {-1.0, 1.0}
 
     def test_seeds_differ(self):
-        assert not np.array_equal(make_noise(32, "rademacher", 1).values,
-                                  make_noise(32, "rademacher", 2).values)
+        assert not np.array_equal(make_noise(32, "rademacher", 1),
+                                  make_noise(32, "rademacher", 2))
 
     def test_derive_seed_spread(self):
         seeds = {derive_seed(42, k) for k in range(1000)}
@@ -45,9 +48,9 @@ class TestNoisePrefix:
     @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
     def test_prefix_consistent(self, kind):
         # the first n values of a stream do not depend on its length
-        full = make_noise(300, kind, 11).values
+        full = make_noise(300, kind, 11)
         for n in (1, 2, 16, 37, 128, 299):
-            assert make_noise(n, kind, 11).values.tobytes() == full[:n].tobytes(), n
+            assert make_noise(n, kind, 11).tobytes() == full[:n].tobytes(), n
 
 
 class TestCoarsen:
@@ -85,6 +88,14 @@ class TestCoarsen:
         with pytest.raises(DomainError, match="unknown process 'brownian'"):
             WalkLaw("brownian", None, 4, 4)
 
+    @pytest.mark.parametrize("process", ["fbm", "rosenblatt"])
+    def test_law_refuses_kernel_walk_without_params(self, process):
+        # refused as path_slabs refuses it, not left for hurst_index to trip on
+        with pytest.raises(DomainError, match="need Hurst parameters"):
+            WalkLaw(process, None, 4, 4)
+        with pytest.raises(DomainError, match="need Hurst parameters"):
+            path_slabs(2, 1, "rademacher", None, process, 4)
+
 
 class TestSharedRows:
     """The held ensemble is the streamed slabs' rows, read-only; a coarser
@@ -114,15 +125,13 @@ class TestSharedRows:
 
 class TestRandomWalk:
     def test_explicit_small_case(self):
-        noise = NoiseSequence(kind=NoiseKind.RADEMACHER, seed=0,
-                              values=np.array([1.0, -1.0, 1.0, 1.0]))
-        w = random_walk(noise)
-        assert np.allclose(w.values, [0.0, 0.5, 0.0, 0.5, 1.0])
-        assert w.process_tag is ProcessTag.WALK
+        xi = np.array([[1.0, -1.0, 1.0, 1.0]])
+        w = next(_walk_slabs([xi], 4, NoiseKind.RADEMACHER, None, ProcessTag.WALK))
+        assert np.allclose(w, [[0.0, 0.5, 0.0, 0.5, 1.0]])
 
     def test_starts_at_zero(self):
-        w = random_walk(make_noise(17, "gaussian", 3))
-        assert w.values[0] == 0.0
+        w = simulate_ensemble(1, 3, "gaussian", None, "walk", 17)[0]
+        assert w[0] == 0.0
 
     def test_terminal_variance(self):
         M, n = 10000, 16
@@ -131,33 +140,12 @@ class TestRandomWalk:
         assert abs(v - 1.0) < 3.0 * np.sqrt(2.0 / M)
 
 
-class TestGridPath:
-    def test_cadlag_floor_lookup(self):
-        path = GridPath(n=4, values=np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
-                        process_tag=ProcessTag.WALK)
-        assert path.value_at(0.0) == 0.0
-        assert path.value_at(0.24) == 0.0
-        assert path.value_at(0.25) == 1.0
-        assert path.value_at(0.999) == 3.0
-        assert path.value_at(1.0) == 4.0
-        with pytest.raises(DomainError):
-            path.value_at(1.5)
-
-    def test_shape_validation(self):
-        with pytest.raises(DomainError):
-            GridPath(n=4, values=np.zeros(4), process_tag=ProcessTag.WALK)
-        with pytest.raises(DomainError):
-            GridPath(n=2, values=np.array([1.0, 0.0, 0.0]), process_tag=ProcessTag.WALK)
-
-
 class TestFbmWalk:
     def test_starts_at_zero_and_deterministic(self, p06):
-        noise = make_noise(32, "rademacher", 5)
-        b1 = fbm_walk(noise, p06)
-        b2 = fbm_walk(noise, p06)
-        assert b1.values[0] == 0.0
-        assert np.array_equal(b1.values, b2.values)
-        assert b1.process_tag is ProcessTag.FBM
+        b1 = simulate_ensemble(1, 5, "rademacher", p06, "fbm", 32)[0]
+        b2 = simulate_ensemble(1, 5, "rademacher", p06, "fbm", 32)[0]
+        assert b1[0] == 0.0
+        assert np.array_equal(b1, b2)
 
     def test_covariance_monte_carlo(self, p06):
         # kernel index Hp = 0.8; E[B(0.5) B(1)] has closed form 0.5 there
@@ -174,32 +162,26 @@ class TestFbmWalk:
 
 class TestRosenblattWalk:
     def test_n1_is_identically_zero(self, p07):
-        z = rosenblatt_walk(make_noise(1, "rademacher", 9), p07)
-        assert np.array_equal(z.values, [0.0, 0.0])
+        z = simulate_ensemble(1, 9, "rademacher", p07, "rosenblatt", 1)[0]
+        assert np.array_equal(z, [0.0, 0.0])
 
     def test_factorized_equals_direct(self, p07):
         for kind in ("rademacher", "gaussian"):
-            for seed in range(6):
-                noise = make_noise(16, kind, seed)
-                zf = rosenblatt_walk(noise, p07)
-                zd = rosenblatt_walk(noise, p07, method="direct")
-                ref = np.max(np.abs(zd.values)) or 1.0
-                assert np.max(np.abs(zf.values - zd.values)) < 1e-6 * ref
+            Z = simulate_ensemble(6, 0, kind, p07, "rosenblatt", 16)
+            for k, zf in enumerate(Z):
+                zd = direct_rosenblatt_walk(make_noise(16, kind, derive_seed(0, k)), p07)
+                ref = np.max(np.abs(zd)) or 1.0
+                assert np.max(np.abs(zf - zd)) < 1e-6 * ref
 
     def test_direct_sweep_matches_delta_table_sum_bitwise(self, p07):
         # the direct generator sweeps C(m) forward one delta table per step
-        noise = make_noise(12, "gaussian", 4)
+        x = make_noise(12, "gaussian", 4)
         eng = get_engine(12, p07)
-        zd = rosenblatt_walk(noise, p07, method="direct")
-        x = noise.values
+        zd = direct_rosenblatt_walk(x, p07)
         C = np.zeros((12, 12))
         for m in range(1, 13):
             C[:m, :m] += eng.delta_table(m)
-            assert zd.values[m] == x @ C @ x, m
-
-    def test_unknown_method(self, p07):
-        with pytest.raises(DomainError):
-            rosenblatt_walk(make_noise(4, "rademacher", 0), p07, method="magic")
+            assert zd[m] == x @ C @ x, m
 
     def test_exact_second_moment(self, p08):
         n, M = 32, 10000
@@ -245,11 +227,10 @@ class TestEnsembles:
         assert np.array_equal(a, b)
 
     def test_count_one_reduces_to_single_path(self, p07):
+        # a single path is the one-row case of a larger draw: same bits
         Z = simulate_ensemble(1, 42, "rademacher", p07, "rosenblatt", 16)
-        noise = make_noise(16, "rademacher", derive_seed(42, 0))
-        single = rosenblatt_walk(noise, p07)
-        # the single path is the ensemble code on one row: same bits
-        assert np.array_equal(Z[0], single.values)
+        assert np.array_equal(Z[0], simulate_ensemble(200, 42, "rademacher", p07,
+                                                      "rosenblatt", 16)[0])
 
     @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
     def test_rows_match_fresh_generator_noise(self, kind):
@@ -257,23 +238,25 @@ class TestEnsembles:
         n, seed = 37, 2**64 - 5
         Z = simulate_ensemble(40, seed, kind, None, "walk", n)
         for k in range(40):
-            noise = make_noise(n, kind, derive_seed(seed, k)).values
+            noise = make_noise(n, kind, derive_seed(seed, k))
             assert np.array_equal(Z[k, 1:], np.cumsum(noise) / np.sqrt(n)), k
 
     @pytest.mark.parametrize("n", [64, 400])
     def test_fbm_rows_independent_of_batch(self, n):
-        # a row's bits depend neither on --paths nor on the single-path route
+        # a row's bits depend neither on --paths nor on passing it alone
         p = HurstParams.from_kernel_hurst(0.9)
         runs = {M: simulate_ensemble(M, 3, "gaussian", p, "fbm", n)
                 for M in (1, 2, 600)}
+
+        def alone(k):
+            xi = make_noise(n, "gaussian", derive_seed(3, k))[None, :]
+            return next(_walk_slabs([xi], n, NoiseKind.GAUSSIAN, p, ProcessTag.FBM))[0]
+
         for k in (0, 1):
-            noise = make_noise(n, "gaussian", derive_seed(3, k))
-            alone = fbm_walk(noise, p).values
             for M, values in runs.items():
                 if k < M:
-                    assert np.array_equal(values[k], alone), (M, k)
-        assert np.array_equal(runs[600][599],
-                              fbm_walk(make_noise(n, "gaussian", derive_seed(3, 599)), p).values)
+                    assert np.array_equal(values[k], alone(k)), (M, k)
+        assert np.array_equal(runs[600][599], alone(599))
 
     def test_requires_params_for_kernel_walks(self):
         with pytest.raises(DomainError):
@@ -329,7 +312,7 @@ class TestStreamedPass:
     @staticmethod
     def whole_matrix(M, seed, kind, p, process, n):
         """The ensemble from its whole (M, n) noise matrix, in one pass."""
-        xi = np.array([make_noise(n, kind, derive_seed(seed, k)).values for k in range(M)])
+        xi = np.array([make_noise(n, kind, derive_seed(seed, k)) for k in range(M)])
         values = np.zeros((M, n + 1))
         if process == "walk":
             values[:, 1:] = np.cumsum(xi, axis=1) / np.sqrt(n)

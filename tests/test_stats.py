@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
-from rosenblatt import (DomainError, GridPath, ProcessTag,
-                        covariance, discrete_covariance,
+from rosenblatt import (DomainError, MarketConfig, ProcessTag, bs_limit,
+                        constant_rate, covariance, discrete_covariance,
                         discrete_increment_variance, discrete_variance,
                         histogram, increment_variance, qv_decay,
-                        quadratic_variation, simulate_ensemble, skewness)
+                        simulate_ensemble, skewness)
 from rosenblatt.kernel import HurstParams, get_engine
 from rosenblatt.paths import _SLAB, WalkLaw, grid_index, path_slabs, scale_to_grid
 from rosenblatt.stats import (MomentReport, _discrete_reference, _jump_square_sums,
@@ -239,21 +239,19 @@ class TestSkewness:
 
 
 class TestQuadraticVariation:
+    # the QV of a path is its row's sum of squared grid jumps
     def test_constant_path_is_zero(self):
-        path = GridPath(n=4, values=np.zeros(5), process_tag=ProcessTag.WALK)
-        assert quadratic_variation(path) == 0.0
+        assert _jump_square_sums(np.zeros((1, 5)))[0] == 0.0
 
     def test_sign_flip_invariance(self, p08):
         Z = simulate_ensemble(1, 5, "rademacher", p08, "rosenblatt", 32)
-        path = GridPath(n=32, values=Z[0], process_tag=ProcessTag.ROSENBLATT)
-        flipped = GridPath(n=32, values=-path.values, process_tag=path.process_tag)
-        assert quadratic_variation(path) == quadratic_variation(flipped)
+        assert _jump_square_sums(Z)[0] == _jump_square_sums(-Z)[0]
 
     def test_partial_horizon(self):
-        path = GridPath(n=4, values=np.array([0.0, 1.0, 1.0, 2.0, 2.0]),
-                        process_tag=ProcessTag.WALK)
-        assert quadratic_variation(path, 0.5) == 1.0
-        assert quadratic_variation(path, 1.0) == 2.0
+        # [Z]_t sums the jumps up to grid point floor(n t)
+        path = np.array([[0.0, 1.0, 1.0, 2.0, 2.0]])
+        assert _jump_square_sums(path[:, : grid_index(4, 0.5) + 1])[0] == 1.0
+        assert _jump_square_sums(path[:, : grid_index(4, 1.0) + 1])[0] == 2.0
 
     def test_qv_decay_refuses_short_sweeps(self, rose_ens):
         with pytest.raises(DomainError):
@@ -389,17 +387,16 @@ class TestReports:
 class TestGridTime:
     @pytest.mark.parametrize("t", [-0.5, 1.5])
     @pytest.mark.parametrize("call", [
-        "discrete_increment_variance", "discrete_covariance",
-        "quadratic_variation", "value_at", "values_at"])
+        "discrete_increment_variance", "discrete_covariance", "bs_limit", "values_at"])
     def test_time_outside_unit_interval_raises(self, p08, call, t):
         # every site reads the grid index floor(n t) through paths.grid_index
-        path = GridPath(n=4, values=np.arange(5.0), process_tag=ProcessTag.WALK)
         Z = simulate_ensemble(2, 0, "rademacher", None, "walk", 4)
+        cfg = MarketConfig(N=4, sigma=1.0, rate_r=constant_rate(0.0),
+                           rate_a=constant_rate(0.0), S0=1.0, B0=1.0, H=0.8)
         calls = {
             "discrete_increment_variance": lambda: discrete_increment_variance(16, t, 1.0, p08),
             "discrete_covariance": lambda: discrete_covariance(16, t, 1.0, p08),
-            "quadratic_variation": lambda: quadratic_variation(path, t),
-            "value_at": lambda: path.value_at(t),
+            "bs_limit": lambda: bs_limit(cfg, Z[0], t),
             "values_at": lambda: Z[:, grid_index(4, t)],
         }
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
