@@ -179,9 +179,18 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
     slabs = path_slabs(args.paths, args.seed, NoiseKind(args.noise), p, process, N)
     law = WalkLaw(process, p, args.n, N)
     times = sorted({x for name in wanted for x in _TIMES[name](args)})
-    if "skewness" in wanted and grid_index(args.n, args.t) == 0:
-        raise DomainError(f"--t {args.t!r} snaps to grid point 0 of grid {args.n}, where "
-                          "every path is 0: the skewness of a point mass is 0/0")
+    # one rule refuses a point mass before any path is drawn: exact variance 0
+    # at t means every path is 0 there (grid point 0, and grid point 1 of the
+    # Rosenblatt walk, which has no off-diagonal pair), so t has no skewness
+    # and a qv grid no QV; the coarsest qv grid has the fewest pairs, so if
+    # it has a QV every one has
+    if sizes and st._discrete_reference(WalkLaw(process, p, min(sizes), N),
+                                        "increment", 0.0, 1.0) == 0.0:
+        raise DomainError(f"qv grid {min(sizes)} has no positive mean QV: every path is 0 on it")
+    if "skewness" in wanted and st._discrete_reference(law, "increment", 0.0, args.t) == 0.0:
+        raise DomainError(f"--t {args.t!r} snaps to grid point {grid_index(args.n, args.t)} "
+                          f"of grid {args.n}, where every path is 0: the skewness of a "
+                          "point mass is 0/0")
     values, qv = st.reduce_slabs(slabs, args.paths, law,
                                  [grid_index(args.n, x) for x in times], sizes)
     at = dict(zip(times, values))

@@ -30,30 +30,25 @@ Two independent evaluation orders are provided for the cell integrals:
   The Gauss-Jacobi nodes are scipy's rule with the eigenvalues taken from
   numpy's LAPACK (``_roots_jacobi``), so no command imports scipy.linalg.
 
-The panel machinery (``VolterraEngine``) builds every panel table when it is
-constructed and is read-only after that; the path generators and the
-statistics share one engine per (n, H), and a command builds one: the
-exact-law references of an ensemble coarsened from grid N read grid N's
-engine and rescale by discrete self-similarity.  The market reads each panel
-block once, so its branch pass (``branch_increments``) keeps no engine: it
-builds each block, runs every market prefix through it and drops it, and
-holds no more blocks at once than the build has workers.  Every panel
-integrates with the same 16 nodes per family (``_NODES``).  The node tables
-are stacked in blocks of 16 consecutive panels, each a zero-padded
-(K, 16 * nodes) matrix whose rows are the cells i <= K of the block's last
-panel, so the ensemble pass (``quadratic_increments``) runs one GEMM per
-block where it would run sixteen thin ones; the zero rows add exact zeros to
-every product.  For Gaussian noise only the Gauss-Legendre product is
-squared, and its weighted node sums are one GEMM against a block-diagonal
-weight matrix; the Gauss-Jacobi cross term and the squared-noise term are
-linear in their tables, so they are contracted over the nodes first, once,
-when the engine is built, and the exact-law matrices read the same
-contractions.  All three run as GEMMs 16 (panels) wide.  One pass over the
-market's Rademacher noise prefixes gives the up and the down branch of every
-step of each, and with them the walk increments themselves.  The blocks are
-built on a thread pool, one worker per usable CPU: the build is mostly
-incomplete beta evaluations, which release the GIL, and each block is
-computed on its own, so no table depends on the worker count.
+The panel tables are built in blocks of 16 consecutive panels (16 nodes per
+family, ``_NODES``), each a zero-padded (K, 16 * nodes) matrix whose rows are
+the cells i <= K of the block's last panel, so a pass runs one GEMM per block
+where it would run sixteen thin ones; the zero rows add exact zeros.  The
+blocks are built on a thread pool, one worker per usable CPU: the build is
+mostly incomplete beta evaluations, which release the GIL, and each block is
+computed on its own, so no table depends on the worker count.  ``_Panels``
+builds the blocks and runs the +-1 pass (``_increments``) in a per-node
+operation order that fixes the bits of the Rademacher ensembles and of the
+market's branch pass, which gives the up and the down branch of every step
+of each noise prefix and keeps no engine (``branch_increments``).
+``VolterraEngine`` keeps every block, read-only: one engine per (n, H) is
+shared by the path generators and the statistics, and the exact-law
+references of an ensemble coarsened from grid N read grid N's engine and
+rescale by discrete self-similarity.  Only the engine runs the Gaussian pass
+(``quadratic_increments``): the Gauss-Legendre product alone is squared and
+weighed by one GEMM against a block-diagonal weight matrix, and the cross
+and squared-noise terms, linear in their tables, read node contractions the
+engine makes once, when it is built, which the exact-law matrices read too.
 """
 from __future__ import annotations
 
@@ -387,9 +382,10 @@ class _Panels:
 
     Construction sets only the node rules and constants; ``_block`` builds
     the node tables of 16 consecutive panels, ``_map`` builds every block
-    and hands each to a function, and ``_increments`` is the one pass of
-    noise rows through a block.  ``VolterraEngine`` keeps every block;
-    ``branch_increments`` keeps only what its pass reads off each one.
+    and hands each to a function, and ``_increments`` is the +-1 pass of
+    noise rows through a block.  This class holds nothing of the Gaussian
+    pass, which ``VolterraEngine`` runs on the contractions it keeps;
+    ``branch_increments`` keeps only what the +-1 pass reads off each block.
     """
 
     def __init__(self, n: int, p: HurstParams):
@@ -404,11 +400,7 @@ class _Panels:
         self._j1 = _roots_jacobi(_NODES, self._alpha)
         self._j2 = _roots_jacobi(_NODES, 2 * self._alpha)
         self._w_gl = 0.5 / n * self._gl[1]
-        # block-diagonal (16 * nodes, 16): w_gl in the node rows of each
-        # panel's column; a partial block of B panels reads [:B * nodes, :B]
-        self._W = np.kron(np.eye(_BLOCK), self._w_gl[:, None])
-        for arr in (self._w_gl, self._W):
-            arr.setflags(write=False)
+        self._w_gl.setflags(write=False)
 
     # -- closed-form one-dimensional integrals ------------------------------
 
@@ -478,24 +470,20 @@ class _Panels:
             return list(pool.map(
                 lambda lo: use(self._block(lo, min(lo + _BLOCK - 1, self.n))), los))
 
-    def _increments(self, t: dict, x: np.ndarray, x2: np.ndarray | None,
-                    cur: np.ndarray | None = None) -> np.ndarray:
-        """Increments of the consecutive panels of block t for each row of x,
-        shape (M, panels).
+    def _increments(self, t: dict, x: np.ndarray, cur: np.ndarray | None = None) -> np.ndarray:
+        """Increments of the consecutive panels of block t for each +-1 noise
+        row of x, shape (M, panels).
 
         x has shape (M, K + 1), K the last panel of t, with column i holding
-        xi_i and column 0 the absent xi_0 = 0; x2 is its square, None for
-        unit squares.  cur, if given, replaces xi_k of every panel k of t; it
-        must broadcast against (M, panels).  The sum over pairs i != j <= k of
-        xi_i xi_j int_panel G_i G_j is expanded through the Abar/E split into
-        sum_q w_gl (S_q^2 - Qd_q) + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q
-        + xi_{k-1}^2 row_q) - 2 xi_k xi_{k-1} e2, with S = x @ A_gl,
-        S1 = x @ A_j1 and Qd = x2 @ A_gl^2, so it costs O(M k nodes) flops
-        per panel.  Only S is squared; the Qd and S1 sums are linear in their
-        tables, so with x2 they are x2 @ D and x @ m1, 16 columns wide, from
-        the block's ``_contracted`` tables, and sum_q w_gl S_q^2 is S^2 @ W
-        with the block-diagonal W.  Every product goes through ``_matmul``,
-        so no row's bits depend on M.
+        xi_i and column 0 the absent xi_0 = 0.  cur, if given, replaces xi_k of
+        every panel k of t; it must broadcast against (M, panels).  With
+        xi_i^2 = 1 the sum over pairs i != j <= k of xi_i xi_j int_panel G_i G_j
+        is expanded through the Abar/E split into sum_q w_gl (S_q^2 - Qd_q)
+        + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q + xi_{k-1}^2 row_q)
+        - 2 xi_k xi_{k-1} e2, with S = x @ A_gl, S1 = x @ A_j1 and Qd the
+        stored column sums of A_gl^2, so it costs O(M k nodes) flops per
+        panel.  Every product goes through ``_matmul``, so no row's bits
+        depend on M.
         """
         M = x.shape[0]
         B, nodes = t["wR"].shape
@@ -503,29 +491,20 @@ class _Panels:
         prev = x[:, lo - 1: lo - 1 + B]
         if cur is None:
             cur = x[:, lo: lo + B]
+        # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
+        # + (2 * (xs*S1 + row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
+        # xs = xi_k - xi_{k-1}: the order fixes every bit of the result
         S = _matmul(x[:, 1:], t["A_gl"]).reshape(M, B, nodes)
         S *= S
-        if x2 is None:
-            # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
-            # + (2 * (xs*S1 + row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
-            # xs = xi_k - xi_{k-1}: the order fixes every bit of the result
-            S -= t["Qd"]
-            S *= t["w_gl"]
-            part = S.sum(axis=2)
-            S1 = _matmul(x[:, 1:], t["A_j1"]).reshape(M, B, nodes)
-            S1 *= (cur - prev)[:, :, None]
-            S1 += t["row"]
-            S1 *= 2.0
-            S1 *= t["wR"]
-            part += S1.sum(axis=2)
-        else:
-            part = _matmul(S.reshape(M, -1), self._W[: B * nodes, :B])
-            part -= _matmul(x2[:, 1:], t["D"])
-            cross = _matmul(x[:, 1:], t["m1"])
-            cross *= cur - prev
-            cross += x2[:, lo - 1: lo - 1 + B] * t["diag"]
-            cross *= 2.0
-            part += cross
+        S -= t["Qd"]
+        S *= t["w_gl"]
+        part = S.sum(axis=2)
+        S1 = _matmul(x[:, 1:], t["A_j1"]).reshape(M, B, nodes)
+        S1 *= (cur - prev)[:, :, None]
+        S1 += t["row"]
+        S1 *= 2.0
+        S1 *= t["wR"]
+        part += S1.sum(axis=2)
         part -= 2.0 * (cur * prev) * t["e2"]
         return self.n * self.params.dH * part
 
@@ -540,14 +519,16 @@ class VolterraEngine(_Panels):
     k fills rows :k of its column slice.  Next to them the block holds, one
     row per panel, the weights wR = w_j1 R, the scalar e2 = int_panel E^2,
     row k - 2 of A_j1 and the column sums of A_gl^2, and, once the pool is
-    done, the block's node contractions D, m1 and diag (``_contracted``,
-    built on the calling thread, one block at a time).
+    done, the block's node contractions D, m1 and diag, built on the calling
+    thread, one block at a time, next to the block-diagonal weights W.
     ``quadratic_increments`` (the ensembles, once per noise slab) multiplies
-    its noise rows by whole blocks through ``_increments``; the dense
-    matrices read the blocks too, through one ``_gram`` product per block
-    (``table_matrix``) or per ``panel`` (``delta_table``), and
-    ``fbm_matrix`` sums each block's panel integrals.  The market's branch
-    pass reads each block once, so it keeps none (``branch_increments``).
+    its noise rows by whole blocks: the +-1 pass through ``_increments``,
+    the Gaussian pass on the contractions and W, which only this class
+    holds.  The dense matrices read the blocks too, through one ``_gram``
+    product per block (``table_matrix``) or per ``panel``
+    (``delta_table``), and ``fbm_matrix`` sums each block's panel
+    integrals.  The market's branch pass reads each block once, so it keeps
+    none (``branch_increments``).
 
     Instances are read-only after construction and safe to share across
     readers; acquire them through ``get_engine``.
@@ -555,9 +536,18 @@ class VolterraEngine(_Panels):
 
     def __init__(self, n: int, p: HurstParams):
         super().__init__(n, p)
+        # block-diagonal (16 * nodes, 16): w_gl in the node rows of each
+        # panel's column; a partial block of B panels reads [:B * nodes, :B]
+        self._W = np.kron(np.eye(_BLOCK), self._w_gl[:, None])
+        self._W.setflags(write=False)
         self._blocks = self._map(lambda t: t)
         for t in self._blocks:
-            t.update(self._contracted(t))
+            # D = sum_q w_gl A_gl^2 and m1 = sum_q wR A_j1, each (K, panels),
+            # and diag = sum_q wR row, m1's row k - 2 for panel k; ``_gram`` reads m1 too
+            t.update(D=_node_sum(t["A_gl"] ** 2, t["w_gl"]), m1=_node_sum(t["A_j1"], t["wR"]),
+                     diag=_node_sum(t["row"].reshape(1, -1), t["wR"])[0])
+            for key in ("D", "m1", "diag"):
+                t[key].setflags(write=False)
 
     def panel(self, k: int) -> dict:
         """Read-only views of panel k = [(k-1)/n, k/n] in its block's layout:
@@ -638,16 +628,16 @@ class VolterraEngine(_Panels):
         Column k - 1 of the result is the panel-k increment of every row, and
         every stored block runs once over all M rows.  This is the one pass of
         the ensembles, which call it once per noise slab.  Passing
-        unit_squares=True (Rademacher noise) takes the xi^2 reduction from
-        the stored column sums and runs two GEMMs, 16 * nodes wide, per
-        block.  Otherwise (Gaussian noise) the squared-noise and the cross
-        terms read the block's stored node contractions, and the squared
-        node sums are weighed and summed by the block-diagonal weight matrix,
-        so a block runs one GEMM 16 * nodes wide and three 16 wide.  Both
-        give the same sum to within rounding; the unit-square branch keeps
-        its per-node operation order, which fixes the bits of the Rademacher
-        ensembles and of ``branch_increments``.  Every product goes through
-        ``_matmul``, so no row's bits depend on the other rows of xi.
+        unit_squares=True (Rademacher noise) runs the +-1 pass ``_increments``,
+        two GEMMs 16 * nodes wide per block, in its per-node operation order,
+        which fixes the bits of the Rademacher ensembles and of
+        ``branch_increments``.  Otherwise (Gaussian noise) the block formula
+        is the same sum with every node sum but the squared one contracted:
+        sum_q w_gl S_q^2 is S^2 @ W with the block-diagonal W, the
+        squared-noise terms are x^2 @ D and x_{k-1}^2 diag, and the cross
+        term is x @ m1, so a block runs one GEMM 16 * nodes wide and three 16
+        wide.  Both give the same sum to within rounding.  Every product goes
+        through ``_matmul``, so no row's bits depend on the other rows of xi.
         """
         n = self.n
         if xi.shape[1] != n:
@@ -658,21 +648,21 @@ class VolterraEngine(_Panels):
         out = np.empty(xi.shape)
         for t in self._blocks:
             lo, K = t["lo"], t["A_gl"].shape[0]
-            out[:, lo - 1: K] = self._increments(
-                t, x[:, : K + 1], None if x2 is None else x2[:, : K + 1])
-        return out
-
-    @staticmethod
-    def _contracted(t: dict) -> dict:
-        """Node contractions of block t, each frozen: D = sum_q w_gl A_gl^2
-        and m1 = sum_q wR A_j1, each (K, panels), and diag = sum_q wR row,
-        which is m1's row k - 2 for panel k.  The Gaussian pass reads all
-        three; ``_gram`` reads m1."""
-        out = {"D": _node_sum(t["A_gl"] ** 2, t["w_gl"]),
-               "m1": _node_sum(t["A_j1"], t["wR"]),
-               "diag": _node_sum(t["row"].reshape(1, -1), t["wR"])[0]}
-        for arr in out.values():
-            arr.setflags(write=False)
+            if unit_squares:
+                out[:, lo - 1: K] = self._increments(t, x[:, : K + 1])
+                continue
+            prev, cur = x[:, lo - 1: K], x[:, lo: K + 1]
+            S = _matmul(x[:, 1: K + 1], t["A_gl"])
+            S *= S
+            part = _matmul(S, self._W[: S.shape[1], : K - lo + 1])
+            part -= _matmul(x2[:, 1: K + 1], t["D"])
+            cross = _matmul(x[:, 1: K + 1], t["m1"])
+            cross *= cur - prev
+            cross += x2[:, lo - 1: K] * t["diag"]
+            cross *= 2.0
+            part += cross
+            part -= 2.0 * (cur * prev) * t["e2"]
+            out[:, lo - 1: K] = n * self.params.dH * part
         return out
 
 
@@ -718,5 +708,5 @@ def branch_increments(n: int, p: HurstParams, prefixes: np.ndarray) -> np.ndarra
     cur = np.tile(_BRANCHES, (P, 1))
     panels = _Panels(n, p)
     parts = panels._map(lambda t: panels._increments(
-        t, xs[:, : t["A_gl"].shape[0] + 1], None, cur))
+        t, xs[:, : t["A_gl"].shape[0] + 1], cur))
     return np.hstack(parts)[:, : L + 1].reshape(P, 2, L + 1)

@@ -96,33 +96,12 @@ def _mean_se(x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact finite-n laws of the quadratic-form walk
+# exact finite-n laws: every exact second moment goes through _discrete_reference
 # ---------------------------------------------------------------------------
-
-def _scaled_moment(N: int, n: int, ms: int, mt: int, p: HurstParams,
-                   quantity: str) -> float:
-    """Exact second moment of the grid-n Rosenblatt walk at grid-n indices
-    ms and mt, read off the engine of a grid N >= n.
-
-    Discrete self-similarity gives c^(n)(m) = (N/n)^H c^(N)(m) for m <= n,
-    so the grid-N moment at the same indices times (N/n)^(2H) is the grid-n
-    one; with N = n the factor is exactly 1.  quantity is "increment"
-    (2 sum (c_ij(mt) - c_ij(ms))^2) or "covariance" (2 sum c_ij(ms) c_ij(mt)).
-    """
-    eng = get_engine(N, p)
-    scale = (N / n) ** (2 * p.H)
-    if quantity == "increment":
-        ms, mt = sorted((ms, mt))
-        D = eng.table_matrix(mt) - (eng.table_matrix(ms) if ms else 0.0)
-        return scale * float(2.0 * np.sum(D * D))
-    if ms == 0 or mt == 0:
-        return 0.0
-    return scale * float(2.0 * np.sum(eng.table_matrix(ms) * eng.table_matrix(mt)))
-
 
 def discrete_increment_variance(n: int, s: float, t: float, p: HurstParams) -> float:
     """Exact E|Z(t) - Z(s)|^2 = 2 sum_{i != j} (c_ij(mt) - c_ij(ms))^2."""
-    return _scaled_moment(n, n, grid_index(n, s), grid_index(n, t), p, "increment")
+    return _discrete_reference(WalkLaw(ProcessTag.ROSENBLATT, p, n, n), "increment", s, t)
 
 
 def discrete_variance(n: int, t: float, p: HurstParams) -> float:
@@ -132,7 +111,7 @@ def discrete_variance(n: int, t: float, p: HurstParams) -> float:
 
 def discrete_covariance(n: int, s: float, t: float, p: HurstParams) -> float:
     """Exact E[Z(s) Z(t)] = 2 sum_{i != j} c_ij(ms) c_ij(mt)."""
-    return _scaled_moment(n, n, grid_index(n, s), grid_index(n, t), p, "covariance")
+    return _discrete_reference(WalkLaw(ProcessTag.ROSENBLATT, p, n, n), "covariance", s, t)
 
 
 def _discrete_reference(law: WalkLaw, quantity: str, s: float, t: float) -> float:
@@ -142,28 +121,37 @@ def _discrete_reference(law: WalkLaw, quantity: str, s: float, t: float) -> floa
     Rosenblatt and fbm read the engine of ``law.drawn_n``, the grid the paths
     were drawn on, at the grid-n indices and scale by (N/n)^(2h), h the
     process's self-similarity index (discrete self-similarity, as in
-    ``scale_to_grid``); paths drawn on grid n itself have N = n and a factor
-    of exactly 1.
+    ``scale_to_grid``: c^(n)(m) = (N/n)^H c^(N)(m) for m <= n); paths drawn
+    on grid n itself have N = n and a factor of exactly 1.  The Rosenblatt
+    increment is 2 sum (c_ij(mt) - c_ij(ms))^2 and the covariance
+    2 sum c_ij(ms) c_ij(mt).
     """
     p, n, N = law.params, law.n, law.drawn_n
     ms, mt = grid_index(n, s), grid_index(n, t)
-    if law.process_tag is ProcessTag.ROSENBLATT:
-        return _scaled_moment(N, n, ms, mt, p, quantity)
-    if law.process_tag is ProcessTag.FBM:
-        T = get_engine(N, p).fbm_matrix()
-        scale = (N / n) ** (2 * law.hurst_index)
-        def cov(a, b):
-            if a == 0 or b == 0:
-                return 0.0
-            k = min(a, b)
-            return float(np.dot(T[a - 1, :k], T[b - 1, :k]) / N)
+    if law.process_tag is ProcessTag.WALK:
+        # the plain walk hits its continuum law exactly
         if quantity == "increment":
-            return scale * (cov(mt, mt) - 2 * cov(ms, mt) + cov(ms, ms))
-        return scale * cov(ms, mt)
-    # the plain walk hits its continuum law exactly
+            return abs(mt - ms) / n
+        return min(ms, mt) / n
+    eng = get_engine(N, p)
+    scale = (N / n) ** (2 * law.hurst_index)
+    if law.process_tag is ProcessTag.ROSENBLATT:
+        if quantity == "increment":
+            ms, mt = sorted((ms, mt))
+            D = eng.table_matrix(mt) - (eng.table_matrix(ms) if ms else 0.0)
+            return scale * float(2.0 * np.sum(D * D))
+        if ms == 0 or mt == 0:
+            return 0.0
+        return scale * float(2.0 * np.sum(eng.table_matrix(ms) * eng.table_matrix(mt)))
+    T = eng.fbm_matrix()
+    def cov(a, b):
+        if a == 0 or b == 0:
+            return 0.0
+        k = min(a, b)
+        return float(np.dot(T[a - 1, :k], T[b - 1, :k]) / N)
     if quantity == "increment":
-        return abs(mt - ms) / n
-    return min(ms, mt) / n
+        return scale * (cov(mt, mt) - 2 * cov(ms, mt) + cov(ms, ms))
+    return scale * cov(ms, mt)
 
 
 # ---------------------------------------------------------------------------

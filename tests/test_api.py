@@ -1,5 +1,7 @@
-"""The package's public names."""
+"""The package's public names, and the scipy functions it calls."""
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +32,22 @@ def test_export_has_docstring(name):
     # a dataclass without a docstring is given its signature as one
     obj = getattr(rosenblatt, name)
     assert obj.__doc__ and not obj.__doc__.startswith(f"{obj.__name__}("), name
+
+
+def test_scipy_surface_is_pinned():
+    # every scipy function the package calls is named here, so a new one is a
+    # reviewed change: a numpy-only runtime has to own each of them
+    imports, used = [], set()
+    for path in sorted(Path(rosenblatt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, None, a.name, a.asname) for a in node.names
+                            if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                imports += [(path.name, node.module, a.name, a.asname) for a in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "special"):
+                used.add(node.attr)
+    # (file, from-module, name, alias): only ``from scipy import special``
+    assert imports == [("kernel.py", "scipy", "special", None)]
+    assert used == {"beta", "betainc", "betaincc", "eval_jacobi", "hyp2f1"}

@@ -138,24 +138,34 @@ class TestValidate:
         assert c["estimate"] == c["discrete"] == c["theoretical"] == c["std_error"] == 0
         assert "PASS variance" in capsys.readouterr().out
 
-    def test_degenerate_skewness_is_strict_json(self, tmp_path):
+    def test_degenerate_skewness_is_strict_json(self, tmp_path, capsys):
         # t = 0.07 snaps to grid point 1, where the Rosenblatt walk has no
-        # off-diagonal pair and every sample is 0: the report says so
-        # instead of writing the 0/0 as NaN; no skew cannot show one, nor
-        # rule one out, so the check still fails
+        # off-diagonal pair: its exact variance is 0 and every sample is 0,
+        # so the skewness of that point mass is 0/0, a usage error, and no
+        # report (nor a NaN in one) is written
         out = tmp_path / "skew.json"
         code = run("validate", "--check", "skewness", "--process", "rosenblatt",
                    "--hurst", "0.8", "--n", "16", "--paths", "200", "--t", "0.07",
                    "--out", str(out))
-        assert code == 1
+        assert code == 2
+        assert "grid point 1 of grid 16" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-        def refuse(name):
-            raise ValueError(f"non-finite constant {name} in report")
+    @pytest.mark.parametrize("argv", [["--check", "skewness", "--n", "16", "--t", "0.07"],
+                                      ["--check", "all", "--n", "1", "--qv-sizes", "1,2,4"]])
+    def test_point_mass_refused_before_any_draw(self, tmp_path, monkeypatch, argv):
+        # exact variance 0 (grid point 1 of the Rosenblatt walk) is refused
+        # from the exact law, before the pass reads a single slab
+        import rosenblatt.cli as cli
 
-        c = json.loads(out.read_text(), parse_constant=refuse)["checks"][0]
-        assert c["estimate"] == c["std_error"] == 0.0
-        assert c["passed"] is False
-        assert c["note"].startswith("degenerate")
+        def no_draw(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(cli.st, "reduce_slabs", no_draw)
+        code = run("validate", "--process", "rosenblatt", "--hurst", "0.8", "--paths", "200",
+                   *argv, "--out", str(tmp_path / "rep.json"))
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("check, n, qv, drawn", [
         ("all", "32", "16,64,48", [64]),
@@ -571,17 +581,21 @@ class TestUsageErrors:
     @pytest.mark.parametrize("check", ["skewness", "all"])
     @pytest.mark.parametrize("process", [["--process", "walk"],
                                          ["--process", "fbm", "--hurst", "0.9"],
-                                         ["--process", "rosenblatt", "--hurst", "0.8"]])
+                                         ["--process", "rosenblatt", "--hurst", "0.8"],
+                                         ["--process", "rosenblatt", "--hurst", "0.8",
+                                          "--n", "16", "--t", "0.07"]])
     def test_skewness_at_grid_point_0_exits_2_writing_nothing(self, tmp_path, capsys,
                                                               process, check):
-        # t = 0.001 snaps to grid point 0, where every path is 0: the
-        # skewness of that point mass is 0/0, so asking for it is a usage error
-        code = run("validate", "--check", check, *process, "--n", "64", "--paths", "200",
-                   "--t", "0.001", "--out", str(tmp_path / "x.out"))
+        # t = 0.001 snaps to grid point 0 of grid 64, where every path is 0,
+        # and t = 0.07 to grid point 1 of grid 16, where the Rosenblatt walk
+        # has no off-diagonal pair and is 0 too: the skewness of that point
+        # mass is 0/0, so asking for it is a usage error
+        code = run("validate", "--check", check, "--n", "64", "--t", "0.001", *process,
+                   "--paths", "200", "--out", str(tmp_path / "x.out"))
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "grid point 0" in err
+        assert ("grid point 1 of grid 16" if "--t" in process else "grid point 0 of grid 64") in err
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_rate_table_exits_2(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Kernel constants, point evaluations, and cell integrals against oracles."""
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 
 from rosenblatt import (DomainError, HurstParams, c_const, cell_weight,
                         d_const, dK, fbm_kernel, rosenblatt_kernel)
-from rosenblatt.kernel import (_BLOCK, VolterraEngine, _matmul, _node_sum,
+from rosenblatt.kernel import (_BLOCK, VolterraEngine, _matmul, _node_sum, _Panels,
                                _roots_jacobi, branch_increments, get_engine)
 from rosenblatt.paths import NoiseKind, _noise_slabs
 
@@ -460,6 +461,14 @@ class TestQuadraticIncrements:
         got = eng.quadratic_increments(xi, False)
         scale = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 2.5e-15 * scale)
+
+    def test_panels_run_only_the_pm1_pass(self, p08):
+        # the Gaussian pass and its tables are the engine's: the panels the
+        # market's branch pass streams hold no weight matrix, and their pass
+        # takes no squared noise
+        assert not hasattr(_Panels(8, p08), "_W")
+        assert list(inspect.signature(_Panels._increments).parameters) == ["self", "t", "x", "cur"]
+        assert not get_engine(8, p08)._W.flags.writeable
 
 
 class TestBranchIncrements:

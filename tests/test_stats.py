@@ -231,6 +231,15 @@ class TestSkewness:
         assert rep.estimate == pytest.approx(skew(x), rel=1e-14, abs=0)
         assert rep.std_error == pytest.approx(np.std(reps, ddof=1), rel=1e-14, abs=0)
 
+    def test_point_mass_is_flagged_not_nan(self, p08):
+        # the Rosenblatt walk is 0 at grid point 1 of every path: the 0/0 is
+        # reported as a zero estimate with a "degenerate" note, not a NaN
+        law = WalkLaw(ProcessTag.ROSENBLATT, p08, 16, 16)
+        x = simulate_ensemble(200, 3, "rademacher", p08, "rosenblatt", 16)[:, 1]
+        rep = skewness(x, law, 3)
+        assert rep.estimate == rep.std_error == 0.0
+        assert rep.note.startswith("degenerate")
+
     def test_needs_enough_paths(self, p08):
         tiny = (simulate_ensemble(50, 1, "rademacher", p08, "rosenblatt", 8),
                 WalkLaw(ProcessTag.ROSENBLATT, p08, 8, 8))
