@@ -6,11 +6,7 @@ from .kernel import (
     DomainError,
     HurstParams,
     c_const,
-    cell_weight,
     d_const,
-    dK,
-    fbm_kernel,
-    rosenblatt_kernel,
 )
 from .paths import (
     NoiseKind,
@@ -42,7 +38,6 @@ from .market import (
     MarketPath,
     affine_rate,
     arbitrage_demo,
-    bs_limit,
     build_market,
     build_markets,
     constant_rate,

@@ -12,23 +12,16 @@ drive the symmetric two-variable kernel (Hp = (H+1)/2)
 whose grid-cell integrals c_ij(m) = n * iint_{cell_i x cell_j} F(m/n, u, v)
 are the quadratic-form coefficients of the approximating walk.
 
-Point evaluations have one rule each: ``fbm_kernel`` is K in closed form
-(Euler's integral, a 2F1), and ``rosenblatt_kernel`` takes the time integral
-of F from ``_phi_grid``, the rule ``cell_weight`` runs inside.  Both read one
-geometrically graded composite Gauss-Legendre rule (``_graded``).
-
-Two independent evaluation orders are provided for the cell integrals:
-
-* ``cell_weight``  - a fixed tensor product of graded rules over the (u, v)
-  cell pair with the time integral innermost; slow but self-contained.
-* ``table_matrix`` - time integral outermost, factorised through the
-  one-dimensional cell integrals g_i(a) = int_{cell_i} dK(a, u) du, which
-  reduce to regularized incomplete beta functions.  Per grid panel the
-  integrands split into an analytic part plus (a - panel_left)^alpha times
-  an analytic part (alpha = Hp - 1/2), so one Gauss-Legendre and two
-  Gauss-Jacobi node families integrate every product at spectral accuracy.
-  The Gauss-Jacobi nodes are scipy's rule with the eigenvalues taken from
-  numpy's LAPACK (``_roots_jacobi``), so no command imports scipy.linalg.
+The cell integrals have one evaluation order here: the time integral
+outermost, factorised through the one-dimensional cell integrals
+g_i(a) = int_{cell_i} dK(a, u) du, which reduce to regularized incomplete
+beta functions.  Per grid panel the integrands split into an analytic part
+plus (a - panel_left)^alpha times an analytic part (alpha = Hp - 1/2), so one
+Gauss-Legendre and two Gauss-Jacobi node families integrate every product at
+spectral accuracy.  The Gauss-Jacobi nodes are scipy's rule with the
+eigenvalues taken from numpy's LAPACK (``_roots_jacobi``), so no command
+imports scipy.linalg.  K, dK and F are never evaluated at a point; the
+suite's oracles do that, in other evaluation orders.
 
 The panel tables are built in blocks of 16 consecutive panels (16 nodes per
 family, ``_NODES``), each a zero-padded (K, 16 * nodes) matrix whose rows are
@@ -72,36 +65,11 @@ _NPAD = 16
 # xi_k of the up (row 0) and the down (row 1) branch of a prefix in
 # ``branch_increments``
 _BRANCHES = np.array([[1.0], [-1.0]])
-# ``_graded``'s rule: panels per graded end, each this factor narrower toward
-# it, and Gauss-Legendre nodes per panel.
-_DEPTH, _RATIO, _GNODES = 8, 4.0, 12
 
 
 @lru_cache(maxsize=None)
 def _leggauss(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
-
-
-def _graded(lo, hi, left: bool, right: bool):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi], node axis first.
-
-    Each flagged end gets ``_DEPTH`` panels, each ``_RATIO`` times narrower
-    toward it (both ends: one such half each), so an integrable power or
-    logarithmic singularity at that end converges geometrically in the node
-    count; no flag gives one panel.  lo and hi broadcast.
-    """
-    e = np.concatenate([[0.0], _RATIO ** -np.arange(_DEPTH - 1, -1.0, -1)])
-    if left and right:
-        e = np.concatenate([0.5 * e, 1.0 - 0.5 * e[-2::-1]])
-    elif right:
-        e = 1.0 - e[::-1]
-    elif not left:
-        e = np.array([0.0, 1.0])
-    x, w = _leggauss(_GNODES)
-    h = 0.5 * np.diff(e)[:, None]
-    span = np.subtract(hi, lo)
-    return (lo + np.multiply.outer((e[:-1, None] + h * (x + 1.0)).ravel(), span),
-            np.multiply.outer((h * w).ravel(), span))
 
 
 def _roots_jacobi(n: int, b: float):
@@ -255,113 +223,6 @@ class HurstParams:
         if not 0.75 < Hp < 1.0:
             raise DomainError(f"kernel Hurst index must lie in (3/4, 1), got {Hp}")
         return cls(2 * Hp - 1)
-
-
-# ---------------------------------------------------------------------------
-# point evaluations
-# ---------------------------------------------------------------------------
-
-def fbm_kernel(t: float, s: float, p: HurstParams) -> float:
-    """fBm kernel K(t, s) for 0 < s <= t.
-
-    Closed form: substituting u = s + w turns the integral into Euler's
-    integral of the hypergeometric function (DLMF 15.6.1), so with
-    alpha = Hp - 1/2
-
-        K(t, s) = cHp (t-s)^alpha / alpha * 2F1(-alpha, alpha; alpha+1; 1 - t/s).
-
-    Returns 0 in the limit t == s.
-    """
-    if s <= 0 or s > t:
-        raise DomainError(f"need 0 < s <= t, got s={s}, t={t}")
-    if t == s:
-        return 0.0
-    alpha = p.Hp - 0.5
-    return float(p.cHp * (t - s) ** alpha / alpha
-                 * special.hyp2f1(-alpha, alpha, alpha + 1, 1 - t / s))
-
-
-def dK(t: float, s: float, p: HurstParams) -> float:
-    """Time derivative of the fBm kernel, cHp (s/t)^(1/2-Hp) (t-s)^(Hp-3/2).
-
-    Strictly positive on 0 < s < t; diverges as t decreases to s, so callers
-    must never evaluate on the diagonal.
-    """
-    if s <= 0 or t <= s:
-        raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
-    return p.cHp * (s / t) ** (0.5 - p.Hp) * (t - s) ** (p.Hp - 1.5)
-
-
-def _phi_grid(t, U, V, p):
-    """Vectorised inner time integral over flat arrays U, V (entries < t, U != V).
-
-    Exact power substitution w = (a - max)^alpha, then ``_graded`` on
-    [0, (t-max)^alpha] toward 0, so the near-singularity of the smaller
-    argument is resolved even for adjacent cells.
-    """
-    Hp = p.Hp
-    alpha = Hp - 0.5
-    lo, mn = np.maximum(U, V), np.minimum(U, V)
-    w, wg = _graded(0.0, (t - lo) ** alpha, True, False)
-    a = lo + w ** (1.0 / alpha)
-    return (wg * a ** (2 * Hp - 1) * (a - mn) ** (Hp - 1.5)).sum(axis=0) / alpha
-
-
-def rosenblatt_kernel(t: float, u: float, v: float, p: HurstParams) -> float:
-    """Two-variable kernel F(t, u, v); symmetric in (u, v), zero for u >= t or v >= t.
-
-    Point evaluation refuses u == 0, v == 0 (the y^(1/2-Hp) factor is
-    singular there) and u == v (the time integral diverges on the diagonal;
-    every discrete sum excludes it).  Cell integrals handle both by
-    integration.  The time integral is ``_phi_grid``, as in ``cell_weight``.
-    """
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"need t in (0, 1], got {t}")
-    if u <= 0.0 or v <= 0.0:
-        raise DomainError("point evaluation of F requires u > 0 and v > 0")
-    if u >= t or v >= t:
-        return 0.0
-    if u == v:
-        raise DomainError("F diverges on the diagonal u == v")
-    return (p.dH * p.cHp ** 2 * (u * v) ** (0.5 - p.Hp)
-            * float(_phi_grid(t, np.array([u]), np.array([v]), p)[0]))
-
-
-# ---------------------------------------------------------------------------
-# direct cell integrals (outer tensor Gauss over the cell)
-# ---------------------------------------------------------------------------
-
-def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams) -> float:
-    """Cell coefficient c_ij(m) = n * iint_{cell_i x cell_j} F(m/n, u, v) dv du.
-
-    Direct evaluation order: a fixed tensor product of one ``_graded`` rule
-    per cell with the time integral (``_phi_grid``) innermost.  Each cell's
-    rule is graded toward the ends where the integrand is singular: the
-    diagonal u == v, which an adjacent cell touches, the time t = m/n, which
-    cell m ends at, and zero, where cell 1 starts.  Cell 1 is integrated in
-    r = u^(3/2-Hp), which absorbs the factor u^(1/2-Hp) exactly.
-    Independent of ``VolterraEngine.table_matrix``'s factorised assembly.
-    """
-    if i == j:
-        raise DomainError("diagonal cells are excluded (the kernel diverges on u == v)")
-    if not (1 <= i <= n and 1 <= j <= n and 1 <= m <= n):
-        raise DomainError(f"need 1 <= i, j <= n and 1 <= m <= n, got i={i}, j={j}, m={m}, n={n}")
-    if i > m or j > m:
-        return 0.0
-
-    def rule(c, other):
-        """Nodes of cell c and their weights times c's factor u^(1/2-Hp)."""
-        pw = 1.5 - p.Hp if c == 1 else 1.0
-        r, w = _graded(((c - 1) / n) ** pw, (c / n) ** pw,
-                       c == 1 or other == c - 1, c == m or other == c + 1)
-        u = r ** (1.0 / pw)
-        return u, (w / pw if c == 1 else w * u ** (0.5 - p.Hp))
-
-    u, wu = rule(i, j)
-    v, wv = rule(j, i)
-    # one row of u nodes at a time keeps the inner rule's arrays small
-    phi = np.array([_phi_grid(m / n, np.full(v.size, uk), v, p) for uk in u])
-    return n * p.dH * p.cHp ** 2 * float(wu @ phi @ wv)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +438,7 @@ class VolterraEngine(_Panels):
         """Panel increment DeltaC_k[i, j] = n dH int_panel G_i G_j da, (k, k).
 
         Built on every call, never cached: the per-panel oracle for the panel
-        increments and the direct generator's step.
+        increments and the step of the suite's direct generator.
         """
         return self._scaled(_gram(self.panel(k)))
 

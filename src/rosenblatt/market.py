@@ -1,4 +1,4 @@
-"""Binary market driven by the Rosenblatt walk, and its continuous limit.
+"""Binary market driven by the Rosenblatt walk.
 
 Over N trading periods the bond and stock follow
 
@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .kernel import DomainError, HurstParams, branch_increments
-from .paths import grid_index, write_json
+from .paths import write_json
 
 
 class InconclusiveError(RuntimeError):
@@ -323,35 +323,3 @@ def arbitrage_demo(path: MarketPath, stock_units: float = 1.0) -> ArbitrageTrade
     return ArbitrageTrade(index=n0, strategy=strategy, stock_units=stock_units,
                           entry_stock=float(path.S[n0 - 1]), pnl_up=up, pnl_down=dn)
 
-
-# ---------------------------------------------------------------------------
-# continuous limit
-# ---------------------------------------------------------------------------
-
-def _simpson(fn: Callable[[float], float], hi: float, panels: int = 128) -> float:
-    if hi == 0.0:
-        return 0.0
-    xs = np.linspace(0.0, hi, 2 * panels + 1)
-    ys = np.array([fn(x) for x in xs])
-    h = hi / (2 * panels)
-    return float(h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum()))
-
-
-def bs_limit(cfg: MarketConfig, z: np.ndarray, t: float) -> tuple[float, float]:
-    """Continuous-model prices driven by the walk path ``z``, one row of its
-    n + 1 grid values (cadlag: Z(t) = z[floor(n t)]):
-
-        S_t = S0 exp(int_0^t a + sigma Z(t)),   B_t = B0 exp(int_0^t r)
-
-    with the rate integrals by composite Simpson.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < 2 or z[0] != 0.0:
-        raise DomainError(f"z must be one path row of n + 1 >= 2 grid values starting "
-                          f"at 0, got shape {z.shape}")
-    zt = z[grid_index(z.size - 1, t)]
-    int_a = _simpson(cfg.rate_a, t)
-    int_r = _simpson(cfg.rate_r, t)
-    S = cfg.S0 * np.exp(int_a + cfg.sigma * zt)
-    B = cfg.B0 * np.exp(int_r)
-    return float(S), float(B)

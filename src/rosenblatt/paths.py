@@ -9,9 +9,7 @@ Three processes share one noise sequence xi_1..xi_n:
 A path is one row of n + 1 grid values, cadlag between grid points; a noise
 is one row of n values.  The Rosenblatt walk accumulates, per grid panel,
 the square of the running kernel-weighted noise sum at shared quadrature
-nodes (O(n^2) per path); ``direct_rosenblatt_walk`` evaluates the quadratic
-form against the full weight table at every step and is the brute-force
-oracle that pass is tested against.
+nodes (O(n^2) per path); it never forms the full weight table.
 
 Ensemble member k draws its noise from Philox keyed by derive_seed(master, k).
 ``path_slabs`` keeps one Philox generator per ensemble and, before each
@@ -120,10 +118,20 @@ def make_noise(n: int, kind: NoiseKind | str, seed: int) -> np.ndarray:
 
 
 def grid_index(n: int, t: float) -> int:
-    """Index floor(n t) of the grid point at or before t in [0, 1]."""
+    """Index of the grid point at or before t in [0, 1]: the largest m in
+    0..n whose grid time m / n, as the CSV writes it, is at most t.
+
+    floor(n t) rounds the product first, so it can land one step off (n = 100,
+    t = 0.29 gives 28, though 29 / 100 == 0.29); one step corrects it.
+    """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
-    return int(np.floor(n * t))
+    m = math.floor(n * t)
+    if m < n and (m + 1) / n <= t:
+        return m + 1
+    if m > 0 and m / n > t:
+        return m - 1
+    return m
 
 
 def scale_to_grid(part: np.ndarray, N: int, n: int, h: float) -> np.ndarray:
@@ -212,22 +220,6 @@ def _walk_slabs(noise: Iterable[np.ndarray], n: int, kind: NoiseKind,
             np.cumsum(x, axis=1, out=rows)
             rows /= np.sqrt(n)
         yield values
-
-
-def direct_rosenblatt_walk(xi: np.ndarray, p: HurstParams) -> np.ndarray:
-    """The Rosenblatt walk driven by the (n,) noise row ``xi``, as an (n + 1,)
-    row, by brute force: xi' C(m) xi against the full weight table at every
-    grid time, sweeping C(m) forward by one ``delta_table`` per step (O(n^3)
-    kernel work).  The oracle the factorised pass of ``path_slabs`` is
-    tested against."""
-    n = len(xi)
-    eng = get_engine(n, p)
-    values = np.zeros(n + 1)
-    C = np.zeros((n, n))
-    for m in range(1, n + 1):
-        C[:m, :m] += eng.delta_table(m)
-        values[m] = xi @ C @ xi
-    return values
 
 
 def _noise_slabs(count: int, master_seed: int, kind: NoiseKind,
@@ -319,14 +311,16 @@ def ensemble_to_csv(slabs: Iterable[np.ndarray], path: str | Path) -> None:
 def ensemble_metadata(count: int, master_seed: int, kind: NoiseKind | str,
                       p: HurstParams | None, process_tag: ProcessTag | str,
                       n: int) -> dict:
-    """The metadata of the ensemble these ``path_slabs`` arguments draw."""
+    """The metadata of the ensemble these ``path_slabs`` arguments draw; "H"
+    is the process's own index (``WalkLaw.hurst_index``), None for the walk."""
+    law = WalkLaw(process_tag, p, n, n)
     return {
-        "H": None if p is None else p.H,
+        "H": None if law.process_tag is ProcessTag.WALK else law.hurst_index,
         "n": n,
         "M": count,
         "kind": NoiseKind(kind).value,
         "seed": master_seed,
-        "process": ProcessTag(process_tag).value,
+        "process": law.process_tag.value,
     }
 
 

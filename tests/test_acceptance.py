@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 from rosenblatt import (HurstParams, MarketConfig, ProcessTag, arbitrage_demo,
-                        bs_limit, build_market, cell_weight, constant_rate, dK,
-                        discrete_increment_variance, discrete_variance,
-                        divergence_scan, fbm_kernel, make_noise, no_arbitrage_check,
-                        rosenblatt_kernel, simulate_ensemble, skewness)
+                        build_market, constant_rate, discrete_increment_variance,
+                        discrete_variance, divergence_scan, make_noise,
+                        no_arbitrage_check, simulate_ensemble, skewness)
 from rosenblatt.cli import main as cli_main
 from rosenblatt.kernel import get_engine
-from rosenblatt.paths import WalkLaw, derive_seed, direct_rosenblatt_walk, grid_index
+from rosenblatt.paths import WalkLaw, derive_seed, grid_index
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle
+from oracles import (bs_limit, cell_weight, dK, direct_rosenblatt_walk, fbm_kernel,
+                     rosenblatt_kernel)
 
 SEED = 20260808
 

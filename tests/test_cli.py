@@ -99,6 +99,15 @@ class TestValidate:
         assert c["check"] == "variance" and c["theoretical"] == 1.0
         assert c["discrete"] is not None
 
+    def test_t_on_a_float_grid_point_reads_that_point(self, tmp_path):
+        # n t = 28.999999999999996 at t = 0.29, yet 29 / 100 == 0.29: Z(0.29) is read
+        out = tmp_path / "rep.json"
+        assert run("validate", "--check", "variance", "--process", "rosenblatt",
+                   "--hurst", "0.8", "--n", "100", "--paths", "200", "--t", "0.29",
+                   "--out", str(out)) == 0
+        c = json.loads(out.read_text())["checks"][0]
+        assert c["theoretical"] == 0.29 ** 1.6
+
     def test_skewness_both_directions(self, tmp_path):
         code = run("validate", "--check", "skewness", "--process", "rosenblatt",
                    "--hurst", "0.8", "--n", "64", "--paths", "3000",

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rosenblatt import (DomainError, HurstParams, c_const, cell_weight,
-                        d_const, dK, fbm_kernel, rosenblatt_kernel)
+from rosenblatt import DomainError, HurstParams, c_const, d_const
 from rosenblatt.kernel import (_BLOCK, VolterraEngine, _matmul, _node_sum, _Panels,
                                _roots_jacobi, branch_increments, get_engine)
 from rosenblatt.paths import NoiseKind, _noise_slabs
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
+from oracles import cell_weight, dK, fbm_kernel, rosenblatt_kernel
 
 
 class TestConstants:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from rosenblatt import (DomainError, HurstParams, InconclusiveError, MarketConfig,
-                        affine_rate, arbitrage_demo, bs_limit, build_market, build_markets,
+                        affine_rate, arbitrage_demo, build_market, build_markets,
                         constant_rate, divergence_scan, make_noise,
                         no_arbitrage_check, simulate_ensemble, tabulated_rate)
 from rosenblatt.kernel import get_engine
 from rosenblatt.market import MarketPath, branch_pnls
 from rosenblatt.paths import derive_seed
+
+from oracles import bs_limit
 
 
 def cfg_with(N=64, sigma=1.0, H=0.8, r=0.5, a=0.0):

@@ -1,5 +1,6 @@
 """Noise generation, the three walks, ensembles, and their exact moments."""
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from rosenblatt import (DomainError, HurstParams, NoiseKind, ProcessTag,
                         discrete_variance, make_noise, simulate_ensemble)
 from rosenblatt.kernel import _matmul, get_engine
-from rosenblatt.paths import (_SLAB, WalkLaw, _walk_slabs, derive_seed,
-                              direct_rosenblatt_walk, ensemble_metadata, ensemble_to_csv,
-                              grid_index, path_slabs, scale_to_grid, write_ensemble,
-                              write_json)
+from rosenblatt.paths import (_SLAB, WalkLaw, _walk_slabs, derive_seed, ensemble_metadata,
+                              ensemble_to_csv, grid_index, path_slabs, scale_to_grid,
+                              write_ensemble, write_json)
+
+from oracles import direct_rosenblatt_walk
 
 
 class TestNoise:
@@ -302,6 +304,27 @@ class TestEnsembles:
         meta = ensemble_metadata(2, 1, "rademacher", None, "walk", 8)
         assert meta["H"] is None and meta["process"] == "walk"
 
+    def test_metadata_records_the_process_index(self):
+        # H is the simulated process's own index: the kernel index for fbm
+        meta = ensemble_metadata(2, 1, "gaussian", HurstParams.from_kernel_hurst(0.9), "fbm", 8)
+        assert meta["H"] == 0.9 and meta["process"] == "fbm"
+        # Hp = (H + 1)/2 returns every 4-decimal kernel index exactly
+        for k in range(7501, 10000):
+            assert HurstParams.from_kernel_hurst(k / 10000).Hp == k / 10000, k
+
+
+class TestGridIndex:
+    def test_every_grid_time_up_to_1000(self):
+        # m is the largest index whose CSV time m / n is at most t, also where
+        # n t rounds below m (n = 100, t = 0.29; n = 49, t = 1/49)
+        for n in range(1, 1001):
+            for m in range(n + 1):
+                t = m / n
+                assert grid_index(n, t) == m, (n, m)
+                if m > 0:
+                    assert grid_index(n, math.nextafter(t, -math.inf)) == m - 1, (n, m)
+                if m < n:
+                    assert grid_index(n, math.nextafter(t, math.inf)) == m, (n, m)
 
 class TestStreamedPass:
     """An ensemble is drawn, passed and summed one slab of _SLAB rows at a time."""

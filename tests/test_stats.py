@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from rosenblatt import (DomainError, MarketConfig, ProcessTag, bs_limit,
-                        constant_rate, covariance, discrete_covariance,
+from rosenblatt import (DomainError, MarketConfig, ProcessTag, constant_rate,
+                        covariance, discrete_covariance,
                         discrete_increment_variance, discrete_variance,
                         histogram, increment_variance, qv_decay,
                         simulate_ensemble, skewness)
@@ -11,6 +11,8 @@ from rosenblatt.kernel import HurstParams, get_engine
 from rosenblatt.paths import _SLAB, WalkLaw, grid_index, path_slabs, scale_to_grid
 from rosenblatt.stats import (MomentReport, _discrete_reference, _jump_square_sums,
                               reduce_slabs)
+
+from oracles import bs_limit
 
 ROSE_SEED, WALK_SEED = 2718, 31415
 
