@@ -247,7 +247,8 @@ def cmd_validate(args, argv) -> int:
     out = Path(args.out)
     payload = {
         "process": args.process,
-        "H": args.hurst,
+        # the walk reads no Hurst index, as in its ensemble metadata
+        "H": None if args.process == ProcessTag.WALK.value else args.hurst,
         "n": args.n,
         "paths": args.paths,
         "seed": args.seed,
@@ -264,8 +265,6 @@ def cmd_validate(args, argv) -> int:
 
 
 def cmd_market(args, argv) -> int:
-    if args.hurst is None:
-        raise DomainError("--hurst is required")
     cfg = MarketConfig(N=args.N, sigma=args.sigma, rate_r=_parse_rate(args.rate_r),
                        rate_a=_parse_rate(args.rate_a), S0=args.S0, B0=args.B0,
                        H=args.hurst)
@@ -354,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("market", help="binary market path, divergence scan, arbitrage demo")
     m.add_argument("--N", type=int, default=64, help="trading periods")
-    m.add_argument("--hurst", type=finite, default=None)
+    m.add_argument("--hurst", type=finite, required=True)
     m.add_argument("--sigma", type=finite, default=1.0)
     m.add_argument("--rate-r", default="const:0.5")
     m.add_argument("--rate-a", default="const:0.0")
@@ -415,8 +414,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 0
-        return 2 if code not in (0,) else 0
+        # argparse exits with 0 (--help, --version) or 2 (a usage error)
+        return 2 if exc.code else 0
     start = time.perf_counter()
     try:
         # the manifest records the expanded flags: rerun never rereads a config

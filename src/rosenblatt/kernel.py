@@ -331,13 +331,14 @@ class _Panels:
             return list(pool.map(
                 lambda lo: use(self._block(lo, min(lo + _BLOCK - 1, self.n))), los))
 
-    def _increments(self, t: dict, x: np.ndarray, cur: np.ndarray | None = None) -> np.ndarray:
+    def _increments(self, t: dict, x: np.ndarray, cur: np.ndarray) -> np.ndarray:
         """Increments of the consecutive panels of block t for each +-1 noise
         row of x, shape (M, panels).
 
         x has shape (M, K + 1), K the last panel of t, with column i holding
-        xi_i and column 0 the absent xi_0 = 0.  cur, if given, replaces xi_k of
-        every panel k of t; it must broadcast against (M, panels).  With
+        xi_i and column 0 the absent xi_0 = 0.  cur is the xi_k of every panel
+        k of t: x's own columns lo..K for a path, the branch sign for
+        ``branch_increments``; it must broadcast against (M, panels).  With
         xi_i^2 = 1 the sum over pairs i != j <= k of xi_i xi_j int_panel G_i G_j
         is expanded through the Abar/E split into sum_q w_gl (S_q^2 - Qd_q)
         + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q + xi_{k-1}^2 row_q)
@@ -350,8 +351,6 @@ class _Panels:
         B, nodes = t["wR"].shape
         lo = t["lo"]
         prev = x[:, lo - 1: lo - 1 + B]
-        if cur is None:
-            cur = x[:, lo: lo + B]
         # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
         # + (2 * (xs*S1 + row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
         # xs = xi_k - xi_{k-1}: the order fixes every bit of the result
@@ -510,7 +509,7 @@ class VolterraEngine(_Panels):
         for t in self._blocks:
             lo, K = t["lo"], t["A_gl"].shape[0]
             if unit_squares:
-                out[:, lo - 1: K] = self._increments(t, x[:, : K + 1])
+                out[:, lo - 1: K] = self._increments(t, x[:, : K + 1], x[:, lo: K + 1])
                 continue
             prev, cur = x[:, lo - 1: K], x[:, lo: K + 1]
             S = _matmul(x[:, 1: K + 1], t["A_gl"])

@@ -279,25 +279,24 @@ class ArbitrageTrade:
     pnl_down: float
 
 
-def branch_pnls(path: MarketPath, n: int, stock_units: float = 1.0,
+def branch_pnls(path: MarketPath, n: int,
                 strategy: str = "long-stock") -> tuple[float, float]:
     """P&L of the one-period strategy entered before step n, on both branches.
 
-    Long: borrow stock_units * S_{n-1} at the bond rate and buy the stock;
-    wealth after the step is stock_units * S_{n-1} * (X - (r_n - a_n)) with
-    X = u_n or d_n.  Short is the negative.
+    Long: borrow S_{n-1} at the bond rate and buy one unit of stock; wealth after
+    the step is S_{n-1} * (X - (r_n - a_n)), X = u_n or d_n.  Short is the negative.
     """
     s_prev = float(path.S[n - 1])
     ra = float(path.r_minus_a[n - 1])
-    up = stock_units * s_prev * (path.u[n - 1] - ra)
-    dn = stock_units * s_prev * (path.d[n - 1] - ra)
+    up = s_prev * (path.u[n - 1] - ra)
+    dn = s_prev * (path.d[n - 1] - ra)
     if strategy == "short-stock":
         up, dn = -up, -dn
     return float(up), float(dn)
 
 
-def arbitrage_demo(path: MarketPath, stock_units: float = 1.0) -> ArbitrageTrade:
-    """Construct the riskless one-period trade at the path's first violation index.
+def arbitrage_demo(path: MarketPath) -> ArbitrageTrade:
+    """Construct the riskless one-period, one-unit trade at the first violation.
 
     Checks its own trade: both branch P&Ls must be >= 0 and one > 0.
     Raises InconclusiveError when no violation occurs within the horizon or
@@ -315,11 +314,11 @@ def arbitrage_demo(path: MarketPath, stock_units: float = 1.0) -> ArbitrageTrade
     low_branch = min(path.u[n0 - 1], path.d[n0 - 1])
     strategy = "long-stock" if low_branch >= ra else "short-stock"
     with np.errstate(over="ignore", invalid="ignore"):
-        up, dn = branch_pnls(path, n0, stock_units, strategy)
+        up, dn = branch_pnls(path, n0, strategy)
     _require_finite(("the trade's P&L", (up, dn)))
     if not (min(up, dn) >= 0.0 and max(up, dn) > 0.0):
         raise InconclusiveError(
             f"the trade at n={n0} is no arbitrage: {strategy}, pnl up {up!r}, down {dn!r}")
-    return ArbitrageTrade(index=n0, strategy=strategy, stock_units=stock_units,
+    return ArbitrageTrade(index=n0, strategy=strategy, stock_units=1.0,
                           entry_stock=float(path.S[n0 - 1]), pnl_up=up, pnl_down=dn)
 

@@ -135,8 +135,8 @@ def grid_index(n: int, t: float) -> int:
 
 
 def scale_to_grid(part: np.ndarray, N: int, n: int, h: float) -> np.ndarray:
-    """``part`` of paths drawn on grid N, read on the grid n <= N: ``part``
-    itself when n = N, else a new array of it times (N / n)^h.
+    """``part`` of paths drawn on grid N, read on the grid n <= N: a new array
+    of it times (N / n)^h (exactly 1.0 when n = N, keeping ``part``'s bits).
 
     The walks are discretely self-similar: the noise is prefix-consistent (a
     row's first n values do not depend on its length), and every grid-n
@@ -146,8 +146,6 @@ def scale_to_grid(part: np.ndarray, N: int, n: int, h: float) -> np.ndarray:
     on grid n to a few ulp.  This is the one place a grid is read off a
     finer draw.
     """
-    if n == N:
-        return part
     return (N / n) ** h * part
 
 

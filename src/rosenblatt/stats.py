@@ -124,7 +124,7 @@ def _discrete_reference(law: WalkLaw, quantity: str, s: float, t: float) -> floa
     ``scale_to_grid``: c^(n)(m) = (N/n)^H c^(N)(m) for m <= n); paths drawn
     on grid n itself have N = n and a factor of exactly 1.  The Rosenblatt
     increment is 2 sum (c_ij(mt) - c_ij(ms))^2 and the covariance
-    2 sum c_ij(ms) c_ij(mt).
+    2 sum c_ij(ms) c_ij(mt), in either order and at grid point 0 too (c(0) is +0.0).
     """
     p, n, N = law.params, law.n, law.drawn_n
     ms, mt = grid_index(n, s), grid_index(n, t)
@@ -136,13 +136,11 @@ def _discrete_reference(law: WalkLaw, quantity: str, s: float, t: float) -> floa
     eng = get_engine(N, p)
     scale = (N / n) ** (2 * law.hurst_index)
     if law.process_tag is ProcessTag.ROSENBLATT:
+        Cs, Ct = eng.table_matrix(ms), eng.table_matrix(mt)
         if quantity == "increment":
-            ms, mt = sorted((ms, mt))
-            D = eng.table_matrix(mt) - (eng.table_matrix(ms) if ms else 0.0)
+            D = Ct - Cs
             return scale * float(2.0 * np.sum(D * D))
-        if ms == 0 or mt == 0:
-            return 0.0
-        return scale * float(2.0 * np.sum(eng.table_matrix(ms) * eng.table_matrix(mt)))
+        return scale * float(2.0 * np.sum(Cs * Ct))
     T = eng.fbm_matrix()
     def cov(a, b):
         if a == 0 or b == 0:
@@ -207,12 +205,10 @@ def increment_variance(zs: np.ndarray, zt: np.ndarray, s: float, t: float,
     path's values zs at s and zt at t on grid ``law.n``.
 
     The continuum target is |floor(nt)/n - floor(ns)/n|^(2H); a zero-width
-    snapped increment is flagged, not an error.  Symmetric in (s, zs) and
-    (t, zt).
+    snapped increment is flagged, not an error.  Every field is symmetric in
+    (s, zs) and (t, zt) bit for bit.
     """
     n = law.n
-    if t < s:
-        s, t, zs, zt = t, s, zt, zs
     d = zt - zs
     sq = d * d
     expo = 2 * law.hurst_index
@@ -322,12 +318,10 @@ def qv_decay(sums: Iterable[tuple[int, np.ndarray]]) -> QvDecayFit:
 
 
 def histogram(x: np.ndarray, bins: int) -> Histogram:
-    """Equal-width histogram of the marginal sample x spanning its range."""
+    """Equal-width histogram of the marginal sample x spanning its range
+    (numpy widens the range of a point mass to its value -+ 0.5)."""
     if bins < 2:
         raise DomainError("need at least 2 bins")
     require_addressable(bins + 1)
-    lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(x, bins=bins, range=(float(x.min()), float(x.max())))
     return Histogram(bin_edges=edges, counts=counts, total=x.size)

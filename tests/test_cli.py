@@ -108,6 +108,15 @@ class TestValidate:
         c = json.loads(out.read_text())["checks"][0]
         assert c["theoretical"] == 0.29 ** 1.6
 
+    def test_walk_report_records_no_hurst_index(self, tmp_path):
+        # the walk ignores --hurst: its report's H is null, as in simulate's meta
+        flags = ["--process", "walk", "--hurst", "0.7", "--n", "16", "--paths", "50"]
+        assert run("validate", "--check", "variance", *flags,
+                   "--out", str(tmp_path / "rep.json")) == 0
+        assert run("simulate", *flags, "--out", str(tmp_path / "ens.csv")) == 0
+        assert json.loads((tmp_path / "rep.json").read_text())["H"] is None
+        assert json.loads((tmp_path / "ens.csv.meta.json").read_text())["H"] is None
+
     def test_skewness_both_directions(self, tmp_path):
         code = run("validate", "--check", "skewness", "--process", "rosenblatt",
                    "--hurst", "0.8", "--n", "64", "--paths", "3000",
@@ -605,6 +614,12 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert ("grid point 1 of grid 16" if "--t" in process else "grid point 0 of grid 64") in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_market_without_hurst_exits_2_writing_nothing(self, tmp_path, capsys):
+        code = run("market", "--N", "16", "--out", str(tmp_path / "x.out"))
+        assert code == 2
+        assert "required: --hurst" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_rate_table_exits_2(self, tmp_path, capsys):

@@ -348,13 +348,6 @@ class TestArbitrageDemo:
         up, dn = branch_pnls(path, safe, strategy="long-stock")
         assert min(up, dn) <= 0.0 < max(up, dn)
 
-    def test_pnl_linear_in_stock_units(self, std_cfg):
-        path = ones_path(std_cfg)
-        t1 = arbitrage_demo(path, stock_units=1.0)
-        t2 = arbitrage_demo(path, stock_units=2.0)
-        assert t2.pnl_up == pytest.approx(2 * t1.pnl_up)
-        assert t2.pnl_down == pytest.approx(2 * t1.pnl_down)
-
     def test_refuses_a_trade_that_is_no_arbitrage(self):
         # S_1 is the smallest subnormal: both branch P&Ls round to zero
         N = 4

@@ -119,7 +119,8 @@ class TestSharedRows:
         for n in (1, 16, 37, 128):
             want = (N / n) ** h * fine[:, : n + 1]
             got = scale_to_grid(fine[:, : n + 1], N, n, h)
-            assert got.tobytes() == want.tobytes(), n
+            # a new array on every grid, the drawn one (n = N, factor 1.0) too
+            assert got.tobytes() == want.tobytes() and not np.shares_memory(got, fine), n
             for t in np.linspace(0.0, 1.0, 11):
                 m = grid_index(n, t)
                 assert scale_to_grid(fine[:, m], N, n, h).tobytes() == want[:, m].tobytes()

@@ -81,6 +81,17 @@ class TestDiscreteLaws:
                - 2 * discrete_covariance(n, s, t, p08))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    def test_symmetric_in_arguments_bitwise(self, p08):
+        # (a - b)^2 is (b - a)^2 exactly, and grid point 0 reads c(0) = +0.0,
+        # on the own grid and on a grid read off a finer draw
+        law = WalkLaw(ProcessTag.ROSENBLATT, p08, 16, 48)
+        for s, t in [(0.25, 0.75), (0.0, 0.5), (0.0, 0.0), (0.3, 1.0)]:
+            own = discrete_increment_variance(16, s, t, p08)
+            assert own.hex() == discrete_increment_variance(16, t, s, p08).hex()
+            for quantity in ("increment", "covariance"):
+                got = _discrete_reference(law, quantity, s, t)
+                assert got.hex() == _discrete_reference(law, quantity, t, s).hex()
+
 
 def _fbm_reference(n, p, s, t, quantity):
     """The fbm walk's exact moment from a grid-n ``fbm_matrix`` dot product."""
@@ -162,6 +173,7 @@ class TestIncrementVariance:
         a = increment_variance(*_pair(rose_ens, 0.25, 0.75))
         b = increment_variance(*_pair(rose_ens, 0.75, 0.25))
         assert a.estimate == b.estimate and a.theoretical == b.theoretical
+        assert a.discrete == b.discrete and a.note == b.note
 
     def test_matches_exact_discrete_law(self, rose_ens, p08):
         for (s, t) in [(0.0, 1.0), (0.25, 0.75)]:
@@ -185,9 +197,11 @@ class TestIncrementVariance:
 
 class TestCovariance:
     def test_zero_time_edge(self, rose_ens):
-        rep = covariance(*_pair(rose_ens, 0.0, 0.7))
-        assert rep.theoretical == 0.0
-        assert rep.estimate == 0.0
+        for s, t in [(0.0, 0.7), (0.7, 0.0)]:
+            rep = covariance(*_pair(rose_ens, s, t))
+            assert rep.theoretical == 0.0
+            assert rep.estimate == 0.0
+            assert rep.discrete == 0.0
 
     def test_terminal_value_is_unit(self, rose_ens):
         rep = covariance(*_pair(rose_ens, 1.0, 1.0))
@@ -363,9 +377,12 @@ class TestHistogram:
         assert len(h.bin_edges) == 26
 
     def test_all_equal_samples_single_bin(self):
-        h = histogram(np.full(100, 2.5), 10)
+        x = np.full(100, 2.5)
+        h = histogram(x, 10)
         assert (h.counts > 0).sum() == 1
         assert int(h.counts.sum()) == 100
+        # numpy widens the point mass to 2.5 -+ 0.5
+        assert h.bin_edges.tobytes() == np.histogram(x, 10, range=(2.0, 3.0))[1].tobytes()
 
     def test_bin_validation(self, rose_ens):
         with pytest.raises(DomainError):
