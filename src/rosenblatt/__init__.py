@@ -22,9 +22,7 @@ from .stats import (
     Histogram,
     MomentReport,
     covariance,
-    discrete_covariance,
-    discrete_increment_variance,
-    discrete_variance,
+    discrete_moment,
     histogram,
     increment_variance,
     qv_decay,

@@ -184,10 +184,10 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
     # Rosenblatt walk, which has no off-diagonal pair), so t has no skewness
     # and a qv grid no QV; the coarsest qv grid has the fewest pairs, so if
     # it has a QV every one has
-    if sizes and st._discrete_reference(WalkLaw(process, p, min(sizes), N),
-                                        "increment", 0.0, 1.0) == 0.0:
+    if sizes and st.discrete_moment(WalkLaw(process, p, min(sizes), N),
+                                    "increment", 0.0, 1.0) == 0.0:
         raise DomainError(f"qv grid {min(sizes)} has no positive mean QV: every path is 0 on it")
-    if "skewness" in wanted and st._discrete_reference(law, "increment", 0.0, args.t) == 0.0:
+    if "skewness" in wanted and st.discrete_moment(law, "increment", 0.0, args.t) == 0.0:
         raise DomainError(f"--t {args.t!r} snaps to grid point {grid_index(args.n, args.t)} "
                           f"of grid {args.n}, where every path is 0: the skewness of a "
                           "point mass is 0/0")

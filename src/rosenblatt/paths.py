@@ -253,12 +253,10 @@ def path_slabs(count: int, master_seed: int, kind: NoiseKind | str,
     one before it has been taken, so a reader that drops each slab once read
     holds one slab's noise, increments and paths, never a (count, .) matrix.
     The arguments are checked when this is called, not when the first slab
-    is asked for; the process and its parameters by ``WalkLaw``.
+    is asked for; the grid, the process and its parameters by ``WalkLaw``.
     """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
-    if n < 1:
-        raise DomainError(f"grid size n must be at least 1, got {n}")
     kind = NoiseKind(kind)
     process_tag = WalkLaw(process_tag, p, n, n).process_tag
     require_addressable(min(count, _SLAB), n + 1)

@@ -3,9 +3,17 @@
 Monte Carlo moment estimates are compared against two reference levels: the
 continuum law of the limit process (variance t^2H, covariance
 (t^2H + s^2H - |t-s|^2H)/2, increment variance |t-s|^2H at grid-snapped
-times) and the exact finite-n law of the walk itself, which for the
-off-diagonal quadratic form is 2 sum_{i != j} c_ij^2 and its increment
-analogue.  The finite-n values converge to the continuum slowly (the deficit
+times) and the exact finite-n law of the walk itself, ``discrete_moment``.
+At grid point m each walk is a form A(m) in its noise, so for independent
+unit-variance noise
+
+    increment  E|X(t) - X(s)|^2 = c sum (A(mt) - A(ms))^2
+    covariance E[X(s) X(t)]     = c sum A(ms) A(mt)
+
+with c = 1/N for the linear walks (A(m) = 1{i <= m}, or row m - 1 of
+``fbm_matrix``) and c = 2 for the Rosenblatt walk (A(m) = ``table_matrix(m)``,
+the zero-diagonal c_ij(m)), times (N/n)^(2h) for grid n read off a draw on
+grid N.  The finite-n values converge to the continuum slowly (the deficit
 decays like n^(H-1)), so estimator correctness is always gated on the exact
 discrete value while reports carry both.
 
@@ -20,11 +28,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .kernel import DomainError, HurstParams, get_engine
+from .kernel import DomainError, get_engine
 from .paths import ProcessTag, WalkLaw, grid_index, require_addressable, scale_to_grid
 
 # resamples behind the skewness standard error
@@ -57,10 +66,11 @@ class MomentReport:
     def within(self, k: float) -> bool:
         """|estimate - ref| <= k * std_error, ref the exact discrete value or,
         failing that, the continuum one; a zero-variance estimate passes only
-        when it equals ref."""
+        when it equals ref.  Refuses a report with neither (the skewness of
+        a Rosenblatt sample): it has nothing to be within."""
         ref = self.discrete if self.discrete is not None else self.theoretical
         if ref is None:
-            return True
+            raise DomainError(f"{self.quantity} report has no reference value")
         return abs(self.estimate - ref) <= k * self.std_error
 
 
@@ -96,60 +106,49 @@ def _mean_se(x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact finite-n laws: every exact second moment goes through _discrete_reference
+# exact finite-n laws: every exact second moment is discrete_moment
 # ---------------------------------------------------------------------------
 
-def discrete_increment_variance(n: int, s: float, t: float, p: HurstParams) -> float:
-    """Exact E|Z(t) - Z(s)|^2 = 2 sum_{i != j} (c_ij(mt) - c_ij(ms))^2."""
-    return _discrete_reference(WalkLaw(ProcessTag.ROSENBLATT, p, n, n), "increment", s, t)
-
-
-def discrete_variance(n: int, t: float, p: HurstParams) -> float:
-    """Exact Var Z(t) of the walk, the closed form 2 sum_{i != j} c_ij(m)^2."""
-    return discrete_increment_variance(n, 0.0, t, p)
-
-
-def discrete_covariance(n: int, s: float, t: float, p: HurstParams) -> float:
-    """Exact E[Z(s) Z(t)] = 2 sum_{i != j} c_ij(ms) c_ij(mt)."""
-    return _discrete_reference(WalkLaw(ProcessTag.ROSENBLATT, p, n, n), "covariance", s, t)
-
-
-def _discrete_reference(law: WalkLaw, quantity: str, s: float, t: float) -> float:
-    """Exact finite-n "increment" variance or "covariance" of the walk at the
-    grid-snapped s and t.
-
-    Rosenblatt and fbm read the engine of ``law.drawn_n``, the grid the paths
-    were drawn on, at the grid-n indices and scale by (N/n)^(2h), h the
-    process's self-similarity index (discrete self-similarity, as in
-    ``scale_to_grid``: c^(n)(m) = (N/n)^H c^(N)(m) for m <= n); paths drawn
-    on grid n itself have N = n and a factor of exactly 1.  The Rosenblatt
-    increment is 2 sum (c_ij(mt) - c_ij(ms))^2 and the covariance
-    2 sum c_ij(ms) c_ij(mt), in either order and at grid point 0 too (c(0) is +0.0).
-    """
-    p, n, N = law.params, law.n, law.drawn_n
-    ms, mt = grid_index(n, s), grid_index(n, t)
-    if law.process_tag is ProcessTag.WALK:
-        # the plain walk hits its continuum law exactly
-        if quantity == "increment":
-            return abs(mt - ms) / n
-        return min(ms, mt) / n
-    eng = get_engine(N, p)
-    scale = (N / n) ** (2 * law.hurst_index)
+def _forms(law: WalkLaw, ms: int, mt: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(c, A(ms), A(mt)) of the module docstring's formula on grid N =
+    ``law.drawn_n``: a linear walk's noise weights are A(m) / sqrt(N), so
+    c = 1/N (A(0) is zero); the Rosenblatt walk's are c_ij(m), with c = 2."""
+    N = law.drawn_n
     if law.process_tag is ProcessTag.ROSENBLATT:
-        Cs, Ct = eng.table_matrix(ms), eng.table_matrix(mt)
-        if quantity == "increment":
-            D = Ct - Cs
-            return scale * float(2.0 * np.sum(D * D))
-        return scale * float(2.0 * np.sum(Cs * Ct))
-    T = eng.fbm_matrix()
-    def cov(a, b):
-        if a == 0 or b == 0:
-            return 0.0
-        k = min(a, b)
-        return float(np.dot(T[a - 1, :k], T[b - 1, :k]) / N)
+        eng = get_engine(N, law.params)
+        return 2.0, eng.table_matrix(ms), eng.table_matrix(mt)
+    if law.process_tag is ProcessTag.FBM:
+        kappa = get_engine(N, law.params).fbm_matrix()
+        rows = [kappa[m - 1] if m else np.zeros(N) for m in (ms, mt)]
+    else:
+        rows = [(np.arange(N) < m) * 1.0 for m in (ms, mt)]
+    return 1 / N, *rows
+
+
+# bounded, so a sweep over many times keeps only its latest moments
+@lru_cache(maxsize=256)
+def discrete_moment(law: WalkLaw, quantity: str, s: float, t: float) -> float:
+    """Exact finite-n "increment" variance E|X(t) - X(s)|^2 or "covariance"
+    E[X(s) X(t)] of the walk of ``law`` at the grid-snapped s and t.
+
+    The formula of the module docstring: c sum (A(mt) - A(ms))^2 or
+    c sum A(ms) A(mt).  The forms are read on ``law.drawn_n``, the grid the
+    paths were drawn on, at the grid-n indices, and scaled by (N/n)^(2h), h
+    the process's self-similarity index (discrete self-similarity, as in
+    ``scale_to_grid``); paths drawn on grid n itself have N = n and a factor
+    of exactly 1.  Symmetric in s and t bit for bit.  Memoised, so a moment
+    asked for twice (validate's point-mass rule and its variance check) is
+    computed once.
+    """
+    if quantity not in ("increment", "covariance"):
+        raise DomainError(f"quantity must be 'increment' or 'covariance', got {quantity!r}")
+    n = law.n
+    c, As, At = _forms(law, grid_index(n, s), grid_index(n, t))
+    scale = (law.drawn_n / n) ** (2 * law.hurst_index)
     if quantity == "increment":
-        return scale * (cov(mt, mt) - 2 * cov(ms, mt) + cov(ms, ms))
-    return scale * cov(ms, mt)
+        D = At - As
+        return scale * float(c * np.sum(D * D))
+    return scale * float(c * np.sum(As * At))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,7 @@ def increment_variance(zs: np.ndarray, zt: np.ndarray, s: float, t: float,
         std_error=_mean_se(sq),
         sample_size=sq.size,
         theoretical=theo,
-        discrete=_discrete_reference(law, "increment", s, t),
+        discrete=discrete_moment(law, "increment", s, t),
         note=note,
     )
 
@@ -243,7 +242,7 @@ def covariance(zs: np.ndarray, zt: np.ndarray, s: float, t: float,
         std_error=_mean_se(prod),
         sample_size=prod.size,
         theoretical=theo,
-        discrete=_discrete_reference(law, "covariance", s, t),
+        discrete=discrete_moment(law, "covariance", s, t),
     )
 
 

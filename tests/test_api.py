@@ -16,8 +16,7 @@ def test_exports_are_pinned():
         "HurstParams", "InconclusiveError", "MarketConfig", "MarketPath", "MomentReport",
         "NoiseKind", "ProcessTag", "WalkLaw", "affine_rate",
         "arbitrage_demo", "build_market", "build_markets", "c_const",
-        "constant_rate", "covariance", "d_const",
-        "discrete_covariance", "discrete_increment_variance", "discrete_variance",
+        "constant_rate", "covariance", "d_const", "discrete_moment",
         "divergence_scan", "grid_index", "histogram",
         "increment_variance", "kernel", "make_noise", "market", "no_arbitrage_check",
         "path_slabs", "paths", "qv_decay",
@@ -40,10 +39,10 @@ def test_oracles_are_not_in_the_package(module):
 
 
 @pytest.mark.parametrize("name", [n for n in rosenblatt.__all__
-                                  if inspect.isclass(getattr(rosenblatt, n))
-                                  or inspect.isfunction(getattr(rosenblatt, n))])
+                                  if callable(getattr(rosenblatt, n))])
 def test_export_has_docstring(name):
-    # a dataclass without a docstring is given its signature as one
+    # every class and function, memoised ones too; a dataclass without a
+    # docstring is given its signature as one
     obj = getattr(rosenblatt, name)
     assert obj.__doc__ and not obj.__doc__.startswith(f"{obj.__name__}("), name
 
@@ -65,3 +64,19 @@ def test_scipy_surface_is_pinned():
     # (file, from-module, name, alias): only ``from scipy import special``
     assert imports == [("kernel.py", "scipy", "special", None)]
     assert used == {"beta", "betainc", "betaincc", "eval_jacobi"}
+
+
+def test_cli_reads_only_public_names():
+    # the CLI is a client of the library: it imports no _-prefixed name from
+    # another package module and reads none off one (dunders are public)
+    tree = ast.parse((Path(rosenblatt.__file__).parent / "cli.py").read_text())
+    relative = [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1]
+    modules = {a.asname or a.name for node in relative if node.module is None
+               for a in node.names}
+    names = [a.name for node in relative for a in node.names]
+    names += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    assert "st" in modules
+    assert [x for x in names if x.startswith("_") and not x.endswith("__")] == []

@@ -259,6 +259,26 @@ class TestValidate:
             "--out", str(tmp_path / "rep.json"))
         assert set(kernel._ENGINES) == {(64, 0.8)}
 
+    def test_builds_each_exact_matrix_once(self, tmp_path, monkeypatch):
+        # the skewness point-mass rule and the variance check both ask for the
+        # increment at (0, t): the variance reads the memoised moment, so
+        # only the qv rule's grid-4 point 0 and the covariance's s build anew
+        import rosenblatt.kernel as kernel
+        from rosenblatt.stats import discrete_moment
+        built = {}
+        table = kernel.VolterraEngine.table_matrix
+
+        def counting(self, m):
+            built[m] = built.get(m, 0) + 1
+            return table(self, m)
+
+        monkeypatch.setattr(kernel.VolterraEngine, "table_matrix", counting)
+        discrete_moment.cache_clear()
+        run("validate", "--check", "all", "--hurst", "0.8", "--noise", "gaussian",
+            "--n", "16", "--paths", "200", "--qv-sizes", "4,8,16",
+            "--out", str(tmp_path / "rep.json"))
+        assert built == {0: 2, 4: 1, 8: 1, 16: 2}
+
     def test_malformed_qv_sizes_exits_2(self, tmp_path, capsys):
         code = run("validate", "--check", "qv", "--process", "walk", "--n", "16",
                    "--paths", "50", "--qv-sizes", "16,abc",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rosenblatt import (DomainError, HurstParams, NoiseKind, ProcessTag,
-                        discrete_variance, make_noise, simulate_ensemble)
+                        discrete_moment, make_noise, simulate_ensemble)
 from rosenblatt.kernel import _matmul, get_engine
 from rosenblatt.paths import (_SLAB, WalkLaw, _walk_slabs, derive_seed, ensemble_metadata,
                               ensemble_to_csv, grid_index, path_slabs, scale_to_grid,
@@ -188,7 +188,8 @@ class TestRosenblattWalk:
 
     def test_exact_second_moment(self, p08):
         n, M = 32, 10000
-        closed = discrete_variance(n, 1.0, p08)
+        law = WalkLaw(ProcessTag.ROSENBLATT, p08, n, n)
+        closed = discrete_moment(law, "increment", 0.0, 1.0)
         for kind in ("rademacher", "gaussian"):
             z1 = simulate_ensemble(M, 17, kind, p08, "rosenblatt", n)[:, -1]
             v = z1.var()
@@ -217,7 +218,8 @@ class TestRosenblattWalk:
     def test_variance_ratio_roughly_self_similar(self, p08):
         # 2 sum c^2(floor(nt)) / t^2H varies slowly in t at fixed large n
         n = 256
-        ratios = [discrete_variance(n, t, p08) / t ** 1.6
+        law = WalkLaw(ProcessTag.ROSENBLATT, p08, n, n)
+        ratios = [discrete_moment(law, "increment", 0.0, t) / t ** 1.6
                   for t in (0.25, 0.5, 1.0)]
         mid = np.mean(ratios)
         assert all(abs(r - mid) / mid < 0.10 for r in ratios)

@@ -1,16 +1,17 @@
 """Moment reports, quadratic variation, histograms, and the exact finite-n laws."""
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from rosenblatt import (DomainError, MarketConfig, ProcessTag, constant_rate,
-                        covariance, discrete_covariance,
-                        discrete_increment_variance, discrete_variance,
-                        histogram, increment_variance, qv_decay,
-                        simulate_ensemble, skewness)
+from rosenblatt import (DomainError, MarketConfig, NoiseKind, ProcessTag, constant_rate,
+                        covariance, discrete_moment, histogram, increment_variance,
+                        qv_decay, simulate_ensemble, skewness)
 from rosenblatt.kernel import HurstParams, get_engine
-from rosenblatt.paths import _SLAB, WalkLaw, grid_index, path_slabs, scale_to_grid
-from rosenblatt.stats import (MomentReport, _discrete_reference, _jump_square_sums,
-                              reduce_slabs)
+from rosenblatt.paths import (_SLAB, WalkLaw, _walk_slabs, grid_index, path_slabs,
+                              scale_to_grid)
+from rosenblatt.stats import MomentReport, _jump_square_sums, reduce_slabs
 
 from oracles import bs_limit
 
@@ -59,53 +60,68 @@ def walk_ens():
             WalkLaw(ProcessTag.WALK, None, 64, 64))
 
 
+def _rose(n, p):
+    """The law of the Rosenblatt walk drawn on grid n itself."""
+    return WalkLaw(ProcessTag.ROSENBLATT, p, n, n)
+
+
 class TestDiscreteLaws:
     def test_variance_against_brute_force_value(self, p08):
         # cross-validated at n = 8 against nested scipy quadrature plus a
         # 4e5-path Monte Carlo of the definition during development
-        assert discrete_variance(8, 1.0, p08) == pytest.approx(
+        assert discrete_moment(_rose(8, p08), "increment", 0.0, 1.0) == pytest.approx(
             0.34297724041, rel=1e-9)
 
     def test_covariance_consistency(self, p08):
         # E[Z(t)^2] is both a variance and a self-covariance
-        a = discrete_variance(16, 0.5, p08)
-        b = discrete_covariance(16, 0.5, 0.5, p08)
+        a = discrete_moment(_rose(16, p08), "increment", 0.0, 0.5)
+        b = discrete_moment(_rose(16, p08), "covariance", 0.5, 0.5)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_increment_bilinearity(self, p08):
         # E|Z(t)-Z(s)|^2 = Var Z(t) + Var Z(s) - 2 E[Z(s) Z(t)]
-        n, s, t = 16, 0.5, 1.0
-        lhs = discrete_increment_variance(n, s, t, p08)
-        rhs = (discrete_variance(n, t, p08)
-               + discrete_variance(n, s, p08)
-               - 2 * discrete_covariance(n, s, t, p08))
+        law, s, t = _rose(16, p08), 0.5, 1.0
+        lhs = discrete_moment(law, "increment", s, t)
+        rhs = (discrete_moment(law, "increment", 0.0, t)
+               + discrete_moment(law, "increment", 0.0, s)
+               - 2 * discrete_moment(law, "covariance", s, t))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_symmetric_in_arguments_bitwise(self, p08):
-        # (a - b)^2 is (b - a)^2 exactly, and grid point 0 reads c(0) = +0.0,
-        # on the own grid and on a grid read off a finer draw
-        law = WalkLaw(ProcessTag.ROSENBLATT, p08, 16, 48)
-        for s, t in [(0.25, 0.75), (0.0, 0.5), (0.0, 0.0), (0.3, 1.0)]:
-            own = discrete_increment_variance(16, s, t, p08)
-            assert own.hex() == discrete_increment_variance(16, t, s, p08).hex()
+        # (a - b)^2 is (b - a)^2 exactly, and grid point 0 reads a zero form,
+        # for each walk on its own grid and on a grid read off a finer draw
+        for process, N, s, t in itertools.product(
+                ProcessTag, (16, 48), (0.0, 0.25, 0.3), (0.0, 0.5, 0.75, 1.0)):
+            law = WalkLaw(process, None if process is ProcessTag.WALK else p08, 16, N)
             for quantity in ("increment", "covariance"):
-                got = _discrete_reference(law, quantity, s, t)
-                assert got.hex() == _discrete_reference(law, quantity, t, s).hex()
+                got = discrete_moment(law, quantity, s, t)
+                assert got.hex() == discrete_moment(law, quantity, t, s).hex()
+
+    def test_walk_is_its_continuum_law(self):
+        # the walk's exact moments are |mt - ms| / n and min(ms, mt) / n, to
+        # the rounding of (1/N) sum 1 times N/n
+        for n, N in [(16, 16), (37, 300), (100, 100)]:
+            law = WalkLaw(ProcessTag.WALK, None, n, N)
+            for s, t in itertools.product(np.linspace(0, 1, 9), repeat=2):
+                ms, mt = grid_index(n, s), grid_index(n, t)
+                for quantity, want in (("increment", abs(mt - ms) / n),
+                                       ("covariance", min(ms, mt) / n)):
+                    got = discrete_moment(law, quantity, s, t)
+                    assert abs(got - want) <= 4.5e-16 * want, (n, N, s, t, quantity)
+
+    def test_refuses_unknown_quantity(self, p08):
+        with pytest.raises(DomainError, match="quantity"):
+            discrete_moment(_rose(16, p08), "variance", 0.0, 1.0)
 
 
-def _fbm_reference(n, p, s, t, quantity):
-    """The fbm walk's exact moment from a grid-n ``fbm_matrix`` dot product."""
-    T = get_engine(n, p).fbm_matrix()
-    ms, mt = int(np.floor(n * s)), int(np.floor(n * t))
-
-    def cov(a, b):
-        if a == 0 or b == 0:
-            return 0.0
-        k = min(a, b)
-        return float(np.dot(T[a - 1, :k], T[b - 1, :k]) / n)
-    if quantity == "increment":
-        return cov(mt, mt) - 2 * cov(ms, mt) + cov(ms, ms)
-    return cov(ms, mt)
+def _fsum_reference(law, s, t, quantity):
+    """The fbm walk's exact moment as one correctly rounded math.fsum of its
+    terms over the kappa rows of grid ``law.drawn_n``, then scaled."""
+    N = law.drawn_n
+    T = np.vstack([np.zeros(N), get_engine(N, law.params).fbm_matrix()])
+    a, b = T[grid_index(law.n, s)], T[grid_index(law.n, t)]
+    terms = (b - a) ** 2 if quantity == "increment" else a * b
+    return (N / law.n) ** (2 * law.hurst_index) * math.fsum(terms.tolist()) / N
 
 
 _TIMES = [(0.0, 1.0), (0.25, 0.75), (0.3, 0.9), (0.5, 0.5), (0.0, 0.4)]
@@ -123,11 +139,12 @@ class TestSelfSimilarReferences:
 
     @staticmethod
     def _direct(process, n, p):
+        law = WalkLaw(ProcessTag(process), p, n, n)
         if process == "rosenblatt":
-            return [(discrete_increment_variance(n, s, t, p), discrete_covariance(n, s, t, p))
-                    for s, t in _TIMES]
-        return [(_fbm_reference(n, p, s, t, "increment"),
-                 _fbm_reference(n, p, s, t, "covariance")) for s, t in _TIMES]
+            return [(discrete_moment(law, "increment", s, t),
+                     discrete_moment(law, "covariance", s, t)) for s, t in _TIMES]
+        return [(_fsum_reference(law, s, t, "increment"),
+                 _fsum_reference(law, s, t, "covariance")) for s, t in _TIMES]
 
     @pytest.mark.parametrize("process", ["rosenblatt", "fbm"])
     @pytest.mark.parametrize("H", [0.6, 0.8])
@@ -145,10 +162,16 @@ class TestSelfSimilarReferences:
     @pytest.mark.parametrize("H", [0.6, 0.8])
     @pytest.mark.parametrize("n", [128, 300])
     def test_direct_references_are_the_public_laws(self, process, H, n):
+        # the reports carry discrete_moment's bits; the fbm ones lie within
+        # 1e-15 of the fsum over the same kappa rows
         p = HurstParams(H)
-        ens = (simulate_ensemble(2, 5, "gaussian", p, process, n),
-               WalkLaw(ProcessTag(process), p, n, n))
-        assert self._references(ens) == self._direct(process, n, p)
+        law = WalkLaw(ProcessTag(process), p, n, n)
+        refs = self._references((simulate_ensemble(2, 5, "gaussian", p, process, n), law))
+        assert refs == [(discrete_moment(law, "increment", s, t),
+                         discrete_moment(law, "covariance", s, t)) for s, t in _TIMES]
+        for got, want in zip(refs, self._direct(process, n, p)):
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-15 * abs(w), (g, w)
 
     @pytest.mark.parametrize("process", ["walk", "fbm", "rosenblatt"])
     def test_string_tag_is_the_enum(self, process):
@@ -159,8 +182,45 @@ class TestSelfSimilarReferences:
         assert by_name.process_tag is ProcessTag(process)
         assert by_name.hurst_index == by_tag.hurst_index
         for quantity in ("increment", "covariance"):
-            assert (_discrete_reference(by_name, quantity, 0.25, 1.0)
-                    == _discrete_reference(by_tag, quantity, 0.25, 1.0))
+            assert (discrete_moment(by_name, quantity, 0.25, 1.0)
+                    == discrete_moment(by_tag, quantity, 0.25, 1.0))
+
+
+def _sign_vectors(n):
+    """All 2^(n - 1) sign vectors of length n with xi_1 = +1, as (rows, n).
+
+    The laws are even in the noise (xi -> -xi flips the linear walks and
+    keeps the quadratic one), so the second moments over these are the
+    moments over all 2^n equally likely Rademacher vectors.
+    """
+    rest = np.array(list(itertools.product((1.0, -1.0), repeat=n - 1))).reshape(-1, n - 1)
+    return np.hstack([np.ones((rest.shape[0], 1)), rest])
+
+
+class TestExactLawIsTheGeneratedLaw:
+    """discrete_moment against exact enumeration of the +-1 noise, run
+    through the generator's own walk: the mean over every sign vector of a
+    product or a squared increment is the walk's moment, with no sampling
+    error."""
+
+    @pytest.mark.parametrize("process, H", [("walk", None), ("fbm", 0.9),
+                                            ("rosenblatt", 0.6), ("rosenblatt", 0.8)])
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_enumeration_matches_discrete_moment(self, process, H, N):
+        p = None if H is None else (HurstParams.from_kernel_hurst(H) if process == "fbm"
+                                    else HurstParams(H))
+        paths = next(_walk_slabs([_sign_vectors(N)], N, NoiseKind.RADEMACHER, p,
+                                 ProcessTag(process)))
+        # on the walk's own grid, and on the grid n read off N = 2n
+        for n in (N, N // 2):
+            law = WalkLaw(ProcessTag(process), p, n, N)
+            Z = scale_to_grid(paths[:, : n + 1], N, n, law.hurst_index)
+            for s, t in itertools.product(np.linspace(0, 1, 5), repeat=2):
+                zs, zt = Z[:, grid_index(n, s)], Z[:, grid_index(n, t)]
+                for quantity, sample in (("increment", (zt - zs) ** 2), ("covariance", zs * zt)):
+                    want = discrete_moment(law, quantity, s, t)
+                    got = math.fsum(sample.tolist()) / sample.size
+                    assert abs(got - want) <= 1e-13 * abs(want), (n, s, t, quantity, got, want)
 
 
 class TestIncrementVariance:
@@ -179,7 +239,7 @@ class TestIncrementVariance:
         for (s, t) in [(0.0, 1.0), (0.25, 0.75)]:
             rep = increment_variance(*_pair(rose_ens, s, t))
             assert rep.discrete == pytest.approx(
-                discrete_increment_variance(64, s, t, p08), rel=1e-12)
+                discrete_moment(_rose(64, p08), "increment", s, t), rel=1e-12)
             assert rep.within(4.0)
             assert rep.theoretical == pytest.approx(
                 abs(np.floor(64 * t) / 64 - np.floor(64 * s) / 64) ** 1.6)
@@ -411,6 +471,13 @@ class TestReports:
         with pytest.raises(DomainError):
             MomentReport(quantity="x", estimate=1.0, std_error=0.1, sample_size=1)
 
+    def test_within_refuses_a_report_without_reference(self, rose_ens):
+        # the skewness of a Rosenblatt sample has no reference to be within
+        rep = _skew(rose_ens, 1.0, ROSE_SEED)
+        assert rep.discrete is None and rep.theoretical is None
+        with pytest.raises(DomainError, match="no reference"):
+            rep.within(4.0)
+
 
 class TestGridTime:
     @pytest.mark.parametrize("t", [-0.5, 1.5])
@@ -422,8 +489,9 @@ class TestGridTime:
         cfg = MarketConfig(N=4, sigma=1.0, rate_r=constant_rate(0.0),
                            rate_a=constant_rate(0.0), S0=1.0, B0=1.0, H=0.8)
         calls = {
-            "discrete_increment_variance": lambda: discrete_increment_variance(16, t, 1.0, p08),
-            "discrete_covariance": lambda: discrete_covariance(16, t, 1.0, p08),
+            "discrete_increment_variance": lambda: discrete_moment(_rose(16, p08), "increment",
+                                                                   t, 1.0),
+            "discrete_covariance": lambda: discrete_moment(_rose(16, p08), "covariance", t, 1.0),
             "bs_limit": lambda: bs_limit(cfg, Z[0], t),
             "values_at": lambda: Z[:, grid_index(4, t)],
         }
