@@ -33,16 +33,15 @@ from . import stats as st
 _QV_SIZES = (16, 32, 64, 128, 256)
 
 
-def _params_for(process: ProcessTag, hurst: float | None) -> HurstParams | None:
-    """CLI --hurst is the simulated process's own index: H in (1/2, 1) for
-    rosenblatt, the kernel index in (3/4, 1) for fbm, ignored for walk."""
-    if process is ProcessTag.WALK:
+def _params_for(args) -> HurstParams | None:
+    """CLI --hurst is the simulated process's own index, read by its record:
+    H for rosenblatt, the kernel index Hp for fbm, ignored for walk."""
+    from_hurst = ProcessTag(args.process).form.from_hurst
+    if from_hurst is None:
         return None
-    if hurst is None:
-        raise DomainError(f"--hurst is required for process {process.value}")
-    if process is ProcessTag.FBM:
-        return HurstParams.from_kernel_hurst(hurst)
-    return HurstParams(hurst)
+    if args.hurst is None:
+        raise DomainError(f"--hurst is required for process {args.process}")
+    return from_hurst(args.hurst)
 
 
 def finite(text: str) -> float:
@@ -138,9 +137,7 @@ def _svg_bars(edges, counts, path: Path, w=640, h=400) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args, argv) -> int:
-    process = ProcessTag(args.process)
-    p = _params_for(process, args.hurst)
-    draw = (args.paths, args.seed, NoiseKind(args.noise), p, process, args.n)
+    draw = (args.paths, args.seed, NoiseKind(args.noise), _params_for(args), args.process, args.n)
     # the paths go to the CSV one slab at a time; the plot reads the first
     slabs = path_slabs(*draw)
     first = next(slabs)
@@ -160,8 +157,7 @@ _TIMES = {"variance": lambda a: (0.0, a.t), "covariance": lambda a: (a.s, a.t),
 
 
 def _run_checks(args) -> tuple[list[dict], list[str]]:
-    process = ProcessTag(args.process)
-    p = _params_for(process, args.hurst)
+    p = _params_for(args)
     checks = []
     extra_files: list[str] = []
     wanted = [args.check] if args.check != "all" else [
@@ -176,15 +172,15 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
     # one draw on the finest grid, read in one pass: each path leaves only its
     # grid-n values at the checks' times and its QV on each qv grid
     N = max([args.n, *sizes])
-    slabs = path_slabs(args.paths, args.seed, NoiseKind(args.noise), p, process, N)
-    law = WalkLaw(process, p, args.n, N)
+    slabs = path_slabs(args.paths, args.seed, NoiseKind(args.noise), p, args.process, N)
+    law = WalkLaw(args.process, p, args.n, N)
     times = sorted({x for name in wanted for x in _TIMES[name](args)})
     # one rule refuses a point mass before any path is drawn: exact variance 0
     # at t means every path is 0 there (grid point 0, and grid point 1 of the
     # Rosenblatt walk, which has no off-diagonal pair), so t has no skewness
     # and a qv grid no QV; the coarsest qv grid has the fewest pairs, so if
     # it has a QV every one has
-    if sizes and st.discrete_moment(WalkLaw(process, p, min(sizes), N),
+    if sizes and st.discrete_moment(WalkLaw(args.process, p, min(sizes), N),
                                     "increment", 0.0, 1.0) == 0.0:
         raise DomainError(f"qv grid {min(sizes)} has no positive mean QV: every path is 0 on it")
     if "skewness" in wanted and st.discrete_moment(law, "increment", 0.0, args.t) == 0.0:
@@ -196,17 +192,14 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
     at = dict(zip(times, values))
 
     for name in wanted:
-        if name == "variance":
-            rep = st.increment_variance(at[0.0], at[args.t], 0.0, args.t, law)
-            checks.append({"check": "variance", "passed": rep.within(4.0),
-                           **asdict(rep)})
-        elif name == "covariance":
-            rep = st.covariance(at[args.s], at[args.t], args.s, args.t, law)
-            checks.append({"check": "covariance", "passed": rep.within(4.0),
-                           **asdict(rep)})
+        if name in ("variance", "covariance"):
+            s, t = _TIMES[name](args)
+            moment = st.increment_variance if name == "variance" else st.covariance
+            rep = moment(at[s], at[t], s, t, law)
+            checks.append({"check": name, "passed": rep.within(4.0), **asdict(rep)})
         elif name == "skewness":
             rep = st.skewness(at[args.t], law, args.seed)
-            if process is ProcessTag.ROSENBLATT:
+            if law.process_tag.form.quadratic:
                 ok = abs(rep.estimate) > 3.0 * rep.std_error
                 note = "expect significant skew (non-Gaussian marginal)"
             else:
@@ -220,10 +213,9 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             fit = st.qv_decay(zip(sizes, qv))
             expo = 1 - 2 * law.hurst_index
             ok = abs(fit.slope - expo) <= 0.15
-            if process is ProcessTag.ROSENBLATT:
-                bounds = [nn ** expo for nn in sizes]
-                ok = ok and all(m <= b * (1 + 4 * se / m)
-                                for m, se, b in zip(fit.means, fit.std_errors, bounds))
+            if law.process_tag.form.quadratic:
+                ok = ok and all(m <= nn ** expo * (1 + 4 * se / m)
+                                for nn, m, se in zip(sizes, fit.means, fit.std_errors))
             checks.append({"check": "qv", "passed": bool(ok),
                            "theoretical_slope": expo, **asdict(fit)})
         elif name == "histogram":
@@ -247,8 +239,7 @@ def cmd_validate(args, argv) -> int:
     out = Path(args.out)
     payload = {
         "process": args.process,
-        # the walk reads no Hurst index, as in its ensemble metadata
-        "H": None if args.process == ProcessTag.WALK.value else args.hurst,
+        "H": None if ProcessTag(args.process).form.from_hurst is None else args.hurst,
         "n": args.n,
         "paths": args.paths,
         "seed": args.seed,

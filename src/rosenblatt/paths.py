@@ -1,15 +1,16 @@
 """Coupled random walks on the grid t_m = m/n, m = 0..n.
 
-Three processes share one noise sequence xi_1..xi_n:
+Three processes share one noise sequence xi_1..xi_n, each defined in one
+place, its record ``ProcessTag.form`` (a ``WalkForm``), whose form the draw
+applies and every exact law reads; nothing else branches on the process:
 
     walk        W(m/n) = sum_{i<=m} xi_i / sqrt(n)
     fbm         B(m/n) = sum_{i<=m} [n int_{cell_i} K(m/n, s) ds] xi_i / sqrt(n)
     rosenblatt  Z(m/n) = sum_{i != j <= m} c_ij(m) xi_i xi_j
 
 A path is one row of n + 1 grid values, cadlag between grid points; a noise
-is one row of n values.  The Rosenblatt walk accumulates, per grid panel,
-the square of the running kernel-weighted noise sum at shared quadrature
-nodes (O(n^2) per path); it never forms the full weight table.
+is one row of n values.  The Rosenblatt walk sums the engine's panel
+increments (O(n^2) per path); it never forms the full weight table.
 
 Ensemble member k draws its noise from Philox keyed by derive_seed(master, k).
 ``path_slabs`` keeps one Philox generator per ensemble and, before each
@@ -19,17 +20,18 @@ the per-row construction cost; ``make_noise`` builds the fresh generator and
 is the oracle the reused one is tested against.
 
 Paths are generated one slab of 128 rows (``_SLAB``) at a time by the one
-generator ``path_slabs``: each slab's noise is drawn, run through the walk
-(for the Rosenblatt walk, one call of the engine's ``quadratic_increments``
-pass) and summed into the slab's (rows, n + 1) paths, and only then is the
-next slab drawn.  No (M, n) noise or increment matrix exists, and no row's
-bits depend on the slab it went through.  A reader that needs only some
-numbers of each path (``stats.reduce_slabs``, the CSV writer) takes the
-slabs as they come and holds no (M, .) array at all; ``simulate_ensemble``
-copies them into one read-only (M, n + 1) array.  Many paths are that array
-(or its slabs) plus the ``WalkLaw`` of their grid, and a coarser grid is read
-off them by ``scale_to_grid``, which scales only what it is given (a column,
-a slab of rows, or all of them).
+generator ``path_slabs``: each slab's noise is drawn and run through the
+walk (for the Rosenblatt walk, one call of the engine's
+``quadratic_increments``), and only then is the next slab drawn.  No (M, n)
+noise or increment matrix exists, and no row's bits depend on the slab it
+went through (``cumsum`` runs along rows, ``_matmul`` and the panel pass
+keep them apart).  A reader that needs only some numbers of each path
+(``stats.reduce_slabs``, the CSV writer) takes the slabs as they come and
+holds no (M, .) array at all; ``simulate_ensemble`` copies them into one
+read-only (M, n + 1) array.  Many paths are that array (or its slabs) plus
+the ``WalkLaw`` of their grid, and a coarser grid is read off them by
+``scale_to_grid``, which scales only what it is given (a column, a slab of
+rows, or all of them).
 """
 from __future__ import annotations
 
@@ -37,10 +39,11 @@ import errno
 import json
 import math
 import shutil
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +63,11 @@ class ProcessTag(str, Enum):
     WALK = "walk"
     FBM = "fbm"
     ROSENBLATT = "rosenblatt"
+
+    @property
+    def form(self) -> WalkForm:
+        """The walk's ``WalkForm``, the one place it is defined."""
+        return _FORMS[self]
 
 
 # Noise rows per slab of an ensemble, which is drawn, passed and summed one
@@ -149,6 +157,45 @@ def scale_to_grid(part: np.ndarray, N: int, n: int, h: float) -> np.ndarray:
     return (N / n) ** h * part
 
 
+def _simple_form(N: int, p: HurstParams | None) -> tuple:
+    return (1 / N, lambda m: (np.arange(N) < m) * 1.0,
+            lambda x, unit_squares: np.cumsum(x, axis=1) / np.sqrt(N))
+
+
+def _fbm_form(N: int, p: HurstParams) -> tuple:
+    T = get_engine(N, p).fbm_matrix()
+    return (1 / N, lambda m: T[m - 1] if m else np.zeros(N),
+            lambda x, unit_squares: _matmul(x, T.T) / np.sqrt(N))
+
+
+def _rosenblatt_form(N: int, p: HurstParams) -> tuple:
+    eng = get_engine(N, p)
+    return 2.0, eng.table_matrix, lambda x, unit_squares: np.cumsum(
+        eng.quadratic_increments(x, unit_squares), axis=1)
+
+
+class WalkForm(NamedTuple):
+    """One process's walk: is its form ``quadratic`` in the noise (else
+    linear), the self-similarity ``index(p)`` of its limit, how its own Hurst
+    index becomes ``HurstParams`` (None: the walk reads none), and its form
+    on grid N, ``read(N, p)`` = (c, A, paths): the coefficients A(m) at grid
+    point m with their scale c (``stats.discrete_moment``), and paths(x,
+    unit_squares), the values at grid points 1..N of (rows, N) noise x.
+    """
+
+    quadratic: bool
+    index: Callable[[HurstParams | None], float]
+    from_hurst: Callable[[float], HurstParams] | None
+    read: Callable[[int, HurstParams | None], tuple]
+
+
+_FORMS = {
+    ProcessTag.WALK: WalkForm(False, lambda p: 0.5, None, _simple_form),
+    ProcessTag.FBM: WalkForm(False, lambda p: p.Hp, HurstParams.from_kernel_hurst, _fbm_form),
+    ProcessTag.ROSENBLATT: WalkForm(True, lambda p: p.H, HurstParams, _rosenblatt_form),
+}
+
+
 @dataclass(frozen=True)
 class WalkLaw:
     """What the exact law of a walk on grid n depends on besides its paths.
@@ -169,56 +216,21 @@ class WalkLaw:
             object.__setattr__(self, "process_tag", ProcessTag(self.process_tag))
         except ValueError as exc:
             raise DomainError(f"unknown process {self.process_tag!r}") from exc
-        if self.process_tag is not ProcessTag.WALK and self.params is None:
-            raise DomainError("fbm and rosenblatt ensembles need Hurst parameters")
+        if self.process_tag.form.from_hurst is not None and self.params is None:
+            raise DomainError(f"{self.process_tag.value} ensembles need Hurst parameters")
         if not 1 <= self.n <= self.drawn_n:
             raise DomainError(f"grid size n must be at least 1 and at most the drawn "
                               f"grid {self.drawn_n}, got {self.n}")
 
     @property
     def hurst_index(self) -> float:
-        """Self-similarity index h of the limit process: H for rosenblatt, the
-        kernel index Hp for fbm, 1/2 for the walk."""
-        if self.process_tag is ProcessTag.ROSENBLATT:
-            return self.params.H
-        if self.process_tag is ProcessTag.FBM:
-            return self.params.Hp
-        return 0.5
+        """Self-similarity index h of the limit process, the record's ``index``."""
+        return self.process_tag.form.index(self.params)
 
 
 # ---------------------------------------------------------------------------
 # path generation
 # ---------------------------------------------------------------------------
-
-def _walk_slabs(noise: Iterable[np.ndarray], n: int, kind: NoiseKind,
-                p: HurstParams | None, process_tag: ProcessTag) -> Iterator[np.ndarray]:
-    """The paths driven by each (rows, n) slab of noise rows in ``noise``, a
-    new (rows, n + 1) array per slab, column 0 zero.
-
-    A noise slab is read only when the paths of the one before it have been
-    taken.  The Rosenblatt walk calls the engine's ``quadratic_increments``
-    once per slab; ``fbm_matrix`` is built once, not per slab.  Each row's
-    bits depend neither on its slab nor on the count (``cumsum`` runs along
-    the row, and ``_matmul`` and the panel pass keep rows apart), so a single
-    path is the one-row case.
-    """
-    if process_tag is ProcessTag.FBM:
-        T = get_engine(n, p).fbm_matrix()
-    elif process_tag is ProcessTag.ROSENBLATT:
-        eng = get_engine(n, p)
-    for x in noise:
-        values = np.zeros((x.shape[0], n + 1))
-        rows = values[:, 1:]
-        if process_tag is ProcessTag.FBM:
-            np.divide(_matmul(x, T.T), np.sqrt(n), out=rows)
-        elif process_tag is ProcessTag.ROSENBLATT:
-            np.cumsum(eng.quadratic_increments(x, kind is NoiseKind.RADEMACHER),
-                      axis=1, out=rows)
-        else:
-            np.cumsum(x, axis=1, out=rows)
-            rows /= np.sqrt(n)
-        yield values
-
 
 def _noise_slabs(count: int, master_seed: int, kind: NoiseKind,
                  n: int) -> Iterator[np.ndarray]:
@@ -245,22 +257,21 @@ def path_slabs(count: int, master_seed: int, kind: NoiseKind | str,
                p: HurstParams | None, process_tag: ProcessTag | str,
                n: int) -> Iterator[np.ndarray]:
     """count independent paths on grid n, yielded in row order as new (rows,
-    n + 1) slabs of ``_SLAB`` rows (the last one partial); member k is seeded
-    by derive_seed(master_seed, k).
-
-    Row k is driven by ``make_noise(n, kind, derive_seed(master_seed, k))``
-    bit for bit.  Each slab is drawn and run through the walk only when the
-    one before it has been taken, so a reader that drops each slab once read
-    holds one slab's noise, increments and paths, never a (count, .) matrix.
-    The arguments are checked when this is called, not when the first slab
-    is asked for; the grid, the process and its parameters by ``WalkLaw``.
+    n + 1) slabs of ``_SLAB`` rows (the last one partial), each drawn and run
+    through the walk's form, read once, when the one before it has been taken
+    (module docstring).  Row k is driven by ``make_noise(n, kind,
+    derive_seed(master_seed, k))`` bit for bit.  The arguments are checked
+    when this is called; the grid, the process and its parameters by ``WalkLaw``.
     """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     kind = NoiseKind(kind)
-    process_tag = WalkLaw(process_tag, p, n, n).process_tag
+    law = WalkLaw(process_tag, p, n, n)
     require_addressable(min(count, _SLAB), n + 1)
-    return _walk_slabs(_noise_slabs(count, master_seed, kind, n), n, kind, p, process_tag)
+    *_, paths = law.process_tag.form.read(n, p)
+    unit_squares = kind is NoiseKind.RADEMACHER
+    return (np.pad(paths(x, unit_squares), ((0, 0), (1, 0)))
+            for x in _noise_slabs(count, master_seed, kind, n))
 
 
 def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
@@ -311,7 +322,7 @@ def ensemble_metadata(count: int, master_seed: int, kind: NoiseKind | str,
     is the process's own index (``WalkLaw.hurst_index``), None for the walk."""
     law = WalkLaw(process_tag, p, n, n)
     return {
-        "H": None if law.process_tag is ProcessTag.WALK else law.hurst_index,
+        "H": None if law.process_tag.form.from_hurst is None else law.hurst_index,
         "n": n,
         "M": count,
         "kind": NoiseKind(kind).value,

@@ -66,6 +66,20 @@ def test_scipy_surface_is_pinned():
     assert used == {"beta", "betainc", "betaincc", "eval_jacobi"}
 
 
+def test_no_branch_on_a_process_tag():
+    # what a process is lives in its record, ProcessTag.form: no comparison in
+    # the package has a ProcessTag member (or its value) as an operand
+    found = []
+    for path in sorted(Path(rosenblatt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(a, ast.Attribute) and isinstance(a.value, ast.Name)
+                    and a.value.id == "ProcessTag"
+                    for operand in [node.left, *node.comparators] for a in ast.walk(operand)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_cli_reads_only_public_names():
     # the CLI is a client of the library: it imports no _-prefixed name from
     # another package module and reads none off one (dunders are public)

@@ -1,4 +1,5 @@
 """Command-line contract: flags, exit codes, file outputs, determinism."""
+import hashlib
 import json
 import os
 import subprocess
@@ -258,6 +259,45 @@ class TestValidate:
             "--n", "32", "--paths", "200", "--qv-sizes", "16,32,64",
             "--out", str(tmp_path / "rep.json"))
         assert set(kernel._ENGINES) == {(64, 0.8)}
+
+    @pytest.mark.parametrize("flags", [
+        # every path is +-xi_1 / sqrt(n) at grid point 1, so every square is
+        # the same number, and the SE is below one ulp
+        ["--process", "walk", "--n", "5", "--t", "0.2", "--paths", "50"],
+        ["--process", "walk", "--n", "6", "--t", repr(1 / 6), "--paths", "50"],
+        ["--process", "walk", "--n", "7", "--t", repr(1 / 7), "--paths", "50"],
+        # Z(1/2) = 2 c_12 xi_1 xi_2 on grid 4: an SE of 5.7e-19, below one ulp
+        ["--process", "rosenblatt", "--n", "4", "--t", "0.5", "--paths", "150",
+         "--hurst", "0.8"]])
+    def test_sample_without_spread_passes(self, tmp_path, flags):
+        # the mean of identical squares and the exact sum round differently,
+        # by more than 4 SE
+        out = tmp_path / "rep.json"
+        assert run("validate", "--check", "variance", *flags, "--noise", "rademacher",
+                   "--out", str(out)) == 0
+        c = json.loads(out.read_text())["checks"][0]
+        assert abs(c["estimate"] - c["discrete"]) > 4.0 * c["std_error"]
+
+    def test_builds_fbm_matrix_once(self, tmp_path, monkeypatch):
+        # the draw and every exact reference of an fbm validate share the one
+        # fbm_matrix its engine keeps; count distinct matrices, not reads
+        import rosenblatt.kernel as kernel
+        from rosenblatt.stats import discrete_moment
+        seen = {}
+        fbm = kernel.VolterraEngine.fbm_matrix
+
+        def recording(self):
+            T = fbm(self)
+            seen.setdefault(self.n, {})[id(T)] = T
+            return T
+
+        monkeypatch.setattr(kernel, "_ENGINES", {})
+        monkeypatch.setattr(kernel.VolterraEngine, "fbm_matrix", recording)
+        discrete_moment.cache_clear()
+        run("validate", "--check", "all", "--process", "fbm", "--hurst", "0.9",
+            "--noise", "gaussian", "--n", "128", "--paths", "5000", "--seed", "3",
+            "--out", str(tmp_path / "rep.json"))
+        assert {n: len(built) for n, built in seen.items()} == {256: 1}
 
     def test_builds_each_exact_matrix_once(self, tmp_path, monkeypatch):
         # the skewness point-mass rule and the variance check both ask for the
@@ -728,3 +768,46 @@ print(market, validate, "scipy.linalg" in sys.modules)
         market, validate, linalg = proc.stdout.split()[-3:]
         assert market == "0" and validate in ("0", "1")
         assert linalg == "False"
+
+
+class TestPinnedBytes:
+    """The walk and fbm artifacts keep their bytes (tests/test_benchmark_gate.py
+    pins the Rosenblatt ones).  Recorded with numpy 2.4.6, scipy 1.17.1 and
+    OpenBLAS 0.3.31 (scipy-openblas), the versions CI installs."""
+
+    SHA256 = {
+        ("walk", "rademacher"): {
+            "sim.csv": "0e653727cae294f20e3785b9bb2a327d312b3811a01e1b4b2133014a7a7dcc40",
+            "sim.csv.meta.json": "61408e19eb1c0040414d80bf067ab52431c026a13214c450c0a8027da4e9130d",
+            "val.json": "375abe48b72d298f51b2ad364f9770b1fa01a5c8ccacecea231afbf03ffdd49a",
+            "val.json.hist.csv": "9c17b25ee33306a614833fe58390d86c88511b38fe4f2f06a3e3abcc74076acf"},
+        ("walk", "gaussian"): {
+            "sim.csv": "fb04000bc1c9ffaa3e067580f16071e410aa02ff6fbae5b32044557d79e2f1b2",
+            "sim.csv.meta.json": "3f41de9ea4da40dbf5d2a7f5c031de28bc15b63ebbdf95ddbd5ee51cae4441aa",
+            "val.json": "640f895a22c7f9dec9072e758fb296d55da3296d671ef2c353227f0af781a185",
+            "val.json.hist.csv": "7511b704c4653275c0f5038a0b763d4ab1b1cbb2b6943340b7e8d0fdac499bb0"},
+        ("fbm", "rademacher"): {
+            "sim.csv": "49b89a298a9689248cd2a715495916538b24c9483815cf3087e22e6ba0f0cb71",
+            "sim.csv.meta.json": "7f8a8cec5d5cc8eeb10f3da66fdc8eb6c33fc3dbca6b9e405507c6eceee7997a",
+            "val.json": "c382b037cfe32c7601bea973f4c1c307911cfd5bdc3439e7cf5792c708e9481c",
+            "val.json.hist.csv": "642bd9a68ed44c4df134297abf27c7f5decf5b8d33bf14f9912b5348782c3efc"},
+        ("fbm", "gaussian"): {
+            "sim.csv": "72a591aec99be85a892e6b04600b4f3383afa755d59b177abe177adc9042572f",
+            "sim.csv.meta.json": "474f43f7626393aa32537db003fe7938774ad929c27b683c5420717da457d5ef",
+            "val.json": "71f240e4c9f8251b934bc79fe68e282ccf0e630dc18b22c911f9ccda036dd52c",
+            "val.json.hist.csv": "a2a575c7bfbd2dca58dac616d63a71950998504fc3e830951c776e2b98e63e7d"},
+    }
+
+    @pytest.mark.parametrize("process, noise", sorted(SHA256))
+    def test_simulate_and_validate_keep_their_bytes(self, tmp_path, monkeypatch, process,
+                                                    noise):
+        # relative output paths: the report records its histogram file's path
+        monkeypatch.chdir(tmp_path)
+        flags = ["--process", process, *(["--hurst", "0.9"] if process == "fbm" else []),
+                 "--noise", noise, "--n", "32", "--paths", "200", "--seed", "3"]
+        assert run("simulate", *flags, "--out", "sim.csv") == 0
+        assert run("validate", "--check", "all", *flags, "--qv-sizes", "8,16,32",
+                   "--out", "val.json") == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.SHA256[process, noise]}
+        assert got == self.SHA256[process, noise]

@@ -9,7 +9,7 @@ import pytest
 from rosenblatt import (DomainError, HurstParams, NoiseKind, ProcessTag,
                         discrete_moment, make_noise, simulate_ensemble)
 from rosenblatt.kernel import _matmul, get_engine
-from rosenblatt.paths import (_SLAB, WalkLaw, _walk_slabs, derive_seed, ensemble_metadata,
+from rosenblatt.paths import (_SLAB, WalkLaw, derive_seed, ensemble_metadata,
                               ensemble_to_csv, grid_index, path_slabs, scale_to_grid,
                               write_ensemble, write_json)
 
@@ -129,8 +129,9 @@ class TestSharedRows:
 class TestRandomWalk:
     def test_explicit_small_case(self):
         xi = np.array([[1.0, -1.0, 1.0, 1.0]])
-        w = next(_walk_slabs([xi], 4, NoiseKind.RADEMACHER, None, ProcessTag.WALK))
-        assert np.allclose(w, [[0.0, 0.5, 0.0, 0.5, 1.0]])
+        *_, paths = ProcessTag.WALK.form.read(4, None)
+        w = paths(xi, True)
+        assert np.allclose(w, [[0.5, 0.0, 0.5, 1.0]])
 
     def test_starts_at_zero(self):
         w = simulate_ensemble(1, 3, "gaussian", None, "walk", 17)[0]
@@ -255,13 +256,14 @@ class TestEnsembles:
 
         def alone(k):
             xi = make_noise(n, "gaussian", derive_seed(3, k))[None, :]
-            return next(_walk_slabs([xi], n, NoiseKind.GAUSSIAN, p, ProcessTag.FBM))[0]
+            *_, paths = ProcessTag.FBM.form.read(n, p)
+            return paths(xi, False)[0]
 
         for k in (0, 1):
             for M, values in runs.items():
                 if k < M:
-                    assert np.array_equal(values[k], alone(k)), (M, k)
-        assert np.array_equal(runs[600][599], alone(599))
+                    assert np.array_equal(values[k, 1:], alone(k)), (M, k)
+        assert np.array_equal(runs[600][599, 1:], alone(599))
 
     def test_requires_params_for_kernel_walks(self):
         with pytest.raises(DomainError):

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from rosenblatt import (DomainError, MarketConfig, NoiseKind, ProcessTag, constant_rate,
+from rosenblatt import (DomainError, MarketConfig, ProcessTag, constant_rate,
                         covariance, discrete_moment, histogram, increment_variance,
                         qv_decay, simulate_ensemble, skewness)
 from rosenblatt.kernel import HurstParams, get_engine
-from rosenblatt.paths import (_SLAB, WalkLaw, _walk_slabs, grid_index, path_slabs,
+from rosenblatt.paths import (_SLAB, WalkLaw, grid_index, path_slabs,
                               scale_to_grid)
 from rosenblatt.stats import MomentReport, _jump_square_sums, reduce_slabs
 
@@ -209,8 +209,8 @@ class TestExactLawIsTheGeneratedLaw:
     def test_enumeration_matches_discrete_moment(self, process, H, N):
         p = None if H is None else (HurstParams.from_kernel_hurst(H) if process == "fbm"
                                     else HurstParams(H))
-        paths = next(_walk_slabs([_sign_vectors(N)], N, NoiseKind.RADEMACHER, p,
-                                 ProcessTag(process)))
+        *_, walk = ProcessTag(process).form.read(N, p)
+        paths = np.pad(walk(_sign_vectors(N), True), ((0, 0), (1, 0)))
         # on the walk's own grid, and on the grid n read off N = 2n
         for n in (N, N // 2):
             law = WalkLaw(ProcessTag(process), p, n, N)
@@ -470,6 +470,17 @@ class TestReports:
             MomentReport(quantity="x", estimate=1.0, std_error=-1.0, sample_size=10)
         with pytest.raises(DomainError):
             MomentReport(quantity="x", estimate=1.0, std_error=0.1, sample_size=1)
+
+    @pytest.mark.parametrize("ref", [0.2, 0.028416156292424475])
+    def test_within_at_zero_spread_allows_rounding_only(self, ref):
+        # a sample with no spread has SE 0: its mean passes within rounding of
+        # the exact value, and fails once the value moves by 1e-9 relative
+        near = MomentReport(quantity="x", estimate=ref * (1 - 4e-16), std_error=0.0,
+                            sample_size=50, discrete=ref)
+        assert near.within(4.0) is True
+        moved = MomentReport(quantity="x", estimate=ref, std_error=0.0, sample_size=50,
+                             discrete=ref * (1 + 1e-9))
+        assert moved.within(4.0) is False
 
     def test_within_refuses_a_report_without_reference(self, rose_ens):
         # the skewness of a Rosenblatt sample has no reference to be within
