@@ -27,9 +27,12 @@ The panel tables are built in blocks of 16 consecutive panels (16 nodes per
 family, ``_NODES``), each a zero-padded (K, 16 * nodes) matrix whose rows are
 the cells i <= K of the block's last panel, so a pass runs one GEMM per block
 where it would run sixteen thin ones; the zero rows add exact zeros.  The
-blocks are built on a thread pool, one worker per usable CPU: the build is
-mostly incomplete beta evaluations, which release the GIL, and each block is
-computed on its own, so no table depends on the worker count.  ``_Panels``
+blocks are built on a thread pool, one worker per usable CPU, largest block
+first: the build is mostly incomplete beta evaluations, which release the
+GIL, one call per node family per block on the whole table, with each edge
+past a panel's own cells read as Ix(1) = B so that its rows difference to
+exact zeros; and each block is computed on its own, so no table depends on
+the worker count or on the order blocks finish in.  ``_Panels``
 builds the blocks and runs the +-1 pass (``_increments``) in a per-node
 operation order that fixes the bits of the Rademacher ensembles and of the
 market's branch pass, which gives the up and the down branch of every step
@@ -263,57 +266,48 @@ class _Panels:
         self._w_gl = 0.5 / n * self._gl[1]
         self._w_gl.setflags(write=False)
 
-    # -- closed-form one-dimensional integrals ------------------------------
-
-    def _Ix(self, x):
-        return self._B * special.betainc(self._c1, self._alpha, x)
-
-    def _abar(self, k, a):
-        """Analytic parts Abar_i(a) for i = 1..k at nodes a; shape (k, len(a))."""
-        n, p = self.n, self.params
-        pref = p.cHp * a ** (p.Hp - 0.5)
-        out = np.zeros((k, a.size))
-        if k >= 2:
-            # each interior cell edge is shared by two rows: evaluate it once
-            edges = self._Ix((np.arange(k - 1)[:, None] / n) / a)
-            out[: k - 2] = pref * (edges[1:] - edges[:-1])
-            out[k - 2] = pref * (self._B - edges[k - 2])
-        return out
-
-    def _edge(self, k, a):
-        """R(a) with E(a) = (a - lo)^alpha R(a); betaincc keeps it stable near lo."""
-        p = self.params
-        lo = (k - 1) / self.n
-        compl = special.betaincc(self._c1, self._alpha, lo / a)
-        return p.cHp * a ** (p.Hp - 0.5) * self._B * compl / (a - lo) ** self._alpha
-
     # -- panels --------------------------------------------------------------
 
     def _block(self, lo: int, last: int) -> dict:
-        """Node tables of panels lo..last, frozen."""
-        nodes, h2 = _NODES, 0.5 / self.n
-        x, _ = self._gl
-        xj1, wj1 = self._j1
-        xj2, wj2 = self._j2
+        """Node tables of panels lo..last, frozen.
+
+        One incomplete beta call per node family builds the whole block in
+        place.  A_gl / A_j1 first hold the arguments (i/n)/a of every cell
+        edge i < K at every node a of the block; rows i >= k - 1 of panel k's
+        column slice are set to 1.0, where Ix(1) = B exactly, so after the
+        differences of consecutive rows row k - 2 holds B - Ix((k-2)/n / a)
+        and every row from k - 1 down is an exact zero.  The endpoint factor
+        R of E(a) = (a - (k-1)/n)^alpha R(a) takes one betaincc call per
+        Gauss-Jacobi family, which keeps it stable near the panel's left end.
+        Every temporary is one panel's column slice or one row per panel, so
+        the build holds nothing the size of a table beside the two it returns.
+        """
+        n, nodes, h2, al = self.n, _NODES, 0.5 / self.n, self._alpha
         B = last - lo + 1
-        A_gl, A_j1 = np.zeros((last, B * nodes)), np.zeros((last, B * nodes))
-        Qd, row, wR = np.empty((B, nodes)), np.empty((B, nodes)), np.empty((B, nodes))
-        e2 = np.empty(B)
-        for j, k in enumerate(range(lo, last + 1)):
-            left = (k - 1) / self.n
-            a_j1 = left + h2 * (xj1 + 1.0)
-            cols = slice(j * nodes, (j + 1) * nodes)
-            A_gl[:k, cols] = self._abar(k, left + h2 * (x + 1.0))
-            A_j1[:k, cols] = self._abar(k, a_j1)
-            # with xi_i^2 = 1 the squared-noise term is the column sum of A^2
-            Qd[j] = np.sum(A_gl[:k, cols] ** 2, axis=0)
-            # panel 1 has no Abar part, so its (zero) row 0 stands in
-            row[j] = A_j1[max(k - 2, 0), cols]
-            # Jacobi weights times R: the Abar-E cross terms
-            wR[j] = wj1 * h2 ** (1 + self._alpha) * self._edge(k, a_j1)
-            # int_panel E(a)^2 da
-            e2[j] = np.sum(wj2 * h2 ** (1 + 2 * self._alpha)
-                           * self._edge(k, left + h2 * (xj2 + 1.0)) ** 2)
+        left = (np.arange(lo - 1, last) / n)[:, None]
+        a_gl, a_j1, a_j2 = (left + h2 * (x + 1.0) for x, _ in (self._gl, self._j1, self._j2))
+        pref_gl, pref_j1, pref_j2 = (self.params.cHp * a ** al for a in (a_gl, a_j1, a_j2))
+        A_gl, A_j1 = np.empty((last, B * nodes)), np.empty((last, B * nodes))
+        for A, a, pref in ((A_gl, a_gl, pref_gl), (A_j1, a_j1, pref_j1)):
+            np.divide(np.arange(last)[:, None] / n, a.reshape(-1), out=A)
+            for j, k in enumerate(range(lo, last + 1)):
+                A[k - 1:, j * nodes: (j + 1) * nodes] = 1.0
+            special.betainc(self._c1, al, A, out=A)
+            A *= self._B
+            # in place and without a copy: the output starts before the input
+            np.subtract(A[1:], A[:-1], out=A[:-1])
+            A[-1] = 0.0
+            A.reshape(last, B, nodes)[...] *= pref
+        # with xi_i^2 = 1 the squared-noise term is the column sum of A^2
+        Qd = np.array([np.sum(A_gl[:k, j * nodes: (j + 1) * nodes] ** 2, axis=0)
+                       for j, k in enumerate(range(lo, last + 1))])
+        # panel 1 has no Abar part, so its (zero) row 0 stands in
+        row = A_j1.reshape(last, B, nodes)[np.maximum(np.arange(lo - 2, last - 1), 0), np.arange(B)]
+        R_j1, R_j2 = (pref * self._B * special.betaincc(self._c1, al, left / a) / (a - left) ** al
+                      for a, pref in ((a_j1, pref_j1), (a_j2, pref_j2)))
+        # Jacobi weights times R: the Abar-E cross terms; int_panel E(a)^2 da
+        wR = self._j1[1] * h2 ** (1 + al) * R_j1
+        e2 = np.sum(self._j2[1] * h2 ** (1 + 2 * al) * R_j2 ** 2, axis=1)
         for arr in (A_gl, A_j1, Qd, row, wR, e2):
             arr.setflags(write=False)
         return {"lo": lo, "A_gl": A_gl, "A_j1": A_j1, "w_gl": self._w_gl,
@@ -322,14 +316,18 @@ class _Panels:
     def _map(self, use) -> list:
         """[use(block) for every block in panel order], each block built and
         used on a thread pool, one worker per usable CPU and at most one per
-        block.  A block reads only the constants set by ``__init__``, so its
-        tables are bit-identical to a serial build; a block that use does
-        not return is dropped once use is done with it, so no more blocks
-        are alive at once than there are workers."""
+        block.  The pool takes the blocks largest first (a block's cost grows
+        with its last panel), so no worker is left with the largest block
+        while the others idle, and the results come back in panel order.  A
+        block reads only the constants set by ``__init__``, so its tables are
+        bit-identical to a serial build whatever the worker count or the
+        order blocks finish in; a block that use does not return is dropped
+        once use is done with it, so no more blocks are alive at once than
+        there are workers."""
         los = range(1, self.n + 1, _BLOCK)
         with ThreadPoolExecutor(min(_cpus(), len(los))) as pool:
             return list(pool.map(
-                lambda lo: use(self._block(lo, min(lo + _BLOCK - 1, self.n))), los))
+                lambda lo: use(self._block(lo, min(lo + _BLOCK - 1, self.n))), los[::-1]))[::-1]
 
     def _increments(self, t: dict, x: np.ndarray, cur: np.ndarray) -> np.ndarray:
         """Increments of the consecutive panels of block t for each +-1 noise

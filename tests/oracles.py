@@ -8,6 +8,8 @@ are tested against, each written in a different evaluation order:
 * ``rosenblatt_kernel`` - F at a point, its time integral from ``_phi_grid``;
 * ``cell_weight`` - a fixed tensor product of graded rules over the (u, v)
   cell pair with the time integral innermost; slow but self-contained;
+* ``panel_block`` - a block's node tables built panel by panel, the
+  incomplete beta closed form evaluated per panel and node family;
 * ``direct_rosenblatt_walk`` - xi' C(m) xi against the full weight table;
 * ``bs_limit`` - the continuous-limit prices driven by a walk path.
 
@@ -22,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from rosenblatt import DomainError, HurstParams, MarketConfig, grid_index
-from rosenblatt.kernel import get_engine
+from rosenblatt.kernel import _NODES, get_engine
 
 # ``_graded``'s rule: panels per graded end, each this factor narrower toward
 # it, and Gauss-Legendre nodes per panel.
@@ -156,6 +158,67 @@ def cell_weight(m: int, i: int, j: int, n: int, p: HurstParams) -> float:
     # one row of u nodes at a time keeps the inner rule's arrays small
     phi = np.array([_phi_grid(m / n, np.full(v.size, uk), v, p) for uk in u])
     return n * p.dH * p.cHp ** 2 * float(wu @ phi @ wv)
+
+
+# ---------------------------------------------------------------------------
+# per-panel node tables
+# ---------------------------------------------------------------------------
+
+def _Ix(pan, x):
+    return pan._B * special.betainc(pan._c1, pan._alpha, x)
+
+
+def _abar(pan, k, a):
+    """Analytic parts Abar_i(a) for i = 1..k at nodes a; shape (k, len(a))."""
+    n, p = pan.n, pan.params
+    pref = p.cHp * a ** (p.Hp - 0.5)
+    out = np.zeros((k, a.size))
+    if k >= 2:
+        # each interior cell edge is shared by two rows: evaluate it once
+        edges = _Ix(pan, (np.arange(k - 1)[:, None] / n) / a)
+        out[: k - 2] = pref * (edges[1:] - edges[:-1])
+        out[k - 2] = pref * (pan._B - edges[k - 2])
+    return out
+
+
+def _edge(pan, k, a):
+    """R(a) with E(a) = (a - lo)^alpha R(a); betaincc keeps it stable near lo."""
+    p = pan.params
+    lo = (k - 1) / pan.n
+    compl = special.betaincc(pan._c1, pan._alpha, lo / a)
+    return p.cHp * a ** (p.Hp - 0.5) * pan._B * compl / (a - lo) ** pan._alpha
+
+
+def panel_block(pan, lo: int, last: int) -> dict:
+    """The node tables of ``kernel._Panels._block`` for panels lo..last of
+    the panel quadrature ``pan``, built one panel at a time: two incomplete
+    beta evaluations of the analytic parts and two of the endpoint factor R
+    per panel, each on that panel's nodes alone.  The oracle the whole-block
+    build is held to bit for bit."""
+    nodes, h2 = _NODES, 0.5 / pan.n
+    x, _ = pan._gl
+    xj1, wj1 = pan._j1
+    xj2, wj2 = pan._j2
+    B = last - lo + 1
+    A_gl, A_j1 = np.zeros((last, B * nodes)), np.zeros((last, B * nodes))
+    Qd, row, wR = np.empty((B, nodes)), np.empty((B, nodes)), np.empty((B, nodes))
+    e2 = np.empty(B)
+    for j, k in enumerate(range(lo, last + 1)):
+        left = (k - 1) / pan.n
+        a_j1 = left + h2 * (xj1 + 1.0)
+        cols = slice(j * nodes, (j + 1) * nodes)
+        A_gl[:k, cols] = _abar(pan, k, left + h2 * (x + 1.0))
+        A_j1[:k, cols] = _abar(pan, k, a_j1)
+        # with xi_i^2 = 1 the squared-noise term is the column sum of A^2
+        Qd[j] = np.sum(A_gl[:k, cols] ** 2, axis=0)
+        # panel 1 has no Abar part, so its (zero) row 0 stands in
+        row[j] = A_j1[max(k - 2, 0), cols]
+        # Jacobi weights times R: the Abar-E cross terms
+        wR[j] = wj1 * h2 ** (1 + pan._alpha) * _edge(pan, k, a_j1)
+        # int_panel E(a)^2 da
+        e2[j] = np.sum(wj2 * h2 ** (1 + 2 * pan._alpha)
+                       * _edge(pan, k, left + h2 * (xj2 + 1.0)) ** 2)
+    return {"lo": lo, "A_gl": A_gl, "A_j1": A_j1, "Qd": Qd, "row": row, "wR": wR, "e2": e2}
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,41 @@
+"""The Brownian coupling of grids n and 2n, read off the coefficient tables.
+
+Drive grid n with the noise of grid 2n summed in pairs, xi = P eta, where P
+is the (n, 2n) pair-summing matrix with entries 1/sqrt(2).  For Gaussian eta
+the walk Z_n(m/n) = xi' C_n(m) xi is then the double Wiener integral of the
+kernel averaged over the cells of grid n, with the diagonal cells set to
+zero, so Z_n(m/n) = eta' P'C_n(m)P eta and Var Z = 2 ||C||_F^2.  The cells of
+grid 2n refine those of grid n, so the averaging is an orthogonal projection
+and Pythagoras gives
+
+    E|Z_2n(m/n) - Z_n(m/n)|^2 = 2 ||P'C_n(m)P - C_2n(2m)||_F^2
+                              = Var Z_2n(m/n) - Var Z_n(m/n).
+
+The identity holds only if the cell weights of the two grids add up: off
+the diagonal, each c_ij(m) of grid n must be the sum of the four weights of
+grid 2n on its sub-cells, halved.  The discrete self-similarity tests
+compare grids at the same cell sizes and cannot see an error in that sum.
+"""
+import numpy as np
+import pytest
+
+from rosenblatt import HurstParams
+from rosenblatt.kernel import get_engine
+
+
+def _pair_sum(n: int) -> np.ndarray:
+    P = np.zeros((n, 2 * n))
+    P[np.arange(n), 2 * np.arange(n)] = P[np.arange(n), 2 * np.arange(n) + 1] = 2 ** -0.5
+    return P
+
+
+@pytest.mark.parametrize("H", [0.6, 0.8])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+def test_coupled_distance_is_the_variance_gap(H, n):
+    p = HurstParams(H)
+    coarse, fine, P = get_engine(n, p), get_engine(2 * n, p), _pair_sum(n)
+    for m in sorted({1, n // 4, n // 2 + 1, n - 1, n}):
+        Cn, C2n = coarse.table_matrix(m), fine.table_matrix(2 * m)
+        distance = 2 * np.sum((P.T @ Cn @ P - C2n) ** 2)
+        gap = 2 * np.sum(C2n ** 2) - 2 * np.sum(Cn ** 2)
+        assert distance == pytest.approx(gap, rel=1e-13, abs=0.0), m
