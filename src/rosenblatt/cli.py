@@ -296,9 +296,9 @@ def cmd_rerun(args, argv) -> int:
         raise DomainError(f"cannot read manifest {args.manifest!r}: {exc}") from exc
     replay = manifest.get("argv") if isinstance(manifest, dict) else None
     if (not isinstance(replay, list) or not all(isinstance(a, str) for a in replay)
-            or replay[:1] == ["rerun"]):
+            or replay[:1] == ["rerun"] or "--config" in replay):
         raise DomainError(f"manifest {args.manifest!r} needs an argv list of strings "
-                          "naming a command other than rerun")
+                          "naming a command other than rerun, without --config")
     return main(replay)
 
 

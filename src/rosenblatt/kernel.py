@@ -36,15 +36,17 @@ the worker count or on the order blocks finish in.  ``_Panels``
 builds the blocks and runs the +-1 pass (``_increments``) in a per-node
 operation order that fixes the bits of the Rademacher ensembles and of the
 market's branch pass, which gives the up and the down branch of every step
-of each noise prefix and keeps no engine (``branch_increments``).
-``VolterraEngine`` keeps every block, read-only: one engine per (n, H) is
-shared by the path generators and the statistics, and the exact-law
-references of an ensemble coarsened from grid N read grid N's engine and
-rescale by discrete self-similarity.  Only the engine runs the Gaussian pass
-(``quadratic_increments``): the Gauss-Legendre product alone is squared and
-weighed by one GEMM against a block-diagonal weight matrix, and the cross
-and squared-noise terms, linear in their tables, read node contractions the
-engine makes once, when it is built, which the exact-law matrices read too.
+of each noise prefix (``branch_increments``); it and the fbm walk's matrix
+(``fbm_matrix``) read each block once and keep no engine.
+``VolterraEngine`` keeps every block of the Rosenblatt walk, read-only: one
+engine per (n, H) is shared by its path generator and statistics, and the
+exact-law references of an ensemble coarsened from grid N read grid N's
+engine and rescale by discrete self-similarity.  Only the engine runs the
+Gaussian pass, on noise that is not all +-1 (``quadratic_increments``): the
+Gauss-Legendre product alone is squared and weighed by one GEMM against a
+block-diagonal weight matrix, and the cross and squared-noise terms, linear
+in their tables, read node contractions the engine makes once, when it is
+built, which the exact-law matrices read too.
 """
 from __future__ import annotations
 
@@ -384,12 +386,12 @@ class VolterraEngine(_Panels):
     the Gaussian pass on the contractions and W, which only this class
     holds.  The dense matrices read the blocks too, through one ``_gram``
     product per block (``table_matrix``) or per ``panel``
-    (``delta_table``), and ``fbm_matrix`` sums each block's panel
-    integrals.  The market's branch pass reads each block once, so it keeps
-    none (``branch_increments``).
+    (``delta_table``).  The fbm matrix and the market's branch pass read
+    each block once, so they keep none (``fbm_matrix``,
+    ``branch_increments``): this class serves the Rosenblatt walk alone.
 
-    Instances are read-only (``fbm_matrix`` is kept once built) and safe to
-    share across readers; acquire them through ``get_engine``.
+    Instances are read-only and safe to share across readers; acquire them
+    through ``get_engine``.
     """
 
     def __init__(self, n: int, p: HurstParams):
@@ -453,64 +455,39 @@ class VolterraEngine(_Panels):
             G[:last, :last] += _gram(self._cut(t, t["lo"], last))
         return self._scaled(G)
 
-    # -- fBm coefficients ----------------------------------------------------
-
-    def fbm_matrix(self) -> np.ndarray:
-        """kappa[m-1, i-1] = n int_{cell_i} K(m/n, s) ds, lower triangular (n, n).
-
-        Uses K(t, s) = int_s^t dK(a, s) da, so row m is the cumulative sum
-        over panels k <= m of the panel integrals int_panel G_i da, read per
-        block as sum_q w_gl A_gl + s_k sum_q wR.  Built on the first call, in
-        O(n^2 nodes), and kept (0.5 MiB at n = 256) for the draw and exact laws.
-        """
-        return self._fbm
-
-    @cached_property
-    def _fbm(self) -> np.ndarray:
-        n = self.n
-        T = np.zeros((n, n))
-        row = np.zeros((n, 1))
-        for t in self._blocks:
-            lo, K = t["lo"], t["A_gl"].shape[0]
-            base = (_node_sum(t["A_gl"], t["w_gl"])
-                    + _signs(lo, K - lo + 1, K) * t["wR"].sum(axis=1))
-            # the running row leads the panels so every sum runs in panel order
-            cum = np.cumsum(np.hstack([row[:K], base]), axis=1)
-            T[lo - 1: K, :K] = n * cum[:, 1:].T
-            row[:K, 0] = cum[:, -1]
-        T.setflags(write=False)
-        return T
-
     # -- quadratic-form increments for path generation -----------------------
 
-    def quadratic_increments(self, xi: np.ndarray, unit_squares: bool) -> np.ndarray:
+    def quadratic_increments(self, xi: np.ndarray) -> np.ndarray:
         """Increments Z(k/n) - Z((k-1)/n) of the off-diagonal quadratic form
         for each row of the (M, n) noise xi, shape (M, n).
 
         Column k - 1 of the result is the panel-k increment of every row, and
         every stored block runs once over all M rows.  This is the one pass of
-        the ensembles, which call it once per noise slab.  Passing
-        unit_squares=True (Rademacher noise) runs the +-1 pass ``_increments``,
-        two GEMMs 16 * nodes wide per block, in its per-node operation order,
-        which fixes the bits of the Rademacher ensembles and of
-        ``branch_increments``.  Otherwise (Gaussian noise) the block formula
-        is the same sum with every node sum but the squared one contracted:
-        sum_q w_gl S_q^2 is S^2 @ W with the block-diagonal W, the
-        squared-noise terms are x^2 @ D and x_{k-1}^2 diag, and the cross
-        term is x @ m1, so a block runs one GEMM 16 * nodes wide and three 16
-        wide.  Both give the same sum to within rounding.  Every product goes
-        through ``_matmul``, so no row's bits depend on the other rows of xi.
+        the ensembles, which call it once per noise slab.  The noise picks the
+        pass, per call: if every square of xi is 1 (the squares the Gaussian
+        pass forms anyway) it runs the +-1 pass ``_increments``, two GEMMs 16
+        * nodes wide per block, in its per-node operation order, which fixes
+        the bits of the Rademacher ensembles and of ``branch_increments``.
+        Otherwise it runs the Gaussian pass, the same sum with every node sum
+        but the squared one contracted: sum_q w_gl S_q^2 is S^2 @ W with the
+        block-diagonal W, the squared-noise terms are x^2 @ D and x_{k-1}^2
+        diag, and the cross term is x @ m1, so a block runs one GEMM 16 *
+        nodes wide and three 16 wide.  Both give the same sum to within
+        rounding.  Every product goes through ``_matmul``, so a row's bits do
+        not depend on the other rows of xi when those are of its noise kind
+        (a +-1 row stacked with Gaussian rows runs the Gaussian pass).
         """
         n = self.n
         if xi.shape[1] != n:
             raise DomainError(f"noise length {xi.shape[1]} does not match grid {n}")
         x = np.zeros((xi.shape[0], n + 1))
         x[:, 1:] = xi
-        x2 = None if unit_squares else x ** 2
+        x2 = x ** 2
+        unit = np.all(x2[:, 1:] == 1.0)
         out = np.empty(xi.shape)
         for t in self._blocks:
             lo, K = t["lo"], t["A_gl"].shape[0]
-            if unit_squares:
+            if unit:
                 out[:, lo - 1: K] = self._increments(t, x[:, : K + 1], x[:, lo: K + 1])
                 continue
             prev, cur = x[:, lo - 1: K], x[:, lo: K + 1]
@@ -541,6 +518,30 @@ def get_engine(n: int, p: HurstParams) -> VolterraEngine:
             eng = VolterraEngine(n, p)
             _ENGINES[key] = eng
     return eng
+
+
+@lru_cache(maxsize=None)
+def fbm_matrix(n: int, p: HurstParams) -> np.ndarray:
+    """kappa[m-1, i-1] = n int_{cell_i} K(m/n, s) ds, lower triangular (n, n).
+
+    Uses K(t, s) = int_s^t dK(a, s) da, so row m is the cumulative sum over
+    panels k <= m of the panel integrals int_panel G_i da, read per block as
+    sum_q w_gl A_gl + s_k sum_q wR in the worker that built the block, as in
+    ``branch_increments``, and summed in panel order on the calling thread.
+    No engine is built.  Memoised per (n, H), read-only (0.5 MiB at n = 256).
+    """
+    base = _Panels(n, p)._map(lambda t: _node_sum(t["A_gl"], t["w_gl"]) + _signs(
+        t["lo"], t["e2"].size, t["A_gl"].shape[0]) * t["wR"].sum(axis=1))
+    T = np.zeros((n, n))
+    row = np.zeros((n, 1))
+    for b in base:
+        K, B = b.shape
+        # the running row leads the panels so every sum runs in panel order
+        cum = np.cumsum(np.hstack([row[:K], b]), axis=1)
+        T[K - B: K, :K] = n * cum[:, 1:].T
+        row[:K, 0] = cum[:, -1]
+    T.setflags(write=False)
+    return T
 
 
 def branch_increments(n: int, p: HurstParams, prefixes: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ applies and every exact law reads; nothing else branches on the process:
 
 A path is one row of n + 1 grid values, cadlag between grid points; a noise
 is one row of n values.  The Rosenblatt walk sums the engine's panel
-increments (O(n^2) per path); it never forms the full weight table.
+increments (O(n^2) per path), the noise picking the pass; it never forms
+the full weight table.  The fbm walk reads ``kernel.fbm_matrix``, no engine.
 
 Ensemble member k draws its noise from Philox keyed by derive_seed(master, k).
 ``path_slabs`` keeps one Philox generator per ensemble and, before each
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import DomainError, HurstParams, _matmul, get_engine
+from .kernel import DomainError, HurstParams, _matmul, fbm_matrix, get_engine
 
 
 class NoiseKind(str, Enum):
@@ -159,19 +160,18 @@ def scale_to_grid(part: np.ndarray, N: int, n: int, h: float) -> np.ndarray:
 
 def _simple_form(N: int, p: HurstParams | None) -> tuple:
     return (1 / N, lambda m: (np.arange(N) < m) * 1.0,
-            lambda x, unit_squares: np.cumsum(x, axis=1) / np.sqrt(N))
+            lambda x: np.cumsum(x, axis=1) / np.sqrt(N))
 
 
 def _fbm_form(N: int, p: HurstParams) -> tuple:
-    T = get_engine(N, p).fbm_matrix()
+    T = fbm_matrix(N, p)
     return (1 / N, lambda m: T[m - 1] if m else np.zeros(N),
-            lambda x, unit_squares: _matmul(x, T.T) / np.sqrt(N))
+            lambda x: _matmul(x, T.T) / np.sqrt(N))
 
 
 def _rosenblatt_form(N: int, p: HurstParams) -> tuple:
     eng = get_engine(N, p)
-    return 2.0, eng.table_matrix, lambda x, unit_squares: np.cumsum(
-        eng.quadratic_increments(x, unit_squares), axis=1)
+    return 2.0, eng.table_matrix, lambda x: np.cumsum(eng.quadratic_increments(x), axis=1)
 
 
 class WalkForm(NamedTuple):
@@ -179,8 +179,8 @@ class WalkForm(NamedTuple):
     linear), the self-similarity ``index(p)`` of its limit, how its own Hurst
     index becomes ``HurstParams`` (None: the walk reads none), and its form
     on grid N, ``read(N, p)`` = (c, A, paths): the coefficients A(m) at grid
-    point m with their scale c (``stats.discrete_moment``), and paths(x,
-    unit_squares), the values at grid points 1..N of (rows, N) noise x.
+    point m with their scale c (``stats.discrete_moment``), and paths(x),
+    the values at grid points 1..N of (rows, N) noise x of one kind.
     """
 
     quadratic: bool
@@ -269,8 +269,7 @@ def path_slabs(count: int, master_seed: int, kind: NoiseKind | str,
     law = WalkLaw(process_tag, p, n, n)
     require_addressable(min(count, _SLAB), n + 1)
     *_, paths = law.process_tag.form.read(n, p)
-    unit_squares = kind is NoiseKind.RADEMACHER
-    return (np.pad(paths(x, unit_squares), ((0, 0), (1, 0)))
+    return (np.pad(paths(x), ((0, 0), (1, 0)))
             for x in _noise_slabs(count, master_seed, kind, n))
 
 

@@ -291,7 +291,7 @@ def test_criterion_9_market_limit(p08):
         xi = np.empty((M, N))
         for k in range(M):
             xi[k] = make_noise(N, "rademacher", derive_seed(SEED + 6, k))
-        X = sigma * eng.quadratic_increments(xi, unit_squares=True)
+        X = sigma * eng.quadratic_increments(xi)
         z1 = X.sum(axis=1) / sigma
         log_sn = np.log1p(X).sum(axis=1)
         gaps[N] = float(np.mean(np.abs(log_sn - sigma * z1)))

@@ -252,13 +252,14 @@ class TestValidate:
     @pytest.mark.parametrize("process, hurst", [("rosenblatt", "0.8"), ("fbm", "0.9")])
     def test_builds_one_engine(self, tmp_path, monkeypatch, process, hurst):
         # the exact references of the coarsened n = 32 ensemble read the
-        # engine of the grid-64 draw; fbm's kernel index 0.9 is H = 0.8
+        # engine of the grid-64 draw; the fbm walk streams its matrix and
+        # builds no engine at all
         import rosenblatt.kernel as kernel
         monkeypatch.setattr(kernel, "_ENGINES", {})
         run("validate", "--check", "all", "--process", process, "--hurst", hurst,
             "--n", "32", "--paths", "200", "--qv-sizes", "16,32,64",
             "--out", str(tmp_path / "rep.json"))
-        assert set(kernel._ENGINES) == {(64, 0.8)}
+        assert set(kernel._ENGINES) == ({(64, 0.8)} if process == "rosenblatt" else set())
 
     @pytest.mark.parametrize("flags", [
         # every path is +-xi_1 / sqrt(n) at grid point 1, so every square is
@@ -280,24 +281,27 @@ class TestValidate:
 
     def test_builds_fbm_matrix_once(self, tmp_path, monkeypatch):
         # the draw and every exact reference of an fbm validate share the one
-        # fbm_matrix its engine keeps; count distinct matrices, not reads
+        # memoised fbm_matrix, streamed from the panel blocks by one pass of
+        # the block pool, and no engine is built or kept
         import rosenblatt.kernel as kernel
         from rosenblatt.stats import discrete_moment
-        seen = {}
-        fbm = kernel.VolterraEngine.fbm_matrix
+        passes = []
+        streamed = kernel._Panels._map
 
-        def recording(self):
-            T = fbm(self)
-            seen.setdefault(self.n, {})[id(T)] = T
-            return T
+        def recording(self, use):
+            passes.append(self.n)
+            return streamed(self, use)
 
         monkeypatch.setattr(kernel, "_ENGINES", {})
-        monkeypatch.setattr(kernel.VolterraEngine, "fbm_matrix", recording)
+        monkeypatch.setattr(kernel._Panels, "_map", recording)
+        kernel.fbm_matrix.cache_clear()
         discrete_moment.cache_clear()
         run("validate", "--check", "all", "--process", "fbm", "--hurst", "0.9",
             "--noise", "gaussian", "--n", "128", "--paths", "5000", "--seed", "3",
             "--out", str(tmp_path / "rep.json"))
-        assert {n: len(built) for n, built in seen.items()} == {256: 1}
+        assert passes == [256]
+        assert kernel._ENGINES == {}
+        assert kernel.fbm_matrix.cache_info().currsize == 1
 
     def test_builds_each_exact_matrix_once(self, tmp_path, monkeypatch):
         # the skewness point-mass rule and the variance check both ask for the
@@ -725,15 +729,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "--tol" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("case", ["no-argv", "list", "self-rerun"])
+    @pytest.mark.parametrize("case", ["no-argv", "list", "self-rerun", "config-self-rerun"])
     def test_rerun_of_malformed_manifest_exits_2(self, tmp_path, capsys, case):
+        # a replay holds the expanded flags, so never --config; one that
+        # expands to rerun of its own manifest would recurse without end
         manifest = tmp_path / "bad.manifest.json"
+        config = tmp_path / "empty.cfg"
+        config.write_text("")
         payload = {"no-argv": {"command": "simulate"},
                    "list": ["simulate", "--process", "walk"],
-                   "self-rerun": {"argv": ["rerun", str(manifest)]}}[case]
+                   "self-rerun": {"argv": ["rerun", str(manifest)]},
+                   "config-self-rerun": {"argv": ["--config", str(config), "rerun",
+                                                  str(manifest)]}}[case]
         manifest.write_text(json.dumps(payload))
         assert run("rerun", str(manifest)) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestEnvironment:

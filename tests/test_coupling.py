@@ -15,12 +15,15 @@ The identity holds only if the cell weights of the two grids add up: off
 the diagonal, each c_ij(m) of grid n must be the sum of the four weights of
 grid 2n on its sub-cells, halved.  The discrete self-similarity tests
 compare grids at the same cell sizes and cannot see an error in that sum.
+The Monte Carlo test runs the coupled noise through the walk's own pass.
 """
 import numpy as np
 import pytest
 
 from rosenblatt import HurstParams
 from rosenblatt.kernel import get_engine
+from rosenblatt.paths import WalkLaw
+from rosenblatt.stats import discrete_moment
 
 
 def _pair_sum(n: int) -> np.ndarray:
@@ -39,3 +42,26 @@ def test_coupled_distance_is_the_variance_gap(H, n):
         distance = 2 * np.sum((P.T @ Cn @ P - C2n) ** 2)
         gap = 2 * np.sum(C2n ** 2) - 2 * np.sum(Cn ** 2)
         assert distance == pytest.approx(gap, rel=1e-13, abs=0.0), m
+
+
+def _walk(n: int, p: HurstParams, noise: np.ndarray) -> np.ndarray:
+    """Z at grid points 1..n of each noise row, through the engine's pass ten
+    slabs at a time (rows do not mix, so the slabs only bound the memory)."""
+    eng = get_engine(n, p)
+    return np.cumsum(np.vstack([eng.quadratic_increments(x) for x in np.split(noise, 10)]),
+                     axis=1)
+
+
+@pytest.mark.parametrize("H", [0.6, 0.8])
+def test_coupled_monte_carlo_matches_the_variance_gap(H):
+    # 40 000 Gaussian rows eta drive grid 64 and xi = P eta grid 32: the
+    # sample E|Z_64(t) - Z_32(t)|^2 lies within 4 SE of the exact gap
+    n, M, p = 32, 40_000, HurstParams(H)
+    eta = np.random.default_rng(14).standard_normal((M, 2 * n))
+    fine, coarse = _walk(2 * n, p, eta), _walk(n, p, eta @ _pair_sum(n).T)
+    for t in (0.5, 1.0):
+        d2 = (fine[:, round(2 * n * t) - 1] - coarse[:, round(n * t) - 1]) ** 2
+        gap = (discrete_moment(WalkLaw("rosenblatt", p, 2 * n, 2 * n), "increment", 0.0, t)
+               - discrete_moment(WalkLaw("rosenblatt", p, n, n), "increment", 0.0, t))
+        se = d2.std(ddof=1) / np.sqrt(M)
+        assert abs(d2.mean() - gap) <= 4.0 * se, t

@@ -8,9 +8,9 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from rosenblatt import DomainError, HurstParams, c_const, d_const
+from rosenblatt import DomainError, HurstParams, c_const, d_const, kernel
 from rosenblatt.kernel import (_BLOCK, VolterraEngine, _matmul, _node_sum, _Panels,
-                               _roots_jacobi, branch_increments, get_engine)
+                               _roots_jacobi, branch_increments, fbm_matrix, get_engine)
 from rosenblatt.paths import NoiseKind, _noise_slabs
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
@@ -304,9 +304,10 @@ class TestWeightTable:
             assert np.max(np.abs(C - sums[m])) <= 1e-14 * scale, m
 
     @pytest.mark.parametrize("n", [1, 17, 300, 513])
-    def test_fbm_matrix_equals_per_panel_loop(self, p08, n):
-        # the block read (node sums, signs, cumulative sum along the panels)
-        # adds the panel integrals in the order of a loop over panel(k)
+    def test_fbm_matrix_equals_per_panel_loop(self, p08, n, monkeypatch):
+        # the streamed block read (node sums, signs, cumulative sum along the
+        # panels) adds the panel integrals in the order of a loop over
+        # panel(k), whatever the number of workers that build the blocks
         eng = get_engine(n, p08)
         want = np.zeros((n, n))
         row = np.zeros(n)
@@ -319,7 +320,11 @@ class TestWeightTable:
                 base[k - 2] -= e1
             row[:k] += base
             want[k - 1] = n * row
-        assert eng.fbm_matrix().tobytes() == want.tobytes()
+        T = fbm_matrix(n, p08)
+        assert T.tobytes() == want.tobytes()
+        assert not T.flags.writeable
+        monkeypatch.setattr(kernel, "_cpus", lambda: 1)
+        assert fbm_matrix.__wrapped__(n, p08).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [0, 9, 17])
     def test_panel_index_outside_grid(self, p07, k):
@@ -429,9 +434,9 @@ class TestQuadraticIncrements:
         noise = {True: rng.integers(0, 2, (M, n)) * 2.0 - 1.0,
                  False: rng.standard_normal((M, n))}
         for unit, xi in noise.items():
-            batch = eng.quadratic_increments(xi, unit)
+            batch = eng.quadratic_increments(xi)
             for r in sorted({0, 1, 511, 512, M - 1} & set(range(M))):
-                alone = eng.quadratic_increments(xi[r:r + 1], unit)[0]
+                alone = eng.quadratic_increments(xi[r:r + 1])[0]
                 assert np.array_equal(batch[r], alone), (unit, r)
 
     def test_one_batch_equals_slabs_at_validate_size(self, p08):
@@ -440,10 +445,10 @@ class TestQuadraticIncrements:
         n = 256
         eng = get_engine(n, p08)
         slabs = list(_noise_slabs(5000, 0, NoiseKind.GAUSSIAN, n))
-        whole = eng.quadratic_increments(np.vstack(slabs), False)
+        whole = eng.quadratic_increments(np.vstack(slabs))
         r = 0
         for xi in slabs:
-            part = eng.quadratic_increments(xi, False)
+            part = eng.quadratic_increments(xi)
             assert part.tobytes() == whole[r: r + xi.shape[0]].tobytes(), r
             r += xi.shape[0]
         assert r == 5000
@@ -462,7 +467,7 @@ class TestQuadraticIncrements:
             for unit, xi in noise.items():
                 want[unit][:, k - 1] = np.einsum("ri,ij,rj->r", xi[:, :k], C, xi[:, :k])
         for unit, xi in noise.items():
-            inc = eng.quadratic_increments(xi, unit)
+            inc = eng.quadratic_increments(xi)
             for row, w in zip(inc, want[unit]):
                 scale = np.max(np.abs(w))
                 assert np.max(np.abs(row - w)) <= 1e-10 * scale, unit
@@ -470,11 +475,15 @@ class TestQuadraticIncrements:
     @pytest.mark.parametrize("n", [7, 37, 300, 513])
     def test_gaussian_branch_equals_unit_squares_on_signs(self, p08, n):
         # the two branches are separate formulas (per-node against
-        # node-contracted); on +-1 noise they are the same sum
+        # node-contracted); on +-1 noise they are the same sum.  One Gaussian
+        # row stacked under the +-1 rows makes the noise pick the Gaussian
+        # pass, which keeps each row's bits apart
         eng = get_engine(n, p08)
-        xi = np.random.default_rng(n).integers(0, 2, (40, n)) * 2.0 - 1.0
-        unit = eng.quadratic_increments(xi, True)
-        gauss = eng.quadratic_increments(xi, False)
+        rng = np.random.default_rng(n)
+        xi = rng.integers(0, 2, (40, n)) * 2.0 - 1.0
+        unit = eng.quadratic_increments(xi)
+        gauss = eng.quadratic_increments(np.vstack([xi, rng.standard_normal((1, n))]))[:-1]
+        assert unit.tobytes() != gauss.tobytes()
         scale = np.max(np.abs(unit), axis=0)
         assert np.all(np.abs(gauss - unit) <= 1e-13 * scale)
 
@@ -503,7 +512,7 @@ class TestQuadraticIncrements:
             part += 2.0 * (_matmul(x[:, 1: K + 1], m1) * (cur - prev) + x2[:, lo - 1: lo - 1 + B] * diag)
             part -= 2.0 * (cur * prev) * t["e2"]
             want[:, lo - 1: K] = n * eng.params.dH * part
-        got = eng.quadratic_increments(xi, False)
+        got = eng.quadratic_increments(xi)
         scale = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 2.5e-15 * scale)
 
@@ -514,6 +523,10 @@ class TestQuadraticIncrements:
         assert not hasattr(_Panels(8, p08), "_W")
         assert list(inspect.signature(_Panels._increments).parameters) == ["self", "t", "x", "cur"]
         assert not get_engine(8, p08)._W.flags.writeable
+        # the noise picks the engine's pass, and the fbm matrix is streamed
+        assert list(inspect.signature(VolterraEngine.quadratic_increments).parameters) == [
+            "self", "xi"]
+        assert not hasattr(VolterraEngine, "fbm_matrix")
 
 
 class TestBranchIncrements:
@@ -536,7 +549,7 @@ class TestBranchIncrements:
                 xi = np.ones((K, n))
                 xi[:, : x.size] = x
                 xi[np.arange(K), np.arange(K)] = sign
-                want = eng.quadratic_increments(xi, True)[np.arange(K), np.arange(K)]
+                want = eng.quadratic_increments(xi)[np.arange(K), np.arange(K)]
                 assert got[0, row].tobytes() == want.tobytes(), (name, sign)
         # prefixes stacked in one pass keep the bits of their own passes
         stack = np.stack([prefixes["ones"], prefixes["rademacher"], -prefixes["rademacher"]])

@@ -181,8 +181,7 @@ class TestBuildMarket:
             cfg = cfg_with(N=N, sigma=0.7)
             xi = make_noise(N, "rademacher", 424242)
             path = build_market(cfg, xi)
-            walk = cfg.sigma * get_engine(N, cfg.params).quadratic_increments(
-                xi[None, :], unit_squares=True)[0]
+            walk = cfg.sigma * get_engine(N, cfg.params).quadratic_increments(xi[None, :])[0]
             assert path.X.tobytes() == walk.tobytes(), N
             assert np.array_equal(path.X, np.where(xi > 0, path.u, path.d)), N
 
@@ -190,7 +189,7 @@ class TestBuildMarket:
         # the branch pass is the market's only kernel call: X is read off it
         from rosenblatt.kernel import VolterraEngine
 
-        def refuse(self, xi, unit_squares):
+        def refuse(self, xi):
             raise AssertionError("build_market ran the walk pass")
 
         monkeypatch.setattr(VolterraEngine, "quadratic_increments", refuse)

@@ -8,7 +8,7 @@ import pytest
 
 from rosenblatt import (DomainError, HurstParams, NoiseKind, ProcessTag,
                         discrete_moment, make_noise, simulate_ensemble)
-from rosenblatt.kernel import _matmul, get_engine
+from rosenblatt.kernel import _matmul, fbm_matrix, get_engine
 from rosenblatt.paths import (_SLAB, WalkLaw, derive_seed, ensemble_metadata,
                               ensemble_to_csv, grid_index, path_slabs, scale_to_grid,
                               write_ensemble, write_json)
@@ -130,7 +130,7 @@ class TestRandomWalk:
     def test_explicit_small_case(self):
         xi = np.array([[1.0, -1.0, 1.0, 1.0]])
         *_, paths = ProcessTag.WALK.form.read(4, None)
-        w = paths(xi, True)
+        w = paths(xi)
         assert np.allclose(w, [[0.5, 0.0, 0.5, 1.0]])
 
     def test_starts_at_zero(self):
@@ -158,7 +158,7 @@ class TestFbmWalk:
         prod = Z[:, grid_index(n, 0.5)] * Z[:, grid_index(n, 1.0)]
         est = prod.mean()
         se = prod.std(ddof=1) / np.sqrt(M)
-        T = get_engine(n, p06).fbm_matrix()
+        T = fbm_matrix(n, p06)
         exact = float(np.dot(T[n // 2 - 1, : n // 2], T[n - 1, : n // 2]) / n)
         assert abs(est - exact) < 4.0 * se          # estimator correctness
         assert abs(est - 0.5) < 4.0 * se            # continuum law at this n
@@ -257,7 +257,7 @@ class TestEnsembles:
         def alone(k):
             xi = make_noise(n, "gaussian", derive_seed(3, k))[None, :]
             *_, paths = ProcessTag.FBM.form.read(n, p)
-            return paths(xi, False)[0]
+            return paths(xi)[0]
 
         for k in (0, 1):
             for M, values in runs.items():
@@ -345,9 +345,9 @@ class TestStreamedPass:
         if process == "walk":
             values[:, 1:] = np.cumsum(xi, axis=1) / np.sqrt(n)
         elif process == "fbm":
-            values[:, 1:] = _matmul(xi, get_engine(n, p).fbm_matrix().T) / np.sqrt(n)
+            values[:, 1:] = _matmul(xi, fbm_matrix(n, p).T) / np.sqrt(n)
         else:
-            inc = get_engine(n, p).quadratic_increments(xi, kind == "rademacher")
+            inc = get_engine(n, p).quadratic_increments(xi)
             np.cumsum(inc, axis=1, out=values[:, 1:])
         return values
 
@@ -368,9 +368,9 @@ class TestStreamedPass:
         calls = []
         original = VolterraEngine.quadratic_increments
 
-        def recording(self, xi, unit_squares):
+        def recording(self, xi):
             calls.append(xi.shape[0])
-            return original(self, xi, unit_squares)
+            return original(self, xi)
 
         monkeypatch.setattr(VolterraEngine, "quadratic_increments", recording)
         simulate_ensemble(M, 13, "gaussian", self.PARAMS["rosenblatt"], "rosenblatt", 37)

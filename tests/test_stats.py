@@ -8,7 +8,7 @@ import pytest
 from rosenblatt import (DomainError, MarketConfig, ProcessTag, constant_rate,
                         covariance, discrete_moment, histogram, increment_variance,
                         qv_decay, simulate_ensemble, skewness)
-from rosenblatt.kernel import HurstParams, get_engine
+from rosenblatt.kernel import HurstParams, fbm_matrix, get_engine
 from rosenblatt.paths import (_SLAB, WalkLaw, grid_index, path_slabs,
                               scale_to_grid)
 from rosenblatt.stats import MomentReport, _jump_square_sums, reduce_slabs
@@ -118,7 +118,7 @@ def _fsum_reference(law, s, t, quantity):
     """The fbm walk's exact moment as one correctly rounded math.fsum of its
     terms over the kappa rows of grid ``law.drawn_n``, then scaled."""
     N = law.drawn_n
-    T = np.vstack([np.zeros(N), get_engine(N, law.params).fbm_matrix()])
+    T = np.vstack([np.zeros(N), fbm_matrix(N, law.params)])
     a, b = T[grid_index(law.n, s)], T[grid_index(law.n, t)]
     terms = (b - a) ** 2 if quantity == "increment" else a * b
     return (N / law.n) ** (2 * law.hurst_index) * math.fsum(terms.tolist()) / N
@@ -210,7 +210,7 @@ class TestExactLawIsTheGeneratedLaw:
         p = None if H is None else (HurstParams.from_kernel_hurst(H) if process == "fbm"
                                     else HurstParams(H))
         *_, walk = ProcessTag(process).form.read(N, p)
-        paths = np.pad(walk(_sign_vectors(N), True), ((0, 0), (1, 0)))
+        paths = np.pad(walk(_sign_vectors(N)), ((0, 0), (1, 0)))
         # on the walk's own grid, and on the grid n read off N = 2n
         for n in (N, N // 2):
             law = WalkLaw(ProcessTag(process), p, n, N)
