@@ -198,8 +198,10 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
             rep = moment(at[s], at[t], s, t, law)
             checks.append({"check": name, "passed": rep.within(4.0), **asdict(rep)})
         elif name == "skewness":
-            rep = st.skewness(at[args.t], law, args.seed)
-            if law.process_tag.form.quadratic:
+            rep = st.skewness(at[args.t], args.t, law, args.seed)
+            # skew is expected exactly where the exact third cumulant is not 0
+            # (not on grid point 2 of the Rosenblatt walk, 2 c_12 xi_1 xi_2)
+            if rep.discrete:
                 ok = abs(rep.estimate) > 3.0 * rep.std_error
                 note = "expect significant skew (non-Gaussian marginal)"
             else:

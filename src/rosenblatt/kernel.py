@@ -45,13 +45,12 @@ engine and rescale by discrete self-similarity.  Only the engine runs the
 Gaussian pass, on noise that is not all +-1 (``quadratic_increments``): the
 Gauss-Legendre product alone is squared and weighed by one GEMM against a
 block-diagonal weight matrix, and the cross and squared-noise terms, linear
-in their tables, read node contractions the engine makes once, when it is
-built, which the exact-law matrices read too.
+in their tables, read node contractions made once per block, in the worker
+that built it, which the exact-law matrices read too.
 """
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -126,21 +125,25 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     therefore cut into fixed chunks of 256, whose products are accumulated in
     order; 256 stays clear of that limit while a grid of n <= 256 still runs
     one product per block.  The row count also changes the bits of a b that
-    is a transposed view (as the fBm rows pass it) or whose width is not a
-    multiple of the BLAS column unroll, so such a b is first copied into a
-    row-major array padded with zero columns to a multiple of 16; the panel
-    blocks, 16 * nodes wide, skip the copy.
+    is a transposed view or whose width is not a multiple of the BLAS column
+    unroll, so such a b is first copied by ``_padded`` (the fbm walk pads its
+    matrix once); the panel blocks, 16 * nodes wide, skip the copy.
     """
     if a.shape[0] == 1:
         return _matmul(np.repeat(a, 2, axis=0), b)[:1]
     cols = b.shape[1]
     if cols % _NPAD or b.strides[1] != b.itemsize:
-        padded = np.zeros((b.shape[0], -(-cols // _NPAD) * _NPAD))
-        padded[:, :cols] = b
-        return _matmul(a, padded)[:, :cols]
+        return _matmul(a, _padded(b))[:, :cols]
     out = a[:, :_KCHUNK] @ b[:_KCHUNK]
     for lo in range(_KCHUNK, a.shape[1], _KCHUNK):
         out += a[:, lo: lo + _KCHUNK] @ b[lo: lo + _KCHUNK]
+    return out
+
+
+def _padded(b: np.ndarray) -> np.ndarray:
+    """b copied as ``_matmul`` reads it: row-major, zero columns to a multiple of 16."""
+    out = np.zeros((b.shape[0], -(-b.shape[1] // _NPAD) * _NPAD))
+    out[:, : b.shape[1]] = b
     return out
 
 
@@ -159,6 +162,13 @@ def _signs(lo: int, B: int, K: int) -> np.ndarray:
     S[lo + np.arange(B), np.arange(B)] = 1.0
     S[lo - 1 + np.arange(B), np.arange(B)] = -1.0
     return S[1:]
+
+
+def _subdiagonal(T: np.ndarray, lo: int) -> np.ndarray:
+    """Row k - 2 of panel k's columns of a block table T from panel lo, one row
+    per panel (row 0, a zero, for panel 1): A_j1's is row, m1's is diag."""
+    K, B = T.shape[0], T.shape[0] - lo + 1
+    return T.reshape(K, B, -1)[np.maximum(np.arange(lo - 2, K - 1), 0), np.arange(B)]
 
 
 def _gram(v: dict) -> np.ndarray:
@@ -303,17 +313,15 @@ class _Panels:
         # with xi_i^2 = 1 the squared-noise term is the column sum of A^2
         Qd = np.array([np.sum(A_gl[:k, j * nodes: (j + 1) * nodes] ** 2, axis=0)
                        for j, k in enumerate(range(lo, last + 1))])
-        # panel 1 has no Abar part, so its (zero) row 0 stands in
-        row = A_j1.reshape(last, B, nodes)[np.maximum(np.arange(lo - 2, last - 1), 0), np.arange(B)]
         R_j1, R_j2 = (pref * self._B * special.betaincc(self._c1, al, left / a) / (a - left) ** al
                       for a, pref in ((a_j1, pref_j1), (a_j2, pref_j2)))
         # Jacobi weights times R: the Abar-E cross terms; int_panel E(a)^2 da
         wR = self._j1[1] * h2 ** (1 + al) * R_j1
         e2 = np.sum(self._j2[1] * h2 ** (1 + 2 * al) * R_j2 ** 2, axis=1)
-        for arr in (A_gl, A_j1, Qd, row, wR, e2):
+        for arr in (A_gl, A_j1, Qd, wR, e2):
             arr.setflags(write=False)
         return {"lo": lo, "A_gl": A_gl, "A_j1": A_j1, "w_gl": self._w_gl,
-                "Qd": Qd, "row": row, "wR": wR, "e2": e2}
+                "Qd": Qd, "wR": wR, "e2": e2}
 
     def _map(self, use) -> list:
         """[use(block) for every block in panel order], each block built and
@@ -361,7 +369,7 @@ class _Panels:
         part = S.sum(axis=2)
         S1 = _matmul(x[:, 1:], t["A_j1"]).reshape(M, B, nodes)
         S1 *= (cur - prev)[:, :, None]
-        S1 += t["row"]
+        S1 += _subdiagonal(t["A_j1"], lo)
         S1 *= 2.0
         S1 *= t["wR"]
         part += S1.sum(axis=2)
@@ -373,14 +381,13 @@ class VolterraEngine(_Panels):
     """Every panel table of the grid t_m = m/n on [0, 1] at index H.
 
     The constructor builds every panel, in blocks of 16 consecutive panels,
-    and keeps them (``_map`` with the identity).  A block's A_gl / A_j1
-    tables are one zero-padded matrix each, of shape (K, 16 * nodes) with K
-    the block's last panel (a last, partial block has fewer columns); panel
-    k fills rows :k of its column slice.  Next to them the block holds, one
-    row per panel, the weights wR = w_j1 R, the scalar e2 = int_panel E^2,
-    row k - 2 of A_j1 and the column sums of A_gl^2, and, once the pool is
-    done, the block's node contractions D, m1 and diag, built on the calling
-    thread, one block at a time, next to the block-diagonal weights W.
+    and keeps them.  A block's A_gl / A_j1 tables are one zero-padded matrix
+    each, of shape (K, 16 * nodes) with K the block's last panel (a last,
+    partial block has fewer columns); panel k fills rows :k of its column
+    slice.  Next to them the block holds, one row per panel, the weights
+    wR = w_j1 R, the scalar e2 = int_panel E^2 and the column sums of A_gl^2,
+    and the node contractions D and m1, made in the worker that built it,
+    next to the engine's block-diagonal weights W.
     ``quadratic_increments`` (the ensembles, once per noise slab) multiplies
     its noise rows by whole blocks: the +-1 pass through ``_increments``,
     the Gaussian pass on the contractions and W, which only this class
@@ -400,14 +407,14 @@ class VolterraEngine(_Panels):
         # panel's column; a partial block of B panels reads [:B * nodes, :B]
         self._W = np.kron(np.eye(_BLOCK), self._w_gl[:, None])
         self._W.setflags(write=False)
-        self._blocks = self._map(lambda t: t)
-        for t in self._blocks:
-            # D = sum_q w_gl A_gl^2 and m1 = sum_q wR A_j1, each (K, panels),
-            # and diag = sum_q wR row, m1's row k - 2 for panel k; ``_gram`` reads m1 too
-            t.update(D=_node_sum(t["A_gl"] ** 2, t["w_gl"]), m1=_node_sum(t["A_j1"], t["wR"]),
-                     diag=_node_sum(t["row"].reshape(1, -1), t["wR"])[0])
-            for key in ("D", "m1", "diag"):
+
+        def contract(t: dict) -> dict:
+            # D = sum_q w_gl A_gl^2 and m1 = sum_q wR A_j1, each (K, panels)
+            t.update(D=_node_sum(t["A_gl"] ** 2, t["w_gl"]), m1=_node_sum(t["A_j1"], t["wR"]))
+            for key in ("D", "m1"):
                 t[key].setflags(write=False)
+            return t
+        self._blocks = self._map(contract)
 
     def panel(self, k: int) -> dict:
         """Read-only views of panel k = [(k-1)/n, k/n] in its block's layout:
@@ -420,7 +427,7 @@ class VolterraEngine(_Panels):
         """``panel``'s views for panels first..last of block t, rows :last."""
         j0, j1 = first - t["lo"], last - t["lo"] + 1
         cols = slice(j0 * _NODES, j1 * _NODES)
-        one = {key: t[key][j0: j1] for key in ("Qd", "row", "wR", "e2")}
+        one = {key: t[key][j0: j1] for key in ("Qd", "wR", "e2")}
         return {"lo": first, "A_gl": t["A_gl"][:last, cols], "A_j1": t["A_j1"][:last, cols],
                 "m1": t["m1"][:last, j0: j1], "w_gl": self._w_gl, **one}
 
@@ -497,7 +504,7 @@ class VolterraEngine(_Panels):
             part -= _matmul(x2[:, 1: K + 1], t["D"])
             cross = _matmul(x[:, 1: K + 1], t["m1"])
             cross *= cur - prev
-            cross += x2[:, lo - 1: K] * t["diag"]
+            cross += x2[:, lo - 1: K] * _subdiagonal(t["m1"], lo)[:, 0]
             cross *= 2.0
             part += cross
             part -= 2.0 * (cur * prev) * t["e2"]
@@ -505,19 +512,10 @@ class VolterraEngine(_Panels):
         return out
 
 
-_ENGINES: dict[tuple, VolterraEngine] = {}
-_ENGINES_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def get_engine(n: int, p: HurstParams) -> VolterraEngine:
-    """Shared engine cache keyed by what the engine reads: (n, H)."""
-    key = (n, p.H)
-    with _ENGINES_LOCK:
-        eng = _ENGINES.get(key)
-        if eng is None:
-            eng = VolterraEngine(n, p)
-            _ENGINES[key] = eng
-    return eng
+    """The one shared engine of (n, H): ``HurstParams`` hashes by H alone."""
+    return VolterraEngine(n, p)
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import DomainError, HurstParams, _matmul, fbm_matrix, get_engine
+from .kernel import DomainError, HurstParams, _matmul, _padded, fbm_matrix, get_engine
 
 
 class NoiseKind(str, Enum):
@@ -165,8 +165,10 @@ def _simple_form(N: int, p: HurstParams | None) -> tuple:
 
 def _fbm_form(N: int, p: HurstParams) -> tuple:
     T = fbm_matrix(N, p)
+    # the copy ``_matmul`` would make of T.T for every slab, made once
+    Tt = _padded(T.T)
     return (1 / N, lambda m: T[m - 1] if m else np.zeros(N),
-            lambda x: _matmul(x, T.T) / np.sqrt(N))
+            lambda x: _matmul(x, Tt)[:, :N] / np.sqrt(N))
 
 
 def _rosenblatt_form(N: int, p: HurstParams) -> tuple:

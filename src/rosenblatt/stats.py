@@ -53,7 +53,7 @@ class MomentReport:
     """One estimated moment with its uncertainty and reference values.
 
     `theoretical` is the continuum-law target at grid-snapped times;
-    `discrete` is the exact finite-n expectation when one is available (the
+    `discrete` is the exact finite-n value when one is available (the
     correct gate for estimator checks).
     """
 
@@ -239,18 +239,40 @@ def covariance(zs: np.ndarray, zt: np.ndarray, s: float, t: float,
     )
 
 
-def skewness(x: np.ndarray, law: WalkLaw, seed: int) -> MomentReport:
-    """Standardized third moment of the marginal sample x, with the standard
-    error of _BOOTSTRAP bootstrap resamples drawn from Philox keyed by seed."""
+def _discrete_skewness(law: WalkLaw, t: float) -> float | None:
+    """Exact finite-n skewness kappa3 / kappa2^(3/2) of the walk of ``law`` at
+    the grid-snapped t; None at a point mass (kappa2 = 0), whose skewness is 0/0.
+
+    Read off the walk's form A = A(m) with its scale c, on the drawn grid
+    (the ratio does not change with the grid's scaling): kappa2 = c sum A^2.
+    A linear form in symmetric noise has kappa3 = 0.  The quadratic form
+    xi' A xi, A symmetric with a zero diagonal, has kappa3 = E[(xi' A xi)^3]
+    = 8 tr(A^3) for +-1 and Gaussian noise alike: only products whose index
+    pairs close a triangle of three distinct cells have a nonzero mean, 1.
+    """
+    c, A, _ = law.process_tag.form.read(law.drawn_n, law.params)
+    a = A(grid_index(law.n, t))
+    k2 = c * float(np.sum(a * a))
+    if k2 == 0.0:
+        return None
+    k3 = 8.0 * float(np.sum((a @ a) * a)) if law.process_tag.form.quadratic else 0.0
+    return k3 / k2 ** 1.5
+
+
+def skewness(x: np.ndarray, t: float, law: WalkLaw, seed: int) -> MomentReport:
+    """Standardized third moment of every path's value x at t on grid
+    ``law.n``, with the standard error of _BOOTSTRAP bootstrap resamples
+    drawn from Philox keyed by seed, against the exact ``_discrete_skewness``."""
     if x.size < 100:
         raise DomainError("skewness needs at least 100 paths")
     theo = None if law.process_tag.form.quadratic else 0.0
+    exact = _discrete_skewness(law, t)
     if np.ptp(x) == 0.0:
         # every sample, and so every resample, is the same value (the
         # Rosenblatt walk is 0 on grid point 1): the standardised moment
         # would be 0/0
         return MomentReport(quantity="skewness", estimate=0.0, std_error=0.0,
-                            sample_size=x.size, theoretical=theo,
+                            sample_size=x.size, theoretical=theo, discrete=exact,
                             note="degenerate: every sample has the same value")
     def skew(v):
         # c^3 as c^2 * c: a power of the whole array would run libm pow per entry
@@ -267,6 +289,7 @@ def skewness(x: np.ndarray, law: WalkLaw, seed: int) -> MomentReport:
         std_error=float(np.std(reps, ddof=1)),
         sample_size=x.size,
         theoretical=theo,
+        discrete=exact,
     )
 
 

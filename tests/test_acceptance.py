@@ -213,11 +213,12 @@ def test_criterion_5_qv_decay(p08):
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_skewness(p08, ens_h08_n256):
-    rep = skewness(ens_h08_n256[:, -1], WalkLaw(ProcessTag.ROSENBLATT, p08, 256, 256), SEED + 1)
+    rep = skewness(ens_h08_n256[:, -1], 1.0, WalkLaw(ProcessTag.ROSENBLATT, p08, 256, 256),
+                   SEED + 1)
     ok_rose = abs(rep.estimate) > 3.0 * rep.std_error
 
     walk = simulate_ensemble(10000, SEED + 4, "gaussian", None, "walk", 256)
-    rep_w = skewness(walk[:, -1], WalkLaw(ProcessTag.WALK, None, 256, 256), SEED + 4)
+    rep_w = skewness(walk[:, -1], 1.0, WalkLaw(ProcessTag.WALK, None, 256, 256), SEED + 4)
     ok_walk = abs(rep_w.estimate) < 3.0 * rep_w.std_error
 
     ok = ok_rose and ok_walk

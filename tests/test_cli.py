@@ -128,6 +128,19 @@ class TestValidate:
                    "--seed", "2", "--out", str(tmp_path / "r2.json"))
         assert code == 0
 
+    def test_skewness_expected_only_where_exact_skewness_is_nonzero(self, tmp_path):
+        # on grid 2 the Rosenblatt walk is 2 c_12 xi_1 xi_2, symmetric, with
+        # tr C^3 exactly 0: no skew is expected there, and one is on grid 3
+        for n, skew in (("2", False), ("3", True)):
+            out = tmp_path / f"skew{n}.json"
+            assert run("validate", "--check", "skewness", "--hurst", "0.6", "--n", n,
+                       "--paths", "5000", "--noise", "gaussian", "--seed", "0",
+                       "--out", str(out)) == 0
+            c = json.loads(out.read_text())["checks"][0]
+            assert (c["discrete"] != 0.0) is skew
+            assert c["note"] == ("expect significant skew (non-Gaussian marginal)" if skew
+                                 else "expect no detectable skew")
+
     def test_check_all_aggregates(self, tmp_path):
         # default qv sweep: the decay-slope band is calibrated to sizes 16..256
         out = tmp_path / "all.json"
@@ -250,16 +263,21 @@ class TestValidate:
         assert not out.exists()
 
     @pytest.mark.parametrize("process, hurst", [("rosenblatt", "0.8"), ("fbm", "0.9")])
-    def test_builds_one_engine(self, tmp_path, monkeypatch, process, hurst):
+    def test_builds_one_engine(self, tmp_path, process, hurst):
         # the exact references of the coarsened n = 32 ensemble read the
         # engine of the grid-64 draw; the fbm walk streams its matrix and
         # builds no engine at all
         import rosenblatt.kernel as kernel
-        monkeypatch.setattr(kernel, "_ENGINES", {})
+        kernel.get_engine.cache_clear()
         run("validate", "--check", "all", "--process", process, "--hurst", hurst,
             "--n", "32", "--paths", "200", "--qv-sizes", "16,32,64",
             "--out", str(tmp_path / "rep.json"))
-        assert set(kernel._ENGINES) == ({(64, 0.8)} if process == "rosenblatt" else set())
+        built = kernel.get_engine.cache_info()
+        assert (built.misses, built.currsize) == ((1, 1) if process == "rosenblatt" else (0, 0))
+        if process == "rosenblatt":
+            # the one engine is the grid-64 one: asking for it again is a hit
+            kernel.get_engine(64, kernel.HurstParams(0.8))
+            assert kernel.get_engine.cache_info()[:2] == (built.hits + 1, 1)
 
     @pytest.mark.parametrize("flags", [
         # every path is +-xi_1 / sqrt(n) at grid point 1, so every square is
@@ -292,7 +310,7 @@ class TestValidate:
             passes.append(self.n)
             return streamed(self, use)
 
-        monkeypatch.setattr(kernel, "_ENGINES", {})
+        kernel.get_engine.cache_clear()
         monkeypatch.setattr(kernel._Panels, "_map", recording)
         kernel.fbm_matrix.cache_clear()
         discrete_moment.cache_clear()
@@ -300,13 +318,14 @@ class TestValidate:
             "--noise", "gaussian", "--n", "128", "--paths", "5000", "--seed", "3",
             "--out", str(tmp_path / "rep.json"))
         assert passes == [256]
-        assert kernel._ENGINES == {}
+        assert kernel.get_engine.cache_info().currsize == 0
         assert kernel.fbm_matrix.cache_info().currsize == 1
 
     def test_builds_each_exact_matrix_once(self, tmp_path, monkeypatch):
         # the skewness point-mass rule and the variance check both ask for the
         # increment at (0, t): the variance reads the memoised moment, so
-        # only the qv rule's grid-4 point 0 and the covariance's s build anew
+        # only the qv rule's grid-4 point 0, the covariance's s and t and the
+        # skewness's exact third cumulant at t build anew
         import rosenblatt.kernel as kernel
         from rosenblatt.stats import discrete_moment
         built = {}
@@ -321,7 +340,7 @@ class TestValidate:
         run("validate", "--check", "all", "--hurst", "0.8", "--noise", "gaussian",
             "--n", "16", "--paths", "200", "--qv-sizes", "4,8,16",
             "--out", str(tmp_path / "rep.json"))
-        assert built == {0: 2, 4: 1, 8: 1, 16: 2}
+        assert built == {0: 2, 4: 1, 8: 1, 16: 3}
 
     def test_malformed_qv_sizes_exits_2(self, tmp_path, capsys):
         code = run("validate", "--check", "qv", "--process", "walk", "--n", "16",
@@ -358,9 +377,9 @@ class TestValidate:
         # flukes; pin the aggregation contract by stubbing an unskewed report
         from rosenblatt.stats import MomentReport
 
-        def flat_skew(x, law, seed):
+        def flat_skew(x, t, law, seed):
             return MomentReport(quantity="skewness", estimate=0.0,
-                                std_error=1.0, sample_size=x.size)
+                                std_error=1.0, sample_size=x.size, discrete=1.0)
 
         monkeypatch.setattr("rosenblatt.cli.st.skewness", flat_skew)
         code = run("validate", "--check", "skewness", "--process", "rosenblatt",
@@ -408,7 +427,7 @@ class TestValidate:
         want = {
             "variance": st.increment_variance(at(0.0), at(t), 0.0, t, law),
             "covariance": st.covariance(at(s), at(t), s, t, law),
-            "skewness": st.skewness(at(t), law, seed),
+            "skewness": st.skewness(at(t), t, law, seed),
             "qv": st.qv_decay((nn, _jump_square_sums((N / nn) ** h * fine[:, : nn + 1]))
                               for nn in sizes),
         }
@@ -540,14 +559,14 @@ class TestMarket:
         assert len(calls) == 1
         assert len({tuple(v) for v in calls[0]}) == len(calls[0]) == builds
 
-    def test_streams_without_engine_cache(self, tmp_path, monkeypatch):
+    def test_streams_without_engine_cache(self, tmp_path):
         # the market reads each panel block once, so it leaves no engine behind
         import rosenblatt.kernel as kernel
-        monkeypatch.setattr(kernel, "_ENGINES", {})
+        kernel.get_engine.cache_clear()
         assert run("market", "--N", "40", "--hurst", "0.8", "--scan-divergence",
                    "--demo-arbitrage", "--witness-all-ones",
                    "--out", str(tmp_path / "m.csv")) == 0
-        assert kernel._ENGINES == {}
+        assert kernel.get_engine.cache_info().currsize == 0
 
     def test_market_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "mkt.csv"
@@ -784,28 +803,31 @@ print(market, validate, "scipy.linalg" in sys.modules)
 class TestPinnedBytes:
     """The walk and fbm artifacts keep their bytes (tests/test_benchmark_gate.py
     pins the Rosenblatt ones).  Recorded with numpy 2.4.6, scipy 1.17.1 and
-    OpenBLAS 0.3.31 (scipy-openblas), the versions CI installs."""
+    OpenBLAS 0.3.31 (scipy-openblas), the versions CI installs.  The val.json
+    hashes were re-recorded when the skewness report's ``discrete`` became the
+    exact skewness (0.0 for these linear walks, null before); no other byte
+    of them moved."""
 
     SHA256 = {
         ("walk", "rademacher"): {
             "sim.csv": "0e653727cae294f20e3785b9bb2a327d312b3811a01e1b4b2133014a7a7dcc40",
             "sim.csv.meta.json": "61408e19eb1c0040414d80bf067ab52431c026a13214c450c0a8027da4e9130d",
-            "val.json": "375abe48b72d298f51b2ad364f9770b1fa01a5c8ccacecea231afbf03ffdd49a",
+            "val.json": "d96ba69ed9bb87e4782d2b2d1fbad63758ff3e20d26ca3dc3979d251f3889351",
             "val.json.hist.csv": "9c17b25ee33306a614833fe58390d86c88511b38fe4f2f06a3e3abcc74076acf"},
         ("walk", "gaussian"): {
             "sim.csv": "fb04000bc1c9ffaa3e067580f16071e410aa02ff6fbae5b32044557d79e2f1b2",
             "sim.csv.meta.json": "3f41de9ea4da40dbf5d2a7f5c031de28bc15b63ebbdf95ddbd5ee51cae4441aa",
-            "val.json": "640f895a22c7f9dec9072e758fb296d55da3296d671ef2c353227f0af781a185",
+            "val.json": "b69d28dca28566272be9197a0c1356b7592550ace5b5fb933c70139a12f98fd4",
             "val.json.hist.csv": "7511b704c4653275c0f5038a0b763d4ab1b1cbb2b6943340b7e8d0fdac499bb0"},
         ("fbm", "rademacher"): {
             "sim.csv": "49b89a298a9689248cd2a715495916538b24c9483815cf3087e22e6ba0f0cb71",
             "sim.csv.meta.json": "7f8a8cec5d5cc8eeb10f3da66fdc8eb6c33fc3dbca6b9e405507c6eceee7997a",
-            "val.json": "c382b037cfe32c7601bea973f4c1c307911cfd5bdc3439e7cf5792c708e9481c",
+            "val.json": "555caa354f7ac333b00c516fd9aeffeae4ef2fda7909e7d7806aece271f2eb58",
             "val.json.hist.csv": "642bd9a68ed44c4df134297abf27c7f5decf5b8d33bf14f9912b5348782c3efc"},
         ("fbm", "gaussian"): {
             "sim.csv": "72a591aec99be85a892e6b04600b4f3383afa755d59b177abe177adc9042572f",
             "sim.csv.meta.json": "474f43f7626393aa32537db003fe7938774ad929c27b683c5420717da457d5ef",
-            "val.json": "71f240e4c9f8251b934bc79fe68e282ccf0e630dc18b22c911f9ccda036dd52c",
+            "val.json": "f7c23dfcbb6c26bcc0f83e078c5c9ca3294e395a0a4c2c89002500074259c4dd",
             "val.json.hist.csv": "a2a575c7bfbd2dca58dac616d63a71950998504fc3e830951c776e2b98e63e7d"},
     }
 

@@ -10,14 +10,15 @@ from scipy.integrate import quad
 
 from rosenblatt import DomainError, HurstParams, c_const, d_const, kernel
 from rosenblatt.kernel import (_BLOCK, VolterraEngine, _matmul, _node_sum, _Panels,
-                               _roots_jacobi, branch_increments, fbm_matrix, get_engine)
+                               _roots_jacobi, _subdiagonal, branch_increments, fbm_matrix,
+                               get_engine)
 from rosenblatt.paths import NoiseKind, _noise_slabs
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
 from oracles import cell_weight, dK, fbm_kernel, panel_block, rosenblatt_kernel
 
 # the node tables of a panel block
-_TABLES = ("A_gl", "A_j1", "Qd", "row", "wR", "e2")
+_TABLES = ("A_gl", "A_j1", "Qd", "wR", "e2")
 
 
 class TestConstants:
@@ -342,7 +343,7 @@ class TestWeightTable:
         # the node contractions stored next to each block, and the engine's
         # block-diagonal weight matrix, are frozen with the rest
         for t in eng._blocks:
-            for key in ("D", "m1", "diag"):
+            for key in ("D", "m1"):
                 assert not t[key].flags.writeable, key
         assert not eng._W.flags.writeable
         assert not eng.panel(5)["m1"].flags.writeable
@@ -350,36 +351,51 @@ class TestWeightTable:
     @pytest.mark.parametrize("H", [0.6, 0.8])
     @pytest.mark.parametrize("n", [7, 128, 300])
     def test_stored_contractions_equal_node_sums(self, H, n):
-        # m1 of every cut is the node sum of the cut's own A_j1 bit for bit,
-        # and diag is m1's row k - 2 for panel k (row 0 for panel 1)
+        # m1 of every cut is the node sum of the cut's own A_j1 bit for bit;
+        # a block stores no copy of a row of A_j1 or of m1 (``_subdiagonal``
+        # gathers them)
         eng = get_engine(n, HurstParams(H))
         for k in range(1, n + 1):
             v = eng.panel(k)
             assert v["m1"].tobytes() == _node_sum(v["A_j1"], v["wR"]).tobytes(), k
+            assert "row" not in v
         for t in eng._blocks:
-            ks = t["lo"] + np.arange(t["e2"].size)
-            assert t["diag"].tobytes() == t["m1"][np.maximum(ks - 2, 0), ks - t["lo"]].tobytes()
             assert t["D"].tobytes() == _node_sum(t["A_gl"] ** 2, t["w_gl"]).tobytes()
+            assert {"row", "diag"}.isdisjoint(t)
 
     @pytest.mark.parametrize("n", [7, 128, 300])
-    def test_parallel_build_equals_serial_blocks(self, p08, n):
+    def test_parallel_build_equals_serial_blocks(self, p08, n, monkeypatch):
         # one block, whole blocks, a partial last block: each block the pool
-        # built must equal a fresh serial build bit for bit
-        eng = VolterraEngine(n, p08)
-        assert len(eng._blocks) == -(-n // _BLOCK)
-        for b, t in enumerate(eng._blocks):
-            lo = 1 + b * _BLOCK
-            ref = eng._block(lo, min(lo + _BLOCK - 1, n))
-            assert t["lo"] == lo
-            for key in _TABLES:
-                assert t[key].shape == ref[key].shape, (b, key)
-                assert t[key].tobytes() == ref[key].tobytes(), (b, key)
+        # built and contracted must equal a fresh serial build, contracted on
+        # this thread, bit for bit, whatever the number of workers
+        for workers in (1, 3):
+            monkeypatch.setattr(kernel, "_cpus", lambda: workers)
+            eng = VolterraEngine(n, p08)
+            assert len(eng._blocks) == -(-n // _BLOCK)
+            for b, t in enumerate(eng._blocks):
+                lo = 1 + b * _BLOCK
+                ref = eng._block(lo, min(lo + _BLOCK - 1, n))
+                ref.update(D=_node_sum(ref["A_gl"] ** 2, ref["w_gl"]),
+                           m1=_node_sum(ref["A_j1"], ref["wR"]))
+                assert t["lo"] == lo
+                for key in (*_TABLES, "D", "m1"):
+                    assert t[key].shape == ref[key].shape, (workers, b, key)
+                    assert t[key].tobytes() == ref[key].tobytes(), (workers, b, key)
 
     def test_engine_shared_across_unread_tolerances(self, p08):
         # the panel rule is fixed, so the engine reads only (n, H): the key
-        # is the value of H, not the parameter object
-        assert get_engine(16, p08) is get_engine(16, HurstParams(0.8))
-        assert get_engine(16, p08) is not get_engine(16, HurstParams(0.7))
+        # is the value of H, not the parameter object.  One lru_cache on
+        # (n, p): an equal HurstParams is a hit, a new n or H a new engine
+        get_engine.cache_clear()
+        eng = get_engine(16, p08)
+        assert get_engine(16, HurstParams(0.8)) is eng
+        assert get_engine.cache_info()[:2] == (1, 1)  # (hits, misses)
+        other_n, other_H = get_engine(17, p08), get_engine(16, HurstParams(0.7))
+        assert (other_n.n, other_n.params.H) == (17, 0.8)
+        assert (other_H.n, other_H.params.H) == (16, 0.7)
+        assert get_engine.cache_info()[:2] == (1, 3)
+        assert get_engine(17, HurstParams(0.8)) is other_n
+        assert get_engine.cache_info()[:2] == (2, 3)
 
 
 class TestBlockBuild:
@@ -402,6 +418,22 @@ class TestBlockBuild:
             for key in _TABLES:
                 assert t[key].shape == ref[key].shape, (lo, key)
                 assert t[key].tobytes() == ref[key].tobytes(), (lo, key)
+
+    @pytest.mark.parametrize("H", [0.6, 0.8])
+    @pytest.mark.parametrize("n", [7, 128, 300])
+    def test_subdiagonal_gathers_the_stored_rows(self, H, n):
+        # row k - 2 of panel k (row 0 for panel 1), gathered per pass: from
+        # A_j1 the per-panel build's row, from m1 the node sum of that row
+        # and m1's own subdiagonal, bit for bit
+        eng = get_engine(n, HurstParams(H))
+        for t in eng._blocks:
+            lo, K = t["lo"], t["A_gl"].shape[0]
+            ks = lo + np.arange(K - lo + 1)
+            row = panel_block(eng, lo, K)["row"]
+            assert _subdiagonal(t["A_j1"], lo).tobytes() == row.tobytes(), lo
+            diag = _subdiagonal(t["m1"], lo)[:, 0]
+            assert diag.tobytes() == _node_sum(row.reshape(1, -1), t["wR"])[0].tobytes(), lo
+            assert diag.tobytes() == t["m1"][np.maximum(ks - 2, 0), ks - lo].tobytes(), lo
 
     @pytest.mark.parametrize("n", [512, 2048])
     def test_holds_no_table_sized_temporary(self, p08, n):
@@ -508,7 +540,7 @@ class TestQuadraticIncrements:
             part = (S * S * t["w_gl"]).sum(axis=2)
             part -= _matmul(x2[:, 1: K + 1], _node_sum(t["A_gl"] ** 2, t["w_gl"]))
             m1 = _node_sum(t["A_j1"], t["wR"])
-            diag = _node_sum(t["row"].reshape(1, -1), t["wR"])[0]
+            diag = _node_sum(_subdiagonal(t["A_j1"], lo).reshape(1, -1), t["wR"])[0]
             part += 2.0 * (_matmul(x[:, 1: K + 1], m1) * (cur - prev) + x2[:, lo - 1: lo - 1 + B] * diag)
             part -= 2.0 * (cur * prev) * t["e2"]
             want[:, lo - 1: K] = n * eng.params.dH * part

@@ -11,7 +11,8 @@ from rosenblatt import (DomainError, MarketConfig, ProcessTag, constant_rate,
 from rosenblatt.kernel import HurstParams, fbm_matrix, get_engine
 from rosenblatt.paths import (_SLAB, WalkLaw, grid_index, path_slabs,
                               scale_to_grid)
-from rosenblatt.stats import MomentReport, _jump_square_sums, reduce_slabs
+from rosenblatt.stats import (MomentReport, _discrete_skewness, _jump_square_sums,
+                              reduce_slabs)
 
 from oracles import bs_limit
 
@@ -34,7 +35,7 @@ def _pair(ens, s, t):
 
 
 def _skew(ens, t, seed):
-    return skewness(_at(ens, t), ens[1], seed)
+    return skewness(_at(ens, t), t, ens[1], seed)
 
 
 def _qv(ens, n):
@@ -291,7 +292,7 @@ class TestSkewness:
 
     def test_scale_invariance(self, rose_ens):
         rep = _skew(rose_ens, 1.0, ROSE_SEED)
-        rep2 = skewness(_at(rose_ens, 1.0) * 3.7, rose_ens[1], ROSE_SEED)
+        rep2 = skewness(_at(rose_ens, 1.0) * 3.7, 1.0, rose_ens[1], ROSE_SEED)
         assert rep2.estimate == pytest.approx(rep.estimate, rel=1e-12)
 
     def test_matches_cube_power_formula(self, rose_ens):
@@ -307,14 +308,60 @@ class TestSkewness:
         assert rep.estimate == pytest.approx(skew(x), rel=1e-14, abs=0)
         assert rep.std_error == pytest.approx(np.std(reps, ddof=1), rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("H", [0.6, 0.8])
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_exact_skewness_from_the_spectrum(self, H, n):
+        # Gaussian chaos: Z = sum lambda (eta^2 - 1), so kappa3 / kappa2^(3/2)
+        # = 8 sum lambda^3 / (2 sum lambda^2)^(3/2) over the eigenvalues of C
+        lam = np.linalg.eigvalsh(get_engine(n, HurstParams(H)).table_matrix(n))
+        want = 8 * np.sum(lam ** 3) / (2 * np.sum(lam ** 2)) ** 1.5
+        got = _discrete_skewness(_rose(n, HurstParams(H)), 1.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        if n == 2:
+            # Z = 2 c_12 xi_1 xi_2 is symmetric: tr C^3 is exactly 0
+            assert got == 0.0
+        if n == 64:
+            assert got == pytest.approx({0.6: 2.016, 0.8: 2.352}[H], abs=1e-3)
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_exact_skewness_by_enumeration(self, p08, m):
+        # every +-1 noise of grid 7 equally likely: the population skewness of
+        # xi' C(m) xi over all 128 noises is the exact one of Rademacher noise
+        n = 7
+        xi = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        C = get_engine(n, p08).table_matrix(m)
+        z = np.einsum("ri,ij,rj->r", xi, C, xi)
+        c = z - z.mean()
+        want = np.mean(c ** 3) / np.mean(c ** 2) ** 1.5
+        got = _discrete_skewness(WalkLaw(ProcessTag.ROSENBLATT, p08, n, n), m / n)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_exact_skewness_of_each_form(self, p08):
+        # linear walks in symmetric noise have none; a point mass has a 0/0;
+        # a grid read off a finer draw has the skewness of its own draw
+        fbm = HurstParams.from_kernel_hurst(0.9)
+        assert _discrete_skewness(WalkLaw(ProcessTag.WALK, None, 16, 16), 0.5) == 0.0
+        assert _discrete_skewness(WalkLaw(ProcessTag.FBM, fbm, 16, 16), 0.5) == 0.0
+        assert _discrete_skewness(WalkLaw(ProcessTag.WALK, None, 16, 16), 0.0) is None
+        assert _discrete_skewness(_rose(16, p08), 1 / 16) is None
+        assert _discrete_skewness(WalkLaw(ProcessTag.ROSENBLATT, p08, 32, 64), 1.0) == \
+            pytest.approx(_discrete_skewness(_rose(32, p08), 1.0), rel=1e-12)
+
+    def test_report_carries_the_exact_skewness(self, rose_ens, walk_ens):
+        rep = _skew(rose_ens, 1.0, ROSE_SEED)
+        assert rep.discrete == _discrete_skewness(rose_ens[1], 1.0) > 0
+        assert _skew(walk_ens, 1.0, WALK_SEED).discrete == 0.0
+
     def test_point_mass_is_flagged_not_nan(self, p08):
         # the Rosenblatt walk is 0 at grid point 1 of every path: the 0/0 is
         # reported as a zero estimate with a "degenerate" note, not a NaN
         law = WalkLaw(ProcessTag.ROSENBLATT, p08, 16, 16)
         x = simulate_ensemble(200, 3, "rademacher", p08, "rosenblatt", 16)[:, 1]
-        rep = skewness(x, law, 3)
+        rep = skewness(x, 1 / 16, law, 3)
         assert rep.estimate == rep.std_error == 0.0
         assert rep.note.startswith("degenerate")
+        # and its exact skewness is the 0/0 of a point mass too
+        assert rep.discrete is None
 
     def test_needs_enough_paths(self, p08):
         tiny = (simulate_ensemble(50, 1, "rademacher", p08, "rosenblatt", 8),
@@ -482,10 +529,9 @@ class TestReports:
                              discrete=ref * (1 + 1e-9))
         assert moved.within(4.0) is False
 
-    def test_within_refuses_a_report_without_reference(self, rose_ens):
-        # the skewness of a Rosenblatt sample has no reference to be within
-        rep = _skew(rose_ens, 1.0, ROSE_SEED)
-        assert rep.discrete is None and rep.theoretical is None
+    def test_within_refuses_a_report_without_reference(self):
+        # neither an exact nor a continuum value: nothing to be within
+        rep = MomentReport(quantity="x", estimate=1.0, std_error=0.1, sample_size=50)
         with pytest.raises(DomainError, match="no reference"):
             rep.within(4.0)
 
