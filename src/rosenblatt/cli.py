@@ -175,15 +175,15 @@ def _run_checks(args) -> tuple[list[dict], list[str]]:
     slabs = path_slabs(args.paths, args.seed, NoiseKind(args.noise), p, args.process, N)
     law = WalkLaw(args.process, p, args.n, N)
     times = sorted({x for name in wanted for x in _TIMES[name](args)})
-    # one rule refuses a point mass before any path is drawn: exact variance 0
-    # at t means every path is 0 there (grid point 0, and grid point 1 of the
-    # Rosenblatt walk, which has no off-diagonal pair), so t has no skewness
-    # and a qv grid no QV; the coarsest qv grid has the fewest pairs, so if
-    # it has a QV every one has
-    if sizes and st.discrete_moment(WalkLaw(args.process, p, min(sizes), N),
-                                    "increment", 0.0, 1.0) == 0.0:
+    # one rule refuses a point mass before any path is drawn: each walk is a
+    # chaos of order 1 + quadratic with positive coefficients, so every path is
+    # 0 at grid point m < order (0, and 1 of the Rosenblatt walk, which has no
+    # off-diagonal pair there), where t has no skewness and a qv grid no QV;
+    # the coarsest qv grid, whose law checks the sizes' range, has the fewest pairs
+    order = 1 + law.process_tag.form.quadratic
+    if sizes and WalkLaw(args.process, p, min(sizes), N).n < order:
         raise DomainError(f"qv grid {min(sizes)} has no positive mean QV: every path is 0 on it")
-    if "skewness" in wanted and st.discrete_moment(law, "increment", 0.0, args.t) == 0.0:
+    if "skewness" in wanted and grid_index(args.n, args.t) < order:
         raise DomainError(f"--t {args.t!r} snaps to grid point {grid_index(args.n, args.t)} "
                           f"of grid {args.n}, where every path is 0: the skewness of a "
                           "point mass is 0/0")

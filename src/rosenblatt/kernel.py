@@ -71,11 +71,6 @@ _NPAD = 16
 _BRANCHES = np.array([[1.0], [-1.0]])
 
 
-@lru_cache(maxsize=None)
-def _leggauss(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
-
-
 def _roots_jacobi(n: int, b: float):
     """Gauss-Jacobi nodes and weights for the weight (1 + x)^b on [-1, 1], b > 0.
 
@@ -272,7 +267,7 @@ class _Panels:
         self._alpha = p.Hp - 0.5
         self._c1 = 1.5 - p.Hp
         self._B = float(special.beta(self._c1, self._alpha))
-        self._gl = _leggauss(_NODES)
+        self._gl = np.polynomial.legendre.leggauss(_NODES)
         self._j1 = _roots_jacobi(_NODES, self._alpha)
         self._j2 = _roots_jacobi(_NODES, 2 * self._alpha)
         self._w_gl = 0.5 / n * self._gl[1]

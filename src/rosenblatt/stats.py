@@ -29,7 +29,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -117,8 +116,14 @@ def _mean_se(x: np.ndarray) -> float:
 # exact finite-n laws: every exact second moment is discrete_moment
 # ---------------------------------------------------------------------------
 
-# bounded, so a sweep over many times keeps only its latest moments
-@lru_cache(maxsize=256)
+def _coefficients(law: WalkLaw) -> tuple:
+    """The scale c of the walk of ``law`` and its coefficients at a time, the
+    function t -> A(m) for m the grid-n index of t, both read on
+    ``law.drawn_n``, the grid the paths were drawn on."""
+    c, A, _ = law.process_tag.form.read(law.drawn_n, law.params)
+    return c, lambda t: A(grid_index(law.n, t))
+
+
 def discrete_moment(law: WalkLaw, quantity: str, s: float, t: float) -> float:
     """Exact finite-n "increment" variance E|X(t) - X(s)|^2 or "covariance"
     E[X(s) X(t)] of the walk of ``law`` at the grid-snapped s and t.
@@ -128,16 +133,13 @@ def discrete_moment(law: WalkLaw, quantity: str, s: float, t: float) -> float:
     the grid the paths were drawn on, at the grid-n indices, and scaled by
     (N/n)^(2h), h the process's self-similarity index (discrete
     self-similarity, as in ``scale_to_grid``); paths drawn on grid n itself
-    have N = n and a factor of exactly 1.  Symmetric in s and t bit for bit.  Memoised, so a moment
-    asked for twice (validate's point-mass rule and its variance check) is
-    computed once.
+    have N = n and a factor of exactly 1.  Symmetric in s and t bit for bit.
     """
     if quantity not in ("increment", "covariance"):
         raise DomainError(f"quantity must be 'increment' or 'covariance', got {quantity!r}")
-    n = law.n
-    c, A, _ = law.process_tag.form.read(law.drawn_n, law.params)
-    As, At = A(grid_index(n, s)), A(grid_index(n, t))
-    scale = (law.drawn_n / n) ** (2 * law.hurst_index)
+    c, at = _coefficients(law)
+    As, At = at(s), at(t)
+    scale = (law.drawn_n / law.n) ** (2 * law.hurst_index)
     if quantity == "increment":
         D = At - As
         return scale * float(c * np.sum(D * D))
@@ -250,8 +252,8 @@ def _discrete_skewness(law: WalkLaw, t: float) -> float | None:
     = 8 tr(A^3) for +-1 and Gaussian noise alike: only products whose index
     pairs close a triangle of three distinct cells have a nonzero mean, 1.
     """
-    c, A, _ = law.process_tag.form.read(law.drawn_n, law.params)
-    a = A(grid_index(law.n, t))
+    c, at = _coefficients(law)
+    a = at(t)
     k2 = c * float(np.sum(a * a))
     if k2 == 0.0:
         return None

@@ -186,14 +186,21 @@ class TestValidate:
     @pytest.mark.parametrize("argv", [["--check", "skewness", "--n", "16", "--t", "0.07"],
                                       ["--check", "all", "--n", "1", "--qv-sizes", "1,2,4"]])
     def test_point_mass_refused_before_any_draw(self, tmp_path, monkeypatch, argv):
-        # exact variance 0 (grid point 1 of the Rosenblatt walk) is refused
-        # from the exact law, before the pass reads a single slab
+        # grid point 1 of the Rosenblatt walk, below its chaos order 2, is
+        # refused before the pass reads a single slab, and without reading
+        # the exact law
         import rosenblatt.cli as cli
+        import rosenblatt.kernel as kernel
 
         def no_draw(*args):
             raise AssertionError("a path was drawn")
 
+        def no_law(*args):
+            raise AssertionError("an exact law was read")
+
         monkeypatch.setattr(cli.st, "reduce_slabs", no_draw)
+        monkeypatch.setattr(cli.st, "discrete_moment", no_law)
+        monkeypatch.setattr(kernel.VolterraEngine, "table_matrix", no_law)
         code = run("validate", "--process", "rosenblatt", "--hurst", "0.8", "--paths", "200",
                    *argv, "--out", str(tmp_path / "rep.json"))
         assert code == 2
@@ -302,7 +309,6 @@ class TestValidate:
         # memoised fbm_matrix, streamed from the panel blocks by one pass of
         # the block pool, and no engine is built or kept
         import rosenblatt.kernel as kernel
-        from rosenblatt.stats import discrete_moment
         passes = []
         streamed = kernel._Panels._map
 
@@ -313,7 +319,6 @@ class TestValidate:
         kernel.get_engine.cache_clear()
         monkeypatch.setattr(kernel._Panels, "_map", recording)
         kernel.fbm_matrix.cache_clear()
-        discrete_moment.cache_clear()
         run("validate", "--check", "all", "--process", "fbm", "--hurst", "0.9",
             "--noise", "gaussian", "--n", "128", "--paths", "5000", "--seed", "3",
             "--out", str(tmp_path / "rep.json"))
@@ -322,12 +327,10 @@ class TestValidate:
         assert kernel.fbm_matrix.cache_info().currsize == 1
 
     def test_builds_each_exact_matrix_once(self, tmp_path, monkeypatch):
-        # the skewness point-mass rule and the variance check both ask for the
-        # increment at (0, t): the variance reads the memoised moment, so
-        # only the qv rule's grid-4 point 0, the covariance's s and t and the
-        # skewness's exact third cumulant at t build anew
+        # the point-mass rules read the walk's chaos order, not its exact
+        # law, so only the checks build: the variance's 0 and t, the
+        # covariance's s and t and the skewness's exact third cumulant at t
         import rosenblatt.kernel as kernel
-        from rosenblatt.stats import discrete_moment
         built = {}
         table = kernel.VolterraEngine.table_matrix
 
@@ -336,11 +339,10 @@ class TestValidate:
             return table(self, m)
 
         monkeypatch.setattr(kernel.VolterraEngine, "table_matrix", counting)
-        discrete_moment.cache_clear()
         run("validate", "--check", "all", "--hurst", "0.8", "--noise", "gaussian",
             "--n", "16", "--paths", "200", "--qv-sizes", "4,8,16",
             "--out", str(tmp_path / "rep.json"))
-        assert built == {0: 2, 4: 1, 8: 1, 16: 3}
+        assert built == {0: 1, 8: 1, 16: 3}
 
     def test_malformed_qv_sizes_exits_2(self, tmp_path, capsys):
         code = run("validate", "--check", "qv", "--process", "walk", "--n", "16",
@@ -798,6 +800,98 @@ print(market, validate, "scipy.linalg" in sys.modules)
         market, validate, linalg = proc.stdout.split()[-3:]
         assert market == "0" and validate in ("0", "1")
         assert linalg == "False"
+
+
+def _package_memos():
+    """Every object of the package with a ``cache_info``: its memoised
+    functions, module-level or in a class, by qualified name."""
+    import importlib
+    import pkgutil
+
+    import rosenblatt
+    memos = {}
+    for info in pkgutil.iter_modules(rosenblatt.__path__):
+        module = importlib.import_module(f"rosenblatt.{info.name}")
+        for obj in vars(module).values():
+            members = vars(obj).values() if isinstance(obj, type) else [obj]
+            for member in members:
+                if (hasattr(member, "cache_info")
+                        and getattr(member, "__module__", None) == module.__name__):
+                    memos[f"{module.__name__}.{member.__qualname__}"] = member
+    return memos
+
+
+class TestMemos:
+    def test_every_memo_is_hit_by_some_command(self, tmp_path):
+        # each command runs with every memo empty, as in a fresh process; a
+        # memo that no command hits costs its entries and saves nothing
+        memos = _package_memos()
+        assert {"rosenblatt.kernel.get_engine", "rosenblatt.kernel.fbm_matrix"} <= set(memos)
+        hits = dict.fromkeys(memos, 0)
+        for argv in (
+                ["validate", "--check", "all", "--process", "rosenblatt", "--hurst", "0.8",
+                 "--n", "16", "--paths", "100", "--qv-sizes", "4,8,16"],
+                ["validate", "--check", "all", "--process", "fbm", "--hurst", "0.9",
+                 "--n", "16", "--paths", "100", "--qv-sizes", "4,8,16"],
+                ["simulate", "--process", "rosenblatt", "--hurst", "0.8", "--n", "16",
+                 "--paths", "4"],
+                ["market", "--N", "16", "--hurst", "0.8", "--scan-divergence",
+                 "--demo-arbitrage", "--witness-all-ones"]):
+            for memo in memos.values():
+                memo.cache_clear()
+            assert run(*argv, "--out", str(tmp_path / "out")) in (0, 1)
+            for name, memo in memos.items():
+                hits[name] += memo.cache_info().hits
+        assert [name for name, count in hits.items() if count == 0] == []
+
+
+# Boundary values of each validate flag: mostly ones the parser takes, and a
+# few it refuses.  A flag is left out (its default) with probability
+# _FUZZ_OMIT, 0.3 unless listed.
+_FUZZ_FLAGS = {
+    "--t": (["0", "0.001", "0.07", "0.0625", "0.25", "0.5", "0.51", "0.999", "1"],
+            ["-0.5", "1.0000001", "nan", "x"]),
+    "--s": (["0", "0.001", "0.25", "0.5", "0.999", "1"], ["-1", "2", "inf"]),
+    "--n": (["1", "2", "3", "4", "7", "16"], ["-1", "0", "x"]),
+    "--paths": (["2", "3", "99", "100", "101", "130"], ["-1", "0", "1"]),
+    "--qv-sizes": (["1,2,4", "2,4,8", "4,4,8", "4,8", "2,3,5", "4,8,16", "1,1,2", "16,8,4",
+                    "2,16,3"], ["0,2,4", "-1,2,4", "abc", ""]),
+    "--process": (["walk", "fbm", "rosenblatt"], ["brownian"]),
+    "--check": (["variance", "covariance", "skewness", "qv", "histogram", "all"], ["none"]),
+    "--noise": (["rademacher", "gaussian"], ["cauchy"]),
+    "--hurst": (["0.5000001", "0.51", "0.76", "0.8", "0.99", "0.9999999"],
+                ["0.5", "0.75", "1", "nan"]),
+}
+_FUZZ_OMIT = {"--check": 0.02, "--process": 0.2, "--hurst": 0.05, "--paths": 0.05}
+
+
+class TestValidateFuzz:
+    """A seeded fuzz of ``validate`` over boundary values of its flags.  It
+    checks the exit-code contract only, no verdict: each run returns 0, 1 or
+    2 and raises nothing (a numpy RuntimeWarning included), and an exit 2
+    prints one error: line and leaves no file."""
+
+    def test_exit_codes_hold(self, tmp_path, capsys):
+        import random
+        rng = random.Random(0)
+        out = tmp_path / "rep.json"
+        codes = []
+        for _ in range(2000):
+            argv = ["validate"]
+            for flag, (taken, refused) in _FUZZ_FLAGS.items():
+                if rng.random() >= _FUZZ_OMIT.get(flag, 0.3):
+                    argv += [flag, rng.choice(refused if rng.random() < 0.04 else taken)]
+            code = run(*argv, "--out", str(out))
+            codes.append(code)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert len([line for line in err.splitlines() if "error:" in line]) == 1, argv
+                assert list(tmp_path.iterdir()) == [], argv
+            for path in tmp_path.iterdir():
+                path.unlink()
+        # every exit code is reached, so the values reach past the parser
+        assert set(codes) == {0, 1, 2}
 
 
 class TestPinnedBytes:

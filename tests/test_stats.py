@@ -110,6 +110,29 @@ class TestDiscreteLaws:
                     got = discrete_moment(law, quantity, s, t)
                     assert abs(got - want) <= 4.5e-16 * want, (n, N, s, t, quantity)
 
+    @pytest.mark.parametrize("process, H", [("walk", None), ("fbm", 0.76), ("fbm", 0.99),
+                                            ("rosenblatt", 0.51), ("rosenblatt", 0.8),
+                                            ("rosenblatt", 0.99)])
+    def test_point_mass_exactly_below_the_chaos_order(self, process, H):
+        # validate refuses a point mass by the walk's chaos order 1 +
+        # quadratic, not by its exact law: a chaos with positive coefficients
+        # (and, if quadratic, no diagonal) has variance 0 at grid point m
+        # exactly when m is below its order, on its own grid and on grids
+        # read off finer draws
+        form = ProcessTag(process).form
+        p = None if H is None else form.from_hurst(H)
+        try:
+            for n in range(1, 33):
+                for N in sorted({n, 2 * n, 64}):
+                    law = WalkLaw(process, p, n, N)
+                    for m in range(n + 1):
+                        zero = discrete_moment(law, "increment", 0.0, m / n) == 0.0
+                        assert zero == (m < 1 + form.quadratic), (n, N, m)
+        finally:
+            # the 64 grids' engines and matrices serve no other test
+            get_engine.cache_clear()
+            fbm_matrix.cache_clear()
+
     def test_refuses_unknown_quantity(self, p08):
         with pytest.raises(DomainError, match="quantity"):
             discrete_moment(_rose(16, p08), "variance", 0.0, 1.0)
