@@ -18,7 +18,9 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,9 +31,6 @@ from .market import (InconclusiveError, MarketConfig, affine_rate, arbitrage_dem
 from .paths import (NoiseKind, ProcessTag, WalkLaw, ensemble_metadata, grid_index,
                     make_noise, path_slabs, write_ensemble, write_json)
 from . import stats as st
-
-_QV_SIZES = (16, 32, 64, 128, 256)
-
 
 def _params_for(args) -> HurstParams | None:
     """CLI --hurst is the simulated process's own index, read by its record:
@@ -77,10 +76,9 @@ def _parse_rate(spec: str):
 
 
 def _manifest(out: Path, command: str, args: argparse.Namespace,
-              argv: list[str], outputs: list[str]) -> str:
+              argv: list[str], outputs: list[str]) -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "argv") and v is not None}
-    path = Path(str(out) + ".manifest.json")
-    write_json(path, {
+    write_json(Path(str(out) + ".manifest.json"), {
         "command": command,
         "params": {k: (v if isinstance(v, (int, float, str, bool)) else str(v))
                    for k, v in params.items()},
@@ -89,16 +87,16 @@ def _manifest(out: Path, command: str, args: argparse.Namespace,
         "argv": argv,
         "outputs": sorted(outputs),
     })
-    return str(path)
 
 
 # ---------------------------------------------------------------------------
 # minimal SVG emitters (no plotting dependencies)
 # ---------------------------------------------------------------------------
 
-def _svg_header(w, h):
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-            f'viewBox="0 0 {w} {h}">\n<rect width="100%" height="100%" fill="white"/>\n')
+def _svg(path: Path, parts: list[str], w: int, h: int) -> None:
+    path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+                    f'viewBox="0 0 {w} {h}">\n<rect width="100%" height="100%" fill="white"/>\n'
+                    + "".join(parts) + "</svg>\n")
 
 
 def _svg_paths(times, rows, path: Path, w=640, h=400) -> None:
@@ -107,29 +105,27 @@ def _svg_paths(times, rows, path: Path, w=640, h=400) -> None:
     span = (hi - lo) or 1.0
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b",
               "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#ff7f0e"]
-    parts = [_svg_header(w, h)]
+    parts = []
     for k, row in enumerate(rows):
         pts = " ".join(f"{t * (w - 20) + 10:.1f},{h - 10 - (v - lo) / span * (h - 20):.1f}"
                        for t, v in zip(times, row))
         parts.append(f'<polyline fill="none" stroke="{colors[k % len(colors)]}" '
                      f'stroke-width="1" points="{pts}"/>\n')
-    parts.append("</svg>\n")
-    path.write_text("".join(parts))
+    _svg(path, parts, w, h)
 
 
-def _svg_bars(edges, counts, path: Path, w=640, h=400) -> None:
-    peak = max(int(c) for c in counts) or 1
-    lo, hi = float(edges[0]), float(edges[-1])
+def _svg_bars(hist: st.Histogram, path: Path, w=640, h=400) -> None:
+    peak = max(int(c) for c in hist.counts) or 1
+    lo, hi = float(hist.bin_edges[0]), float(hist.bin_edges[-1])
     span = (hi - lo) or 1.0
-    parts = [_svg_header(w, h)]
-    for left, right, c in zip(edges[:-1], edges[1:], counts):
+    parts = []
+    for left, right, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
         x0 = (left - lo) / span * (w - 20) + 10
         bw = (right - left) / span * (w - 20)
         bh = int(c) / peak * (h - 20)
         parts.append(f'<rect x="{x0:.1f}" y="{h - 10 - bh:.1f}" width="{bw:.1f}" '
                      f'height="{bh:.1f}" fill="#1f77b4" stroke="white" stroke-width="0.5"/>\n')
-    parts.append("</svg>\n")
-    path.write_text("".join(parts))
+    _svg(path, parts, w, h)
 
 
 # ---------------------------------------------------------------------------
@@ -147,112 +143,115 @@ def cmd_simulate(args, argv) -> int:
         svg = Path(str(out) + ".svg")
         _svg_paths(np.arange(args.n + 1) / args.n, list(first[:10]), svg)
         outputs.append(str(svg))
-    outputs.append(_manifest(out, "simulate", args, argv, outputs))
+    _manifest(out, "simulate", args, argv, outputs)
     return 0
 
 
-# the times at which each check reads every path
-_TIMES = {"variance": lambda a: (0.0, a.t), "covariance": lambda a: (a.s, a.t),
-          "skewness": lambda a: (a.t,), "qv": lambda a: (), "histogram": lambda a: (a.t,)}
+def _qv_sizes(a) -> list[int]:
+    try:
+        return [int(s) for s in a.qv_sizes.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"malformed --qv-sizes {a.qv_sizes!r}: {exc}") from exc
 
 
-def _run_checks(args) -> tuple[list[dict], list[str]]:
+def _moment(moment, a, law, read, grids):
+    (s, zs), (t, zt) = read
+    rep = moment(zs, zt, s, t, law)
+    return {"passed": rep.within(4.0), **asdict(rep)}, []
+
+
+def _skewness(a, law, read, grids):
+    ((t, x),) = read
+    rep = st.skewness(x, t, law, a.seed)
+    # skew is expected exactly where the exact third cumulant is not 0
+    # (not on grid point 2 of the Rosenblatt walk, 2 c_12 xi_1 xi_2)
+    ok = (abs(rep.estimate) > 3.0 * rep.std_error if rep.discrete
+          else abs(rep.estimate) < 3.0 * rep.std_error)
+    note = ("expect significant skew (non-Gaussian marginal)" if rep.discrete
+            else "expect no detectable skew")
+    note = note if rep.note is None else f"{rep.note}; {note}"
+    return {"passed": bool(ok), **asdict(rep), "note": note}, []
+
+
+def _qv(a, law, read, grids):
+    fit = st.qv_decay(grids)
+    expo = 1 - 2 * law.hurst_index
+    ok = abs(fit.slope - expo) <= 0.15
+    if law.process_tag.form.quadratic:
+        ok = ok and all(m <= nn ** expo * (1 + 4 * se / m)
+                        for nn, m, se in zip(fit.sizes, fit.means, fit.std_errors))
+    return {"passed": bool(ok), "theoretical_slope": expo, **asdict(fit)}, []
+
+
+def _histogram(a, law, read, grids):
+    hist = st.histogram(read[0][1], a.bins)
+    csv_path = Path(str(a.out) + ".hist.csv")
+    writes = [(csv_path, hist.to_csv)]
+    if a.plot:
+        writes.append((Path(str(a.out) + ".hist.svg"), partial(_svg_bars, hist)))
+    return {"passed": True, "total": hist.total, "bins": len(hist.counts),
+            "file": str(csv_path)}, writes
+
+
+class _Check(NamedTuple):
+    times: Callable                 # flags -> the grid-n times it reads every path at
+    report: Callable                # see cmd_validate
+    grids: Callable = lambda a: ()  # flags -> the grids it reads every path's QV on
+    needs_spread: bool = False      # its statistic of a point mass is 0/0
+
+
+# the checks in report order; --check all runs them all.  Each stats function
+# is looked up at call time, where perfbench/tracer.py may have rebound it
+_CHECKS = {
+    "variance": _Check(lambda a: (0.0, a.t), lambda *r: _moment(st.increment_variance, *r)),
+    "covariance": _Check(lambda a: (a.s, a.t), lambda *r: _moment(st.covariance, *r)),
+    "skewness": _Check(lambda a: (a.t,), _skewness, needs_spread=True),
+    "qv": _Check(lambda a: (), _qv, grids=_qv_sizes),
+    "histogram": _Check(lambda a: (a.t,), _histogram),
+}
+
+
+def cmd_validate(args, argv) -> int:
     p = _params_for(args)
-    checks = []
-    extra_files: list[str] = []
-    wanted = [args.check] if args.check != "all" else [
-        "variance", "covariance", "skewness", "qv", "histogram"]
-
-    sizes = []
-    if "qv" in wanted:
-        try:
-            sizes = [int(s) for s in args.qv_sizes.split(",")]
-        except ValueError as exc:
-            raise DomainError(f"malformed --qv-sizes {args.qv_sizes!r}: {exc}") from exc
+    checks = {name: _CHECKS[name] for name in (_CHECKS if args.check == "all" else [args.check])}
+    sizes = [nn for c in checks.values() for nn in c.grids(args)]
     # one draw on the finest grid, read in one pass: each path leaves only its
     # grid-n values at the checks' times and its QV on each qv grid
     N = max([args.n, *sizes])
     slabs = path_slabs(args.paths, args.seed, NoiseKind(args.noise), p, args.process, N)
     law = WalkLaw(args.process, p, args.n, N)
-    times = sorted({x for name in wanted for x in _TIMES[name](args)})
-    # one rule refuses a point mass before any path is drawn: each walk is a
-    # chaos of order 1 + quadratic with positive coefficients, so every path is
-    # 0 at grid point m < order (0, and 1 of the Rosenblatt walk, which has no
-    # off-diagonal pair there), where t has no skewness and a qv grid no QV;
-    # the coarsest qv grid, whose law checks the sizes' range, has the fewest pairs
+    reads = {name: c.times(args) for name, c in checks.items()}
+    # a point mass is refused before the pass: each walk is a chaos of order 1 +
+    # quadratic with positive coefficients, so every path is 0 at the grid points
+    # below it; first on the coarsest qv grid, whose law checks the sizes' range
     order = 1 + law.process_tag.form.quadratic
     if sizes and WalkLaw(args.process, p, min(sizes), N).n < order:
         raise DomainError(f"qv grid {min(sizes)} has no positive mean QV: every path is 0 on it")
-    if "skewness" in wanted and grid_index(args.n, args.t) < order:
-        raise DomainError(f"--t {args.t!r} snaps to grid point {grid_index(args.n, args.t)} "
-                          f"of grid {args.n}, where every path is 0: the skewness of a "
-                          "point mass is 0/0")
+    for name, c in checks.items():
+        for x in reads[name] if c.needs_spread else ():
+            if (m := grid_index(args.n, x)) < order:
+                raise DomainError(f"t = {x!r} snaps to grid point {m} of grid {args.n}, where "
+                                  f"every path is 0: the {name} of a point mass is 0/0")
+    times = sorted({x for ts in reads.values() for x in ts})
     values, qv = st.reduce_slabs(slabs, args.paths, law,
                                  [grid_index(args.n, x) for x in times], sizes)
     at = dict(zip(times, values))
-
-    for name in wanted:
-        if name in ("variance", "covariance"):
-            s, t = _TIMES[name](args)
-            moment = st.increment_variance if name == "variance" else st.covariance
-            rep = moment(at[s], at[t], s, t, law)
-            checks.append({"check": name, "passed": rep.within(4.0), **asdict(rep)})
-        elif name == "skewness":
-            rep = st.skewness(at[args.t], args.t, law, args.seed)
-            # skew is expected exactly where the exact third cumulant is not 0
-            # (not on grid point 2 of the Rosenblatt walk, 2 c_12 xi_1 xi_2)
-            if rep.discrete:
-                ok = abs(rep.estimate) > 3.0 * rep.std_error
-                note = "expect significant skew (non-Gaussian marginal)"
-            else:
-                ok = abs(rep.estimate) < 3.0 * rep.std_error
-                note = "expect no detectable skew"
-            if rep.note is not None:
-                note = f"{rep.note}; {note}"
-            checks.append({"check": "skewness", "passed": bool(ok),
-                           **asdict(rep), "note": note})
-        elif name == "qv":
-            fit = st.qv_decay(zip(sizes, qv))
-            expo = 1 - 2 * law.hurst_index
-            ok = abs(fit.slope - expo) <= 0.15
-            if law.process_tag.form.quadratic:
-                ok = ok and all(m <= nn ** expo * (1 + 4 * se / m)
-                                for nn, m, se in zip(sizes, fit.means, fit.std_errors))
-            checks.append({"check": "qv", "passed": bool(ok),
-                           "theoretical_slope": expo, **asdict(fit)})
-        elif name == "histogram":
-            hist = st.histogram(at[args.t], args.bins)
-            csv_path = Path(str(args.out) + ".hist.csv")
-            hist.to_csv(csv_path)
-            extra_files.append(str(csv_path))
-            if args.plot:
-                svg = Path(str(args.out) + ".hist.svg")
-                _svg_bars(hist.bin_edges, hist.counts, svg)
-                extra_files.append(str(svg))
-            checks.append({"check": "histogram", "passed": True,
-                           "total": hist.total, "bins": len(hist.counts),
-                           "file": str(csv_path)})
-    return checks, extra_files
-
-
-def cmd_validate(args, argv) -> int:
-    checks, extra = _run_checks(args)
-    passed = all(c["passed"] for c in checks)
+    # each report, of its (time, values) pairs and the (grid, QV) pairs, is its
+    # entry and the (path, writer) of each file it adds; all come before the first
+    # file is written, so a refused input (an unwritable --out too) leaves none
+    reports = {name: c.report(args, law, [(x, at[x]) for x in reads[name]], list(zip(sizes, qv)))
+               for name, c in checks.items()}
+    entries = [{"check": name, **entry} for name, (entry, _) in reports.items()]
+    writes = [w for _, files in reports.values() for w in files]
+    passed = all(c["passed"] for c in entries)
     out = Path(args.out)
-    payload = {
-        "process": args.process,
-        "H": None if ProcessTag(args.process).form.from_hurst is None else args.hurst,
-        "n": args.n,
-        "paths": args.paths,
-        "seed": args.seed,
-        "noise": args.noise,
-        "checks": checks,
-        "passed": passed,
-    }
-    write_json(out, payload)
-    outputs = [str(out)] + extra
-    outputs.append(_manifest(out, "validate", args, argv, outputs))
-    for c in checks:
+    write_json(out, {"process": args.process, "H": None if p is None else args.hurst,
+                     "n": args.n, "paths": args.paths, "seed": args.seed,
+                     "noise": args.noise, "checks": entries, "passed": passed})
+    for path, write in writes:
+        write(path)
+    _manifest(out, "validate", args, argv, [str(out), *(str(path) for path, _ in writes)])
+    for c in entries:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['check']}")
     return 0 if passed else 1
 
@@ -287,7 +286,7 @@ def cmd_market(args, argv) -> int:
         print(f"arbitrage at n={trade.index}: {trade.strategy}, "
               f"pnl up {trade.pnl_up!r}, down {trade.pnl_down!r}")
 
-    outputs.append(_manifest(out, "market", args, argv, outputs))
+    _manifest(out, "market", args, argv, outputs)
     return 0
 
 
@@ -333,14 +332,13 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     v = sub.add_parser("validate", help="statistical checks against the process laws")
-    v.add_argument("--check", choices=["variance", "covariance", "skewness",
-                                       "qv", "histogram", "all"], required=True)
+    v.add_argument("--check", choices=[*_CHECKS, "all"], required=True)
     v.add_argument("--process", choices=[t.value for t in ProcessTag],
                    default="rosenblatt")
     v.add_argument("--t", type=finite, default=1.0, help="evaluation time")
     v.add_argument("--s", type=finite, default=0.5, help="second time for covariance")
     v.add_argument("--bins", type=int, default=30)
-    v.add_argument("--qv-sizes", default=",".join(str(x) for x in _QV_SIZES))
+    v.add_argument("--qv-sizes", default="16,32,64,128,256")
     _add_common(v)
     v.set_defaults(func=cmd_validate)
 
@@ -366,6 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = _build_parser()
+
+
 def _apply_config(argv: list[str]) -> list[str]:
     """Expand --config FILE (KEY=VALUE lines) into leading defaults; explicit
     flags still win because argparse takes the last occurrence."""
@@ -388,11 +389,10 @@ def _apply_config(argv: list[str]) -> list[str]:
         key, _, value = line.partition("=")
         key = key.strip().replace("_", "-")
         value = value.strip()
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                injected.append(f"--{key}")
-        else:
+        if value.lower() not in ("true", "false"):
             injected.extend([f"--{key}", value])
+        elif value.lower() == "true":
+            injected.append(f"--{key}")
     # keep the subcommand first, then injected defaults, then explicit flags
     return rest[:1] + injected + rest[1:]
 
@@ -401,8 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         expanded = _apply_config(argv)
-        parser = _build_parser()
-        args = parser.parse_args(expanded)
+        args = _PARSER.parse_args(expanded)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

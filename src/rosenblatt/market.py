@@ -262,18 +262,18 @@ def divergence_scan(witness: MarketPath) -> ArbitrageReport:
         fg_sequence=[float(v) for v in fg],
         fitted_exponent=fitted,
         theoretical_exponent=2 * Hp - 1,
-        params={"N": N, "H": cfg.H, "sigma": cfg.sigma, "n_max": N},
+        params={"N": N, "H": cfg.H, "sigma": cfg.sigma},
         note=note,
     )
 
 
 @dataclass
 class ArbitrageTrade:
-    """One-period self-financing strategy at a violation index, both branches."""
+    """One-period self-financing strategy in one unit of stock at a violation
+    index, both branches."""
 
     index: int
     strategy: str                 # "long-stock" (d-side) or "short-stock" (u-side)
-    stock_units: float
     entry_stock: float
     pnl_up: float
     pnl_down: float
@@ -319,6 +319,6 @@ def arbitrage_demo(path: MarketPath) -> ArbitrageTrade:
     if not (min(up, dn) >= 0.0 and max(up, dn) > 0.0):
         raise InconclusiveError(
             f"the trade at n={n0} is no arbitrage: {strategy}, pnl up {up!r}, down {dn!r}")
-    return ArbitrageTrade(index=n0, strategy=strategy, stock_units=1.0,
-                          entry_stock=float(path.S[n0 - 1]), pnl_up=up, pnl_down=dn)
+    return ArbitrageTrade(index=n0, strategy=strategy, entry_stock=float(path.S[n0 - 1]),
+                          pnl_up=up, pnl_down=dn)
 

@@ -725,6 +725,28 @@ class TestUsageErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--process", "walk", "--n", "8", "--paths", "2", "--plot"],
+        ["validate", "--check", "all", "--hurst", "0.8", "--n", "16", "--paths", "200",
+         "--qv-sizes", "4,8,16"],
+        ["validate", "--check", "histogram", "--process", "walk", "--n", "16",
+         "--paths", "200", "--plot"],
+        ["market", "--N", "16", "--hurst", "0.8", "--scan-divergence", "--demo-arbitrage",
+         "--witness-all-ones"],
+    ])
+    def test_out_naming_a_directory_exits_2_writing_nothing(self, tmp_path, monkeypatch,
+                                                            capsys, argv):
+        # each command writes its primary output first, so an --out that
+        # cannot be written is refused before any sidecar file exists
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        code = run(*argv, "--out", "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("via_config", [False, True])
     def test_tol_flag_exits_2(self, tmp_path, capsys, via_config):
         # no computation reads a tolerance, so the flag is gone

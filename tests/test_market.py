@@ -291,7 +291,6 @@ class TestDivergence:
         assert len(rep.fg_sequence) == 63
         assert rep.theoretical_exponent == pytest.approx(0.8)
         assert rep.first_violation is not None
-        assert rep.params["n_max"] == 64
 
     def test_all_ones_spread_strictly_positive(self, std_cfg):
         # u_n - d_n = 2 g > 0 at every binary step of the witness path
