@@ -1,10 +1,13 @@
 """Batch command-line interface: simulate / validate / market / rerun.
 
 Every command is deterministic given its full flag set; outputs are
-byte-identical across reruns.  Each primary output is accompanied by a
-manifest (<out>.manifest.json) recording the resolved command line, so
-`rosenblatt rerun MANIFEST` reproduces the artifacts exactly.  Wall time is
-reported on stderr only; nothing volatile is written into output files.
+byte-identical across reruns.  Each command computes all of its outputs, then
+hands them to the one writer, ``_write``, which writes the primary output
+(--out) first and the manifest (<out>.manifest.json), recording the resolved
+command line, last, so `rosenblatt rerun MANIFEST` reproduces the artifacts
+exactly.  A command that exits 2 or 4 leaves no output file: a write that
+fails removes the files written before it.  Wall time is reported on stderr
+only; nothing volatile is written into output files.
 
 Exit codes: 0 pass, 1 check failure, 2 usage (a bad flag or value, a size
 too large for memory or for the disk, or an output path that cannot be
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -75,18 +79,34 @@ def _parse_rate(spec: str):
     raise DomainError(f"unknown rate preset {spec!r}; use const:X, affine:X,Y or table:FILE")
 
 
-def _manifest(out: Path, command: str, args: argparse.Namespace,
-              argv: list[str], outputs: list[str]) -> None:
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "argv") and v is not None}
-    write_json(Path(str(out) + ".manifest.json"), {
+def _write(files: list[tuple[Path, Callable]], command: str, args: argparse.Namespace,
+           argv: list[str]) -> None:
+    """The one writer of a command's outputs: ``files`` are its (path, writer)
+    pairs, primary first, all computed; each ``writer(path)`` writes in turn,
+    then the manifest <primary>.manifest.json.  If a write raises (an interrupt
+    too), every file this call finished, and the one it was writing if this
+    call created it, is removed before the error propagates; a path it could
+    not open, such as an existing directory, is left as it was."""
+    manifest = {
         "command": command,
         "params": {k: (v if isinstance(v, (int, float, str, bool)) else str(v))
-                   for k, v in params.items()},
+                   for k, v in vars(args).items() if k not in ("func", "argv") and v is not None},
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "argv": argv,
-        "outputs": sorted(outputs),
-    })
+        "outputs": sorted(str(path) for path, _ in files),
+    }
+    files = [*files, (Path(f"{files[0][0]}.manifest.json"), partial(write_json, payload=manifest))]
+    done: list[Path] = []
+    for path, write in files:
+        created = not os.path.lexists(path)
+        try:
+            write(path)
+        except BaseException:
+            for written in [*done, path] if created and os.path.lexists(path) else done:
+                written.unlink()
+            raise
+        done.append(path)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +157,14 @@ def cmd_simulate(args, argv) -> int:
     # the paths go to the CSV one slab at a time; the plot reads the first
     slabs = path_slabs(*draw)
     first = next(slabs)
+    meta = ensemble_metadata(*draw)
     out = Path(args.out)
-    outputs = write_ensemble(itertools.chain([first], slabs), ensemble_metadata(*draw), out)
+    files = [(out, partial(write_ensemble, itertools.chain([first], slabs), meta)),
+             (Path(f"{out}.meta.json"), partial(write_json, payload=meta))]
     if args.plot:
-        svg = Path(str(out) + ".svg")
-        _svg_paths(np.arange(args.n + 1) / args.n, list(first[:10]), svg)
-        outputs.append(str(svg))
-    _manifest(out, "simulate", args, argv, outputs)
+        files.append((Path(f"{out}.svg"),
+                      partial(_svg_paths, np.arange(args.n + 1) / args.n, list(first[:10]))))
+    _write(files, "simulate", args, argv)
     return 0
 
 
@@ -237,20 +258,17 @@ def cmd_validate(args, argv) -> int:
                                  [grid_index(args.n, x) for x in times], sizes)
     at = dict(zip(times, values))
     # each report, of its (time, values) pairs and the (grid, QV) pairs, is its
-    # entry and the (path, writer) of each file it adds; all come before the first
-    # file is written, so a refused input (an unwritable --out too) leaves none
+    # entry and the (path, writer) of each file it adds
     reports = {name: c.report(args, law, [(x, at[x]) for x in reads[name]], list(zip(sizes, qv)))
                for name, c in checks.items()}
     entries = [{"check": name, **entry} for name, (entry, _) in reports.items()]
     writes = [w for _, files in reports.values() for w in files]
     passed = all(c["passed"] for c in entries)
-    out = Path(args.out)
-    write_json(out, {"process": args.process, "H": None if p is None else args.hurst,
-                     "n": args.n, "paths": args.paths, "seed": args.seed,
-                     "noise": args.noise, "checks": entries, "passed": passed})
-    for path, write in writes:
-        write(path)
-    _manifest(out, "validate", args, argv, [str(out), *(str(path) for path, _ in writes)])
+    report = {"process": args.process, "H": None if p is None else args.hurst, "n": args.n,
+              "paths": args.paths, "seed": args.seed, "noise": args.noise,
+              "checks": entries, "passed": passed}
+    _write([(Path(args.out), partial(write_json, payload=report)), *writes],
+           "validate", args, argv)
     for c in entries:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['check']}")
     return 0 if passed else 1
@@ -261,32 +279,23 @@ def cmd_market(args, argv) -> int:
                        rate_a=_parse_rate(args.rate_a), S0=args.S0, B0=args.B0,
                        H=args.hurst)
     # the realised path and, for the scan or the witness demo, the all-ones
-    # witness path, from one branch pass; every output is computed before the
-    # first is written, so a refused input leaves no file behind
+    # witness path, from one branch pass
     xi = [make_noise(args.N, NoiseKind.RADEMACHER, args.seed)]
     if args.scan_divergence or (args.demo_arbitrage and args.witness_all_ones):
         xi.append(np.ones(args.N))
     path, *witness = build_markets(cfg, xi)
-    report = divergence_scan(witness[0]) if args.scan_divergence else None
+    out = Path(args.out)
+    files = [(out, path.to_csv)]
+    if args.scan_divergence:
+        files.append((Path(f"{out}.scan.json"), divergence_scan(witness[0]).to_json))
     trade = None
     if args.demo_arbitrage:
         trade = arbitrage_demo(witness[0] if args.witness_all_ones else path)
-
-    out = Path(args.out)
-    path.to_csv(out)
-    outputs = [str(out)]
-    if report is not None:
-        scan_path = Path(str(out) + ".scan.json")
-        report.to_json(scan_path)
-        outputs.append(str(scan_path))
+        files.append((Path(f"{out}.trade.json"), partial(write_json, payload=asdict(trade))))
+    _write(files, "market", args, argv)
     if trade is not None:
-        trade_path = Path(str(out) + ".trade.json")
-        write_json(trade_path, asdict(trade))
-        outputs.append(str(trade_path))
         print(f"arbitrage at n={trade.index}: {trade.strategy}, "
               f"pnl up {trade.pnl_up!r}, down {trade.pnl_down!r}")
-
-    _manifest(out, "market", args, argv, outputs)
     return 0
 
 

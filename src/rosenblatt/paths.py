@@ -296,26 +296,6 @@ def simulate_ensemble(count: int, master_seed: int, kind: NoiseKind | str,
 # file formats
 # ---------------------------------------------------------------------------
 
-def ensemble_to_csv(slabs: Iterable[np.ndarray], path: str | Path) -> None:
-    """Long-format CSV of the paths in ``slabs``, (rows, n + 1) arrays in row
-    order: header path_id,m,t,value; one row per path per grid time.
-
-    Every number is its shortest round-trip repr; each path is one write,
-    its lines built from the slab's ",m,t," middles.  A slab is written
-    before the next is asked for.
-    """
-    k = 0
-    with open(path, "w") as fh:
-        fh.write("path_id,m,t,value\n")
-        for slab in slabs:
-            n = slab.shape[1] - 1
-            middles = [f",{m},{m / n!r}," for m in range(n + 1)]
-            for row in slab:
-                fh.write("".join([f"{k}{mid}{v!r}\n"
-                                  for mid, v in zip(middles, row.tolist())]))
-                k += 1
-
-
 def ensemble_metadata(count: int, master_seed: int, kind: NoiseKind | str,
                       p: HurstParams | None, process_tag: ProcessTag | str,
                       n: int) -> dict:
@@ -344,23 +324,29 @@ def write_json(path: str | Path, payload: dict) -> None:
 _MIN_CSV_LINE = 12
 
 
-def write_ensemble(slabs: Iterable[np.ndarray], meta: dict,
-                   csv_path: str | Path) -> list[str]:
-    """CSV of the paths in ``slabs`` plus ``meta`` (``ensemble_metadata``) as
-    its JSON sidecar; returns the files written.
+def write_ensemble(slabs: Iterable[np.ndarray], meta: dict, csv_path: str | Path) -> None:
+    """Long-format CSV of the paths in ``slabs``, (rows, n + 1) arrays in row
+    order, of the ensemble ``meta`` (``ensemble_metadata``) describes: header
+    path_id,m,t,value; one row per path per grid time.
 
-    Refuses, before anything is written, a CSV that could not fit in the
-    free space of its directory (at least ``_MIN_CSV_LINE`` bytes per line):
-    the slabs are written as they come, so no memory bound stops an
-    ensemble too large to write.
+    Every number is its shortest round-trip repr; each path is one write, its
+    lines built from the slab's ",m,t," middles, and a slab is written before
+    the next is asked for, so no memory bound stops an ensemble too large to
+    write.  Hence a CSV that could not fit in the free space of its directory
+    (at least ``_MIN_CSV_LINE`` bytes per line) is refused before it is opened.
     """
-    csv_path = Path(csv_path)
     need = _MIN_CSV_LINE * meta["M"] * (meta["n"] + 1)
-    free = shutil.disk_usage(csv_path.absolute().parent).free
+    free = shutil.disk_usage(Path(csv_path).absolute().parent).free
     if need > free:
         raise OSError(errno.ENOSPC, f"the CSV of {meta['M']} paths on grid {meta['n']} "
                       f"needs at least {need} bytes; {free} are free", str(csv_path))
-    ensemble_to_csv(slabs, csv_path)
-    meta_path = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    write_json(meta_path, meta)
-    return [str(csv_path), str(meta_path)]
+    k = 0
+    with open(csv_path, "w") as fh:
+        fh.write("path_id,m,t,value\n")
+        for slab in slabs:
+            n = slab.shape[1] - 1
+            middles = [f",{m},{m / n!r}," for m in range(n + 1)]
+            for row in slab:
+                fh.write("".join([f"{k}{mid}{v!r}\n"
+                                  for mid, v in zip(middles, row.tolist())]))
+                k += 1

@@ -1,7 +1,9 @@
 """Command-line contract: flags, exit codes, file outputs, determinism."""
+import errno
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import fields
@@ -725,27 +727,86 @@ class TestUsageErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--process", "walk", "--n", "8", "--paths", "2", "--plot"],
-        ["validate", "--check", "all", "--hurst", "0.8", "--n", "16", "--paths", "200",
-         "--qv-sizes", "4,8,16"],
-        ["validate", "--check", "histogram", "--process", "walk", "--n", "16",
-         "--paths", "200", "--plot"],
-        ["market", "--N", "16", "--hurst", "0.8", "--scan-divergence", "--demo-arbitrage",
-         "--witness-all-ones"],
+    _SIMULATE = ["simulate", "--process", "walk", "--n", "8", "--paths", "2", "--plot"]
+    _HISTOGRAM = ["validate", "--check", "histogram", "--process", "walk", "--n", "16",
+                  "--paths", "200", "--plot"]
+    _MARKET = ["market", "--N", "16", "--hurst", "0.8", "--scan-divergence",
+               "--demo-arbitrage", "--witness-all-ones"]
+
+    @pytest.mark.parametrize("argv, taken", [
+        pytest.param(_SIMULATE, "", id="argv0"),
+        pytest.param(["validate", "--check", "all", "--hurst", "0.8", "--n", "16",
+                      "--paths", "200", "--qv-sizes", "4,8,16"], "", id="argv1"),
+        pytest.param(_HISTOGRAM, "", id="argv2"),
+        pytest.param(_MARKET, "", id="argv3"),
+        *(pytest.param(argv, suffix, id=f"{argv[0]}{suffix}")
+          for argv, suffixes in [(_SIMULATE, [".meta.json", ".svg", ".manifest.json"]),
+                                 (_HISTOGRAM, [".hist.csv", ".hist.svg", ".manifest.json"]),
+                                 (_MARKET, [".scan.json", ".trade.json", ".manifest.json"])]
+          for suffix in suffixes),
     ])
     def test_out_naming_a_directory_exits_2_writing_nothing(self, tmp_path, monkeypatch,
-                                                            capsys, argv):
-        # each command writes its primary output first, so an --out that
-        # cannot be written is refused before any sidecar file exists
+                                                            capsys, argv, taken):
+        # an empty directory where the primary output or one of its sidecars
+        # goes: the write that meets it fails, and the files written before
+        # it are removed, so the directory is all that is left
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "out").mkdir()
+        (tmp_path / f"out{taken}").mkdir()
         code = run(*argv, "--out", "out")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert [p.name for p in tmp_path.iterdir()] == ["out"]
-        assert list((tmp_path / "out").iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == [f"out{taken}"]
+        assert list((tmp_path / f"out{taken}").iterdir()) == []
+
+    @staticmethod
+    def _part_then_raise(exc):
+        """A writer that writes the start of its file, then raises ``exc``."""
+        def write(*args):
+            with open(args[-1], "w") as fh:
+                fh.write("path_id,m,t,value\n0,0")
+                raise exc
+        return write
+
+    @pytest.mark.parametrize("argv, target", [
+        (_SIMULATE, "rosenblatt.cli.write_ensemble"),
+        (_MARKET, "rosenblatt.market.MarketPath.to_csv"),
+    ], ids=["ensemble-csv", "market-csv"])
+    def test_write_failing_midway_exits_2_leaving_nothing(self, tmp_path, monkeypatch,
+                                                          capsys, argv, target):
+        monkeypatch.setattr(target, self._part_then_raise(
+            OSError(errno.ENOSPC, "No space left on device")))
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_sidecar_removes_a_primary_that_existed(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # the run replaced the old primary's content before the sidecar failed,
+        # so keeping it would leave a file of this run without its manifest
+        monkeypatch.chdir(tmp_path)
+        Path("out").write_text("an earlier run\n")
+        Path("out.svg").mkdir()
+        assert run(*self._SIMULATE, "--out", "out") == 2
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["out.svg"]
+
+    def test_interrupt_in_csv_writer_propagates_leaving_nothing(self, tmp_path, monkeypatch):
+        import rosenblatt.cli as cli
+        real = cli.path_slabs
+
+        def interrupted(*args):
+            slabs = real(*args)
+            yield next(slabs)
+            raise KeyboardInterrupt
+
+        # the first slab is drawn before the write; the interrupt comes in the
+        # CSV writer, once it has written the header and that slab
+        monkeypatch.setattr(cli, "path_slabs", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(*self._SIMULATE, "--out", str(tmp_path / "out"))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("via_config", [False, True])
     def test_tol_flag_exits_2(self, tmp_path, capsys, via_config):
@@ -867,9 +928,12 @@ class TestMemos:
         assert [name for name, count in hits.items() if count == 0] == []
 
 
-# Boundary values of each validate flag: mostly ones the parser takes, and a
-# few it refuses.  A flag is left out (its default) with probability
-# _FUZZ_OMIT, 0.3 unless listed.
+# Boundary values of each flag of a command: mostly ones the parser takes, and
+# a few it refuses.  A flag is left out (its default) with probability
+# _FUZZ_OMIT, 0.3 unless listed; each switch is given with probability 1/2.
+_HURST = (["0.5000001", "0.51", "0.76", "0.8", "0.99", "0.9999999"], ["0.5", "0.75", "1", "nan"])
+_SEED = (["0", "1", "-1", "18446744073709551617"], ["x", "1.5"])
+_RATE = ["const:nan", "affine:1", "affine:0,inf", "cosh:1", "const:", "table:absent.csv"]
 _FUZZ_FLAGS = {
     "--t": (["0", "0.001", "0.07", "0.0625", "0.25", "0.5", "0.51", "0.999", "1"],
             ["-0.5", "1.0000001", "nan", "x"]),
@@ -881,10 +945,57 @@ _FUZZ_FLAGS = {
     "--process": (["walk", "fbm", "rosenblatt"], ["brownian"]),
     "--check": (["variance", "covariance", "skewness", "qv", "histogram", "all"], ["none"]),
     "--noise": (["rademacher", "gaussian"], ["cauchy"]),
-    "--hurst": (["0.5000001", "0.51", "0.76", "0.8", "0.99", "0.9999999"],
-                ["0.5", "0.75", "1", "nan"]),
+    "--hurst": _HURST,
 }
 _FUZZ_OMIT = {"--check": 0.02, "--process": 0.2, "--hurst": 0.05, "--paths": 0.05}
+_FUZZ = {
+    "validate": (_FUZZ_FLAGS, _FUZZ_OMIT, []),
+    "simulate": ({
+        "--process": (["walk", "fbm", "rosenblatt"], ["brownian"]),
+        "--hurst": _HURST,
+        "--n": (["1", "2", "3", "7", "16", "64"], ["-1", "0", "x"]),
+        "--paths": (["1", "2", "3", "129"], ["-1", "0", "x"]),
+        "--seed": _SEED,
+        "--noise": (["rademacher", "gaussian"], ["cauchy"]),
+    }, {"--process": 0.02, "--hurst": 0.05}, ["--plot"]),
+    "market": ({
+        "--N": (["2", "3", "4", "5", "16", "63", "64"], ["-1", "0", "1", "x"]),
+        "--hurst": _HURST,
+        "--sigma": (["0", "1e-300", "0.5", "1", "20", "1e300"], ["nan", "inf", "x"]),
+        "--rate-r": (["const:0.5", "const:0", "const:-1", "affine:0.1,0.2", "const:1e308"],
+                     _RATE),
+        "--rate-a": (["const:0", "const:0.5", "const:-3", "affine:0,1e-3"], _RATE),
+        "--S0": (["1", "1e-300", "0.5", "1e300"], ["0", "-1", "nan", "x"]),
+        "--B0": (["1", "2", "1e300"], ["0", "-1", "inf", "x"]),
+        "--seed": _SEED,
+    }, {"--hurst": 0.05}, ["--scan-divergence", "--demo-arbitrage", "--witness-all-ones"]),
+}
+
+
+def _fuzz_argv(rng, command: str) -> list[str]:
+    flags, omit, switches = _FUZZ[command]
+    argv = [command]
+    for flag, (taken, refused) in flags.items():
+        if rng.random() >= omit.get(flag, 0.3):
+            argv += [flag, rng.choice(refused if rng.random() < 0.04 else taken)]
+    return argv + [switch for switch in switches if rng.random() < 0.5]
+
+
+def _fuzz_run(argv, tmp_path, capsys, keep=()) -> int:
+    """Run ``argv`` and check the exit-code contract: 0, 1, 2 or 4, nothing
+    raised, and an exit 2 or 4 prints one error: or inconclusive: line and
+    leaves no file but ``keep``.  Then removes every file but ``keep``."""
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 4), argv
+    if code in (2, 4):
+        assert len([line for line in err.splitlines()
+                    if "error:" in line or "inconclusive:" in line]) == 1, argv
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(keep), argv
+    for path in tmp_path.iterdir():
+        if path.name not in keep:
+            path.unlink()
+    return code
 
 
 class TestValidateFuzz:
@@ -894,26 +1005,46 @@ class TestValidateFuzz:
     prints one error: line and leaves no file."""
 
     def test_exit_codes_hold(self, tmp_path, capsys):
-        import random
         rng = random.Random(0)
-        out = tmp_path / "rep.json"
-        codes = []
-        for _ in range(2000):
-            argv = ["validate"]
-            for flag, (taken, refused) in _FUZZ_FLAGS.items():
-                if rng.random() >= _FUZZ_OMIT.get(flag, 0.3):
-                    argv += [flag, rng.choice(refused if rng.random() < 0.04 else taken)]
-            code = run(*argv, "--out", str(out))
-            codes.append(code)
-            err = capsys.readouterr().err
-            assert code in (0, 1, 2), argv
-            if code == 2:
-                assert len([line for line in err.splitlines() if "error:" in line]) == 1, argv
-                assert list(tmp_path.iterdir()) == [], argv
-            for path in tmp_path.iterdir():
-                path.unlink()
+        out = str(tmp_path / "rep.json")
+        codes = [_fuzz_run([*_fuzz_argv(rng, "validate"), "--out", out], tmp_path, capsys)
+                 for _ in range(2000)]
         # every exit code is reached, so the values reach past the parser
         assert set(codes) == {0, 1, 2}
+
+
+class TestCommandFuzz:
+    """The seeded fuzz of ``TestValidateFuzz`` for ``simulate``, ``market`` and
+    ``rerun``, at tiny sizes: the exit-code contract only, no verdict.  A
+    rerun replays a fuzzed simulate, market or validate command from its
+    manifest, or reads a manifest that is malformed or absent."""
+
+    def _rerun_argv(self, rng, tmp_path) -> tuple[list[str], tuple[str, ...]]:
+        manifest = tmp_path / "in.manifest.json"
+        replay = [*_fuzz_argv(rng, rng.choice(["simulate", "market", "validate"])),
+                  "--out", str(tmp_path / "out")]
+        payload = rng.choice([{"argv": replay}] * 12 + [
+            {"argv": ["rerun", str(manifest)]}, {"argv": ["--config", "absent.cfg", *replay]},
+            {"argv": [*replay[:-1], 7]}, {"command": replay[0]}, replay, "{", None])
+        if payload is None:
+            manifest.unlink(missing_ok=True)
+            return ["rerun", str(manifest)], ()
+        manifest.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        return ["rerun", str(manifest)], (manifest.name,)
+
+    @pytest.mark.parametrize("command, seed, reached", [
+        ("simulate", 1, {0, 2}), ("market", 2, {0, 2, 4}), ("rerun", 3, {0, 1, 2, 4})],
+        ids=["simulate", "market", "rerun"])
+    def test_exit_codes_hold(self, tmp_path, capsys, command, seed, reached):
+        rng = random.Random(seed)
+        codes = set()
+        for _ in range(500):
+            if command == "rerun":
+                argv, keep = self._rerun_argv(rng, tmp_path)
+            else:
+                argv, keep = [*_fuzz_argv(rng, command), "--out", str(tmp_path / "out")], ()
+            codes.add(_fuzz_run(argv, tmp_path, capsys, keep))
+        assert codes == reached
 
 
 class TestPinnedBytes:

@@ -1,5 +1,4 @@
 """Noise generation, the three walks, ensembles, and their exact moments."""
-import json
 import math
 import tracemalloc
 
@@ -10,7 +9,7 @@ from rosenblatt import (DomainError, HurstParams, NoiseKind, ProcessTag,
                         discrete_moment, make_noise, simulate_ensemble)
 from rosenblatt.kernel import _matmul, fbm_matrix, get_engine
 from rosenblatt.paths import (_SLAB, WalkLaw, derive_seed, ensemble_metadata,
-                              ensemble_to_csv, grid_index, path_slabs, scale_to_grid,
+                              grid_index, path_slabs, scale_to_grid,
                               write_ensemble, write_json)
 
 from oracles import direct_rosenblatt_walk
@@ -279,15 +278,15 @@ class TestEnsembles:
     def test_csv_and_metadata(self, p07, tmp_path):
         Z = simulate_ensemble(3, 9, "rademacher", p07, "rosenblatt", 8)
         csv_path = tmp_path / "ens.csv"
-        files = write_ensemble([Z], ensemble_metadata(3, 9, "rademacher", p07,
-                                                      "rosenblatt", 8), csv_path)
+        meta = ensemble_metadata(3, 9, "rademacher", p07, "rosenblatt", 8)
+        assert meta == {"H": 0.7, "n": 8, "M": 3, "kind": "rademacher",
+                        "seed": 9, "process": "rosenblatt"}
+        # the CSV alone: the metadata sidecar is the command's to write
+        assert write_ensemble([Z], meta, csv_path) is None
+        assert [p.name for p in tmp_path.iterdir()] == ["ens.csv"]
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "path_id,m,t,value"
         assert len(lines) == 1 + 3 * 9
-        meta = json.loads((tmp_path / "ens.csv.meta.json").read_text())
-        assert meta == {"H": 0.7, "n": 8, "M": 3, "kind": "rademacher",
-                        "seed": 9, "process": "rosenblatt"}
-        assert len(files) == 2
         # every value round-trips through repr exactly
         row = lines[5].split(",")
         k, m = int(row[0]), int(row[1])
@@ -298,7 +297,8 @@ class TestEnsembles:
         # the per-line formatting the writer batches, kept as its reference
         M, n = 5, 7
         Z = simulate_ensemble(M, 3, "gaussian", p07, process, n)
-        ensemble_to_csv([Z], tmp_path / "ens.csv")
+        write_ensemble([Z], ensemble_metadata(M, 3, "gaussian", p07, process, n),
+                       tmp_path / "ens.csv")
         want = ["path_id,m,t,value\n"]
         for k in range(M):
             for m in range(n + 1):
