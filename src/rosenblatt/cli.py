@@ -2,12 +2,12 @@
 
 Every command is deterministic given its full flag set; outputs are
 byte-identical across reruns.  Each command computes all of its outputs, then
-hands them to the one writer, ``_write``, which writes the primary output
-(--out) first and the manifest (<out>.manifest.json), recording the resolved
-command line, last, so `rosenblatt rerun MANIFEST` reproduces the artifacts
-exactly.  A command that exits 2 or 4 leaves no output file: a write that
-fails removes the files written before it.  Wall time is reported on stderr
-only; nothing volatile is written into output files.
+hands them to the one publish step, ``_write``, which puts the primary output
+(--out) in place first and the manifest (<out>.manifest.json), recording the
+resolved command line, last, so `rosenblatt rerun MANIFEST` reproduces the
+artifacts exactly.  A run either publishes all of its outputs or changes
+nothing.  Wall time is reported on stderr only; nothing volatile is written
+into output files.
 
 Exit codes: 0 pass, 1 check failure, 2 usage (a bad flag or value, a size
 too large for memory or for the disk, or an output path that cannot be
@@ -16,6 +16,7 @@ written), 4 inconclusive (arbitrage demo found no violation at this scale).
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -81,12 +82,12 @@ def _parse_rate(spec: str):
 
 def _write(files: list[tuple[Path, Callable]], command: str, args: argparse.Namespace,
            argv: list[str]) -> None:
-    """The one writer of a command's outputs: ``files`` are its (path, writer)
-    pairs, primary first, all computed; each ``writer(path)`` writes in turn,
-    then the manifest <primary>.manifest.json.  If a write raises (an interrupt
-    too), every file this call finished, and the one it was writing if this
-    call created it, is removed before the error propagates; a path it could
-    not open, such as an existing directory, is left as it was."""
+    """The one publish step of a command's outputs: ``files`` are its (path,
+    writer) pairs, primary first, all computed; the manifest
+    <primary>.manifest.json goes last.  Each ``writer`` writes a temporary
+    .<name>.part beside its path's target (a symlink is written through); once
+    all are written they are renamed into place in that order.  If a write
+    raises (an interrupt too), or a path is a directory, no output changes."""
     manifest = {
         "command": command,
         "params": {k: (v if isinstance(v, (int, float, str, bool)) else str(v))
@@ -97,16 +98,22 @@ def _write(files: list[tuple[Path, Callable]], command: str, args: argparse.Name
         "outputs": sorted(str(path) for path, _ in files),
     }
     files = [*files, (Path(f"{files[0][0]}.manifest.json"), partial(write_json, payload=manifest))]
-    done: list[Path] = []
-    for path, write in files:
-        created = not os.path.lexists(path)
-        try:
-            write(path)
-        except BaseException:
-            for written in [*done, path] if created and os.path.lexists(path) else done:
-                written.unlink()
-            raise
-        done.append(path)
+    targets = [path.resolve() for path, _ in files]
+    if dirs := [path for (path, _), target in zip(files, targets) if target.is_dir()]:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(dirs[0]))
+    parts = [target.with_name(f".{target.name}.part") for target in targets]
+    try:
+        for (path, write), part in zip(files, parts):
+            write(part)
+        for (path, _), part, target in zip(files, parts, targets):
+            os.replace(part, target)
+    except OSError as exc:  # an error names the output, never its temporary
+        if exc.filename is not None:
+            exc.filename, exc.filename2 = str(path), None
+        raise
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ are tested against, each written in a different evaluation order:
 * ``panel_block`` - a block's node tables built panel by panel, the
   incomplete beta closed form evaluated per panel and node family;
 * ``direct_rosenblatt_walk`` - xi' C(m) xi against the full weight table;
+* ``full_coefficient_matrix`` - c_ij(n) with the diagonal the walk zeroes;
 * ``bs_limit`` - the continuous-limit prices driven by a walk path.
 
 The point rules read one geometrically graded composite Gauss-Legendre rule
@@ -24,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from rosenblatt import DomainError, HurstParams, MarketConfig, grid_index
-from rosenblatt.kernel import _NODES, get_engine
+from rosenblatt.kernel import _NODES, _gram, get_engine
 
 # ``_graded``'s rule: panels per graded end, each this factor narrower toward
 # it, and Gauss-Legendre nodes per panel.
@@ -239,6 +240,20 @@ def direct_rosenblatt_walk(xi: np.ndarray, p: HurstParams) -> np.ndarray:
         C[:m, :m] += eng.delta_table(m)
         values[m] = xi @ C @ xi
     return values
+
+
+def full_coefficient_matrix(n: int, p: HurstParams) -> np.ndarray:
+    """The (n, n) coefficient matrix of grid n with its diagonal kept: the
+    engine's ``_gram`` sum over its blocks times n dH, symmetrised, read
+    before ``_scaled`` zeroes the diagonal cells, which the walk leaves out
+    and which criterion 2's deficit partly is."""
+    eng = get_engine(n, p)
+    G = np.zeros((n, n))
+    for t in eng._blocks:
+        last = t["A_gl"].shape[0]
+        G[:last, :last] += _gram(eng._cut(t, t["lo"], last))
+    G *= n * p.dH
+    return 0.5 * (G + G.T)
 
 
 # ---------------------------------------------------------------------------

@@ -723,9 +723,12 @@ class TestUsageErrors:
         ["market", "--N", "16", "--hurst", "0.8"],
     ])
     def test_out_in_missing_directory_exits_2(self, tmp_path, capsys, argv):
-        code = run(*argv, "--out", str(tmp_path / "nodir" / "x.csv"))
+        out = str(tmp_path / "nodir" / "x.csv")
+        code = run(*argv, "--out", out)
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        # the write goes to a temporary, but the error names the output
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(out) in err and ".part" not in err
 
     _SIMULATE = ["simulate", "--process", "walk", "--n", "8", "--paths", "2", "--plot"]
     _HISTOGRAM = ["validate", "--check", "histogram", "--process", "walk", "--n", "16",
@@ -768,29 +771,55 @@ class TestUsageErrors:
                 raise exc
         return write
 
-    @pytest.mark.parametrize("argv, target", [
-        (_SIMULATE, "rosenblatt.cli.write_ensemble"),
-        (_MARKET, "rosenblatt.market.MarketPath.to_csv"),
-    ], ids=["ensemble-csv", "market-csv"])
+    @pytest.mark.parametrize("argv, target, earlier", [
+        (_SIMULATE, "rosenblatt.cli.write_ensemble", None),
+        (_MARKET, "rosenblatt.market.MarketPath.to_csv", None),
+        (_SIMULATE, "rosenblatt.cli.write_ensemble", b"an earlier run\n"),
+        (_MARKET, "rosenblatt.market.MarketPath.to_csv", b"an earlier run\n"),
+    ], ids=["ensemble-csv", "market-csv", "ensemble-csv-over-earlier", "market-csv-over-earlier"])
     def test_write_failing_midway_exits_2_leaving_nothing(self, tmp_path, monkeypatch,
-                                                          capsys, argv, target):
+                                                          capsys, argv, target, earlier):
+        # a primary that existed before the run keeps its bytes: the failed
+        # write went to a temporary beside it, never to the file itself
+        out = tmp_path / "out"
+        if earlier is not None:
+            out.write_bytes(earlier)
         monkeypatch.setattr(target, self._part_then_raise(
             OSError(errno.ENOSPC, "No space left on device")))
-        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert run(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == ([] if earlier is None else [out])
+        assert earlier is None or out.read_bytes() == earlier
 
-    def test_failing_sidecar_removes_a_primary_that_existed(self, tmp_path, monkeypatch,
-                                                            capsys):
-        # the run replaced the old primary's content before the sidecar failed,
-        # so keeping it would leave a file of this run without its manifest
+    def test_failing_sidecar_keeps_a_primary_that_existed(self, tmp_path, monkeypatch, capsys):
+        # a sidecar path that is a directory is refused before anything is
+        # written, so the old primary is left byte for byte
         monkeypatch.chdir(tmp_path)
-        Path("out").write_text("an earlier run\n")
+        Path("out").write_bytes(b"an earlier run\n")
         Path("out.svg").mkdir()
         assert run(*self._SIMULATE, "--out", "out") == 2
-        assert "error:" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["out.svg"]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'out.svg'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.svg"]
+        assert Path("out").read_bytes() == b"an earlier run\n"
+        assert list(Path("out.svg").iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [_SIMULATE, _MARKET], ids=["simulate", "market"])
+    def test_symlinked_out_writes_through_to_its_target(self, tmp_path, monkeypatch, argv):
+        # the run replaces the link's target and keeps the link; the sidecars
+        # and the manifest sit beside the link, as the manifest records them
+        monkeypatch.chdir(tmp_path)
+        Path("data").mkdir()
+        Path("data/real.csv").write_text("an earlier run\n")
+        Path("out").symlink_to("data/real.csv")
+        assert run(*argv, "--out", "out") == 0
+        assert Path("out").is_symlink() and os.readlink("out") == "data/real.csv"
+        assert Path("data/real.csv").read_text().startswith(("path_id,", "n,t,"))
+        assert os.listdir("data") == ["real.csv"]
+        manifest = json.loads(Path("out.manifest.json").read_text())
+        assert "out" in manifest["outputs"]
+        assert all(Path(name).is_file() for name in manifest["outputs"])
 
     def test_interrupt_in_csv_writer_propagates_leaving_nothing(self, tmp_path, monkeypatch):
         import rosenblatt.cli as cli
@@ -1017,7 +1046,9 @@ class TestCommandFuzz:
     """The seeded fuzz of ``TestValidateFuzz`` for ``simulate``, ``market`` and
     ``rerun``, at tiny sizes: the exit-code contract only, no verdict.  A
     rerun replays a fuzzed simulate, market or validate command from its
-    manifest, or reads a manifest that is malformed or absent."""
+    manifest, or reads a manifest that is malformed or absent.  Every run
+    starts over an ``--out`` file of an earlier run, which an exit 2 or 4
+    leaves byte for byte."""
 
     def _rerun_argv(self, rng, tmp_path) -> tuple[list[str], tuple[str, ...]]:
         manifest = tmp_path / "in.manifest.json"
@@ -1038,12 +1069,16 @@ class TestCommandFuzz:
     def test_exit_codes_hold(self, tmp_path, capsys, command, seed, reached):
         rng = random.Random(seed)
         codes = set()
+        out = tmp_path / "out"
         for _ in range(500):
             if command == "rerun":
                 argv, keep = self._rerun_argv(rng, tmp_path)
             else:
-                argv, keep = [*_fuzz_argv(rng, command), "--out", str(tmp_path / "out")], ()
-            codes.add(_fuzz_run(argv, tmp_path, capsys, keep))
+                argv, keep = [*_fuzz_argv(rng, command), "--out", str(out)], ()
+            out.write_bytes(b"an earlier run\n")
+            code = _fuzz_run(argv, tmp_path, capsys, (*keep, out.name))
+            assert code in (0, 1) or out.read_bytes() == b"an earlier run\n", argv
+            codes.add(code)
         assert codes == reached
 
 

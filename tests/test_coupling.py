@@ -15,7 +15,10 @@ The identity holds only if the cell weights of the two grids add up: off
 the diagonal, each c_ij(m) of grid n must be the sum of the four weights of
 grid 2n on its sub-cells, halved.  The discrete self-similarity tests
 compare grids at the same cell sizes and cannot see an error in that sum.
-The Monte Carlo test runs the coupled noise through the walk's own pass.
+With the diagonal cells kept (the double Wiener integral of the kernel
+averaged over every cell pair) the same identity holds, so the weights the
+walk zeroes are consistent across grids too.  The Monte Carlo test runs the
+coupled noise through the walk's own pass.
 """
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from rosenblatt import HurstParams
 from rosenblatt.kernel import get_engine
 from rosenblatt.paths import WalkLaw
 from rosenblatt.stats import discrete_moment
+
+from oracles import full_coefficient_matrix
 
 
 def _pair_sum(n: int) -> np.ndarray:
@@ -42,6 +47,19 @@ def test_coupled_distance_is_the_variance_gap(H, n):
         distance = 2 * np.sum((P.T @ Cn @ P - C2n) ** 2)
         gap = 2 * np.sum(C2n ** 2) - 2 * np.sum(Cn ** 2)
         assert distance == pytest.approx(gap, rel=1e-13, abs=0.0), m
+
+
+@pytest.mark.parametrize("H", [0.6, 0.8])
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_coupled_distance_with_the_diagonal_is_the_variance_gap(H, n):
+    p = HurstParams(H)
+    Cn, C2n, P = full_coefficient_matrix(n, p), full_coefficient_matrix(2 * n, p), _pair_sum(n)
+    # off the diagonal the reader is the walk's own matrix, bit for bit
+    assert np.array_equal(Cn - np.diag(np.diag(Cn)), get_engine(n, p).table_matrix(n))
+    assert np.all(np.diag(Cn) > 0.0)
+    distance = 2 * np.sum((P.T @ Cn @ P - C2n) ** 2)
+    gap = 2 * np.sum(C2n ** 2) - 2 * np.sum(Cn ** 2)
+    assert abs(distance - gap) <= 1e-13 * 2 * np.sum(C2n ** 2)
 
 
 def _walk(n: int, p: HurstParams, noise: np.ndarray) -> np.ndarray:
