@@ -121,7 +121,6 @@ class MarketPath:
     u: np.ndarray            # u_1..u_N (u_1 = d_1 = 0: degenerate first period)
     d: np.ndarray
     r_minus_a: np.ndarray    # per-period r_n - a_n
-    breakdown_at: int | None = None
 
     @property
     def violated(self) -> np.ndarray:
@@ -162,12 +161,12 @@ def build_markets(cfg: MarketConfig, xi) -> list[MarketPath]:
     One streamed branch pass gives every path's u and d; X_n is u_n where
     xi_n = +1 and d_n where xi_n = -1, so X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi)
     holds bit for bit, and each path has the bits of its own one-path pass.
-    Nonpositive stock prices are reported in `breakdown_at`, never repaired.
-    Prices or branch returns that overflow to an infinity or a NaN are kept
-    as computed: each output checks the values it reads (``to_csv`` its
-    columns, ``divergence_scan`` d, ``arbitrage_demo`` the steps up to its
-    trade), so an overflow late on the witness path refuses no output that
-    does not read it.
+    Nonpositive stock prices are kept, never repaired (``no_arbitrage_check``
+    skips the steps after one).  Prices or branch returns that overflow to an
+    infinity or a NaN are kept as computed: each output checks the values it
+    reads (``to_csv`` its columns, ``divergence_scan`` d, ``arbitrage_demo``
+    the steps up to its trade), so an overflow late on the witness path
+    refuses no output that does not read it.
     """
     xi = np.array(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[0] == 0 or xi.shape[1] != cfg.N:
@@ -180,16 +179,10 @@ def build_markets(cfg: MarketConfig, xi) -> list[MarketPath]:
         B = cfg.B0 * np.cumprod(np.concatenate([[1.0], 1.0 + r]))
         r_minus_a = r - a
         Xs = np.where(xi > 0, branches[:, 0], branches[:, 1])
-        Ss = [cfg.S0 * np.cumprod(np.concatenate([[1.0], 1.0 + a + X])) for X in Xs]
-    paths = []
-    for row, (u, d), X, S in zip(xi, branches, Xs, Ss):
-        breakdown = None
-        bad = np.nonzero(S[1:] <= 0)[0]
-        if bad.size:
-            breakdown = int(bad[0] + 1)
-        paths.append(MarketPath(cfg=cfg, xi=row, X=X, B=B, S=S, u=u, d=d,
-                                r_minus_a=r_minus_a, breakdown_at=breakdown))
-    return paths
+        growth = np.hstack([np.ones((len(xi), 1)), 1.0 + a + Xs])
+        Ss = cfg.S0 * np.cumprod(growth, axis=1)
+    return [MarketPath(cfg=cfg, xi=row, X=X, B=B, S=S, u=u, d=d, r_minus_a=r_minus_a)
+            for row, (u, d), X, S in zip(xi, branches, Xs, Ss)]
 
 
 def build_market(cfg: MarketConfig, xi) -> MarketPath:

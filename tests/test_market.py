@@ -217,12 +217,6 @@ class TestBuildMarket:
         assert std_path.u[0] == 0.0 and std_path.d[0] == 0.0
         assert not std_path.violated[0]
 
-    def test_breakdown_diagnostic(self):
-        cfg = cfg_with(N=32, sigma=60.0)
-        path = build_market(cfg, make_noise(32, "rademacher", 12))
-        assert path.breakdown_at is not None
-        assert path.S[path.breakdown_at] <= 0.0
-
     def test_overflow_is_kept_and_refused_by_each_reader(self, tmp_path):
         # only the witness's S overflows: the build keeps it, the scan reads
         # d alone, and the CSV writer refuses the path before opening a file
