@@ -80,21 +80,21 @@ def _parse_rate(spec: str):
     raise DomainError(f"unknown rate preset {spec!r}; use const:X, affine:X,Y or table:FILE")
 
 
-def _write(files: list[tuple[Path, Callable]], command: str, args: argparse.Namespace,
-           argv: list[str]) -> None:
+def _write(files: list[tuple[Path, Callable]], args: argparse.Namespace) -> None:
     """The one publish step of a command's outputs: ``files`` are its (path,
     writer) pairs, primary first, all computed; the manifest
-    <primary>.manifest.json goes last.  Each ``writer`` writes a temporary
+    <primary>.manifest.json, recording ``args`` and the expanded argv that
+    ``main`` stored on them, goes last.  Each ``writer`` writes a temporary
     .<name>.part beside its path's target (a symlink is written through); once
     all are written they are renamed into place in that order.  If a write
     raises (an interrupt too), or a path is a directory, no output changes."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "params": {k: (v if isinstance(v, (int, float, str, bool)) else str(v))
                    for k, v in vars(args).items() if k not in ("func", "argv") and v is not None},
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
-        "argv": argv,
+        "argv": args.argv,
         "outputs": sorted(str(path) for path, _ in files),
     }
     files = [*files, (Path(f"{files[0][0]}.manifest.json"), partial(write_json, payload=manifest))]
@@ -159,7 +159,7 @@ def _svg_bars(hist: st.Histogram, path: Path, w=640, h=400) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args, argv) -> int:
+def cmd_simulate(args) -> int:
     draw = (args.paths, args.seed, NoiseKind(args.noise), _params_for(args), args.process, args.n)
     # the paths go to the CSV one slab at a time; the plot reads the first
     slabs = path_slabs(*draw)
@@ -171,7 +171,7 @@ def cmd_simulate(args, argv) -> int:
     if args.plot:
         files.append((Path(f"{out}.svg"),
                       partial(_svg_paths, np.arange(args.n + 1) / args.n, list(first[:10]))))
-    _write(files, "simulate", args, argv)
+    _write(files, args)
     return 0
 
 
@@ -239,7 +239,7 @@ _CHECKS = {
 }
 
 
-def cmd_validate(args, argv) -> int:
+def cmd_validate(args) -> int:
     p = _params_for(args)
     checks = {name: _CHECKS[name] for name in (_CHECKS if args.check == "all" else [args.check])}
     sizes = [nn for c in checks.values() for nn in c.grids(args)]
@@ -274,14 +274,13 @@ def cmd_validate(args, argv) -> int:
     report = {"process": args.process, "H": None if p is None else args.hurst, "n": args.n,
               "paths": args.paths, "seed": args.seed, "noise": args.noise,
               "checks": entries, "passed": passed}
-    _write([(Path(args.out), partial(write_json, payload=report)), *writes],
-           "validate", args, argv)
+    _write([(Path(args.out), partial(write_json, payload=report)), *writes], args)
     for c in entries:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['check']}")
     return 0 if passed else 1
 
 
-def cmd_market(args, argv) -> int:
+def cmd_market(args) -> int:
     cfg = MarketConfig(N=args.N, sigma=args.sigma, rate_r=_parse_rate(args.rate_r),
                        rate_a=_parse_rate(args.rate_a), S0=args.S0, B0=args.B0,
                        H=args.hurst)
@@ -299,14 +298,14 @@ def cmd_market(args, argv) -> int:
     if args.demo_arbitrage:
         trade = arbitrage_demo(witness[0] if args.witness_all_ones else path)
         files.append((Path(f"{out}.trade.json"), partial(write_json, payload=asdict(trade))))
-    _write(files, "market", args, argv)
+    _write(files, args)
     if trade is not None:
         print(f"arbitrage at n={trade.index}: {trade.strategy}, "
               f"pnl up {trade.pnl_up!r}, down {trade.pnl_down!r}")
     return 0
 
 
-def cmd_rerun(args, argv) -> int:
+def cmd_rerun(args) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text())
     except (OSError, ValueError) as exc:
@@ -418,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         expanded = _apply_config(argv)
         args = _PARSER.parse_args(expanded)
+        # the manifest records the expanded flags: rerun never rereads a config
+        args.argv = expanded
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -426,8 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
     start = time.perf_counter()
     try:
-        # the manifest records the expanded flags: rerun never rereads a config
-        code = args.func(args, expanded)
+        code = args.func(args)
     except (DomainError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
