@@ -520,19 +520,18 @@ def fbm_matrix(n: int, p: HurstParams) -> np.ndarray:
     Uses K(t, s) = int_s^t dK(a, s) da, so row m is the cumulative sum over
     panels k <= m of the panel integrals int_panel G_i da, read per block as
     sum_q w_gl A_gl + s_k sum_q wR in the worker that built the block, as in
-    ``branch_increments``, and summed in panel order on the calling thread.
+    ``branch_increments``.  Each block's integrals fill its panels' rows of
+    T, which is then summed down the panels in place, in panel order.
     No engine is built.  Memoised per (n, H), read-only (0.5 MiB at n = 256).
     """
     base = _Panels(n, p)._map(lambda t: _node_sum(t["A_gl"], t["w_gl"]) + _signs(
         t["lo"], t["e2"].size, t["A_gl"].shape[0]) * t["wR"].sum(axis=1))
     T = np.zeros((n, n))
-    row = np.zeros((n, 1))
     for b in base:
         K, B = b.shape
-        # the running row leads the panels so every sum runs in panel order
-        cum = np.cumsum(np.hstack([row[:K], b]), axis=1)
-        T[K - B: K, :K] = n * cum[:, 1:].T
-        row[:K, 0] = cum[:, -1]
+        T[K - B: K, :K] = b.T
+    np.cumsum(T, axis=0, out=T)
+    T *= n
     T.setflags(write=False)
     return T
 
