@@ -108,9 +108,9 @@ def _write(files: list[tuple[Path, Callable]], args: argparse.Namespace) -> None
         for (path, _), part, target in zip(files, parts, targets):
             os.replace(part, target)
     except OSError as exc:  # an error names the output, never its temporary
-        if exc.filename is not None:
-            exc.filename, exc.filename2 = str(path), None
-        raise
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:
         for part in parts:
             part.unlink(missing_ok=True)
@@ -224,6 +224,7 @@ def _histogram(a, law, read, grids):
 class _Check(NamedTuple):
     times: Callable                 # flags -> the grid-n times it reads every path at
     report: Callable                # see cmd_validate
+    require: Callable               # flags -> refuses, before the draw, what its report would
     grids: Callable = lambda a: ()  # flags -> the grids it reads every path's QV on
     needs_spread: bool = False      # its statistic of a point mass is 0/0
 
@@ -231,11 +232,16 @@ class _Check(NamedTuple):
 # the checks in report order; --check all runs them all.  Each stats function
 # is looked up at call time, where perfbench/tracer.py may have rebound it
 _CHECKS = {
-    "variance": _Check(lambda a: (0.0, a.t), lambda *r: _moment(st.increment_variance, *r)),
-    "covariance": _Check(lambda a: (a.s, a.t), lambda *r: _moment(st.covariance, *r)),
-    "skewness": _Check(lambda a: (a.t,), _skewness, needs_spread=True),
-    "qv": _Check(lambda a: (), _qv, grids=_qv_sizes),
-    "histogram": _Check(lambda a: (a.t,), _histogram),
+    "variance": _Check(lambda a: (0.0, a.t), lambda *r: _moment(st.increment_variance, *r),
+                       lambda a: st.require_samples(a.paths)),
+    "covariance": _Check(lambda a: (a.s, a.t), lambda *r: _moment(st.covariance, *r),
+                         lambda a: st.require_samples(a.paths)),
+    "skewness": _Check(lambda a: (a.t,), _skewness, lambda a: st.require_skewness_paths(a.paths),
+                       needs_spread=True),
+    "qv": _Check(lambda a: (), _qv, lambda a: (st.require_samples(a.paths),
+                                               st.require_qv_sizes(_qv_sizes(a))),
+                 grids=_qv_sizes),
+    "histogram": _Check(lambda a: (a.t,), _histogram, lambda a: st.require_bins(a.bins)),
 }
 
 
@@ -260,6 +266,8 @@ def cmd_validate(args) -> int:
             if (m := grid_index(args.n, x)) < order:
                 raise DomainError(f"t = {x!r} snaps to grid point {m} of grid {args.n}, where "
                                   f"every path is 0: the {name} of a point mass is 0/0")
+    for c in checks.values():
+        c.require(args)
     times = sorted({x for ts in reads.values() for x in ts})
     values, qv = st.reduce_slabs(slabs, args.paths, law,
                                  [grid_index(args.n, x) for x in times], sizes)

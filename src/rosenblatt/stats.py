@@ -67,8 +67,7 @@ class MomentReport:
     def __post_init__(self):
         if self.std_error < 0:
             raise DomainError("std_error must be nonnegative")
-        if self.sample_size < 2:
-            raise DomainError("need at least two samples")
+        require_samples(self.sample_size)
 
     def within(self, k: float) -> bool:
         """|estimate - ref| <= k * std_error + _ROUNDING * eps * |ref|, ref the
@@ -102,13 +101,40 @@ class Histogram:
                 fh.write(f"{float(lo)!r},{float(hi)!r},{int(c)}\n")
 
 
-def _mean_se(x: np.ndarray) -> float:
-    """Standard error s / sqrt(M) of a sample mean (its delete-one jackknife).
+# the sizes a report refuses: ``validate`` checks its flags by them before the draw
 
-    Refuses fewer than two samples, whose s has no degrees of freedom.
-    """
-    if x.size < 2:
+def require_samples(count: int) -> None:
+    """Refuses fewer than two samples, whose s has no degrees of freedom."""
+    if count < 2:
         raise DomainError("need at least two samples")
+
+
+def require_skewness_paths(count: int) -> None:
+    """Refuses fewer than 100 paths, too few for the bootstrap SE of a skewness."""
+    if count < 100:
+        raise DomainError("skewness needs at least 100 paths")
+
+
+def require_qv_sizes(sizes: Sequence[int]) -> None:
+    """Refuses fewer than three distinct grid sizes: one gives no slope, and a
+    line through two points fits them exactly whatever the decay.  Refuses a
+    repeated grid size too, which would weigh that grid twice in the fit."""
+    if len(set(sizes)) < 3:
+        raise DomainError("qv_decay needs at least three distinct grid sizes")
+    if len(set(sizes)) < len(sizes):
+        raise DomainError(f"qv_decay grid sizes must not repeat, got {sizes}")
+
+
+def require_bins(bins: int) -> None:
+    """Refuses fewer than two bins, and more edges than memory can address."""
+    if bins < 2:
+        raise DomainError("need at least 2 bins")
+    require_addressable(bins + 1)
+
+
+def _mean_se(x: np.ndarray) -> float:
+    """Standard error s / sqrt(M) of a sample mean (its delete-one jackknife)."""
+    require_samples(x.size)
     return float(np.std(x, ddof=1) / np.sqrt(x.size))
 
 
@@ -265,8 +291,7 @@ def skewness(x: np.ndarray, t: float, law: WalkLaw, seed: int) -> MomentReport:
     """Standardized third moment of every path's value x at t on grid
     ``law.n``, with the standard error of _BOOTSTRAP bootstrap resamples
     drawn from Philox keyed by seed, against the exact ``_discrete_skewness``."""
-    if x.size < 100:
-        raise DomainError("skewness needs at least 100 paths")
+    require_skewness_paths(x.size)
     theo = None if law.process_tag.form.quadratic else 0.0
     exact = _discrete_skewness(law, t)
     if np.ptp(x) == 0.0:
@@ -310,22 +335,16 @@ def qv_decay(sums: Iterable[tuple[int, np.ndarray]]) -> QvDecayFit:
     """Fit the decay exponent of the mean quadratic variation at t = 1 from
     (grid size, every path's QV on that grid) pairs.
 
-    Refuses fewer than three distinct grid sizes: one gives no slope, and a
-    line through two points fits them exactly whatever the decay.  Refuses a
-    repeated grid size too, which would weigh that grid twice in the fit,
-    and a grid whose mean QV is not positive, which has no logarithm (the
-    Rosenblatt walk on grid 1 has no off-diagonal pair, so its QV is
-    exactly 0).
+    Refuses the sizes ``require_qv_sizes`` refuses, and a grid whose mean QV
+    is not positive, which has no logarithm (the Rosenblatt walk on grid 1
+    has no off-diagonal pair, so its QV is exactly 0).
     """
     sizes, means, ses = [], [], []
     for n, qv in sums:
         sizes.append(n)
         means.append(float(qv.mean()))
         ses.append(_mean_se(qv))
-    if len(set(sizes)) < 3:
-        raise DomainError("qv_decay needs at least three distinct grid sizes")
-    if len(set(sizes)) < len(sizes):
-        raise DomainError(f"qv_decay grid sizes must not repeat, got {sizes}")
+    require_qv_sizes(sizes)
     for n, mean in zip(sizes, means):
         if not mean > 0.0:
             raise DomainError(f"qv_decay needs a positive mean QV, got {mean} on grid {n}")
@@ -337,8 +356,6 @@ def qv_decay(sums: Iterable[tuple[int, np.ndarray]]) -> QvDecayFit:
 def histogram(x: np.ndarray, bins: int) -> Histogram:
     """Equal-width histogram of the marginal sample x spanning its range
     (numpy widens the range of a point mass to its value -+ 0.5)."""
-    if bins < 2:
-        raise DomainError("need at least 2 bins")
-    require_addressable(bins + 1)
+    require_bins(bins)
     counts, edges = np.histogram(x, bins=bins, range=(float(x.min()), float(x.max())))
     return Histogram(bin_edges=edges, counts=counts, total=x.size)

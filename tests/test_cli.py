@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import rosenblatt.paths
 from rosenblatt.cli import main
 from rosenblatt.market import ArbitrageTrade
 from rosenblatt.stats import MomentReport, QvDecayFit
@@ -683,6 +685,32 @@ class TestUsageErrors:
         assert "at least 1" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--check", "histogram", "--noise", "gaussian", "--n", "64", "--paths", "200000",
+          "--bins", "1"], "need at least 2 bins"),
+        (["--check", "all", "--paths", "200", "--bins", "0"], "need at least 2 bins"),
+        (["--check", "histogram", "--paths", "200", "--bins", str(2 ** 62)],
+         f"an array of shape ({2 ** 62 + 1},) exceeds the address space"),
+        (["--check", "qv", "--qv-sizes", "16,16,32", "--paths", "100000"],
+         "qv_decay needs at least three distinct grid sizes"),
+        (["--check", "qv", "--qv-sizes", "8,16,16,32", "--paths", "200"],
+         "qv_decay grid sizes must not repeat, got [8, 16, 16, 32]"),
+        (["--check", "skewness", "--paths", "99"], "skewness needs at least 100 paths"),
+        (["--check", "all", "--paths", "50"], "skewness needs at least 100 paths"),
+        *((["--check", check, "--paths", "1"], "need at least two samples")
+          for check in ("variance", "covariance", "qv", "all")),
+    ])
+    def test_flag_a_check_refuses_exits_2_before_the_draw(self, tmp_path, monkeypatch,
+                                                          capsys, argv, message):
+        # each refusal of a report is made before any noise row is drawn
+        def no_draw(*args):
+            raise AssertionError("a noise row was drawn")
+        monkeypatch.setattr(rosenblatt.paths, "_draw", no_draw)
+        code = run("validate", "--hurst", "0.8", *argv, "--out", str(tmp_path / "x.out"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("check", ["skewness", "all"])
     @pytest.mark.parametrize("process", [["--process", "walk"],
                                          ["--process", "fbm", "--hurst", "0.9"],
@@ -726,9 +754,10 @@ class TestUsageErrors:
         out = str(tmp_path / "nodir" / "x.csv")
         code = run(*argv, "--out", out)
         assert code == 2
-        # the write goes to a temporary, but the error names the output
+        # the write goes to a temporary, but the error names the output, and
+        # only the output
         err = capsys.readouterr().err
-        assert err.startswith("error:") and repr(out) in err and ".part" not in err
+        assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {out!r}\n"
 
     _SIMULATE = ["simulate", "--process", "walk", "--n", "8", "--paths", "2", "--plot"]
     _HISTOGRAM = ["validate", "--check", "histogram", "--process", "walk", "--n", "16",
@@ -1025,6 +1054,26 @@ def _fuzz_run(argv, tmp_path, capsys, keep=()) -> int:
         if path.name not in keep:
             path.unlink()
     return code
+
+
+def _readme_commands() -> list[list[str]]:
+    """The commands of README's "Command line" block, each split into words."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch):
+    # a reader pastes the block into a fresh directory: every command exits 0
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [words[0] for words in commands] == ["mkdir"] + ["rosenblatt"] * 5
+    for words in commands:
+        if words[:2] == ["mkdir", "-p"]:
+            Path(words[2]).mkdir(parents=True, exist_ok=True)
+        else:
+            assert main(words[1:]) == 0, words
 
 
 class TestValidateFuzz:
