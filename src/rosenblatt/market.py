@@ -22,7 +22,8 @@ and for every noise path of a command at once, and the realised return X_n
 is the branch its own xi_n picks.  The pass takes O(N^2 nodes) time per
 path, but it builds each panel block, uses it and drops it, so it holds a
 few blocks (O(N nodes) memory each) and no engine; the dense weight tables
-are never formed here.
+are never formed here.  A built ``MarketPath`` holds its noise row, X, the
+prices B and S, u, d and r - a; a nonpositive S is kept as computed.
 
 The first trading period is degenerate (Z has no off-diagonal pair yet, so
 X_1 = 0 surely); arbitrage checks therefore start at n = 2, where the model
