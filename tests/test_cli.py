@@ -1132,10 +1132,10 @@ class TestCommandFuzz:
 
 
 class TestPinnedBytes:
-    """Every process's simulate and validate artifacts, and a market run's
-    CSV, scan and trade, keep their bytes: tests/test_benchmark_gate.py
-    compares the benchmark's Rosenblatt and market floats only within a
-    tolerance.  Recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31
+    """Every process's simulate and validate artifacts, a witness market
+    run's CSV, scan and long trade, and a realised path's CSV and short trade
+    keep their bytes: tests/test_benchmark_gate.py compares the benchmark's
+    Rosenblatt and market floats only within a tolerance.  Recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31
     (scipy-openblas), the versions CI installs; each hash is the same at the
     default thread count and with one BLAS thread on one CPU.  The walk and
     fbm val.json hashes were re-recorded when the skewness report's
@@ -1183,6 +1183,11 @@ class TestPinnedBytes:
         "mkt.csv.scan.json": "96047e58bda541e12fb875f748e0b72161d7ee61410e40ffd407e44f777ea984",
         "mkt.csv.trade.json": "eaff307b9996070426f4febc68ce6e3f2eff10a03e16a5129d10d9e727571300",
     }
+    # a realised path that trades short at n = 4 with S_3 = 2.5399...
+    SHORT = {
+        "mkt.csv": "b7ec327bae83c2e268b7a0287adc49f70700cb04af3efc5c920124c82fc3fb22",
+        "mkt.csv.trade.json": "7082f75babf352fb9d68f6c463a27fe3272eab0ee12bcad3d06443dc87da6c94",
+    }
 
     @pytest.mark.parametrize("process, noise", sorted(SHA256))
     def test_simulate_and_validate_keep_their_bytes(self, tmp_path, monkeypatch, process,
@@ -1205,3 +1210,13 @@ class TestPinnedBytes:
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in self.MARKET}
         assert got == self.MARKET
+
+    def test_short_trade_keeps_its_bytes(self, tmp_path):
+        assert run("market", "--N", "64", "--hurst", "0.8", "--sigma", "0.7",
+                   "--rate-r", "affine:0.5,3", "--rate-a", "const:0.3", "--S0", "2.5",
+                   "--demo-arbitrage", "--seed", "3", "--out", str(tmp_path / "mkt.csv")) == 0
+        trade = json.loads((tmp_path / "mkt.csv.trade.json").read_text())
+        assert (trade["index"], trade["strategy"]) == (4, "short-stock")
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.SHORT}
+        assert got == self.SHORT

@@ -333,6 +333,22 @@ class TestArbitrageDemo:
         assert trade.strategy == "long-stock"
         assert trade.pnl_up > 0.0 and trade.pnl_down > 0.0
 
+    def test_short_trade_is_the_long_trade_negated(self):
+        # the realised path trades short at n = 4: u_4 and d_4 both lie below
+        # r_4 - a_4, so selling the stock and lending the proceeds wins
+        cfg = MarketConfig(N=64, sigma=0.7, rate_r=affine_rate(0.5, 3.0),
+                           rate_a=constant_rate(0.3), S0=2.5, B0=1.0, H=0.8)
+        path = build_market(cfg, make_noise(64, "rademacher", 3))
+        trade = arbitrage_demo(path)
+        n0 = trade.index
+        s_prev, ra = path.S[n0 - 1], path.r_minus_a[n0 - 1]
+        u, d = path.u[n0 - 1], path.d[n0 - 1]
+        assert trade.strategy == "short-stock"
+        assert trade.pnl_up == -(s_prev * (u - ra))
+        assert trade.pnl_down == -(s_prev * (d - ra))
+        assert min(trade.pnl_up, trade.pnl_down) >= 0.0
+        assert max(trade.pnl_up, trade.pnl_down) > 0.0
+
     def test_non_violating_step_has_a_losing_branch(self, std_cfg):
         path = ones_path(std_cfg)
         n0 = no_arbitrage_check(path)
