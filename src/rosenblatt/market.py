@@ -267,26 +267,10 @@ class ArbitrageTrade:
     index, both branches."""
 
     index: int
-    strategy: str                 # "long-stock" (d-side) or "short-stock" (u-side)
+    strategy: str                 # "long-stock" if u_n, d_n >= r_n - a_n, else "short-stock"
     entry_stock: float
     pnl_up: float
     pnl_down: float
-
-
-def branch_pnls(path: MarketPath, n: int,
-                strategy: str = "long-stock") -> tuple[float, float]:
-    """P&L of the one-period strategy entered before step n, on both branches.
-
-    Long: borrow S_{n-1} at the bond rate and buy one unit of stock; wealth after
-    the step is S_{n-1} * (X - (r_n - a_n)), X = u_n or d_n.  Short is the negative.
-    """
-    s_prev = float(path.S[n - 1])
-    ra = float(path.r_minus_a[n - 1])
-    up = s_prev * (path.u[n - 1] - ra)
-    dn = s_prev * (path.d[n - 1] - ra)
-    if strategy == "short-stock":
-        up, dn = -up, -dn
-    return float(up), float(dn)
 
 
 def arbitrage_demo(path: MarketPath) -> ArbitrageTrade:
@@ -304,15 +288,17 @@ def arbitrage_demo(path: MarketPath) -> ArbitrageTrade:
             f"no arbitrage violation within N={path.cfg.N} at sigma={path.cfg.sigma}")
     _require_finite(("S", path.S[:n0]), ("u", path.u[:n0]), ("d", path.d[:n0]),
                     ("r - a", path.r_minus_a[n0 - 1]))
-    ra = path.r_minus_a[n0 - 1]
-    low_branch = min(path.u[n0 - 1], path.d[n0 - 1])
-    strategy = "long-stock" if low_branch >= ra else "short-stock"
-    with np.errstate(over="ignore", invalid="ignore"):
-        up, dn = branch_pnls(path, n0, strategy)
+    s_prev, ra = float(path.S[n0 - 1]), float(path.r_minus_a[n0 - 1])
+    u, d = float(path.u[n0 - 1]), float(path.d[n0 - 1])
+    # long: borrow S_{n-1} at the bond rate and buy one unit of stock; wealth after
+    # the step is S_{n-1} * (X - (r_n - a_n)), X = u_n or d_n.  Short is the negative.
+    side = 1.0 if min(u, d) >= ra else -1.0
+    strategy = "long-stock" if side > 0 else "short-stock"
+    up, dn = side * (s_prev * (u - ra)), side * (s_prev * (d - ra))
     _require_finite(("the trade's P&L", (up, dn)))
     if not (min(up, dn) >= 0.0 and max(up, dn) > 0.0):
         raise InconclusiveError(
             f"the trade at n={n0} is no arbitrage: {strategy}, pnl up {up!r}, down {dn!r}")
-    return ArbitrageTrade(index=n0, strategy=strategy, entry_stock=float(path.S[n0 - 1]),
+    return ArbitrageTrade(index=n0, strategy=strategy, entry_stock=s_prev,
                           pnl_up=up, pnl_down=dn)
 

@@ -9,7 +9,7 @@ from rosenblatt import (DomainError, HurstParams, InconclusiveError, MarketConfi
                         constant_rate, divergence_scan, make_noise,
                         no_arbitrage_check, simulate_ensemble, tabulated_rate)
 from rosenblatt.kernel import get_engine
-from rosenblatt.market import MarketPath, branch_pnls
+from rosenblatt.market import MarketPath
 from rosenblatt.paths import derive_seed
 
 from oracles import bs_limit
@@ -350,10 +350,11 @@ class TestArbitrageDemo:
         assert max(trade.pnl_up, trade.pnl_down) > 0.0
 
     def test_non_violating_step_has_a_losing_branch(self, std_cfg):
+        # the long trade's P&L S_{n-1} * (X - (r_n - a_n)) on each branch X
         path = ones_path(std_cfg)
-        n0 = no_arbitrage_check(path)
         safe = next(n for n in range(2, 65) if not path.violated[n - 1])
-        up, dn = branch_pnls(path, safe, strategy="long-stock")
+        s_prev, ra = path.S[safe - 1], path.r_minus_a[safe - 1]
+        up, dn = (s_prev * (x - ra) for x in (path.u[safe - 1], path.d[safe - 1]))
         assert min(up, dn) <= 0.0 < max(up, dn)
 
     def test_refuses_a_trade_that_is_no_arbitrage(self):
@@ -365,8 +366,8 @@ class TestArbitrageDemo:
                           u=np.array([0.0, 0.75, 1.0, 1.0]), d=np.array([0.0, 0.5, 0.0, 0.0]),
                           r_minus_a=np.full(N, 0.5))
         assert no_arbitrage_check(path) == 2
-        assert branch_pnls(path, 2) == (0.0, 0.0)
-        with pytest.raises(InconclusiveError, match="no arbitrage"):
+        with pytest.raises(InconclusiveError,
+                           match=r"no arbitrage: long-stock, pnl up 0\.0, down 0\.0$"):
             arbitrage_demo(path)
 
     def test_refuses_an_overflowed_price_before_its_trade(self):
