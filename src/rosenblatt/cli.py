@@ -252,12 +252,12 @@ def cmd_validate(args) -> int:
     # one draw on the finest grid, read in one pass: each path leaves only its
     # grid-n values at the checks' times and its QV on each qv grid
     N = max([args.n, *sizes])
-    slabs = path_slabs(args.paths, args.seed, NoiseKind(args.noise), p, args.process, N)
     law = WalkLaw(args.process, p, args.n, N)
     reads = {name: c.times(args) for name, c in checks.items()}
-    # a point mass is refused before the pass: each walk is a chaos of order 1 +
-    # quadratic with positive coefficients, so every path is 0 at the grid points
-    # below it; first on the coarsest qv grid, whose law checks the sizes' range
+    # every refusal is made before the walk is built, a point mass's first: each
+    # walk is a chaos of order 1 + quadratic with positive coefficients, so every
+    # path is 0 at the grid points below it; first on the coarsest qv grid, whose
+    # law checks the sizes' range
     order = 1 + law.process_tag.form.quadratic
     if sizes and WalkLaw(args.process, p, min(sizes), N).n < order:
         raise DomainError(f"qv grid {min(sizes)} has no positive mean QV: every path is 0 on it")
@@ -268,6 +268,7 @@ def cmd_validate(args) -> int:
                                   f"every path is 0: the {name} of a point mass is 0/0")
     for c in checks.values():
         c.require(args)
+    slabs = path_slabs(args.paths, args.seed, NoiseKind(args.noise), p, args.process, N)
     times = sorted({x for ts in reads.values() for x in ts})
     values, qv = st.reduce_slabs(slabs, args.paths, law,
                                  [grid_index(args.n, x) for x in times], sizes)

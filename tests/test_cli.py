@@ -191,18 +191,20 @@ class TestValidate:
                                       ["--check", "all", "--n", "1", "--qv-sizes", "1,2,4"]])
     def test_point_mass_refused_before_any_draw(self, tmp_path, monkeypatch, argv):
         # grid point 1 of the Rosenblatt walk, below its chaos order 2, is
-        # refused before the pass reads a single slab, and without reading
-        # the exact law
+        # refused before the walk is built or the pass reads a single slab,
+        # and without reading the exact law
         import rosenblatt.cli as cli
         import rosenblatt.kernel as kernel
 
         def no_draw(*args):
-            raise AssertionError("a path was drawn")
+            raise AssertionError("a path was drawn or a walk built")
 
         def no_law(*args):
             raise AssertionError("an exact law was read")
 
         monkeypatch.setattr(cli.st, "reduce_slabs", no_draw)
+        for name in ("get_engine", "fbm_matrix"):
+            monkeypatch.setattr(rosenblatt.paths, name, no_draw)
         monkeypatch.setattr(cli.st, "discrete_moment", no_law)
         monkeypatch.setattr(kernel.VolterraEngine, "table_matrix", no_law)
         code = run("validate", "--process", "rosenblatt", "--hurst", "0.8", "--paths", "200",
@@ -699,13 +701,22 @@ class TestUsageErrors:
         (["--check", "all", "--paths", "50"], "skewness needs at least 100 paths"),
         *((["--check", check, "--paths", "1"], "need at least two samples")
           for check in ("variance", "covariance", "qv", "all")),
+        (["--check", "histogram", "--noise", "gaussian", "--n", "64", "--paths", "200000",
+          "--bins", str(10 ** 15)],
+         f"{10 ** 15} bins need {16 * (10 ** 15 + 1)} bytes, more than physical memory holds"),
+        *((["--check", check, "--paths", "0"], "need at least two samples")
+          for check in ("variance", "covariance", "qv", "all")),
+        (["--check", "histogram", "--process", "fbm", "--hurst", "0.9", "--n", "1024",
+          "--paths", "200", "--bins", "1"], "need at least 2 bins"),
     ])
     def test_flag_a_check_refuses_exits_2_before_the_draw(self, tmp_path, monkeypatch,
                                                           capsys, argv, message):
-        # each refusal of a report is made before any noise row is drawn
+        # each refusal of a report is made before the walk is built or any
+        # noise row is drawn
         def no_draw(*args):
-            raise AssertionError("a noise row was drawn")
-        monkeypatch.setattr(rosenblatt.paths, "_draw", no_draw)
+            raise AssertionError("a noise row was drawn or a walk built")
+        for name in ("_draw", "get_engine", "fbm_matrix"):
+            monkeypatch.setattr(rosenblatt.paths, name, no_draw)
         code = run("validate", "--hurst", "0.8", *argv, "--out", str(tmp_path / "x.out"))
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"

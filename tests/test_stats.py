@@ -517,6 +517,9 @@ class TestHistogram:
     def test_bin_validation(self, rose_ens):
         with pytest.raises(DomainError):
             histogram(_at(rose_ens, 1.0), 1)
+        # addressable, but 16 PB of edges and counts: refused before numpy allocates
+        with pytest.raises(MemoryError, match="more than physical memory holds"):
+            histogram(_at(rose_ens, 1.0), 10 ** 15)
 
     def test_h09_right_skew_mean_exceeds_median(self):
         from rosenblatt import HurstParams
