@@ -11,8 +11,10 @@ X_n = f_{n-1}(xi) + xi_n g_{n-1}(xi) with f a quadratic and g a linear form
 in the noise prefix, so given the past X_n takes exactly the two values
 u_n = f + g and d_n = f - g.  The market excludes arbitrage only while
 d_n < r_n - a_n < u_n at every step; on the all-ones noise path f - g grows
-like n^(2Hp - 1), so the condition eventually fails and a one-period
-borrow-and-buy strategy wins on both branches.
+like n^(2Hp - 1), so the condition eventually fails.  At a violation a
+one-period trade wins on both branches: borrow and buy the stock when both
+branch returns are at or above r_n - a_n, sell it and lend when both are at
+or below.
 
 The walk increment is affine in xi_n (its quadratic form has no diagonal),
 so u_n and d_n are the step-n increment with xi_n set to +1 and to -1, and
