@@ -126,22 +126,18 @@ def require_qv_sizes(sizes: Sequence[int]) -> None:
         raise DomainError(f"qv_decay grid sizes must not repeat, got {sizes}")
 
 
-def _physical_bytes() -> float:
-    """Bytes of physical memory, or infinity where the platform does not say."""
-    try:
-        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return np.inf
-    return pages * size if pages > 0 and size > 0 else np.inf
-
-
 def require_bins(bins: int) -> None:
-    """Refuses fewer than two bins, more edges than memory can address, and
-    more bins than physical memory holds at 16 bytes each (an edge and a count)."""
+    """Refuses fewer than two bins, more edges than memory can address, and,
+    where the platform reports its physical memory, more bins than it holds
+    at 16 bytes each (an edge and a count)."""
     if bins < 2:
         raise DomainError("need at least 2 bins")
     require_addressable(bins + 1)
-    if 16 * (bins + 1) > _physical_bytes():
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 0 < memory < 16 * (bins + 1):
         raise MemoryError(f"{bins} bins need {16 * (bins + 1)} bytes, more than physical "
                           "memory holds")
 
