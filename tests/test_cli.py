@@ -1146,12 +1146,13 @@ class TestPinnedBytes:
     """Every process's simulate and validate artifacts, a witness market
     run's CSV, scan and long trade, and a realised path's CSV and short trade
     keep their bytes: tests/test_benchmark_gate.py compares the benchmark's
-    Rosenblatt and market floats only within a tolerance.  Recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31
-    (scipy-openblas), the versions CI installs; each hash is the same at the
-    default thread count and with one BLAS thread on one CPU.  The walk and
-    fbm val.json hashes were re-recorded when the skewness report's
-    ``discrete`` became the exact skewness (0.0 for these linear walks, null
-    before); no other byte of them moved."""
+    Rosenblatt and market floats only within a tolerance.  Recorded with
+    numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31 (scipy-openblas), the
+    versions CI installs; each hash is the same at the default thread count
+    and with one BLAS thread on one CPU.  The walk and fbm val.json hashes
+    were re-recorded when the skewness report's ``discrete`` became the
+    exact skewness (0.0 for these linear walks, null before); no other byte
+    of them moved."""
 
     SHA256 = {
         ("walk", "rademacher"): {
