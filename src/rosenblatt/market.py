@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from statistics import linear_regression
 from typing import Callable
 
 import numpy as np
@@ -247,7 +248,7 @@ def divergence_scan(witness: MarketPath) -> ArbitrageReport:
     fitted = None
     note = None
     if np.all(fg[upper] > 0):
-        fitted = float(np.polyfit(np.log(ns[upper]), np.log(fg[upper]), 1)[0])
+        fitted = linear_regression(np.log(ns[upper]), np.log(fg[upper])).slope
     else:
         note = "f - g not positive on the upper half of the range; inconclusive at this scale"
 

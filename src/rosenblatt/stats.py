@@ -31,6 +31,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import linear_regression
 
 import numpy as np
 
@@ -358,9 +359,8 @@ def qv_decay(sums: Iterable[tuple[int, np.ndarray]]) -> QvDecayFit:
     for n, mean in zip(sizes, means):
         if not mean > 0.0:
             raise DomainError(f"qv_decay needs a positive mean QV, got {mean} on grid {n}")
-    slope, intercept = np.polyfit(np.log(sizes), np.log(means), 1)
-    return QvDecayFit(slope=float(slope), intercept=float(intercept),
-                      sizes=sizes, means=means, std_errors=ses)
+    fit = linear_regression(np.log(sizes), np.log(means))
+    return QvDecayFit(fit.slope, fit.intercept, sizes, means, ses)
 
 
 def histogram(x: np.ndarray, bins: int) -> Histogram:

@@ -1,4 +1,4 @@
-"""The package's public names, and the scipy functions it calls."""
+"""The package's public names, and the scipy and numpy.linalg functions it calls."""
 import ast
 import importlib
 import inspect
@@ -64,6 +64,29 @@ def test_scipy_surface_is_pinned():
     # (file, from-module, name, alias): only ``from scipy import special``
     assert imports == [("kernel.py", "scipy", "special", None)]
     assert used == {"beta", "betainc", "betaincc", "eval_jacobi"}
+
+
+def test_no_polynomial_fit_or_linalg_call():
+    # both fitted exponents are statistics.linear_regression's closed-form
+    # line, so no reported number rests on a LAPACK solve: the package names
+    # no polyfit, imports nothing from numpy.linalg, and calls of it only
+    # np.linalg.eigvalsh (_roots_jacobi's nodes)
+    names, imported, linalg = set(), set(), set()
+    for path in sorted(Path(rosenblatt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                imported.update(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+                if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                    linalg.add(node.attr)
+    assert "polyfit" not in names | imported
+    assert "linalg" not in imported
+    assert linalg == {"eigvalsh"}
 
 
 def test_no_branch_on_a_process_tag():

@@ -1,4 +1,5 @@
 """Binary market recursions, the f/g split, divergence, and the arbitrage trade."""
+import dataclasses
 import json
 
 import numpy as np
@@ -299,6 +300,14 @@ class TestDivergence:
         assert np.all(upper > 0)
         assert np.all(np.diff(upper) > 0)
         assert abs(rep.fitted_exponent - rep.theoretical_exponent) <= 0.3
+
+    @pytest.mark.parametrize("N", [16, 64, 512])
+    def test_fitted_exponent_is_exact_on_a_straight_line(self, N):
+        # f - g = n lies on log(f - g) = log n: the fitted exponent is 1 to the
+        # last bit
+        witness = dataclasses.replace(ones_path(cfg_with(N=N)),
+                                      d=np.arange(1, N + 1, dtype=float))
+        assert divergence_scan(witness).fitted_exponent == 1.0
 
     def test_scaling_in_grid_resolution(self):
         # the whole table scales as N^-H, so f - g at fixed n carries the

@@ -428,6 +428,12 @@ class TestQuadraticVariation:
         with pytest.raises(DomainError, match="positive mean QV"):
             qv_decay(_qv(rose_ens, n) for n in (1, 2, 4))
 
+    def test_qv_decay_is_exact_on_a_straight_line(self):
+        # mean QV = n lies on log mean = log n: the least-squares line is
+        # slope 1 and intercept 0 to the last bit
+        fit = qv_decay((n, np.full(2, float(n))) for n in (16, 32, 64))
+        assert (fit.slope, fit.intercept) == (1.0, 0.0)
+
     def test_qv_decay_matches_exact_slope(self, p08):
         from rosenblatt.kernel import get_engine
         sizes = (16, 32, 64, 128)
