@@ -1152,38 +1152,45 @@ class TestPinnedBytes:
     and with one BLAS thread on one CPU.  The walk and fbm val.json hashes
     were re-recorded when the skewness report's ``discrete`` became the
     exact skewness (0.0 for these linear walks, null before); no other byte
-    of them moved."""
+    of them moved.  All six val.json hashes and the market's scan.json hash
+    were re-recorded when both log-log fits moved from np.polyfit to
+    statistics.linear_regression: only the qv check's slope and intercept
+    and the scan's fitted_exponent moved, each by at most 30 eps relative.
+    The fits read no BLAS or LAPACK, so every hash here also holds under
+    OPENBLAS_CORETYPE=Haswell.  They were recorded where numpy dispatches
+    its float64 power, log and exp loops to AVX-512 (X86_V4), whose last
+    bits differ from its AVX2 loops, and with CPython 3.11's statistics."""
 
     SHA256 = {
         ("walk", "rademacher"): {
             "sim.csv": "0e653727cae294f20e3785b9bb2a327d312b3811a01e1b4b2133014a7a7dcc40",
             "sim.csv.meta.json": "61408e19eb1c0040414d80bf067ab52431c026a13214c450c0a8027da4e9130d",
-            "val.json": "d96ba69ed9bb87e4782d2b2d1fbad63758ff3e20d26ca3dc3979d251f3889351",
+            "val.json": "f35fc248536bb197f78dccb167c6e6f90a678719ef283880bc831504e0b02350",
             "val.json.hist.csv": "9c17b25ee33306a614833fe58390d86c88511b38fe4f2f06a3e3abcc74076acf"},
         ("walk", "gaussian"): {
             "sim.csv": "fb04000bc1c9ffaa3e067580f16071e410aa02ff6fbae5b32044557d79e2f1b2",
             "sim.csv.meta.json": "3f41de9ea4da40dbf5d2a7f5c031de28bc15b63ebbdf95ddbd5ee51cae4441aa",
-            "val.json": "b69d28dca28566272be9197a0c1356b7592550ace5b5fb933c70139a12f98fd4",
+            "val.json": "0c28da20b9b8d7486445043aff37ebb6c7b2f1903e3a4cc2e4252e3017ab3d36",
             "val.json.hist.csv": "7511b704c4653275c0f5038a0b763d4ab1b1cbb2b6943340b7e8d0fdac499bb0"},
         ("fbm", "rademacher"): {
             "sim.csv": "49b89a298a9689248cd2a715495916538b24c9483815cf3087e22e6ba0f0cb71",
             "sim.csv.meta.json": "7f8a8cec5d5cc8eeb10f3da66fdc8eb6c33fc3dbca6b9e405507c6eceee7997a",
-            "val.json": "555caa354f7ac333b00c516fd9aeffeae4ef2fda7909e7d7806aece271f2eb58",
+            "val.json": "8be5f878e04d244c4fa601ffb12c614fe9f0ee8948499a9e449ff0bab5d43881",
             "val.json.hist.csv": "642bd9a68ed44c4df134297abf27c7f5decf5b8d33bf14f9912b5348782c3efc"},
         ("fbm", "gaussian"): {
             "sim.csv": "72a591aec99be85a892e6b04600b4f3383afa755d59b177abe177adc9042572f",
             "sim.csv.meta.json": "474f43f7626393aa32537db003fe7938774ad929c27b683c5420717da457d5ef",
-            "val.json": "f7c23dfcbb6c26bcc0f83e078c5c9ca3294e395a0a4c2c89002500074259c4dd",
+            "val.json": "403a127674479272a27739d44a80eb05631e6141c381c12d56bbb4c2e5a8f7d6",
             "val.json.hist.csv": "a2a575c7bfbd2dca58dac616d63a71950998504fc3e830951c776e2b98e63e7d"},
         ("rosenblatt", "rademacher"): {
             "sim.csv": "108c1d4f839cabc0b9f35da69670bab3cc90204e1a824a66ae900f35495d3d81",
             "sim.csv.meta.json": "094c7827a3e044201a4220f06cff8ec06fa102dc8d18433eaa1d886951b1ddc1",
-            "val.json": "9651f81d676ade36d0e21fb37781c57dbb5bbd66b1e586936e4f186cbd96dfa1",
+            "val.json": "6757e4e344371f6fd6d97426c03a0ded9d5424b46c19b823e0fe40ca4668d0de",
             "val.json.hist.csv": "0b1f24c596324915cfd917728082c058ee8b9c78c150e6dd0acc99712ea77139"},
         ("rosenblatt", "gaussian"): {
             "sim.csv": "f3d5551ac6f7caf98ac61cdc6a972e916a84293a1ce8fb4594de6eabc1548df2",
             "sim.csv.meta.json": "353c7b557854152b5bf846ee0e4ef1e3eae4d09446a40129860665e5f50bde20",
-            "val.json": "697e71e5fbe0bba0acf9ee51cfae1af51170950b0f6eb3a719f556f6f90cd59f",
+            "val.json": "0d5c983db7f587a197fc027af47e9d2a68cb37d0d7efd115e4a007e48333de27",
             "val.json.hist.csv": "976b644bb86f714da95b3e0205d83ca66aa50cd2f103b72fbcf1495d01b305a2"},
     }
     HURST = {"walk": [], "fbm": ["--hurst", "0.9"], "rosenblatt": ["--hurst", "0.8"]}
@@ -1192,7 +1199,7 @@ class TestPinnedBytes:
     VALIDATE_EXIT = {"walk": 0, "fbm": 0, "rosenblatt": 1}
     MARKET = {
         "mkt.csv": "80a55425b35831ae2e4eb6fb86f156327da0eb032942e64a98a69c38de471837",
-        "mkt.csv.scan.json": "96047e58bda541e12fb875f748e0b72161d7ee61410e40ffd407e44f777ea984",
+        "mkt.csv.scan.json": "f1f59d3be272b7eaf114cccfe15f5fb4e798c617cd6517ca19c01e804f5b9c80",
         "mkt.csv.trade.json": "eaff307b9996070426f4febc68ce6e3f2eff10a03e16a5129d10d9e727571300",
     }
     # a realised path that trades short at n = 4 with S_3 = 2.5399...
