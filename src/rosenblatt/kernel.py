@@ -38,15 +38,19 @@ operation order that fixes the bits of the Rademacher ensembles and of the
 market's branch pass, which gives the up and the down branch of every step
 of each noise prefix (``branch_increments``); it and the fbm walk's matrix
 (``fbm_matrix``) read each block once and keep no engine.
-``VolterraEngine`` keeps every block of the Rosenblatt walk, read-only: one
-engine per (n, H) is shared by its path generator and statistics, and the
-exact-law references of an ensemble coarsened from grid N read grid N's
-engine and rescale by discrete self-similarity.  Only the engine runs the
-Gaussian pass, on noise that is not all +-1 (``quadratic_increments``): the
-Gauss-Legendre product alone is squared and weighed by one GEMM against a
-block-diagonal weight matrix, and the cross and squared-noise terms, linear
-in their tables, read node contractions made once per block, in the worker
-that built it, which the exact-law matrices read too.
+``VolterraEngine`` keeps every block of the Rosenblatt walk, read-only, built
+on first read: one engine per (n, H) is shared by its path generator and
+statistics, and the exact-law references of an ensemble coarsened from grid
+N read grid N's engine and rescale by discrete self-similarity.  Only the
+engine runs the Gaussian pass, on noise that is not all +-1
+(``quadratic_increments``): the Gauss-Legendre product alone is squared and
+weighed by one GEMM against a block-diagonal weight matrix, and the cross
+and squared-noise terms, linear in their tables, read node contractions made
+once per block, in the worker that built it, which the exact-law matrices
+read too.  Only the +-1 pass and the per-panel oracles read a block's A_j1
+node by node, so the engine keeps A_j1 only if one of them is its first
+reader; a +-1 reader that comes later rebuilds the blocks once, with the
+same bits.
 """
 from __future__ import annotations
 
@@ -375,14 +379,14 @@ class _Panels:
 class VolterraEngine(_Panels):
     """Every panel table of the grid t_m = m/n on [0, 1] at index H.
 
-    The constructor builds every panel, in blocks of 16 consecutive panels,
-    and keeps them.  A block's A_gl / A_j1 tables are one zero-padded matrix
-    each, of shape (K, 16 * nodes) with K the block's last panel (a last,
-    partial block has fewer columns); panel k fills rows :k of its column
-    slice.  Next to them the block holds, one row per panel, the weights
-    wR = w_j1 R, the scalar e2 = int_panel E^2 and the column sums of A_gl^2,
-    and the node contractions D and m1, made in the worker that built it,
-    next to the engine's block-diagonal weights W.
+    The blocks of 16 consecutive panels are built on first read, not by the
+    constructor, and kept.  A block's A_gl / A_j1 tables are one zero-padded
+    matrix each, of shape (K, 16 * nodes) with K the block's last panel (a
+    last, partial block has fewer columns); panel k fills rows :k of its
+    column slice.  Next to them the block holds, one row per panel, the
+    weights wR = w_j1 R, the scalar e2 = int_panel E^2 and the column sums of
+    A_gl^2, and the node contractions D and m1, made in the worker that built
+    it, next to the engine's block-diagonal weights W.
     ``quadratic_increments`` (the ensembles, once per noise slab) multiplies
     its noise rows by whole blocks: the +-1 pass through ``_increments``,
     the Gaussian pass on the contractions and W, which only this class
@@ -392,8 +396,17 @@ class VolterraEngine(_Panels):
     each block once, so they keep none (``fbm_matrix``,
     ``branch_increments``): this class serves the Rosenblatt walk alone.
 
-    Instances are read-only and safe to share across readers; acquire them
-    through ``get_engine``.
+    Only the +-1 pass and ``panel`` read A_j1; the Gaussian pass and
+    ``table_matrix`` read its contraction m1 alone.  So the first reader
+    decides what the blocks keep (``_blocks``): after any other first
+    reader each block drops A_j1 once m1 is made, which halves the kept
+    tables, and a later +-1 pass or ``panel`` rebuilds every block once,
+    with the same ``_block`` and so the same bits, and keeps A_j1.
+
+    The tables are read-only and safe to share across readers; acquire an
+    engine through ``get_engine``.  No lock guards the first build: readers
+    that race it may each build, with identical bits, and the last one's
+    blocks are kept.
     """
 
     def __init__(self, n: int, p: HurstParams):
@@ -402,28 +415,44 @@ class VolterraEngine(_Panels):
         # panel's column; a partial block of B panels reads [:B * nodes, :B]
         self._W = np.kron(np.eye(_BLOCK), self._w_gl[:, None])
         self._W.setflags(write=False)
+        self._built = None
+
+    def _blocks(self, j1: bool) -> list:
+        """Every block, in panel order, for a reader that reads A_j1 (j1) or
+        only its contraction m1; built on the first read, and built again
+        only for the first j1 reader after blocks that dropped A_j1."""
+        blocks = self._built
+        if blocks is not None and (not j1 or "A_j1" in blocks[0]):
+            return blocks
 
         def contract(t: dict) -> dict:
             # D = sum_q w_gl A_gl^2 and m1 = sum_q wR A_j1, each (K, panels)
             t.update(D=_node_sum(t["A_gl"] ** 2, t["w_gl"]), m1=_node_sum(t["A_j1"], t["wR"]))
             for key in ("D", "m1"):
                 t[key].setflags(write=False)
+            if not j1:
+                del t["A_j1"]
             return t
-        self._blocks = self._map(contract)
+        self._built = self._map(contract)
+        return self._built
 
     def panel(self, k: int) -> dict:
         """Read-only views of panel k = [(k-1)/n, k/n] in its block's layout:
-        A_gl / A_j1 of shape (k, nodes), the per-panel entries as one row."""
+        A_gl / A_j1 of shape (k, nodes), the per-panel entries as one row.
+        A reader of A_j1: on an engine whose blocks dropped it, the first
+        call rebuilds them (``VolterraEngine``)."""
         if not 1 <= k <= self.n:
             raise DomainError(f"panel index must lie in 1..{self.n}, got {k}")
-        return self._cut(self._blocks[(k - 1) // _BLOCK], k, k)
+        t = self._blocks(j1=True)[(k - 1) // _BLOCK]
+        j = (k - t["lo"]) * _NODES
+        return {**self._cut(t, k, k), "A_j1": t["A_j1"][:k, j: j + _NODES]}
 
     def _cut(self, t: dict, first: int, last: int) -> dict:
-        """``panel``'s views for panels first..last of block t, rows :last."""
+        """The views ``_gram`` reads of panels first..last of block t, rows
+        :last: ``panel``'s but A_j1."""
         j0, j1 = first - t["lo"], last - t["lo"] + 1
-        cols = slice(j0 * _NODES, j1 * _NODES)
         one = {key: t[key][j0: j1] for key in ("Qd", "wR", "e2")}
-        return {"lo": first, "A_gl": t["A_gl"][:last, cols], "A_j1": t["A_j1"][:last, cols],
+        return {"lo": first, "A_gl": t["A_gl"][:last, j0 * _NODES: j1 * _NODES],
                 "m1": t["m1"][:last, j0: j1], "w_gl": self._w_gl, **one}
 
     def _scaled(self, G: np.ndarray) -> np.ndarray:
@@ -447,12 +476,14 @@ class VolterraEngine(_Panels):
         """Cumulative coefficient matrix c_ij(m), zero-padded to (n, n).
 
         One ``_gram`` product per stored block, the block holding panel m cut
-        at m; m = 0 gives zeros.  The exact finite-n laws read it.
+        at m; m = 0 gives zeros.  The exact finite-n laws read it.  It reads
+        m1, not A_j1, so as an engine's first reader it leaves blocks without
+        A_j1 (``VolterraEngine``).
         """
         if not 0 <= m <= self.n:
             raise DomainError(f"need 0 <= m <= n, got m={m}, n={self.n}")
         G = np.zeros((self.n, self.n))
-        for t in self._blocks[: -(-m // _BLOCK)]:
+        for t in self._blocks(j1=False)[: -(-m // _BLOCK)]:
             last = min(t["A_gl"].shape[0], m)
             G[:last, :last] += _gram(self._cut(t, t["lo"], last))
         return self._scaled(G)
@@ -466,10 +497,10 @@ class VolterraEngine(_Panels):
         Column k - 1 of the result is the panel-k increment of every row, and
         every stored block runs once over all M rows.  This is the one pass of
         the ensembles, which call it once per noise slab.  The noise picks the
-        pass, per call: if every square of xi is 1 (the squares the Gaussian
-        pass forms anyway) it runs the +-1 pass ``_increments``, two GEMMs 16
-        * nodes wide per block, in its per-node operation order, which fixes
-        the bits of the Rademacher ensembles and of ``branch_increments``.
+        pass, per call, before anything is allocated: if |xi| = 1 everywhere
+        it runs the +-1 pass ``_increments``, two GEMMs 16 * nodes wide per
+        block, in its per-node operation order, which fixes the bits of the
+        Rademacher ensembles and of ``branch_increments``.
         Otherwise it runs the Gaussian pass, the same sum with every node sum
         but the squared one contracted: sum_q w_gl S_q^2 is S^2 @ W with the
         block-diagonal W, the squared-noise terms are x^2 @ D and x_{k-1}^2
@@ -477,21 +508,26 @@ class VolterraEngine(_Panels):
         nodes wide and three 16 wide.  Both give the same sum to within
         rounding.  Every product goes through ``_matmul``, so a row's bits do
         not depend on the other rows of xi when those are of its noise kind
-        (a +-1 row stacked with Gaussian rows runs the Gaussian pass).
+        (a +-1 row stacked with Gaussian rows runs the Gaussian pass).  Only
+        the +-1 pass reads A_j1, so a Gaussian pass that is the engine's
+        first reader leaves blocks without it (``VolterraEngine``).
         """
         n = self.n
         if xi.shape[1] != n:
             raise DomainError(f"noise length {xi.shape[1]} does not match grid {n}")
+        unit = bool(np.all(np.abs(xi) == 1.0))
+        blocks = self._blocks(j1=unit)
         x = np.zeros((xi.shape[0], n + 1))
         x[:, 1:] = xi
-        x2 = x ** 2
-        unit = np.all(x2[:, 1:] == 1.0)
         out = np.empty(xi.shape)
-        for t in self._blocks:
-            lo, K = t["lo"], t["A_gl"].shape[0]
-            if unit:
+        if unit:
+            for t in blocks:
+                lo, K = t["lo"], t["A_gl"].shape[0]
                 out[:, lo - 1: K] = self._increments(t, x[:, : K + 1], x[:, lo: K + 1])
-                continue
+            return out
+        x2 = x ** 2
+        for t in blocks:
+            lo, K = t["lo"], t["A_gl"].shape[0]
             prev, cur = x[:, lo - 1: K], x[:, lo: K + 1]
             S = _matmul(x[:, 1: K + 1], t["A_gl"])
             S *= S
@@ -509,7 +545,8 @@ class VolterraEngine(_Panels):
 
 @lru_cache(maxsize=None)
 def get_engine(n: int, p: HurstParams) -> VolterraEngine:
-    """The one shared engine of (n, H): ``HurstParams`` hashes by H alone."""
+    """The one shared engine of (n, H): ``HurstParams`` hashes by H alone.
+    It builds no block: the engine's first reader does."""
     return VolterraEngine(n, p)
 
 

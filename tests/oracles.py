@@ -249,7 +249,7 @@ def full_coefficient_matrix(n: int, p: HurstParams) -> np.ndarray:
     and which criterion 2's deficit partly is."""
     eng = get_engine(n, p)
     G = np.zeros((n, n))
-    for t in eng._blocks:
+    for t in eng._blocks(j1=False):
         last = t["A_gl"].shape[0]
         G[:last, :last] += _gram(eng._cut(t, t["lo"], last))
     G *= n * p.dH

@@ -332,6 +332,40 @@ class TestValidate:
         assert kernel.get_engine.cache_info().currsize == 0
         assert kernel.fbm_matrix.cache_info().currsize == 1
 
+    def test_get_engine_builds_no_block(self, monkeypatch):
+        # the engine's first reader builds its blocks, not get_engine
+        import rosenblatt.kernel as kernel
+
+        def no_build(*args):
+            raise AssertionError("a panel block was built")
+
+        monkeypatch.setattr(kernel._Panels, "_block", no_build)
+        kernel.get_engine.cache_clear()
+        assert kernel.get_engine(64, kernel.HurstParams(0.8)).n == 64
+
+    @pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
+    def test_builds_each_block_once(self, tmp_path, monkeypatch, noise):
+        # the draw is the engine's first reader and the exact laws read what
+        # it kept: one pass of the block pool, no rebuild, and A_j1 kept
+        # only for the +-1 pass, which reads it
+        import rosenblatt.kernel as kernel
+        passes = []
+        streamed = kernel._Panels._map
+
+        def recording(self, use):
+            passes.append(self.n)
+            return streamed(self, use)
+
+        kernel.get_engine.cache_clear()
+        monkeypatch.setattr(kernel._Panels, "_map", recording)
+        run("validate", "--check", "all", "--process", "rosenblatt", "--hurst", "0.8",
+            "--noise", noise, "--n", "32", "--paths", "200", "--qv-sizes", "16,32,64",
+            "--out", str(tmp_path / "rep.json"))
+        assert passes == [64]
+        blocks = kernel.get_engine(64, kernel.HurstParams(0.8))._blocks(j1=False)
+        assert passes == [64]
+        assert {"A_j1" in t for t in blocks} == {noise == "rademacher"}
+
     def test_builds_each_exact_matrix_once(self, tmp_path, monkeypatch):
         # the point-mass rules read the walk's chaos order, not its exact
         # law, so only the checks build: the variance's 0 and t, the

@@ -333,20 +333,33 @@ class TestWeightTable:
             get_engine(8, p07).panel(k)
 
     def test_concurrent_build_and_read(self, p08):
-        # build-then-freeze: racing readers must see one consistent table
+        # build on first read, with no lock: racing first readers, of m1
+        # alone and of A_j1, may each build the blocks, but every reader sees
+        # the bits of a lone reader, and what is kept is frozen
+        import sys
         from concurrent.futures import ThreadPoolExecutor
-        eng = get_engine(24, p08)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            tables = list(pool.map(lambda _: eng.table_matrix(24), range(16)))
-        assert all(np.array_equal(tables[0], t) for t in tables[1:])
-        assert not eng.panel(5)["A_gl"].flags.writeable
+        n = 24
+        xi = np.random.default_rng(n).integers(0, 2, (3, n)) * 2.0 - 1.0
+        lone = VolterraEngine(n, p08)
+        want = [lone.table_matrix(n).tobytes(), lone.quadratic_increments(xi).tobytes()]
+        eng = VolterraEngine(n, p08)
+        readers = (lambda: eng.table_matrix(n), lambda: eng.quadratic_increments(xi))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda r: readers[r % 2]().tobytes(), range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want[r % 2] for r in range(16)]
+        for key in ("A_gl", "A_j1", "m1"):
+            assert not eng.panel(5)[key].flags.writeable, key
         # the node contractions stored next to each block, and the engine's
         # block-diagonal weight matrix, are frozen with the rest
-        for t in eng._blocks:
+        for t in eng._blocks(j1=False):
             for key in ("D", "m1"):
                 assert not t[key].flags.writeable, key
         assert not eng._W.flags.writeable
-        assert not eng.panel(5)["m1"].flags.writeable
 
     @pytest.mark.parametrize("H", [0.6, 0.8])
     @pytest.mark.parametrize("n", [7, 128, 300])
@@ -359,7 +372,7 @@ class TestWeightTable:
             v = eng.panel(k)
             assert v["m1"].tobytes() == _node_sum(v["A_j1"], v["wR"]).tobytes(), k
             assert "row" not in v
-        for t in eng._blocks:
+        for t in eng._blocks(j1=False):
             assert t["D"].tobytes() == _node_sum(t["A_gl"] ** 2, t["w_gl"]).tobytes()
             assert {"row", "diag"}.isdisjoint(t)
 
@@ -370,11 +383,11 @@ class TestWeightTable:
         # this thread, bit for bit, whatever the number of workers
         for workers in (1, 3):
             monkeypatch.setattr(kernel, "_cpus", lambda: workers)
-            eng = VolterraEngine(n, p08)
-            assert len(eng._blocks) == -(-n // _BLOCK)
-            for b, t in enumerate(eng._blocks):
+            blocks = VolterraEngine(n, p08)._blocks(j1=True)
+            assert len(blocks) == -(-n // _BLOCK)
+            for b, t in enumerate(blocks):
                 lo = 1 + b * _BLOCK
-                ref = eng._block(lo, min(lo + _BLOCK - 1, n))
+                ref = _Panels(n, p08)._block(lo, min(lo + _BLOCK - 1, n))
                 ref.update(D=_node_sum(ref["A_gl"] ** 2, ref["w_gl"]),
                            m1=_node_sum(ref["A_j1"], ref["wR"]))
                 assert t["lo"] == lo
@@ -396,6 +409,76 @@ class TestWeightTable:
         assert get_engine.cache_info()[:2] == (1, 3)
         assert get_engine(17, HurstParams(0.8)) is other_n
         assert get_engine.cache_info()[:2] == (2, 3)
+
+
+# the readers of m1 alone, each run on an engine's whole grid
+_M1_READERS = {
+    "gaussian": lambda eng: eng.quadratic_increments(
+        np.random.default_rng(eng.n).standard_normal((3, eng.n))),
+    "table_matrix": lambda eng: eng.table_matrix(eng.n),
+}
+
+
+def _block_bytes(eng: VolterraEngine) -> int:
+    """Bytes of the arrays an engine's kept blocks hold."""
+    return sum(v.nbytes for t in eng._blocks(j1=False) for v in t.values()
+               if isinstance(v, np.ndarray))
+
+
+class TestBuiltOnFirstRead:
+    @pytest.mark.parametrize("reader", list(_M1_READERS))
+    def test_m1_reader_first_keeps_no_A_j1(self, p08, reader):
+        # the Gaussian pass and table_matrix read m1, never A_j1: as the
+        # first reader they leave every block without A_j1 and with the rest
+        eng = VolterraEngine(40, p08)
+        _M1_READERS[reader](eng)
+        blocks = eng._blocks(j1=False)
+        assert len(blocks) == 3
+        for t in blocks:
+            assert "A_j1" not in t
+            assert {"A_gl", "Qd", "wR", "e2", "D", "m1"} <= set(t)
+
+    def test_gaussian_engine_holds_half_the_tables(self, p08):
+        # at n = 256 the blocks hold 9.1 MiB with A_j1 and 4.85 MiB without
+        n = 256
+        gauss, pm1 = VolterraEngine(n, p08), VolterraEngine(n, p08)
+        _M1_READERS["gaussian"](gauss)
+        pm1.quadratic_increments(np.ones((2, n)))
+        assert _block_bytes(gauss) <= 4.9 * 2**20
+        assert _block_bytes(pm1) >= 9.0 * 2**20
+
+    @pytest.mark.parametrize("reader", list(_M1_READERS))
+    @pytest.mark.parametrize("n", [7, 128, 300])
+    def test_pm1_reader_rebuilds_once_with_the_same_bits(self, p08, n, reader, monkeypatch):
+        # a +-1 pass and panel(k) after an m1 reader equal those of an engine
+        # whose first reader was the +-1 pass, bit for bit, through one
+        # rebuild; n covers one block, whole blocks, a partial last block and
+        # (n > 256) the chunked inner dimension
+        passes = []
+        build = _Panels._map
+
+        def counting(self, use):
+            passes.append(self.n)
+            return build(self, use)
+
+        monkeypatch.setattr(_Panels, "_map", counting)
+        xi = np.random.default_rng(n).integers(0, 2, (5, n)) * 2.0 - 1.0
+        fresh = VolterraEngine(n, p08)
+        want = fresh.quadratic_increments(xi)
+        eng = VolterraEngine(n, p08)
+        first = _M1_READERS[reader](eng)
+        assert eng.quadratic_increments(xi).tobytes() == want.tobytes()
+        for k in range(1, n + 1):
+            got, ref = eng.panel(k), fresh.panel(k)
+            assert got.keys() == ref.keys(), k
+            for key, v in got.items():
+                assert np.asarray(v).tobytes() == np.asarray(ref[key]).tobytes(), (k, key)
+        for got, ref in zip(eng._blocks(j1=True), fresh._blocks(j1=True), strict=True):
+            for key in (*_TABLES, "D", "m1"):
+                assert got[key].tobytes() == ref[key].tobytes(), (got["lo"], key)
+        # the m1 reader's bits hold on the rebuilt blocks, which are kept
+        assert _M1_READERS[reader](eng).tobytes() == first.tobytes()
+        assert passes == [n, n, n]
 
 
 class TestBlockBuild:
@@ -426,7 +509,7 @@ class TestBlockBuild:
         # A_j1 the per-panel build's row, from m1 the node sum of that row
         # and m1's own subdiagonal, bit for bit
         eng = get_engine(n, HurstParams(H))
-        for t in eng._blocks:
+        for t in eng._blocks(j1=True):
             lo, K = t["lo"], t["A_gl"].shape[0]
             ks = lo + np.arange(K - lo + 1)
             row = panel_block(eng, lo, K)["row"]
@@ -532,7 +615,7 @@ class TestQuadraticIncrements:
         x[:, 1:] = xi
         x2 = x * x
         want = np.empty((M, n))
-        for t in eng._blocks:
+        for t in eng._blocks(j1=True):
             lo, K = t["lo"], t["A_gl"].shape[0]
             B, nodes = t["wR"].shape
             prev, cur = x[:, lo - 1: lo - 1 + B], x[:, lo: lo + B]

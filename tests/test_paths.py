@@ -391,7 +391,8 @@ class TestStreamedPass:
         # besides the values, the pass may hold a few slabs' worth of noise,
         # increments and GEMM temporaries, never an (M, n) matrix
         M, n = 16384, 64
-        get_engine(n, p08)
+        # the engine's blocks, built by its first Gaussian pass, are not counted
+        get_engine(n, p08).quadratic_increments(np.zeros((1, n)))
         tracemalloc.start()
         try:
             Z = simulate_ensemble(M, 5, "gaussian", p08, "rosenblatt", n)

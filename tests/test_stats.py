@@ -494,7 +494,8 @@ class TestQuadraticVariation:
         # GEMM temporaries, increments and paths (7.6 MiB at 512 rows)
         import tracemalloc
         M, N = 5000, 256
-        get_engine(N, p08)
+        # the engine's blocks, built by its first Gaussian pass, are not counted
+        get_engine(N, p08).quadratic_increments(np.zeros((1, N)))
         law = WalkLaw(ProcessTag.ROSENBLATT, p08, 128, N)
         tracemalloc.start()
         try:
