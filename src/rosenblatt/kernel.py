@@ -28,16 +28,21 @@ family, ``_NODES``), each a zero-padded (K, 16 * nodes) matrix whose rows are
 the cells i <= K of the block's last panel, so a pass runs one GEMM per block
 where it would run sixteen thin ones; the zero rows add exact zeros.  The
 blocks are built on a thread pool, one worker per usable CPU, largest block
-first: the build is mostly incomplete beta evaluations, which release the
-GIL, one call per node family per block on the whole table, with each edge
-past a panel's own cells read as Ix(1) = B so that its rows difference to
-exact zeros; and each block is computed on its own, so no table depends on
-the worker count or on the order blocks finish in.  ``_Panels``
-builds the blocks and runs the +-1 pass (``_increments``) in a per-node
-operation order that fixes the bits of the Rademacher ensembles and of the
-market's branch pass, which gives the up and the down branch of every step
-of each noise prefix (``branch_increments``); it and the fbm walk's matrix
-(``fbm_matrix``) read each block once and keep no engine.
+first, and each reader builds of a block only the node families it reads,
+one at a time (``_table``): the build is mostly incomplete beta evaluations,
+which release the GIL, one call per family table on the whole table, with
+each edge past a panel's own cells read as Ix(1) = B so that its rows
+difference to exact zeros, plus the small endpoint factors (``_wR``,
+``_e2``); and each block is computed on its own, so no table depends on the
+worker count or on the order blocks finish in.  ``_Panels`` builds the
+tables and runs the +-1 pass (``_increments``), a Gauss-Legendre half and a
+Gauss-Jacobi half, in a per-node operation order that fixes the bits of the
+Rademacher ensembles and of the market's branch pass, which gives the up and
+the down branch of every step of each noise prefix (``branch_increments``).
+The branch pass runs a block's A_gl through the first half and drops it
+before it builds the block's A_j1 for the second, and the fbm walk's matrix
+(``fbm_matrix``) builds A_gl alone, so a worker of either holds one table at
+a time and neither keeps an engine.
 ``VolterraEngine`` keeps every block of the Rosenblatt walk, read-only, built
 on first read: one engine per (n, H) is shared by its path generator and
 statistics, and the exact-law references of an ensemble coarsened from grid
@@ -49,8 +54,9 @@ and squared-noise terms, linear in their tables, read node contractions made
 once per block, in the worker that built it, which the exact-law matrices
 read too.  Only the +-1 pass and the per-panel oracles read a block's A_j1
 node by node, so the engine keeps A_j1 only if one of them is its first
-reader; a +-1 reader that comes later rebuilds the blocks once, with the
-same bits.
+reader; otherwise each worker drops A_j1 once its contraction is made and
+before it builds A_gl, and a +-1 reader that comes later builds the A_j1
+tables alone, once, with the same bits.
 """
 from __future__ import annotations
 
@@ -170,6 +176,14 @@ def _subdiagonal(T: np.ndarray, lo: int) -> np.ndarray:
     return T.reshape(K, B, -1)[np.maximum(np.arange(lo - 2, K - 1), 0), np.arange(B)]
 
 
+def _column_squares(A: np.ndarray, lo: int) -> np.ndarray:
+    """Qd, the column sums of A^2 of each panel of a block table A from panel
+    lo, (panels, nodes): with xi_i^2 = 1 the squared-noise term of the +-1
+    pass (``_gl_half``)."""
+    return np.array([np.sum(A[:k, j * _NODES: (j + 1) * _NODES] ** 2, axis=0)
+                     for j, k in enumerate(range(lo, A.shape[0] + 1))])
+
+
 def _gram(v: dict) -> np.ndarray:
     """Unscaled panel Gram sum of a block, or a cut of one, in ``panel``'s
     layout: A W A^T + S M1^T + M1 S^T + S diag(e2) S^T, with A the A_gl
@@ -255,11 +269,13 @@ class _Panels:
             = cHp a^(Hp-1/2) [Ix(u2/a) - Ix(u1/a)],
         Ix(x) = B(3/2-Hp, Hp-1/2) betainc(3/2-Hp, Hp-1/2, x).
 
-    Construction sets only the node rules and constants; ``_block`` builds
-    the node tables of 16 consecutive panels, ``_map`` builds every block
-    and hands each to a function, and ``_increments`` is the +-1 pass of
-    noise rows through a block.  This class holds nothing of the Gaussian
-    pass, which ``VolterraEngine`` runs on the contractions it keeps;
+    Construction sets only the node rules and constants.  ``_table`` builds
+    one node family's difference table of 16 consecutive panels, ``_wR`` and
+    ``_e2`` their endpoint factors, ``_map`` hands every block's panel range
+    to a function that builds what it reads, and ``_increments`` is the +-1
+    pass of noise rows through a block, in two halves that read one table
+    each.  This class holds nothing of the Gaussian pass, which
+    ``VolterraEngine`` runs on the contractions it keeps;
     ``branch_increments`` keeps only what the +-1 pass reads off each block.
     """
 
@@ -279,68 +295,83 @@ class _Panels:
 
     # -- panels --------------------------------------------------------------
 
-    def _block(self, lo: int, last: int) -> dict:
-        """Node tables of panels lo..last, frozen.
+    def _nodes(self, lo: int, last: int, rule) -> tuple:
+        """Left ends (B, 1) of panels lo..last, the nodes a (B, nodes) of the
+        node family rule on each, and the prefactor cHp a^alpha."""
+        left = (np.arange(lo - 1, last) / self.n)[:, None]
+        a = left + 0.5 / self.n * (rule[0] + 1.0)
+        return left, a, self.params.cHp * a ** self._alpha
 
-        One incomplete beta call per node family builds the whole block in
-        place.  A_gl / A_j1 first hold the arguments (i/n)/a of every cell
-        edge i < K at every node a of the block; rows i >= k - 1 of panel k's
-        column slice are set to 1.0, where Ix(1) = B exactly, so after the
-        differences of consecutive rows row k - 2 holds B - Ix((k-2)/n / a)
-        and every row from k - 1 down is an exact zero.  The endpoint factor
-        R of E(a) = (a - (k-1)/n)^alpha R(a) takes one betaincc call per
-        Gauss-Jacobi family, which keeps it stable near the panel's left end.
-        Every temporary is one panel's column slice or one row per panel, so
-        the build holds nothing the size of a table beside the two it returns.
+    def _table(self, lo: int, last: int, rule) -> np.ndarray:
+        """The difference table of panels lo..last on the nodes of one family,
+        rule = ``self._gl`` (A_gl) or ``self._j1`` (A_j1), frozen.
+
+        One incomplete beta call builds the whole table in place.  It first
+        holds the arguments (i/n)/a of every cell edge i < K at every node a
+        of the block; rows i >= k - 1 of panel k's column slice are set to
+        1.0, where Ix(1) = B exactly, so after the differences of consecutive
+        rows row k - 2 holds B - Ix((k-2)/n / a) and every row from k - 1 down
+        is an exact zero.  Every temporary is one row per panel or a column of
+        edges, so the build holds nothing the size of a table beside the one
+        it returns.
         """
-        n, nodes, h2, al = self.n, _NODES, 0.5 / self.n, self._alpha
-        B = last - lo + 1
-        left = (np.arange(lo - 1, last) / n)[:, None]
-        a_gl, a_j1, a_j2 = (left + h2 * (x + 1.0) for x, _ in (self._gl, self._j1, self._j2))
-        pref_gl, pref_j1, pref_j2 = (self.params.cHp * a ** al for a in (a_gl, a_j1, a_j2))
-        A_gl, A_j1 = np.empty((last, B * nodes)), np.empty((last, B * nodes))
-        for A, a, pref in ((A_gl, a_gl, pref_gl), (A_j1, a_j1, pref_j1)):
-            np.divide(np.arange(last)[:, None] / n, a.reshape(-1), out=A)
-            for j, k in enumerate(range(lo, last + 1)):
-                A[k - 1:, j * nodes: (j + 1) * nodes] = 1.0
-            special.betainc(self._c1, al, A, out=A)
-            A *= self._B
-            # in place and without a copy: the output starts before the input
-            np.subtract(A[1:], A[:-1], out=A[:-1])
-            A[-1] = 0.0
-            A.reshape(last, B, nodes)[...] *= pref
-        # with xi_i^2 = 1 the squared-noise term is the column sum of A^2
-        Qd = np.array([np.sum(A_gl[:k, j * nodes: (j + 1) * nodes] ** 2, axis=0)
-                       for j, k in enumerate(range(lo, last + 1))])
-        R_j1, R_j2 = (pref * self._B * special.betaincc(self._c1, al, left / a) / (a - left) ** al
-                      for a, pref in ((a_j1, pref_j1), (a_j2, pref_j2)))
-        # Jacobi weights times R: the Abar-E cross terms; int_panel E(a)^2 da
-        wR = self._j1[1] * h2 ** (1 + al) * R_j1
-        e2 = np.sum(self._j2[1] * h2 ** (1 + 2 * al) * R_j2 ** 2, axis=1)
-        for arr in (A_gl, A_j1, Qd, wR, e2):
-            arr.setflags(write=False)
-        return {"lo": lo, "A_gl": A_gl, "A_j1": A_j1, "w_gl": self._w_gl,
-                "Qd": Qd, "wR": wR, "e2": e2}
+        nodes, al = _NODES, self._alpha
+        _, a, pref = self._nodes(lo, last, rule)
+        A = np.empty((last, a.size))
+        np.divide(np.arange(last)[:, None] / self.n, a.reshape(-1), out=A)
+        for j, k in enumerate(range(lo, last + 1)):
+            A[k - 1:, j * nodes: (j + 1) * nodes] = 1.0
+        special.betainc(self._c1, al, A, out=A)
+        A *= self._B
+        # in place and without a copy: the output starts before the input
+        np.subtract(A[1:], A[:-1], out=A[:-1])
+        A[-1] = 0.0
+        A.reshape(last, -1, nodes)[...] *= pref
+        A.setflags(write=False)
+        return A
+
+    def _edge(self, lo: int, last: int, rule) -> np.ndarray:
+        """R of E(a) = (a - (k-1)/n)^alpha R(a) on the nodes of a Gauss-Jacobi
+        family, (B, nodes); one betaincc call keeps it stable near the
+        panel's left end."""
+        left, a, pref = self._nodes(lo, last, rule)
+        al = self._alpha
+        return pref * self._B * special.betaincc(self._c1, al, left / a) / (a - left) ** al
+
+    def _wR(self, lo: int, last: int) -> np.ndarray:
+        """Jacobi weights times R, the Abar-E cross terms, (B, nodes), frozen."""
+        wR = self._j1[1] * (0.5 / self.n) ** (1 + self._alpha) * self._edge(lo, last, self._j1)
+        wR.setflags(write=False)
+        return wR
+
+    def _e2(self, lo: int, last: int) -> np.ndarray:
+        """int_panel E(a)^2 da of panels lo..last on the second Gauss-Jacobi
+        family, (B,), frozen."""
+        e2 = np.sum(self._j2[1] * (0.5 / self.n) ** (1 + 2 * self._alpha)
+                    * self._edge(lo, last, self._j2) ** 2, axis=1)
+        e2.setflags(write=False)
+        return e2
 
     def _map(self, use) -> list:
-        """[use(block) for every block in panel order], each block built and
-        used on a thread pool, one worker per usable CPU and at most one per
-        block.  The pool takes the blocks largest first (a block's cost grows
-        with its last panel), so no worker is left with the largest block
-        while the others idle, and the results come back in panel order.  A
-        block reads only the constants set by ``__init__``, so its tables are
-        bit-identical to a serial build whatever the worker count or the
-        order blocks finish in; a block that use does not return is dropped
-        once use is done with it, so no more blocks are alive at once than
-        there are workers."""
+        """[use(lo, last) for the block of every panels lo..last, in panel
+        order], run on a thread pool, one worker per usable CPU and at most
+        one per block.  use builds what it reads of its block, one node
+        family at a time (``_table``, ``_wR``, ``_e2``).  The pool takes the
+        blocks largest first (a block's cost grows with its last panel), so no
+        worker is left with the largest block while the others idle, and the
+        results come back in panel order.  A block reads only the constants
+        set by ``__init__``, so its tables are bit-identical to a serial build
+        whatever the worker count or the order blocks finish in; a table that
+        use does not return is dropped once use is done with it."""
         los = range(1, self.n + 1, _BLOCK)
         with ThreadPoolExecutor(min(_cpus(), len(los))) as pool:
             return list(pool.map(
-                lambda lo: use(self._block(lo, min(lo + _BLOCK - 1, self.n))), los[::-1]))[::-1]
+                lambda lo: use(lo, min(lo + _BLOCK - 1, self.n)), los[::-1]))[::-1]
 
     def _increments(self, t: dict, x: np.ndarray, cur: np.ndarray) -> np.ndarray:
         """Increments of the consecutive panels of block t for each +-1 noise
-        row of x, shape (M, panels).
+        row of x, shape (M, panels): the Gauss-Legendre half ``_gl_half``
+        followed by the Gauss-Jacobi half ``_j1_half``.
 
         x has shape (M, K + 1), K the last panel of t, with column i holding
         xi_i and column 0 the absent xi_0 = 0.  cur is the xi_k of every panel
@@ -350,22 +381,32 @@ class _Panels:
         is expanded through the Abar/E split into sum_q w_gl (S_q^2 - Qd_q)
         + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q + xi_{k-1}^2 row_q)
         - 2 xi_k xi_{k-1} e2, with S = x @ A_gl, S1 = x @ A_j1 and Qd the
-        stored column sums of A_gl^2, so it costs O(M k nodes) flops per
-        panel.  Every product goes through ``_matmul``, so no row's bits
-        depend on M.
+        column sums of A_gl^2 (``_column_squares``), so it costs O(M k nodes)
+        flops per panel.  Every product goes through ``_matmul``, so no row's
+        bits depend on M.  The halves read one family's table each, so the
+        branch pass drops a block's A_gl before it builds its A_j1.
         """
+        return self._j1_half(t, x, cur, self._gl_half(t, x))
+
+    def _gl_half(self, t: dict, x: np.ndarray) -> np.ndarray:
+        """sum_q w_gl (S_q^2 - Qd_q) of ``_increments``, from A_gl and Qd."""
+        S = _matmul(x[:, 1:], t["A_gl"]).reshape(x.shape[0], -1, _NODES)
+        # in place, but in the operation order of ((S*S - Qd) * w_gl).sum():
+        # the order fixes every bit of the result
+        S *= S
+        S -= t["Qd"]
+        S *= self._w_gl
+        return S.sum(axis=2)
+
+    def _j1_half(self, t: dict, x: np.ndarray, cur: np.ndarray, part: np.ndarray) -> np.ndarray:
+        """n dH (part + the rest of ``_increments``), from A_j1, wR and e2;
+        part is ``_gl_half``'s, which it adds to in place."""
         M = x.shape[0]
         B, nodes = t["wR"].shape
         lo = t["lo"]
         prev = x[:, lo - 1: lo - 1 + B]
-        # in place, but in the operation order of ((S*S - Qd) * w_gl).sum()
-        # + (2 * (xs*S1 + row) * wR).sum() - 2 xi_k xi_{k-1} e2 with
-        # xs = xi_k - xi_{k-1}: the order fixes every bit of the result
-        S = _matmul(x[:, 1:], t["A_gl"]).reshape(M, B, nodes)
-        S *= S
-        S -= t["Qd"]
-        S *= t["w_gl"]
-        part = S.sum(axis=2)
+        # in place, but in the operation order of part + (2 * (xs*S1 + row)
+        # * wR).sum() - 2 xi_k xi_{k-1} e2 with xs = xi_k - xi_{k-1}
         S1 = _matmul(x[:, 1:], t["A_j1"]).reshape(M, B, nodes)
         S1 *= (cur - prev)[:, :, None]
         S1 += _subdiagonal(t["A_j1"], lo)
@@ -398,10 +439,12 @@ class VolterraEngine(_Panels):
 
     Only the +-1 pass and ``panel`` read A_j1; the Gaussian pass and
     ``table_matrix`` read its contraction m1 alone.  So the first reader
-    decides what the blocks keep (``_blocks``): after any other first
-    reader each block drops A_j1 once m1 is made, which halves the kept
-    tables, and a later +-1 pass or ``panel`` rebuilds every block once,
-    with the same ``_block`` and so the same bits, and keeps A_j1.
+    decides what the blocks keep (``_blocks``), which are built one node
+    family at a time, A_j1 first: after any other first reader each worker
+    drops A_j1 once m1 is made and before it builds A_gl, which halves the
+    kept tables and the tables a worker holds, and a later +-1 pass or
+    ``panel`` builds every block's A_j1 once more, with the same ``_table``
+    and so the same bits, and keeps it.
 
     The tables are read-only and safe to share across readers; acquire an
     engine through ``get_engine``.  No lock guards the first build: readers
@@ -419,21 +462,30 @@ class VolterraEngine(_Panels):
 
     def _blocks(self, j1: bool) -> list:
         """Every block, in panel order, for a reader that reads A_j1 (j1) or
-        only its contraction m1; built on the first read, and built again
-        only for the first j1 reader after blocks that dropped A_j1."""
+        only its contraction m1.  The first read builds each block one node
+        family at a time: A_j1 with wR and e2, then m1 = sum_q wR A_j1, and
+        A_j1 is dropped, unless j1, before A_gl, its Qd and D = sum_q w_gl
+        A_gl^2 are built.  The first j1 reader after blocks that dropped A_j1
+        builds A_j1 alone and adds it to a copy of each block."""
         blocks = self._built
-        if blocks is not None and (not j1 or "A_j1" in blocks[0]):
-            return blocks
-
-        def contract(t: dict) -> dict:
-            # D = sum_q w_gl A_gl^2 and m1 = sum_q wR A_j1, each (K, panels)
-            t.update(D=_node_sum(t["A_gl"] ** 2, t["w_gl"]), m1=_node_sum(t["A_j1"], t["wR"]))
-            for key in ("D", "m1"):
-                t[key].setflags(write=False)
-            if not j1:
-                del t["A_j1"]
-            return t
-        self._built = self._map(contract)
+        if blocks is None:
+            def build(lo: int, last: int) -> dict:
+                A_j1, wR = self._table(lo, last, self._j1), self._wR(lo, last)
+                t = {"lo": lo, "w_gl": self._w_gl, "wR": wR, "e2": self._e2(lo, last),
+                     "m1": _node_sum(A_j1, wR)}
+                if j1:
+                    t["A_j1"] = A_j1
+                del A_j1
+                A_gl = self._table(lo, last, self._gl)
+                t.update(A_gl=A_gl, Qd=_column_squares(A_gl, lo),
+                         D=_node_sum(A_gl ** 2, self._w_gl))
+                for key in ("m1", "Qd", "D"):
+                    t[key].setflags(write=False)
+                return t
+            self._built = self._map(build)
+        elif j1 and "A_j1" not in blocks[0]:
+            self._built = self._map(lambda lo, last: {
+                **blocks[(lo - 1) // _BLOCK], "A_j1": self._table(lo, last, self._j1)})
         return self._built
 
     def panel(self, k: int) -> dict:
@@ -556,13 +608,16 @@ def fbm_matrix(n: int, p: HurstParams) -> np.ndarray:
 
     Uses K(t, s) = int_s^t dK(a, s) da, so row m is the cumulative sum over
     panels k <= m of the panel integrals int_panel G_i da, read per block as
-    sum_q w_gl A_gl + s_k sum_q wR in the worker that built the block, as in
-    ``branch_increments``.  Each block's integrals fill its panels' rows of
-    T, which is then summed down the panels in place, in panel order.
-    No engine is built.  Memoised per (n, H), read-only (0.5 MiB at n = 256).
+    sum_q w_gl A_gl + s_k sum_q wR in the worker that built the block's
+    A_gl, as in ``branch_increments``.  Each block's integrals fill its
+    panels' rows of T, which is then summed down the panels in place, in
+    panel order.  No engine is built, and of each block only A_gl and wR:
+    the fbm walk reads no A_j1 and no e2.  Memoised per (n, H), read-only
+    (0.5 MiB at n = 256).
     """
-    base = _Panels(n, p)._map(lambda t: _node_sum(t["A_gl"], t["w_gl"]) + _signs(
-        t["lo"], t["e2"].size, t["A_gl"].shape[0]) * t["wR"].sum(axis=1))
+    pan = _Panels(n, p)
+    base = pan._map(lambda lo, last: _node_sum(pan._table(lo, last, pan._gl), pan._w_gl)
+                    + _signs(lo, last - lo + 1, last) * pan._wR(lo, last).sum(axis=1))
     T = np.zeros((n, n))
     for b in base:
         K, B = b.shape
@@ -580,14 +635,17 @@ def branch_increments(n: int, p: HurstParams, prefixes: np.ndarray) -> np.ndarra
 
     The increment is affine in xi_k (the quadratic form has no diagonal),
     so column k - 1 is (f + g, f - g) of the split f_{k-1} + xi_k g_{k-1}.
-    One streamed pass: each panel block is built, run through the
-    unit-square ``_increments`` for all 2P rows in the worker that built it,
-    and dropped, so only the (2P, panels) results are kept and no engine is
-    built or cached.  The rows are those of ``quadratic_increments`` on the
-    noise whose xi_k is set, bit for bit.  Both rows of a prefix carry the
-    whole prefix; only xi_k differs.  Row k - 1 of panel k's A_gl / A_j1 is
-    zero (cell k has no Abar part), so panel k reads xi_1..xi_{k-1} from the
-    prefix and xi_k only as ``cur``, +1 in the up and -1 in the down row.
+    One streamed pass, a node family at a time: in the worker that builds
+    it, each block's A_gl is built, run through the Gauss-Legendre half of
+    ``_increments`` for all 2P rows and dropped, and then its A_j1 is built
+    and run through the Gauss-Jacobi half, which adds the first half's
+    (2P, panels) result.  So a worker holds one table at a time, only those
+    results are kept, and no engine is built or cached.  The rows are those
+    of ``quadratic_increments`` on the noise whose xi_k is set, bit for bit.
+    Both rows of a prefix carry the whole prefix; only xi_k differs.  Row
+    k - 1 of panel k's A_gl / A_j1 is zero (cell k has no Abar part), so
+    panel k reads xi_1..xi_{k-1} from the prefix and xi_k only as ``cur``,
+    +1 in the up and -1 in the down row.
     """
     x = np.asarray(prefixes, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] >= n:
@@ -598,7 +656,15 @@ def branch_increments(n: int, p: HurstParams, prefixes: np.ndarray) -> np.ndarra
     xs = np.zeros((2 * P, n + 1))
     xs[:, 1: L + 1] = np.repeat(x, 2, axis=0)
     cur = np.tile(_BRANCHES, (P, 1))
-    panels = _Panels(n, p)
-    parts = panels._map(lambda t: panels._increments(
-        t, xs[:, : t["A_gl"].shape[0] + 1], cur))
-    return np.hstack(parts)[:, : L + 1].reshape(P, 2, L + 1)
+    pan = _Panels(n, p)
+
+    def block(lo: int, last: int) -> np.ndarray:
+        xb = xs[:, : last + 1]
+        A = pan._table(lo, last, pan._gl)
+        part = pan._gl_half({"A_gl": A, "Qd": _column_squares(A, lo)}, xb)
+        del A
+        t = {"lo": lo, "A_j1": pan._table(lo, last, pan._j1), "wR": pan._wR(lo, last),
+             "e2": pan._e2(lo, last)}
+        return pan._j1_half(t, xb, cur, part)
+
+    return np.hstack(pan._map(block))[:, : L + 1].reshape(P, 2, L + 1)

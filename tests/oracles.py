@@ -191,11 +191,12 @@ def _edge(pan, k, a):
 
 
 def panel_block(pan, lo: int, last: int) -> dict:
-    """The node tables of ``kernel._Panels._block`` for panels lo..last of
-    the panel quadrature ``pan``, built one panel at a time: two incomplete
+    """The node tables of panels lo..last of the panel quadrature ``pan``
+    (A_gl, A_j1 and Qd, wR, e2), built one panel at a time: two incomplete
     beta evaluations of the analytic parts and two of the endpoint factor R
-    per panel, each on that panel's nodes alone.  The oracle the whole-block
-    build is held to bit for bit."""
+    per panel, each on that panel's nodes alone.  The oracle the per-family
+    whole-block builders (``kernel._Panels._table``, ``_wR``, ``_e2`` and
+    ``kernel._column_squares``) are held to bit for bit."""
     nodes, h2 = _NODES, 0.5 / pan.n
     x, _ = pan._gl
     xj1, wj1 = pan._j1

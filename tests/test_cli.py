@@ -339,7 +339,7 @@ class TestValidate:
         def no_build(*args):
             raise AssertionError("a panel block was built")
 
-        monkeypatch.setattr(kernel._Panels, "_block", no_build)
+        monkeypatch.setattr(kernel._Panels, "_map", no_build)
         kernel.get_engine.cache_clear()
         assert kernel.get_engine(64, kernel.HurstParams(0.8)).n == 64
 

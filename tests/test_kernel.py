@@ -1,6 +1,8 @@
 """Kernel constants, point evaluations, and cell integrals against oracles."""
+import hashlib
 import inspect
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,9 +11,9 @@ from scipy import special
 from scipy.integrate import quad
 
 from rosenblatt import DomainError, HurstParams, c_const, d_const, kernel
-from rosenblatt.kernel import (_BLOCK, VolterraEngine, _matmul, _node_sum, _Panels,
-                               _roots_jacobi, _subdiagonal, branch_increments, fbm_matrix,
-                               get_engine)
+from rosenblatt.kernel import (_BLOCK, _NODES, VolterraEngine, _column_squares, _matmul,
+                               _node_sum, _Panels, _roots_jacobi, _subdiagonal,
+                               branch_increments, fbm_matrix, get_engine)
 from rosenblatt.paths import NoiseKind, _noise_slabs
 
 from conftest import F_oracle, K_oracle, cell_weight_oracle, dK_cell_oracle
@@ -19,6 +21,14 @@ from oracles import cell_weight, dK, fbm_kernel, panel_block, rosenblatt_kernel
 
 # the node tables of a panel block
 _TABLES = ("A_gl", "A_j1", "Qd", "wR", "e2")
+
+
+def _family_block(pan: _Panels, lo: int, last: int) -> dict:
+    """Every table of the block of panels lo..last from the per-family
+    builders, run serially on this thread."""
+    A_gl = pan._table(lo, last, pan._gl)
+    return {"lo": lo, "A_gl": A_gl, "A_j1": pan._table(lo, last, pan._j1),
+            "Qd": _column_squares(A_gl, lo), "wR": pan._wR(lo, last), "e2": pan._e2(lo, last)}
 
 
 class TestConstants:
@@ -327,6 +337,40 @@ class TestWeightTable:
         monkeypatch.setattr(kernel, "_cpus", lambda: 1)
         assert fbm_matrix.__wrapped__(n, p08).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n, sha256", [
+        (64, "7a6a07c716803c636b6d066290f0fef237cf2e52a4e9b48c2cb072abe2c02c61"),
+        (300, "4c18a656ed761679d79ad361145927c0d975eb14b485e9300177b305f2157590")])
+    def test_fbm_matrix_builds_one_family(self, p08, n, sha256, monkeypatch):
+        # the fbm walk reads A_gl and wR alone, so of each block the build
+        # evaluates the Gauss-Legendre table and the first Gauss-Jacobi
+        # family's endpoint factor: no A_j1 and no e2, about half the values
+        # of whole blocks.  The hashes are those of whole-block builds
+        lock = threading.Lock()
+        values = {"betainc": 0, "betaincc": 0}
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(special, name)
+
+            def _count(self, name, x):
+                with lock:
+                    values[name] += np.size(x)
+
+            def betainc(self, a, b, x, **kw):
+                self._count("betainc", x)
+                return special.betainc(a, b, x, **kw)
+
+            def betaincc(self, a, b, x, **kw):
+                self._count("betaincc", x)
+                return special.betaincc(a, b, x, **kw)
+
+        monkeypatch.setattr(kernel, "special", Counting())
+        T = fbm_matrix.__wrapped__(n, p08)
+        blocks = [(lo, min(lo + _BLOCK - 1, n)) for lo in range(1, n + 1, _BLOCK)]
+        assert values == {"betainc": sum(last * (last - lo + 1) * _NODES for lo, last in blocks),
+                          "betaincc": n * _NODES}
+        assert hashlib.sha256(T.tobytes()).hexdigest() == sha256
+
     @pytest.mark.parametrize("k", [0, 9, 17])
     def test_panel_index_outside_grid(self, p07, k):
         with pytest.raises(DomainError):
@@ -387,8 +431,9 @@ class TestWeightTable:
             assert len(blocks) == -(-n // _BLOCK)
             for b, t in enumerate(blocks):
                 lo = 1 + b * _BLOCK
-                ref = _Panels(n, p08)._block(lo, min(lo + _BLOCK - 1, n))
-                ref.update(D=_node_sum(ref["A_gl"] ** 2, ref["w_gl"]),
+                pan = _Panels(n, p08)
+                ref = _family_block(pan, lo, min(lo + _BLOCK - 1, n))
+                ref.update(D=_node_sum(ref["A_gl"] ** 2, pan._w_gl),
                            m1=_node_sum(ref["A_j1"], ref["wR"]))
                 assert t["lo"] == lo
                 for key in (*_TABLES, "D", "m1"):
@@ -452,22 +497,34 @@ class TestBuiltOnFirstRead:
     def test_pm1_reader_rebuilds_once_with_the_same_bits(self, p08, n, reader, monkeypatch):
         # a +-1 pass and panel(k) after an m1 reader equal those of an engine
         # whose first reader was the +-1 pass, bit for bit, through one
-        # rebuild; n covers one block, whole blocks, a partial last block and
-        # (n > 256) the chunked inner dimension
-        passes = []
-        build = _Panels._map
+        # rebuild of the A_j1 tables alone, added to blocks that keep every
+        # other array; n covers one block, whole blocks, a partial last block
+        # and (n > 256) the chunked inner dimension
+        passes, tables = [], []
+        build, table = _Panels._map, _Panels._table
 
         def counting(self, use):
             passes.append(self.n)
             return build(self, use)
 
+        def family(self, lo, last, rule):
+            tables.append("j1" if rule is self._j1 else "gl")
+            return table(self, lo, last, rule)
+
         monkeypatch.setattr(_Panels, "_map", counting)
+        monkeypatch.setattr(_Panels, "_table", family)
         xi = np.random.default_rng(n).integers(0, 2, (5, n)) * 2.0 - 1.0
         fresh = VolterraEngine(n, p08)
         want = fresh.quadratic_increments(xi)
         eng = VolterraEngine(n, p08)
         first = _M1_READERS[reader](eng)
+        before = eng._blocks(j1=False)
+        del tables[:]
         assert eng.quadratic_increments(xi).tobytes() == want.tobytes()
+        assert tables == ["j1"] * len(before)
+        for old, new in zip(before, eng._blocks(j1=True), strict=True):
+            assert new.keys() == old.keys() | {"A_j1"}
+            assert all(new[key] is old[key] for key in old), old["lo"]
         for k in range(1, n + 1):
             got, ref = eng.panel(k), fresh.panel(k)
             assert got.keys() == ref.keys(), k
@@ -479,6 +536,7 @@ class TestBuiltOnFirstRead:
         # the m1 reader's bits hold on the rebuilt blocks, which are kept
         assert _M1_READERS[reader](eng).tobytes() == first.tobytes()
         assert passes == [n, n, n]
+        assert tables == ["j1"] * len(before)
 
 
 class TestBlockBuild:
@@ -496,7 +554,7 @@ class TestBlockBuild:
         # bit, H near 1/2 and near 1 included, where no pinned hash reaches
         pan = _Panels(n, HurstParams(H))
         for lo in range(1, n + 1, _BLOCK):
-            t = pan._block(lo, min(lo + _BLOCK - 1, n))
+            t = _family_block(pan, lo, min(lo + _BLOCK - 1, n))
             ref = panel_block(pan, lo, min(lo + _BLOCK - 1, n))
             for key in _TABLES:
                 assert t[key].shape == ref[key].shape, (lo, key)
@@ -520,20 +578,21 @@ class TestBlockBuild:
 
     @pytest.mark.parametrize("n", [512, 2048])
     def test_holds_no_table_sized_temporary(self, p08, n):
-        # the build works in the two tables it returns: what it allocates
-        # beside them stays below one A_gl table.  A freed temporary of a
+        # each family's build works in the one table it returns: what it
+        # allocates beside it stays below one table.  A freed temporary of a
         # table's size (128 KiB or more) is returned to the system by glibc,
         # which then raises its mmap threshold, and the heap fragmentation
         # that follows shows in the commands' peak RSS though not here
         pan = _Panels(n, p08)
         lo = (n - 1) // _BLOCK * _BLOCK + 1
-        tracemalloc.start()
-        try:
-            t = pan._block(lo, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - sum(t[key].nbytes for key in _TABLES) < t["A_gl"].nbytes
+        for rule in (pan._gl, pan._j1):
+            tracemalloc.start()
+            try:
+                A = pan._table(lo, n, rule)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - A.nbytes < A.nbytes
 
 
 class TestQuadraticIncrements:

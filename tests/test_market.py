@@ -132,35 +132,41 @@ class TestBuildMarket:
             for name in ("X", "B", "S", "u", "d", "r_minus_a"):
                 assert getattr(path, name).tobytes() == getattr(alone, name).tobytes(), name
 
-    def test_holds_few_blocks_at_once(self, monkeypatch):
-        # the branch pass builds each of N = 300's 19 panel blocks, uses it
-        # and drops it: no more blocks are alive at once than the build has
-        # workers, plus one
+    def test_holds_one_family_table_per_worker(self, monkeypatch):
+        # the branch pass builds each of N = 300's 19 panel blocks one node
+        # family at a time: its A_gl, dropped once the Gauss-Legendre half of
+        # the +-1 pass has read it, then its A_j1.  So no worker holds an A_gl
+        # and an A_j1, or any two tables, at once.  A table is the array the
+        # build hands betainc as its out=
         import threading
         import weakref
+        from scipy import special
         from rosenblatt import kernel
-        build = kernel._Panels._block
         lock = threading.Lock()
-        count = {"alive": 0, "peak": 0, "built": 0}
+        alive, held = {}, []
 
-        def dropped():
+        def dropped(worker):
             with lock:
-                count["alive"] -= 1
+                alive[worker] -= 1
 
-        def tracked(self, lo, last):
-            t = build(self, lo, last)
-            with lock:
-                count["alive"] += 1
-                count["built"] += 1
-                count["peak"] = max(count["peak"], count["alive"])
-            weakref.finalize(t["A_gl"], dropped)
-            return t
+        class Tracking:
+            def __getattr__(self, name):
+                return getattr(special, name)
 
-        monkeypatch.setattr(kernel._Panels, "_block", tracked)
+            def betainc(self, *args, out=None):
+                if out is not None:
+                    worker = threading.get_ident()
+                    with lock:
+                        held.append(alive.get(worker, 0))
+                        alive[worker] = alive.get(worker, 0) + 1
+                    weakref.finalize(out, dropped, worker)
+                return special.betainc(*args, out=out)
+
+        monkeypatch.setattr(kernel, "special", Tracking())
         build_market(cfg_with(N=300), make_noise(300, "rademacher", 7))
-        assert count["built"] == 19
-        assert count["alive"] == 0
-        assert count["peak"] <= min(kernel._cpus(), 19) + 1
+        assert len(held) == 2 * 19
+        assert held == [0] * len(held)
+        assert set(alive.values()) == {0}
 
     def test_sigma_zero_deterministic(self):
         cfg = cfg_with(N=16, sigma=0.0, r=0.3, a=0.1)
