@@ -35,10 +35,11 @@ each edge past a panel's own cells read as Ix(1) = B so that its rows
 difference to exact zeros, plus the small endpoint factors (``_wR``,
 ``_e2``); and each block is computed on its own, so no table depends on the
 worker count or on the order blocks finish in.  ``_Panels`` builds the
-tables and runs the +-1 pass (``_increments``), a Gauss-Legendre half and a
-Gauss-Jacobi half, in a per-node operation order that fixes the bits of the
-Rademacher ensembles and of the market's branch pass, which gives the up and
-the down branch of every step of each noise prefix (``branch_increments``).
+tables and runs the +-1 pass, a Gauss-Legendre half (``_gl_half``) and a
+Gauss-Jacobi half (``_j1_half``), in a per-node operation order that fixes
+the bits of the Rademacher ensembles and of the market's branch pass, which
+gives the up and the down branch of every step of each noise prefix
+(``branch_increments``).
 The branch pass runs a block's A_gl through the first half and drops it
 before it builds the block's A_j1 for the second, and the fbm walk's matrix
 (``fbm_matrix``) builds A_gl alone, so a worker of either holds one table at
@@ -52,11 +53,8 @@ engine runs the Gaussian pass, on noise that is not all +-1
 weighed by one GEMM against a block-diagonal weight matrix, and the cross
 and squared-noise terms, linear in their tables, read node contractions made
 once per block, in the worker that built it, which the exact-law matrices
-read too.  Only the +-1 pass and the per-panel oracles read a block's A_j1
-node by node, so the engine keeps A_j1 only if one of them is its first
-reader; otherwise each worker drops A_j1 once its contraction is made and
-before it builds A_gl, and a +-1 reader that comes later builds the A_j1
-tables alone, once, with the same bits.
+and the per-panel oracles read too.  Only the +-1 pass reads a block's A_j1
+node by node; what that means for the kept blocks is ``_blocks``'s rule.
 """
 from __future__ import annotations
 
@@ -272,11 +270,12 @@ class _Panels:
     Construction sets only the node rules and constants.  ``_table`` builds
     one node family's difference table of 16 consecutive panels, ``_wR`` and
     ``_e2`` their endpoint factors, ``_map`` hands every block's panel range
-    to a function that builds what it reads, and ``_increments`` is the +-1
-    pass of noise rows through a block, in two halves that read one table
-    each.  This class holds nothing of the Gaussian pass, which
-    ``VolterraEngine`` runs on the contractions it keeps;
-    ``branch_increments`` keeps only what the +-1 pass reads off each block.
+    to a function that builds what it reads, and ``_gl_half`` and
+    ``_j1_half`` are the two halves of the +-1 pass of noise rows through a
+    block, which read one table each.  This class holds nothing of the
+    Gaussian pass, which ``VolterraEngine`` runs on the contractions it
+    keeps; ``branch_increments`` keeps only what the +-1 pass reads off each
+    block.
     """
 
     def __init__(self, n: int, p: HurstParams):
@@ -368,28 +367,25 @@ class _Panels:
             return list(pool.map(
                 lambda lo: use(lo, min(lo + _BLOCK - 1, self.n)), los[::-1]))[::-1]
 
-    def _increments(self, t: dict, x: np.ndarray, cur: np.ndarray) -> np.ndarray:
-        """Increments of the consecutive panels of block t for each +-1 noise
-        row of x, shape (M, panels): the Gauss-Legendre half ``_gl_half``
-        followed by the Gauss-Jacobi half ``_j1_half``.
-
-        x has shape (M, K + 1), K the last panel of t, with column i holding
-        xi_i and column 0 the absent xi_0 = 0.  cur is the xi_k of every panel
-        k of t: x's own columns lo..K for a path, the branch sign for
-        ``branch_increments``; it must broadcast against (M, panels).  With
-        xi_i^2 = 1 the sum over pairs i != j <= k of xi_i xi_j int_panel G_i G_j
-        is expanded through the Abar/E split into sum_q w_gl (S_q^2 - Qd_q)
-        + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q + xi_{k-1}^2 row_q)
-        - 2 xi_k xi_{k-1} e2, with S = x @ A_gl, S1 = x @ A_j1 and Qd the
-        column sums of A_gl^2 (``_column_squares``), so it costs O(M k nodes)
-        flops per panel.  Every product goes through ``_matmul``, so no row's
-        bits depend on M.  The halves read one family's table each, so the
-        branch pass drops a block's A_gl before it builds its A_j1.
-        """
-        return self._j1_half(t, x, cur, self._gl_half(t, x))
-
     def _gl_half(self, t: dict, x: np.ndarray) -> np.ndarray:
-        """sum_q w_gl (S_q^2 - Qd_q) of ``_increments``, from A_gl and Qd."""
+        """sum_q w_gl (S_q^2 - Qd_q) of the +-1 pass, from A_gl and Qd.
+
+        The +-1 pass of block t is ``_j1_half(t, x, cur, _gl_half(t, x))``:
+        the increments of t's consecutive panels for each +-1 noise row of x,
+        shape (M, panels).  x has shape (M, K + 1), K the last panel of t,
+        with column i holding xi_i and column 0 the absent xi_0 = 0.  cur is
+        the xi_k of every panel k of t: x's own columns lo..K for a path, the
+        branch sign for ``branch_increments``; it must broadcast against (M,
+        panels).  With xi_i^2 = 1 the sum over pairs i != j <= k of xi_i xi_j
+        int_panel G_i G_j is expanded through the Abar/E split into sum_q
+        w_gl (S_q^2 - Qd_q) + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q +
+        xi_{k-1}^2 row_q) - 2 xi_k xi_{k-1} e2, with S = x @ A_gl, S1 = x @
+        A_j1 and Qd the column sums of A_gl^2 (``_column_squares``), so it
+        costs O(M k nodes) flops per panel.  Every product goes through
+        ``_matmul``, so no row's bits depend on M.  The halves read one
+        family's table each, so the branch pass drops a block's A_gl before
+        it builds its A_j1.
+        """
         S = _matmul(x[:, 1:], t["A_gl"]).reshape(x.shape[0], -1, _NODES)
         # in place, but in the operation order of ((S*S - Qd) * w_gl).sum():
         # the order fixes every bit of the result
@@ -399,8 +395,8 @@ class _Panels:
         return S.sum(axis=2)
 
     def _j1_half(self, t: dict, x: np.ndarray, cur: np.ndarray, part: np.ndarray) -> np.ndarray:
-        """n dH (part + the rest of ``_increments``), from A_j1, wR and e2;
-        part is ``_gl_half``'s, which it adds to in place."""
+        """n dH (part + the rest of the +-1 pass, ``_gl_half``), from A_j1, wR
+        and e2; part is ``_gl_half``'s, which it adds to in place."""
         M = x.shape[0]
         B, nodes = t["wR"].shape
         lo = t["lo"]
@@ -429,22 +425,14 @@ class VolterraEngine(_Panels):
     A_gl^2, and the node contractions D and m1, made in the worker that built
     it, next to the engine's block-diagonal weights W.
     ``quadratic_increments`` (the ensembles, once per noise slab) multiplies
-    its noise rows by whole blocks: the +-1 pass through ``_increments``,
-    the Gaussian pass on the contractions and W, which only this class
-    holds.  The dense matrices read the blocks too, through one ``_gram``
-    product per block (``table_matrix``) or per ``panel``
+    its noise rows by whole blocks: the +-1 pass through ``_gl_half`` and
+    ``_j1_half``, the Gaussian pass on the contractions and W, which only
+    this class holds.  The dense matrices read the blocks too, through one
+    ``_gram`` product per block (``table_matrix``) or per ``panel``
     (``delta_table``).  The fbm matrix and the market's branch pass read
     each block once, so they keep none (``fbm_matrix``,
     ``branch_increments``): this class serves the Rosenblatt walk alone.
-
-    Only the +-1 pass and ``panel`` read A_j1; the Gaussian pass and
-    ``table_matrix`` read its contraction m1 alone.  So the first reader
-    decides what the blocks keep (``_blocks``), which are built one node
-    family at a time, A_j1 first: after any other first reader each worker
-    drops A_j1 once m1 is made and before it builds A_gl, which halves the
-    kept tables and the tables a worker holds, and a later +-1 pass or
-    ``panel`` builds every block's A_j1 once more, with the same ``_table``
-    and so the same bits, and keeps it.
+    Whether the blocks keep A_j1 is ``_blocks``'s rule.
 
     The tables are read-only and safe to share across readers; acquire an
     engine through ``get_engine``.  No lock guards the first build: readers
@@ -460,48 +448,48 @@ class VolterraEngine(_Panels):
         self._W.setflags(write=False)
         self._built = None
 
+    def _block(self, lo: int, last: int, j1: bool) -> dict:
+        """The block of panels lo..last, built one node family at a time:
+        A_j1 with wR and e2, then m1 = sum_q wR A_j1, and A_j1 is dropped,
+        unless j1, before A_gl, its Qd and D = sum_q w_gl A_gl^2 are built."""
+        A_j1, wR = self._table(lo, last, self._j1), self._wR(lo, last)
+        t = {"lo": lo, "wR": wR, "e2": self._e2(lo, last), "m1": _node_sum(A_j1, wR)}
+        if j1:
+            t["A_j1"] = A_j1
+        del A_j1
+        A_gl = self._table(lo, last, self._gl)
+        t.update(A_gl=A_gl, Qd=_column_squares(A_gl, lo), D=_node_sum(A_gl ** 2, self._w_gl))
+        for key in ("m1", "Qd", "D"):
+            t[key].setflags(write=False)
+        return t
+
     def _blocks(self, j1: bool) -> list:
-        """Every block, in panel order, for a reader that reads A_j1 (j1) or
-        only its contraction m1.  The first read builds each block one node
-        family at a time: A_j1 with wR and e2, then m1 = sum_q wR A_j1, and
-        A_j1 is dropped, unless j1, before A_gl, its Qd and D = sum_q w_gl
-        A_gl^2 are built.  The first j1 reader after blocks that dropped A_j1
-        builds A_j1 alone and adds it to a copy of each block."""
+        """Every block, in panel order (``_block``), with A_j1 if j1.
+
+        The one reader of A_j1 is the +-1 pass; every other reader reads its
+        contraction m1 alone.  So the blocks keep A_j1 only if the +-1 pass
+        is their first reader: otherwise each worker drops A_j1 once m1 is
+        made and before it builds A_gl, which halves the kept tables and the
+        tables a worker holds.  A +-1 pass that finds blocks without A_j1
+        rebuilds every block, with the same bits, and they keep it from then
+        on.  The caller gets the blocks it asked for even if a racing build
+        replaces them."""
         blocks = self._built
-        if blocks is None:
-            def build(lo: int, last: int) -> dict:
-                A_j1, wR = self._table(lo, last, self._j1), self._wR(lo, last)
-                t = {"lo": lo, "w_gl": self._w_gl, "wR": wR, "e2": self._e2(lo, last),
-                     "m1": _node_sum(A_j1, wR)}
-                if j1:
-                    t["A_j1"] = A_j1
-                del A_j1
-                A_gl = self._table(lo, last, self._gl)
-                t.update(A_gl=A_gl, Qd=_column_squares(A_gl, lo),
-                         D=_node_sum(A_gl ** 2, self._w_gl))
-                for key in ("m1", "Qd", "D"):
-                    t[key].setflags(write=False)
-                return t
-            self._built = self._map(build)
-        elif j1 and "A_j1" not in blocks[0]:
-            self._built = self._map(lambda lo, last: {
-                **blocks[(lo - 1) // _BLOCK], "A_j1": self._table(lo, last, self._j1)})
-        return self._built
+        if blocks is None or (j1 and "A_j1" not in blocks[0]):
+            blocks = self._built = self._map(lambda lo, last: self._block(lo, last, j1))
+        return blocks
 
     def panel(self, k: int) -> dict:
         """Read-only views of panel k = [(k-1)/n, k/n] in its block's layout:
-        A_gl / A_j1 of shape (k, nodes), the per-panel entries as one row.
-        A reader of A_j1: on an engine whose blocks dropped it, the first
-        call rebuilds them (``VolterraEngine``)."""
+        A_gl of shape (k, nodes), m1 of shape (k, 1) and the per-panel
+        entries as one row; no A_j1 (``_blocks``)."""
         if not 1 <= k <= self.n:
             raise DomainError(f"panel index must lie in 1..{self.n}, got {k}")
-        t = self._blocks(j1=True)[(k - 1) // _BLOCK]
-        j = (k - t["lo"]) * _NODES
-        return {**self._cut(t, k, k), "A_j1": t["A_j1"][:k, j: j + _NODES]}
+        return self._cut(self._blocks(j1=False)[(k - 1) // _BLOCK], k, k)
 
     def _cut(self, t: dict, first: int, last: int) -> dict:
         """The views ``_gram`` reads of panels first..last of block t, rows
-        :last: ``panel``'s but A_j1."""
+        :last."""
         j0, j1 = first - t["lo"], last - t["lo"] + 1
         one = {key: t[key][j0: j1] for key in ("Qd", "wR", "e2")}
         return {"lo": first, "A_gl": t["A_gl"][:last, j0 * _NODES: j1 * _NODES],
@@ -529,8 +517,7 @@ class VolterraEngine(_Panels):
 
         One ``_gram`` product per stored block, the block holding panel m cut
         at m; m = 0 gives zeros.  The exact finite-n laws read it.  It reads
-        m1, not A_j1, so as an engine's first reader it leaves blocks without
-        A_j1 (``VolterraEngine``).
+        m1, not A_j1 (``_blocks``).
         """
         if not 0 <= m <= self.n:
             raise DomainError(f"need 0 <= m <= n, got m={m}, n={self.n}")
@@ -550,7 +537,7 @@ class VolterraEngine(_Panels):
         every stored block runs once over all M rows.  This is the one pass of
         the ensembles, which call it once per noise slab.  The noise picks the
         pass, per call, before anything is allocated: if |xi| = 1 everywhere
-        it runs the +-1 pass ``_increments``, two GEMMs 16 * nodes wide per
+        it runs the +-1 pass (``_gl_half``), two GEMMs 16 * nodes wide per
         block, in its per-node operation order, which fixes the bits of the
         Rademacher ensembles and of ``branch_increments``.
         Otherwise it runs the Gaussian pass, the same sum with every node sum
@@ -561,8 +548,7 @@ class VolterraEngine(_Panels):
         rounding.  Every product goes through ``_matmul``, so a row's bits do
         not depend on the other rows of xi when those are of its noise kind
         (a +-1 row stacked with Gaussian rows runs the Gaussian pass).  Only
-        the +-1 pass reads A_j1, so a Gaussian pass that is the engine's
-        first reader leaves blocks without it (``VolterraEngine``).
+        the +-1 pass reads A_j1 (``_blocks``).
         """
         n = self.n
         if xi.shape[1] != n:
@@ -575,7 +561,8 @@ class VolterraEngine(_Panels):
         if unit:
             for t in blocks:
                 lo, K = t["lo"], t["A_gl"].shape[0]
-                out[:, lo - 1: K] = self._increments(t, x[:, : K + 1], x[:, lo: K + 1])
+                xb = x[:, : K + 1]
+                out[:, lo - 1: K] = self._j1_half(t, xb, x[:, lo: K + 1], self._gl_half(t, xb))
             return out
         x2 = x ** 2
         for t in blocks:
@@ -636,10 +623,10 @@ def branch_increments(n: int, p: HurstParams, prefixes: np.ndarray) -> np.ndarra
     The increment is affine in xi_k (the quadratic form has no diagonal),
     so column k - 1 is (f + g, f - g) of the split f_{k-1} + xi_k g_{k-1}.
     One streamed pass, a node family at a time: in the worker that builds
-    it, each block's A_gl is built, run through the Gauss-Legendre half of
-    ``_increments`` for all 2P rows and dropped, and then its A_j1 is built
-    and run through the Gauss-Jacobi half, which adds the first half's
-    (2P, panels) result.  So a worker holds one table at a time, only those
+    it, each block's A_gl is built, run through the Gauss-Legendre half
+    ``_gl_half`` of the +-1 pass for all 2P rows and dropped, and then its
+    A_j1 is built and run through the Gauss-Jacobi half, which adds the
+    first half's (2P, panels) result.  So a worker holds one table at a time, only those
     results are kept, and no engine is built or cached.  The rows are those
     of ``quadratic_increments`` on the noise whose xi_k is set, bit for bit.
     Both rows of a prefix carry the whole prefix; only xi_k differs.  Row

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,15 @@ def test_export_has_docstring(name):
     assert obj.__doc__ and not obj.__doc__.startswith(f"{obj.__name__}("), name
 
 
+# the scipy.special functions the package calls
+_SCIPY_CALLS = {"beta", "betainc", "betaincc", "eval_jacobi"}
+
+
+def _version(text: str) -> tuple:
+    """(major, minor, micro) of a release number; 1.11 reads as 1.11.0."""
+    return (*map(int, text.split(".")), 0, 0)[:3]
+
+
 def test_scipy_surface_is_pinned():
     # every scipy function the package calls is named here, so a new one is a
     # reviewed change: a numpy-only runtime has to own each of them
@@ -63,7 +73,20 @@ def test_scipy_surface_is_pinned():
                 used.add(node.attr)
     # (file, from-module, name, alias): only ``from scipy import special``
     assert imports == [("kernel.py", "scipy", "special", None)]
-    assert used == {"beta", "betainc", "betaincc", "eval_jacobi"}
+    assert used == _SCIPY_CALLS
+
+
+def test_scipy_floor_covers_the_called_functions():
+    # an install that resolves the lowest scipy pyproject.toml allows must
+    # have every function the package calls: each one's versionadded, where
+    # its docstring gives one, is at most that floor
+    from scipy import special
+    pyproject = Path(rosenblatt.__file__).parents[2] / "pyproject.toml"
+    floor = _version(re.search(r'"scipy>=([\d.]+)"', pyproject.read_text()).group(1))
+    added = {name: re.findall(r"versionadded::\s*([\d.]+)", getattr(special, name).__doc__ or "")
+             for name in sorted(_SCIPY_CALLS)}
+    assert added["betaincc"], "the check reads no version from scipy's docstrings"
+    assert {name: v for name, vs in added.items() for v in vs if _version(v) > floor} == {}
 
 
 def test_no_polynomial_fit_or_linalg_call():

@@ -396,29 +396,32 @@ class TestWeightTable:
         finally:
             sys.setswitchinterval(interval)
         assert got == [want[r % 2] for r in range(16)]
-        for key in ("A_gl", "A_j1", "m1"):
+        for key in ("A_gl", "m1"):
             assert not eng.panel(5)[key].flags.writeable, key
-        # the node contractions stored next to each block, and the engine's
-        # block-diagonal weight matrix, are frozen with the rest
-        for t in eng._blocks(j1=False):
-            for key in ("D", "m1"):
+        # A_j1, the node contractions stored next to each block, and the
+        # engine's block-diagonal weight matrix, are frozen with the rest
+        for t in eng._blocks(j1=True):
+            for key in ("A_j1", "D", "m1"):
                 assert not t[key].flags.writeable, key
         assert not eng._W.flags.writeable
 
     @pytest.mark.parametrize("H", [0.6, 0.8])
     @pytest.mark.parametrize("n", [7, 128, 300])
     def test_stored_contractions_equal_node_sums(self, H, n):
-        # m1 of every cut is the node sum of the cut's own A_j1 bit for bit;
-        # a block stores no copy of a row of A_j1 or of m1 (``_subdiagonal``
-        # gathers them)
+        # m1 of every cut is the node sum of the panel's own A_j1 bit for
+        # bit; a block stores no copy of a row of A_j1 or of m1
+        # (``_subdiagonal`` gathers them)
         eng = get_engine(n, HurstParams(H))
+        blocks = eng._blocks(j1=True)
         for k in range(1, n + 1):
-            v = eng.panel(k)
-            assert v["m1"].tobytes() == _node_sum(v["A_j1"], v["wR"]).tobytes(), k
-            assert "row" not in v
-        for t in eng._blocks(j1=False):
-            assert t["D"].tobytes() == _node_sum(t["A_gl"] ** 2, t["w_gl"]).tobytes()
-            assert {"row", "diag"}.isdisjoint(t)
+            v, t = eng.panel(k), blocks[(k - 1) // _BLOCK]
+            j = (k - t["lo"]) * _NODES
+            A_j1 = t["A_j1"][:k, j: j + _NODES]
+            assert v["m1"].tobytes() == _node_sum(A_j1, v["wR"]).tobytes(), k
+            assert {"row", "A_j1"}.isdisjoint(v)
+        for t in blocks:
+            assert t["D"].tobytes() == _node_sum(t["A_gl"] ** 2, eng._w_gl).tobytes()
+            assert {"row", "diag", "w_gl"}.isdisjoint(t)
 
     @pytest.mark.parametrize("n", [7, 128, 300])
     def test_parallel_build_equals_serial_blocks(self, p08, n, monkeypatch):
@@ -495,36 +498,30 @@ class TestBuiltOnFirstRead:
     @pytest.mark.parametrize("reader", list(_M1_READERS))
     @pytest.mark.parametrize("n", [7, 128, 300])
     def test_pm1_reader_rebuilds_once_with_the_same_bits(self, p08, n, reader, monkeypatch):
-        # a +-1 pass and panel(k) after an m1 reader equal those of an engine
-        # whose first reader was the +-1 pass, bit for bit, through one
-        # rebuild of the A_j1 tables alone, added to blocks that keep every
-        # other array; n covers one block, whole blocks, a partial last block
-        # and (n > 256) the chunked inner dimension
-        passes, tables = [], []
-        build, table = _Panels._map, _Panels._table
+        # a +-1 pass after an m1 reader rebuilds every block in one pass of
+        # the block pool, and its tables, contractions and increments equal
+        # those of an engine whose first reader was the +-1 pass, bit for
+        # bit; n covers one block, whole blocks, a partial last block and
+        # (n > 256) the chunked inner dimension
+        passes = []
+        build = _Panels._map
 
         def counting(self, use):
             passes.append(self.n)
             return build(self, use)
 
-        def family(self, lo, last, rule):
-            tables.append("j1" if rule is self._j1 else "gl")
-            return table(self, lo, last, rule)
-
         monkeypatch.setattr(_Panels, "_map", counting)
-        monkeypatch.setattr(_Panels, "_table", family)
         xi = np.random.default_rng(n).integers(0, 2, (5, n)) * 2.0 - 1.0
         fresh = VolterraEngine(n, p08)
         want = fresh.quadratic_increments(xi)
         eng = VolterraEngine(n, p08)
         first = _M1_READERS[reader](eng)
         before = eng._blocks(j1=False)
-        del tables[:]
+        assert passes == [n, n]
         assert eng.quadratic_increments(xi).tobytes() == want.tobytes()
-        assert tables == ["j1"] * len(before)
+        assert passes == [n, n, n]
         for old, new in zip(before, eng._blocks(j1=True), strict=True):
             assert new.keys() == old.keys() | {"A_j1"}
-            assert all(new[key] is old[key] for key in old), old["lo"]
         for k in range(1, n + 1):
             got, ref = eng.panel(k), fresh.panel(k)
             assert got.keys() == ref.keys(), k
@@ -536,7 +533,25 @@ class TestBuiltOnFirstRead:
         # the m1 reader's bits hold on the rebuilt blocks, which are kept
         assert _M1_READERS[reader](eng).tobytes() == first.tobytes()
         assert passes == [n, n, n]
-        assert tables == ["j1"] * len(before)
+
+    @pytest.mark.parametrize("n", [7, 40])
+    def test_per_panel_oracles_build_nothing(self, p08, n, monkeypatch):
+        # panel and delta_table read m1, not A_j1: after a Gaussian pass they
+        # run no pass of the block pool, the blocks still keep no A_j1, and
+        # every delta table has the bits of an engine whose first reader was
+        # the +-1 pass
+        pm1, eng = VolterraEngine(n, p08), VolterraEngine(n, p08)
+        pm1.quadratic_increments(np.ones((2, n)))
+        _M1_READERS["gaussian"](eng)
+
+        def no_build(*args):
+            raise AssertionError("a panel block was built")
+
+        monkeypatch.setattr(_Panels, "_map", no_build)
+        for k in range(1, n + 1):
+            assert "A_j1" not in eng.panel(k), k
+            assert eng.delta_table(k).tobytes() == pm1.delta_table(k).tobytes(), k
+        assert not any("A_j1" in t for t in eng._blocks(j1=False))
 
 
 class TestBlockBuild:
@@ -679,8 +694,8 @@ class TestQuadraticIncrements:
             B, nodes = t["wR"].shape
             prev, cur = x[:, lo - 1: lo - 1 + B], x[:, lo: lo + B]
             S = _matmul(x[:, 1: K + 1], t["A_gl"]).reshape(M, B, nodes)
-            part = (S * S * t["w_gl"]).sum(axis=2)
-            part -= _matmul(x2[:, 1: K + 1], _node_sum(t["A_gl"] ** 2, t["w_gl"]))
+            part = (S * S * eng._w_gl).sum(axis=2)
+            part -= _matmul(x2[:, 1: K + 1], _node_sum(t["A_gl"] ** 2, eng._w_gl))
             m1 = _node_sum(t["A_j1"], t["wR"])
             diag = _node_sum(_subdiagonal(t["A_j1"], lo).reshape(1, -1), t["wR"])[0]
             part += 2.0 * (_matmul(x[:, 1: K + 1], m1) * (cur - prev) + x2[:, lo - 1: lo - 1 + B] * diag)
@@ -695,7 +710,9 @@ class TestQuadraticIncrements:
         # market's branch pass streams hold no weight matrix, and their pass
         # takes no squared noise
         assert not hasattr(_Panels(8, p08), "_W")
-        assert list(inspect.signature(_Panels._increments).parameters) == ["self", "t", "x", "cur"]
+        assert list(inspect.signature(_Panels._gl_half).parameters) == ["self", "t", "x"]
+        assert list(inspect.signature(_Panels._j1_half).parameters) == [
+            "self", "t", "x", "cur", "part"]
         assert not get_engine(8, p08)._W.flags.writeable
         # the noise picks the engine's pass, and the fbm matrix is streamed
         assert list(inspect.signature(VolterraEngine.quadratic_increments).parameters) == [
