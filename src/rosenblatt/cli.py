@@ -120,13 +120,16 @@ def _write(files: list[tuple[Path, Callable]], args: argparse.Namespace) -> None
 # minimal SVG emitters (no plotting dependencies)
 # ---------------------------------------------------------------------------
 
-def _svg(path: Path, parts: list[str], w: int, h: int) -> None:
-    path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-                    f'viewBox="0 0 {w} {h}">\n<rect width="100%" height="100%" fill="white"/>\n'
+_W, _H = 640, 400  # every plot's width and height, in SVG user units
+
+
+def _svg(path: Path, parts: list[str]) -> None:
+    path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+                    f'viewBox="0 0 {_W} {_H}">\n<rect width="100%" height="100%" fill="white"/>\n'
                     + "".join(parts) + "</svg>\n")
 
 
-def _svg_paths(times, rows, path: Path, w=640, h=400) -> None:
+def _svg_paths(times, rows, path: Path) -> None:
     lo = min(float(r.min()) for r in rows)
     hi = max(float(r.max()) for r in rows)
     span = (hi - lo) or 1.0
@@ -134,25 +137,25 @@ def _svg_paths(times, rows, path: Path, w=640, h=400) -> None:
               "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#ff7f0e"]
     parts = []
     for k, row in enumerate(rows):
-        pts = " ".join(f"{t * (w - 20) + 10:.1f},{h - 10 - (v - lo) / span * (h - 20):.1f}"
+        pts = " ".join(f"{t * (_W - 20) + 10:.1f},{_H - 10 - (v - lo) / span * (_H - 20):.1f}"
                        for t, v in zip(times, row))
         parts.append(f'<polyline fill="none" stroke="{colors[k % len(colors)]}" '
                      f'stroke-width="1" points="{pts}"/>\n')
-    _svg(path, parts, w, h)
+    _svg(path, parts)
 
 
-def _svg_bars(hist: st.Histogram, path: Path, w=640, h=400) -> None:
+def _svg_bars(hist: st.Histogram, path: Path) -> None:
     peak = max(int(c) for c in hist.counts) or 1
     lo, hi = float(hist.bin_edges[0]), float(hist.bin_edges[-1])
     span = (hi - lo) or 1.0
     parts = []
     for left, right, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-        x0 = (left - lo) / span * (w - 20) + 10
-        bw = (right - left) / span * (w - 20)
-        bh = int(c) / peak * (h - 20)
-        parts.append(f'<rect x="{x0:.1f}" y="{h - 10 - bh:.1f}" width="{bw:.1f}" '
+        x0 = (left - lo) / span * (_W - 20) + 10
+        bw = (right - left) / span * (_W - 20)
+        bh = int(c) / peak * (_H - 20)
+        parts.append(f'<rect x="{x0:.1f}" y="{_H - 10 - bh:.1f}" width="{bw:.1f}" '
                      f'height="{bh:.1f}" fill="#1f77b4" stroke="white" stroke-width="0.5"/>\n')
-    _svg(path, parts, w, h)
+    _svg(path, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,10 @@ Gauss-Jacobi half (``_j1_half``), in a per-node operation order that fixes
 the bits of the Rademacher ensembles and of the market's branch pass, which
 gives the up and the down branch of every step of each noise prefix
 (``branch_increments``).
-The branch pass runs a block's A_gl through the first half and drops it
-before it builds the block's A_j1 for the second, and the fbm walk's matrix
-(``fbm_matrix``) builds A_gl alone, so a worker of either holds one table at
-a time and neither keeps an engine.
+The branch pass runs each prefix once through the first half on a block's
+A_gl, drops it, builds the block's A_j1 and runs the second half once per
+branch sign; the fbm walk's matrix (``fbm_matrix``) builds A_gl alone, so a
+worker of either holds one table at a time and neither keeps an engine.
 ``VolterraEngine`` keeps every block of the Rosenblatt walk, read-only, built
 on first read: one engine per (n, H) is shared by its path generator and
 statistics, and the exact-law references of an ensemble coarsened from grid
@@ -74,9 +74,6 @@ _BLOCK = 16
 _NODES = 16
 _KCHUNK = 256
 _NPAD = 16
-# xi_k of the up (row 0) and the down (row 1) branch of a prefix in
-# ``branch_increments``
-_BRANCHES = np.array([[1.0], [-1.0]])
 
 
 def _roots_jacobi(n: int, b: float):
@@ -174,12 +171,12 @@ def _subdiagonal(T: np.ndarray, lo: int) -> np.ndarray:
     return T.reshape(K, B, -1)[np.maximum(np.arange(lo - 2, K - 1), 0), np.arange(B)]
 
 
-def _column_squares(A: np.ndarray, lo: int) -> np.ndarray:
-    """Qd, the column sums of A^2 of each panel of a block table A from panel
-    lo, (panels, nodes): with xi_i^2 = 1 the squared-noise term of the +-1
-    pass (``_gl_half``)."""
-    return np.array([np.sum(A[:k, j * _NODES: (j + 1) * _NODES] ** 2, axis=0)
-                     for j, k in enumerate(range(lo, A.shape[0] + 1))])
+def _column_squares(A: np.ndarray) -> np.ndarray:
+    """Qd, the column sums of A^2 of each panel of a block table A, (panels,
+    nodes): with xi_i^2 = 1 the squared-noise term of the +-1 pass
+    (``_gl_half``).  The rows of a panel's column slice past its own cells
+    are exact zeros, so one contraction over all rows sums each panel's."""
+    return np.einsum("ij,ij->j", A, A).reshape(-1, _NODES)
 
 
 def _gram(v: dict) -> np.ndarray:
@@ -272,10 +269,10 @@ class _Panels:
     ``_e2`` their endpoint factors, ``_map`` hands every block's panel range
     to a function that builds what it reads, and ``_gl_half`` and
     ``_j1_half`` are the two halves of the +-1 pass of noise rows through a
-    block, which read one table each.  This class holds nothing of the
-    Gaussian pass, which ``VolterraEngine`` runs on the contractions it
-    keeps; ``branch_increments`` keeps only what the +-1 pass reads off each
-    block.
+    block, which read one table each; ``branch_increments`` runs the second
+    once per branch sign on one result of the first and keeps nothing else.
+    This class holds nothing of the Gaussian pass, which ``VolterraEngine``
+    runs on the contractions it keeps.
     """
 
     def __init__(self, n: int, p: HurstParams):
@@ -374,17 +371,16 @@ class _Panels:
         the increments of t's consecutive panels for each +-1 noise row of x,
         shape (M, panels).  x has shape (M, K + 1), K the last panel of t,
         with column i holding xi_i and column 0 the absent xi_0 = 0.  cur is
-        the xi_k of every panel k of t: x's own columns lo..K for a path, the
-        branch sign for ``branch_increments``; it must broadcast against (M,
-        panels).  With xi_i^2 = 1 the sum over pairs i != j <= k of xi_i xi_j
-        int_panel G_i G_j is expanded through the Abar/E split into sum_q
-        w_gl (S_q^2 - Qd_q) + 2 sum_q wR_q ((xi_k - xi_{k-1}) S1_q +
-        xi_{k-1}^2 row_q) - 2 xi_k xi_{k-1} e2, with S = x @ A_gl, S1 = x @
-        A_j1 and Qd the column sums of A_gl^2 (``_column_squares``), so it
-        costs O(M k nodes) flops per panel.  Every product goes through
-        ``_matmul``, so no row's bits depend on M.  The halves read one
-        family's table each, so the branch pass drops a block's A_gl before
-        it builds its A_j1.
+        the xi_k of every panel k of t: x's own columns lo..K for a path, a
+        scalar branch sign for ``branch_increments``.  With xi_i^2 = 1 the sum
+        over pairs i != j <= k of xi_i xi_j int_panel G_i G_j is expanded
+        through the Abar/E split into sum_q w_gl (S_q^2 - Qd_q) + 2 sum_q wR_q
+        ((xi_k - xi_{k-1}) S1_q + xi_{k-1}^2 row_q) - 2 xi_k xi_{k-1} e2, with
+        S = x @ A_gl, S1 = x @ A_j1 and Qd the column sums of A_gl^2
+        (``_column_squares``), so it costs O(M k nodes) flops per panel.
+        Every product goes through ``_matmul``, so no row's bits depend on M.
+        The halves read one family's table each, so the branch pass drops a
+        block's A_gl before it builds its A_j1, and only the second reads cur.
         """
         S = _matmul(x[:, 1:], t["A_gl"]).reshape(x.shape[0], -1, _NODES)
         # in place, but in the operation order of ((S*S - Qd) * w_gl).sum():
@@ -394,23 +390,25 @@ class _Panels:
         S *= self._w_gl
         return S.sum(axis=2)
 
-    def _j1_half(self, t: dict, x: np.ndarray, cur: np.ndarray, part: np.ndarray) -> np.ndarray:
+    def _j1_half(self, t: dict, x: np.ndarray, cur: np.ndarray | float,
+                 part: np.ndarray) -> np.ndarray:
         """n dH (part + the rest of the +-1 pass, ``_gl_half``), from A_j1, wR
-        and e2; part is ``_gl_half``'s, which it adds to in place."""
+        and e2, as a new array; part, ``_gl_half``'s result, is left as it
+        is, so the branch pass reads it once per branch sign."""
         M = x.shape[0]
         B, nodes = t["wR"].shape
         lo = t["lo"]
         prev = x[:, lo - 1: lo - 1 + B]
-        # in place, but in the operation order of part + (2 * (xs*S1 + row)
-        # * wR).sum() - 2 xi_k xi_{k-1} e2 with xs = xi_k - xi_{k-1}
+        # in place on S1 and out, but in the operation order of part + (2 *
+        # (xs*S1 + row) * wR).sum() - 2 xi_k xi_{k-1} e2 with xs = xi_k - xi_{k-1}
         S1 = _matmul(x[:, 1:], t["A_j1"]).reshape(M, B, nodes)
         S1 *= (cur - prev)[:, :, None]
         S1 += _subdiagonal(t["A_j1"], lo)
         S1 *= 2.0
         S1 *= t["wR"]
-        part += S1.sum(axis=2)
-        part -= 2.0 * (cur * prev) * t["e2"]
-        return self.n * self.params.dH * part
+        out = part + S1.sum(axis=2)
+        out -= 2.0 * (cur * prev) * t["e2"]
+        return self.n * self.params.dH * out
 
 
 class VolterraEngine(_Panels):
@@ -458,7 +456,7 @@ class VolterraEngine(_Panels):
             t["A_j1"] = A_j1
         del A_j1
         A_gl = self._table(lo, last, self._gl)
-        t.update(A_gl=A_gl, Qd=_column_squares(A_gl, lo), D=_node_sum(A_gl ** 2, self._w_gl))
+        t.update(A_gl=A_gl, Qd=_column_squares(A_gl), D=_node_sum(A_gl ** 2, self._w_gl))
         for key in ("m1", "Qd", "D"):
             t[key].setflags(write=False)
         return t
@@ -622,17 +620,18 @@ def branch_increments(n: int, p: HurstParams, prefixes: np.ndarray) -> np.ndarra
 
     The increment is affine in xi_k (the quadratic form has no diagonal),
     so column k - 1 is (f + g, f - g) of the split f_{k-1} + xi_k g_{k-1}.
-    One streamed pass, a node family at a time: in the worker that builds
-    it, each block's A_gl is built, run through the Gauss-Legendre half
-    ``_gl_half`` of the +-1 pass for all 2P rows and dropped, and then its
-    A_j1 is built and run through the Gauss-Jacobi half, which adds the
-    first half's (2P, panels) result.  So a worker holds one table at a time, only those
-    results are kept, and no engine is built or cached.  The rows are those
-    of ``quadratic_increments`` on the noise whose xi_k is set, bit for bit.
-    Both rows of a prefix carry the whole prefix; only xi_k differs.  Row
-    k - 1 of panel k's A_gl / A_j1 is zero (cell k has no Abar part), so
+    Row k - 1 of panel k's A_gl / A_j1 is zero (cell k has no Abar part), so
     panel k reads xi_1..xi_{k-1} from the prefix and xi_k only as ``cur``,
-    +1 in the up and -1 in the down row.
+    which enters after every product.  So each prefix runs once through
+    every product, in one streamed pass, a node family at a time: in the
+    worker that builds it, each block's A_gl is built, run through the
+    Gauss-Legendre half ``_gl_half`` of the +-1 pass for the P prefix rows
+    and dropped, and then its A_j1 is built and run through the
+    Gauss-Jacobi half twice, with cur = +1 and cur = -1, each reading the
+    first half's (P, panels) result.  So a worker holds one table at a time,
+    only the results are kept, and no engine is built or cached.  The rows
+    are those of ``quadratic_increments`` on the noise whose xi_k is set,
+    bit for bit.
     """
     x = np.asarray(prefixes, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] >= n:
@@ -640,18 +639,17 @@ def branch_increments(n: int, p: HurstParams, prefixes: np.ndarray) -> np.ndarra
     if not np.all(np.abs(x) == 1.0):
         raise DomainError("branch increments need Rademacher (+-1) prefixes")
     P, L = x.shape
-    xs = np.zeros((2 * P, n + 1))
-    xs[:, 1: L + 1] = np.repeat(x, 2, axis=0)
-    cur = np.tile(_BRANCHES, (P, 1))
+    xs = np.zeros((P, n + 1))
+    xs[:, 1: L + 1] = x
     pan = _Panels(n, p)
 
     def block(lo: int, last: int) -> np.ndarray:
         xb = xs[:, : last + 1]
         A = pan._table(lo, last, pan._gl)
-        part = pan._gl_half({"A_gl": A, "Qd": _column_squares(A, lo)}, xb)
+        part = pan._gl_half({"A_gl": A, "Qd": _column_squares(A)}, xb)
         del A
         t = {"lo": lo, "A_j1": pan._table(lo, last, pan._j1), "wR": pan._wR(lo, last),
              "e2": pan._e2(lo, last)}
-        return pan._j1_half(t, xb, cur, part)
+        return np.stack([pan._j1_half(t, xb, cur, part) for cur in (1.0, -1.0)], axis=1)
 
-    return np.hstack(pan._map(block))[:, : L + 1].reshape(P, 2, L + 1)
+    return np.concatenate(pan._map(block), axis=2)[:, :, : L + 1]

@@ -28,7 +28,7 @@ def _family_block(pan: _Panels, lo: int, last: int) -> dict:
     builders, run serially on this thread."""
     A_gl = pan._table(lo, last, pan._gl)
     return {"lo": lo, "A_gl": A_gl, "A_j1": pan._table(lo, last, pan._j1),
-            "Qd": _column_squares(A_gl, lo), "wR": pan._wR(lo, last), "e2": pan._e2(lo, last)}
+            "Qd": _column_squares(A_gl), "wR": pan._wR(lo, last), "e2": pan._e2(lo, last)}
 
 
 class TestConstants:
@@ -748,6 +748,34 @@ class TestBranchIncrements:
         assert got.shape == (3, 2, n)
         for x, rows in zip(stack, got):
             assert rows.tobytes() == branch_increments(n, p08, x[None, :]).tobytes()
+
+    @pytest.mark.parametrize("n", [33, 300])
+    def test_each_prefix_is_multiplied_once(self, p08, n, monkeypatch):
+        # the up and the down row of a prefix differ only in xi_k, which
+        # enters after every product: each product of the pass runs on the P
+        # prefix rows (the Gauss-Jacobi one once per branch sign), and the
+        # Gauss-Jacobi half reads the Gauss-Legendre half's result without
+        # writing to it, so both signs read the same bytes
+        rows, kept = [], []
+        matmul, j1_half = kernel._matmul, _Panels._j1_half
+
+        def counted(a, b):
+            rows.append(a.shape[0])
+            return matmul(a, b)
+
+        def checked(self, t, x, cur, part):
+            before = part.tobytes()
+            out = j1_half(self, t, x, cur, part)
+            kept.append(part.tobytes() == before)
+            return out
+
+        monkeypatch.setattr(kernel, "_matmul", counted)
+        monkeypatch.setattr(_Panels, "_j1_half", checked)
+        x = np.random.default_rng(n).integers(0, 2, (3, n - 1)) * 2.0 - 1.0
+        assert branch_increments(n, p08, x).shape == (3, 2, n)
+        blocks = -(-n // _BLOCK)
+        assert len(rows) == 3 * blocks and set(rows) == {3}
+        assert len(kept) == 2 * blocks and all(kept)
 
     @pytest.mark.parametrize("x", [np.ones(5), np.ones((1, 1, 5)), np.ones((1, 8)),
                                    np.ones((2, 12)), np.ones((0, 5)),
